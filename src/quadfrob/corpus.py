@@ -34,6 +34,43 @@ _CORPUS = {
 }
 
 
+def braid_closure(word, strands):
+    """PD code of the closure of a braid word; planar by construction.
+
+    ``word`` is a sequence of nonzero ints, +i for s_i and -i for s_i^-1.
+    Strands run upward; at a generator on positions i, i+1 with incoming
+    arcs a (left) and b (right) and fresh outgoing arcs TL, TR, s_i gives
+    the crossing (b, TR, TL, a) with sign +1 and s_i^-1 gives (a, b, TR, TL)
+    with sign -1.  The closure identifies the top arc at each position with
+    the bottom one, and a strand that no generator touches is a loop.  Arcs
+    are renumbered 1, 2, ... in order of first appearance.
+    """
+    labels = list(range(1, strands + 1))
+    fresh = strands + 1
+    crossings = []
+    signs = []
+    for g in word:
+        i = abs(g) - 1
+        if not 0 <= i < strands - 1:
+            raise ValueError(f"generator {g} out of range for {strands} strands")
+        a, b = labels[i], labels[i + 1]
+        tl, tr = fresh, fresh + 1
+        fresh += 2
+        crossings.append((b, tr, tl, a) if g > 0 else (a, b, tr, tl))
+        signs.append(1 if g > 0 else -1)
+        labels[i], labels[i + 1] = tl, tr
+    close = {top: bottom for bottom, top in enumerate(labels, start=1)}
+    crossings = [tuple(close.get(x, x) for x in cr) for cr in crossings]
+    used = {x for cr in crossings for x in cr}
+    loops = sum(1 for p in range(1, strands + 1) if p not in used)
+    rename = {}
+    for cr in crossings:
+        for x in cr:
+            rename.setdefault(x, len(rename) + 1)
+    crossings = tuple(tuple(rename[x] for x in cr) for cr in crossings)
+    return PDCode(crossings=crossings, signs=tuple(signs), loops=loops)
+
+
 def names():
     return sorted(_CORPUS)
 

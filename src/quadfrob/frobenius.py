@@ -530,9 +530,6 @@ class FrobeniusAlgebra:
     def comultiply(self, x):
         return self.lattice().comultiply(x)
 
-    def handle_operator(self):
-        return self.lattice().handle_matrix()
-
     def closed_surface_invariant(self, genus):
         """eps(h^genus(1)) for the handle operator h = m o Delta."""
         if genus < 0:

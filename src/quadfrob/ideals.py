@@ -191,32 +191,6 @@ class ClassOrderTwoCertificate:
         }
 
 
-def ideal_from_generators(ctx, gens):
-    return Ideal.from_generators(ctx, gens)
-
-
-def ideal_product(a, b):
-    return a * b
-
-
-def ideal_norm(a):
-    return a.norm()
-
-
-def contains(a, x, denominator=None):
-    if denominator is None:
-        return a.contains(x)
-    return a.contains_fraction(x, denominator)
-
-
-def is_principal(a):
-    return a.is_principal()
-
-
-def two_generators(a):
-    return a.two_generators()
-
-
 def certify_order_two(mu):
     """Certificate that mu has order exactly two: mu non-principal and
     mu*mu principal with generator z."""

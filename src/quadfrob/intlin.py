@@ -2,11 +2,15 @@
 
 Matrices are plain lists of rows of Python ints; everything is exact,
 arbitrary precision, and deterministic.  Empty matrices lose their column
-count, so the functions that care take an explicit ``ncols``.
+count, so the functions that care take an explicit ``ncols``.  Large sparse
+differentials are ``SparseMatrix`` objects, one dict per row, with their
+own rank and elimination routines at the end of the module.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 
 
@@ -16,10 +20,6 @@ def identity(n):
 
 def zeros(nrows, ncols):
     return [[0] * ncols for _ in range(nrows)]
-
-
-def copy_matrix(a):
-    return [list(row) for row in a]
 
 
 def transpose(a, ncols=None):
@@ -52,10 +52,6 @@ def mat_add(a, b):
 
 def mat_scale(a, s):
     return [[s * x for x in row] for row in a]
-
-
-def is_zero_matrix(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def kron(a, b, a_shape=None, b_shape=None):
@@ -393,3 +389,240 @@ def perm_matrix(ndigits, base, order):
             tgt = tgt * base + digits[order[k]]
         out[tgt][src] = 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices and elimination
+
+
+class SparseMatrix:
+    """Integer matrix held as one dict {column: nonzero entry} per row.
+
+    Indexing and iteration give dense rows, so a sparse matrix also reads
+    like the list-of-rows matrices of the rest of this module.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows")
+    __hash__ = None
+
+    def __init__(self, nrows, ncols, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows if rows is not None else [{} for _ in range(nrows)]
+
+    @classmethod
+    def from_dense(cls, a, ncols=None):
+        n = len(a[0]) if a else (ncols or 0)
+        return cls(len(a), n, [{j: e for j, e in enumerate(row) if e} for row in a])
+
+    def to_dense(self):
+        out = zeros(self.nrows, self.ncols)
+        for orow, row in zip(out, self.rows):
+            for j, e in row.items():
+                orow[j] = e
+        return out
+
+    def nnz(self):
+        return sum(len(row) for row in self.rows)
+
+    def is_zero(self):
+        return not any(self.rows)
+
+    def __len__(self):
+        return self.nrows
+
+    def __getitem__(self, i):
+        out = [0] * self.ncols
+        for j, e in self.rows[i].items():
+            out[j] = e
+        return out
+
+    def __iter__(self):
+        return (self[i] for i in range(self.nrows))
+
+    def __eq__(self, other):
+        if isinstance(other, SparseMatrix):
+            return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
+        if isinstance(other, list):
+            return self.to_dense() == other
+        return NotImplemented
+
+    def __matmul__(self, other):
+        out = []
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: e for j, e in acc.items() if e})
+        return SparseMatrix(self.nrows, other.ncols, out)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+class _Eliminator:
+    """Rows of a sparse matrix plus a column index, under pivoting.
+
+    ``pivot(r, c)`` clears column c from every other row with row r and then
+    drops row r and column c.  Over Z with a unit pivot this is the
+    Gaussian-elimination update e - (x / pivot) * row_r; with any other pivot
+    it is fraction-free (both rows scaled, the result divided by its
+    content); with a modulus every entry is kept reduced mod p.
+    """
+
+    def __init__(self, rows, modulus=None):
+        self.p = modulus
+        self.rows = {}
+        self.cols = {}
+        for i, row in enumerate(rows):
+            if modulus is not None:
+                row = {j: e % modulus for j, e in row.items() if e % modulus}
+            if row:
+                self.rows[i] = dict(row)
+                for j in row:
+                    self.cols.setdefault(j, set()).add(i)
+
+    def drop_row(self, r):
+        row = self.rows.pop(r, None)
+        for j in row or ():
+            self._unlink(r, j)
+
+    def drop_col(self, c):
+        for i in self.cols.pop(c, ()):
+            row = self.rows[i]
+            del row[c]
+            if not row:
+                del self.rows[i]
+
+    def _unlink(self, i, j):
+        col = self.cols[j]
+        col.discard(i)
+        if not col:
+            del self.cols[j]
+
+    def pivot(self, r, c):
+        """Eliminates with the entry (r, c); returns the rows it changed."""
+        p = self.p
+        prow = self.rows.pop(r)
+        for j in prow:
+            self._unlink(r, j)
+        pv = prow[c]
+        inv = pow(pv, -1, p) if p is not None else None
+        touched = list(self.cols.pop(c, ()))
+        for i in touched:
+            row = self.rows[i]
+            x = row.pop(c)
+            scale = 1
+            if p is not None:
+                factor = x * inv % p
+            elif pv in (1, -1):
+                factor = x * pv
+            else:
+                g = math.gcd(pv, x)
+                scale, factor = pv // g, x // g
+                for j in row:
+                    row[j] *= scale
+            for j, e in prow.items():
+                if j == c:
+                    continue
+                v = row.get(j, 0) - factor * e
+                if p is not None:
+                    v %= p
+                if v:
+                    if j not in row:
+                        self.cols.setdefault(j, set()).add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    self._unlink(i, j)
+            if not row:
+                del self.rows[i]
+            elif scale != 1:
+                g = 0
+                for e in row.values():
+                    g = math.gcd(g, e)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        return touched
+
+
+def sparse_rank(a, modulus=None):
+    """Rank of a SparseMatrix over Q, or over F_p for a prime ``modulus``.
+
+    Fraction-free elimination, column by column from the sparsest at the
+    start, pivoting on a unit entry if the column has one, else on the
+    entry of the shortest row.  A column that empties never refills, so
+    one pass clears the matrix.
+    """
+    elim = _Eliminator(a.rows, modulus)
+    rows, cols = elim.rows, elim.cols
+    rank = 0
+    for c in sorted(cols, key=lambda j: len(cols[j])):
+        if c in cols:
+            r = min(cols[c], key=lambda i: (rows[i][c] not in (1, -1), len(rows[i])))
+            elim.pivot(r, c)
+            rank += 1
+    return rank
+
+
+def reduce_units(diffs, ranks):
+    """Gaussian elimination of unit entries in a cochain complex.
+
+    ``diffs[k]`` is the SparseMatrix of C_k -> C_{k+1} and ``ranks[k]`` the
+    rank of C_k.  A unit entry (b, a) of d_k splits off the contractible
+    summand a -> b: on the rest d_k becomes
+    d_k - d_k[:, a] d_k[b, a]^-1 d_k[b, :], row a of d_{k-1} and column b of
+    d_{k+1} are dropped, and the complex stays homotopy equivalent
+    (Bar-Natan, arXiv:math/0606318, Lemma 4.2).  Units are taken cheapest first by Markowitz cost
+    (row length - 1) * (column length - 1), re-costed lazily.
+
+    Returns (kept, reduced): the surviving basis indices of each C_k, in
+    order, and the differentials between them.
+    """
+    elims = [_Eliminator(d.rows) for d in diffs]
+    alive = [set(range(r)) for r in ranks]
+    heap = []
+
+    def push(k, i, j):
+        e = elims[k]
+        heapq.heappush(heap, ((len(e.rows[i]) - 1) * (len(e.cols[j]) - 1), k, i, j))
+
+    for k, e in enumerate(elims):
+        for i, row in e.rows.items():
+            for j, v in row.items():
+                if v in (1, -1):
+                    push(k, i, j)
+    while heap:
+        cost, k, i, j = heapq.heappop(heap)
+        e = elims[k]
+        row = e.rows.get(i)
+        if row is None or row.get(j) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(e.cols[j]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, k, i, j))
+            continue
+        changed = [c for c in row if c != j]
+        for t in e.pivot(i, j):
+            trow = e.rows.get(t)
+            if trow:
+                for c in changed:
+                    if trow.get(c) in (1, -1):
+                        push(k, t, c)
+        alive[k].discard(j)
+        alive[k + 1].discard(i)
+        if k > 0:
+            elims[k - 1].drop_row(j)
+        if k + 1 < len(elims):
+            elims[k + 1].drop_col(i)
+    kept = [sorted(s) for s in alive]
+    reduced = []
+    for k, e in enumerate(elims):
+        col_at = {j: n for n, j in enumerate(kept[k])}
+        rows = [{col_at[j]: v for j, v in e.rows.get(i, {}).items()} for i in kept[k + 1]]
+        reduced.append(SparseMatrix(len(kept[k + 1]), len(kept[k]), rows))
+    return kept, reduced

@@ -9,6 +9,22 @@ and (slot3, slot4) and the 1-resolution joins (slot1, slot4) and
 positive-kink diagram resolves to two circles at 0 and one at 1, so its
 complex is 0 -> A(x)A --m--> A -> 0 in cohomological degrees 0, 1.
 
+Chain groups are presented monomially.  Since mu*mu = (z), the factor
+mu (x)_O mu is O via u (x) v -> uv/z, so
+
+    A^(x n) = (+)_{S subset of the circles} mu^(|S| mod 2) X_S,
+
+with X on the circles in S and 1 elsewhere.  The summand of S holds
+c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
+(|S| odd; Z-basis the HNF generators g1, g2 of mu), so A^(x n) has Z-rank
+2^(n+1), and merge and split act by 2x2 integer blocks read off from m and
+Delta(1) (Khovanov, arXiv:math/0411447).  Differentials are sparse.
+
+Homology is computed once per complex: ranks over Q of the differentials,
+Gaussian elimination of unit entries, and Smith forms of what is left; the
+free Z-ranks must match the ranks over Q, and ranks mod p must match the
+universal-coefficient count of the torsion.
+
 Homological degree is |v| - n_minus.
 """
 
@@ -16,26 +32,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import intlin
-from .intlin import (
-    identity,
-    kron,
-    mat_mul,
-    mat_vec,
-    perm_matrix,
-    rank_rat,
-    transpose,
-    zeros,
-)
-from .omodule import homology_pair
+from .intlin import SparseMatrix, reduce_units, smith_normal_form, sparse_rank
 
 
 class MalformedPDError(ValueError):
     pass
 
 
-class DifferentialSquareNonzeroError(RuntimeError):
-    pass
+class CheckFailedError(RuntimeError):
+    """An internal cross-check failed; ``check`` names it."""
+
+    check = "check"
+
+    def __init__(self, message):
+        super().__init__(f"{self.check} check failed: {message}")
+
+
+class DifferentialSquareNonzeroError(CheckFailedError):
+    check = "d_squared"
+
+
+class EquivarianceError(CheckFailedError):
+    check = "equivariance"
+
+
+class RouteDisagreementError(CheckFailedError):
+    """Ranks over Q of the differentials disagree with the free Z-ranks."""
+
+    check = "k_rank_vs_z_rank"
+
+
+class ModPCheckError(CheckFailedError):
+    """Ranks mod p disagree with the universal-coefficient count."""
+
+    check = "mod_p"
 
 
 @dataclass(frozen=True)
@@ -209,13 +239,15 @@ def resolve(pd):
 @dataclass
 class Complex:
     """Cochain complex of free Z-lattices; groups[i] has rank ranks[i] and
-    differential diffs[i]: groups[i] -> groups[i+1]."""
+    differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix."""
 
     min_degree: int
     ranks: list
-    diffs: list            # len(ranks) - 1 integer matrices
+    diffs: list            # len(ranks) - 1 SparseMatrix differentials
     actions: list = None   # sqrt(d)-action per degree, None once simplified
     notes: list = field(default_factory=list)
+    checks: list = field(default_factory=list)  # cross-checks passed when built
+    _homology: object = field(default=None, repr=False, compare=False)
 
     def degrees(self):
         return range(self.min_degree, self.min_degree + len(self.ranks))
@@ -237,82 +269,137 @@ class Complex:
 
     def check_d_squared(self):
         for i in range(len(self.diffs) - 1):
-            a, b = self.diffs[i], self.diffs[i + 1]
-            if a and b and not intlin.is_zero_matrix(mat_mul(b, a)):
-                raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree index {i}")
+            if not (self.diffs[i + 1] @ self.diffs[i]).is_zero():
+                raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
+
+    def check_equivariance(self):
+        for i, d in enumerate(self.diffs):
+            if d @ self.actions[i] != self.actions[i + 1] @ d:
+                raise EquivarianceError(
+                    f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
+                )
 
 
-def _m_z_matrix(lat):
-    cols = []
-    for ei in lat._basis_elements:
-        for ej in lat._basis_elements:
-            cols.append(lat.coords(lat.alg.multiply(ei, ej)))
-    return transpose(cols, ncols=16)
+class MonomialTensors:
+    """A^(x n) in monomial coordinates and the cube's edge maps on them.
 
-
-def _delta_z_matrix(lat):
-    cols = []
-    lift = lat.delta_one_lift()
-    for e in lat._basis_elements:
-        raw = mat_vec(kron(lat.left_mult_matrix(e), identity(4)), lift)
-        cols.append(raw)
-    return transpose(cols, ncols=4)
-
-
-class _EdgeBuilder:
-    """Builds cube edge maps on quotient coordinates of tensor powers."""
+    Coordinate 2*S + j is the j-th Z-basis element of the summand of the
+    circle set S, a bit mask with factor 0 as its highest bit.  A term
+    X_S -> kappa X_S' of m or Delta over K becomes the 2x2 block of
+    c -> kappa z^(floor(|S|/2) - floor(|S'|/2)) c between the summands.
+    """
 
     def __init__(self, alg):
-        self.lat = alg.lattice()
-        self.m_z = _m_z_matrix(self.lat)
-        self.delta_z = _delta_z_matrix(self.lat)
+        ctx = alg.ctx
+        data = alg.data
+        self.mu = alg.mu
+        self.z = data.z.to_field()
+        g1, g2 = alg.mu.two_generators()
+        self.basis = (
+            (ctx.one.to_field(), ctx.sqrt_d.to_field()),
+            (g1.to_field(), g2.to_field()),
+        )
+        zero, one, a, b = ctx.field(0), ctx.field(1), data.a(), data.b()
+        duals = alg.duals
+        cd = duals.d.to_field()
+        # Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' z X(x)X
+        delta_one = {
+            (0, 0): duals.c.to_field(),
+            (0, 1): cd,
+            (1, 0): cd,
+            (1, 1): duals.d_prime.to_field() * self.z,
+        }
+        delta_x = {}  # (X (x) 1) Delta(1), with X*X = aX + b
+        for (i, j), coeff in delta_one.items():
+            for out, k in ([(1, coeff)] if i == 0 else [(1, coeff * a), (0, coeff * b)]):
+                delta_x[(out, j)] = delta_x.get((out, j), zero) + k
+        terms = {
+            "merge": {
+                (0, 0): {(0,): one},
+                (0, 1): {(1,): one},
+                (1, 0): {(1,): one},
+                (1, 1): {(1,): a, (0,): b},
+            },
+            "split": {(0,): delta_one, (1,): delta_x},
+        }
+        self.terms = {
+            kind: {ins: [(outs, k) for outs, k in t.items() if not k.is_zero()] for ins, t in table.items()}
+            for kind, table in terms.items()
+        }
+        self._blocks = {}
+        self.actions = tuple(self._block_of(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
 
-    def power(self, n):
-        return self.lat.tensor_power(n)
+    def _coords(self, f, par):
+        if not f.is_integral():
+            raise ValueError(f"{f} is not in O: the algebra is not closed")
+        r = f.to_ring()
+        return (r.x, r.y) if par == 0 else self.mu.basis_coords(r)
+
+    def _block_of(self, factor, src_par, tgt_par):
+        """Matrix of c -> factor * c from the summand lattice of parity
+        ``src_par`` to that of ``tgt_par``."""
+        (a, c), (b, d) = (self._coords(e * factor, tgt_par) for e in self.basis[src_par])
+        return ((a, b), (c, d))
+
+    def _block(self, kind, ins, outs, kappa, par):
+        key = (kind, ins, outs, par)
+        if key not in self._blocks:
+            shift = sum(outs) - sum(ins)
+            # floor(|S|/2) - floor(|S'|/2) depends only on par = |S| mod 2
+            e = -((par + shift) // 2)
+            factor = kappa * self.z if e > 0 else kappa / self.z if e < 0 else kappa
+            self._blocks[key] = self._block_of(factor, par, (par + shift) % 2)
+        return self._blocks[key]
+
+    def edge_entries(self, kind, n_src, src_pos, tgt_map):
+        """(row, column, entry) of the map A^(x n_src) -> A^(x n_tgt).
+
+        ``src_pos``: the merged or split source factors; ``tgt_map``: for
+        each factor of the intermediate order (untouched factors in source
+        order, then the merged/split factors), its position in the target.
+        """
+        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+        others = [p for p in range(n_src) if p not in src_pos]
+        tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]
+        new_bits = tgt_bits[len(others):]
+        table = self.terms[kind]
+        for mask in range(1 << n_src):
+            bits = [(mask >> (n_src - 1 - p)) & 1 for p in range(n_src)]
+            base = 0
+            for o, tb in zip(others, tgt_bits):
+                if bits[o]:
+                    base |= tb
+            ins = tuple(bits[p] for p in src_pos)
+            par = bin(mask).count("1") & 1
+            for outs, kappa in table[ins]:
+                tmask = base
+                for bit, tb in zip(outs, new_bits):
+                    if bit:
+                        tmask |= tb
+                block = self._block(kind, ins, outs, kappa, par)
+                for i in (0, 1):
+                    for j in (0, 1):
+                        if block[i][j]:
+                            yield 2 * tmask + i, 2 * mask + j, block[i][j]
 
     def edge_matrix(self, kind, n_src, src_pos, tgt_map):
-        """Map A^(x n_src) -> A^(x n_tgt) on quotient coordinates.
-
-        ``src_pos``: affected source factor positions; ``tgt_map``: for each
-        factor of the intermediate order (untouched factors in source order,
-        then the merged/split factors), its position in the target order.
-        """
-        others = [p for p in range(n_src) if p not in src_pos]
-        pre = perm_matrix(n_src, 4, others + list(src_pos))
-        if kind == "merge":
-            op = kron(identity(4 ** (n_src - 2)), self.m_z) if n_src > 2 else self.m_z
-            n_tgt = n_src - 1
-        else:
-            op = kron(identity(4 ** (n_src - 1)), self.delta_z) if n_src > 1 else self.delta_z
-            n_tgt = n_src + 1
-        post = perm_matrix(n_tgt, 4, _inverse_order(tgt_map))
-        raw = mat_mul(post, mat_mul(op, pre))
-        p_src = self.power(n_src)
-        p_tgt = self.power(n_tgt)
-        out = mat_mul(mat_mul(p_tgt.proj, raw), p_src.section)
-        if mat_mul(out, p_src.proj) != mat_mul(p_tgt.proj, raw):
-            raise RuntimeError("edge map not constant on quotient fibers")
+        """The entries of ``edge_entries`` as one SparseMatrix."""
+        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+        out = SparseMatrix(2 << n_tgt, 2 << n_src)
+        for r, c, e in self.edge_entries(kind, n_src, src_pos, tgt_map):
+            out.rows[r][c] = e
         return out
-
-
-def _inverse_order(tgt_map):
-    """tgt_map[i] = target slot of intermediate factor i; returns the order
-    argument for perm_matrix (source factor landing in each target slot)."""
-    order = [0] * len(tgt_map)
-    for i, t in enumerate(tgt_map):
-        order[t] = i
-    return order
 
 
 def build_complex(pd, alg):
     """Chain groups (+) A^(x circles) per degree |v| - n_minus, with merge
     and split edge maps signed by (-1)^(number of 1s before the flipped
-    coordinate); d^2 = 0 is verified."""
+    coordinate); d^2 = 0 and sqrt(d)-equivariance are verified."""
     if not alg.report.closure_in_mu:
         raise ValueError("link homology needs a multiplicatively closed algebra")
     cube = resolve(pd)
     k = len(pd.crossings)
-    builder = _EdgeBuilder(alg)
+    tensors = MonomialTensors(alg)
     shift = pd.n_minus
 
     by_degree = {}
@@ -328,19 +415,20 @@ def build_complex(pd, alg):
     actions = []
     for deg in degrees:
         off = 0
-        acts = []
+        rows = []
         for v in by_degree[deg]:
             offsets[v] = off
-            n = cube.circle_count(v)
-            off += builder.power(n).module.rank
-            acts.append(builder.power(n).module)
+            for mask in range(1 << cube.circle_count(v)):
+                block = tensors.actions[bin(mask).count("1") & 1]
+                for brow in block:
+                    rows.append({off + 2 * mask + j: e for j, e in enumerate(brow) if e})
+            off += 2 << cube.circle_count(v)
         ranks.append(off)
-        act = acts[0] if len(acts) == 1 else _block_sum(acts)
-        actions.append(act.action)
+        actions.append(SparseMatrix(off, off, rows))
 
     diffs = []
     for idx, deg in enumerate(degrees[:-1]):
-        d = zeros(ranks[idx + 1], ranks[idx])
+        d = SparseMatrix(ranks[idx + 1], ranks[idx])
         for v in by_degree[deg]:
             n_src = cube.circle_count(v)
             for j in range(k):
@@ -349,9 +437,10 @@ def build_complex(pd, alg):
                 w = tuple(1 if i == j else v[i] for i in range(k))
                 kind, src, tgt = cube.edges[(v, j)]
                 tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
-                block = builder.edge_matrix(kind, n_src, src, tgt_map)
                 sign = -1 if sum(v[:j]) % 2 else 1
-                _insert_block(d, block, offsets[w], offsets[v], sign)
+                row_off, col_off = offsets[w], offsets[v]
+                for r, c, e in tensors.edge_entries(kind, n_src, src, tgt_map):
+                    d.rows[row_off + r][col_off + c] = sign * e
         diffs.append(d)
 
     notes = []
@@ -369,17 +458,9 @@ def build_complex(pd, alg):
         notes=notes,
     )
     cx.check_d_squared()
-    for deg_idx, dmat in enumerate(diffs):
-        if dmat and mat_mul(dmat, actions[deg_idx]) != mat_mul(actions[deg_idx + 1], dmat):
-            raise RuntimeError("differential is not O-equivariant")
+    cx.check_equivariance()
+    cx.checks = ["d_squared", "equivariance"]
     return cx
-
-
-def _block_sum(modules):
-    out = modules[0]
-    for m in modules[1:]:
-        out = out.direct_sum(m)
-    return out
 
 
 def _edge_target_map(cube, v, w, kind, src, tgt):
@@ -399,14 +480,6 @@ def _edge_target_map(cube, v, w, kind, src, tgt):
     return tgt_map
 
 
-def _insert_block(d, block, row_off, col_off, sign):
-    for i, row in enumerate(block):
-        drow = d[row_off + i]
-        for j, e in enumerate(row):
-            if e:
-                drow[col_off + j] = sign * e
-
-
 # ---------------------------------------------------------------------------
 # Homology
 
@@ -417,6 +490,7 @@ class HomologyReport:
     total_k_dim: int
     half_rank_consistent: bool = True  # every free Z-rank was even (k_dim = z_rank/2)
     notes: list = field(default_factory=list)
+    checks: list = field(default_factory=list)  # cross-checks that ran and passed
 
     def to_json(self):
         return {
@@ -431,103 +505,140 @@ class HomologyReport:
             "total_k_dim": self.total_k_dim,
             "half_rank_consistent": self.half_rank_consistent,
             "notes": list(self.notes),
+            "checks": list(self.checks),
         }
 
 
+@dataclass
+class _Homology:
+    table: dict       # degree -> (free Z-rank, torsion invariants)
+    q_dims: dict      # degree -> dim over Q, from the ranks of the differentials
+    remainder: Complex
+    checks: list
+
+
+def _homology(cx):
+    """The one homology computation of a complex, cached on it."""
+    if cx._homology is None:
+        q_ranks = [sparse_rank(d) for d in cx.diffs]
+        kept, reduced = reduce_units(cx.diffs, cx.ranks)
+        small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes))
+        table = smith_homology(small)
+        q_dims = _dims_from_ranks(cx, q_ranks)
+        for i, q in q_dims.items():
+            if q != table[i][0]:
+                raise RouteDisagreementError(
+                    f"degree {i}: ranks over Q give dimension {q}, the Smith form free rank {table[i][0]}"
+                )
+        primes = check_mod_p(cx, table)
+        checks = ["k_rank_vs_z_rank"] + [f"mod_{p}" for p in primes]
+        cx._homology = _Homology(table, q_dims, small, checks)
+    return cx._homology
+
+
+def _dims_from_ranks(cx, diff_ranks):
+    """dim H^i = rank C_i - rank d_i - rank d_(i-1), per degree."""
+    out = {}
+    for idx, i in enumerate(cx.degrees()):
+        r_out = diff_ranks[idx] if idx < len(diff_ranks) else 0
+        r_in = diff_ranks[idx - 1] if idx > 0 else 0
+        out[i] = cx.ranks[idx] - r_out - r_in
+    return out
+
+
+def smith_homology(cx):
+    """Per-degree (free Z-rank, torsion invariants) from one Smith form per
+    differential: H^i has torsion the non-unit invariant factors of
+    d_(i-1).  Meant for the small complex left after elimination."""
+    ranks = []
+    torsion = []
+    for d in cx.diffs:
+        diag = smith_normal_form(d.to_dense())[0] if d.nnz() else []
+        nonzero = [e for e in diag if e]
+        ranks.append(len(nonzero))
+        torsion.append([e for e in nonzero if e != 1])
+    free = _dims_from_ranks(cx, ranks)
+    return {i: (free[i], torsion[idx - 1] if idx > 0 else []) for idx, i in enumerate(cx.degrees())}
+
+
+def check_mod_p(cx, table):
+    """Universal coefficients over F_p, for p = 2 and each prime dividing a
+    torsion invariant of ``table``: the ranks mod p of the differentials of
+    ``cx`` must give dim H^i(C (x) F_p) = free_i + t_p(i) + t_p(i+1), where
+    t_p(i) counts the invariants of H^i divisible by p.  Returns the primes
+    checked; raises ModPCheckError on a mismatch."""
+    primes = {2}
+    for _, torsion in table.values():
+        for t in torsion:
+            primes.update(_prime_factors(t))
+    for p in sorted(primes):
+        dims = _dims_from_ranks(cx, [sparse_rank(d, p) for d in cx.diffs])
+        for i, dim in dims.items():
+            free, torsion = table.get(i, (0, []))
+            t_here = sum(1 for t in torsion if t % p == 0)
+            t_next = sum(1 for t in table.get(i + 1, (0, []))[1] if t % p == 0)
+            if dim != free + t_here + t_next:
+                raise ModPCheckError(
+                    f"p={p}, degree {i}: dim H(C (x) F_p) = {dim}, but free rank {free}"
+                    f" + {t_here} + {t_next} torsion invariants divisible by p"
+                )
+    return sorted(primes)
+
+
+def _prime_factors(n, bound=1 << 16):
+    """Primes dividing n, by trial division up to ``bound``.  A cofactor
+    left below bound**2 is prime; a larger one is not factored, and its
+    primes go unchecked."""
+    out = set()
+    p = 2
+    while p <= bound and p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if 1 < n <= bound * bound:
+        out.add(n)
+    return out
+
+
 def homology_integral(cx):
-    """Per-degree abelian-group homology via Smith normal form over Z."""
+    """Per-degree abelian-group homology: unit elimination, then Smith
+    forms of the small remainder."""
+    h = _homology(cx)
     out = {}
     total_k = 0
     half_ok = True
-    for i in cx.degrees():
-        rank_mid = cx.rank(i)
-        if rank_mid == 0:
-            continue
-        d_out = cx.diff_from(i)
-        d_in = cx.diff_from(i - 1)
-        free, torsion = homology_pair(d_in, d_out, rank_mid)
+    for i, (free, torsion) in sorted(h.table.items()):
         k_dim = free // 2
         half_ok = half_ok and free % 2 == 0
         total_k += k_dim
         if free or torsion:
-            out[i] = {"z_rank": free, "torsion": torsion, "k_dim": k_dim}
-    return HomologyReport(out, total_k, half_rank_consistent=half_ok, notes=list(cx.notes))
+            out[i] = {"z_rank": free, "torsion": list(torsion), "k_dim": k_dim}
+    return HomologyReport(
+        out, total_k, half_rank_consistent=half_ok, notes=list(cx.notes), checks=cx.checks + h.checks
+    )
 
 
 def homology_over_K(cx):
-    """Per-degree dimensions over K by exact rational ranks of the
-    differentials, cross-checked against half the free Z-rank."""
+    """Per-degree dimensions over K by exact ranks over Q of the
+    unsimplified differentials, cross-checked against half the free Z-rank."""
     if cx.actions is None:
         raise ValueError("needs the unsimplified, equivariant complex")
-    rk = {}
-    for i in cx.degrees():
-        d = cx.diff_from(i)
-        rk[i] = rank_rat(d) if d else 0
     dims = {}
-    for i in cx.degrees():
-        n = cx.rank(i)
-        if n == 0:
-            continue
-        q_dim = n - rk.get(i, 0) - rk.get(i - 1, 0)
+    for i, q_dim in _homology(cx).q_dims.items():
         if q_dim % 2:
-            raise RuntimeError("odd rational dimension; action not even-dimensional?")
+            raise RouteDisagreementError(f"degree {i}: odd dimension {q_dim} over Q")
         if q_dim:
             dims[i] = q_dim // 2
-    integral = homology_integral(cx)
-    for i in set(dims) | set(integral.degrees):
-        if dims.get(i, 0) != integral.degrees.get(i, {"k_dim": 0})["k_dim"]:
-            raise RuntimeError("rational-rank route disagrees with Smith-form route")
     return dims
 
 
 def simplify(cx):
-    """Gaussian elimination of unit entries in the differentials; homotopy
-    equivalence, so homology is unchanged while ranks shrink."""
-    ranks = list(cx.ranks)
-    diffs = [intlin.copy_matrix(d) for d in cx.diffs]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(diffs)):
-            d = diffs[idx]
-            pos = _find_unit(d)
-            if pos is None:
-                continue
-            r, c = pos
-            phi = d[r][c]
-            # Gaussian elimination of the contractible summand at (r, c)
-            new_d = []
-            for i in range(len(d)):
-                if i == r:
-                    continue
-                row = []
-                for j in range(len(d[0])):
-                    if j == c:
-                        continue
-                    row.append(d[i][j] - d[i][c] * phi * d[r][j])
-                new_d.append(row)
-            diffs[idx] = new_d
-            if idx > 0:
-                diffs[idx - 1] = [row for i, row in enumerate(diffs[idx - 1]) if i != c]
-            if idx + 1 < len(diffs):
-                diffs[idx + 1] = [
-                    [e for j, e in enumerate(row) if j != r] for row in diffs[idx + 1]
-                ]
-            ranks[idx] -= 1
-            ranks[idx + 1] -= 1
-            changed = True
-            break
-    out = Complex(cx.min_degree, ranks, diffs, actions=None, notes=list(cx.notes))
-    out.check_d_squared()
-    return out
-
-
-def _find_unit(d):
-    for i, row in enumerate(d):
-        for j, e in enumerate(row):
-            if e in (1, -1):
-                return i, j
-    return None
+    """The complex left after Gaussian elimination of unit entries; it is
+    homotopy equivalent, so homology is unchanged while ranks shrink."""
+    small = _homology(cx).remainder
+    small.check_d_squared()
+    return small
 
 
 # ---------------------------------------------------------------------------

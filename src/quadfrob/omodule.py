@@ -55,17 +55,6 @@ class OModule:
             out = intlin.mat_add(out, mat_scale(self.action, o.y))
         return out
 
-    def direct_sum(self, other, label=""):
-        n = self.rank + other.rank
-        act = [[0] * n for _ in range(n)]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                act[i][j] = self.action[i][j]
-        for i in range(other.rank):
-            for j in range(other.rank):
-                act[self.rank + i][self.rank + j] = other.action[i][j]
-        return OModule(self.d, n, act, label=label)
-
 
 @dataclass
 class OMorphism:
@@ -77,10 +66,6 @@ class OMorphism:
         return mat_mul(self.matrix, self.source.action) == mat_mul(
             self.target.action, self.matrix
         )
-
-    def compose(self, other):
-        """self o other."""
-        return OMorphism(other.source, self.target, mat_mul(self.matrix, other.matrix))
 
 
 def snf(matrix, ncols=None):

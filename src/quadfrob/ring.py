@@ -214,14 +214,6 @@ def divide_exact(x, y):
     return x.exact_div(y)
 
 
-def norm(x):
-    return x.norm()
-
-
-def is_unit(x):
-    return x.is_unit()
-
-
 @dataclass(frozen=True)
 class FieldElement:
     """p + q*sqrt(d) with rational p, q."""
@@ -323,10 +315,6 @@ class FieldElement:
         px = Fraction(int(obj["x"]["num"]), int(obj["x"]["den"]))
         qy = Fraction(int(obj["y"]["num"]), int(obj["y"]["den"]))
         return cls(ctx, px, qy)
-
-
-def field_inverse(k):
-    return k.inverse()
 
 
 _TERM_RE = re.compile(r"^\s*([+-]?\s*\d*)\s*(w?)\s*$")

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import monomial_delta_matrix, monomial_m_matrix
 from quadfrob import corpus
 from quadfrob.linkhom import (
     MalformedPDError,
@@ -99,14 +100,14 @@ def test_positive_kink_complex_is_multiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1plus"), alg_eps0)
     assert cx.min_degree == 0
     assert cx.ranks == [8, 4]
-    assert cx.diffs[0] == alg_eps0.lattice().m_matrix()
+    assert cx.diffs[0] == monomial_m_matrix(alg_eps0)
 
 
 def test_negative_kink_complex_is_comultiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1minus"), alg_eps0)
     assert cx.min_degree == -1
     assert cx.ranks == [4, 8]
-    assert cx.diffs[0] == alg_eps0.lattice().delta_matrix()
+    assert cx.diffs[0] == monomial_delta_matrix(alg_eps0)
 
 
 def test_unknot0_complex(alg_eps0):
@@ -170,6 +171,39 @@ def test_corpus_homology_frozen(alg_eps0, alg_worked):
         for name, want in table.items():
             h = homology_integral(build_complex(corpus.diagram(name), alg))
             assert homology_table(h) == want, name
+
+
+def test_braid_closures_reproduce_frozen_tables(alg_eps0, alg_worked):
+    # the trefoil and figure-8 tables of test_corpus_homology_frozen
+    tables = {
+        ((1, 1, 1), 2): (
+            {0: (4, []), 3: (0, [2, 2, 2, 2])},
+            {0: (4, []), 3: (0, [721])},
+        ),
+        ((1, -2, 1, -2), 3): (
+            {-1: (0, [2, 2, 2, 2]), 0: (4, []), 2: (0, [2, 2, 2, 2])},
+            {-1: (0, [721]), 0: (4, []), 2: (0, [721])},
+        ),
+    }
+    for (word, strands), wants in tables.items():
+        pd = corpus.braid_closure(word, strands)
+        assert pd.components() == 1
+        for alg, want in zip((alg_eps0, alg_worked), wants):
+            h = homology_integral(build_complex(pd, alg))
+            assert homology_table(h) == want, word
+    with pytest.raises(ValueError):
+        corpus.braid_closure((2,), 2)
+    assert corpus.braid_closure((), 3).loops == 3
+
+
+def test_torus_2_7_lee_count_and_euler_characteristic(alg_eps0):
+    pd = corpus.braid_closure((1,) * 7, 2)
+    cx = build_complex(pd, alg_eps0)
+    dims = homology_over_K(cx)
+    assert sum(dims.values()) == 2 ** pd.components() == 2
+    chi_chain = sum((-1) ** i * cx.rank(i) // 2 for i in cx.degrees())
+    assert chi_chain == sum((-1) ** i * d for i, d in dims.items())
+    assert homology_integral(cx).total_k_dim == 2
 
 
 def test_trefoil_torsion_tracks_discriminant(ctx, mu):

@@ -1,0 +1,97 @@
+"""Monomial edge maps against the dense tensor-power route they replaced.
+
+The oracle is the old construction of a cube edge map: on the full
+Z-tensor power, perm . (id (x) m or Delta) . perm, pushed down to the
+tensor_power(n) quotient as proj . raw . section.  For every fixture algebra
+and every merge and split between at most three circles, the monomial map E
+of build_complex must be conjugate to the oracle D under the unimodular
+change of basis B_n of conftest: E . B_src = B_tgt . D.
+"""
+
+import itertools
+
+import pytest
+
+from conftest import inverse_unimodular, to_monomial
+from quadfrob.intlin import identity, kron, mat_mul, mat_vec, perm_matrix, transpose
+from quadfrob.linkhom import MonomialTensors
+
+
+def _m_z_matrix(lat):
+    cols = []
+    for ei in lat._basis_elements:
+        for ej in lat._basis_elements:
+            cols.append(lat.coords(lat.alg.multiply(ei, ej)))
+    return transpose(cols, ncols=16)
+
+
+def _delta_z_matrix(lat):
+    lift = lat.delta_one_lift()
+    cols = [mat_vec(kron(lat.left_mult_matrix(e), identity(4)), lift) for e in lat._basis_elements]
+    return transpose(cols, ncols=4)
+
+
+def dense_edge_matrix(alg, kind, n_src, src_pos, tgt_map):
+    """The edge map on tensor_power quotient coordinates, by dense products."""
+    lat = alg.lattice()
+    others = [p for p in range(n_src) if p not in src_pos]
+    pre = perm_matrix(n_src, 4, others + list(src_pos))
+    if kind == "merge":
+        op = _m_z_matrix(lat)
+        n_tgt = n_src - 1
+        if n_src > 2:
+            op = kron(identity(4 ** (n_src - 2)), op)
+    else:
+        op = _delta_z_matrix(lat)
+        n_tgt = n_src + 1
+        if n_src > 1:
+            op = kron(identity(4 ** (n_src - 1)), op)
+    order = [0] * len(tgt_map)
+    for i, t in enumerate(tgt_map):
+        order[t] = i
+    post = perm_matrix(n_tgt, 4, order)
+    raw = mat_mul(post, mat_mul(op, pre))
+    p_src, p_tgt = lat.tensor_power(n_src), lat.tensor_power(n_tgt)
+    out = mat_mul(mat_mul(p_tgt.proj, raw), p_src.section)
+    assert mat_mul(out, p_src.proj) == mat_mul(p_tgt.proj, raw)  # constant on quotient fibres
+    return out
+
+
+EDGES = [
+    ("merge", 2, (0, 1)),
+    ("merge", 3, (0, 1)),
+    ("merge", 3, (0, 2)),
+    ("merge", 3, (1, 2)),
+    ("split", 1, (0,)),
+    ("split", 2, (0,)),
+    ("split", 2, (1,)),
+]
+
+
+@pytest.mark.parametrize("kind,n_src,src_pos", EDGES)
+def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_corpus):
+    n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+    for aname, alg in algebra_corpus.items():
+        tensors = MonomialTensors(alg)
+        b_src, b_tgt = to_monomial(alg, n_src), to_monomial(alg, n_tgt)
+        inverse_unimodular(b_src)
+        inverse_unimodular(b_tgt)
+        for tgt_map in itertools.permutations(range(n_tgt)):
+            mono = tensors.edge_matrix(kind, n_src, list(src_pos), list(tgt_map)).to_dense()
+            dense = dense_edge_matrix(alg, kind, n_src, list(src_pos), list(tgt_map))
+            assert mat_mul(mono, b_src) == mat_mul(b_tgt, dense), (aname, tgt_map)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_action_conjugate_to_tensor_action(n, algebra_corpus):
+    for aname, alg in algebra_corpus.items():
+        blocks = MonomialTensors(alg).actions
+        size = 2 << n
+        action = [[0] * size for _ in range(size)]
+        for mask in range(1 << n):
+            block = blocks[bin(mask).count("1") % 2]
+            for i in (0, 1):
+                for j in (0, 1):
+                    action[2 * mask + i][2 * mask + j] = block[i][j]
+        b = to_monomial(alg, n)
+        assert mat_mul(action, b) == mat_mul(b, alg.lattice().tensor_power(n).module.action), aname

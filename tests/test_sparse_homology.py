@@ -1,0 +1,196 @@
+"""Sparse ranks, unit elimination and the homology cross-checks.
+
+Random complexes are unimodular conjugates of diagonal complexes with known
+homology: d_k = U_(k+1) D_k U_k^-1, with every U a seeded product of
+elementary operations, so the answer is known exactly while the matrices
+look generic.
+"""
+
+import json
+import random
+
+import pytest
+
+from quadfrob import cli, corpus, linkhom
+from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
+from quadfrob.linkhom import (
+    CheckFailedError,
+    Complex,
+    ModPCheckError,
+    build_complex,
+    check_mod_p,
+    homology_integral,
+    simplify,
+    smith_homology,
+)
+from quadfrob.omodule import homology_pair
+
+# a divisibility chain, so sorted absolute values are the Smith invariants
+DIAGONAL = (1, 1, 1, -1, 2, -2, 4, 12)
+
+
+def random_unimodular(r, n):
+    """(U, U^-1) for a seeded product of row additions and negations."""
+    u, uinv = identity(n), identity(n)
+    for _ in range(4 * n):
+        i = r.randrange(n)
+        if n > 1 and r.random() < 0.8:
+            j = r.choice([x for x in range(n) if x != i])
+            q = r.choice((-2, -1, 1, 2))
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+            for row in uinv:
+                row[j] -= q * row[i]
+        else:
+            u[i] = [-a for a in u[i]]
+            for row in uinv:
+                row[i] = -row[i]
+    return u, uinv
+
+
+def random_complex(seed):
+    """(dense differentials, ranks, expected {degree: (free, torsion)})."""
+    r = random.Random(seed)
+    length = r.randint(1, 4)
+    image = [0] + [r.randint(0, 4) for _ in range(length)]
+    free = [r.randint(0, 3) for _ in range(length + 1)]
+    ranks = [image[k] + free[k] + (image[k + 1] if k < length else 0) for k in range(length + 1)]
+    entries = [[r.choice(DIAGONAL) for _ in range(image[k + 1])] for k in range(length)]
+    bases = [random_unimodular(r, n) for n in ranks]
+    diffs = []
+    for k in range(length):
+        d = [[0] * ranks[k] for _ in range(ranks[k + 1])]
+        for t, e in enumerate(entries[k]):
+            d[t][image[k] + free[k] + t] = e
+        u_next, _ = bases[k + 1]
+        _, uinv = bases[k]
+        diffs.append(mat_mul(mat_mul(u_next, d), uinv, b_ncols=ranks[k]) if ranks[k + 1] else [])
+    expected = {0: (free[0], [])}
+    for k in range(1, length + 1):
+        expected[k] = (free[k], sorted(abs(e) for e in entries[k - 1] if abs(e) != 1))
+    return diffs, ranks, expected
+
+
+def sparse_complex(diffs, ranks):
+    mats = [SparseMatrix.from_dense(d, ncols=ranks[k]) for k, d in enumerate(diffs)]
+    return Complex(0, list(ranks), mats)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_elimination_and_smith_match_known_and_homology_pair(seed):
+    diffs, ranks, expected = random_complex(seed)
+    cx = sparse_complex(diffs, ranks)
+    cx.check_d_squared()
+    h = homology_integral(cx)
+    got = {i: (v["z_rank"], v["torsion"]) for i, v in h.degrees.items()}
+    assert got == {i: e for i, e in expected.items() if e[0] or e[1]}
+    for k in range(len(ranks)):
+        d_in = cx.diffs[k - 1].to_dense() if k > 0 and ranks[k - 1] else None
+        d_out = cx.diffs[k].to_dense() if k < len(diffs) and ranks[k + 1] else None
+        if ranks[k]:
+            free, torsion = homology_pair(d_in, d_out, ranks[k])
+            assert (free, torsion) == expected[k]
+    small = simplify(cx)
+    assert small.total_rank() <= cx.total_rank()
+    assert all(e not in (1, -1) for d in small.diffs for row in d.rows for e in row.values())
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_sparse_rank_matches_rank_rat(seed):
+    r = random.Random(100 + seed)
+    diffs, ranks, _ = random_complex(seed)
+    mats = [d for d in diffs if d and d[0]]
+    # plus a sparse low-rank product with zero rows and columns
+    m, k, n = r.randint(1, 9), r.randint(0, 4), r.randint(1, 9)
+    a = [[r.choice((0, 0, 0, 1, -1, 3)) for _ in range(k)] for _ in range(m)]
+    b = [[r.choice((0, 0, 2, -1, 5)) for _ in range(n)] for _ in range(k)]
+    mats.append(mat_mul(a, b, b_ncols=n))
+    for d in mats:
+        sm = SparseMatrix.from_dense(d)
+        assert sparse_rank(sm) == rank_rat(d)
+        for p in (2, 3):
+            mod = [[e % p for e in row] for row in d]
+            assert sparse_rank(sm, p) == sparse_rank(SparseMatrix.from_dense(mod), p)
+        assert sparse_rank(sm, 2) <= sparse_rank(sm)
+
+
+def test_sparse_rank_mod_p_of_diagonal_conjugates():
+    r = random.Random(7)
+    for _ in range(10):
+        entries = [r.choice(DIAGONAL) for _ in range(5)]
+        u, _ = random_unimodular(r, 5)
+        _, vinv = random_unimodular(r, 5)
+        d = [[entries[i] if i == j else 0 for j in range(5)] for i in range(5)]
+        sm = SparseMatrix.from_dense(mat_mul(mat_mul(u, d), vinv))
+        for p in (2, 3, 5):
+            assert sparse_rank(sm, p) == sum(1 for e in entries if e % p)
+
+
+def test_reduce_units_keeps_homotopy_type(alg_worked):
+    cx = build_complex(corpus.diagram("figure8"), alg_worked)
+    kept, reduced = reduce_units(cx.diffs, cx.ranks)
+    assert [len(k) for k in kept] == [d.ncols for d in reduced] + [reduced[-1].nrows]
+    small = Complex(cx.min_degree, [len(k) for k in kept], reduced)
+    small.check_d_squared()
+    # Euler characteristic is a homotopy invariant
+    euler = sum((-1) ** i * r for i, r in enumerate(cx.ranks))
+    assert euler == sum((-1) ** i * r for i, r in enumerate(small.ranks))
+
+
+def _copy(cx):
+    diffs = [SparseMatrix(d.nrows, d.ncols, [dict(row) for row in d.rows]) for d in cx.diffs]
+    return Complex(cx.min_degree, list(cx.ranks), diffs)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8"])
+def test_mod_p_check_catches_a_corrupt_reduced_complex(name, alg_worked):
+    cx = build_complex(corpus.diagram(name), alg_worked)
+    small = simplify(cx)
+    table = smith_homology(small)
+    assert check_mod_p(cx, table) == [2, 7, 103]  # 721 = 7 * 103
+    for k, d in enumerate(small.diffs):
+        for i, row in enumerate(d.rows):
+            for j, e in row.items():
+                bad = _copy(small)
+                bad.diffs[k].rows[i][j] = e + 1
+                with pytest.raises(ModPCheckError) as exc:
+                    check_mod_p(cx, smith_homology(bad))
+                assert exc.value.check == "mod_p"
+                assert "mod_p check failed" in str(exc.value)
+
+
+def test_mod_p_check_catches_a_corrupt_torsion_invariant(alg_worked, alg_eps0):
+    cx = build_complex(corpus.diagram("trefoil"), alg_worked)
+    table = smith_homology(simplify(cx))
+    assert table[3] == (0, [721])
+    for wrong in ([722], [3 * 721], [721, 721], [7, 721]):
+        with pytest.raises(ModPCheckError):
+            check_mod_p(cx, {**table, 3: (0, wrong)})
+    cx = build_complex(corpus.diagram("trefoil"), alg_eps0)
+    table = smith_homology(simplify(cx))
+    assert table[3] == (0, [2, 2, 2, 2])
+    for wrong in ([2, 2, 2], [2, 2, 2, 6], [2, 2, 2, 2, 2]):
+        with pytest.raises(ModPCheckError):
+            check_mod_p(cx, {**table, 3: (0, wrong)})
+
+
+def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
+    pd = tmp_path / "trefoil.json"
+    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
+    real = linkhom.smith_homology
+
+    def wrong_torsion(cx):
+        return {i: (free, [3 * t for t in torsion]) for i, (free, torsion) in real(cx).items()}
+
+    def wrong_free_rank(cx):
+        return {i: (free + 1, torsion) for i, (free, torsion) in real(cx).items()}
+
+    for fake, check in ((wrong_torsion, "mod_p"), (wrong_free_rank, "k_rank_vs_z_rank")):
+        monkeypatch.setattr(linkhom, "smith_homology", fake)
+        rc = cli.main(["link", "homology", "--pd", str(pd)])
+        assert rc == cli.EXIT_CHECK
+        assert f"{check} check failed" in capsys.readouterr().err
+    monkeypatch.setattr(linkhom, "smith_homology", real)
+    assert cli.main(["link", "homology", "--pd", str(pd), "--format", "json"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["homology"]["checks"] == ["d_squared", "equivariance", "k_rank_vs_z_rank", "mod_2"]
+    assert issubclass(ModPCheckError, CheckFailedError)
