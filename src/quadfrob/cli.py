@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation rejection, 3 malformed input,
-4 bounded search exhausted, 5 an internal cross-check failed (the message
-names the check).
+Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
+internal cross-check failed (the message names the check).
 
 Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
 e.g. '2', '1+w', '3-2w'.
@@ -26,12 +25,7 @@ from .frobenius import (
     search_solutions,
     twist,
 )
-from .ideals import (
-    Ideal,
-    NotOrderTwoError,
-    SearchExhaustedError,
-    certify_order_two,
-)
+from .ideals import Ideal, NotOrderTwoError, certify_order_two
 from .linkhom import (
     CheckFailedError,
     MalformedPDError,
@@ -48,7 +42,6 @@ from .ring import RingContext, UnsupportedRingError, parse_element
 EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_MALFORMED = 3
-EXIT_SEARCH = 4
 EXIT_CHECK = 5
 
 
@@ -69,17 +62,14 @@ def _parse_gens(ctx, text):
 
 
 def _load_algebra(args):
-    bound = getattr(args, "partition_bound", 64)
     if getattr(args, "alg", None):
         with open(args.alg, encoding="utf-8") as fh:
             data = FrobeniusData.from_json(json.load(fh))
-        return frobenius.build_algebra(
-            data, relax_a_bar=getattr(args, "relax", False), partition_bound=bound
-        )
+        return frobenius.build_algebra(data, relax_a_bar=getattr(args, "relax", False))
     # default experimental algebra: zero trace on X, b_bar = 1, over Z[sqrt(-5)]
     ctx = RingContext(-5)
     mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
-    return family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one, partition_bound=bound)
+    return family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one)
 
 
 def _load_pd(path):
@@ -169,7 +159,7 @@ def cmd_algebra(args):
     if args.action == "validate":
         with open(args.alg, encoding="utf-8") as fh:
             data = FrobeniusData.from_json(json.load(fh))
-        alg, report = analyze(data, relax_a_bar=args.relax, partition_bound=args.partition_bound)
+        alg, report = analyze(data, relax_a_bar=args.relax)
         if alg is None:
             _emit(args, {"report": report.to_json()},
                   [f"rejected: {'; '.join(report.notes) or 'see cells'}"]
@@ -178,7 +168,7 @@ def cmd_algebra(args):
         _emit(args, _algebra_payload(alg), _algebra_lines(alg))
         return EXIT_OK
     if args.action == "example-zsqrtm5":
-        alg = example_zsqrtm5(args.s, args.eps1, partition_bound=args.partition_bound)
+        alg = example_zsqrtm5(args.s, args.eps1)
         _emit(args, _algebra_payload(alg), _algebra_lines(alg))
         return EXIT_OK
     if args.action == "twist":
@@ -191,12 +181,12 @@ def cmd_algebra(args):
     if args.action == "family-eps0":
         alg = family_eps_x_zero(
             mu, z, parse_element(ctx, args.abar), parse_element(ctx, args.bbar),
-            parse_element(ctx, args.eps1_elt), partition_bound=args.partition_bound,
+            parse_element(ctx, args.eps1_elt),
         )
     elif args.action == "family-eps1":
         alg = family_eps_x_one(
             mu, z, parse_element(ctx, args.abar), parse_element(ctx, args.eps1_elt),
-            parse_element(ctx, args.dbar), partition_bound=args.partition_bound,
+            parse_element(ctx, args.dbar),
         )
     elif args.action == "search":
         found = list(search_solutions(mu, z, coord_bound=args.bound, limit=args.limit))
@@ -276,8 +266,6 @@ def cmd_tqft(args):
 def _add_common(p):
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.add_argument("--partition-bound", type=int, default=64,
-                   help="coordinate bound for the partition-of-z search")
 
 
 def make_parser():
@@ -375,9 +363,6 @@ def main(argv=None):
     except (ValidationError, NotOrderTwoError, UnsupportedRingError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except SearchExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
     except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CHECK

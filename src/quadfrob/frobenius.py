@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import omodule
-from .ideals import Ideal, SearchExhaustedError, solve_partition_of_z
+from .ideals import Ideal, solve_partition_of_z
 from .ring import (
     FieldElement,
     NotDivisibleError,
@@ -314,7 +314,7 @@ def eq20_memberships(data):
     )
 
 
-def analyze(data, *, relax_a_bar=False, partition_bound=64):
+def analyze(data, *, relax_a_bar=False):
     """Full validation; returns (algebra_or_None, report) and never raises
     for data-dependent failures."""
     report = ValidationReport()
@@ -413,12 +413,7 @@ def analyze(data, *, relax_a_bar=False, partition_bound=64):
     if not cells["d_eps_one_in_eps_x_bar_O"]:
         raise InconsistentRoutesError("d*eps(1) escaped (eps_x_bar) on accepted data")
 
-    try:
-        partition = solve_partition_of_z(mu, data.z, bound=partition_bound)
-    except SearchExhaustedError:
-        report.notes.append("partition-of-z search exhausted; raise the bound")
-        return None, report
-
+    partition = solve_partition_of_z(mu, data.z)
     report.accepted = True
     alg = FrobeniusAlgebra(data, duals, partition, report, eps_rows, eps_det)
     return alg, report
@@ -431,9 +426,9 @@ def _d_eps_cell(data, duals):
     return data.eps_x_bar.divides(prod)
 
 
-def build_algebra(data, *, relax_a_bar=False, partition_bound=64):
+def build_algebra(data, *, relax_a_bar=False):
     """Validating constructor; raises a ValidationError subclass on failure."""
-    alg, report = analyze(data, relax_a_bar=relax_a_bar, partition_bound=partition_bound)
+    alg, report = analyze(data, relax_a_bar=relax_a_bar)
     if alg is not None:
         return alg
     cells = report.cells
@@ -448,8 +443,6 @@ def build_algebra(data, *, relax_a_bar=False, partition_bound=64):
         raise NotAnIsomorphismError(
             f"pairing determinant {report.values.get('epsilon_tilde_det')} is not a unit"
         )
-    if any("partition" in n for n in report.notes):
-        raise SearchExhaustedError(report.notes[-1])
     raise ValidationError("; ".join(report.notes) or "validation failed")
 
 
@@ -595,7 +588,7 @@ def delta_one_by_dualizing_multiplication(data):
 # Solution families
 
 
-def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one, partition_bound=64):
+def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one):
     """The zero-trace-on-X family: b_bar and eps(1) units, a_bar in O.
 
     Expected duals: c = eps(1)^-1, d = c' = 0, d' = b_bar^-1 eps(1)^-1.
@@ -606,7 +599,7 @@ def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one, partition_bound=64):
     if not eps_one.is_unit():
         raise NotAUnitError(f"eps(1) = {eps_one} is not a unit")
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, eps_one, ctx.zero)
-    alg = build_algebra(data, relax_a_bar=True, partition_bound=partition_bound)
+    alg = build_algebra(data, relax_a_bar=True)
     expected_c = eps_one.unit_inverse()
     expected_dp = b_bar.unit_inverse() * expected_c
     if alg.duals.c != expected_c or not alg.duals.d.is_zero() or alg.duals.d_prime != expected_dp:
@@ -614,7 +607,7 @@ def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one, partition_bound=64):
     return alg
 
 
-def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar, partition_bound=64):
+def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar):
     """The eps(X) = 1 family (eps_x_bar = z), parametrized by a_bar in mu and
     units eps(1), d_underbar:
 
@@ -631,7 +624,7 @@ def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar, partition_bound=64):
     e1_inv = eps_one.unit_inverse()
     b_bar = e1_inv * e1_inv * (z - a_bar * eps_one - d_underbar.unit_inverse())
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, eps_one, z)
-    alg = build_algebra(data, partition_bound=partition_bound)
+    alg = build_algebra(data)
     t_bar = data.t_bar()
     # the scalar identity and the unit identity that define the family
     if b_bar * eps_one * eps_one + a_bar * eps_one - z != -d_underbar.unit_inverse():
@@ -647,7 +640,7 @@ def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar, partition_bound=64):
     return alg
 
 
-def example_zsqrtm5(s=1, eps_one=1, partition_bound=64):
+def example_zsqrtm5(s=1, eps_one=1):
     """The worked family over Z[sqrt(-5)] with mu = (2, 1+sqrt(-5)), z = 2,
     a_bar = 1 - sqrt(-5), eps_x_bar = 1 + sqrt(-5), and
     b_bar = eps(1)((sqrt(-5) - s - 2) eps(1) - 3) for s, eps(1) in {+1, -1}.
@@ -664,7 +657,7 @@ def example_zsqrtm5(s=1, eps_one=1, partition_bound=64):
     e1 = ctx(eps_one)
     b_bar = e1 * ((ctx(0, 1) - ctx(s) - ctx(2)) * e1 - ctx(3))
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, e1, eps_x_bar)
-    alg = build_algebra(data, partition_bound=partition_bound)
+    alg = build_algebra(data)
     t_bar = data.t_bar()
     se = ctx(s)
     if alg.duals.d != se * eps_x_bar or alg.duals.c != -(se * t_bar) or alg.duals.d_prime != -(se * e1):
@@ -686,7 +679,7 @@ class TwistSpec:
     param: RingElement
 
 
-def twist(alg, spec, partition_bound=64):
+def twist(alg, spec):
     """Applies the change of variables and revalidates from scratch."""
     data = alg.data
     ctx = data.ctx
@@ -732,7 +725,7 @@ def twist(alg, spec, partition_bound=64):
         notes = ["twist: trace rescaled by a unit"]
     else:
         raise ValueError(f"unknown twist kind {spec.kind}")
-    out = build_algebra(new, partition_bound=partition_bound)
+    out = build_algebra(new)
     out.report.notes.extend(notes)
     return out
 

@@ -7,11 +7,12 @@ of these matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import intlin
-from .ring import RingContext, RingElement, UnsupportedRingError
+from .ring import NotDivisibleError, RingContext, RingElement, UnsupportedRingError
 
 
 class ZeroIdealError(ValueError):
@@ -20,10 +21,6 @@ class ZeroIdealError(ValueError):
 
 class NotOrderTwoError(ValueError):
     """Ideal is not of order exactly two in the class group."""
-
-
-class SearchExhaustedError(RuntimeError):
-    """Bounded enumeration ended without a hit; raise the bound and retry."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,9 @@ class Ideal:
 
     def lattice_points(self, bound):
         """Members with max |coordinate| <= bound, in deterministic order of
-        increasing box size; excludes zero."""
-        for m in range(bound + 1):
+        increasing box size; excludes zero.  ``bound=None`` walks every box,
+        without end."""
+        for m in range(bound + 1) if bound is not None else itertools.count():
             for x in range(-m, m + 1):
                 for y in range(-m, m + 1):
                     if max(abs(x), abs(y)) != m or (x == 0 and y == 0):
@@ -203,24 +201,23 @@ def certify_order_two(mu):
     return ClassOrderTwoCertificate(mu, z, mu.norm())
 
 
-def solve_partition_of_z(mu, z, bound=64):
+def solve_partition_of_z(mu, z):
     """Elements u = (g1, g2) generating mu and u' in mu with
     g1*u1' + g2*u2' = z.
 
-    Searches mu lattice points for u1' in increasing box order and solves
-    for u2' by exact division; existence is guaranteed by mu*mu = (z) but
-    only found within the configured bound.
+    Tries u1' = 0, then the lattice points of mu in increasing box order,
+    solving for u2' by exact division; the first hit is returned.  The walk
+    always ends: z lies in mu*mu = g1*mu + g2*mu, so z = g1*a + g2*b with a,
+    b in mu, and the walk reaches u1' = a at the latest.
     """
     if not (mu * mu == Ideal.principal(z)):
         raise ValueError("need mu * mu = (z)")
     g1, g2 = mu.two_generators()
-    candidates = [mu.ctx.zero]
-    for u1p in candidates + list(mu.lattice_points(bound)):
+    for u1p in itertools.chain([mu.ctx.zero], mu.lattice_points(None)):
         rhs = z - g1 * u1p
         try:
             u2p = rhs.exact_div(g2)
-        except (ArithmeticError, ZeroDivisionError):
+        except NotDivisibleError:
             continue
-        if mu.contains(u2p) and mu.contains(u1p):
+        if mu.contains(u2p):
             return ([g1, g2], [u1p, u2p])
-    raise SearchExhaustedError(f"no partition of z within coordinate bound {bound}")

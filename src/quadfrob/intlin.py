@@ -265,9 +265,30 @@ def smith_normal_form(a, ncols=None):
     return diag, u, v, uinv
 
 
-def snf_diagonal(a, ncols=None):
-    diag, _, _, _ = smith_normal_form(a, ncols)
-    return diag
+def snf_diagonal(a):
+    """The diagonal of ``smith_normal_form(a)`` without its transforms:
+    min(m, n) nonnegative entries, each dividing the next nonzero one, zeros
+    last.
+
+    Alternates row Hermite forms of the matrix and of its transpose until it
+    is diagonal, then gcd/lcm passes order the diagonal into a divisibility
+    chain.  The loop ends: a pass can only shrink the top-left pivot, and
+    once its row and column are clear the same holds for the block below.
+    Only the matrix itself is transformed, so its entries stay small; the
+    transforms of ``smith_normal_form`` reach 100,000-bit entries on some
+    10x7 remainders of link complexes.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    h = hnf_rows(a)
+    while any(e for i, row in enumerate(h) for j, e in enumerate(row) if i != j):
+        h = hnf_rows(transpose(h))
+    diag = [row[i] for i, row in enumerate(h)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 class IntSolver:

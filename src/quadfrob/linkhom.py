@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlin import SparseMatrix, reduce_units, smith_normal_form, sparse_rank
+from .intlin import SparseMatrix, reduce_units, snf_diagonal, sparse_rank
 
 
 class MalformedPDError(ValueError):
@@ -547,13 +547,13 @@ def _dims_from_ranks(cx, diff_ranks):
 
 
 def smith_homology(cx):
-    """Per-degree (free Z-rank, torsion invariants) from one Smith form per
-    differential: H^i has torsion the non-unit invariant factors of
-    d_(i-1).  Meant for the small complex left after elimination."""
+    """Per-degree (free Z-rank, torsion invariants) from the invariant
+    factors of each differential: H^i has torsion the non-unit invariant
+    factors of d_(i-1).  Meant for the small complex left after elimination."""
     ranks = []
     torsion = []
     for d in cx.diffs:
-        diag = smith_normal_form(d.to_dense())[0] if d.nnz() else []
+        diag = snf_diagonal(d.to_dense()) if d.nnz() else []
         nonzero = [e for e in diag if e]
         ranks.append(len(nonzero))
         torsion.append([e for e in nonzero if e != 1])

@@ -68,24 +68,6 @@ class OMorphism:
         )
 
 
-def snf(matrix, ncols=None):
-    """Smith normal form: (invariant factors, (U, V)) with U A V diagonal."""
-    diag, u, v, _ = smith_normal_form(matrix, ncols)
-    return [e for e in diag if e], (u, v)
-
-
-def iso_as_abelian_groups(a, b):
-    """Compare (free rank, torsion invariants) pairs; OModules count as
-    torsion-free lattices."""
-    def normalize(x):
-        if isinstance(x, OModule):
-            return x.rank, []
-        r, t = x
-        return r, list(t)
-
-    return normalize(a) == normalize(b)
-
-
 def homology_pair(d_in, d_out, rank_mid):
     """ker(d_out)/im(d_in) for integer matrices d_out: mid -> next and
     d_in: prev -> mid; returns (free rank, torsion invariants)."""
@@ -108,7 +90,7 @@ def homology_pair(d_in, d_out, rank_mid):
             raise RuntimeError("image does not lie in the kernel; d^2 != 0?")
         cols.append(sol)
     w = transpose(cols, ncols=k) if cols else []
-    diag = snf_diagonal(w, ncols=len(cols)) if w else []
+    diag = snf_diagonal(w) if w else []
     nonzero = [e for e in diag if e]
     torsion = [e for e in nonzero if e != 1]
     return k - len(nonzero), torsion

@@ -210,10 +210,6 @@ class RingElement:
         return cls(ctx, int(obj["x"]), int(obj["y"]))
 
 
-def divide_exact(x, y):
-    return x.exact_div(y)
-
-
 @dataclass(frozen=True)
 class FieldElement:
     """p + q*sqrt(d) with rational p, q."""

@@ -1,6 +1,7 @@
 import json
 import os
 
+from quadfrob import corpus
 from quadfrob.cli import main
 
 
@@ -122,6 +123,22 @@ def test_link_corpus_and_homology(tmp_path, capsys):
     assert code == 0
     assert payload["homology"]["degrees"]["0"]["z_rank"] == 4
     assert payload["homology"]["total_k_dim"] == 2
+
+
+def test_link_homology_worked_t25(tmp_path, capsys):
+    code, payload, _ = run_json(capsys, "algebra", "example-zsqrtm5")
+    alg = tmp_path / "worked.json"
+    alg.write_text(json.dumps(payload["data"]))
+    pd = tmp_path / "t25.json"
+    pd.write_text(json.dumps(corpus.braid_closure((1, 1, 1, 1, 1), 2).to_json()))
+    code, payload, _ = run_json(capsys, "link", "homology", "--pd", str(pd), "--alg", str(alg))
+    assert code == 0
+    degrees = payload["homology"]["degrees"]
+    assert {i: (v["z_rank"], v["torsion"]) for i, v in degrees.items()} == {
+        "0": (4, []), "3": (0, ["721"]), "5": (0, ["721"]),
+    }
+    assert payload["k_dims"] == {"0": 2}
+    assert {"k_rank_vs_z_rank", "mod_2", "mod_7", "mod_103"} <= set(payload["homology"]["checks"])
 
 
 def test_link_compare(tmp_path, capsys):

@@ -6,7 +6,10 @@ full differentials, ranks over Q by Fraction elimination) and is frozen
 here: per degree (free Z-rank, torsion invariants), the nonzero K-dimensions,
 the lowest degree and the chain ranks.  The diagrams are the corpus, T(2,3..5)
 and a few mixed-sign 3-braid closures with torsion; the braid words use +i
-for s_i and -i for s_i^-1.
+for s_i and -i for s_i^-1.  The worked T(2,4) and T(2,5) entries, too slow
+for the dense route, were captured from unit elimination followed by
+``smith_normal_form`` with full transforms, before ``snf_diagonal`` took its
+place.
 """
 
 import pytest
@@ -47,6 +50,8 @@ GOLDEN = {
     "eps0_b1/T2_3": ({0: (4, []), 3: (0, [2, 2, 2, 2])}, {0: 2}, 0, [8, 12, 24, 16]),
     "eps0_b1/T2_4": ({0: (4, []), 3: (0, [2, 2, 2, 2]), 4: (4, [])}, {0: 2, 4: 2}, 0, [8, 16, 48, 64, 32]),
     "eps0_b1/T2_5": ({0: (4, []), 3: (0, [2, 2, 2, 2]), 5: (0, [2, 2, 2, 2])}, {0: 2}, 0, [8, 20, 80, 160, 160, 64]),
+    "worked/T2_4": ({0: (4, []), 3: (0, [721]), 4: (4, [])}, {0: 2, 4: 2}, 0, [8, 16, 48, 64, 32]),
+    "worked/T2_5": ({0: (4, []), 3: (0, [721]), 5: (0, [721])}, {0: 2}, 0, [8, 20, 80, 160, 160, 64]),
     "worked/b-12-12": ({-1: (0, [721]), 0: (4, []), 2: (0, [721])}, {0: 2}, -2, [16, 32, 36, 32, 16]),
     "worked/b-2-211": ({-2: (4, []), 0: (8, []), 2: (4, [])}, {-2: 2, 0: 4, 2: 2}, -2, [16, 32, 48, 32, 16]),
     "worked/b-1-1-12": ({-2: (0, [721]), 0: (4, [])}, {0: 2}, -3, [32, 64, 48, 28, 8]),

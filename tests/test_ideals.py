@@ -6,7 +6,6 @@ from quadfrob.ideals import (
     ClassOrderTwoCertificate,
     Ideal,
     NotOrderTwoError,
-    SearchExhaustedError,
     ZeroIdealError,
     certify_order_two,
     solve_partition_of_z,
@@ -150,9 +149,15 @@ def test_partition_requires_square(ctx, mu):
         solve_partition_of_z(mu, ctx(3))
 
 
-def test_partition_bound_exhaustion(ctx, mu):
-    with pytest.raises(SearchExhaustedError):
-        solve_partition_of_z(mu, ctx(2), bound=0)
+def test_partition_of_z_far_from_the_origin(ctx):
+    # 70*(2, 1+w) has no nonzero member with both coordinates below 70 in
+    # size, so the witness lies on the box of size 70
+    mu70 = Ideal.from_generators(ctx, [ctx(140), ctx(70, 70)])
+    us, ups = solve_partition_of_z(mu70, ctx(9800))
+    assert ups == [ctx(-70, 70), ctx(-70, -70)]
+    assert us[0] * ups[0] + us[1] * ups[1] == ctx(9800)
+    assert all(mu70.contains(e) for e in us + ups)
+    assert Ideal.from_generators(ctx, us) == mu70
 
 
 def test_ideal_json_and_hnf_validation(ctx, mu):

@@ -70,6 +70,24 @@ def test_snf_roundtrip_random():
             assert b % a == 0
 
 
+def test_snf_diagonal_matches_smith_normal_form():
+    r = random.Random(8)
+    for _ in range(300):
+        m = random_matrix(r, r.randint(1, 7), r.randint(1, 7), r.choice((1, 3, 9, 40)))
+        for row in m:
+            for j in range(len(row)):
+                if r.random() < 0.4:
+                    row[j] = 0
+        if len(m) > 1 and r.random() < 0.2:
+            m[-1] = [2 * e for e in m[0]]
+        diag = snf_diagonal(m)
+        assert len(diag) == min(len(m), len(m[0]))
+        assert all(e >= 0 for e in diag)
+        nonzero = [e for e in diag if e]
+        assert diag[: len(nonzero)] == nonzero
+        assert nonzero == [e for e in smith_normal_form(m)[0] if e]
+
+
 def test_kernel_and_solver():
     r = random.Random(3)
     for _ in range(40):

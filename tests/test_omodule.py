@@ -5,10 +5,8 @@ from quadfrob.intlin import det_int, identity, mat_mul, mat_vec, snf_diagonal, t
 from quadfrob.omodule import (
     OModule,
     OMorphism,
-    iso_as_abelian_groups,
     kernel_module,
     module_of_algebra,
-    snf,
     tensor_over_O,
 )
 
@@ -75,21 +73,6 @@ def test_kernel_examples(ctx, alg_eps0):
     assert m.is_equivariant()
     ker, _ = kernel_module(m)
     assert ker.rank == 4
-
-
-def test_snf_examples():
-    inv, (u, v) = snf([[2, 0], [0, 3]])
-    assert inv == [1, 6]
-    inv, _ = snf(identity(3))
-    assert inv == [1, 1, 1]
-    inv, _ = snf([[0, 0], [0, 0]])
-    assert inv == []
-
-
-def test_iso_as_abelian_groups():
-    assert iso_as_abelian_groups((4, []), (4, []))
-    assert not iso_as_abelian_groups((2, [2]), (2, []))
-    assert not iso_as_abelian_groups((2, []), (3, []))
 
 
 def test_kernel_m_analysis_eps0(alg_eps0, ctx):
