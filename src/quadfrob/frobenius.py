@@ -734,8 +734,8 @@ def twist(alg, spec):
 # Bounded enumeration of further solutions
 
 
-def search_solutions(mu, z, *, coord_bound=2, eps_one_units_only=True, limit=None):
-    """Enumerates data with d = s * eps_x_bar (s a unit) solving the single
+def search_solutions(mu, z, *, coord_bound=2, limit=None):
+    """Enumerates data with eps(1) a unit and d = s * eps_x_bar (s a unit) solving the single
     closing equation, subject to the integrality table; bounded box search.
 
     Yields validated algebras.  Bounds are configuration, not semantics:
@@ -743,12 +743,6 @@ def search_solutions(mu, z, *, coord_bound=2, eps_one_units_only=True, limit=Non
     """
     ctx = z.ctx
     units = ctx.units()
-    eps_ones = units if eps_one_units_only else [
-        ctx(x, y)
-        for x in range(-coord_bound, coord_bound + 1)
-        for y in range(-coord_bound, coord_bound + 1)
-        if (x, y) != (0, 0)
-    ]
     found = 0
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))
@@ -758,10 +752,8 @@ def search_solutions(mu, z, *, coord_bound=2, eps_one_units_only=True, limit=Non
             exf = eps_x_bar.to_field()
             zf = z.to_field()
             for a_bar in abars:
-                for e1 in eps_ones:
+                for e1 in units:
                     e1f = e1.to_field()
-                    if e1f.is_zero():
-                        continue
                     # b_bar = (eps_x_bar^2/z - a_bar eps_x_bar e1 / z - s^-1) / e1^2
                     num = exf * exf / zf - a_bar.to_field() * exf * e1f / zf - s_inv
                     b_k = num / (e1f * e1f)

@@ -54,12 +54,12 @@ def mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
 
-def kron(a, b, a_shape=None, b_shape=None):
+def kron(a, b):
     """Kronecker product; vec(x (x) y)[i*nb+j] = x[i]*y[j] convention."""
     am = len(a)
-    an = len(a[0]) if a else (a_shape[1] if a_shape else 0)
+    an = len(a[0]) if a else 0
     bm = len(b)
-    bn = len(b[0]) if b else (b_shape[1] if b_shape else 0)
+    bn = len(b[0]) if b else 0
     out = zeros(am * bm, an * bn)
     for i in range(am):
         for j in range(an):
@@ -92,7 +92,7 @@ def xgcd(a, b):
 # ---------------------------------------------------------------------------
 # Hermite normal form (row lattice canonical form)
 
-def hnf_rows(vectors, ncols=None):
+def hnf_rows(vectors):
     """Canonical basis of the row lattice spanned by ``vectors``.
 
     Echelon with pivots on the leftmost columns, pivots positive, entries
@@ -135,34 +135,30 @@ def hnf_rows(vectors, ncols=None):
     return [basis[p] for p in pivots]
 
 
-def hnf_rows_lower(vectors, ncols=None):
+def hnf_rows_lower(vectors):
     """Row HNF in lower-triangular orientation (rightmost pivots first).
 
     For a full-rank rank-2 lattice this is the ((a,0),(b,c)) shape with
     a, c > 0 and 0 <= b < a.
     """
     rev = [list(reversed(r)) for r in vectors]
-    h = hnf_rows(rev, ncols)
+    h = hnf_rows(rev)
     out = [list(reversed(r)) for r in h]
     out.reverse()
     return out
 
 
-def lattice_eq(rows_a, rows_b):
-    return hnf_rows(rows_a) == hnf_rows(rows_b)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form with full transform tracking
 
-def smith_normal_form(a, ncols=None):
+def smith_normal_form(a):
     """Returns (diag, U, V, Uinv) with U*A*V diagonal.
 
     diag has min(m, n) entries, nonnegative, each dividing the next nonzero
     one; U, V unimodular; Uinv is the exact inverse of U.
     """
     m = len(a)
-    n = len(a[0]) if a else (ncols or 0)
+    n = len(a[0]) if a else 0
     d = [list(r) for r in a]
     u = identity(m)
     uinv = identity(m)
@@ -336,10 +332,6 @@ def kernel_basis(a, ncols=None):
     if m == 0:
         return identity(n)
     return IntSolver(a, ncols=n).kernel_rows
-
-
-def solve_int(a, b, ncols=None):
-    return IntSolver(a, ncols).solve(b)
 
 
 def rank_rat(a):

@@ -9,16 +9,10 @@ and (slot3, slot4) and the 1-resolution joins (slot1, slot4) and
 positive-kink diagram resolves to two circles at 0 and one at 1, so its
 complex is 0 -> A(x)A --m--> A -> 0 in cohomological degrees 0, 1.
 
-Chain groups are presented monomially.  Since mu*mu = (z), the factor
-mu (x)_O mu is O via u (x) v -> uv/z, so
-
-    A^(x n) = (+)_{S subset of the circles} mu^(|S| mod 2) X_S,
-
-with X on the circles in S and 1 elsewhere.  The summand of S holds
-c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
-(|S| odd; Z-basis the HNF generators g1, g2 of mu), so A^(x n) has Z-rank
-2^(n+1), and merge and split act by 2x2 integer blocks read off from m and
-Delta(1) (Khovanov, arXiv:math/0411447).  Differentials are sparse.
+Chain groups are the monomial presentation of A^(x circles) from
+``omodule``, of Z-rank 2^(circles+1), on which merge and split act by 2x2
+integer blocks read off from m and Delta(1) (``omodule.MonomialTensors``).
+Differentials are sparse.
 
 Homology is computed once per complex: ranks over Q of the differentials,
 Gaussian elimination of unit entries, and Smith forms of what is left; the
@@ -33,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intlin import SparseMatrix, reduce_units, snf_diagonal, sparse_rank
+from .omodule import MonomialTensors
 
 
 class MalformedPDError(ValueError):
@@ -94,6 +89,44 @@ class PDCode:
         if bad:
             raise MalformedPDError(f"arcs {bad} do not occur exactly twice")
         self._check_orientations(counts)
+        self._check_planar()
+
+    def _check_planar(self):
+        """Euler's formula V - E + F = 2, with E = 2V, for every connected
+        component of the crossings.  A face is an orbit of the darts
+        (crossing, slot): follow the arc at the dart to its other end
+        (crossing j, slot t), then leave by slot (t - 1) mod 4."""
+        ends = {}
+        for j, cr in enumerate(self.crossings):
+            for t, a in enumerate(cr):
+                ends.setdefault(a, []).append((j, t))
+        other = {}
+        for x, y in ends.values():
+            other[x], other[y] = y, x
+        comp = list(range(len(self.crossings)))
+
+        def find(j):
+            while comp[j] != j:
+                j = comp[j]
+            return j
+
+        for (j, _), (k, _) in other.items():
+            comp[find(j)] = find(k)
+        euler = {}  # per component root: V - E + F, starting from V - E = -V
+        for j in range(len(self.crossings)):
+            root = find(j)
+            euler[root] = euler.get(root, 0) - 1
+        seen = set()
+        for dart in other:
+            if dart not in seen:
+                euler[find(dart[0])] += 1
+                while dart not in seen:
+                    seen.add(dart)
+                    j, t = other[dart]
+                    dart = (j, (t - 1) % 4)
+        for c, e in sorted(euler.items()):
+            if e != 2:
+                raise MalformedPDError(f"not planar: V - E + F = {e}, not 2, on the component of crossing {c}")
 
     def _check_orientations(self, counts):
         """Under-strand runs slot1 -> slot3; over-strand slot4 -> slot2 when
@@ -280,117 +313,6 @@ class Complex:
                 )
 
 
-class MonomialTensors:
-    """A^(x n) in monomial coordinates and the cube's edge maps on them.
-
-    Coordinate 2*S + j is the j-th Z-basis element of the summand of the
-    circle set S, a bit mask with factor 0 as its highest bit.  A term
-    X_S -> kappa X_S' of m or Delta over K becomes the 2x2 block of
-    c -> kappa z^(floor(|S|/2) - floor(|S'|/2)) c between the summands.
-    """
-
-    def __init__(self, alg):
-        ctx = alg.ctx
-        data = alg.data
-        self.mu = alg.mu
-        self.z = data.z.to_field()
-        g1, g2 = alg.mu.two_generators()
-        self.basis = (
-            (ctx.one.to_field(), ctx.sqrt_d.to_field()),
-            (g1.to_field(), g2.to_field()),
-        )
-        zero, one, a, b = ctx.field(0), ctx.field(1), data.a(), data.b()
-        duals = alg.duals
-        cd = duals.d.to_field()
-        # Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' z X(x)X
-        delta_one = {
-            (0, 0): duals.c.to_field(),
-            (0, 1): cd,
-            (1, 0): cd,
-            (1, 1): duals.d_prime.to_field() * self.z,
-        }
-        delta_x = {}  # (X (x) 1) Delta(1), with X*X = aX + b
-        for (i, j), coeff in delta_one.items():
-            for out, k in ([(1, coeff)] if i == 0 else [(1, coeff * a), (0, coeff * b)]):
-                delta_x[(out, j)] = delta_x.get((out, j), zero) + k
-        terms = {
-            "merge": {
-                (0, 0): {(0,): one},
-                (0, 1): {(1,): one},
-                (1, 0): {(1,): one},
-                (1, 1): {(1,): a, (0,): b},
-            },
-            "split": {(0,): delta_one, (1,): delta_x},
-        }
-        self.terms = {
-            kind: {ins: [(outs, k) for outs, k in t.items() if not k.is_zero()] for ins, t in table.items()}
-            for kind, table in terms.items()
-        }
-        self._blocks = {}
-        self.actions = tuple(self._block_of(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
-
-    def _coords(self, f, par):
-        if not f.is_integral():
-            raise ValueError(f"{f} is not in O: the algebra is not closed")
-        r = f.to_ring()
-        return (r.x, r.y) if par == 0 else self.mu.basis_coords(r)
-
-    def _block_of(self, factor, src_par, tgt_par):
-        """Matrix of c -> factor * c from the summand lattice of parity
-        ``src_par`` to that of ``tgt_par``."""
-        (a, c), (b, d) = (self._coords(e * factor, tgt_par) for e in self.basis[src_par])
-        return ((a, b), (c, d))
-
-    def _block(self, kind, ins, outs, kappa, par):
-        key = (kind, ins, outs, par)
-        if key not in self._blocks:
-            shift = sum(outs) - sum(ins)
-            # floor(|S|/2) - floor(|S'|/2) depends only on par = |S| mod 2
-            e = -((par + shift) // 2)
-            factor = kappa * self.z if e > 0 else kappa / self.z if e < 0 else kappa
-            self._blocks[key] = self._block_of(factor, par, (par + shift) % 2)
-        return self._blocks[key]
-
-    def edge_entries(self, kind, n_src, src_pos, tgt_map):
-        """(row, column, entry) of the map A^(x n_src) -> A^(x n_tgt).
-
-        ``src_pos``: the merged or split source factors; ``tgt_map``: for
-        each factor of the intermediate order (untouched factors in source
-        order, then the merged/split factors), its position in the target.
-        """
-        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
-        others = [p for p in range(n_src) if p not in src_pos]
-        tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]
-        new_bits = tgt_bits[len(others):]
-        table = self.terms[kind]
-        for mask in range(1 << n_src):
-            bits = [(mask >> (n_src - 1 - p)) & 1 for p in range(n_src)]
-            base = 0
-            for o, tb in zip(others, tgt_bits):
-                if bits[o]:
-                    base |= tb
-            ins = tuple(bits[p] for p in src_pos)
-            par = bin(mask).count("1") & 1
-            for outs, kappa in table[ins]:
-                tmask = base
-                for bit, tb in zip(outs, new_bits):
-                    if bit:
-                        tmask |= tb
-                block = self._block(kind, ins, outs, kappa, par)
-                for i in (0, 1):
-                    for j in (0, 1):
-                        if block[i][j]:
-                            yield 2 * tmask + i, 2 * mask + j, block[i][j]
-
-    def edge_matrix(self, kind, n_src, src_pos, tgt_map):
-        """The entries of ``edge_entries`` as one SparseMatrix."""
-        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
-        out = SparseMatrix(2 << n_tgt, 2 << n_src)
-        for r, c, e in self.edge_entries(kind, n_src, src_pos, tgt_map):
-            out.rows[r][c] = e
-        return out
-
-
 def build_complex(pd, alg):
     """Chain groups (+) A^(x circles) per degree |v| - n_minus, with merge
     and split edge maps signed by (-1)^(number of 1s before the flipped
@@ -488,7 +410,6 @@ def _edge_target_map(cube, v, w, kind, src, tgt):
 class HomologyReport:
     degrees: dict                     # degree -> {"z_rank", "torsion", "k_dim"}
     total_k_dim: int
-    half_rank_consistent: bool = True  # every free Z-rank was even (k_dim = z_rank/2)
     notes: list = field(default_factory=list)
     checks: list = field(default_factory=list)  # cross-checks that ran and passed
 
@@ -503,7 +424,6 @@ class HomologyReport:
                 for i, v in sorted(self.degrees.items())
             },
             "total_k_dim": self.total_k_dim,
-            "half_rank_consistent": self.half_rank_consistent,
             "notes": list(self.notes),
             "checks": list(self.checks),
         }
@@ -530,8 +450,10 @@ def _homology(cx):
                 raise RouteDisagreementError(
                     f"degree {i}: ranks over Q give dimension {q}, the Smith form free rank {table[i][0]}"
                 )
-        primes = check_mod_p(cx, table)
-        checks = ["k_rank_vs_z_rank"] + [f"mod_{p}" for p in primes]
+            if q % 2 and cx.actions is not None:
+                raise RouteDisagreementError(f"degree {i}: odd dimension {q} over Q for a complex over O")
+        checks = ["k_rank_vs_z_rank"] + [f"mod_{p}" for p in check_mod_p(cx, table)]
+        checks += [f"remainder_mod_{p}" for p in check_mod_p(small, table, REMAINDER_PRIMES)]
         cx._homology = _Homology(table, q_dims, small, checks)
     return cx._homology
 
@@ -561,16 +483,24 @@ def smith_homology(cx):
     return {i: (free[i], torsion[idx - 1] if idx > 0 else []) for idx, i in enumerate(cx.degrees())}
 
 
-def check_mod_p(cx, table):
-    """Universal coefficients over F_p, for p = 2 and each prime dividing a
-    torsion invariant of ``table``: the ranks mod p of the differentials of
-    ``cx`` must give dim H^i(C (x) F_p) = free_i + t_p(i) + t_p(i+1), where
-    t_p(i) counts the invariants of H^i divisible by p.  Returns the primes
-    checked; raises ModPCheckError on a mismatch."""
-    primes = {2}
-    for _, torsion in table.values():
-        for t in torsion:
-            primes.update(_prime_factors(t))
+# Primes checked on the remainder after elimination, whatever torsion the
+# Smith route reports: a summand it dropped entirely adds no prime to the
+# default set, but shows here when its order has one of these factors.
+REMAINDER_PRIMES = (3, 5, 7, 11, 13)
+
+
+def check_mod_p(cx, table, primes=None):
+    """Universal coefficients over F_p, for the given primes, by default
+    p = 2 and each prime dividing a torsion invariant of ``table``: the
+    ranks mod p of the differentials of ``cx`` must give
+    dim H^i(C (x) F_p) = free_i + t_p(i) + t_p(i+1), where t_p(i) counts the
+    invariants of H^i divisible by p.  Returns the primes checked; raises
+    ModPCheckError on a mismatch."""
+    if primes is None:
+        primes = {2}
+        for _, torsion in table.values():
+            for t in torsion:
+                primes.update(_prime_factors(t))
     for p in sorted(primes):
         dims = _dims_from_ranks(cx, [sparse_rank(d, p) for d in cx.diffs])
         for i, dim in dims.items():
@@ -585,18 +515,21 @@ def check_mod_p(cx, table):
     return sorted(primes)
 
 
-def _prime_factors(n, bound=1 << 16):
-    """Primes dividing n, by trial division up to ``bound``.  A cofactor
-    left below bound**2 is prime; a larger one is not factored, and its
-    primes go unchecked."""
+TRIAL_DIVISION_BOUND = 1 << 16
+
+
+def _prime_factors(n):
+    """Primes dividing n, by trial division up to TRIAL_DIVISION_BOUND.  A
+    cofactor left below its square is prime; a larger one is not factored,
+    and its primes go unchecked."""
     out = set()
     p = 2
-    while p <= bound and p * p <= n:
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
         while n % p == 0:
             out.add(p)
             n //= p
         p += 1 if p == 2 else 2
-    if 1 < n <= bound * bound:
+    if 1 < n <= TRIAL_DIVISION_BOUND ** 2:
         out.add(n)
     return out
 
@@ -607,27 +540,21 @@ def homology_integral(cx):
     h = _homology(cx)
     out = {}
     total_k = 0
-    half_ok = True
     for i, (free, torsion) in sorted(h.table.items()):
         k_dim = free // 2
-        half_ok = half_ok and free % 2 == 0
         total_k += k_dim
         if free or torsion:
             out[i] = {"z_rank": free, "torsion": list(torsion), "k_dim": k_dim}
-    return HomologyReport(
-        out, total_k, half_rank_consistent=half_ok, notes=list(cx.notes), checks=cx.checks + h.checks
-    )
+    return HomologyReport(out, total_k, notes=list(cx.notes), checks=cx.checks + h.checks)
 
 
 def homology_over_K(cx):
-    """Per-degree dimensions over K by exact ranks over Q of the
-    unsimplified differentials, cross-checked against half the free Z-rank."""
+    """Per-degree dimensions over K: half the dimensions over Q from the
+    ranks of the unsimplified differentials, which equal the free Z-ranks."""
     if cx.actions is None:
         raise ValueError("needs the unsimplified, equivariant complex")
     dims = {}
     for i, q_dim in _homology(cx).q_dims.items():
-        if q_dim % 2:
-            raise RouteDisagreementError(f"degree {i}: odd dimension {q_dim} over Q")
         if q_dim:
             dims[i] = q_dim // 2
     return dims

@@ -1,19 +1,35 @@
 """Finitely generated O-modules as Z-lattices with a sqrt(d)-action.
 
 A module of Z-rank n is an integer n x n matrix J with J^2 = d*I; morphisms
-are integer matrices commuting with the actions.  Tensor products over O are
-computed as quotients of tensor products over Z by the single relation
-(sqrt(d) . ) (x) id - id (x) (sqrt(d) . ), via Smith normal form; quotient
-coordinates come with an exact projection/section pair.
+are integer matrices commuting with the actions.  ``tensor_over_O`` computes
+a tensor product over O generically, as the quotient of the tensor product
+over Z by (sqrt(d) . ) (x) id - id (x) (sqrt(d) . ), via Smith normal form.
+
+The tensor powers of an algebra A = O 1 + mu X need no quotient.  Since
+mu*mu = (z), the factor mu (x)_O mu is O via u (x) v -> uv/z, so
+
+    A^(x n) = (+)_{S subset of the factors} mu^(|S| mod 2) X_S,
+
+with X on the factors in S and 1 elsewhere.  The summand of S holds
+c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
+(|S| odd; Z-basis the HNF generators g1, g2 of mu), so A^(x n) has Z-rank
+2^(n+1) (Khovanov, arXiv:math/0411447).  Coordinate 2*S + j is the j-th
+Z-basis element of the summand of S, a bit mask with factor 0 as its
+highest bit; ``summand_coords`` reads them off c.  These are the only
+coordinates of A^(x n): ``AlgebraLattice.tensor_power`` projects the
+Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
+on them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import intlin
 from .intlin import (
     IntSolver,
+    SparseMatrix,
     hnf_rows,
     identity,
     kernel_basis,
@@ -99,8 +115,8 @@ def homology_pair(d_in, d_out, rank_mid):
 @dataclass
 class TensorProduct:
     module: OModule
-    proj: list      # Z-tensor coords -> quotient coords
-    section: list   # quotient coords -> Z-tensor coords (proj o section = id)
+    proj: list      # Z-tensor coords -> tensor coords over O
+    section: list   # tensor coords over O -> Z-tensor coords (proj o section = id)
 
 
 def tensor_over_O(m, n, label=""):
@@ -150,6 +166,122 @@ def kernel_module(f, label=""):
 
 
 # ---------------------------------------------------------------------------
+# Monomial coordinates of A^(x n)
+
+
+def summand_coords(mu, c, odd):
+    """Z-coordinates of c in K in a summand of A^(x n): over (1, sqrt(d))
+    in O for an even circle set, over (g1, g2) in mu for an odd one."""
+    if not c.is_integral():
+        raise ValueError(f"{c} is not in O: the algebra is not closed")
+    r = c.to_ring()
+    return mu.basis_coords(r) if odd else (r.x, r.y)
+
+
+class MonomialTensors:
+    """The cube's edge maps on monomial coordinates of A^(x n).
+
+    A term X_S -> kappa X_S' of m or Delta over K becomes the 2x2 block of
+    c -> kappa z^(floor(|S|/2) - floor(|S'|/2)) c between the summands.
+    """
+
+    def __init__(self, alg):
+        ctx = alg.ctx
+        data = alg.data
+        self.mu = alg.mu
+        self.z = data.z.to_field()
+        g1, g2 = alg.mu.two_generators()
+        self.basis = (
+            (ctx.one.to_field(), ctx.sqrt_d.to_field()),
+            (g1.to_field(), g2.to_field()),
+        )
+        zero, one, a, b = ctx.field(0), ctx.field(1), data.a(), data.b()
+        duals = alg.duals
+        cd = duals.d.to_field()
+        # Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' z X(x)X
+        delta_one = {
+            (0, 0): duals.c.to_field(),
+            (0, 1): cd,
+            (1, 0): cd,
+            (1, 1): duals.d_prime.to_field() * self.z,
+        }
+        delta_x = {}  # (X (x) 1) Delta(1), with X*X = aX + b
+        for (i, j), coeff in delta_one.items():
+            for out, k in ([(1, coeff)] if i == 0 else [(1, coeff * a), (0, coeff * b)]):
+                delta_x[(out, j)] = delta_x.get((out, j), zero) + k
+        terms = {
+            "merge": {
+                (0, 0): {(0,): one},
+                (0, 1): {(1,): one},
+                (1, 0): {(1,): one},
+                (1, 1): {(1,): a, (0,): b},
+            },
+            "split": {(0,): delta_one, (1,): delta_x},
+        }
+        self.terms = {
+            kind: {ins: [(outs, k) for outs, k in t.items() if not k.is_zero()] for ins, t in table.items()}
+            for kind, table in terms.items()
+        }
+        self._blocks = {}
+        self.actions = tuple(self._block_of(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
+
+    def _block_of(self, factor, src_par, tgt_par):
+        """Matrix of c -> factor * c from the summand lattice of parity
+        ``src_par`` to that of ``tgt_par``."""
+        (a, c), (b, d) = (summand_coords(self.mu, e * factor, tgt_par) for e in self.basis[src_par])
+        return ((a, b), (c, d))
+
+    def _block(self, kind, ins, outs, kappa, par):
+        key = (kind, ins, outs, par)
+        if key not in self._blocks:
+            shift = sum(outs) - sum(ins)
+            # floor(|S|/2) - floor(|S'|/2) depends only on par = |S| mod 2
+            e = -((par + shift) // 2)
+            factor = kappa * self.z if e > 0 else kappa / self.z if e < 0 else kappa
+            self._blocks[key] = self._block_of(factor, par, (par + shift) % 2)
+        return self._blocks[key]
+
+    def edge_entries(self, kind, n_src, src_pos, tgt_map):
+        """(row, column, entry) of the map A^(x n_src) -> A^(x n_tgt).
+
+        ``src_pos``: the merged or split source factors; ``tgt_map``: for
+        each factor of the intermediate order (untouched factors in source
+        order, then the merged/split factors), its position in the target.
+        """
+        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+        others = [p for p in range(n_src) if p not in src_pos]
+        tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]
+        new_bits = tgt_bits[len(others):]
+        table = self.terms[kind]
+        for mask in range(1 << n_src):
+            bits = [(mask >> (n_src - 1 - p)) & 1 for p in range(n_src)]
+            base = 0
+            for o, tb in zip(others, tgt_bits):
+                if bits[o]:
+                    base |= tb
+            ins = tuple(bits[p] for p in src_pos)
+            par = bin(mask).count("1") & 1
+            for outs, kappa in table[ins]:
+                tmask = base
+                for bit, tb in zip(outs, new_bits):
+                    if bit:
+                        tmask |= tb
+                block = self._block(kind, ins, outs, kappa, par)
+                for i in (0, 1):
+                    for j in (0, 1):
+                        if block[i][j]:
+                            yield 2 * tmask + i, 2 * mask + j, block[i][j]
+
+    def edge_matrix(self, kind, n_src, src_pos, tgt_map):
+        """The entries of ``edge_entries`` as one SparseMatrix."""
+        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+        out = SparseMatrix(2 << n_tgt, 2 << n_src)
+        for r, c, e in self.edge_entries(kind, n_src, src_pos, tgt_map):
+            out.rows[r][c] = e
+        return out
+
+
+# ---------------------------------------------------------------------------
 # The lattice bundle of a Frobenius algebra
 
 
@@ -194,7 +326,7 @@ class KernelReport:
 
 class AlgebraLattice:
     """Z-lattice presentations of A and its tensor powers, with the
-    structure maps as integer matrices on quotient coordinates."""
+    structure maps as integer matrices on monomial coordinates."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -235,13 +367,36 @@ class AlgebraLattice:
         return self.alg.element(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     def tensor_power(self, n):
-        """A^(x n) with projection/section from the full Z-tensor power."""
+        """A^(x n) in monomial coordinates, projected from the Z-tensor
+        power (factor basis 1, sqrt(d), g1 X, g2 X, first factor most
+        significant): u_1 X^s_1 (x) ... (x) u_n X^s_n -> prod(u_i) /
+        z^floor(|S|/2) in the summand of S = {i : s_i = 1}."""
         if n not in self._powers:
-            prev = self.tensor_power(n - 1)
-            step = tensor_over_O(prev.module, self.A, label=f"A^(x{n})")
-            proj = mat_mul(step.proj, kron(prev.proj, identity(4)))
-            section = mat_mul(kron(prev.section, identity(4)), step.section)
-            self._powers[n] = TensorProduct(step.module, proj, section)
+            ctx = self.ctx
+            g1, g2 = self.gens
+            z = self.alg.data.z
+            cols = []
+            for factors in itertools.product(((ctx.one, 0), (ctx.sqrt_d, 0), (g1, 1), (g2, 1)), repeat=n):
+                prod, mask = ctx.one, 0
+                for u, bit in factors:
+                    prod, mask = prod * u, 2 * mask + bit
+                size = bin(mask).count("1")
+                col = [0] * (2 << n)
+                c = prod.exact_div(z ** (size // 2)) if size > 1 else prod
+                col[2 * mask:2 * mask + 2] = summand_coords(self.mu, c.to_field(), size % 2)
+                cols.append(col)
+            proj = transpose(cols)
+            solver = IntSolver(proj)
+            sols = [solver.solve(e) for e in identity(2 << n)]
+            if None in sols:
+                raise RuntimeError("projection onto monomial coordinates is not onto")
+            section = transpose(sols)
+            # sqrt(d) on any one factor must give the same action
+            acts = [kron(kron(identity(4 ** i), self.A.action), identity(4 ** (n - 1 - i))) for i in range(n)]
+            action = mat_mul(mat_mul(proj, acts[0]), section)
+            if any(mat_mul(proj, j) != mat_mul(action, proj) for j in acts):
+                raise RuntimeError("tensor action not well defined on monomial coordinates")
+            self._powers[n] = TensorProduct(OModule(ctx.d, 2 << n, action, label=f"A^(x{n})"), proj, section)
         return self._powers[n]
 
     def pure2(self, x, y):
@@ -254,7 +409,7 @@ class AlgebraLattice:
         return transpose(cols, ncols=4)
 
     def on_quotient_first_factor(self, l_matrix):
-        """Descends L (x) id to A (x)_O A quotient coordinates."""
+        """Descends L (x) id to A (x)_O A."""
         t2 = self.tensor_power(2)
         raw = kron(l_matrix, identity(4))
         out = mat_mul(mat_mul(t2.proj, raw), t2.section)
@@ -265,7 +420,7 @@ class AlgebraLattice:
     # -- structure maps ------------------------------------------------------
 
     def m_matrix(self):
-        """Multiplication A (x)_O A -> A on quotient coordinates."""
+        """Multiplication A (x)_O A -> A, through the section."""
         if self._m is None:
             cols = []
             for ei in self._basis_elements:
@@ -333,22 +488,10 @@ class AlgebraLattice:
         dprime = delta / zf
         if not dprime.is_integral():
             raise NotDivisibleError(f"X(x)X coefficient {delta} not in z*O")
-        alg = self.alg
-        one = alg.one
-        a_elt = alg.element(alpha.to_ring(), self.ctx.zero)
-        b_elt = alg.element(self.ctx.zero, beta.to_ring())
-        c_elt = alg.element(self.ctx.zero, gamma.to_ring())
-        lift = _outer(self.coords(a_elt), self.coords(one))
-        lift = [x + y for x, y in zip(lift, _outer(self.coords(one), self.coords(b_elt)))]
-        lift = [x + y for x, y in zip(lift, _outer(self.coords(c_elt), self.coords(one)))]
-        dp = dprime.to_ring()
-        us, ups = alg.partition
-        for uj, ujp in zip(us, ups):
-            left = alg.element(self.ctx.zero, dp * uj)
-            right = alg.element(self.ctx.zero, ujp)
-            lift = [x + y for x, y in zip(lift, _outer(self.coords(left), self.coords(right)))]
-        t2 = self.tensor_power(2)
-        return TensorElement(t2, mat_vec(t2.proj, lift))
+        coords = []
+        for c, odd in ((alpha, 0), (beta, 1), (gamma, 1), (dprime, 0)):
+            coords.extend(summand_coords(self.mu, c, odd))
+        return TensorElement(self.tensor_power(2), coords)
 
     # -- kernel of multiplication -------------------------------------------
 
@@ -456,7 +599,7 @@ class AlgebraLattice:
 
 
 class TensorElement:
-    """Element of a tensor-over-O lattice, held as quotient coordinates."""
+    """Element of a tensor-over-O lattice, held as its coordinates."""
 
     __slots__ = ("space", "coords")
 

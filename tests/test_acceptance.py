@@ -15,9 +15,6 @@ from conftest import (
     id_tensor_delta,
     id_tensor_m,
     m_tensor_id,
-    monomial_delta_matrix,
-    monomial_m_matrix,
-    monomial_pure2,
     random_algebra_element,
 )
 from quadfrob import corpus
@@ -261,10 +258,10 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
     }
     for name, alg in algs.items():
         lat = alg.lattice()
-        # the cube's edge maps and the lattice's m and Delta, all in the
-        # monomial coordinates of build_complex
-        m_mat = monomial_m_matrix(alg)
-        d_mat = monomial_delta_matrix(alg)
+        # the cube's edge maps and the lattice's m and Delta share the
+        # monomial coordinates of tensor_power
+        m_mat = lat.m_matrix()
+        d_mat = lat.delta_matrix()
         left = mat_mul(m_tensor_id(alg), id_tensor_delta(alg))
         right = mat_mul(id_tensor_m(alg), delta_tensor_id(alg))
         middle = mat_mul(d_mat, m_mat)
@@ -282,7 +279,7 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
             assert mat_vec(eps_first, dx) == lat.coords(x)
             assert mat_vec(eps_second, dx) == lat.coords(x)
             # compatibility evaluated on the pair (x, y) as well
-            v = monomial_pure2(alg, x, y)
+            v = lat.pure2(x, y)
             assert mat_vec(left, v) == mat_vec(middle, v) == mat_vec(right, v)
     report(10, "Frobenius axioms hold exactly on 100 random elements per algebra")
 

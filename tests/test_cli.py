@@ -171,6 +171,14 @@ def test_link_malformed_pd(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_link_non_planar_pd_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "torus.json"
+    bad.write_text(json.dumps({"crossings": [[3, 2, 1, 4], [1, 4, 3, 2]], "signs": [1, 1]}))
+    code, _, err = run(capsys, "link", "homology", "--pd", str(bad))
+    assert code == 3
+    assert "not planar" in err
+
+
 def test_missing_file_is_malformed(capsys):
     code, _, err = run(capsys, "link", "homology", "--pd", "/nonexistent.json")
     assert code == 3

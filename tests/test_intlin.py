@@ -8,14 +8,12 @@ from quadfrob.intlin import (
     identity,
     kernel_basis,
     kron,
-    lattice_eq,
     mat_mul,
     mat_vec,
     perm_matrix,
     rank_rat,
     smith_normal_form,
     snf_diagonal,
-    solve_int,
 )
 
 
@@ -100,15 +98,15 @@ def test_kernel_and_solver():
             assert all(e in (0, 1) for e in snf_diagonal(ker))
         x = [r.randint(-5, 5) for _ in range(len(m[0]))]
         b = mat_vec(m, x)
-        sol = solve_int(m, b)
+        sol = IntSolver(m).solve(b)
         assert sol is not None
         assert mat_vec(m, sol) == b
 
 
 def test_solver_detects_unsolvable():
-    assert solve_int([[2, 0], [0, 2]], [1, 0]) is None
-    assert solve_int([[1, 0], [0, 0]], [0, 1]) is None
-    assert solve_int([[2]], [4]) == [2]
+    assert IntSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
+    assert IntSolver([[1, 0], [0, 0]]).solve([0, 1]) is None
+    assert IntSolver([[2]]).solve([4]) == [2]
 
 
 def test_kernel_edge_cases():
@@ -158,8 +156,8 @@ def test_perm_matrix_moves_factors():
 
 
 def test_lattice_eq():
-    assert lattice_eq([[1, 0], [0, 1]], [[1, 1], [0, 1]])
-    assert not lattice_eq([[2, 0], [0, 1]], [[1, 0], [0, 1]])
+    assert hnf_rows([[1, 0], [0, 1]]) == hnf_rows([[1, 1], [0, 1]])
+    assert hnf_rows([[2, 0], [0, 1]]) != hnf_rows([[1, 0], [0, 1]])
 
 
 def test_int_solver_reuse():

@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import monomial_delta_matrix, monomial_m_matrix
 from quadfrob import corpus
 from quadfrob.linkhom import (
     MalformedPDError,
@@ -34,6 +33,23 @@ def test_pd_validation():
     # the positive kink with the wrong sign is unorientable
     with pytest.raises(MalformedPDError):
         PDCode(crossings=((1, 1, 2, 2),), signs=(-1,))
+
+
+def test_non_planar_pd_is_rejected():
+    # orientable, every arc twice, resolves; but the two crossings span a
+    # torus: V - E + F = 2 - 4 + 2 = 0
+    with pytest.raises(MalformedPDError, match="not planar"):
+        PDCode(crossings=((3, 2, 1, 4), (1, 4, 3, 2)), signs=(1, 1))
+
+
+def test_corpus_and_braid_closures_are_planar():
+    for name in corpus.names():
+        corpus.diagram(name)
+    words = [((1,) * n, 2) for n in range(1, 8)] + [((1, 2) * n, 3) for n in range(1, 5)]
+    words += [((1, -2, 1, -2), 3), ((1, 2, -3, 2, -1, 3), 4), ((2,), 3)]
+    for word, strands in words:
+        pd = corpus.braid_closure(word, strands)
+        assert PDCode.from_json(pd.to_json()) == pd
 
 
 def test_corpus_diagrams_valid():
@@ -100,14 +116,14 @@ def test_positive_kink_complex_is_multiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1plus"), alg_eps0)
     assert cx.min_degree == 0
     assert cx.ranks == [8, 4]
-    assert cx.diffs[0] == monomial_m_matrix(alg_eps0)
+    assert cx.diffs[0] == alg_eps0.lattice().m_matrix()
 
 
 def test_negative_kink_complex_is_comultiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1minus"), alg_eps0)
     assert cx.min_degree == -1
     assert cx.ranks == [4, 8]
-    assert cx.diffs[0] == monomial_delta_matrix(alg_eps0)
+    assert cx.diffs[0] == alg_eps0.lattice().delta_matrix()
 
 
 def test_unknot0_complex(alg_eps0):

@@ -1,10 +1,11 @@
 import pytest
 
 from conftest import rng
-from quadfrob.intlin import det_int, identity, mat_mul, mat_vec, snf_diagonal, transpose
+from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, snf_diagonal, transpose
 from quadfrob.omodule import (
     OModule,
     OMorphism,
+    TensorProduct,
     kernel_module,
     module_of_algebra,
     tensor_over_O,
@@ -57,6 +58,32 @@ def test_proj_section_inverse(alg_eps0):
     for n in (2, 3):
         t = lat.tensor_power(n)
         assert mat_mul(t.proj, t.section) == identity(t.module.rank)
+
+
+def smith_tower(lat, n):
+    """A^(x n) as iterated Smith-form quotients A^(x k-1) (x)_O A of the
+    Z-tensor power; coordinates depend on the pivot order."""
+    t = TensorProduct(lat.A, identity(4), identity(4))
+    for _ in range(n - 1):
+        step = tensor_over_O(t.module, lat.A)
+        proj = mat_mul(step.proj, kron(t.proj, identity(4)))
+        section = mat_mul(kron(t.section, identity(4)), step.section)
+        t = TensorProduct(step.module, proj, section)
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_power_matches_smith_tower(n, algebra_corpus):
+    """The closed-form monomial projection is the quotient by O-balancing:
+    same kernel as the Smith tower, and a unimodular change of coordinates
+    between the two that intertwines the sqrt(d)-actions."""
+    for name, alg in algebra_corpus.items():
+        lat = alg.lattice()
+        mono, tower = lat.tensor_power(n), smith_tower(lat, n)
+        assert hnf_rows(kernel_basis(mono.proj)) == hnf_rows(kernel_basis(tower.proj)), name
+        change = mat_mul(mono.proj, tower.section)
+        assert det_int(change) in (1, -1), name
+        assert mat_mul(change, tower.module.action) == mat_mul(mono.module.action, change), name
 
 
 def test_kernel_examples(ctx, alg_eps0):

@@ -17,6 +17,7 @@ from quadfrob.linkhom import (
     CheckFailedError,
     Complex,
     ModPCheckError,
+    RouteDisagreementError,
     build_complex,
     check_mod_p,
     homology_integral,
@@ -173,6 +174,28 @@ def test_mod_p_check_catches_a_corrupt_torsion_invariant(alg_worked, alg_eps0):
             check_mod_p(cx, {**table, 3: (0, wrong)})
 
 
+def test_remainder_primes_catch_a_dropped_torsion_summand(alg_worked, monkeypatch):
+    cx = build_complex(corpus.diagram("trefoil"), alg_worked)
+    small = simplify(cx)
+    dropped = {**smith_homology(small), 3: (0, [])}  # Z/721 gone, 721 = 7 * 103
+    assert check_mod_p(cx, dropped) == [2]  # the primes of the torsion reported miss it
+    with pytest.raises(ModPCheckError):
+        check_mod_p(small, dropped, linkhom.REMAINDER_PRIMES)
+    real = linkhom.smith_homology
+    monkeypatch.setattr(linkhom, "smith_homology", lambda c: {**real(c), 3: (0, [])})
+    with pytest.raises(ModPCheckError):
+        homology_integral(build_complex(corpus.diagram("trefoil"), alg_worked))
+
+
+def test_odd_dimension_over_q_is_a_route_disagreement():
+    # rank 1 over Z cannot carry a sqrt(d)-action; the check needs only that
+    # the complex claims one
+    cx = Complex(0, [1], [], actions=[SparseMatrix(1, 1)])
+    with pytest.raises(RouteDisagreementError, match="odd dimension 1"):
+        homology_integral(cx)
+    assert homology_integral(Complex(0, [1], [])).degrees == {0: {"z_rank": 1, "torsion": [], "k_dim": 0}}
+
+
 def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
     pd = tmp_path / "trefoil.json"
     pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
@@ -192,5 +215,7 @@ def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(linkhom, "smith_homology", real)
     assert cli.main(["link", "homology", "--pd", str(pd), "--format", "json"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["homology"]["checks"] == ["d_squared", "equivariance", "k_rank_vs_z_rank", "mod_2"]
+    assert payload["homology"]["checks"] == ["d_squared", "equivariance", "k_rank_vs_z_rank", "mod_2"] + [
+        f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)
+    ]
     assert issubclass(ModPCheckError, CheckFailedError)
