@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
-internal cross-check failed (the message names the check).
+Exit codes: 0 success, 2 validation rejection (ClosureError included), 3
+malformed input, 5 an internal cross-check failed: "<check> check failed"
+names validation_routes, ker_m_splitting, well_defined, tensor_torsion_free,
+d_squared, equivariance, k_rank_vs_z_rank or mod_p.
 
 Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
 e.g. '2', '1+w', '3-2w'.
@@ -27,7 +29,6 @@ from .frobenius import (
 )
 from .ideals import Ideal, NotOrderTwoError, certify_order_two
 from .linkhom import (
-    CheckFailedError,
     MalformedPDError,
     PDCode,
     build_complex,
@@ -37,7 +38,7 @@ from .linkhom import (
     reidemeister_compare,
     simplify,
 )
-from .ring import RingContext, UnsupportedRingError, parse_element
+from .ring import CheckFailedError, RingContext, UnsupportedRingError, parse_element
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -45,11 +46,11 @@ EXIT_MALFORMED = 3
 EXIT_CHECK = 5
 
 
-def _emit(args, payload, text_lines=None):
+def _emit(args, payload, text_lines):
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        out = "\n".join(text_lines if text_lines is not None else [json.dumps(payload, indent=2, sort_keys=True)])
+        out = "\n".join(text_lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -105,7 +106,6 @@ def cmd_ideal_classinfo(args):
     payload["principal"] = gen is not None
     if gen is not None:
         payload["generator"] = str(gen)
-    rc = EXIT_OK
     try:
         cert = certify_order_two(ideal)
         payload["order_two"] = True
@@ -122,7 +122,7 @@ def cmd_ideal_classinfo(args):
     else:
         lines.append(f"  not of order two: {payload.get('reason')}")
     _emit(args, payload, lines)
-    return rc
+    return EXIT_OK
 
 
 def _algebra_payload(alg):
@@ -155,7 +155,6 @@ def _algebra_lines(alg):
 
 
 def cmd_algebra(args):
-    ctx = RingContext(args.d) if args.d else RingContext(-5)
     if args.action == "validate":
         with open(args.alg, encoding="utf-8") as fh:
             data = FrobeniusData.from_json(json.load(fh))
@@ -176,6 +175,7 @@ def cmd_algebra(args):
         alg = twist(base, TwistSpec(args.type, parse_element(base.ctx, args.param)))
         _emit(args, _algebra_payload(alg), _algebra_lines(alg))
         return EXIT_OK
+    ctx = RingContext(args.d)
     mu = Ideal.from_generators(ctx, _parse_gens(ctx, args.mu))
     z = parse_element(ctx, args.z) if args.z else certify_order_two(mu).z
     if args.action == "family-eps0":
@@ -188,14 +188,12 @@ def cmd_algebra(args):
             mu, z, parse_element(ctx, args.abar), parse_element(ctx, args.eps1_elt),
             parse_element(ctx, args.dbar),
         )
-    elif args.action == "search":
+    else:  # search
         found = list(search_solutions(mu, z, coord_bound=args.bound, limit=args.limit))
         payload = {"count": len(found), "solutions": [_algebra_payload(a) for a in found]}
         _emit(args, payload, [f"found {len(found)} valid parameter sets"]
               + [f"  a_bar={a.data.a_bar}, b_bar={a.data.b_bar}, eps1={a.data.eps_one}, eps_x_bar={a.data.eps_x_bar}" for a in found])
         return EXIT_OK
-    else:
-        raise ValueError(f"unknown algebra action {args.action}")
     _emit(args, _algebra_payload(alg), _algebra_lines(alg))
     return EXIT_OK
 
@@ -245,11 +243,10 @@ def cmd_link(args):
         ]
         _emit(args, payload, lines)
         return EXIT_OK
-    if args.action == "corpus":
-        paths = corpus.write_corpus(args.out_dir)
-        _emit(args, {"written": paths}, [f"wrote {p}" for p in paths])
-        return EXIT_OK
-    raise ValueError(f"unknown link action {args.action}")
+    # corpus
+    paths = corpus.write_corpus(args.out_dir)
+    _emit(args, {"written": paths}, [f"wrote {p}" for p in paths])
+    return EXIT_OK
 
 
 def cmd_tqft(args):
@@ -286,10 +283,10 @@ def make_parser():
     alg_sub = p_alg.add_subparsers(dest="action", required=True)
     for name in ("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search"):
         p = alg_sub.add_parser(name)
-        p.add_argument("-d", type=int, default=None)
-        p.add_argument("--relax", action="store_true",
-                       help="accept a_bar outside mu (zero-trace-on-X family)")
         _add_common(p)
+        if name in ("validate", "twist"):
+            p.add_argument("--relax", action="store_true",
+                           help="accept a_bar outside mu (zero-trace-on-X family)")
         if name == "validate":
             p.add_argument("--alg", required=True)
         elif name == "example-zsqrtm5":
@@ -300,6 +297,7 @@ def make_parser():
             p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
             p.add_argument("--param", required=True, help="unit (types 1, 3) or mu element p with lambda1 = p/z (type 2)")
         else:
+            p.add_argument("-d", type=int, default=-5)
             p.add_argument("--mu", default="2,1+w", help="ideal generators")
             p.add_argument("--z", default=None, help="generator of mu^2 (default: certify)")
             if name == "family-eps0":

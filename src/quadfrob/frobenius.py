@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from . import omodule
 from .ideals import Ideal, solve_partition_of_z
 from .ring import (
+    CheckFailedError,
     FieldElement,
     NotDivisibleError,
     RingContext,
@@ -55,11 +56,13 @@ class NotAUnitError(ValidationError):
     pass
 
 
-class InconsistentRoutesError(RuntimeError):
+class InconsistentRoutesError(CheckFailedError):
     """The two validation routes disagreed; internal invariant breach."""
 
+    check = "validation_routes"
 
-class ClosureError(RuntimeError):
+
+class ClosureError(ValidationError):
     """A product escaped the lattice O*1 + mu*X (possible only for algebras
     built with the relaxed a_bar precondition)."""
 

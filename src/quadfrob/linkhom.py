@@ -28,19 +28,11 @@ from dataclasses import dataclass, field
 
 from .intlin import SparseMatrix, reduce_units, snf_diagonal, sparse_rank
 from .omodule import MonomialTensors
+from .ring import CheckFailedError
 
 
 class MalformedPDError(ValueError):
     pass
-
-
-class CheckFailedError(RuntimeError):
-    """An internal cross-check failed; ``check`` names it."""
-
-    check = "check"
-
-    def __init__(self, message):
-        super().__init__(f"{self.check} check failed: {message}")
 
 
 class DifferentialSquareNonzeroError(CheckFailedError):

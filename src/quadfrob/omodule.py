@@ -41,14 +41,25 @@ from .intlin import (
     snf_diagonal,
     transpose,
 )
+from .ring import CheckFailedError, NotDivisibleError
 
 
-class TorsionInTensorError(RuntimeError):
+class TorsionInTensorError(CheckFailedError):
     """Tensor-over-O quotient had torsion; impossible for projective inputs."""
 
+    check = "tensor_torsion_free"
 
-class DirectSumFailureError(RuntimeError):
+
+class DirectSumFailureError(CheckFailedError):
     """ker(m) failed to split as predicted; internal invariant breach."""
+
+    check = "ker_m_splitting"
+
+
+class NotWellDefinedError(CheckFailedError):
+    """A map meant to descend to a quotient or a sublattice does not."""
+
+    check = "well_defined"
 
 
 @dataclass
@@ -56,7 +67,6 @@ class OModule:
     d: int
     rank: int
     action: list
-    label: str = ""
 
     def __post_init__(self):
         if self.rank:
@@ -103,7 +113,7 @@ def homology_pair(d_in, d_out, rank_mid):
         col = [d_in[i][j] for i in range(rank_mid)]
         sol = solver.solve(col)
         if sol is None:
-            raise RuntimeError("image does not lie in the kernel; d^2 != 0?")
+            raise NotWellDefinedError("image does not lie in the kernel; d^2 != 0?")
         cols.append(sol)
     w = transpose(cols, ncols=k) if cols else []
     diag = snf_diagonal(w) if w else []
@@ -119,7 +129,7 @@ class TensorProduct:
     section: list   # tensor coords over O -> Z-tensor coords (proj o section = id)
 
 
-def tensor_over_O(m, n, label=""):
+def tensor_over_O(m, n):
     """M (x)_O N as a quotient of M (x)_Z N by (J_M (x) I) - (I (x) J_N).
 
     For projective inputs the quotient is torsion-free of Z-rank
@@ -140,29 +150,29 @@ def tensor_over_O(m, n, label=""):
     section = [[uinv[i][j] for j in range(r, mn)] for i in range(mn)]
     jm_i = kron(m.action, identity(n.rank))
     action = mat_mul(mat_mul(proj, jm_i), section)
-    module = OModule(m.d, mn - r, action, label=label)
+    module = OModule(m.d, mn - r, action)
     if mat_mul(proj, jm_i) != mat_mul(action, proj):
-        raise RuntimeError("tensor action not well defined on the quotient")
+        raise NotWellDefinedError("tensor action not well defined on the quotient")
     return TensorProduct(module, proj, section)
 
 
-def kernel_module(f, label=""):
+def kernel_module(f):
     """Saturated kernel lattice of an equivariant morphism, with inclusion."""
     rows = kernel_basis(f.matrix, ncols=f.source.rank)
     k = len(rows)
     incl = transpose(rows, ncols=f.source.rank) if rows else [[] for _ in range(f.source.rank)]
     if k == 0:
-        return OModule(f.source.d, 0, [], label=label), incl
+        return OModule(f.source.d, 0, []), incl
     solver = IntSolver(incl, ncols=k)
     cols = []
     for v in rows:
         jv = mat_vec(f.source.action, v)
         sol = solver.solve(jv)
         if sol is None:
-            raise RuntimeError("kernel not stable under the action")
+            raise NotWellDefinedError("kernel not stable under the action")
         cols.append(sol)
     action = transpose(cols, ncols=k)
-    return OModule(f.source.d, k, action, label=label), incl
+    return OModule(f.source.d, k, action), incl
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,7 @@ class AlgebraLattice:
             [0, 0, c1[0], c2[0]],
             [0, 0, c1[1], c2[1]],
         ]
-        self.A = OModule(ctx.d, 4, action, label="A")
+        self.A = OModule(ctx.d, 4, action)
         self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
         self._basis_elements = (
             alg.element(ctx.one, ctx.zero),
@@ -389,14 +399,14 @@ class AlgebraLattice:
             solver = IntSolver(proj)
             sols = [solver.solve(e) for e in identity(2 << n)]
             if None in sols:
-                raise RuntimeError("projection onto monomial coordinates is not onto")
+                raise NotWellDefinedError("projection onto monomial coordinates is not onto")
             section = transpose(sols)
             # sqrt(d) on any one factor must give the same action
             acts = [kron(kron(identity(4 ** i), self.A.action), identity(4 ** (n - 1 - i))) for i in range(n)]
             action = mat_mul(mat_mul(proj, acts[0]), section)
             if any(mat_mul(proj, j) != mat_mul(action, proj) for j in acts):
-                raise RuntimeError("tensor action not well defined on monomial coordinates")
-            self._powers[n] = TensorProduct(OModule(ctx.d, 2 << n, action, label=f"A^(x{n})"), proj, section)
+                raise NotWellDefinedError("tensor action not well defined on monomial coordinates")
+            self._powers[n] = TensorProduct(OModule(ctx.d, 2 << n, action), proj, section)
         return self._powers[n]
 
     def pure2(self, x, y):
@@ -414,7 +424,7 @@ class AlgebraLattice:
         raw = kron(l_matrix, identity(4))
         out = mat_mul(mat_mul(t2.proj, raw), t2.section)
         if mat_mul(out, t2.proj) != mat_mul(t2.proj, raw):
-            raise RuntimeError("first-factor action not well defined on the quotient")
+            raise NotWellDefinedError("first-factor action not well defined on the quotient")
         return out
 
     # -- structure maps ------------------------------------------------------
@@ -430,7 +440,7 @@ class AlgebraLattice:
             t2 = self.tensor_power(2)
             m_quot = mat_mul(m_z, t2.section)
             if mat_mul(m_quot, t2.proj) != m_z:
-                raise RuntimeError("multiplication not constant on quotient fibers")
+                raise NotWellDefinedError("multiplication not constant on quotient fibers")
             self._m = m_quot
         return self._m
 
@@ -476,8 +486,6 @@ class AlgebraLattice:
     def tensor_from_k_basis(self, coeffs):
         """Element of A (x)_O A from K-coefficients over
         (1(x)1, 1(x)X, X(x)1, X(x)X); must be integral."""
-        from .ring import NotDivisibleError
-
         alpha, beta, gamma, delta = coeffs
         zf = self.alg.data.z.to_field()
         if not alpha.is_integral():
@@ -522,7 +530,7 @@ class AlgebraLattice:
         t2 = self.tensor_power(2)
         j2 = t2.module.action
         m = OMorphism(t2.module, self.A, self.m_matrix())
-        ker_mod, incl = kernel_module(m, label="ker(m)")
+        ker_mod, incl = kernel_module(m)
         ker_rows = transpose(incl, ncols=ker_mod.rank)
         if ker_mod.rank != 4:
             raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
@@ -613,16 +621,5 @@ class TensorElement:
     def __hash__(self):
         return hash(self.coords)
 
-    def __add__(self, other):
-        return TensorElement(self.space, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return TensorElement(self.space, [a - b for a, b in zip(self.coords, other.coords)])
-
     def __repr__(self):
         return f"TensorElement{self.coords}"
-
-
-def module_of_algebra(alg):
-    """The rank-4 lattice of A with the sqrt(d)-action."""
-    return alg.lattice().A

@@ -20,6 +20,15 @@ class UnsupportedRingError(ValueError):
     """Operation needs a finite unit group, i.e. d < 0."""
 
 
+class CheckFailedError(RuntimeError):
+    """An internal cross-check failed; ``check``, set by each subclass, names it."""
+
+    check = "check"
+
+    def __init__(self, message):
+        super().__init__(f"{self.check} check failed: {message}")
+
+
 def _is_squarefree(n):
     n = abs(n)
     if n == 0:

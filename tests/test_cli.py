@@ -1,8 +1,12 @@
 import json
 import os
 
-from quadfrob import corpus
+import pytest
+
+from quadfrob import corpus, frobenius
 from quadfrob.cli import main
+from quadfrob.intlin import IntSolver
+from quadfrob.omodule import AlgebraLattice
 
 
 def run(capsys, *argv):
@@ -197,3 +201,66 @@ def test_text_output_and_out_file(tmp_path, capsys):
     assert stdout == ""
     text = out.read_text()
     assert "order two" in text
+
+
+def test_relaxed_algebra_outside_the_lattice_is_rejected(tmp_path, capsys):
+    # a_bar = 1 is not in mu: products such as X * X leave O*1 + mu*X
+    code, payload, _ = run_json(
+        capsys, "algebra", "family-eps0", "--abar", "1", "--bbar", "1", "--eps1", "1",
+    )
+    assert code == 0
+    alg = tmp_path / "relaxed.json"
+    alg.write_text(json.dumps(payload["data"]))
+    for command in ("kernel", "tqft"):
+        code, _, err = run(capsys, command, "--alg", str(alg), "--relax")
+        assert code == 2
+        assert "rejected" in err and "escapes the lattice" in err
+
+
+def test_ring_parameter_is_checked_not_defaulted(capsys):
+    code, _, err = run(capsys, "algebra", "family-eps0", "-d", "0", "--abar", "0", "--bbar", "1", "--eps1", "1")
+    assert code == 3
+    assert "d must not be 0 or 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--alg", "a.json", "-d", "-5"),
+    ("example-zsqrtm5", "-d", "-5"),
+    ("twist", "--type", "3", "--param", "-1", "-d", "-5"),
+    ("family-eps0", "--abar", "0", "--bbar", "1", "--eps1", "1", "--relax"),
+    ("family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "1", "--relax"),
+    ("example-zsqrtm5", "--relax"),
+    ("search", "--relax"),
+])
+def test_removed_algebra_options_are_unknown(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _assert_check_failed(capsys, check, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert f"{check} check failed" in err
+
+
+def test_validation_routes_failure_exits_5(monkeypatch, capsys):
+    real = frobenius.rescaled_equations
+
+    def one_false_identity(data, duals):
+        return {**real(data, duals), "eq42": False}
+
+    monkeypatch.setattr(frobenius, "rescaled_equations", one_false_identity)
+    _assert_check_failed(capsys, "validation_routes", "algebra", "example-zsqrtm5")
+
+
+def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(AlgebraLattice, "x_hat", lambda self: [0] * 8)
+    _assert_check_failed(capsys, "ker_m_splitting", "kernel")
+
+
+def test_well_defined_failure_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
+    _assert_check_failed(capsys, "well_defined", "algebra", "example-zsqrtm5")

@@ -3,21 +3,23 @@ import pytest
 from conftest import rng
 from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, snf_diagonal, transpose
 from quadfrob.omodule import (
+    NotWellDefinedError,
     OModule,
     OMorphism,
     TensorProduct,
+    TorsionInTensorError,
+    homology_pair,
     kernel_module,
-    module_of_algebra,
     tensor_over_O,
 )
 
 
 def o_module(ctx):
-    return OModule(ctx.d, 2, [[0, ctx.d], [1, 0]], label="O")
+    return OModule(ctx.d, 2, [[0, ctx.d], [1, 0]])
 
 
 def test_module_of_algebra(ctx, alg_eps0):
-    a = module_of_algebra(alg_eps0)
+    a = alg_eps0.lattice().A
     assert a.rank == 4
     # sqrt(d) * (2X) = -g1 + 2 g2 and sqrt(d) * ((1+w)X) = -3 g1 + g2
     assert [row[2] for row in a.action] == [0, 0, -1, 2]
@@ -38,7 +40,7 @@ def test_tensor_ranks(ctx, alg_eps0):
 
 
 def test_tensor_with_unit_object_conjugate(ctx, alg_eps0):
-    a = module_of_algebra(alg_eps0)
+    a = alg_eps0.lattice().A
     t = tensor_over_O(a, o_module(ctx))
     assert t.module.rank == 4
     # x -> x (x) 1 is a change of basis intertwining the actions
@@ -177,3 +179,17 @@ def test_x_u_linearity(alg_worked, ctx):
         lhs = lat.x_u(u)
         rhs = [a * p + b * q for p, q in zip(lat.x_u(g1), lat.x_u(g2))]
         assert lhs == rhs
+
+
+def test_torsion_in_tensor_is_a_failed_check():
+    # Z[(1+w)/2] over the non-maximal order Z[sqrt(-3)] is not projective,
+    # and its tensor square has 2-torsion
+    m = OModule(-3, 2, [[-1, -2], [2, 1]])
+    with pytest.raises(TorsionInTensorError, match="tensor_torsion_free check failed"):
+        tensor_over_O(m, m)
+
+
+def test_homology_pair_rejects_image_outside_kernel():
+    # d_out * d_in != 0: the image e1 is not in ker(d_out) = Z e2
+    with pytest.raises(NotWellDefinedError, match="well_defined check failed"):
+        homology_pair([[1], [0]], [[1, 0]], 2)

@@ -219,3 +219,13 @@ def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
         f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)
     ]
     assert issubclass(ModPCheckError, CheckFailedError)
+    # every internal check, in every module, fails under its own name
+    family, todo = [], [CheckFailedError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        family += subs
+        todo += subs
+    assert {cls.__module__ for cls in family} >= {"quadfrob.frobenius", "quadfrob.omodule", "quadfrob.linkhom"}
+    names = [cls.check for cls in family]
+    assert CheckFailedError.check not in names
+    assert len(set(names)) == len(names)
