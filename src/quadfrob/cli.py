@@ -9,8 +9,6 @@ Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
 e.g. '2', '1+w', '3-2w'.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

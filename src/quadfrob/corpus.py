@@ -5,8 +5,6 @@ arcs occur exactly twice and the declared signs orient every arc
 consistently.
 """
 
-from __future__ import annotations
-
 import json
 import os
 

@@ -14,19 +14,16 @@ D = eps(1)eps(X^2) - eps(X)^2; (ii) the 4x4 integer matrix of the pairing in
 Z-bases is unimodular.  The two routes must always agree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from . import omodule
 from .ideals import Ideal, solve_partition_of_z
 from .ring import (
     CheckFailedError,
-    FieldElement,
     NotDivisibleError,
     RingContext,
     RingElement,
     UnsupportedRingError,
+    Value,
+    _set,
 )
 
 
@@ -67,17 +64,19 @@ class ClosureError(ValidationError):
     built with the relaxed a_bar precondition)."""
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(Value):
     """Rescaled defining parameters; all derived values are computed views."""
 
-    ctx: RingContext
-    mu: Ideal
-    z: RingElement
-    a_bar: RingElement
-    b_bar: RingElement
-    eps_one: RingElement
-    eps_x_bar: RingElement
+    __slots__ = ("ctx", "mu", "z", "a_bar", "b_bar", "eps_one", "eps_x_bar")
+
+    def __init__(self, ctx, mu, z, a_bar, b_bar, eps_one, eps_x_bar):
+        _set(self, "ctx", ctx)
+        _set(self, "mu", mu)
+        _set(self, "z", z)
+        _set(self, "a_bar", a_bar)
+        _set(self, "b_bar", b_bar)
+        _set(self, "eps_one", eps_one)
+        _set(self, "eps_x_bar", eps_x_bar)
 
     def a(self):
         return self.a_bar.to_field() / self.z.to_field()
@@ -118,7 +117,9 @@ class FrobeniusData:
 
     @classmethod
     def from_json(cls, obj):
-        ctx = RingContext(int(obj["d"]))
+        ctx = RingContext.from_json(obj)
+        if not isinstance(obj["mu_gens"], list):
+            raise ValueError(f"mu_gens must be a list of ring elements, got {obj['mu_gens']!r}")
         gens = [RingElement.from_json(ctx, g) for g in obj["mu_gens"]]
         return cls(
             ctx=ctx,
@@ -131,12 +132,14 @@ class FrobeniusData:
         )
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    c: RingElement
-    d: RingElement
-    c_prime: FieldElement
-    d_prime: RingElement
+class DualSolution(Value):
+    __slots__ = ("c", "d", "c_prime", "d_prime")
+
+    def __init__(self, c, d, c_prime, d_prime):
+        _set(self, "c", c)  # in O
+        _set(self, "d", d)  # in mu
+        _set(self, "c_prime", c_prime)  # in (1/z) mu, a FieldElement
+        _set(self, "d_prime", d_prime)  # in O
 
     def to_json(self):
         return {
@@ -147,12 +150,14 @@ class DualSolution:
         }
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Value):
     """u0*1 + u1*X; u1 is expected in mu (membership testable, not forced)."""
 
-    u0: RingElement
-    u1: RingElement
+    __slots__ = ("u0", "u1")
+
+    def __init__(self, u0, u1):
+        _set(self, "u0", u0)
+        _set(self, "u1", u1)
 
     def __add__(self, other):
         return AlgebraElement(self.u0 + other.u0, self.u1 + other.u1)
@@ -192,18 +197,20 @@ _TABLE_CELLS = (
 )
 
 
-@dataclass
 class ValidationReport:
-    cells: dict = field(default_factory=dict)
-    equations: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
-    nonvanishing: dict = field(default_factory=dict)
-    route_dual_solution: bool = False
-    route_unimodular: bool = False
-    mu_principal: bool = False
-    closure_in_mu: bool = True
-    accepted: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, cells=None, equations=None, values=None, nonvanishing=None,
+                 route_dual_solution=False, route_unimodular=False, mu_principal=False,
+                 closure_in_mu=True, accepted=False, notes=None):
+        self.cells = {} if cells is None else cells
+        self.equations = {} if equations is None else equations
+        self.values = {} if values is None else values
+        self.nonvanishing = {} if nonvanishing is None else nonvanishing
+        self.route_dual_solution = route_dual_solution
+        self.route_unimodular = route_unimodular
+        self.mu_principal = mu_principal
+        self.closure_in_mu = closure_in_mu
+        self.accepted = accepted
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {
@@ -672,14 +679,16 @@ def example_zsqrtm5(s=1, eps_one=1):
 # Twists
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Value):
     """kind 1: X -> lambda0 X (param a unit).
     kind 2: X -> X + param/z with param in mu.
     kind 3: eps -> param * eps (param a unit)."""
 
-    kind: int
-    param: RingElement
+    __slots__ = ("kind", "param")
+
+    def __init__(self, kind, param):
+        _set(self, "kind", kind)
+        _set(self, "param", param)
 
 
 def twist(alg, spec):

@@ -5,14 +5,11 @@ The canonical basis is lower-triangular, ((a, 0), (b, c)) with a, c > 0 and
 of these matrices.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import intlin
-from .ring import NotDivisibleError, RingContext, RingElement, UnsupportedRingError
+from .ring import NotDivisibleError, RingElement, UnsupportedRingError, Value, _set
 
 
 class ZeroIdealError(ValueError):
@@ -23,10 +20,12 @@ class NotOrderTwoError(ValueError):
     """Ideal is not of order exactly two in the class group."""
 
 
-@dataclass(frozen=True)
-class Ideal:
-    ctx: RingContext
-    rows: tuple  # ((a, 0), (b, c)) canonical HNF rows
+class Ideal(Value):
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx, rows):
+        _set(self, "ctx", ctx)
+        _set(self, "rows", rows)  # ((a, 0), (b, c)) canonical HNF rows
 
     @classmethod
     def from_generators(cls, ctx, gens):
@@ -173,13 +172,16 @@ class Ideal:
         return cls.from_hnf(ctx, rows)
 
 
-@dataclass(frozen=True)
-class ClassOrderTwoCertificate:
+class ClassOrderTwoCertificate(Value):
     """Witness that mu is non-principal while mu^2 = (z)."""
 
-    mu: Ideal
-    z: RingElement
-    witness_nonprincipal: int  # norm bound exhausted by the generator search
+    __slots__ = ("mu", "z", "witness_nonprincipal")
+
+    def __init__(self, mu, z, witness_nonprincipal):
+        _set(self, "mu", mu)
+        _set(self, "z", z)
+        # norm bound exhausted by the generator search
+        _set(self, "witness_nonprincipal", witness_nonprincipal)
 
     def to_json(self):
         return {

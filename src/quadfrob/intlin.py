@@ -7,8 +7,6 @@ differentials are ``SparseMatrix`` objects, one dict per row, with their
 own rank and elimination routines at the end of the module.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 from fractions import Fraction

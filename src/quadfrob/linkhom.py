@@ -22,13 +22,9 @@ universal-coefficient count of the torsion.
 Homological degree is |v| - n_minus.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .intlin import SparseMatrix, reduce_units, snf_diagonal, sparse_rank
 from .omodule import MonomialTensors
-from .ring import CheckFailedError
+from .ring import CheckFailedError, Value, _set, json_int
 
 
 class MalformedPDError(ValueError):
@@ -55,24 +51,24 @@ class ModPCheckError(CheckFailedError):
     check = "mod_p"
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(Value):
     """Planar diagram: crossings with explicit signs; ``loops`` counts
     crossing-free circles (the 0-crossing unknot is loops=1)."""
 
-    crossings: tuple
-    signs: tuple
-    loops: int = 0
+    __slots__ = ("crossings", "signs", "loops")
 
-    def __post_init__(self):
-        if len(self.crossings) != len(self.signs):
+    def __init__(self, crossings, signs, loops=0):
+        _set(self, "crossings", crossings)
+        _set(self, "signs", signs)
+        _set(self, "loops", loops)
+        if len(crossings) != len(signs):
             raise MalformedPDError("need one sign per crossing")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise MalformedPDError("signs must be +1 or -1")
-        if self.loops < 0 or (not self.crossings and self.loops < 1):
+        if loops < 0 or (not crossings and loops < 1):
             raise MalformedPDError("a diagram needs at least one circle")
         counts = {}
-        for cr in self.crossings:
+        for cr in crossings:
             if len(cr) != 4:
                 raise MalformedPDError(f"crossing {cr} is not a 4-tuple")
             for a in cr:
@@ -179,11 +175,22 @@ class PDCode:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            crossings=tuple(tuple(int(a) for a in c) for c in obj["crossings"]),
-            signs=tuple(int(s) for s in obj["signs"]),
-            loops=int(obj.get("loops", 0)),
-        )
+        """Reads what ``to_json`` writes; arc labels, signs and ``loops``
+        must be JSON integers."""
+        if not isinstance(obj, dict):
+            raise MalformedPDError(f"expected a JSON object, got {obj!r}")
+        crossings, signs = obj["crossings"], obj["signs"]
+        if not isinstance(crossings, list) or not all(isinstance(c, list) for c in crossings):
+            raise MalformedPDError(f"crossings must be a list of lists, got {crossings!r}")
+        if not isinstance(signs, list):
+            raise MalformedPDError(f"signs must be a list, got {signs!r}")
+        try:
+            crossings = tuple(tuple(json_int(a) for a in c) for c in crossings)
+            signs = tuple(json_int(s) for s in signs)
+            loops = json_int(obj.get("loops", 0))
+        except ValueError as exc:
+            raise MalformedPDError(str(exc)) from None
+        return cls(crossings, signs, loops)
 
 
 LOOP_ARC = "loop"
@@ -222,11 +229,11 @@ def _circles_at(pd, vertex):
     return circles
 
 
-@dataclass
 class ResolutionCube:
-    pd: PDCode
-    circles: dict          # vertex -> list of circle frozensets
-    edges: dict            # (vertex, crossing index) -> ("merge"/"split", data)
+    def __init__(self, pd, circles, edges):
+        self.pd = pd
+        self.circles = circles  # vertex -> list of circle frozensets
+        self.edges = edges  # (vertex, crossing index) -> ("merge"/"split", data)
 
     def circle_count(self, vertex):
         return len(self.circles[vertex])
@@ -261,18 +268,26 @@ def resolve(pd):
     return ResolutionCube(pd, circles, edges)
 
 
-@dataclass
 class Complex:
     """Cochain complex of free Z-lattices; groups[i] has rank ranks[i] and
     differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix."""
 
-    min_degree: int
-    ranks: list
-    diffs: list            # len(ranks) - 1 SparseMatrix differentials
-    actions: list = None   # sqrt(d)-action per degree, None once simplified
-    notes: list = field(default_factory=list)
-    checks: list = field(default_factory=list)  # cross-checks passed when built
-    _homology: object = field(default=None, repr=False, compare=False)
+    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None, checks=None, _homology=None):
+        self.min_degree = min_degree
+        self.ranks = ranks
+        self.diffs = diffs  # len(ranks) - 1 SparseMatrix differentials
+        self.actions = actions  # sqrt(d)-action per degree, None once simplified
+        self.notes = [] if notes is None else notes
+        self.checks = [] if checks is None else checks  # cross-checks passed when built
+        self._homology = _homology  # cached by _homology(); not compared
+
+    def _key(self):
+        return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes, self.checks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def degrees(self):
         return range(self.min_degree, self.min_degree + len(self.ranks))
@@ -398,12 +413,12 @@ def _edge_target_map(cube, v, w, kind, src, tgt):
 # Homology
 
 
-@dataclass
 class HomologyReport:
-    degrees: dict                     # degree -> {"z_rank", "torsion", "k_dim"}
-    total_k_dim: int
-    notes: list = field(default_factory=list)
-    checks: list = field(default_factory=list)  # cross-checks that ran and passed
+    def __init__(self, degrees, total_k_dim, notes=None, checks=None):
+        self.degrees = degrees  # degree -> {"z_rank", "torsion", "k_dim"}
+        self.total_k_dim = total_k_dim
+        self.notes = [] if notes is None else notes
+        self.checks = [] if checks is None else checks  # cross-checks that ran and passed
 
     def to_json(self):
         return {
@@ -421,12 +436,12 @@ class HomologyReport:
         }
 
 
-@dataclass
 class _Homology:
-    table: dict       # degree -> (free Z-rank, torsion invariants)
-    q_dims: dict      # degree -> dim over Q, from the ranks of the differentials
-    remainder: Complex
-    checks: list
+    def __init__(self, table, q_dims, remainder, checks):
+        self.table = table  # degree -> (free Z-rank, torsion invariants)
+        self.q_dims = q_dims  # degree -> dim over Q, from the ranks of the differentials
+        self.remainder = remainder  # the Complex left after unit elimination
+        self.checks = checks
 
 
 def _homology(cx):
@@ -564,14 +579,14 @@ def simplify(cx):
 # Experiments
 
 
-@dataclass
 class ComparisonReport:
-    left: HomologyReport
-    right: HomologyReport
-    integral_equal: bool
-    k_dims_equal: bool
-    per_degree: dict
-    notes: list = field(default_factory=list)
+    def __init__(self, left, right, integral_equal, k_dims_equal, per_degree, notes=None):
+        self.left = left
+        self.right = right
+        self.integral_equal = integral_equal
+        self.k_dims_equal = k_dims_equal
+        self.per_degree = per_degree
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {

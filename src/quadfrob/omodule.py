@@ -21,10 +21,7 @@ Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
 on them.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
 
 from . import intlin
 from .intlin import (
@@ -62,17 +59,13 @@ class NotWellDefinedError(CheckFailedError):
     check = "well_defined"
 
 
-@dataclass
 class OModule:
-    d: int
-    rank: int
-    action: list
-
-    def __post_init__(self):
-        if self.rank:
-            sq = mat_mul(self.action, self.action)
-            if sq != mat_scale(identity(self.rank), self.d):
-                raise ValueError("action matrix does not square to d * identity")
+    def __init__(self, d, rank, action):
+        if rank and mat_mul(action, action) != mat_scale(identity(rank), d):
+            raise ValueError("action matrix does not square to d * identity")
+        self.d = d
+        self.rank = rank
+        self.action = action
 
     def scalar_matrix(self, o):
         """Matrix of multiplication by o = x + y sqrt(d) in O."""
@@ -82,11 +75,11 @@ class OModule:
         return out
 
 
-@dataclass
 class OMorphism:
-    source: OModule
-    target: OModule
-    matrix: list
+    def __init__(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix
 
     def is_equivariant(self):
         return mat_mul(self.matrix, self.source.action) == mat_mul(
@@ -122,11 +115,11 @@ def homology_pair(d_in, d_out, rank_mid):
     return k - len(nonzero), torsion
 
 
-@dataclass
 class TensorProduct:
-    module: OModule
-    proj: list      # Z-tensor coords -> tensor coords over O
-    section: list   # tensor coords over O -> Z-tensor coords (proj o section = id)
+    def __init__(self, module, proj, section):
+        self.module = module
+        self.proj = proj  # Z-tensor coords -> tensor coords over O
+        self.section = section  # tensor coords over O -> Z-tensor coords (proj o section = id)
 
 
 def tensor_over_O(m, n):
@@ -303,17 +296,18 @@ def _outer(x, y):
     return out
 
 
-@dataclass
 class KernelReport:
-    kernel_basis: list
-    xu_basis: list
-    xhat: list
-    direct_sum_verified: bool
-    action_formulas_verified: bool
-    generator: tuple | None   # (u, unit value) when found
-    iso_to_A: bool
-    search_bound: int
-    notes: list = field(default_factory=list)
+    def __init__(self, kernel_basis, xu_basis, xhat, direct_sum_verified,
+                 action_formulas_verified, generator, iso_to_A, search_bound, notes=None):
+        self.kernel_basis = kernel_basis
+        self.xu_basis = xu_basis
+        self.xhat = xhat
+        self.direct_sum_verified = direct_sum_verified
+        self.action_formulas_verified = action_formulas_verified
+        self.generator = generator  # (u, unit value) when found, else None
+        self.iso_to_A = iso_to_A
+        self.search_bound = search_bound
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         gen = None

@@ -5,11 +5,9 @@ integral basis and every ring element is x + y*sqrt(d) with x, y in Z.
 Field elements carry Fraction coordinates, always in lowest terms.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class NotDivisibleError(ArithmeticError):
@@ -29,6 +27,16 @@ class CheckFailedError(RuntimeError):
         super().__init__(f"{self.check} check failed: {message}")
 
 
+def json_int(value, *, text=False):
+    """An integer read from JSON: an int, not a bool or a float, or with
+    ``text`` also the decimal string that ``to_json`` writes."""
+    if text and isinstance(value, str):
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _is_squarefree(n):
     n = abs(n)
     if n == 0:
@@ -43,19 +51,61 @@ def _is_squarefree(n):
     return True
 
 
-@dataclass(frozen=True)
-class RingContext:
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields, in constructor order, as its ``__slots__``
+    and sets them in ``__init__`` with ``_set``.  Equality and hashing go by
+    the tuple of fields, between objects of the same class only; fields
+    cannot be assigned or deleted; copies and pickles are rebuilt through
+    ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # the tuple of fields; an attrgetter of one name gives the bare value
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class RingContext(Value):
     """Fixes the discriminant parameter d of O = Z[sqrt(d)]."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d in (0, 1):
+    def __init__(self, d):
+        if d in (0, 1):
             raise ValueError("d must not be 0 or 1")
-        if self.d % 4 == 1:
+        if d % 4 == 1:
             raise ValueError("d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis")
-        if not _is_squarefree(self.d):
+        if not _is_squarefree(d):
             raise ValueError("d must be squarefree")
+        _set(self, "d", d)
 
     def __call__(self, x, y=0):
         return RingElement(self, int(x), int(y))
@@ -84,24 +134,25 @@ class RingContext:
     def field(self, p, q=0):
         return FieldElement(self, Fraction(p), Fraction(q))
 
-    def parse(self, text):
-        return parse_element(self, text)
-
     def to_json(self):
         return {"d": self.d}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["d"]))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object with the ring parameter d, got {obj!r}")
+        return cls(json_int(obj["d"]))
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Value):
     """x + y*sqrt(d), exactly."""
 
-    ctx: RingContext
-    x: int
-    y: int
+    __slots__ = ("ctx", "x", "y")
+
+    def __init__(self, ctx, x, y):
+        _set(self, "ctx", ctx)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def _check(self, other):
         if not isinstance(other, RingElement):
@@ -216,16 +267,20 @@ class RingElement:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        return cls(ctx, int(obj["x"]), int(obj["y"]))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a ring element {{x, y}}, got {obj!r}")
+        return cls(ctx, json_int(obj["x"], text=True), json_int(obj["y"], text=True))
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Value):
     """p + q*sqrt(d) with rational p, q."""
 
-    ctx: RingContext
-    p: Fraction
-    q: Fraction
+    __slots__ = ("ctx", "p", "q")
+
+    def __init__(self, ctx, p, q):
+        _set(self, "ctx", ctx)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def _check(self, other):
         if isinstance(other, RingElement):

@@ -183,6 +183,67 @@ def test_link_non_planar_pd_is_malformed(tmp_path, capsys):
     assert "not planar" in err
 
 
+HOPF = {"crossings": [[1, 3, 4, 2], [3, 1, 2, 4]], "signs": [1, 1]}
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"crossings": 5, "signs": []},
+    {"crossings": [5], "signs": [1]},
+    {"crossings": [[1, 1, 2, 2]], "signs": 1},
+    {**HOPF, "loops": None},
+    {**HOPF, "loops": 2.5},
+    {**HOPF, "loops": True},
+    {**HOPF, "signs": [1.0, 1]},
+    {**HOPF, "crossings": [[1, 3, 4, 2], [3, 1, 2, 4.0]]},
+    {**HOPF, "crossings": [[1, 3, 4, 2], [3, 1, 2, "4"]]},
+], ids=["list", "crossings-int", "crossing-int", "signs-int", "loops-null", "loops-float", "loops-bool",
+        "sign-float", "label-float", "label-string"])
+def test_pd_json_of_the_wrong_shape_is_malformed(payload, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "link", "homology", "--pd", str(bad))
+    assert code == 3
+    assert out == "" and err.startswith("malformed input:")
+
+
+def test_pd_json_loops_default_to_zero(tmp_path, capsys):
+    pd = tmp_path / "hopf.json"
+    pd.write_text(json.dumps(HOPF))
+    code, payload, _ = run_json(capsys, "link", "homology", "--pd", str(pd))
+    assert code == 0
+    assert payload["homology"]["total_k_dim"] == 4
+
+
+@pytest.mark.parametrize("change", [
+    lambda data: [],
+    lambda data: {**data, "mu_gens": 3},
+    lambda data: {**data, "mu_gens": [3, 4]},
+    lambda data: {**data, "d": -5.0},
+    lambda data: {**data, "d": True},
+    lambda data: {**data, "z": {"x": 2.0, "y": "0"}},
+    lambda data: {**data, "z": {"x": "2", "y": False}},
+    lambda data: {**data, "a_bar": "1-w"},
+], ids=["list", "mu_gens-int", "mu_gens-ints", "d-float", "d-bool", "x-float", "y-bool", "element-string"])
+def test_algebra_json_of_the_wrong_shape_is_malformed(change, tmp_path, capsys):
+    code, payload, _ = run_json(capsys, "algebra", "example-zsqrtm5")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(change(payload["data"])))
+    for argv in (("algebra", "validate", "--alg", str(bad)), ("link", "homology", "--pd", "x", "--alg", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and err.startswith("malformed input:")
+
+
+def test_algebra_json_integers_in_either_form(tmp_path, capsys):
+    code, payload, _ = run_json(capsys, "algebra", "example-zsqrtm5")
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps({**payload["data"], "z": {"x": 2, "y": 0}}))
+    code, payload2, _ = run_json(capsys, "algebra", "validate", "--alg", str(spec))
+    assert code == 0
+    assert payload2["data"] == payload["data"]
+
+
 def test_missing_file_is_malformed(capsys):
     code, _, err = run(capsys, "link", "homology", "--pd", "/nonexistent.json")
     assert code == 3

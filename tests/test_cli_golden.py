@@ -1,0 +1,113 @@
+"""Golden JSON output of the command line, byte for byte.
+
+``cli_golden.json`` holds the input files (the worked algebra and the
+trefoil and figure-8 diagrams) and, per case, the argument list, the exit
+code and the exact standard output of ``--format json``.  The outputs were
+captured from the code before the value classes were rewritten without
+``dataclasses``; a change to any ``to_json``, ``str`` or ``repr`` that feeds
+the output shows here.  Rerun ``python tests/test_cli_golden.py`` only when
+the output is meant to change.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+WORKED = ("--alg", "{worked}")
+CASES = {
+    "ideal-classinfo": ("ideal", "classinfo", "-d", "-5", "--gens", "2,1+w"),
+    "example-zsqrtm5": ("algebra", "example-zsqrtm5"),
+    "example-zsqrtm5-s-1": ("algebra", "example-zsqrtm5", "--s", "-1"),
+    "example-zsqrtm5-eps1-1": ("algebra", "example-zsqrtm5", "--eps1", "-1"),
+    "example-zsqrtm5-s-1-eps1-1": ("algebra", "example-zsqrtm5", "--s", "-1", "--eps1", "-1"),
+    "family-eps0": ("algebra", "family-eps0", "--abar", "0", "--bbar", "1", "--eps1", "1"),
+    "family-eps0-abar1": ("algebra", "family-eps0", "--abar", "1", "--bbar", "1", "--eps1", "1"),
+    "family-eps1": ("algebra", "family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "1"),
+    "search-d-5": ("algebra", "search", "-d", "-5", "--bound", "1", "--limit", "3"),
+    "search-d-6": ("algebra", "search", "-d", "-6", "--mu", "2,w", "--bound", "1", "--limit", "3"),
+    "validate-worked": ("algebra", "validate", *WORKED),
+    "validate-worked-relax": ("algebra", "validate", *WORKED, "--relax"),
+    "twist-3": ("algebra", "twist", "--type", "3", "--param", "-1"),
+    "twist-1": ("algebra", "twist", "--type", "1", "--param", "-1"),
+    "twist-2": ("algebra", "twist", "--type", "2", "--param", "2"),
+    "twist-3-worked": ("algebra", "twist", *WORKED, "--type", "3", "--param", "-1"),
+    "kernel": ("kernel",),
+    "kernel-worked": ("kernel", *WORKED),
+    "tqft": ("tqft",),
+    "tqft-worked": ("tqft", *WORKED),
+}
+for _alg, _extra in (("default", ()), ("worked", WORKED)):
+    for _knot in ("trefoil", "figure8"):
+        CASES[f"homology-{_knot}-{_alg}"] = ("link", "homology", "--pd", f"{{{_knot}}}", *_extra)
+        CASES[f"lee-check-{_knot}-{_alg}"] = ("link", "lee-check", "--pd", f"{{{_knot}}}", *_extra)
+    CASES[f"compare-{_alg}"] = ("link", "compare", "--pd1", "{trefoil}", "--pd2", "{figure8}", *_extra)
+
+
+def _write_inputs(inputs, directory):
+    paths = {}
+    for name, obj in inputs.items():
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+def _run(argv, paths):
+    from quadfrob.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([a.format(**paths) for a in argv] + ["--format", "json"])
+    return code, out.getvalue()
+
+
+def _capture(directory):
+    from quadfrob import corpus
+    from quadfrob.frobenius import example_zsqrtm5
+
+    inputs = {
+        "worked": example_zsqrtm5(1, 1).data.to_json(),
+        "trefoil": corpus.diagram("trefoil").to_json(),
+        "figure8": corpus.diagram("figure8").to_json(),
+    }
+    paths = _write_inputs(inputs, directory)
+    cases = {}
+    for name, argv in CASES.items():
+        code, out = _run(argv, paths)
+        cases[name] = {"argv": list(argv), "exit": code, "stdout": out}
+    return {"inputs": inputs, "cases": cases}
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    data = json.loads(GOLDEN.read_text())
+    return data, _write_inputs(data["inputs"], tmp_path_factory.mktemp("golden"))
+
+
+def test_every_case_is_frozen(golden):
+    data, _ = golden
+    assert {k: tuple(v["argv"]) for k, v in data["cases"].items()} == CASES
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, golden):
+    data, paths = golden
+    case = data["cases"][name]
+    code, out = _run(case["argv"], paths)
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(_capture(tmp), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
