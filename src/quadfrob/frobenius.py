@@ -16,6 +16,7 @@ Z-bases is unimodular.  The two routes must always agree.
 
 from . import omodule
 from .ideals import Ideal, solve_partition_of_z
+from .intlin import det_int, mat_vec
 from .ring import (
     CheckFailedError,
     NotDivisibleError,
@@ -256,14 +257,12 @@ def epsilon_tilde_matrix(data):
             raise NotDivisibleError("pairing image escapes the dual lattice")
         cols.append([alpha.x, alpha.y, coords[0], coords[1]])
     rows = [[cols[j][i] for j in range(4)] for i in range(4)]
-    from .intlin import det_int
-
     return rows, det_int(rows)
 
 
-def _dual_closed_forms(data):
-    """(c, d, c', d') over K from cD = eps(X^2), dD = -eps(X), d'D = eps(1)/z."""
-    delta = data.delta_tilde()
+def _dual_closed_forms(data, delta):
+    """(c, d, c', d') over K from cD = eps(X^2), dD = -eps(X), d'D = eps(1)/z,
+    given D = ``data.delta_tilde()``."""
     t = data.t()
     eps_x = data.eps_x()
     zf = data.z.to_field()
@@ -375,7 +374,7 @@ def analyze(data, *, relax_a_bar=False):
         report.notes.append("degenerate trace: pairing determinant is zero")
         return None, report
 
-    c_k, d_k, cp_k, dp_k = _dual_closed_forms(data)
+    c_k, d_k, cp_k, dp_k = _dual_closed_forms(data, delta)
     cells["c_in_O"] = c_k.is_integral()
     cells["d_in_mu"] = d_k.is_integral() and mu.contains(d_k.to_ring())
     cells["c_prime_in_z_inv_mu"] = mu.contains_fraction(cp_k, data.z)
@@ -468,6 +467,8 @@ class FrobeniusAlgebra:
         self.report = report
         self.epsilon_tilde = eps_rows
         self.epsilon_tilde_det = eps_det
+        # the MuZLattice shared with other algebras; search_solutions sets it
+        self._mu_z = None
         self._lattice = None
 
     # -- elements ----------------------------------------------------------
@@ -518,7 +519,9 @@ class FrobeniusAlgebra:
 
     def lattice(self):
         if self._lattice is None:
-            self._lattice = omodule.AlgebraLattice(self)
+            if self._mu_z is None:
+                self._mu_z = omodule.MuZLattice(self.mu, self.data.z)
+            self._lattice = omodule.AlgebraLattice(self, self._mu_z)
         return self._lattice
 
     def comultiply_one(self):
@@ -540,8 +543,6 @@ class FrobeniusAlgebra:
         lat = self.lattice()
         v = lat.coords(self.one)
         h = lat.handle_matrix()
-        from .intlin import mat_vec
-
         for _ in range(genus):
             v = mat_vec(h, v)
         return self.trace(lat.element(v))
@@ -751,10 +752,13 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     closing equation, subject to the integrality table; bounded box search.
 
     Yields validated algebras.  Bounds are configuration, not semantics:
-    absence within the box proves nothing.
+    absence within the box proves nothing.  The algebras of one call share
+    one ``omodule.MuZLattice`` of (mu, z): their lattices build A's tensor
+    powers, and check them, once.
     """
     ctx = z.ctx
     units = ctx.units()
+    mu_z = omodule.MuZLattice(mu, z)
     found = 0
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))
@@ -777,6 +781,7 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
                         continue
                     if alg.duals.d != s * eps_x_bar:
                         raise InconsistentRoutesError("search ansatz d = s eps_x_bar failed")
+                    alg._mu_z = mu_z
                     yield alg
                     found += 1
                     if limit is not None and found >= limit:

@@ -9,7 +9,7 @@ import itertools
 import math
 
 from . import intlin
-from .ring import NotDivisibleError, RingElement, UnsupportedRingError, Value, _set
+from .ring import NotDivisibleError, RingElement, UnsupportedRingError, Value, _set, json_int
 
 
 class ZeroIdealError(ValueError):
@@ -168,7 +168,10 @@ class Ideal(Value):
 
     @classmethod
     def from_json(cls, ctx, obj):
-        rows = [[int(e) for e in row] for row in obj["hnf"]]
+        rows = obj["hnf"] if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"expected an ideal {{hnf: rows}}, got {obj!r}")
+        rows = [[json_int(e, text=True) for e in row] for row in rows]
         return cls.from_hnf(ctx, rows)
 
 

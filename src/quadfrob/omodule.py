@@ -16,7 +16,7 @@ c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
 2^(n+1) (Khovanov, arXiv:math/0411447).  Coordinate 2*S + j is the j-th
 Z-basis element of the summand of S, a bit mask with factor 0 as its
 highest bit; ``summand_coords`` reads them off c.  These are the only
-coordinates of A^(x n): ``AlgebraLattice.tensor_power`` projects the
+coordinates of A^(x n): ``MuZLattice.tensor_power`` projects the
 Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
 on them.
 """
@@ -328,20 +328,27 @@ class KernelReport:
         }
 
 
-class AlgebraLattice:
-    """Z-lattice presentations of A and its tensor powers, with the
-    structure maps as integer matrices on monomial coordinates."""
+class MuZLattice:
+    """The part of the lattice presentation of A = O 1 + mu X that depends
+    only on mu and z: A as a Z-lattice with its sqrt(d)-action, and the
+    tensor powers A^(x n) with their projections, sections and actions.
 
-    def __init__(self, alg):
-        self.alg = alg
-        ctx = alg.ctx
+    Every algebra with the same (mu, z) has the same ones, so
+    ``search_solutions`` builds one per search and hands it to every
+    algebra it yields; any other algebra builds its own.  Tensor powers are
+    built, and checked, on first use.
+    """
+
+    def __init__(self, mu, z):
+        ctx = mu.ctx
         self.ctx = ctx
-        self.mu = alg.mu
-        g1, g2 = self.mu.two_generators()
+        self.mu = mu
+        self.z = z
+        g1, g2 = mu.two_generators()
         self.gens = (g1, g2)
         sd = ctx.sqrt_d
-        c1 = self.mu.basis_coords(g1 * sd)
-        c2 = self.mu.basis_coords(g2 * sd)
+        c1 = mu.basis_coords(g1 * sd)
+        c2 = mu.basis_coords(g2 * sd)
         action = [
             [0, ctx.d, 0, 0],
             [1, 0, 0, 0],
@@ -350,25 +357,10 @@ class AlgebraLattice:
         ]
         self.A = OModule(ctx.d, 4, action)
         self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
-        self._basis_elements = (
-            alg.element(ctx.one, ctx.zero),
-            alg.element(ctx.sqrt_d, ctx.zero),
-            alg.element(ctx.zero, g1),
-            alg.element(ctx.zero, g2),
-        )
-        self._m = None
-        self._delta1_lift = None
-        self._delta = None
-
-    # -- coordinates ---------------------------------------------------------
 
     def coords(self, elt):
         a, b = self.mu.basis_coords(elt.u1)
         return [elt.u0.x, elt.u0.y, a, b]
-
-    def element(self, vec):
-        g1, g2 = self.gens
-        return self.alg.element(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     def tensor_power(self, n):
         """A^(x n) in monomial coordinates, projected from the Z-tensor
@@ -378,7 +370,7 @@ class AlgebraLattice:
         if n not in self._powers:
             ctx = self.ctx
             g1, g2 = self.gens
-            z = self.alg.data.z
+            z = self.z
             cols = []
             for factors in itertools.product(((ctx.one, 0), (ctx.sqrt_d, 0), (g1, 1), (g2, 1)), repeat=n):
                 prod, mask = ctx.one, 0
@@ -403,13 +395,71 @@ class AlgebraLattice:
             self._powers[n] = TensorProduct(OModule(ctx.d, 2 << n, action), proj, section)
         return self._powers[n]
 
+
+class AlgebraLattice:
+    """Z-lattice presentations of A and its tensor powers, with the
+    structure maps as integer matrices on monomial coordinates.
+
+    ``mu_z`` is the MuZLattice of the algebra's mu and z, which may be
+    shared with other algebras; everything here that depends on the
+    algebra's structure constants is computed once per algebra.
+    """
+
+    def __init__(self, alg, mu_z):
+        if mu_z.mu != alg.mu or mu_z.z != alg.data.z:
+            raise ValueError("the (mu, z) lattice belongs to another mu or z")
+        self.alg = alg
+        self.mu_z = mu_z
+        ctx = alg.ctx
+        self.ctx = ctx
+        self.mu = alg.mu
+        self.gens = mu_z.gens
+        self.A = mu_z.A
+        g1, g2 = self.gens
+        self._basis_elements = (
+            alg.element(ctx.one, ctx.zero),
+            alg.element(ctx.sqrt_d, ctx.zero),
+            alg.element(ctx.zero, g1),
+            alg.element(ctx.zero, g2),
+        )
+        self._products = [None] * 4
+        self._m = None
+        self._delta1_lift = None
+        self._delta = None
+        self._handle = None
+
+    # -- coordinates ---------------------------------------------------------
+
+    def coords(self, elt):
+        return self.mu_z.coords(elt)
+
+    def element(self, vec):
+        g1, g2 = self.gens
+        return self.alg.element(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
+
+    def tensor_power(self, n):
+        """A^(x n) in monomial coordinates; see ``MuZLattice.tensor_power``."""
+        return self.mu_z.tensor_power(n)
+
     def pure2(self, x, y):
         t2 = self.tensor_power(2)
         return mat_vec(t2.proj, _outer(self.coords(x), self.coords(y)))
 
+    def _products_of(self, i):
+        """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
+        row of the multiplication table is computed once."""
+        row = self._products[i]
+        if row is None:
+            ei = self._basis_elements[i]
+            row = self._products[i] = [self.coords(self.alg.multiply(ei, ej)) for ej in self._basis_elements]
+        return row
+
     def left_mult_matrix(self, x):
         """Left multiplication by x on A; columns are coords(x * e_i)."""
-        cols = [self.coords(self.alg.multiply(x, e)) for e in self._basis_elements]
+        if x in self._basis_elements:
+            cols = self._products_of(self._basis_elements.index(x))
+        else:
+            cols = [self.coords(self.alg.multiply(x, e)) for e in self._basis_elements]
         return transpose(cols, ncols=4)
 
     def on_quotient_first_factor(self, l_matrix):
@@ -426,11 +476,7 @@ class AlgebraLattice:
     def m_matrix(self):
         """Multiplication A (x)_O A -> A, through the section."""
         if self._m is None:
-            cols = []
-            for ei in self._basis_elements:
-                for ej in self._basis_elements:
-                    cols.append(self.coords(self.alg.multiply(ei, ej)))
-            m_z = transpose(cols, ncols=16)
+            m_z = transpose([col for i in range(4) for col in self._products_of(i)], ncols=16)
             t2 = self.tensor_power(2)
             m_quot = mat_mul(m_z, t2.section)
             if mat_mul(m_quot, t2.proj) != m_z:
@@ -475,7 +521,9 @@ class AlgebraLattice:
         return self._delta
 
     def handle_matrix(self):
-        return mat_mul(self.m_matrix(), self.delta_matrix())
+        if self._handle is None:
+            self._handle = mat_mul(self.m_matrix(), self.delta_matrix())
+        return self._handle
 
     def tensor_from_k_basis(self, coeffs):
         """Element of A (x)_O A from K-coefficients over
@@ -528,6 +576,7 @@ class AlgebraLattice:
         ker_rows = transpose(incl, ncols=ker_mod.rank)
         if ker_mod.rank != 4:
             raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
+        ker_hnf = hnf_rows(ker_rows)
 
         g1, g2 = self.gens
         xg1, xg2 = self.x_u(g1), self.x_u(g2)
@@ -536,7 +585,7 @@ class AlgebraLattice:
         span = hnf_rows([xg1, xg2, xhat, jxhat])
         direct_sum = (
             len(span) == 4
-            and span == hnf_rows(ker_rows)
+            and span == ker_hnf
             and len(hnf_rows([xg1, xg2])) == 2
             and len(hnf_rows([xhat, jxhat])) == 2
         )
@@ -568,7 +617,7 @@ class AlgebraLattice:
         generator = None
         iso = False
         notes = []
-        for u in [self.ctx.zero] + list(self.mu.lattice_points(search_bound)):
+        for u in itertools.chain([self.ctx.zero], self.mu.lattice_points(search_bound)):
             val = -b_bar + (u * (a_bar + u)).exact_div(z)
             if not val.is_unit():
                 continue
@@ -579,7 +628,7 @@ class AlgebraLattice:
                 mat_vec(lmats[g1], xtilde),
                 mat_vec(lmats[g2], xtilde),
             ]
-            if hnf_rows(orbit) == hnf_rows(ker_rows):
+            if hnf_rows(orbit) == ker_hnf:
                 generator = (u, val)
                 iso = True
                 break

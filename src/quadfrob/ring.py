@@ -372,9 +372,19 @@ class FieldElement(Value):
 
     @classmethod
     def from_json(cls, ctx, obj):
-        px = Fraction(int(obj["x"]["num"]), int(obj["x"]["den"]))
-        qy = Fraction(int(obj["y"]["num"]), int(obj["y"]["den"]))
-        return cls(ctx, px, qy)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a field element {{x, y}}, got {obj!r}")
+        return cls(ctx, _json_fraction(obj["x"]), _json_fraction(obj["y"]))
+
+
+def _json_fraction(obj):
+    """A Fraction read from the {num, den} object that ``to_json`` writes."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a fraction {{num, den}}, got {obj!r}")
+    num, den = json_int(obj["num"], text=True), json_int(obj["den"], text=True)
+    if den == 0:
+        raise ValueError(f"zero denominator in {obj!r}")
+    return Fraction(num, den)
 
 
 _TERM_RE = re.compile(r"^\s*([+-]?\s*\d*)\s*(w?)\s*$")

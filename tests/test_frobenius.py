@@ -29,7 +29,8 @@ from quadfrob.frobenius import (
     twist,
 )
 from quadfrob.ideals import Ideal
-from quadfrob.intlin import mat_vec
+from quadfrob.intlin import IntSolver, mat_vec
+from quadfrob.omodule import AlgebraLattice, MuZLattice, NotWellDefinedError
 
 
 # -- the worked example over Z[sqrt(-5)] -------------------------------------
@@ -408,6 +409,57 @@ def test_search_solutions(ctx, mu):
     for alg in found:
         assert alg.report.accepted
         assert not alg.data.eps_x_bar.is_zero()
+
+
+def test_generator_search_walks_lazily(ctx, mu, monkeypatch):
+    found = list(search_solutions(mu, ctx(2), coord_bound=1))
+    assert len(found) == 80
+    real = Ideal.lattice_points
+    drawn = []
+
+    def counted(self, bound):
+        for e in real(self, bound):
+            drawn[-1] += 1
+            yield e
+
+    monkeypatch.setattr(Ideal, "lattice_points", counted)
+    for alg in found:
+        drawn.append(0)
+        assert alg.kernel_m_analysis(8).iso_to_A
+        assert drawn[-1] <= 5
+    # the walk at bound 0 tries u = 0 alone
+    away = [alg for alg in found if not alg.kernel_m_analysis(8).generator[0].is_zero()]
+    assert away
+    report = away[0].kernel_m_analysis(0)
+    assert not report.iso_to_A and report.generator is None
+    assert report.notes == ["no generator found within coordinate bound 0"]
+
+
+def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
+    first = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
+    second = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
+    shared = first[0].lattice().mu_z
+    assert all(alg.lattice().mu_z is shared for alg in first)
+    assert all(alg.lattice().mu_z is second[0].lattice().mu_z for alg in second)
+    assert second[0].lattice().mu_z is not shared
+    own = [
+        alg_eps1,
+        build_algebra(first[0].data),
+        twist(first[0], TwistSpec(3, -ctx.one)),
+        family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
+    ]
+    frames = [alg.lattice().mu_z for alg in own]
+    assert len({id(f) for f in frames + [shared]}) == len(own) + 1
+    with pytest.raises(ValueError):
+        AlgebraLattice(first[0], MuZLattice(mu, ctx(-2)))
+
+
+def test_fresh_search_checks_its_tensor_square(ctx, mu, monkeypatch):
+    monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
+    alg = next(search_solutions(mu, ctx(2), coord_bound=1))
+    for _ in range(2):
+        with pytest.raises(NotWellDefinedError):
+            alg.kernel_m_analysis()
 
 
 def test_data_json_roundtrip(alg_worked):

@@ -138,6 +138,20 @@ def test_json_roundtrip(ctx):
     assert RingContext.from_json(ctx.to_json()) == ctx
 
 
+@pytest.mark.parametrize("obj", [
+    {"x": {"num": 2.5, "den": True}, "y": {"num": "0", "den": "1"}},
+    {"x": {"num": "1", "den": "2"}, "y": {"num": None, "den": "1"}},
+    {"x": {"num": True, "den": "1"}, "y": {"num": "0", "den": "1"}},
+    {"x": {"num": "1", "den": "0"}, "y": {"num": "0", "den": "1"}},
+    {"x": {"num": "1", "den": 0}, "y": {"num": "0", "den": "1"}},
+    {"x": ["1", "2"], "y": {"num": "0", "den": "1"}},
+    [{"num": "1", "den": "2"}, {"num": "0", "den": "1"}],
+])
+def test_field_element_from_json_rejects_non_integers(ctx, obj):
+    with pytest.raises(ValueError):
+        FieldElement.from_json(ctx, obj)
+
+
 def test_str_forms(ctx):
     assert str(ctx(1, 1)) == "1+w"
     assert str(ctx(-6, 1)) == "-6+w"
