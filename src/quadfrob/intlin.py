@@ -476,105 +476,176 @@ class _Eliminator:
     """Rows of a sparse matrix plus a column index, under pivoting.
 
     ``pivot(r, c)`` clears column c from every other row with row r and then
-    drops row r and column c.  Over Z with a unit pivot this is the
-    Gaussian-elimination update e - (x / pivot) * row_r; with any other pivot
-    it is fraction-free (both rows scaled, the result divided by its
-    content); with a modulus every entry is kept reduced mod p.
+    drops row r and column c.  It runs one of three loops, chosen once per
+    pivot: with a modulus every entry is kept reduced mod p; over Z with a
+    unit pivot it is the Gaussian-elimination update e - (x / pivot) * row_r;
+    with any other pivot it is fraction-free (both rows scaled, the result
+    divided by its content).
     """
 
     def __init__(self, rows, modulus=None):
         self.p = modulus
         self.rows = {}
-        self.cols = {}
+        self.cols = cols = {}
         for i, row in enumerate(rows):
-            if modulus is not None:
-                row = {j: e % modulus for j, e in row.items() if e % modulus}
+            if modulus is None:
+                row = dict(row)
+            else:
+                row = {j: v for j, e in row.items() if (v := e % modulus)}
             if row:
-                self.rows[i] = dict(row)
+                self.rows[i] = row
                 for j in row:
-                    self.cols.setdefault(j, set()).add(i)
+                    col = cols.get(j)
+                    if col is None:
+                        cols[j] = {i}
+                    else:
+                        col.add(i)
 
     def drop_row(self, r):
-        row = self.rows.pop(r, None)
-        for j in row or ():
-            self._unlink(r, j)
+        self._unlink(r, self.rows.pop(r, ()))
 
     def drop_col(self, c):
+        rows = self.rows
         for i in self.cols.pop(c, ()):
-            row = self.rows[i]
+            row = rows[i]
             del row[c]
             if not row:
-                del self.rows[i]
-
-    def _unlink(self, i, j):
-        col = self.cols[j]
-        col.discard(i)
-        if not col:
-            del self.cols[j]
+                del rows[i]
 
     def pivot(self, r, c):
         """Eliminates with the entry (r, c); returns the rows it changed."""
-        p = self.p
-        prow = self.rows.pop(r)
-        for j in prow:
-            self._unlink(r, j)
+        rows = self.rows
+        prow = rows.pop(r)
+        self._unlink(r, prow)
         pv = prow[c]
-        inv = pow(pv, -1, p) if p is not None else None
+        rest = [(j, e) for j, e in prow.items() if j != c]
         touched = list(self.cols.pop(c, ()))
-        for i in touched:
-            row = self.rows[i]
-            x = row.pop(c)
-            scale = 1
-            if p is not None:
-                factor = x * inv % p
-            elif pv in (1, -1):
-                factor = x * pv
-            else:
+        p = self.p
+        if p is not None:
+            inv = pow(pv, -1, p)
+            for i in touched:
+                row = rows[i]
+                self._sub_mod(i, row, row.pop(c) * inv % p, rest, p)
+                if not row:
+                    del rows[i]
+        elif pv == 1 or pv == -1:
+            for i in touched:
+                row = rows[i]
+                self._sub(i, row, row.pop(c) * pv, rest)
+                if not row:
+                    del rows[i]
+        else:
+            for i in touched:
+                row = rows[i]
+                x = row.pop(c)
                 g = math.gcd(pv, x)
-                scale, factor = pv // g, x // g
+                scale = pv // g
                 for j in row:
                     row[j] *= scale
-            for j, e in prow.items():
-                if j == c:
-                    continue
-                v = row.get(j, 0) - factor * e
-                if p is not None:
-                    v %= p
-                if v:
-                    if j not in row:
-                        self.cols.setdefault(j, set()).add(i)
-                    row[j] = v
-                elif j in row:
-                    del row[j]
-                    self._unlink(i, j)
-            if not row:
-                del self.rows[i]
-            elif scale != 1:
-                g = 0
-                for e in row.values():
-                    g = math.gcd(g, e)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
+                self._sub(i, row, x // g, rest)
+                if not row:
+                    del rows[i]
+                elif scale != 1:
+                    g = 0
+                    for e in row.values():
+                        g = math.gcd(g, e)
+                        if g == 1:
+                            break
+                    if g > 1:
+                        for j in row:
+                            row[j] //= g
         return touched
+
+    def _unlink(self, i, js):
+        cols = self.cols
+        for j in js:
+            col = cols[j]
+            col.discard(i)
+            if not col:
+                del cols[j]
+
+    def _sub(self, i, row, factor, rest):
+        """row i -= factor * rest, over Z."""
+        cols = self.cols
+        for j, e in rest:
+            v = row.get(j)
+            if v is None:
+                row[j] = -factor * e
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i}
+                else:
+                    col.add(i)
+            else:
+                v -= factor * e
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+                    col = cols[j]
+                    col.discard(i)
+                    if not col:
+                        del cols[j]
+
+    def _sub_mod(self, i, row, factor, rest, p):
+        """row i -= factor * rest, mod the prime p."""
+        cols = self.cols
+        for j, e in rest:
+            v = row.get(j)
+            if v is None:
+                row[j] = -factor * e % p  # a unit: p is prime
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i}
+                else:
+                    col.add(i)
+            else:
+                v = (v - factor * e) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+                    col = cols[j]
+                    col.discard(i)
+                    if not col:
+                        del cols[j]
 
 
 def sparse_rank(a, modulus=None):
     """Rank of a SparseMatrix over Q, or over F_p for a prime ``modulus``.
 
-    Fraction-free elimination, column by column from the sparsest at the
-    start, pivoting on a unit entry if the column has one, else on the
-    entry of the shortest row.  A column that empties never refills, so
-    one pass clears the matrix.
+    Over F_2 each row is one int, bit j set iff entry j is odd; the rows are
+    reduced by XOR against a basis keyed by lowest set bit, and the rank is
+    the size of the basis.  Otherwise: elimination column by column from the
+    sparsest at the start, pivoting on the entry of the shortest row, and
+    over Q on a unit entry first if the column has one (mod p every stored
+    entry is a unit).  Over Q the elimination is fraction-free.  A column
+    that empties never refills, so one pass clears the matrix.
     """
+    if modulus == 2:
+        basis = {}
+        for row in a.rows:
+            v = 0
+            for j, e in row.items():
+                if e & 1:
+                    v |= 1 << j
+            while v:
+                low = v & -v
+                b = basis.get(low)
+                if b is None:
+                    basis[low] = v
+                    break
+                v ^= b
+        return len(basis)
     elim = _Eliminator(a.rows, modulus)
     rows, cols = elim.rows, elim.cols
     rank = 0
     for c in sorted(cols, key=lambda j: len(cols[j])):
         if c in cols:
-            r = min(cols[c], key=lambda i: (rows[i][c] not in (1, -1), len(rows[i])))
+            if modulus is None:
+                r = min(cols[c], key=lambda i: (rows[i][c] not in (1, -1), len(rows[i])))
+            else:
+                r = min(cols[c], key=lambda i: len(rows[i]))
             elim.pivot(r, c)
             rank += 1
     return rank
@@ -596,34 +667,35 @@ def reduce_units(diffs, ranks):
     """
     elims = [_Eliminator(d.rows) for d in diffs]
     alive = [set(range(r)) for r in ranks]
-    heap = []
-
-    def push(k, i, j):
-        e = elims[k]
-        heapq.heappush(heap, ((len(e.rows[i]) - 1) * (len(e.cols[j]) - 1), k, i, j))
-
-    for k, e in enumerate(elims):
-        for i, row in e.rows.items():
-            for j, v in row.items():
-                if v in (1, -1):
-                    push(k, i, j)
+    # the pops depend only on the (cost, k, i, j) tuples, not on push order
+    heap = [
+        ((len(row) - 1) * (len(e.cols[j]) - 1), k, i, j)
+        for k, e in enumerate(elims)
+        for i, row in e.rows.items()
+        for j, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        cost, k, i, j = heapq.heappop(heap)
+        cost, k, i, j = heappop(heap)
         e = elims[k]
-        row = e.rows.get(i)
+        rows, cols = e.rows, e.cols
+        row = rows.get(i)
         if row is None or row.get(j) not in (1, -1):
             continue
-        now = (len(row) - 1) * (len(e.cols[j]) - 1)
+        now = (len(row) - 1) * (len(cols[j]) - 1)
         if now > cost:
-            heapq.heappush(heap, (now, k, i, j))
+            heappush(heap, (now, k, i, j))
             continue
         changed = [c for c in row if c != j]
         for t in e.pivot(i, j):
-            trow = e.rows.get(t)
+            trow = rows.get(t)
             if trow:
                 for c in changed:
-                    if trow.get(c) in (1, -1):
-                        push(k, t, c)
+                    v = trow.get(c)
+                    if v == 1 or v == -1:
+                        heappush(heap, ((len(trow) - 1) * (len(cols[c]) - 1), k, t, c))
         alive[k].discard(j)
         alive[k + 1].discard(i)
         if k > 0:

@@ -313,6 +313,8 @@ class Complex:
                 raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
 
     def check_equivariance(self):
+        if self.actions is None:
+            raise ValueError("needs the unsimplified, equivariant complex")
         for i, d in enumerate(self.diffs):
             if d @ self.actions[i] != self.actions[i + 1] @ d:
                 raise EquivarianceError(

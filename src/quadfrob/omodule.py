@@ -226,6 +226,7 @@ class MonomialTensors:
             for kind, table in terms.items()
         }
         self._blocks = {}
+        self._edges = {}
         self.actions = tuple(self._block_of(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
 
     def _block_of(self, factor, src_par, tgt_par):
@@ -250,7 +251,15 @@ class MonomialTensors:
         ``src_pos``: the merged or split source factors; ``tgt_map``: for
         each factor of the intermediate order (untouched factors in source
         order, then the merged/split factors), its position in the target.
+        Memoized on this instance per (kind, n_src, src_pos, tgt_map): the
+        returned list is shared, so do not mutate it.
         """
+        key = (kind, n_src, tuple(src_pos), tuple(tgt_map))
+        if key not in self._edges:
+            self._edges[key] = list(self._edge_entries(kind, n_src, src_pos, tgt_map))
+        return self._edges[key]
+
+    def _edge_entries(self, kind, n_src, src_pos, tgt_map):
         n_tgt = n_src - 1 if kind == "merge" else n_src + 1
         others = [p for p in range(n_src) if p not in src_pos]
         tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]

@@ -95,6 +95,38 @@ def test_elimination_and_smith_match_known_and_homology_pair(seed):
     assert all(e not in (1, -1) for d in small.diffs for row in d.rows for e in row.values())
 
 
+def rank_mod_p(a, p):
+    """Rank over F_p by dense Gaussian elimination: the oracle for sparse_rank."""
+    rows = [[e % p for e in row] for row in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+ORACLE_PRIMES = (2, 3, 7, 103)
+
+
+def random_sparse(r):
+    """A seeded sparse matrix with negative, even and zero entries, often with
+    empty rows and columns, sometimes with no rows or no columns."""
+    m, n = r.randint(0, 12), r.randint(0, 12)
+    entries = (0,) * 6 + (1, -1, 2, -2, 4, 7, -14, 103, 206, -309, 3 * 7 * 103)
+    dead_rows = set(r.sample(range(m), r.randint(0, m // 3)))
+    dead_cols = set(r.sample(range(n), r.randint(0, n // 3)))
+    return [[0 if i in dead_rows or j in dead_cols else r.choice(entries) for j in range(n)] for i in range(m)]
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_sparse_rank_matches_rank_rat(seed):
     r = random.Random(100 + seed)
@@ -111,7 +143,36 @@ def test_sparse_rank_matches_rank_rat(seed):
         for p in (2, 3):
             mod = [[e % p for e in row] for row in d]
             assert sparse_rank(sm, p) == sparse_rank(SparseMatrix.from_dense(mod), p)
+        for p in ORACLE_PRIMES:
+            assert sparse_rank(sm, p) == rank_mod_p(d, p)
         assert sparse_rank(sm, 2) <= sparse_rank(sm)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_rank_mod_p_matches_dense_oracle(seed):
+    r = random.Random(500 + seed)
+    mats = [random_sparse(r) for _ in range(5)]
+    # a low-rank product, so that elimination has to find dependent rows
+    m, k, n = r.randint(1, 10), r.randint(0, 4), r.randint(1, 10)
+    a = [[r.choice((0, 0, 1, -1, 2, 7)) for _ in range(k)] for _ in range(m)]
+    b = [[r.choice((0, 0, -2, 3, 103)) for _ in range(n)] for _ in range(k)]
+    mats.append(mat_mul(a, b, b_ncols=n))
+    for d in mats:
+        sm = SparseMatrix.from_dense(d, ncols=len(d[0]) if d else r.randint(0, 5))
+        for p in ORACLE_PRIMES:
+            assert sparse_rank(sm, p) == rank_mod_p(d, p)
+    assert sparse_rank(SparseMatrix(0, 5), 2) == sparse_rank(SparseMatrix(5, 0), 7) == 0
+
+
+@pytest.mark.parametrize(
+    "aname, braid", [("alg_worked", (1,) * 5), ("alg_eps0", (1,) * 6)], ids=["worked-T2_5", "eps0-T2_6"]
+)
+def test_sparse_rank_mod_p_of_link_differentials(aname, braid, request):
+    cx = build_complex(corpus.braid_closure(braid, 2), request.getfixturevalue(aname))
+    for d in cx.diffs:
+        dense = d.to_dense()
+        for p in ORACLE_PRIMES:
+            assert sparse_rank(d, p) == rank_mod_p(dense, p)
 
 
 def test_sparse_rank_mod_p_of_diagonal_conjugates():
@@ -229,3 +290,12 @@ def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
     names = [cls.check for cls in family]
     assert CheckFailedError.check not in names
     assert len(set(names)) == len(names)
+
+
+def test_check_equivariance_needs_the_unsimplified_complex(alg_eps0):
+    cx = build_complex(corpus.diagram("trefoil"), alg_eps0)
+    cx.check_equivariance()
+    small = simplify(cx)
+    assert small.actions is None
+    with pytest.raises(ValueError, match="needs the unsimplified, equivariant complex"):
+        small.check_equivariance()
