@@ -248,6 +248,8 @@ def cmd_link(args):
 
 
 def cmd_tqft(args):
+    if args.genus < 0:
+        raise ValueError("genus must be nonnegative")
     alg = _load_algebra(args)
     values = {}
     for g in range(args.genus + 1):

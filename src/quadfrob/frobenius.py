@@ -46,10 +46,6 @@ class DegenerateTraceError(ValidationError):
     """The trace pairing determinant vanishes."""
 
 
-class NotAnIsomorphismError(ValidationError):
-    """Pairing matrix exists integrally but is not unimodular."""
-
-
 class NotAUnitError(ValidationError):
     pass
 
@@ -448,10 +444,6 @@ def build_algebra(data, *, relax_a_bar=False):
         raise NonvanishingError("eps(1) must be nonzero")
     if any("degenerate" in n for n in report.notes):
         raise DegenerateTraceError("pairing determinant is zero")
-    if not report.route_unimodular:
-        raise NotAnIsomorphismError(
-            f"pairing determinant {report.values.get('epsilon_tilde_det')} is not a unit"
-        )
     raise ValidationError("; ".join(report.notes) or "validation failed")
 
 
@@ -751,11 +743,16 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     """Enumerates data with eps(1) a unit and d = s * eps_x_bar (s a unit) solving the single
     closing equation, subject to the integrality table; bounded box search.
 
-    Yields validated algebras.  Bounds are configuration, not semantics:
-    absence within the box proves nothing.  The algebras of one call share
+    Yields validated algebras, at most ``limit`` of them (a negative limit
+    raises ValueError).  Bounds are configuration, not semantics: absence
+    within the box proves nothing.  The algebras of one call share
     one ``omodule.MuZLattice`` of (mu, z): their lattices build A's tensor
     powers, and check them, once.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if limit == 0:
+        return
     ctx = z.ctx
     units = ctx.units()
     mu_z = omodule.MuZLattice(mu, z)

@@ -147,148 +147,83 @@ def hnf_rows_lower(vectors):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with full transform tracking
+# Smith normal form
+
+def _smith(a, u, vt):
+    """Nonzero Smith invariants of ``a`` with U and V^T carried along.
+
+    ``u`` and ``vt`` have one row per row and per column of ``a``: identity
+    matrices to get U*A*V diagonal, or empty rows to skip the transforms.
+    The loop alternates row Hermite forms of [D | U] and of [D^T | V^T]
+    until D is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).  It
+    ends: a pass can only shrink the top-left pivot, and once its row and
+    column are clear the same holds for the block below.  A Hermite form
+    drops zero rows and puts rows whose D part is zero last, so the nonzero
+    diagonal comes first.  2x2 steps then make it a divisibility chain: with
+    g = s*x + t*y, p = x/g and q = y/g,
+    [s t; -q p] * diag(x, y) * [1 -tq; 1 sp] = diag(g, xy/g).
+
+    Returns (diag, u, vt): the positive invariants, each dividing the next,
+    and the carried transforms.
+    """
+    d, rows, cols = a, u, vt
+    flipped = False
+    while True:
+        nd = len(d[0]) if d else 0
+        h = hnf_rows([[*r, *s] for r, s in zip(d, rows)])
+        d = [row[:nd] for row in h]
+        rows = [row[nd:] for row in h]
+        if not any(e for i, row in enumerate(d) for j, e in enumerate(row) if i != j):
+            break
+        d, rows, cols = transpose(d), cols, rows
+        flipped = not flipped
+    if flipped:
+        rows, cols = cols, rows
+    diag = [row[i] for i, row in enumerate(d) if any(row)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if y % x:
+                g, s, t = xgcd(x, y)
+                p, q = x // g, y // g
+                diag[i], diag[j] = g, x * q
+                ri, rj = rows[i], rows[j]
+                rows[i] = [s * e + t * f for e, f in zip(ri, rj)]
+                rows[j] = [p * f - q * e for e, f in zip(ri, rj)]
+                ci, cj = cols[i], cols[j]
+                cols[i] = [e + f for e, f in zip(ci, cj)]
+                cols[j] = [s * p * f - t * q * e for e, f in zip(ci, cj)]
+    return diag, rows, cols
+
 
 def smith_normal_form(a):
     """Returns (diag, U, V, Uinv) with U*A*V diagonal.
 
     diag has min(m, n) entries, nonnegative, each dividing the next nonzero
-    one; U, V unimodular; Uinv is the exact inverse of U.
+    one, zeros last; U, V unimodular; Uinv is the exact inverse of U, read
+    off the row Hermite form of [U | I].
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    d = [list(r) for r in a]
-    u = identity(m)
-    uinv = identity(m)
-    v = identity(n)
-
-    def row_addmul(i, t, q):
-        # row_i += q * row_t
-        di, dt = d[i], d[t]
-        for j in range(n):
-            if dt[j]:
-                di[j] += q * dt[j]
-        ui, ut = u[i], u[t]
-        for j in range(m):
-            if ut[j]:
-                ui[j] += q * ut[j]
-        for r in range(m):
-            if uinv[r][i]:
-                uinv[r][t] -= q * uinv[r][i]
-
-    def row_swap(i, t):
-        d[i], d[t] = d[t], d[i]
-        u[i], u[t] = u[t], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][t] = uinv[r][t], uinv[r][i]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
-
-    def col_addmul(j, t, q):
-        # col_j += q * col_t
-        for r in range(m):
-            if d[r][t]:
-                d[r][j] += q * d[r][t]
-        for r in range(n):
-            if v[r][t]:
-                v[r][j] += q * v[r][t]
-
-    def col_swap(j, t):
-        for r in range(m):
-            d[r][j], d[r][t] = d[r][t], d[r][j]
-        for r in range(n):
-            v[r][j], v[r][t] = v[r][t], v[r][j]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (piv is None or abs(e) < piv[0]):
-                    piv = (abs(e), i, j)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        if pi != t:
-            row_swap(pi, t)
-        if pj != t:
-            col_swap(pj, t)
-        while True:
-            if d[t][t] < 0:
-                row_neg(t)
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        row_addmul(i, t, -q)
-                    if d[i][t]:
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if d[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            if all(d[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # divisibility of the remaining block by the pivot
-        fixed = False
-        dt = d[t][t]
-        for i in range(t + 1, m):
-            if any(e % dt for e in d[i][t + 1:n]):
-                row_addmul(t, i, 1)
-                fixed = True
-                break
-        if not fixed:
-            t += 1
-    diag = [d[i][i] for i in range(min(m, n))]
-    return diag, u, v, uinv
+    diag, u, vt = _smith(a, identity(m), identity(n))
+    uinv = [row[m:] for row in hnf_rows([[*r, *e] for r, e in zip(u, identity(m))])]
+    return diag + [0] * (min(m, n) - len(diag)), u, transpose(vt), uinv
 
 
 def snf_diagonal(a):
     """The diagonal of ``smith_normal_form(a)`` without its transforms:
     min(m, n) nonnegative entries, each dividing the next nonzero one, zeros
-    last.
-
-    Alternates row Hermite forms of the matrix and of its transpose until it
-    is diagonal, then gcd/lcm passes order the diagonal into a divisibility
-    chain.  The loop ends: a pass can only shrink the top-left pivot, and
-    once its row and column are clear the same holds for the block below.
-    Only the matrix itself is transformed, so its entries stay small; the
-    transforms of ``smith_normal_form`` reach 100,000-bit entries on some
-    10x7 remainders of link complexes.
+    last.  The same loop, with no transforms carried.
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    h = hnf_rows(a)
-    while any(e for i, row in enumerate(h) for j, e in enumerate(row) if i != j):
-        h = hnf_rows(transpose(h))
-    diag = [row[i] for i, row in enumerate(h)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = math.gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    diag, _, _ = _smith(a, [[]] * m, [[]] * n)
     return diag + [0] * (min(m, n) - len(diag))
 
 
 class IntSolver:
     """Repeated exact solves of A x = b, plus ker(A), via one row Hermite
-    form of [A^T | I]; the lattice {(Ax, x)} keeps entries reduced, unlike
-    Smith-form transform matrices."""
+    form of [A^T | I]; the lattice {(Ax, x)} keeps entries reduced."""
 
     def __init__(self, a, ncols=None):
         self.m = len(a)

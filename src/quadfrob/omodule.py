@@ -125,7 +125,10 @@ class TensorProduct:
 def tensor_over_O(m, n):
     """M (x)_O N as a quotient of M (x)_Z N by (J_M (x) I) - (I (x) J_N).
 
-    For projective inputs the quotient is torsion-free of Z-rank
+    The Smith form U * R * V of the relation matrix R, from the Hermite-form
+    engine of ``intlin``, gives the quotient: the rows of U past the rank of
+    R project onto it, and the matching columns of U^-1 are a section.  For
+    projective inputs the quotient is torsion-free of Z-rank
     rank(M) * rank(N) / 2; torsion raises TorsionInTensorError.
     """
     if m.d != n.d:

@@ -111,6 +111,17 @@ def test_algebra_search(capsys):
     assert payload["count"] >= 1
 
 
+def test_algebra_search_limit_zero_and_negative(capsys):
+    argv = ("algebra", "search", "-d", "-5", "--bound", "1", "--limit")
+    code, payload, _ = run_json(capsys, *argv, "0")
+    assert code == 0
+    assert payload["count"] == 0
+    code, payload, err = run_json(capsys, *argv, "-3")
+    assert code == 3
+    assert payload is None
+    assert "limit must be nonnegative" in err
+
+
 def test_kernel_command(capsys):
     code, payload, _ = run_json(capsys, "kernel")
     assert code == 0
@@ -253,6 +264,13 @@ def test_tqft(capsys):
     code, payload, _ = run_json(capsys, "tqft", "--genus", "2")
     assert code == 0
     assert payload["genus_values"] == {"0": "1", "1": "2", "2": "4"}
+
+
+def test_tqft_negative_genus_is_malformed(capsys):
+    code, out, err = run(capsys, "tqft", "--genus", "-1")
+    assert code == 3
+    assert out == ""
+    assert "genus must be nonnegative" in err
 
 
 def test_text_output_and_out_file(tmp_path, capsys):

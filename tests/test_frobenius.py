@@ -154,6 +154,19 @@ def test_validator_requires_mu_squared_z(ctx, mu):
     assert exc.value.cell == "mu_squared_is_principal_z"
 
 
+def test_non_unimodular_pairing_fails_a_dual_cell(ctx, mu):
+    # the two validation routes agree, so a pairing of determinant 16 is
+    # rejected by the first dual cell it fails, not by a separate error
+    data = FrobeniusData(ctx, mu, ctx(2), ctx.zero, ctx.one, ctx(2), ctx.zero)
+    alg, report = analyze(data)
+    assert alg is None
+    assert report.values["epsilon_tilde_det"] == "16"
+    assert not report.route_unimodular and not report.route_dual_solution
+    with pytest.raises(IntegralityViolationError) as exc:
+        build_algebra(data)
+    assert exc.value.cell == "c_in_O"
+
+
 def test_validator_accepts_free_case_with_eps_one_zero(ctx):
     # over a principal mu the nonvanishing argument does not apply: the
     # standard free rank-two algebra with counitless trace is Frobenius
@@ -409,6 +422,12 @@ def test_search_solutions(ctx, mu):
     for alg in found:
         assert alg.report.accepted
         assert not alg.data.eps_x_bar.is_zero()
+
+
+def test_search_limit_zero_yields_nothing_and_negative_raises(ctx, mu):
+    assert list(search_solutions(mu, ctx(2), coord_bound=1, limit=0)) == []
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        list(search_solutions(mu, ctx(2), coord_bound=1, limit=-3))
 
 
 def test_generator_search_walks_lazily(ctx, mu, monkeypatch):

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 from quadfrob.intlin import (
     IntSolver,
@@ -84,6 +86,40 @@ def test_snf_diagonal_matches_smith_normal_form():
         nonzero = [e for e in diag if e]
         assert diag[: len(nonzero)] == nonzero
         assert nonzero == [e for e in smith_normal_form(m)[0] if e]
+
+
+def determinantal_invariants(a):
+    """Smith invariants from determinantal divisors, independent of either
+    Smith routine: s_k = d_k / d_(k-1), with d_k the gcd of the k x k minors
+    and d_0 = 1; once some d_k is 0, every later invariant is 0."""
+    m, n = len(a), len(a[0])
+    out = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                dk = math.gcd(dk, det_int([[a[i][j] for j in cols] for i in rows]))
+        if dk == 0:
+            return out + [0] * (min(m, n) - len(out))
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+def test_smith_forms_match_determinantal_divisors():
+    r = random.Random(9)
+    for _ in range(200):
+        m = random_matrix(r, r.randint(1, 5), r.randint(1, 5), r.choice((1, 3, 9, 40)))
+        for row in m:
+            for j in range(len(row)):
+                if r.random() < 0.3:
+                    row[j] = 0
+        if len(m) > 1 and r.random() < 0.2:
+            m[-1] = [3 * e for e in m[0]]
+        expected = determinantal_invariants(m)
+        assert snf_diagonal(m) == expected, m
+        assert smith_normal_form(m)[0] == expected, m
 
 
 def test_kernel_and_solver():

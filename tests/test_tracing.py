@@ -2,17 +2,20 @@
 
 ``bench/tracing.py`` wraps package functions by name; a rename of one of
 them makes the traced runs below fail.  Each run is a subprocess, as in the
-benchmark, and takes about a quarter of a second.
+benchmark, and takes about a quarter of a second.  The tracer also reads
+size attributes off what the wrapped functions return; every reader gets a
+real output here, including those of functions no traced run calls.
 """
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from quadfrob import corpus
+from quadfrob import corpus, frobenius, intlin, linkhom, omodule
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracing.py"
@@ -52,3 +55,40 @@ def test_traced_algebra_job(tmp_path):
     out, names = traced_spans(tmp_path, "algebra", "-d", "-5", "--mu", "2,1+w", "--z", "2", "--bound", "0")
     assert json.loads(out)["count"] == 0
     assert {"job.algebra", "frobenius.search_solutions", "ideals.certify_order_two"} <= names
+
+
+def test_attribute_readers_take_real_outputs(tmp_path, alg_worked):
+    tracing = _tracing_module()
+    pd = corpus.diagram("trefoil")
+    cx = linkhom.build_complex(pd, alg_worked)
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    lat = alg_worked.lattice()
+    # span name -> (wrapped function, its arguments as the wrapper sees them)
+    calls = {
+        "linkhom.resolve": (linkhom.resolve, (pd,)),
+        "linkhom.build_complex": (linkhom.build_complex, (pd, alg_worked)),
+        "linkhom.simplify": (linkhom.simplify, (cx,)),
+        "intlin.mat_mul": (intlin.mat_mul, (a, a)),
+        "intlin.perm_matrix": (intlin.perm_matrix, (2, 3, [1, 0])),
+        "intlin.rank_rat": (intlin.rank_rat, (a,)),
+        "intlin.smith_normal_form": (intlin.smith_normal_form, (a,)),
+        "omodule.tensor_power": (omodule.AlgebraLattice.tensor_power, (lat, 2)),
+        "frobenius.analyze": (frobenius.analyze, (alg_worked.data,)),
+    }
+    assert set(calls) == set(tracing.ATTRS)
+    log = tracing.SpanLog(tmp_path / "spans.log")
+    expected = []
+    for name, (fn, args) in calls.items():
+        attrs = tracing.ATTRS[name](args, fn(*args))
+        assert 1 <= len(attrs) <= 3, name
+        assert all(isinstance(x, (int, float)) and math.isfinite(x) and x >= 0 for x in attrs), name
+        log.close(log.open(tracing.NAME_ID[name]), 0.0, *attrs)
+        expected.append((name, [float(x) for x in attrs]))
+    log.finish()
+    spans, _ = tracing.read_log(tmp_path / "spans.log")
+    assert [(sp["name"], sp["attrs"]) for sp in spans] == expected
+    attrs = dict(expected)
+    assert attrs["intlin.smith_normal_form"][:2] == [3.0, 5.0]
+    assert attrs["intlin.perm_matrix"] == [81.0]
+    assert attrs["intlin.rank_rat"] == [9.0]
+    assert attrs["frobenius.analyze"] == [1.0]
