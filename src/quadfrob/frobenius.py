@@ -228,11 +228,9 @@ def epsilon_tilde_matrix(data):
     """Matrix of the trace pairing A -> A^ in the Z-bases
     {1, sqrt(d), g1 X, g2 X} and {1^, sqrt(d) 1^, (g1/z) X^, (g2/z) X^}.
 
-    Accepts the data quadruple or a built algebra.  Returns (rows, det);
-    raises NotDivisibleError if the pairing does not even map the lattice
-    into the dual lattice.
+    Returns (rows, det); raises NotDivisibleError if the pairing does not
+    even map the lattice into the dual lattice.
     """
-    data = getattr(data, "data", data)
     ctx = data.ctx
     mu = data.mu
     g1, g2 = mu.two_generators()
@@ -744,13 +742,15 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     closing equation, subject to the integrality table; bounded box search.
 
     Yields validated algebras, at most ``limit`` of them (a negative limit
-    raises ValueError).  Bounds are configuration, not semantics: absence
-    within the box proves nothing.  The algebras of one call share
-    one ``omodule.MuZLattice`` of (mu, z): their lattices build A's tensor
-    powers, and check them, once.
+    or ``coord_bound`` raises ValueError).  Bounds are configuration, not
+    semantics: absence within the box proves nothing.  The algebras of one
+    call share one ``omodule.MuZLattice`` of (mu, z): their lattices build
+    A's tensor powers, and check them, once.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
+    if coord_bound < 0:
+        raise ValueError("bound must be nonnegative")
     if limit == 0:
         return
     ctx = z.ctx

@@ -67,74 +67,54 @@ class PDCode(Value):
             raise MalformedPDError("signs must be +1 or -1")
         if loops < 0 or (not crossings and loops < 1):
             raise MalformedPDError("a diagram needs at least one circle")
-        counts = {}
-        for cr in crossings:
+        ends = {}  # arc -> its two ends (crossing, slot)
+        for j, cr in enumerate(crossings):
             if len(cr) != 4:
                 raise MalformedPDError(f"crossing {cr} is not a 4-tuple")
-            for a in cr:
-                counts[a] = counts.get(a, 0) + 1
-        bad = [a for a, k in counts.items() if k != 2]
+            for t, a in enumerate(cr):
+                ends.setdefault(a, []).append((j, t))
+        bad = [a for a, e in ends.items() if len(e) != 2]
         if bad:
             raise MalformedPDError(f"arcs {bad} do not occur exactly twice")
-        self._check_orientations(counts)
-        self._check_planar()
+        self._successor()
+        self._check_planar(ends)
 
-    def _check_planar(self):
+    def _check_planar(self, ends):
         """Euler's formula V - E + F = 2, with E = 2V, for every connected
         component of the crossings.  A face is an orbit of the darts
         (crossing, slot): follow the arc at the dart to its other end
         (crossing j, slot t), then leave by slot (t - 1) mod 4."""
-        ends = {}
-        for j, cr in enumerate(self.crossings):
-            for t, a in enumerate(cr):
-                ends.setdefault(a, []).append((j, t))
         other = {}
         for x, y in ends.values():
             other[x], other[y] = y, x
-        comp = list(range(len(self.crossings)))
-
-        def find(j):
-            while comp[j] != j:
-                j = comp[j]
-            return j
-
-        for (j, _), (k, _) in other.items():
-            comp[find(j)] = find(k)
-        euler = {}  # per component root: V - E + F, starting from V - E = -V
-        for j in range(len(self.crossings)):
-            root = find(j)
-            euler[root] = euler.get(root, 0) - 1
-        seen = set()
-        for dart in other:
-            if dart not in seen:
-                euler[find(dart[0])] += 1
-                while dart not in seen:
-                    seen.add(dart)
-                    j, t = other[dart]
-                    dart = (j, (t - 1) % 4)
-        for c, e in sorted(euler.items()):
+        comps = _classes(range(len(self.crossings)), [(x[0], y[0]) for x, y in ends.values()])
+        faces = _classes(other, [(x, (j, (t - 1) % 4)) for x, (j, t) in other.items()])
+        comp_of = {j: i for i, comp in enumerate(comps) for j in comp}
+        euler = [-len(comp) for comp in comps]  # V - E = -V, plus one per face
+        for face in faces:
+            euler[comp_of[face[0][0]]] += 1
+        for comp, e in zip(comps, euler):
             if e != 2:
-                raise MalformedPDError(f"not planar: V - E + F = {e}, not 2, on the component of crossing {c}")
+                raise MalformedPDError(f"not planar: V - E + F = {e}, not 2, on the component of crossing {comp[0]}")
 
-    def _check_orientations(self, counts):
-        """Under-strand runs slot1 -> slot3; over-strand slot4 -> slot2 when
-        positive, slot2 -> slot4 when negative.  Every arc must then have
-        exactly one head and one tail."""
-        heads = {}
-        tails = {}
-        for cr, s in zip(self.crossings, self.signs):
-            a, b, c, d = cr
-            over_in, over_out = (d, b) if s > 0 else (b, d)
-            for arc in (a, over_in):
-                if arc in heads:
-                    raise MalformedPDError(f"arc {arc} flows into two crossings")
-                heads[arc] = True
-            for arc in (c, over_out):
+    def _successor(self):
+        """The next arc along the link after each arc: the under-strand runs
+        slot1 -> slot3, the over-strand slot4 -> slot2 when positive and
+        slot2 -> slot4 when negative.  Every arc must flow into exactly one
+        crossing and out of exactly one."""
+        succ = {}
+        tails = set()
+        for (a, b, c, d), s in zip(self.crossings, self.signs):
+            over = (d, b) if s > 0 else (b, d)
+            for arc_in, arc_out in ((a, c), over):
+                if arc_in in succ:
+                    raise MalformedPDError(f"arc {arc_in} flows into two crossings")
+                succ[arc_in] = arc_out
+            for arc in (c, over[1]):
                 if arc in tails:
                     raise MalformedPDError(f"arc {arc} flows out of two crossings")
-                tails[arc] = True
-        if set(heads) != set(counts) or set(tails) != set(counts):
-            raise MalformedPDError("orientations are inconsistent")
+                tails.add(arc)
+        return succ
 
     @property
     def n_plus(self):
@@ -145,26 +125,10 @@ class PDCode(Value):
         return sum(1 for s in self.signs if s < 0)
 
     def components(self):
-        """Number of link components: orbits of the arc successor map."""
-        succ = {}
-        for cr, s in zip(self.crossings, self.signs):
-            a, b, c, d = cr
-            succ[a] = c
-            if s > 0:
-                succ[d] = b
-            else:
-                succ[b] = d
-        seen = set()
-        comps = 0
-        for start in succ:
-            if start in seen:
-                continue
-            comps += 1
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                cur = succ[cur]
-        return comps + self.loops
+        """Number of link components: the orbits of ``_successor``, as
+        ``_classes`` finds them, plus the loops."""
+        succ = self._successor()
+        return len(_classes(succ, succ.items())) + self.loops
 
     def to_json(self):
         return {
@@ -196,11 +160,11 @@ class PDCode(Value):
 LOOP_ARC = "loop"
 
 
-def _circles_at(pd, vertex):
-    """Circles of the resolution ``vertex``: sorted tuples of frozensets of
-    arcs, ordered by smallest arc label; loop circles come last."""
-    arcs = sorted({a for cr in pd.crossings for a in cr})
-    parent = {a: a for a in arcs}
+def _classes(items, pairs):
+    """Classes of the equivalence relation on ``items`` that ``pairs``
+    generate, by union-find: each a list in the order of ``items``, the
+    classes in the order of their first members."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -208,23 +172,22 @@ def _circles_at(pd, vertex):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for cr, choice in zip(pd.crossings, vertex):
-        a, b, c, d = cr
-        if choice == 0:
-            union(a, b)
-            union(c, d)
-        else:
-            union(a, d)
-            union(b, c)
+    for x, y in pairs:
+        parent[find(x)] = find(y)
     classes = {}
-    for a in arcs:
-        classes.setdefault(find(a), set()).add(a)
-    circles = sorted((frozenset(v) for v in classes.values()), key=min)
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def _circles_at(pd, vertex):
+    """Circles of the resolution ``vertex``, the ``_classes`` of the arcs
+    under the joins of each crossing: frozensets of arcs ordered by smallest
+    arc label; loop circles come last."""
+    joins = []
+    for (a, b, c, d), choice in zip(pd.crossings, vertex):
+        joins += ((a, b), (c, d)) if choice == 0 else ((a, d), (b, c))
+    circles = [frozenset(c) for c in _classes(sorted({a for cr in pd.crossings for a in cr}), joins)]
     circles += [frozenset([(LOOP_ARC, i)]) for i in range(pd.loops)]
     return circles
 
@@ -248,12 +211,12 @@ def resolve(pd):
     k = len(pd.crossings)
     circles = {v: _circles_at(pd, v) for v in _vertices(k)}
     edges = {}
-    for v in _vertices(k):
+    for v, cv in circles.items():
         for j in range(k):
             if v[j]:
                 continue
-            w = tuple(1 if i == j else v[i] for i in range(k))
-            cv, cw = circles[v], circles[w]
+            w = v[:j] + (1,) + v[j + 1 :]
+            cw = circles[w]
             touched = set(pd.crossings[j])
             src = [i for i, c in enumerate(cv) if c & touched]
             tgt = [i for i, c in enumerate(cw) if c & touched]
@@ -325,54 +288,39 @@ class Complex:
 def build_complex(pd, alg):
     """Chain groups (+) A^(x circles) per degree |v| - n_minus, with merge
     and split edge maps signed by (-1)^(number of 1s before the flipped
-    coordinate); d^2 = 0 and sqrt(d)-equivariance are verified."""
+    coordinate); d^2 = 0 and sqrt(d)-equivariance are verified.
+
+    One pass over the vertices of ``resolve``'s cube, in order, lays out
+    the chain groups and their sqrt(d)-actions; one pass over its edges
+    fills the differentials."""
     if not alg.report.closure_in_mu:
         raise ValueError("link homology needs a multiplicatively closed algebra")
     cube = resolve(pd)
     k = len(pd.crossings)
     tensors = MonomialTensors(alg)
-    shift = pd.n_minus
-
-    by_degree = {}
-    for v in _vertices(k):
-        deg = sum(v) - shift
-        by_degree.setdefault(deg, []).append(v)
-    degrees = sorted(by_degree)
-    for vs in by_degree.values():
-        vs.sort()
 
     offsets = {}
-    ranks = []
-    actions = []
-    for deg in degrees:
-        off = 0
-        rows = []
-        for v in by_degree[deg]:
-            offsets[v] = off
-            for mask in range(1 << cube.circle_count(v)):
-                block = tensors.actions[bin(mask).count("1") & 1]
-                for brow in block:
-                    rows.append({off + 2 * mask + j: e for j, e in enumerate(brow) if e})
-            off += 2 << cube.circle_count(v)
-        ranks.append(off)
-        actions.append(SparseMatrix(off, off, rows))
+    ranks = [0] * (k + 1)
+    action_rows = [[] for _ in ranks]
+    for v in sorted(cube.circles):
+        i, n = sum(v), cube.circle_count(v)
+        off = offsets[v] = ranks[i]
+        for mask in range(1 << n):
+            block = tensors.actions[bin(mask).count("1") & 1]
+            for brow in block:
+                action_rows[i].append({off + 2 * mask + j: e for j, e in enumerate(brow) if e})
+        ranks[i] = off + (2 << n)
+    actions = [SparseMatrix(r, r, rows) for r, rows in zip(ranks, action_rows)]
 
-    diffs = []
-    for idx, deg in enumerate(degrees[:-1]):
-        d = SparseMatrix(ranks[idx + 1], ranks[idx])
-        for v in by_degree[deg]:
-            n_src = cube.circle_count(v)
-            for j in range(k):
-                if v[j]:
-                    continue
-                w = tuple(1 if i == j else v[i] for i in range(k))
-                kind, src, tgt = cube.edges[(v, j)]
-                tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
-                sign = -1 if sum(v[:j]) % 2 else 1
-                row_off, col_off = offsets[w], offsets[v]
-                for r, c, e in tensors.edge_entries(kind, n_src, src, tgt_map):
-                    d.rows[row_off + r][col_off + c] = sign * e
-        diffs.append(d)
+    diffs = [SparseMatrix(ranks[i + 1], ranks[i]) for i in range(k)]
+    for v, j in sorted(cube.edges):  # each row dict then lists its columns in vertex order
+        w = v[:j] + (1,) + v[j + 1 :]
+        kind, src, tgt = cube.edges[(v, j)]
+        tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
+        sign = -1 if sum(v[:j]) % 2 else 1
+        rows, row_off, col_off = diffs[sum(v)].rows, offsets[w], offsets[v]
+        for r, c, e in tensors.edge_entries(kind, cube.circle_count(v), src, tgt_map):
+            rows[row_off + r][col_off + c] = sign * e
 
     notes = []
     if pd.n_minus:
@@ -382,7 +330,7 @@ def build_complex(pd, alg):
             " positive one"
         )
     cx = Complex(
-        min_degree=degrees[0] if degrees else 0,
+        min_degree=-pd.n_minus,
         ranks=ranks,
         diffs=diffs,
         actions=actions,

@@ -580,6 +580,8 @@ class AlgebraLattice:
         return out
 
     def kernel_m_analysis(self, search_bound=8):
+        if search_bound < 0:
+            raise ValueError("bound must be nonnegative")
         alg = self.alg
         t2 = self.tensor_power(2)
         j2 = t2.module.action

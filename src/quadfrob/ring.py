@@ -103,6 +103,8 @@ class RingContext(Value):
             raise ValueError("d must not be 0 or 1")
         if d % 4 == 1:
             raise ValueError("d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis")
+        if abs(d) >= 1 << 32:
+            raise ValueError("|d| must be below 2**32")  # squarefreeness is tested by trial division
         if not _is_squarefree(d):
             raise ValueError("d must be squarefree")
         _set(self, "d", d)

@@ -30,6 +30,13 @@ def test_ideal_classinfo(capsys):
     assert payload["z"] in ("2", "-2")
 
 
+def test_ideal_classinfo_large_d_is_malformed(capsys):
+    code, out, err = run(capsys, "ideal", "classinfo", "-d", str(-(2**32 + 2)), "--gens", "2")
+    assert code == 3
+    assert out == ""
+    assert "must be below 2**32" in err
+
+
 def test_ideal_classinfo_principal(capsys):
     code, payload, _ = run_json(capsys, "ideal", "classinfo", "-d", "-5", "--gens", "1")
     assert code == 0
@@ -120,6 +127,14 @@ def test_algebra_search_limit_zero_and_negative(capsys):
     assert code == 3
     assert payload is None
     assert "limit must be nonnegative" in err
+
+
+def test_negative_search_bounds_are_malformed(capsys):
+    for argv in (("algebra", "search", "-d", "-5", "--bound", "-1"), ("kernel", "--bound", "-3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "bound must be nonnegative" in err
 
 
 def test_kernel_command(capsys):

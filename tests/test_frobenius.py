@@ -430,6 +430,14 @@ def test_search_limit_zero_yields_nothing_and_negative_raises(ctx, mu):
         list(search_solutions(mu, ctx(2), coord_bound=1, limit=-3))
 
 
+def test_negative_search_bounds_raise(ctx, mu, alg_eps0):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        list(search_solutions(mu, ctx(2), coord_bound=-1))
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        alg_eps0.kernel_m_analysis(-3)
+    assert alg_eps0.kernel_m_analysis(0).search_bound == 0
+
+
 def test_generator_search_walks_lazily(ctx, mu, monkeypatch):
     found = list(search_solutions(mu, ctx(2), coord_bound=1))
     assert len(found) == 80

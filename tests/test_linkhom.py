@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from quadfrob import corpus
@@ -22,17 +25,22 @@ def homology_table(h):
 
 
 def test_pd_validation():
-    with pytest.raises(MalformedPDError):
-        PDCode(crossings=((1, 2, 3, 4),), signs=(1, 1))
-    with pytest.raises(MalformedPDError):
-        PDCode(crossings=((1, 2, 3, 3),), signs=(2,))
-    with pytest.raises(MalformedPDError):
-        PDCode(crossings=((1, 1, 1, 2),), signs=(1,))  # arc 1 three times
-    with pytest.raises(MalformedPDError):
-        PDCode(crossings=(), signs=(), loops=0)  # no circles at all
-    # the positive kink with the wrong sign is unorientable
-    with pytest.raises(MalformedPDError):
-        PDCode(crossings=((1, 1, 2, 2),), signs=(-1,))
+    """One case per rejection of ``PDCode``, matched by its whole message."""
+    cases = [
+        (((1, 2, 3, 4),), (1, 1), 0, "need one sign per crossing"),
+        (((1, 2, 3, 3),), (2,), 0, "signs must be +1 or -1"),
+        ((), (), 0, "a diagram needs at least one circle"),
+        (((1, 1, 2, 2),), (1,), -1, "a diagram needs at least one circle"),
+        (((1, 1, 2),), (1,), 0, "crossing (1, 1, 2) is not a 4-tuple"),
+        (((1, 1, 1, 2),), (1,), 0, "arcs [1, 2] do not occur exactly twice"),
+        # the positive kink with the wrong sign is unorientable
+        (((1, 1, 2, 2),), (-1,), 0, "arc 1 flows into two crossings"),
+        (((1, 2, 2, 3), (1, 3, 4, 4)), (1, 1), 0, "arc 2 flows out of two crossings"),
+        (((1, 2, 1, 2),), (1,), 0, "not planar: V - E + F = 0, not 2, on the component of crossing 0"),
+    ]
+    for crossings, signs, loops, message in cases:
+        with pytest.raises(MalformedPDError, match=f"^{re.escape(message)}$"):
+            PDCode(crossings=crossings, signs=signs, loops=loops)
 
 
 def test_non_planar_pd_is_rejected():
@@ -40,6 +48,33 @@ def test_non_planar_pd_is_rejected():
     # torus: V - E + F = 2 - 4 + 2 = 0
     with pytest.raises(MalformedPDError, match="not planar"):
         PDCode(crossings=((3, 2, 1, 4), (1, 4, 3, 2)), signs=(1, 1))
+
+
+def test_non_planar_error_names_the_smallest_crossing_of_its_component():
+    hopf = ((1, 3, 4, 2), (3, 1, 2, 4))
+    torus = ((13, 12, 11, 14), (11, 14, 13, 12))
+    with pytest.raises(MalformedPDError, match="on the component of crossing 2$"):
+        PDCode(crossings=hopf + torus, signs=(1, 1, 1, 1))
+    with pytest.raises(MalformedPDError, match="on the component of crossing 0$"):
+        PDCode(crossings=torus + hopf, signs=(1, 1, 1, 1))
+
+
+def test_components_count_the_cycles_of_the_strand_permutation():
+    r = random.Random(11)
+    for _ in range(300):
+        strands = r.randint(2, 4)
+        word = [r.choice((1, -1)) * r.randint(1, strands - 1) for _ in range(r.randint(0, 7))]
+        perm = list(range(strands))
+        for g in word:
+            i = abs(g) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        cycles, seen = 0, set()
+        for start in range(strands):
+            cycles += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+        assert corpus.braid_closure(word, strands).components() == cycles, (word, strands)
 
 
 def test_corpus_and_braid_closures_are_planar():

@@ -26,6 +26,12 @@ def test_context_validation():
         RingContext(good)
 
 
+def test_large_d_is_rejected_before_the_squarefree_test():
+    with pytest.raises(ValueError, match=r"\|d\| must be below 2\*\*32"):
+        RingContext(-(2**32 + 2))
+    assert RingContext(-(2**32 - 2)).d == -(2**32 - 2)  # 2 * (2**31 - 1), squarefree
+
+
 def test_norm_examples(ctx):
     assert ctx(1, 1).norm() == 6
     assert ctx(1).norm() == 1
