@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation rejection (ClosureError included), 3
-malformed input, 5 an internal cross-check failed: "<check> check failed"
-names validation_routes, ker_m_splitting, well_defined, tensor_torsion_free,
+Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
+internal cross-check failed: "<check> check failed" names
+validation_routes, ker_m_splitting, well_defined, tensor_torsion_free,
 d_squared, equivariance, k_rank_vs_z_rank or mod_p.
 
 Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
@@ -61,10 +61,10 @@ def _parse_gens(ctx, text):
 
 
 def _load_algebra(args):
-    if getattr(args, "alg", None):
+    if args.alg:
         with open(args.alg, encoding="utf-8") as fh:
             data = FrobeniusData.from_json(json.load(fh))
-        return frobenius.build_algebra(data, relax_a_bar=getattr(args, "relax", False))
+        return frobenius.build_algebra(data)
     # default experimental algebra: zero trace on X, b_bar = 1, over Z[sqrt(-5)]
     ctx = RingContext(-5)
     mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
@@ -214,6 +214,10 @@ def cmd_kernel(args):
 
 
 def cmd_link(args):
+    if args.action == "corpus":
+        paths = corpus.write_corpus(args.out_dir)
+        _emit(args, {"written": paths}, [f"wrote {p}" for p in paths])
+        return EXIT_OK
     alg = _load_algebra(args)
     if args.action == "homology":
         pd = _load_pd(args.pd)
@@ -233,29 +237,20 @@ def cmd_link(args):
         ]
         _emit(args, rep.to_json(), lines)
         return EXIT_OK
-    if args.action == "lee-check":
-        payload = lee_check(_load_pd(args.pd), alg)
-        lines = [
-            f"discriminant {payload['discriminant']} nonzero: {payload['discriminant_nonzero']}",
-            f"total K-dimension {payload['total_k_dim']} vs 2^components = {payload['expected']}: {payload['matches']}",
-        ]
-        _emit(args, payload, lines)
-        return EXIT_OK
-    # corpus
-    paths = corpus.write_corpus(args.out_dir)
-    _emit(args, {"written": paths}, [f"wrote {p}" for p in paths])
+    # lee-check
+    payload = lee_check(_load_pd(args.pd), alg)
+    lines = [
+        f"discriminant {payload['discriminant']} nonzero: {payload['discriminant_nonzero']}",
+        f"total K-dimension {payload['total_k_dim']} vs 2^components = {payload['expected']}: {payload['matches']}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_tqft(args):
-    if args.genus < 0:
-        raise ValueError("genus must be nonnegative")
-    alg = _load_algebra(args)
-    values = {}
-    for g in range(args.genus + 1):
-        values[g] = str(alg.closed_surface_invariant(g))
-    payload = {"genus_values": {str(k): v for k, v in values.items()}}
-    lines = [f"genus {g}: {v}" for g, v in values.items()]
+    values = [str(v) for v in _load_algebra(args).closed_surface_invariants(args.genus)]
+    payload = {"genus_values": {str(g): v for g, v in enumerate(values)}}
+    lines = [f"genus {g}: {v}" for g, v in enumerate(values)]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -284,11 +279,9 @@ def make_parser():
     for name in ("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search"):
         p = alg_sub.add_parser(name)
         _add_common(p)
-        if name in ("validate", "twist"):
-            p.add_argument("--relax", action="store_true",
-                           help="accept a_bar outside mu (zero-trace-on-X family)")
         if name == "validate":
             p.add_argument("--alg", required=True)
+            p.add_argument("--relax", action="store_true", help="accept a_bar outside mu (zero-trace-on-X family)")
         elif name == "example-zsqrtm5":
             p.add_argument("--s", type=int, default=1, choices=(1, -1))
             p.add_argument("--eps1", type=int, default=1, choices=(1, -1))
@@ -315,7 +308,6 @@ def make_parser():
 
     p_ker = sub.add_parser("kernel", help="structure of ker(m) in A(x)A")
     p_ker.add_argument("--alg", default=None)
-    p_ker.add_argument("--relax", action="store_true")
     p_ker.add_argument("--bound", type=int, default=8)
     _add_common(p_ker)
     p_ker.set_defaults(func=cmd_kernel)
@@ -345,7 +337,6 @@ def make_parser():
 
     p_tqft = sub.add_parser("tqft", help="closed surface evaluations")
     p_tqft.add_argument("--alg", default=None)
-    p_tqft.add_argument("--relax", action="store_true")
     p_tqft.add_argument("--genus", type=int, default=2)
     _add_common(p_tqft)
     p_tqft.set_defaults(func=cmd_tqft)

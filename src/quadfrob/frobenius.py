@@ -14,6 +14,8 @@ D = eps(1)eps(X^2) - eps(X)^2; (ii) the 4x4 integer matrix of the pairing in
 Z-bases is unimodular.  The two routes must always agree.
 """
 
+import itertools
+
 from . import omodule
 from .ideals import Ideal, solve_partition_of_z
 from .intlin import det_int, mat_vec
@@ -179,21 +181,6 @@ class AlgebraElement(Value):
 # ---------------------------------------------------------------------------
 # Validation report
 
-_TABLE_CELLS = (
-    "mu_squared_is_principal_z",
-    "a_bar_in_mu",
-    "eps_x_bar_in_mu",
-    "b_bar_in_O",
-    "eps_one_in_O",
-    "t_bar_in_O",
-    "c_in_O",
-    "d_in_mu",
-    "c_prime_in_z_inv_mu",
-    "d_prime_in_O",
-    "d_eps_one_in_eps_x_bar_O",
-)
-
-
 class ValidationReport:
     def __init__(self, cells=None, equations=None, values=None, nonvanishing=None,
                  route_dual_solution=False, route_unimodular=False, mu_principal=False,
@@ -208,6 +195,7 @@ class ValidationReport:
         self.closure_in_mu = closure_in_mu
         self.accepted = accepted
         self.notes = [] if notes is None else notes
+        self.failure = None  # the ValidationError of a rejection; not serialized
 
     def to_json(self):
         return {
@@ -319,7 +307,9 @@ def eq20_memberships(data):
 
 def analyze(data, *, relax_a_bar=False):
     """Full validation; returns (algebra_or_None, report) and never raises
-    for data-dependent failures."""
+    for data-dependent failures.  A rejection stores its ValidationError as
+    ``report.failure``: the first failed cell of the integrality table (but
+    ``a_bar_in_mu`` under relax), else eps(1) = 0, else a zero determinant."""
     report = ValidationReport()
     ctx = data.ctx
     if ctx.d > 0:
@@ -342,31 +332,41 @@ def analyze(data, *, relax_a_bar=False):
             " multiplication is not closed on the lattice"
         )
 
+    def reject(failure=None):
+        if failure is None:
+            cell = next(c for c, ok in cells.items() if not ok and not (relax_a_bar and c == "a_bar_in_mu"))
+            failure = IntegralityViolationError(cell)
+        report.failure = failure
+        return None, report
+
     try:
         t_bar = data.t_bar()
         cells["t_bar_in_O"] = True
     except NotDivisibleError:
         cells["t_bar_in_O"] = False
         report.notes.append("a_bar * eps_x_bar is not divisible by z")
-        return None, report
+        return reject()
 
     required = ["mu_squared_is_principal_z", "eps_x_bar_in_mu", "t_bar_in_O"]
     if not relax_a_bar:
         required.append("a_bar_in_mu")
     if not all(cells[k] for k in required):
-        return None, report
+        return reject()
 
     report.nonvanishing["eps_one"] = not data.eps_one.is_zero()
     if data.eps_one.is_zero() and not report.mu_principal:
         report.notes.append("eps(1) = 0 is impossible when mu is non-principal")
-        return None, report
+        return reject(NonvanishingError("eps(1) must be nonzero"))
 
     delta = data.delta_tilde()
     report.values["delta_tilde"] = str(delta)
     report.values["t_bar"] = str(t_bar)
     if delta.is_zero():
         report.notes.append("degenerate trace: pairing determinant is zero")
-        return None, report
+        # over a principal mu, eps(1) = 0 is named before the degeneracy
+        if data.eps_one.is_zero():
+            return reject(NonvanishingError("eps(1) must be nonzero"))
+        return reject(DegenerateTraceError("pairing determinant is zero"))
 
     c_k, d_k, cp_k, dp_k = _dual_closed_forms(data, delta)
     cells["c_in_O"] = c_k.is_integral()
@@ -378,22 +378,18 @@ def analyze(data, *, relax_a_bar=False):
     )
     report.route_dual_solution = route1
 
-    try:
-        eps_rows, eps_det = epsilon_tilde_matrix(data)
-        report.values["epsilon_tilde_det"] = str(eps_det)
-        route2 = eps_det in (1, -1)
-    except NotDivisibleError:
-        eps_rows, eps_det = None, None
-        route2 = False
-        report.notes.append("pairing matrix is not integral")
-    report.route_unimodular = route2
+    # with the required cells the pairing maps A into its dual lattice:
+    # u1 eps_x_bar lies in mu^2 = (z), u0 eps_x_bar + u1 t_bar in mu
+    eps_rows, eps_det = epsilon_tilde_matrix(data)
+    report.values["epsilon_tilde_det"] = str(eps_det)
+    route2 = report.route_unimodular = eps_det in (1, -1)
 
     if route1 != route2:
         raise InconsistentRoutesError(
             f"dual-solution route says {route1}, unimodularity route says {route2}"
         )
     if not route1:
-        return None, report
+        return reject()
 
     duals = DualSolution(
         c=c_k.to_ring(), d=d_k.to_ring(), c_prime=cp_k, d_prime=dp_k.to_ring()
@@ -430,19 +426,12 @@ def _d_eps_cell(data, duals):
 
 
 def build_algebra(data, *, relax_a_bar=False):
-    """Validating constructor; raises a ValidationError subclass on failure."""
+    """Validating constructor; raises the ValidationError that ``analyze``
+    recorded as ``report.failure``."""
     alg, report = analyze(data, relax_a_bar=relax_a_bar)
-    if alg is not None:
-        return alg
-    cells = report.cells
-    for cell in _TABLE_CELLS:
-        if cell in cells and not cells[cell] and not (relax_a_bar and cell == "a_bar_in_mu"):
-            raise IntegralityViolationError(cell)
-    if not report.nonvanishing.get("eps_one", True):
-        raise NonvanishingError("eps(1) must be nonzero")
-    if any("degenerate" in n for n in report.notes):
-        raise DegenerateTraceError("pairing determinant is zero")
-    raise ValidationError("; ".join(report.notes) or "validation failed")
+    if alg is None:
+        raise report.failure
+    return alg
 
 
 class FrobeniusAlgebra:
@@ -475,9 +464,6 @@ class FrobeniusAlgebra:
     @property
     def one(self):
         return self.element(self.ctx.one)
-
-    def contains(self, elt):
-        return self.mu.contains(elt.u1)
 
     # -- structure maps ----------------------------------------------------
 
@@ -526,16 +512,29 @@ class FrobeniusAlgebra:
     def comultiply(self, x):
         return self.lattice().comultiply(x)
 
+    def _handle_powers(self):
+        """Coordinates of h^g(1) for g = 0, 1, 2, ...; h is applied only
+        when the next one is asked for."""
+        lat = self.lattice()
+        v = lat.coords(self.one)
+        h = lat.handle_matrix()
+        while True:
+            yield v
+            v = mat_vec(h, v)
+
     def closed_surface_invariant(self, genus):
         """eps(h^genus(1)) for the handle operator h = m o Delta."""
         if genus < 0:
             raise ValueError("genus must be nonnegative")
+        v = next(itertools.islice(self._handle_powers(), genus, None))
+        return self.trace(self.lattice().element(v))
+
+    def closed_surface_invariants(self, genus):
+        """[eps(h^g(1)) for g = 0..genus], from one running product."""
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
         lat = self.lattice()
-        v = lat.coords(self.one)
-        h = lat.handle_matrix()
-        for _ in range(genus):
-            v = mat_vec(h, v)
-        return self.trace(lat.element(v))
+        return [self.trace(lat.element(v)) for v in itertools.islice(self._handle_powers(), genus + 1)]
 
     def kernel_m_analysis(self, search_bound=8):
         return self.lattice().kernel_m_analysis(search_bound)

@@ -189,18 +189,14 @@ class MonomialTensors:
 
     A term X_S -> kappa X_S' of m or Delta over K becomes the 2x2 block of
     c -> kappa z^(floor(|S|/2) - floor(|S'|/2)) c between the summands.
+    Every block, the sqrt(d)-actions ``actions`` too, is a ``MuZLattice.block``.
     """
 
     def __init__(self, alg):
         ctx = alg.ctx
         data = alg.data
-        self.mu = alg.mu
+        self.mu_z = alg.lattice().mu_z
         self.z = data.z.to_field()
-        g1, g2 = alg.mu.two_generators()
-        self.basis = (
-            (ctx.one.to_field(), ctx.sqrt_d.to_field()),
-            (g1.to_field(), g2.to_field()),
-        )
         zero, one, a, b = ctx.field(0), ctx.field(1), data.a(), data.b()
         duals = alg.duals
         cd = duals.d.to_field()
@@ -230,13 +226,7 @@ class MonomialTensors:
         }
         self._blocks = {}
         self._edges = {}
-        self.actions = tuple(self._block_of(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
-
-    def _block_of(self, factor, src_par, tgt_par):
-        """Matrix of c -> factor * c from the summand lattice of parity
-        ``src_par`` to that of ``tgt_par``."""
-        (a, c), (b, d) = (summand_coords(self.mu, e * factor, tgt_par) for e in self.basis[src_par])
-        return ((a, b), (c, d))
+        self.actions = self.mu_z.sqrt_d_blocks
 
     def _block(self, kind, ins, outs, kappa, par):
         key = (kind, ins, outs, par)
@@ -245,7 +235,7 @@ class MonomialTensors:
             # floor(|S|/2) - floor(|S'|/2) depends only on par = |S| mod 2
             e = -((par + shift) // 2)
             factor = kappa * self.z if e > 0 else kappa / self.z if e < 0 else kappa
-            self._blocks[key] = self._block_of(factor, par, (par + shift) % 2)
+            self._blocks[key] = self.mu_z.block(factor, par, (par + shift) % 2)
         return self._blocks[key]
 
     def edge_entries(self, kind, n_src, src_pos, tgt_map):
@@ -342,8 +332,9 @@ class KernelReport:
 
 class MuZLattice:
     """The part of the lattice presentation of A = O 1 + mu X that depends
-    only on mu and z: A as a Z-lattice with its sqrt(d)-action, and the
-    tensor powers A^(x n) with their projections, sections and actions.
+    only on mu and z: the 2x2 blocks between the summand lattices O and mu
+    (``block``), A as a Z-lattice with its sqrt(d)-action, and the tensor
+    powers A^(x n) with their projections, sections and actions.
 
     Every algebra with the same (mu, z) has the same ones, so
     ``search_solutions`` builds one per search and hands it to every
@@ -358,17 +349,17 @@ class MuZLattice:
         self.z = z
         g1, g2 = mu.two_generators()
         self.gens = (g1, g2)
-        sd = ctx.sqrt_d
-        c1 = mu.basis_coords(g1 * sd)
-        c2 = mu.basis_coords(g2 * sd)
-        action = [
-            [0, ctx.d, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, c1[0], c2[0]],
-            [0, 0, c1[1], c2[1]],
-        ]
-        self.A = OModule(ctx.d, 4, action)
+        self._basis = ((ctx.one.to_field(), ctx.sqrt_d.to_field()), (g1.to_field(), g2.to_field()))
+        self.sqrt_d_blocks = tuple(self.block(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
+        on_o, on_mu = self.sqrt_d_blocks
+        self.A = OModule(ctx.d, 4, [[*row, 0, 0] for row in on_o] + [[0, 0, *row] for row in on_mu])
         self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
+
+    def block(self, factor, src_par, tgt_par):
+        """Matrix of c -> factor * c (factor in K) from the summand lattice of
+        parity ``src_par`` (0: O, basis 1, sqrt(d); 1: mu, basis g1, g2) to that of ``tgt_par``."""
+        (a, c), (b, d) = (summand_coords(self.mu, e * factor, tgt_par) for e in self._basis[src_par])
+        return ((a, b), (c, d))
 
     def coords(self, elt):
         a, b = self.mu.basis_coords(elt.u1)

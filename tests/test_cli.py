@@ -281,6 +281,17 @@ def test_tqft(capsys):
     assert payload["genus_values"] == {"0": "1", "1": "2", "2": "4"}
 
 
+def test_tqft_applies_the_handle_once_per_genus(monkeypatch, alg_eps0, capsys):
+    # alg_eps0 is the CLI's default algebra
+    calls = []
+    real = frobenius.mat_vec
+    monkeypatch.setattr(frobenius, "mat_vec", lambda *a: calls.append(1) or real(*a))
+    code, payload, _ = run_json(capsys, "tqft", "--genus", "50")
+    assert code == 0
+    assert len(calls) <= 50
+    assert payload["genus_values"] == {str(g): str(alg_eps0.closed_surface_invariant(g)) for g in range(51)}
+
+
 def test_tqft_negative_genus_is_malformed(capsys):
     code, out, err = run(capsys, "tqft", "--genus", "-1")
     assert code == 3
@@ -306,9 +317,9 @@ def test_relaxed_algebra_outside_the_lattice_is_rejected(tmp_path, capsys):
     alg = tmp_path / "relaxed.json"
     alg.write_text(json.dumps(payload["data"]))
     for command in ("kernel", "tqft"):
-        code, _, err = run(capsys, command, "--alg", str(alg), "--relax")
+        code, _, err = run(capsys, command, "--alg", str(alg))
         assert code == 2
-        assert "rejected" in err and "escapes the lattice" in err
+        assert "rejected" in err and "a_bar_in_mu" in err
 
 
 def test_ring_parameter_is_checked_not_defaulted(capsys):
@@ -325,10 +336,19 @@ def test_ring_parameter_is_checked_not_defaulted(capsys):
     ("family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "1", "--relax"),
     ("example-zsqrtm5", "--relax"),
     ("search", "--relax"),
+    ("twist", "--type", "3", "--param", "-1", "--relax"),
 ])
 def test_removed_algebra_options_are_unknown(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["algebra", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kernel", "tqft"])
+def test_relax_is_unknown_outside_algebra_validate(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--relax"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -1,0 +1,56 @@
+"""The README's examples run as written.
+
+Every ``quadfrob ...`` line of the "Command line" block runs through
+``cli.main`` in a temporary directory and must exit 0; ``link corpus``
+runs first, so the diagrams the other lines read exist, and the
+algebra-parameter JSON of "File formats" is written to
+``my_algebra.json``.  The "Python quick start" block is executed.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from quadfrob.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(heading, lang, after=None):
+    """The first ``lang`` code block after ``heading`` (and after the line
+    ``after``, when given)."""
+    text = README[README.index(heading):]
+    if after is not None:
+        text = text[text.index(after):]
+    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+def _commands():
+    lines = [line for line in _block("## Command line", "sh").splitlines() if line.startswith("quadfrob ")]
+    argvs = [shlex.split(line)[1:] for line in lines]
+    return sorted(argvs, key=lambda argv: argv[:2] != ["link", "corpus"])
+
+
+COMMANDS = _commands()
+
+
+def test_the_command_block_is_read():
+    assert len(COMMANDS) == 13
+    assert COMMANDS[0][:2] == ["link", "corpus"]
+
+
+def test_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    algebra = json.loads(_block("## File formats", "json", after="Algebra parameters:"))
+    (tmp_path / "my_algebra.json").write_text(json.dumps(algebra))
+    for argv in COMMANDS:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_python_quick_start():
+    code = _block("## Python quick start", "python")
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["alg"].kernel_m_analysis().iso_to_A
+

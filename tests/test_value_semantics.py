@@ -221,7 +221,7 @@ def test_record_defaults_are_fresh():
     assert vars(a) == {
         "cells": {}, "equations": {}, "values": {}, "nonvanishing": {},
         "route_dual_solution": False, "route_unimodular": False, "mu_principal": False,
-        "closure_in_mu": True, "accepted": False, "notes": [],
+        "closure_in_mu": True, "accepted": False, "notes": [], "failure": None,
     }
     for f in ("cells", "equations", "values", "nonvanishing", "notes"):
         assert getattr(a, f) is not getattr(b, f)
