@@ -159,8 +159,9 @@ def cmd_algebra(args):
         alg, report = analyze(data, relax_a_bar=args.relax)
         if alg is None:
             _emit(args, {"report": report.to_json()},
-                  [f"rejected: {'; '.join(report.notes) or 'see cells'}"]
-                  + [f"  [{'ok' if ok else 'FAIL'}] {c}" for c, ok in report.cells.items()])
+                  [f"rejected: {report.failure}"]
+                  + [f"  [{'ok' if ok else 'FAIL'}] {c}" for c, ok in report.cells.items()]
+                  + [f"  note: {note}" for note in report.notes])
             return EXIT_REJECTED
         _emit(args, _algebra_payload(alg), _algebra_lines(alg))
         return EXIT_OK
@@ -260,93 +261,112 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="write the report to a file")
 
 
-def make_parser():
+def _ideal_options(p, action):
+    p.add_argument("-d", type=int, required=True)
+    p.add_argument("--gens", required=True,
+                   help="comma-separated elements, e.g. '2,1+w'; use --gens=... "
+                        "when the first element starts with a minus")
+    _add_common(p)
+
+
+def _algebra_options(p, action):
+    _add_common(p)
+    if action == "validate":
+        p.add_argument("--alg", required=True)
+        p.add_argument("--relax", action="store_true", help="accept a_bar outside mu (zero-trace-on-X family)")
+    elif action == "example-zsqrtm5":
+        p.add_argument("--s", type=int, default=1, choices=(1, -1))
+        p.add_argument("--eps1", type=int, default=1, choices=(1, -1))
+    elif action == "twist":
+        p.add_argument("--alg", default=None)
+        p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
+        p.add_argument("--param", required=True, help="unit (types 1, 3) or mu element p with lambda1 = p/z (type 2)")
+    else:
+        p.add_argument("-d", type=int, default=-5)
+        p.add_argument("--mu", default="2,1+w", help="ideal generators")
+        p.add_argument("--z", default=None, help="generator of mu^2 (default: certify)")
+        if action == "family-eps0":
+            p.add_argument("--abar", required=True)
+            p.add_argument("--bbar", required=True)
+            p.add_argument("--eps1", dest="eps1_elt", required=True)
+        elif action == "family-eps1":
+            p.add_argument("--abar", required=True)
+            p.add_argument("--eps1", dest="eps1_elt", required=True)
+            p.add_argument("--dbar", required=True)
+        elif action == "search":
+            p.add_argument("--bound", type=int, default=2)
+            p.add_argument("--limit", type=int, default=None)
+
+
+def _kernel_options(p, action):
+    p.add_argument("--alg", default=None)
+    p.add_argument("--bound", type=int, default=8)
+    _add_common(p)
+
+
+def _link_options(p, action):
+    if action == "corpus":
+        p.add_argument("--out-dir", required=True)
+    else:
+        if action == "compare":
+            p.add_argument("--pd1", required=True)
+            p.add_argument("--pd2", required=True)
+        else:
+            p.add_argument("--pd", required=True)
+        p.add_argument("--alg", default=None)
+    _add_common(p)
+
+
+def _tqft_options(p, action):
+    p.add_argument("--alg", default=None)
+    p.add_argument("--genus", type=int, default=2)
+    _add_common(p)
+
+
+# command -> (help, handler, options, actions): ``options(parser, action)``
+# adds the options; ``actions`` maps each action to its help, or is None
+_COMMANDS = {
+    "ideal": ("ideal arithmetic", cmd_ideal_classinfo, _ideal_options,
+              {"classinfo": "HNF, norm, principality, order-two certificate"}),
+    "algebra": ("build and validate algebras", cmd_algebra, _algebra_options,
+                dict.fromkeys(("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search"))),
+    "kernel": ("structure of ker(m) in A(x)A", cmd_kernel, _kernel_options, None),
+    "link": ("cube-of-resolutions homology", cmd_link, _link_options,
+             dict.fromkeys(("homology", "compare", "lee-check", "corpus"))),
+    "tqft": ("closed surface evaluations", cmd_tqft, _tqft_options, None),
+}
+
+
+def make_parser(argv=None):
+    """The argument parser.  Every command is registered with its help, but
+    only the one ``argv`` runs gets its actions, and only the action it runs
+    gets its options: the first two words of ``argv`` that are not options
+    name them, as no option comes before the action.  Without ``argv``
+    every command and action gets them."""
+    words = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
     ap = argparse.ArgumentParser(prog="quadfrob")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_ideal = sub.add_parser("ideal", help="ideal arithmetic")
-    ideal_sub = p_ideal.add_subparsers(dest="action", required=True)
-    p_ci = ideal_sub.add_parser("classinfo", help="HNF, norm, principality, order-two certificate")
-    p_ci.add_argument("-d", type=int, required=True)
-    p_ci.add_argument("--gens", required=True,
-                      help="comma-separated elements, e.g. '2,1+w'; use --gens=... "
-                           "when the first element starts with a minus")
-    _add_common(p_ci)
-    p_ci.set_defaults(func=cmd_ideal_classinfo)
-
-    p_alg = sub.add_parser("algebra", help="build and validate algebras")
-    alg_sub = p_alg.add_subparsers(dest="action", required=True)
-    for name in ("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search"):
-        p = alg_sub.add_parser(name)
-        _add_common(p)
-        if name == "validate":
-            p.add_argument("--alg", required=True)
-            p.add_argument("--relax", action="store_true", help="accept a_bar outside mu (zero-trace-on-X family)")
-        elif name == "example-zsqrtm5":
-            p.add_argument("--s", type=int, default=1, choices=(1, -1))
-            p.add_argument("--eps1", type=int, default=1, choices=(1, -1))
-        elif name == "twist":
-            p.add_argument("--alg", default=None)
-            p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
-            p.add_argument("--param", required=True, help="unit (types 1, 3) or mu element p with lambda1 = p/z (type 2)")
-        else:
-            p.add_argument("-d", type=int, default=-5)
-            p.add_argument("--mu", default="2,1+w", help="ideal generators")
-            p.add_argument("--z", default=None, help="generator of mu^2 (default: certify)")
-            if name == "family-eps0":
-                p.add_argument("--abar", required=True)
-                p.add_argument("--bbar", required=True)
-                p.add_argument("--eps1", dest="eps1_elt", required=True)
-            elif name == "family-eps1":
-                p.add_argument("--abar", required=True)
-                p.add_argument("--eps1", dest="eps1_elt", required=True)
-                p.add_argument("--dbar", required=True)
-            elif name == "search":
-                p.add_argument("--bound", type=int, default=2)
-                p.add_argument("--limit", type=int, default=None)
-        p.set_defaults(func=cmd_algebra)
-
-    p_ker = sub.add_parser("kernel", help="structure of ker(m) in A(x)A")
-    p_ker.add_argument("--alg", default=None)
-    p_ker.add_argument("--bound", type=int, default=8)
-    _add_common(p_ker)
-    p_ker.set_defaults(func=cmd_kernel)
-
-    p_link = sub.add_parser("link", help="cube-of-resolutions homology")
-    link_sub = p_link.add_subparsers(dest="action", required=True)
-    p_h = link_sub.add_parser("homology")
-    p_h.add_argument("--pd", required=True)
-    p_h.add_argument("--alg", default=None)
-    _add_common(p_h)
-    p_h.set_defaults(func=cmd_link)
-    p_c = link_sub.add_parser("compare")
-    p_c.add_argument("--pd1", required=True)
-    p_c.add_argument("--pd2", required=True)
-    p_c.add_argument("--alg", default=None)
-    _add_common(p_c)
-    p_c.set_defaults(func=cmd_link)
-    p_l = link_sub.add_parser("lee-check")
-    p_l.add_argument("--pd", required=True)
-    p_l.add_argument("--alg", default=None)
-    _add_common(p_l)
-    p_l.set_defaults(func=cmd_link)
-    p_corpus = link_sub.add_parser("corpus")
-    p_corpus.add_argument("--out-dir", required=True)
-    _add_common(p_corpus)
-    p_corpus.set_defaults(func=cmd_link)
-
-    p_tqft = sub.add_parser("tqft", help="closed surface evaluations")
-    p_tqft.add_argument("--alg", default=None)
-    p_tqft.add_argument("--genus", type=int, default=2)
-    _add_common(p_tqft)
-    p_tqft.set_defaults(func=cmd_tqft)
-
+    for command, (help_, func, options, actions) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if words is not None and words[:1] != [command]:
+            continue  # the top level shows only its name and help
+        if actions is None:
+            p.set_defaults(func=func)
+            options(p, None)
+            continue
+        act_sub = p.add_subparsers(dest="action", required=True)
+        for action, act_help in actions.items():
+            q = act_sub.add_parser(action) if act_help is None else act_sub.add_parser(action, help=act_help)
+            q.set_defaults(func=func)
+            if words is None or words[1:] == [action]:
+                options(q, action)
     return ap
 
 
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, NotOrderTwoError, UnsupportedRingError) as exc:

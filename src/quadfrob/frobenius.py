@@ -10,14 +10,13 @@ Validity means the trace pairing eps(xy) identifies A with its dual lattice
 O*1^ + (1/z)mu*X^.  Validation is double-entry: (i) the dual-basis linear
 system has a solution (c, d, c', d') with the required memberships, via the
 closed forms c*D = eps(X^2), d*D = -eps(X), d'*D = eps(1)/z where
-D = eps(1)eps(X^2) - eps(X)^2; (ii) the 4x4 integer matrix of the pairing in
-Z-bases is unimodular.  The two routes must always agree.
+D = eps(1)eps(X^2) - eps(X)^2, solved in O by exact division by
+D_bar = z^2 D = eps(1) t_bar z - eps_x_bar^2; (ii) the 4x4 integer matrix of
+the pairing in Z-bases is unimodular.  The two routes must always agree.
 """
 
-import itertools
-
 from . import omodule
-from .ideals import Ideal, solve_partition_of_z
+from .ideals import Ideal
 from .intlin import det_int, mat_vec
 from .ring import (
     CheckFailedError,
@@ -242,17 +241,12 @@ def epsilon_tilde_matrix(data):
     return rows, det_int(rows)
 
 
-def _dual_closed_forms(data, delta):
-    """(c, d, c', d') over K from cD = eps(X^2), dD = -eps(X), d'D = eps(1)/z,
-    given D = ``data.delta_tilde()``."""
-    t = data.t()
-    eps_x = data.eps_x()
-    zf = data.z.to_field()
-    c = t / delta
-    d = -eps_x / delta
-    c_prime = d / zf
-    d_prime = data.eps_one.to_field() / (zf * delta)
-    return c, d, c_prime, d_prime
+def _quotient(num, den):
+    """num / den in O, or None when den does not divide num."""
+    try:
+        return num.exact_div(den)
+    except NotDivisibleError:
+        return None
 
 
 def raw_system_residuals(data, duals):
@@ -305,22 +299,31 @@ def eq20_memberships(data):
     )
 
 
-def analyze(data, *, relax_a_bar=False):
+def analyze(data, *, relax_a_bar=False, mu_z=None):
     """Full validation; returns (algebra_or_None, report) and never raises
     for data-dependent failures.  A rejection stores its ValidationError as
     ``report.failure``: the first failed cell of the integrality table (but
-    ``a_bar_in_mu`` under relax), else eps(1) = 0, else a zero determinant."""
+    ``a_bar_in_mu`` under relax), else eps(1) = 0, else a zero determinant.
+
+    ``mu_z`` is an ``omodule.MuZLattice`` of the data's mu and z, whose
+    (mu, z) facts and tensor powers are computed once for all the algebras
+    that share it; by default the algebra gets its own."""
     report = ValidationReport()
     ctx = data.ctx
     if ctx.d > 0:
         raise UnsupportedRingError("algebra construction needs d < 0")
-    if data.z.is_zero():
+    z = data.z
+    if z.is_zero():
         raise ValueError("z must be nonzero")
 
     mu = data.mu
+    if mu_z is None:
+        mu_z = omodule.MuZLattice(mu, z)
+    elif mu_z.mu != mu or mu_z.z != z:
+        raise ValueError("the (mu, z) lattice belongs to another mu or z")
     cells = report.cells
-    cells["mu_squared_is_principal_z"] = (mu * mu) == Ideal.principal(data.z)
-    report.mu_principal = mu.is_principal() is not None
+    cells["mu_squared_is_principal_z"] = mu_z.squares_to_z
+    report.mu_principal = mu_z.mu_principal
     cells["a_bar_in_mu"] = mu.contains(data.a_bar)
     cells["eps_x_bar_in_mu"] = mu.contains(data.eps_x_bar)
     cells["b_bar_in_O"] = True
@@ -358,21 +361,24 @@ def analyze(data, *, relax_a_bar=False):
         report.notes.append("eps(1) = 0 is impossible when mu is non-principal")
         return reject(NonvanishingError("eps(1) must be nonzero"))
 
-    delta = data.delta_tilde()
-    report.values["delta_tilde"] = str(delta)
+    # the closed forms over K times z^2: c = t_bar z / D_bar, d = -eps_x_bar z
+    # / D_bar, d' = eps(1) z / D_bar with D_bar = z^2 delta~, all in O or failed
+    delta_bar = data.eps_one * t_bar * z - data.eps_x_bar * data.eps_x_bar
+    report.values["delta_tilde"] = str(delta_bar.to_field() / (z * z).to_field())
     report.values["t_bar"] = str(t_bar)
-    if delta.is_zero():
+    if delta_bar.is_zero():
         report.notes.append("degenerate trace: pairing determinant is zero")
         # over a principal mu, eps(1) = 0 is named before the degeneracy
         if data.eps_one.is_zero():
             return reject(NonvanishingError("eps(1) must be nonzero"))
         return reject(DegenerateTraceError("pairing determinant is zero"))
 
-    c_k, d_k, cp_k, dp_k = _dual_closed_forms(data, delta)
-    cells["c_in_O"] = c_k.is_integral()
-    cells["d_in_mu"] = d_k.is_integral() and mu.contains(d_k.to_ring())
-    cells["c_prime_in_z_inv_mu"] = mu.contains_fraction(cp_k, data.z)
-    cells["d_prime_in_O"] = dp_k.is_integral()
+    c, d, d_prime = (_quotient(num * z, delta_bar) for num in (t_bar, -data.eps_x_bar, data.eps_one))
+    cells["c_in_O"] = c is not None
+    cells["d_in_mu"] = d is not None and mu.contains(d)
+    # c' = d / z lies in (1/z) mu exactly when d lies in mu
+    cells["c_prime_in_z_inv_mu"] = cells["d_in_mu"]
+    cells["d_prime_in_O"] = d_prime is not None
     route1 = all(
         cells[k] for k in ("c_in_O", "d_in_mu", "c_prime_in_z_inv_mu", "d_prime_in_O")
     )
@@ -391,9 +397,7 @@ def analyze(data, *, relax_a_bar=False):
     if not route1:
         return reject()
 
-    duals = DualSolution(
-        c=c_k.to_ring(), d=d_k.to_ring(), c_prime=cp_k, d_prime=dp_k.to_ring()
-    )
+    duals = DualSolution(c=c, d=d, c_prime=d.to_field() / z.to_field(), d_prime=d_prime)
     report.values.update(
         c=str(duals.c), d=str(duals.d), c_prime=str(duals.c_prime), d_prime=str(duals.d_prime)
     )
@@ -412,10 +416,8 @@ def analyze(data, *, relax_a_bar=False):
     if not cells["d_eps_one_in_eps_x_bar_O"]:
         raise InconsistentRoutesError("d*eps(1) escaped (eps_x_bar) on accepted data")
 
-    partition = solve_partition_of_z(mu, data.z)
     report.accepted = True
-    alg = FrobeniusAlgebra(data, duals, partition, report, eps_rows, eps_det)
-    return alg, report
+    return FrobeniusAlgebra(data, duals, report, eps_rows, eps_det, mu_z), report
 
 
 def _d_eps_cell(data, duals):
@@ -425,10 +427,10 @@ def _d_eps_cell(data, duals):
     return data.eps_x_bar.divides(prod)
 
 
-def build_algebra(data, *, relax_a_bar=False):
+def build_algebra(data, *, relax_a_bar=False, mu_z=None):
     """Validating constructor; raises the ValidationError that ``analyze``
     recorded as ``report.failure``."""
-    alg, report = analyze(data, relax_a_bar=relax_a_bar)
+    alg, report = analyze(data, relax_a_bar=relax_a_bar, mu_z=mu_z)
     if alg is None:
         raise report.failure
     return alg
@@ -437,18 +439,18 @@ def build_algebra(data, *, relax_a_bar=False):
 class FrobeniusAlgebra:
     """A validated algebra handle; immutable after construction."""
 
-    def __init__(self, data, duals, partition, report, eps_rows, eps_det):
+    def __init__(self, data, duals, report, eps_rows, eps_det, mu_z):
         self.data = data
         self.ctx = data.ctx
         self.mu = data.mu
         self.duals = duals
-        self.partition = partition  # ([g1, g2], [u1', u2'])
+        self.partition = mu_z.partition  # ([g1, g2], [u1', u2'])
         self.report = report
         self.epsilon_tilde = eps_rows
         self.epsilon_tilde_det = eps_det
-        # the MuZLattice shared with other algebras; search_solutions sets it
-        self._mu_z = None
+        self.mu_z = mu_z  # the omodule.MuZLattice of (mu, z), maybe shared
         self._lattice = None
+        self._handle_powers = []  # coordinates of h^g(1) for g = 0, 1, ...
 
     # -- elements ----------------------------------------------------------
 
@@ -495,9 +497,7 @@ class FrobeniusAlgebra:
 
     def lattice(self):
         if self._lattice is None:
-            if self._mu_z is None:
-                self._mu_z = omodule.MuZLattice(self.mu, self.data.z)
-            self._lattice = omodule.AlgebraLattice(self, self._mu_z)
+            self._lattice = omodule.AlgebraLattice(self, self.mu_z)
         return self._lattice
 
     def comultiply_one(self):
@@ -512,29 +512,29 @@ class FrobeniusAlgebra:
     def comultiply(self, x):
         return self.lattice().comultiply(x)
 
-    def _handle_powers(self):
-        """Coordinates of h^g(1) for g = 0, 1, 2, ...; h is applied only
-        when the next one is asked for."""
+    def _handle_powers_to(self, genus):
+        """Coordinates of h^g(1) for g = 0..genus.  Every power found is
+        kept, so h is applied once per genus over the algebra's life."""
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
         lat = self.lattice()
-        v = lat.coords(self.one)
-        h = lat.handle_matrix()
-        while True:
-            yield v
-            v = mat_vec(h, v)
+        powers = self._handle_powers
+        if not powers:
+            powers.append(lat.coords(self.one))
+        if len(powers) <= genus:
+            h = lat.handle_matrix()
+            while len(powers) <= genus:
+                powers.append(mat_vec(h, powers[-1]))
+        return powers[:genus + 1]
 
     def closed_surface_invariant(self, genus):
         """eps(h^genus(1)) for the handle operator h = m o Delta."""
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
-        v = next(itertools.islice(self._handle_powers(), genus, None))
-        return self.trace(self.lattice().element(v))
+        return self.trace(self.lattice().element(self._handle_powers_to(genus)[genus]))
 
     def closed_surface_invariants(self, genus):
         """[eps(h^g(1)) for g = 0..genus], from one running product."""
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
         lat = self.lattice()
-        return [self.trace(lat.element(v)) for v in itertools.islice(self._handle_powers(), genus + 1)]
+        return [self.trace(lat.element(v)) for v in self._handle_powers_to(genus)]
 
     def kernel_m_analysis(self, search_bound=8):
         return self.lattice().kernel_m_analysis(search_bound)
@@ -727,7 +727,7 @@ def twist(alg, spec):
         notes = ["twist: trace rescaled by a unit"]
     else:
         raise ValueError(f"unknown twist kind {spec.kind}")
-    out = build_algebra(new)
+    out = build_algebra(new, mu_z=alg.mu_z)
     out.report.notes.extend(notes)
     return out
 
@@ -742,9 +742,11 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
 
     Yields validated algebras, at most ``limit`` of them (a negative limit
     or ``coord_bound`` raises ValueError).  Bounds are configuration, not
-    semantics: absence within the box proves nothing.  The algebras of one
-    call share one ``omodule.MuZLattice`` of (mu, z): their lattices build
-    A's tensor powers, and check them, once.
+    semantics: absence within the box proves nothing.  b_bar is solved in O
+    by one exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
+    eps(1) - s^-1 z.  The candidates of one call share one
+    ``omodule.MuZLattice`` of (mu, z): the mu^2 = (z) cell, the partition of
+    z and A's tensor powers, with their checks, are computed once.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -758,26 +760,23 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     found = 0
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))
+    denominators = [(e1, z * e1 * e1) for e1 in units]
     for s in units:
-        s_inv = s.unit_inverse().to_field()
+        s_inv_z = s.unit_inverse() * z
         for eps_x_bar in exbars:
-            exf = eps_x_bar.to_field()
-            zf = z.to_field()
+            rest = eps_x_bar * eps_x_bar - s_inv_z
             for a_bar in abars:
-                for e1 in units:
-                    e1f = e1.to_field()
-                    # b_bar = (eps_x_bar^2/z - a_bar eps_x_bar e1 / z - s^-1) / e1^2
-                    num = exf * exf / zf - a_bar.to_field() * exf * e1f / zf - s_inv
-                    b_k = num / (e1f * e1f)
-                    if not b_k.is_integral():
+                a_ex = a_bar * eps_x_bar
+                for e1, den in denominators:
+                    b_bar = _quotient(rest - a_ex * e1, den)
+                    if b_bar is None:
                         continue
-                    data = FrobeniusData(ctx, mu, z, a_bar, b_k.to_ring(), e1, eps_x_bar)
-                    alg, report = analyze(data)
+                    data = FrobeniusData(ctx, mu, z, a_bar, b_bar, e1, eps_x_bar)
+                    alg, report = analyze(data, mu_z=mu_z)
                     if alg is None:
                         continue
                     if alg.duals.d != s * eps_x_bar:
                         raise InconsistentRoutesError("search ansatz d = s eps_x_bar failed")
-                    alg._mu_z = mu_z
                     yield alg
                     found += 1
                     if limit is not None and found >= limit:

@@ -21,9 +21,11 @@ Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
 on them.
 """
 
+import functools
 import itertools
 
 from . import intlin
+from .ideals import Ideal, solve_partition_of_z
 from .intlin import (
     IntSolver,
     SparseMatrix,
@@ -298,6 +300,17 @@ def _outer(x, y):
     return out
 
 
+def _first_factor(l_matrix, vectors):
+    """(L (x) I_4) v for a 4x4 L and each v in Z^16 over the Z-tensor square,
+    without the 16x16 Kronecker product: v read as a 4x4 matrix V, first
+    factor the row index, gives vec(L V) = (L (x) I) vec(V) (Van Loan, The
+    ubiquitous Kronecker product, J. Comput. Appl. Math. 123, 2000).  The
+    V's stand side by side, so all of them take one 4x4 product."""
+    side_by_side = [[e for v in vectors for e in v[4 * k:4 * k + 4]] for k in range(4)]
+    prod = mat_mul(l_matrix, side_by_side)
+    return [[row[4 * r + j] for row in prod for j in range(4)] for r in range(len(vectors))]
+
+
 class KernelReport:
     def __init__(self, kernel_basis, xu_basis, xhat, direct_sum_verified,
                  action_formulas_verified, generator, iso_to_A, search_bound, notes=None):
@@ -331,15 +344,17 @@ class KernelReport:
 
 
 class MuZLattice:
-    """The part of the lattice presentation of A = O 1 + mu X that depends
-    only on mu and z: the 2x2 blocks between the summand lattices O and mu
-    (``block``), A as a Z-lattice with its sqrt(d)-action, and the tensor
-    powers A^(x n) with their projections, sections and actions.
+    """The part of A = O 1 + mu X that depends only on mu and z: the facts
+    validation reads (``squares_to_z``, ``mu_principal``, ``partition``),
+    the 2x2 blocks between the summand lattices O and mu (``block``), A as
+    a Z-lattice with its sqrt(d)-action, and the tensor powers A^(x n) with
+    their projections, sections and actions.
 
     Every algebra with the same (mu, z) has the same ones, so
-    ``search_solutions`` builds one per search and hands it to every
-    algebra it yields; any other algebra builds its own.  Tensor powers are
-    built, and checked, on first use.
+    ``search_solutions`` builds one per search and validates every candidate
+    against it, and ``twist`` hands its algebra's to the twisted one; any
+    other algebra builds its own.  The facts are computed, and tensor powers
+    built and checked, on first use.
     """
 
     def __init__(self, mu, z):
@@ -354,6 +369,20 @@ class MuZLattice:
         on_o, on_mu = self.sqrt_d_blocks
         self.A = OModule(ctx.d, 4, [[*row, 0, 0] for row in on_o] + [[0, 0, *row] for row in on_mu])
         self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
+
+    @functools.cached_property
+    def squares_to_z(self):
+        """mu * mu == (z), the first cell of the integrality table."""
+        return (self.mu * self.mu) == Ideal.principal(self.z)
+
+    @functools.cached_property
+    def mu_principal(self):
+        return self.mu.is_principal() is not None
+
+    @functools.cached_property
+    def partition(self):
+        """``solve_partition_of_z(mu, z)``: ([g1, g2], [u1', u2'])."""
+        return solve_partition_of_z(self.mu, self.z)
 
     def block(self, factor, src_par, tgt_par):
         """Matrix of c -> factor * c (factor in K) from the summand lattice of
@@ -406,6 +435,13 @@ class AlgebraLattice:
     ``mu_z`` is the MuZLattice of the algebra's mu and z, which may be
     shared with other algebras; everything here that depends on the
     algebra's structure constants is computed once per algebra.
+
+    On A (x)_O A the coordinates are read in closed form: ``pure2`` puts
+    x0 y0, x0 y1, x1 y0 and x1 y1 / z on the summands 1(x)1, 1(x)X, X(x)1
+    and X(x)X, and ``x_u`` is (0, 0, -a, -b, a, b, 0, 0) for u = a g1 + b g2;
+    the tests keep the projection of the Z-tensor square as their oracle.
+    L (x) id is applied to vectors of the Z-tensor square as L times the
+    vector reshaped to 4x4 (``_first_factor``), never as a 16x16 ``kron``.
     """
 
     def __init__(self, alg, mu_z):
@@ -445,8 +481,11 @@ class AlgebraLattice:
         return self.mu_z.tensor_power(n)
 
     def pure2(self, x, y):
-        t2 = self.tensor_power(2)
-        return mat_vec(t2.proj, _outer(self.coords(x), self.coords(y)))
+        """x (x) y in the coordinates of A (x)_O A."""
+        z = self.mu_z.z
+        one_one, x_x = x.u0 * y.u0, (x.u1 * y.u1).exact_div(z)
+        basis_coords = self.mu.basis_coords
+        return [one_one.x, one_one.y, *basis_coords(x.u0 * y.u1), *basis_coords(x.u1 * y.u0), x_x.x, x_x.y]
 
     def _products_of(self, i):
         """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
@@ -466,11 +505,12 @@ class AlgebraLattice:
         return transpose(cols, ncols=4)
 
     def on_quotient_first_factor(self, l_matrix):
-        """Descends L (x) id to A (x)_O A."""
+        """Descends L (x) id to A (x)_O A: proj (L (x) I) section, where
+        proj (L (x) I) has rows (L^T (x) I) applied to the rows of proj."""
         t2 = self.tensor_power(2)
-        raw = kron(l_matrix, identity(4))
-        out = mat_mul(mat_mul(t2.proj, raw), t2.section)
-        if mat_mul(out, t2.proj) != mat_mul(t2.proj, raw):
+        proj_l = _first_factor(transpose(l_matrix), t2.proj)
+        out = mat_mul(proj_l, t2.section)
+        if mat_mul(out, t2.proj) != proj_l:
             raise NotWellDefinedError("first-factor action not well defined on the quotient")
         return out
 
@@ -514,7 +554,7 @@ class AlgebraLattice:
     def comultiply(self, x):
         """Delta(x) = (left-mult by x (x) id) applied to Delta(1)."""
         t2 = self.tensor_power(2)
-        raw = mat_vec(kron(self.left_mult_matrix(x), identity(4)), self.delta_one_lift())
+        [raw] = _first_factor(self.left_mult_matrix(x), [self.delta_one_lift()])
         return TensorElement(t2, mat_vec(t2.proj, raw))
 
     def delta_matrix(self):
@@ -549,10 +589,9 @@ class AlgebraLattice:
     # -- kernel of multiplication -------------------------------------------
 
     def x_u(self, u):
-        """X_u = uX (x) 1 - 1 (x) uX."""
-        ux = self.alg.element(self.ctx.zero, u)
-        one = self.alg.one
-        return [a - b for a, b in zip(self.pure2(ux, one), self.pure2(one, ux))]
+        """X_u = uX (x) 1 - 1 (x) uX: u on X(x)1 less u on 1(x)X."""
+        a, b = self.mu.basis_coords(u)
+        return [0, 0, -a, -b, a, b, 0, 0]
 
     def x_hat(self):
         """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1)."""

@@ -1,0 +1,212 @@
+"""The algebra side's exact routes against the routes they replaced.
+
+``analyze`` solves the closed-form duals in O, by exact division by
+D_bar = z^2 delta~; the route over K that it replaced is kept here as
+the oracle.  ``AlgebraLattice`` reads x (x) y and X_u in closed form and
+applies L (x) id on a reshaped vector; the oracles are the projection of
+the Z-tensor square and the 16x16 Kronecker product.  The mechanism
+guards count calls instead of timing them.
+"""
+
+import random
+
+import pytest
+
+from quadfrob import Ideal, RingContext, frobenius, intlin, omodule
+from quadfrob.frobenius import (
+    DegenerateTraceError,
+    DualSolution,
+    FrobeniusData,
+    analyze,
+    build_algebra,
+    search_solutions,
+    twist,
+    TwistSpec,
+)
+from quadfrob.intlin import identity, kron, mat_mul, mat_vec
+from quadfrob.omodule import _outer
+from quadfrob.ring import parse_element
+
+from conftest import random_algebra_element, random_mu_element
+
+DUAL_CELLS = ("c_in_O", "d_in_mu", "c_prime_in_z_inv_mu", "d_prime_in_O")
+# d, generators of mu, z with mu^2 = (z)
+RINGS = (
+    (-5, "2,1+w", "2"),
+    (-6, "2,w", "2"),
+    (-10, "2,w", "2"),
+    (-13, "2,1+w", "2"),
+    (-5, "1", "1"),
+    (-1, "1+w", "2w"),
+)
+
+
+def _ring(d, gens, z):
+    ctx = RingContext(d)
+    mu = Ideal.from_generators(ctx, [parse_element(ctx, g) for g in gens.split(",")])
+    return ctx, mu, parse_element(ctx, z)
+
+
+def _dual_closed_forms(data):
+    """(c, d, c', d') over K from cD = eps(X^2), dD = -eps(X), d'D = eps(1)/z
+    with D = delta~: the route ``analyze`` took before it divided in O."""
+    delta = data.delta_tilde()
+    t, eps_x, zf = data.t(), data.eps_x(), data.z.to_field()
+    c = t / delta
+    d = -eps_x / delta
+    return c, d, d / zf, data.eps_one.to_field() / (zf * delta)
+
+
+def _k_route(data):
+    """The dual cells and, when they all hold, the duals, over K."""
+    c, d, c_prime, d_prime = _dual_closed_forms(data)
+    mu = data.mu
+    cells = {
+        "c_in_O": c.is_integral(),
+        "d_in_mu": d.is_integral() and mu.contains(d.to_ring()),
+        "c_prime_in_z_inv_mu": mu.contains_fraction(c_prime, data.z),
+        "d_prime_in_O": d_prime.is_integral(),
+    }
+    if not all(cells.values()):
+        return cells, None
+    return cells, DualSolution(c.to_ring(), d.to_ring(), c_prime, d_prime.to_ring())
+
+
+def _seeded_data(seed=13, n=400):
+    """Data that passes every cell before the dual route: a_bar and eps_x_bar
+    in mu, eps(1) != 0 and delta~ != 0."""
+    r = random.Random(seed)
+    out = []
+    while len(out) < n:
+        ctx, mu, z = _ring(*r.choice(RINGS))
+        eps_one = ctx(r.randint(-1, 1), r.randint(-1, 1))
+        data = FrobeniusData(
+            ctx, mu, z, random_mu_element(mu, r, 2), ctx(r.randint(-2, 2), r.randint(-2, 2)),
+            eps_one, random_mu_element(mu, r, 2),
+        )
+        if not eps_one.is_zero() and not data.delta_tilde().is_zero():
+            out.append(data)
+    return out
+
+
+def _accepted_data():
+    out = []
+    for ring in RINGS[:4]:
+        _, mu, z = _ring(*ring)
+        out.extend(alg.data for alg in search_solutions(mu, z, coord_bound=1, limit=6))
+    return out
+
+
+def test_dual_route_in_O_matches_the_route_over_K(algebra_corpus):
+    cases = _seeded_data() + _accepted_data() + [alg.data for alg in algebra_corpus.values()]
+    accepted = 0
+    failures = set()
+    d_in_O_not_mu = 0
+    for data in cases:
+        alg, report = analyze(data)
+        cells, duals = _k_route(data)
+        assert {k: report.cells[k] for k in DUAL_CELLS} == cells
+        assert report.values["delta_tilde"] == str(data.delta_tilde())
+        if duals is None:
+            assert alg is None
+            failures.add(report.failure.cell)
+            _, d, _, _ = _dual_closed_forms(data)
+            d_in_O_not_mu += d.is_integral() and not cells["d_in_mu"]
+        else:
+            assert alg.duals == duals
+            assert report.values["c_prime"] == str(duals.c_prime)
+            accepted += 1
+    assert accepted >= 24
+    # c' = d / z: its cell is never the first to fail
+    assert failures == {"c_in_O", "d_in_mu", "d_prime_in_O"}
+    assert d_in_O_not_mu
+
+
+@pytest.mark.parametrize("a_bar, b_bar, eps_x_bar", [("0", "0", "0"), ("0", "2", "2")])
+def test_zero_d_bar_is_degenerate_on_both_routes(ctx, mu, a_bar, b_bar, eps_x_bar):
+    # D_bar = eps(1) t_bar z - eps_x_bar^2 = 0, with t_bar = a_bar + b_bar here
+    data = FrobeniusData(ctx, mu, ctx(2), *(parse_element(ctx, e) for e in (a_bar, b_bar, "1", eps_x_bar)))
+    assert data.delta_tilde().is_zero()
+    with pytest.raises(ZeroDivisionError):
+        _dual_closed_forms(data)
+    alg, report = analyze(data)
+    assert alg is None
+    assert isinstance(report.failure, DegenerateTraceError)
+    assert report.values["delta_tilde"] == "0"
+    assert not any(k in report.cells for k in DUAL_CELLS)
+
+
+# -- closed-form coordinates of A (x)_O A -------------------------------------
+
+
+def _x_vectors(lat):
+    alg = lat.alg
+    g1, g2 = lat.gens
+    return list(lat._basis_elements) + [alg.element(alg.ctx.zero, g1), alg.element(alg.ctx.zero, g2)]
+
+
+def test_first_factor_matches_the_kronecker_product(algebra_corpus):
+    for alg in algebra_corpus.values():
+        lat = alg.lattice()
+        t2 = lat.tensor_power(2)
+        for x in _x_vectors(lat):
+            l_matrix = lat.left_mult_matrix(x)
+            raw = kron(l_matrix, identity(4))
+            assert lat.on_quotient_first_factor(l_matrix) == mat_mul(mat_mul(t2.proj, raw), t2.section)
+            assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lat.delta_one_lift()))
+
+
+def test_closed_form_coordinates_match_the_projection(algebra_corpus):
+    r = random.Random(21)
+    for alg in algebra_corpus.values():
+        lat = alg.lattice()
+        proj = lat.tensor_power(2).proj
+        one = alg.one
+        for _ in range(25):
+            x, y = random_algebra_element(alg, r), random_algebra_element(alg, r)
+            assert lat.pure2(x, y) == mat_vec(proj, _outer(lat.coords(x), lat.coords(y)))
+            u = random_mu_element(alg.mu, r)
+            ux = alg.element(alg.ctx.zero, u)
+            outer = [a - b for a, b in zip(_outer(lat.coords(ux), lat.coords(one)),
+                                           _outer(lat.coords(one), lat.coords(ux)))]
+            assert lat.x_u(u) == mat_vec(proj, outer)
+
+
+# -- mechanism guards ----------------------------------------------------------
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_search_solves_the_partition_of_z_once(ctx, mu, monkeypatch):
+    calls = _counted(monkeypatch, omodule, "solve_partition_of_z")
+    found = list(search_solutions(mu, ctx(2), coord_bound=1))
+    assert len(found) == 80
+    assert len(calls) == 1
+    twisted = twist(found[3], TwistSpec(3, -ctx.one))
+    assert twisted.partition == found[3].partition
+    assert len(calls) == 1
+
+
+def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeypatch):
+    alg = build_algebra(alg_worked.data)
+    lat = alg.lattice()
+    lat.tensor_power(2)  # built, and checked, once per (mu, z)
+    calls = [_counted(monkeypatch, module, "kron") for module in (omodule, intlin)]
+    assert lat.kernel_m_analysis(8).iso_to_A
+    lat.delta_matrix()
+    assert calls == [[], []]
+
+
+def test_genus_zero_to_four_applies_the_handle_four_times(alg_eps1, monkeypatch):
+    expected = [str(v) for v in alg_eps1.closed_surface_invariants(4)]
+    alg = build_algebra(alg_eps1.data)
+    calls = _counted(monkeypatch, frobenius, "mat_vec")
+    assert [str(alg.closed_surface_invariant(g)) for g in range(5)] == expected
+    assert len(calls) == 4
+    assert [str(v) for v in alg.closed_surface_invariants(4)] == expected
+    assert len(calls) == 4

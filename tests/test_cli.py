@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
 from quadfrob import corpus, frobenius
-from quadfrob.cli import main
+from quadfrob.cli import main, make_parser
 from quadfrob.intlin import IntSolver
 from quadfrob.omodule import AlgebraLattice
 
@@ -77,6 +78,28 @@ def test_algebra_validate_rejects(tmp_path, capsys):
     spec.write_text(json.dumps(data))
     code, payload2, _ = run_json(capsys, "algebra", "validate", "--alg", str(spec))
     assert code == 2
+
+
+def test_algebra_validate_names_the_failed_cell(tmp_path, capsys):
+    # a_bar = 1 is not in mu = (2, 1+w): the cell kernel and tqft name too
+    code, payload, _ = run_json(
+        capsys, "algebra", "family-eps0", "--abar", "1", "--bbar", "1", "--eps1", "1",
+    )
+    assert code == 0
+    spec = tmp_path / "relaxed.json"
+    spec.write_text(json.dumps(payload["data"]))
+    code, out, err = run(capsys, "algebra", "validate", "--alg", str(spec))
+    assert code == 2
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "rejected: integrality table cell failed: a_bar_in_mu"
+    assert "  [FAIL] a_bar_in_mu" in lines
+    assert "  [ok] eps_x_bar_in_mu" in lines
+    code, payload2, _ = run_json(capsys, "algebra", "validate", "--alg", str(spec))
+    assert code == 2
+    assert set(payload2) == {"report"}
+    assert payload2["report"]["accepted"] is False
+    assert payload2["report"]["cells"]["a_bar_in_mu"] is False
 
 
 def test_algebra_families(capsys):
@@ -378,3 +401,45 @@ def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
 def test_well_defined_failure_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
     _assert_check_failed(capsys, "well_defined", "algebra", "example-zsqrtm5")
+
+
+COMMAND_PATHS = [
+    (), ("ideal",), ("ideal", "classinfo"), ("kernel",), ("tqft",),
+    ("algebra",), *(("algebra", a) for a in ("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search")),
+    ("link",), *(("link", a) for a in ("homology", "compare", "lee-check", "corpus")),
+]
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_lean_parser_help_matches_the_full_parser(path, capsys):
+    argv = [*path, "--help"]
+    assert _help_text(make_parser(argv), path, capsys) == _help_text(make_parser(), path, capsys)
+
+
+def _option_count(parser):
+    """Options other than -h over a parser and every sub-parser it holds."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_option_count(p) for p in action.choices.values())
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_parser_builds_only_the_options_of_the_command_run():
+    assert _option_count(make_parser()) == 64
+    lean = make_parser(["link", "homology", "--pd", "x.json"])
+    assert _option_count(lean) == 4  # --pd, --alg, --format and --out
+    commands = lean._actions[-1].choices
+    assert list(commands) == ["ideal", "algebra", "kernel", "link", "tqft"]
+    assert list(commands["link"]._actions[-1].choices) == ["homology", "compare", "lee-check", "corpus"]
+    # a command not run has no actions: the top level shows only its name and help
+    assert [type(a) for a in commands["algebra"]._actions] == [argparse._HelpAction]

@@ -472,11 +472,12 @@ def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
     own = [
         alg_eps1,
         build_algebra(first[0].data),
-        twist(first[0], TwistSpec(3, -ctx.one)),
         family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
     ]
     frames = [alg.lattice().mu_z for alg in own]
     assert len({id(f) for f in frames + [shared]}) == len(own) + 1
+    # a twist keeps mu and z, and with them the lattice of the algebra it twists
+    assert twist(first[0], TwistSpec(3, -ctx.one)).lattice().mu_z is shared
     with pytest.raises(ValueError):
         AlgebraLattice(first[0], MuZLattice(mu, ctx(-2)))
 
