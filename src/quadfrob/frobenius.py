@@ -479,8 +479,13 @@ class FrobeniusAlgebra:
             q = (x.u1 * y.u1).exact_div(self.data.z)
         except NotDivisibleError as exc:
             raise ClosureError(f"product of X-parts not divisible by z: {exc}") from exc
-        u0 = x.u0 * y.u0 + q * self.data.b_bar
-        u1 = x.u0 * y.u1 + x.u1 * y.u0 + q * self.data.a_bar
+        return self.closed_product(
+            x.u0 * y.u0 + q * self.data.b_bar,
+            x.u0 * y.u1 + x.u1 * y.u0 + q * self.data.a_bar,
+        )
+
+    def closed_product(self, u0, u1):
+        """The product u0 + u1 X, or ClosureError when u1 escapes mu."""
         out = AlgebraElement(u0, u1)
         if not self.mu.contains(u1):
             raise ClosureError(f"product {out} escapes the lattice (X-part not in mu)")
@@ -740,13 +745,16 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     """Enumerates data with eps(1) a unit and d = s * eps_x_bar (s a unit) solving the single
     closing equation, subject to the integrality table; bounded box search.
 
-    Yields validated algebras, at most ``limit`` of them (a negative limit
-    or ``coord_bound`` raises ValueError).  Bounds are configuration, not
-    semantics: absence within the box proves nothing.  b_bar is solved in O
-    by one exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
+    Yields validated algebras, at most ``limit`` of them.  Before any
+    candidate, a negative limit or ``coord_bound`` and z = 0 raise
+    ValueError, and mu^2 != (z) raises the ``mu_squared_is_principal_z``
+    IntegralityViolationError.  Bounds are configuration, not semantics:
+    absence within the box proves nothing.  b_bar is solved in O by one
+    exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
     eps(1) - s^-1 z.  The candidates of one call share one
     ``omodule.MuZLattice`` of (mu, z): the mu^2 = (z) cell, the partition of
-    z and A's tensor powers, with their checks, are computed once.
+    z, the (mu, z) half of the multiplication table and of X_hat, and A's
+    tensor powers, with their checks, are computed once.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -754,9 +762,13 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
         raise ValueError("bound must be nonnegative")
     if limit == 0:
         return
+    if z.is_zero():
+        raise ValueError("z must be nonzero")
     ctx = z.ctx
     units = ctx.units()
     mu_z = omodule.MuZLattice(mu, z)
+    if not mu_z.squares_to_z:
+        raise IntegralityViolationError("mu_squared_is_principal_z")
     found = 0
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))

@@ -347,8 +347,11 @@ class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z: the facts
     validation reads (``squares_to_z``, ``mu_principal``, ``partition``),
     the 2x2 blocks between the summand lattices O and mu (``block``), A as
-    a Z-lattice with its sqrt(d)-action, and the tensor powers A^(x n) with
-    their projections, sections and actions.
+    a Z-lattice with its sqrt(d)-action, the tensor powers A^(x n) with
+    their projections, sections and actions, the 12 products of A's basis
+    with at most one X factor and the quotients g_i g_j / z of the other
+    four (``products``, ``x_quotients``), and the partition term of X_hat
+    (``x_hat_partition``).
 
     Every algebra with the same (mu, z) has the same ones, so
     ``search_solutions`` builds one per search and validates every candidate
@@ -383,6 +386,44 @@ class MuZLattice:
     def partition(self):
         """``solve_partition_of_z(mu, z)``: ([g1, g2], [u1', u2'])."""
         return solve_partition_of_z(self.mu, self.z)
+
+    @functools.cached_property
+    def products(self):
+        """The rows of A's multiplication table on its Z-basis e = (1,
+        sqrt(d), g1 X, g2 X) that depend only on (mu, z): coords(e_i e_j)
+        when at most one of e_i, e_j is an X-term, None for the four
+        X (x) X pairs (see ``x_quotients``)."""
+        ctx = self.ctx
+        g1, g2 = self.gens
+        basis = ((ctx.one, ctx.zero), (ctx.sqrt_d, ctx.zero), (ctx.zero, g1), (ctx.zero, g2))
+        rows = []
+        for i, (u0, u1) in enumerate(basis):
+            row = []
+            for j, (v0, v1) in enumerate(basis):
+                if i >= 2 and j >= 2:
+                    row.append(None)
+                    continue
+                p0 = u0 * v0
+                row.append([p0.x, p0.y, *self.mu.basis_coords(u0 * v1 + u1 * v0)])
+            rows.append(row)
+        return rows
+
+    @functools.cached_property
+    def x_quotients(self):
+        """q_ij = g_i g_j / z in O, so that g_i X * g_j X = q_ij (b_bar +
+        a_bar X) in every algebra of this (mu, z); exact since mu^2 = (z)."""
+        g1, g2 = self.gens
+        return [[(u * v).exact_div(self.z) for v in (g1, g2)] for u in (g1, g2)]
+
+    @functools.cached_property
+    def x_hat_partition(self):
+        """sum_j u_j X (x) u_j' X over the partition of z, in the coordinates
+        of A (x)_O A: sum_j u_j u_j' / z on X (x) X."""
+        us, ups = self.partition
+        s = self.ctx.zero
+        for u, up in zip(us, ups):
+            s = s + (u * up).exact_div(self.z)
+        return (0, 0, 0, 0, 0, 0, s.x, s.y)
 
     def block(self, factor, src_par, tgt_par):
         """Matrix of c -> factor * c (factor in K) from the summand lattice of
@@ -433,8 +474,12 @@ class AlgebraLattice:
     structure maps as integer matrices on monomial coordinates.
 
     ``mu_z`` is the MuZLattice of the algebra's mu and z, which may be
-    shared with other algebras; everything here that depends on the
-    algebra's structure constants is computed once per algebra.
+    shared with other algebras.  What is computed here, once per algebra,
+    is what depends on a_bar and b_bar: the four X (x) X columns
+    q_ij (b_bar + a_bar X) of the multiplication table (closure-checked
+    like ``FrobeniusAlgebra.multiply``), a_bar and b_bar in X_hat, the
+    descended maps (g_i X .) (x) id, Delta(1) and from them Delta and the
+    handle operator.  O acts on vectors of A (x)_O A as x v + y J v.
 
     On A (x)_O A the coordinates are read in closed form: ``pure2`` puts
     x0 y0, x0 y1, x1 y0 and x1 y1 / z on the summands 1(x)1, 1(x)X, X(x)1
@@ -463,6 +508,7 @@ class AlgebraLattice:
         )
         self._products = [None] * 4
         self._m = None
+        self._x_maps = None
         self._delta1_lift = None
         self._delta = None
         self._handle = None
@@ -489,11 +535,18 @@ class AlgebraLattice:
 
     def _products_of(self, i):
         """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
-        row of the multiplication table is computed once."""
+        row of the multiplication table is computed once.  Only the X (x) X
+        entries, q_ij (b_bar + a_bar X), depend on the algebra; the rest
+        are the (mu, z) products of ``MuZLattice.products``."""
         row = self._products[i]
         if row is None:
-            ei = self._basis_elements[i]
-            row = self._products[i] = [self.coords(self.alg.multiply(ei, ej)) for ej in self._basis_elements]
+            row = list(self.mu_z.products[i])
+            if i >= 2:
+                alg = self.alg
+                a_bar, b_bar = alg.data.a_bar, alg.data.b_bar
+                for j, q in enumerate(self.mu_z.x_quotients[i - 2], 2):
+                    row[j] = self.coords(alg.closed_product(q * b_bar, q * a_bar))
+            self._products[i] = row
         return row
 
     def left_mult_matrix(self, x):
@@ -513,6 +566,13 @@ class AlgebraLattice:
         if mat_mul(out, t2.proj) != proj_l:
             raise NotWellDefinedError("first-factor action not well defined on the quotient")
         return out
+
+    def x_first_factor_maps(self):
+        """(g1 X .) (x) id and (g2 X .) (x) id descended to A (x)_O A, each
+        checked by ``on_quotient_first_factor``; built once per algebra."""
+        if self._x_maps is None:
+            self._x_maps = [self.on_quotient_first_factor(transpose(self._products_of(i), ncols=4)) for i in (2, 3)]
+        return self._x_maps
 
     # -- structure maps ------------------------------------------------------
 
@@ -558,8 +618,12 @@ class AlgebraLattice:
         return TensorElement(t2, mat_vec(t2.proj, raw))
 
     def delta_matrix(self):
+        """Delta on A, column i Delta(e_i) = (e_i . (x) id) Delta(1): Delta(1)
+        itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it."""
         if self._delta is None:
-            cols = [self.comultiply(e).coords for e in self._basis_elements]
+            d1 = list(self.delta_one().coords)
+            cols = [d1, mat_vec(self.tensor_power(2).module.action, d1)]
+            cols += [mat_vec(l_map, d1) for l_map in self.x_first_factor_maps()]
             self._delta = transpose(cols, ncols=8)
         return self._delta
 
@@ -594,19 +658,15 @@ class AlgebraLattice:
         return [0, 0, -a, -b, a, b, 0, 0]
 
     def x_hat(self):
-        """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1)."""
-        alg = self.alg
-        us, ups = alg.partition
-        out = [0] * self.tensor_power(2).module.rank
-        for uj, ujp in zip(us, ups):
-            l = alg.element(self.ctx.zero, uj)
-            r = alg.element(self.ctx.zero, ujp)
-            out = [a + b for a, b in zip(out, self.pure2(l, r))]
-        ax = alg.element(self.ctx.zero, alg.data.a_bar)
-        b1 = alg.element(alg.data.b_bar, self.ctx.zero)
-        one = alg.one
-        out = [a - b for a, b in zip(out, self.pure2(ax, one))]
-        out = [a - b for a, b in zip(out, self.pure2(b1, one))]
+        """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1): the
+        (mu, z) partition term less a_bar on X(x)1 and b_bar on 1(x)1."""
+        data = self.alg.data
+        a, b = self.mu.basis_coords(data.a_bar)
+        out = list(self.mu_z.x_hat_partition)
+        out[0] -= data.b_bar.x
+        out[1] -= data.b_bar.y
+        out[4] -= a
+        out[5] -= b
         return out
 
     def kernel_m_analysis(self, search_bound=8):
@@ -636,27 +696,20 @@ class AlgebraLattice:
         if not direct_sum:
             raise DirectSumFailureError("ker(m) != X_mu + O*Xhat as lattices")
 
-        # the two multiplication-action identities on ker(m)
+        # the two multiplication-action identities on ker(m); o in O acts on
+        # a vector v of A (x)_O A as o.x v + o.y J v
         z = alg.data.z
         a_bar, b_bar = alg.data.a_bar, alg.data.b_bar
         formulas_ok = True
-        lmats = {}
-        for u in (g1, g2):
-            ux = alg.element(self.ctx.zero, u)
-            lmats[u] = self.on_quotient_first_factor(self.left_mult_matrix(ux))
-        for u in (g1, g2):
-            lhs = mat_vec(lmats[u], xhat)
+        lmats = self.x_first_factor_maps()
+        for u, lmat, quotients in zip(self.gens, lmats, self.mu_z.x_quotients):
+            lhs = mat_vec(lmat, xhat)
             coeff = (u * a_bar).exact_div(z)
-            scal = t2.module.scalar_matrix(coeff)
-            neg_xbu = [-e for e in self.x_u(b_bar * u)]
-            rhs = [a + b for a, b in zip(neg_xbu, mat_vec(scal, xhat))]
+            rhs = [coeff.x * a + coeff.y * b - c for a, b, c in zip(xhat, jxhat, self.x_u(b_bar * u))]
             formulas_ok = formulas_ok and lhs == rhs
-            for up in (g1, g2):
-                lhs2 = mat_vec(lmats[u], self.x_u(up))
-                coeff2 = (u * up).exact_div(z)
-                scal2 = t2.module.scalar_matrix(coeff2)
-                rhs2 = mat_vec(scal2, [-e for e in xhat])
-                formulas_ok = formulas_ok and lhs2 == rhs2
+            for xup, q in zip((xg1, xg2), quotients):
+                rhs2 = [-(q.x * a + q.y * b) for a, b in zip(xhat, jxhat)]
+                formulas_ok = formulas_ok and mat_vec(lmat, xup) == rhs2
 
         generator = None
         iso = False
@@ -669,8 +722,8 @@ class AlgebraLattice:
             orbit = [
                 xtilde,
                 mat_vec(j2, xtilde),
-                mat_vec(lmats[g1], xtilde),
-                mat_vec(lmats[g2], xtilde),
+                mat_vec(lmats[0], xtilde),
+                mat_vec(lmats[1], xtilde),
             ]
             if hnf_rows(orbit) == ker_hnf:
                 generator = (u, val)

@@ -4,26 +4,32 @@
 D_bar = z^2 delta~; the route over K that it replaced is kept here as
 the oracle.  ``AlgebraLattice`` reads x (x) y and X_u in closed form and
 applies L (x) id on a reshaped vector; the oracles are the projection of
-the Z-tensor square and the 16x16 Kronecker product.  The mechanism
-guards count calls instead of timing them.
+the Z-tensor square and the 16x16 Kronecker product.  The multiplication
+table, Delta and X_hat are read from (mu, z) parts and the descended
+first-factor maps; the oracles are ``FrobeniusAlgebra.multiply``,
+``comultiply`` and the ``pure2`` sum.  The mechanism guards count calls
+instead of timing them.
 """
 
+import functools
 import random
 
 import pytest
 
 from quadfrob import Ideal, RingContext, frobenius, intlin, omodule
 from quadfrob.frobenius import (
+    ClosureError,
     DegenerateTraceError,
     DualSolution,
     FrobeniusData,
     analyze,
     build_algebra,
+    family_eps_x_zero,
     search_solutions,
     twist,
     TwistSpec,
 )
-from quadfrob.intlin import identity, kron, mat_mul, mat_vec
+from quadfrob.intlin import identity, kron, mat_mul, mat_vec, transpose
 from quadfrob.omodule import _outer
 from quadfrob.ring import parse_element
 
@@ -89,12 +95,16 @@ def _seeded_data(seed=13, n=400):
     return out
 
 
-def _accepted_data():
+def _search_hits():
     out = []
     for ring in RINGS[:4]:
         _, mu, z = _ring(*ring)
-        out.extend(alg.data for alg in search_solutions(mu, z, coord_bound=1, limit=6))
+        out.extend(search_solutions(mu, z, coord_bound=1, limit=6))
     return out
+
+
+def _accepted_data():
+    return [alg.data for alg in _search_hits()]
 
 
 def test_dual_route_in_O_matches_the_route_over_K(algebra_corpus):
@@ -156,6 +166,38 @@ def test_first_factor_matches_the_kronecker_product(algebra_corpus):
             assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lat.delta_one_lift()))
 
 
+def _fixtures_and_search_hits(algebra_corpus):
+    return list(algebra_corpus.values()) + _search_hits()
+
+
+def test_multiplication_table_matches_multiply(algebra_corpus):
+    for alg in _fixtures_and_search_hits(algebra_corpus):
+        lat = alg.lattice()
+        basis = lat._basis_elements
+        for i, ei in enumerate(basis):
+            assert lat._products_of(i) == [lat.coords(alg.multiply(ei, ej)) for ej in basis]
+
+
+def test_delta_matrix_matches_comultiply(algebra_corpus):
+    for alg in _fixtures_and_search_hits(algebra_corpus):
+        lat = alg.lattice()
+        expected = transpose([list(lat.comultiply(e).coords) for e in lat._basis_elements])
+        assert lat.delta_matrix() == expected
+
+
+def test_x_hat_matches_the_pure2_sum(algebra_corpus):
+    for alg in _fixtures_and_search_hits(algebra_corpus):
+        lat = alg.lattice()
+        zero = alg.ctx.zero
+        out = [0] * 8
+        us, ups = alg.partition
+        terms = [(1, alg.element(zero, u), alg.element(zero, up)) for u, up in zip(us, ups)]
+        terms += [(-1, alg.element(zero, alg.data.a_bar), alg.one), (-1, alg.element(alg.data.b_bar), alg.one)]
+        for sign, x, y in terms:
+            out = [a + sign * b for a, b in zip(out, lat.pure2(x, y))]
+        assert lat.x_hat() == out
+
+
 def test_closed_form_coordinates_match_the_projection(algebra_corpus):
     r = random.Random(21)
     for alg in algebra_corpus.values():
@@ -200,6 +242,52 @@ def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeyp
     assert lat.kernel_m_analysis(8).iso_to_A
     lat.delta_matrix()
     assert calls == [[], []]
+
+
+def test_algebra_side_maps_multiply_nothing_and_descend_two_maps(algebra_corpus, monkeypatch):
+    algs = [build_algebra(alg.data) for alg in _fixtures_and_search_hits(algebra_corpus)]
+    for alg in algs:
+        alg.lattice().tensor_power(2)  # built, and checked, once per (mu, z)
+    multiply = _counted(monkeypatch, frobenius.FrobeniusAlgebra, "multiply")
+    scalar = _counted(monkeypatch, omodule.OModule, "scalar_matrix")
+    first_factor = _counted(monkeypatch, omodule, "_first_factor")
+    for n, alg in enumerate(algs, 1):
+        lat = alg.lattice()
+        lat.kernel_m_analysis(8)
+        lat.delta_matrix()
+        lat.handle_matrix()
+        assert len(first_factor) == 2 * n
+    assert multiply == [] and scalar == []
+
+
+def _counted_property(monkeypatch, cls, name):
+    calls = []
+    func = getattr(cls, name).func
+    prop = functools.cached_property(lambda self: calls.append(1) or func(self))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+def test_search_computes_the_mu_z_table_once(ctx, mu, monkeypatch):
+    calls = [_counted_property(monkeypatch, omodule.MuZLattice, name)
+             for name in ("products", "x_quotients", "x_hat_partition")]
+    found = list(search_solutions(mu, ctx(2), coord_bound=1))
+    assert len(found) == 80
+    for alg in found:
+        assert alg.kernel_m_analysis(8).iso_to_A
+        alg.closed_surface_invariants(2)
+    assert calls == [[1], [1], [1]]
+
+
+def test_relaxed_a_bar_escapes_the_lattice_on_the_table(ctx, mu):
+    message = "product (-2+w) + (-2+w)X escapes the lattice (X-part not in mu)"
+    with pytest.raises(ClosureError) as exc:
+        family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1)).kernel_m_analysis()
+    assert str(exc.value) == message
+    with pytest.raises(ClosureError) as exc:
+        family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1)).closed_surface_invariants(2)
+    assert str(exc.value) == message
 
 
 def test_genus_zero_to_four_applies_the_handle_four_times(alg_eps1, monkeypatch):

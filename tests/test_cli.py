@@ -160,6 +160,17 @@ def test_negative_search_bounds_are_malformed(capsys):
         assert "bound must be nonnegative" in err
 
 
+def test_search_rejects_z_like_the_families(capsys):
+    for action, extra in (("search", ("--bound", "1")), ("family-eps0", ("--abar", "0", "--bbar", "1", "--eps1", "1"))):
+        argv = ("algebra", action, "-d", "-5", *extra, "--z")
+        code, out, err = run(capsys, *argv, "0")
+        assert (code, out) == (3, ""), action
+        assert err.strip() == "malformed input: z must be nonzero"
+        code, out, err = run(capsys, *argv, "3")
+        assert (code, out) == (2, ""), action
+        assert err.strip() == "rejected: integrality table cell failed: mu_squared_is_principal_z"
+
+
 def test_kernel_command(capsys):
     code, payload, _ = run_json(capsys, "kernel")
     assert code == 0

@@ -438,6 +438,25 @@ def test_negative_search_bounds_raise(ctx, mu, alg_eps0):
     assert alg_eps0.kernel_m_analysis(0).search_bound == 0
 
 
+def test_search_rejects_zero_z_before_dividing(ctx, mu):
+    with pytest.raises(ValueError, match="z must be nonzero"):
+        list(search_solutions(mu, ctx(0), coord_bound=1))
+    # the limit and bound checks come first
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        list(search_solutions(mu, ctx(0), coord_bound=1, limit=-1))
+    assert list(search_solutions(mu, ctx(0), coord_bound=1, limit=0)) == []
+
+
+def test_search_rejects_mu_squared_not_z_before_the_box(ctx, mu):
+    with pytest.raises(IntegralityViolationError) as exc:
+        next(search_solutions(mu, ctx(3), coord_bound=1))
+    assert exc.value.cell == "mu_squared_is_principal_z"
+    assert str(exc.value) == "integrality table cell failed: mu_squared_is_principal_z"
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        list(search_solutions(mu, ctx(3), coord_bound=-1))
+    assert list(search_solutions(mu, ctx(3), coord_bound=1, limit=0)) == []
+
+
 def test_generator_search_walks_lazily(ctx, mu, monkeypatch):
     found = list(search_solutions(mu, ctx(2), coord_bound=1))
     assert len(found) == 80
