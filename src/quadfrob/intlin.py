@@ -3,8 +3,8 @@
 Matrices are plain lists of rows of Python ints; everything is exact,
 arbitrary precision, and deterministic.  Empty matrices lose their column
 count, so the functions that care take an explicit ``ncols``.  Large sparse
-differentials are ``SparseMatrix`` objects, one dict per row, with their
-own rank and elimination routines at the end of the module.
+differentials are ``SparseMatrix`` objects, one dict per row; their rank,
+unit elimination and invariant factors share one pivot, a Euclid step.
 """
 
 import heapq
@@ -149,11 +149,13 @@ def hnf_rows_lower(vectors):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _smith(a, u, vt):
-    """Nonzero Smith invariants of ``a`` with U and V^T carried along.
+def smith_normal_form(a):
+    """Returns (diag, U, V, Uinv) with U*A*V diagonal.
 
-    ``u`` and ``vt`` have one row per row and per column of ``a``: identity
-    matrices to get U*A*V diagonal, or empty rows to skip the transforms.
+    diag has min(m, n) entries, nonnegative, each dividing the next nonzero
+    one, zeros last; U, V unimodular; Uinv is the exact inverse of U, read
+    off the row Hermite form of [U | I].
+
     The loop alternates row Hermite forms of [D | U] and of [D^T | V^T]
     until D is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).  It
     ends: a pass can only shrink the top-left pivot, and once its row and
@@ -162,11 +164,10 @@ def _smith(a, u, vt):
     diagonal comes first.  2x2 steps then make it a divisibility chain: with
     g = s*x + t*y, p = x/g and q = y/g,
     [s t; -q p] * diag(x, y) * [1 -tq; 1 sp] = diag(g, xy/g).
-
-    Returns (diag, u, vt): the positive invariants, each dividing the next,
-    and the carried transforms.
     """
-    d, rows, cols = a, u, vt
+    m = len(a)
+    n = len(a[0]) if a else 0
+    d, rows, cols = a, identity(m), identity(n)
     flipped = False
     while True:
         nd = len(d[0]) if d else 0
@@ -193,31 +194,18 @@ def _smith(a, u, vt):
                 ci, cj = cols[i], cols[j]
                 cols[i] = [e + f for e, f in zip(ci, cj)]
                 cols[j] = [s * p * f - t * q * e for e, f in zip(ci, cj)]
-    return diag, rows, cols
-
-
-def smith_normal_form(a):
-    """Returns (diag, U, V, Uinv) with U*A*V diagonal.
-
-    diag has min(m, n) entries, nonnegative, each dividing the next nonzero
-    one, zeros last; U, V unimodular; Uinv is the exact inverse of U, read
-    off the row Hermite form of [U | I].
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    diag, u, vt = _smith(a, identity(m), identity(n))
-    uinv = [row[m:] for row in hnf_rows([[*r, *e] for r, e in zip(u, identity(m))])]
-    return diag + [0] * (min(m, n) - len(diag)), u, transpose(vt), uinv
+    uinv = [row[m:] for row in hnf_rows([[*r, *e] for r, e in zip(rows, identity(m))])]
+    return diag + [0] * (min(m, n) - len(diag)), rows, transpose(cols), uinv
 
 
 def snf_diagonal(a):
     """The diagonal of ``smith_normal_form(a)`` without its transforms:
     min(m, n) nonnegative entries, each dividing the next nonzero one, zeros
-    last.  The same loop, with no transforms carried.
+    last.  ``invariant_factors`` on the rows of ``a``, padded with zeros.
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    diag, _, _ = _smith(a, [[]] * m, [[]] * n)
+    diag = invariant_factors([{j: e for j, e in enumerate(row) if e} for row in a])
     return diag + [0] * (min(m, n) - len(diag))
 
 
@@ -410,12 +398,12 @@ class SparseMatrix:
 class _Eliminator:
     """Rows of a sparse matrix plus a column index, under pivoting.
 
-    ``pivot(r, c)`` clears column c from every other row with row r and then
-    drops row r and column c.  It runs one of three loops, chosen once per
-    pivot: with a modulus every entry is kept reduced mod p; over Z with a
-    unit pivot it is the Gaussian-elimination update e - (x / pivot) * row_r;
-    with any other pivot it is fraction-free (both rows scaled, the result
-    divided by its content).
+    ``pivot(r, c)`` subtracts a multiple of row r from every other row of
+    column c: mod p it clears the entry x, keeping every entry reduced mod
+    p; over Z the multiple is x // pivot, a unimodular Euclid step (Havas
+    and Majewski, J. Symbolic Comput. 24, 1997) that leaves x mod pivot,
+    so a unit pivot gives the Gaussian update.  Row r stays; a caller drops
+    it with ``drop_row`` once it is alone in its column.
     """
 
     def __init__(self, rows, modulus=None):
@@ -448,13 +436,13 @@ class _Eliminator:
                 del rows[i]
 
     def pivot(self, r, c):
-        """Eliminates with the entry (r, c); returns the rows it changed."""
-        rows = self.rows
-        prow = rows.pop(r)
-        self._unlink(r, prow)
+        """Reduces column c by the entry (r, c); returns the rows it changed."""
+        rows, cols = self.rows, self.cols
+        prow = rows[r]
         pv = prow[c]
         rest = [(j, e) for j, e in prow.items() if j != c]
-        touched = list(self.cols.pop(c, ()))
+        touched = [i for i in cols[c] if i != r]
+        cols[c] = col = {r}
         p = self.p
         if p is not None:
             inv = pow(pv, -1, p)
@@ -463,32 +451,18 @@ class _Eliminator:
                 self._sub_mod(i, row, row.pop(c) * inv % p, rest, p)
                 if not row:
                     del rows[i]
-        elif pv == 1 or pv == -1:
-            for i in touched:
-                row = rows[i]
-                self._sub(i, row, row.pop(c) * pv, rest)
-                if not row:
-                    del rows[i]
         else:
             for i in touched:
                 row = rows[i]
-                x = row.pop(c)
-                g = math.gcd(pv, x)
-                scale = pv // g
-                for j in row:
-                    row[j] *= scale
-                self._sub(i, row, x // g, rest)
+                q, x = divmod(row[c], pv)
+                if x:
+                    row[c] = x
+                    col.add(i)
+                else:
+                    del row[c]
+                self._sub(i, row, q, rest)
                 if not row:
                     del rows[i]
-                elif scale != 1:
-                    g = 0
-                    for e in row.values():
-                        g = math.gcd(g, e)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for j in row:
-                            row[j] //= g
         return touched
 
     def _unlink(self, i, js):
@@ -552,10 +526,11 @@ def sparse_rank(a, modulus=None):
     Over F_2 each row is one int, bit j set iff entry j is odd; the rows are
     reduced by XOR against a basis keyed by lowest set bit, and the rank is
     the size of the basis.  Otherwise: elimination column by column from the
-    sparsest at the start, pivoting on the entry of the shortest row, and
-    over Q on a unit entry first if the column has one (mod p every stored
-    entry is a unit).  Over Q the elimination is fraction-free.  A column
-    that empties never refills, so one pass clears the matrix.
+    sparsest at the start.  Mod p every stored entry is a unit, and the
+    pivot is the entry of the shortest row.  Over Q the pivot is the entry
+    of least |value| (ties: the shortest row), and Euclid steps repeat
+    until the pivot row is alone in its column.  A column that empties
+    never refills, so one pass clears the matrix.
     """
     if modulus == 2:
         basis = {}
@@ -576,14 +551,46 @@ def sparse_rank(a, modulus=None):
     rows, cols = elim.rows, elim.cols
     rank = 0
     for c in sorted(cols, key=lambda j: len(cols[j])):
-        if c in cols:
+        while c in cols:
             if modulus is None:
-                r = min(cols[c], key=lambda i: (rows[i][c] not in (1, -1), len(rows[i])))
+                r = min(cols[c], key=lambda i: (abs(rows[i][c]), len(rows[i])))
             else:
                 r = min(cols[c], key=lambda i: len(rows[i]))
             elim.pivot(r, c)
-            rank += 1
+            if len(cols[c]) == 1:
+                elim.drop_row(r)
+                rank += 1
     return rank
+
+
+def invariant_factors(rows):
+    """The nonzero Smith invariants of the integer matrix with the given
+    rows (dicts {column: entry}), positive, each dividing the next.
+
+    The entry of least |value| (ties: the shortest row) reduces its column
+    by Euclid steps, and then, alone in its column, its row by column steps
+    that touch no other row.  Once the row is clear, |pivot| splits off.
+    Each remainder is smaller than the pivot, so the loop ends.  Pairwise
+    gcd/lcm steps make the split-off values a divisibility chain.
+    """
+    elim = _Eliminator(rows)
+    rows, cols = elim.rows, elim.cols
+    diag = []
+    while rows:
+        _, _, r, c = min((abs(e), len(row), i, j) for i, row in rows.items() for j, e in row.items())
+        elim.pivot(r, c)
+        if len(cols[c]) == 1:
+            row = rows[r]
+            pv = row[c]
+            elim._sub(r, row, 1, [(j, e - e % pv) for j, e in row.items() if j != c])
+            if len(row) == 1:
+                diag.append(abs(pv))
+                elim.drop_row(r)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def reduce_units(diffs, ranks):
@@ -624,7 +631,9 @@ def reduce_units(diffs, ranks):
             heappush(heap, (now, k, i, j))
             continue
         changed = [c for c in row if c != j]
-        for t in e.pivot(i, j):
+        touched = e.pivot(i, j)
+        e.drop_row(i)
+        for t in touched:
             trow = rows.get(t)
             if trow:
                 for c in changed:

@@ -15,14 +15,15 @@ integer blocks read off from m and Delta(1) (``omodule.MonomialTensors``).
 Differentials are sparse.
 
 Homology is computed once per complex: ranks over Q of the differentials,
-Gaussian elimination of unit entries, and Smith forms of what is left; the
-free Z-ranks must match the ranks over Q, and ranks mod p must match the
+Gaussian elimination of unit entries, and the invariant factors of what is
+left, all on sparse rows with the one Euclid pivot of ``intlin``; the free
+Z-ranks must match the ranks over Q, and ranks mod p must match the
 universal-coefficient count of the torsion.
 
 Homological degree is |v| - n_minus.
 """
 
-from .intlin import SparseMatrix, reduce_units, snf_diagonal, sparse_rank
+from .intlin import SparseMatrix, invariant_factors, reduce_units, sparse_rank
 from .omodule import MonomialTensors
 from .ring import CheckFailedError, Value, _set, json_int
 
@@ -427,13 +428,12 @@ def _dims_from_ranks(cx, diff_ranks):
 
 def smith_homology(cx):
     """Per-degree (free Z-rank, torsion invariants) from the invariant
-    factors of each differential: H^i has torsion the non-unit invariant
-    factors of d_(i-1).  Meant for the small complex left after elimination."""
+    factors of each differential's sparse rows: H^i has torsion the non-unit
+    ones of d_(i-1).  Meant for the small complex left after elimination."""
     ranks = []
     torsion = []
     for d in cx.diffs:
-        diag = snf_diagonal(d.to_dense()) if d.nnz() else []
-        nonzero = [e for e in diag if e]
+        nonzero = invariant_factors(d.rows)
         ranks.append(len(nonzero))
         torsion.append([e for e in nonzero if e != 1])
     free = _dims_from_ranks(cx, ranks)
@@ -492,8 +492,8 @@ def _prime_factors(n):
 
 
 def homology_integral(cx):
-    """Per-degree abelian-group homology: unit elimination, then Smith
-    forms of the small remainder."""
+    """Per-degree abelian-group homology: unit elimination, then the
+    invariant factors of the small remainder."""
     h = _homology(cx)
     out = {}
     total_k = 0

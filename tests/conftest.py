@@ -54,6 +54,23 @@ def rng(seed=0):
     return random.Random(seed)
 
 
+# nonzero entries with no unit among them
+NON_UNITS = (2, -2, 3, -3, 6, -10, 35)
+
+
+def unit_free_matrices(seed, count, max_dim=5):
+    """Seeded integer matrices whose nonzero entries are all non-units, so
+    every pivot of an elimination over Z is a Euclid step.  The first seven
+    are the edge cases: no rows, all-zero rows and columns, 1x1 with a
+    negative and a positive entry, and one row and one column."""
+    r = random.Random(seed)
+    out = [[], [[0, 0, 0]], [[0], [0]], [[-6]], [[35]], [[-2, 3]], [[-10], [6]]]
+    while len(out) < count:
+        m, n, density = r.randint(1, max_dim), r.randint(1, max_dim), r.random()
+        out.append([[r.choice(NON_UNITS) if r.random() < density else 0 for _ in range(n)] for _ in range(m)])
+    return out
+
+
 def random_ring_element(ctx, r, bound=9):
     return ctx(r.randint(-bound, bound), r.randint(-bound, bound))
 

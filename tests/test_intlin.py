@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations
 
+from conftest import unit_free_matrices
 from quadfrob.intlin import (
     IntSolver,
     det_int,
@@ -72,6 +73,7 @@ def test_snf_roundtrip_random():
 
 def test_snf_diagonal_matches_smith_normal_form():
     r = random.Random(8)
+    mats = []
     for _ in range(300):
         m = random_matrix(r, r.randint(1, 7), r.randint(1, 7), r.choice((1, 3, 9, 40)))
         for row in m:
@@ -80,8 +82,10 @@ def test_snf_diagonal_matches_smith_normal_form():
                     row[j] = 0
         if len(m) > 1 and r.random() < 0.2:
             m[-1] = [2 * e for e in m[0]]
+        mats.append(m)
+    for m in mats + unit_free_matrices(18, 150, max_dim=7):
         diag = snf_diagonal(m)
-        assert len(diag) == min(len(m), len(m[0]))
+        assert len(diag) == min(len(m), len(m[0]) if m else 0)
         assert all(e >= 0 for e in diag)
         nonzero = [e for e in diag if e]
         assert diag[: len(nonzero)] == nonzero
@@ -92,7 +96,7 @@ def determinantal_invariants(a):
     """Smith invariants from determinantal divisors, independent of either
     Smith routine: s_k = d_k / d_(k-1), with d_k the gcd of the k x k minors
     and d_0 = 1; once some d_k is 0, every later invariant is 0."""
-    m, n = len(a), len(a[0])
+    m, n = len(a), len(a[0]) if a else 0
     out = []
     prev = 1
     for k in range(1, min(m, n) + 1):
@@ -109,6 +113,7 @@ def determinantal_invariants(a):
 
 def test_smith_forms_match_determinantal_divisors():
     r = random.Random(9)
+    mats = []
     for _ in range(200):
         m = random_matrix(r, r.randint(1, 5), r.randint(1, 5), r.choice((1, 3, 9, 40)))
         for row in m:
@@ -117,6 +122,8 @@ def test_smith_forms_match_determinantal_divisors():
                     row[j] = 0
         if len(m) > 1 and r.random() < 0.2:
             m[-1] = [3 * e for e in m[0]]
+        mats.append(m)
+    for m in mats + unit_free_matrices(19, 100):
         expected = determinantal_invariants(m)
         assert snf_diagonal(m) == expected, m
         assert smith_normal_form(m)[0] == expected, m

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from quadfrob import cli, corpus, linkhom
+from conftest import unit_free_matrices
+from quadfrob import cli, corpus, intlin, linkhom, omodule
 from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
 from quadfrob.linkhom import (
     CheckFailedError,
@@ -137,7 +138,8 @@ def test_sparse_rank_matches_rank_rat(seed):
     a = [[r.choice((0, 0, 0, 1, -1, 3)) for _ in range(k)] for _ in range(m)]
     b = [[r.choice((0, 0, 2, -1, 5)) for _ in range(n)] for _ in range(k)]
     mats.append(mat_mul(a, b, b_ncols=n))
-    for d in mats:
+    # plus matrices on which every pivot over Q is a Euclid step
+    for d in mats + unit_free_matrices(200 + seed, 12, max_dim=9):
         sm = SparseMatrix.from_dense(d)
         assert sparse_rank(sm) == rank_rat(d)
         for p in (2, 3):
@@ -196,6 +198,23 @@ def test_reduce_units_keeps_homotopy_type(alg_worked):
     # Euler characteristic is a homotopy invariant
     euler = sum((-1) ** i * r for i, r in enumerate(cx.ranks))
     assert euler == sum((-1) ** i * r for i, r in enumerate(small.ranks))
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_homology_makes_no_matrix_dense(algebra_corpus, monkeypatch):
+    calls = [_counted(monkeypatch, intlin.SparseMatrix, "to_dense")]
+    calls += [_counted(monkeypatch, module, "smith_normal_form") for module in (intlin, omodule)]
+    pds = [corpus.diagram(name) for name in corpus.names()] + [corpus.braid_closure((1, 2) * 4, 3)]
+    for alg in algebra_corpus.values():
+        for pd in pds:
+            homology_integral(build_complex(pd, alg))
+    assert calls == [[], [], []]
 
 
 def _copy(cx):
