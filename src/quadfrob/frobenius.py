@@ -77,13 +77,13 @@ class FrobeniusData(Value):
         _set(self, "eps_x_bar", eps_x_bar)
 
     def a(self):
-        return self.a_bar.to_field() / self.z.to_field()
+        return self.a_bar.field_quotient(self.z)
 
     def b(self):
-        return self.b_bar.to_field() / self.z.to_field()
+        return self.b_bar.field_quotient(self.z)
 
     def eps_x(self):
-        return self.eps_x_bar.to_field() / self.z.to_field()
+        return self.eps_x_bar.field_quotient(self.z)
 
     def t_bar(self):
         """t_bar = a_bar*eps_x_bar/z + b_bar*eps(1); must land in O."""
@@ -91,7 +91,7 @@ class FrobeniusData(Value):
         return prod.exact_div(self.z) + self.b_bar * self.eps_one
 
     def t(self):
-        return self.t_bar().to_field() / self.z.to_field()
+        return self.t_bar().field_quotient(self.z)
 
     def delta_tilde(self):
         """det of the trace pairing in the K-basis {1, X}."""
@@ -364,7 +364,7 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
     # the closed forms over K times z^2: c = t_bar z / D_bar, d = -eps_x_bar z
     # / D_bar, d' = eps(1) z / D_bar with D_bar = z^2 delta~, all in O or failed
     delta_bar = data.eps_one * t_bar * z - data.eps_x_bar * data.eps_x_bar
-    report.values["delta_tilde"] = str(delta_bar.to_field() / (z * z).to_field())
+    report.values["delta_tilde"] = str(delta_bar.field_quotient(z * z))
     report.values["t_bar"] = str(t_bar)
     if delta_bar.is_zero():
         report.notes.append("degenerate trace: pairing determinant is zero")
@@ -397,7 +397,7 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
     if not route1:
         return reject()
 
-    duals = DualSolution(c=c, d=d, c_prime=d.to_field() / z.to_field(), d_prime=d_prime)
+    duals = DualSolution(c=c, d=d, c_prime=d.field_quotient(z), d_prime=d_prime)
     report.values.update(
         c=str(duals.c), d=str(duals.d), c_prime=str(duals.c_prime), d_prime=str(duals.d_prime)
     )

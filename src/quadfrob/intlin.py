@@ -344,11 +344,6 @@ class SparseMatrix:
         self.ncols = ncols
         self.rows = rows if rows is not None else [{} for _ in range(nrows)]
 
-    @classmethod
-    def from_dense(cls, a, ncols=None):
-        n = len(a[0]) if a else (ncols or 0)
-        return cls(len(a), n, [{j: e for j, e in enumerate(row) if e} for row in a])
-
     def to_dense(self):
         out = zeros(self.nrows, self.ncols)
         for orow, row in zip(out, self.rows):

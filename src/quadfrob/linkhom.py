@@ -118,10 +118,6 @@ class PDCode(Value):
         return succ
 
     @property
-    def n_plus(self):
-        return sum(1 for s in self.signs if s > 0)
-
-    @property
     def n_minus(self):
         return sum(1 for s in self.signs if s < 0)
 
@@ -256,20 +252,11 @@ class Complex:
     def degrees(self):
         return range(self.min_degree, self.min_degree + len(self.ranks))
 
-    def diff_from(self, i):
-        idx = i - self.min_degree
-        if 0 <= idx < len(self.diffs):
-            return self.diffs[idx]
-        return None
-
     def rank(self, i):
         idx = i - self.min_degree
         if 0 <= idx < len(self.ranks):
             return self.ranks[idx]
         return 0
-
-    def total_rank(self):
-        return sum(self.ranks)
 
     def check_d_squared(self):
         for i in range(len(self.diffs) - 1):
@@ -277,13 +264,53 @@ class Complex:
                 raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
 
     def check_equivariance(self):
+        """d_i A_i = A_(i+1) d_i for every differential, checked on 2x2
+        blocks.  Every sqrt(d)-action is block-diagonal with 2x2 blocks at
+        even offsets (an entry outside them raises EquivarianceError), so on
+        the block D of d at (R, C) the entries of dA - Ad are those of
+        D A_C - A_R D, with A_R and A_C the action blocks at R and C.  Each
+        distinct (D, A_R, A_C) is multiplied once."""
         if self.actions is None:
             raise ValueError("needs the unsimplified, equivariant complex")
-        for i, d in enumerate(self.diffs):
-            if d @ self.actions[i] != self.actions[i + 1] @ d:
+        action_blocks = []
+        for i, action in enumerate(self.actions):
+            blocks = _blocks_of(action)
+            if any(r != c for r, c in blocks):
                 raise EquivarianceError(
-                    f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
+                    f"sqrt(d)-action at degree {self.min_degree + i} has an entry outside its 2x2 diagonal blocks"
                 )
+            action_blocks.append({r: blk for (r, _), blk in blocks.items()})
+        zero = (0, 0, 0, 0)
+        commuting = set()
+        for i, d in enumerate(self.diffs):
+            on_src, on_tgt = action_blocks[i], action_blocks[i + 1]
+            for (r, c), blk in _blocks_of(d).items():
+                key = (blk, on_tgt.get(r, zero), on_src.get(c, zero))
+                if key in commuting:
+                    continue
+                if _mul2(blk, key[2]) != _mul2(key[1], blk):
+                    raise EquivarianceError(
+                        f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
+                    )
+                commuting.add(key)
+
+
+def _blocks_of(m):
+    """The nonzero 2x2 blocks at even offsets of a SparseMatrix:
+    (row // 2, column // 2) -> (a, b, c, d), read row by row."""
+    out = {}
+    for r, row in enumerate(m.rows):
+        for c, e in row.items():
+            blk = out.setdefault((r >> 1, c >> 1), [0, 0, 0, 0])
+            blk[2 * (r & 1) + (c & 1)] = e
+    return {key: tuple(blk) for key, blk in out.items()}
+
+
+def _mul2(p, q):
+    """The product of two 2x2 matrices held as (a, b, c, d) row by row."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def build_complex(pd, alg):

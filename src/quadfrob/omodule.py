@@ -344,14 +344,22 @@ class KernelReport:
 
 
 class MuZLattice:
-    """The part of A = O 1 + mu X that depends only on mu and z: the facts
-    validation reads (``squares_to_z``, ``mu_principal``, ``partition``),
-    the 2x2 blocks between the summand lattices O and mu (``block``), A as
-    a Z-lattice with its sqrt(d)-action, the tensor powers A^(x n) with
-    their projections, sections and actions, the 12 products of A's basis
-    with at most one X factor and the quotients g_i g_j / z of the other
-    four (``products``, ``x_quotients``), and the partition term of X_hat
-    (``x_hat_partition``).
+    """The part of A = O 1 + mu X that depends only on mu and z, the first
+    of an algebra's three lattice layers: the facts validation reads
+    (``squares_to_z``, ``mu_principal``, ``partition``), the 2x2 blocks
+    between the summand lattices O and mu (``block``), A as a Z-lattice
+    with its sqrt(d)-action, the tensor powers A^(x n) with their
+    projections, sections and actions, the descent of L (x) id to
+    A (x)_O A (``on_quotient_first_factor``), X_u in closed form (``x_u``),
+    the 12 products of A's basis with at most one X factor and the
+    quotients g_i g_j / z of the other four (``products``,
+    ``x_quotients``), and the partition term of X_hat (``x_hat_partition``).
+
+    It also keeps the second layer: one ``MultiplicationLattice`` per
+    distinct (a_bar, b_bar) asked for (``multiplication``), so that the
+    algebras sharing this lattice and a multiplication share m, the X-maps
+    and the ker(m) analysis.  The third layer, what needs the counit, is
+    each algebra's ``AlgebraLattice``.
 
     Every algebra with the same (mu, z) has the same ones, so
     ``search_solutions`` builds one per search and validates every candidate
@@ -372,6 +380,7 @@ class MuZLattice:
         on_o, on_mu = self.sqrt_d_blocks
         self.A = OModule(ctx.d, 4, [[*row, 0, 0] for row in on_o] + [[0, 0, *row] for row in on_mu])
         self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
+        self._multiplications = {}  # (a_bar, b_bar) -> MultiplicationLattice
 
     @functools.cached_property
     def squares_to_z(self):
@@ -425,6 +434,16 @@ class MuZLattice:
             s = s + (u * up).exact_div(self.z)
         return (0, 0, 0, 0, 0, 0, s.x, s.y)
 
+    def multiplication(self, a_bar, b_bar, closed_product):
+        """The ``MultiplicationLattice`` of (a_bar, b_bar) over this lattice,
+        made on the first request for the pair and kept.  ``closed_product``
+        is an algebra's ``FrobeniusAlgebra.closed_product``, which reads
+        only mu; the first request's is the one kept."""
+        key = (a_bar, b_bar)
+        if key not in self._multiplications:
+            self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar, closed_product)
+        return self._multiplications[key]
+
     def block(self, factor, src_par, tgt_par):
         """Matrix of c -> factor * c (factor in K) from the summand lattice of
         parity ``src_par`` (0: O, basis 1, sqrt(d); 1: mu, basis g1, g2) to that of ``tgt_par``."""
@@ -434,6 +453,21 @@ class MuZLattice:
     def coords(self, elt):
         a, b = self.mu.basis_coords(elt.u1)
         return [elt.u0.x, elt.u0.y, a, b]
+
+    def x_u(self, u):
+        """X_u = uX (x) 1 - 1 (x) uX: u on X(x)1 less u on 1(x)X."""
+        a, b = self.mu.basis_coords(u)
+        return [0, 0, -a, -b, a, b, 0, 0]
+
+    def on_quotient_first_factor(self, l_matrix):
+        """Descends L (x) id to A (x)_O A: proj (L (x) I) section, where
+        proj (L (x) I) has rows (L^T (x) I) applied to the rows of proj."""
+        t2 = self.tensor_power(2)
+        proj_l = _first_factor(transpose(l_matrix), t2.proj)
+        out = mat_mul(proj_l, t2.section)
+        if mat_mul(out, t2.proj) != proj_l:
+            raise NotWellDefinedError("first-factor action not well defined on the quotient")
+        return out
 
     def tensor_power(self, n):
         """A^(x n) in monomial coordinates, projected from the Z-tensor
@@ -469,24 +503,188 @@ class MuZLattice:
         return self._powers[n]
 
 
+class MultiplicationLattice:
+    """The part of A = O 1 + mu X that depends on (mu, z, a_bar, b_bar) but
+    not on the counit, the middle of an algebra's three lattice layers:
+    the four X (x) X columns q_ij (b_bar + a_bar X) of the multiplication
+    table (closure-checked like ``FrobeniusAlgebra.multiply``), m on
+    A (x)_O A, the descended maps (g_i X .) (x) id, X_hat, and the ker(m)
+    analysis: ker(m) = X_mu + O X_hat, the two action identities and, per
+    search bound, the single-generator search.
+
+    ``MuZLattice.multiplication`` keeps one per distinct (a_bar, b_bar), so
+    the algebras of a search that share the pair, and their twists, share
+    it.  Each piece is built, and checked, on first use and then kept; a
+    check that raises keeps nothing, so the next call raises again.  The
+    matrices returned are shared: do not mutate them.  ``kernel_m_analysis``
+    returns a fresh report per call.
+    """
+
+    def __init__(self, mu_z, a_bar, b_bar, closed_product):
+        self.mu_z = mu_z
+        self.a_bar = a_bar
+        self.b_bar = b_bar
+        self._closed_product = closed_product
+        self._products = [None] * 4
+        self._m = None
+        self._x_maps = None
+        self._kernel = None
+        self._generators = {}  # search_bound -> (generator, notes)
+
+    def products_of(self, i):
+        """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
+        row of the multiplication table is computed once.  Only the X (x) X
+        entries, q_ij (b_bar + a_bar X), are computed here; the rest are
+        the (mu, z) products of ``MuZLattice.products``."""
+        row = self._products[i]
+        if row is None:
+            mu_z = self.mu_z
+            row = list(mu_z.products[i])
+            if i >= 2:
+                for j, q in enumerate(mu_z.x_quotients[i - 2], 2):
+                    row[j] = mu_z.coords(self._closed_product(q * self.b_bar, q * self.a_bar))
+            self._products[i] = row
+        return row
+
+    def m_matrix(self):
+        """Multiplication A (x)_O A -> A, through the section."""
+        if self._m is None:
+            m_z = transpose([col for i in range(4) for col in self.products_of(i)], ncols=16)
+            t2 = self.mu_z.tensor_power(2)
+            m_quot = mat_mul(m_z, t2.section)
+            if mat_mul(m_quot, t2.proj) != m_z:
+                raise NotWellDefinedError("multiplication not constant on quotient fibers")
+            self._m = m_quot
+        return self._m
+
+    def x_first_factor_maps(self):
+        """(g1 X .) (x) id and (g2 X .) (x) id descended to A (x)_O A, each
+        checked by ``MuZLattice.on_quotient_first_factor``."""
+        if self._x_maps is None:
+            self._x_maps = [
+                self.mu_z.on_quotient_first_factor(transpose(self.products_of(i), ncols=4)) for i in (2, 3)
+            ]
+        return self._x_maps
+
+    def x_hat(self):
+        """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1): the
+        (mu, z) partition term less a_bar on X(x)1 and b_bar on 1(x)1."""
+        a, b = self.mu_z.mu.basis_coords(self.a_bar)
+        out = list(self.mu_z.x_hat_partition)
+        out[0] -= self.b_bar.x
+        out[1] -= self.b_bar.y
+        out[4] -= a
+        out[5] -= b
+        return out
+
+    def _kernel_parts(self):
+        """What no search bound changes: ker(m) with its Hermite form,
+        X_g1, X_g2 and X_hat, whose span must be ker(m) = X_mu + O X_hat,
+        and whether the two action identities hold."""
+        if self._kernel is None:
+            mu_z = self.mu_z
+            t2 = mu_z.tensor_power(2)
+            j2 = t2.module.action
+            ker_mod, incl = kernel_module(OMorphism(t2.module, mu_z.A, self.m_matrix()))
+            ker_rows = transpose(incl, ncols=ker_mod.rank)
+            if ker_mod.rank != 4:
+                raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
+            ker_hnf = hnf_rows(ker_rows)
+
+            xus = [mu_z.x_u(g) for g in mu_z.gens]
+            xhat = self.x_hat()
+            jxhat = mat_vec(j2, xhat)
+            span = hnf_rows([*xus, xhat, jxhat])
+            direct_sum = (
+                len(span) == 4
+                and span == ker_hnf
+                and len(hnf_rows(xus)) == 2
+                and len(hnf_rows([xhat, jxhat])) == 2
+            )
+            if not direct_sum:
+                raise DirectSumFailureError("ker(m) != X_mu + O*Xhat as lattices")
+
+            # the two multiplication-action identities on ker(m); o in O acts on
+            # a vector v of A (x)_O A as o.x v + o.y J v
+            formulas_ok = True
+            for u, lmat, quotients in zip(mu_z.gens, self.x_first_factor_maps(), mu_z.x_quotients):
+                lhs = mat_vec(lmat, xhat)
+                coeff = (u * self.a_bar).exact_div(mu_z.z)
+                rhs = [coeff.x * a + coeff.y * b - c for a, b, c in zip(xhat, jxhat, mu_z.x_u(self.b_bar * u))]
+                formulas_ok = formulas_ok and lhs == rhs
+                for xup, q in zip(xus, quotients):
+                    rhs2 = [-(q.x * a + q.y * b) for a, b in zip(xhat, jxhat)]
+                    formulas_ok = formulas_ok and mat_vec(lmat, xup) == rhs2
+            self._kernel = (ker_rows, ker_hnf, xus, xhat, formulas_ok)
+        return self._kernel
+
+    def _generator(self, search_bound):
+        """(generator, notes) of the walk over u = 0 and mu's lattice points
+        within ``search_bound`` for u with -b_bar + u (a_bar + u) / z a unit
+        and X_hat - X_u generating ker(m) over A."""
+        if search_bound not in self._generators:
+            mu_z = self.mu_z
+            _, ker_hnf, _, xhat, _ = self._kernel_parts()
+            j2 = mu_z.tensor_power(2).module.action
+            lmats = self.x_first_factor_maps()
+            generator = None
+            notes = []
+            for u in itertools.chain([mu_z.ctx.zero], mu_z.mu.lattice_points(search_bound)):
+                val = -self.b_bar + (u * (self.a_bar + u)).exact_div(mu_z.z)
+                if not val.is_unit():
+                    continue
+                xtilde = [a - b for a, b in zip(xhat, mu_z.x_u(u))]
+                orbit = [xtilde, mat_vec(j2, xtilde), mat_vec(lmats[0], xtilde), mat_vec(lmats[1], xtilde)]
+                if hnf_rows(orbit) == ker_hnf:
+                    generator = (u, val)
+                    break
+                notes.append(f"unit value at u={u} but orbit is a proper sublattice")
+            if generator is None:
+                notes.append(f"no generator found within coordinate bound {search_bound}")
+            self._generators[search_bound] = (generator, tuple(notes))
+        return self._generators[search_bound]
+
+    def kernel_m_analysis(self, search_bound):
+        """The ker(m) report with the generator search at ``search_bound``;
+        each call returns a fresh KernelReport, so no caller can change
+        another's."""
+        if search_bound < 0:
+            raise ValueError("bound must be nonnegative")
+        ker_rows, _, xus, xhat, formulas_ok = self._kernel_parts()
+        generator, notes = self._generator(search_bound)
+        return KernelReport(
+            kernel_basis=[list(row) for row in ker_rows],
+            xu_basis=[list(v) for v in xus],
+            xhat=list(xhat),
+            direct_sum_verified=True,
+            action_formulas_verified=formulas_ok,
+            generator=generator,
+            iso_to_A=generator is not None,
+            search_bound=search_bound,
+            notes=list(notes),
+        )
+
+
 class AlgebraLattice:
     """Z-lattice presentations of A and its tensor powers, with the
     structure maps as integer matrices on monomial coordinates.
 
-    ``mu_z`` is the MuZLattice of the algebra's mu and z, which may be
-    shared with other algebras.  What is computed here, once per algebra,
-    is what depends on a_bar and b_bar: the four X (x) X columns
-    q_ij (b_bar + a_bar X) of the multiplication table (closure-checked
-    like ``FrobeniusAlgebra.multiply``), a_bar and b_bar in X_hat, the
-    descended maps (g_i X .) (x) id, Delta(1) and from them Delta and the
-    handle operator.  O acts on vectors of A (x)_O A as x v + y J v.
+    An algebra's lattice has three layers.  ``mu_z``, the MuZLattice of the
+    algebra's mu and z, holds what depends only on (mu, z) and may be
+    shared with other algebras.  ``mult``, its MultiplicationLattice of
+    (a_bar, b_bar), holds m, the descended maps (g_i X .) (x) id, X_hat
+    and the ker(m) analysis, shared by every algebra on the same
+    ``mu_z`` with the same (a_bar, b_bar).  What is computed here, once per
+    algebra, is what needs the counit: Delta(1), Delta and the handle
+    operator.  O acts on vectors of A (x)_O A as x v + y J v.
 
     On A (x)_O A the coordinates are read in closed form: ``pure2`` puts
     x0 y0, x0 y1, x1 y0 and x1 y1 / z on the summands 1(x)1, 1(x)X, X(x)1
-    and X(x)X, and ``x_u`` is (0, 0, -a, -b, a, b, 0, 0) for u = a g1 + b g2;
-    the tests keep the projection of the Z-tensor square as their oracle.
-    L (x) id is applied to vectors of the Z-tensor square as L times the
-    vector reshaped to 4x4 (``_first_factor``), never as a 16x16 ``kron``.
+    and X(x)X, and ``MuZLattice.x_u`` is (0, 0, -a, -b, a, b, 0, 0) for
+    u = a g1 + b g2; the tests keep the projection of the Z-tensor square
+    as their oracle.  L (x) id is applied to vectors of the Z-tensor square
+    as L times the vector reshaped to 4x4 (``_first_factor``), never as a
+    16x16 ``kron``.
     """
 
     def __init__(self, alg, mu_z):
@@ -494,6 +692,7 @@ class AlgebraLattice:
             raise ValueError("the (mu, z) lattice belongs to another mu or z")
         self.alg = alg
         self.mu_z = mu_z
+        self.mult = mu_z.multiplication(alg.data.a_bar, alg.data.b_bar, alg.closed_product)
         ctx = alg.ctx
         self.ctx = ctx
         self.mu = alg.mu
@@ -506,9 +705,6 @@ class AlgebraLattice:
             alg.element(ctx.zero, g1),
             alg.element(ctx.zero, g2),
         )
-        self._products = [None] * 4
-        self._m = None
-        self._x_maps = None
         self._delta1_lift = None
         self._delta = None
         self._handle = None
@@ -533,59 +729,15 @@ class AlgebraLattice:
         basis_coords = self.mu.basis_coords
         return [one_one.x, one_one.y, *basis_coords(x.u0 * y.u1), *basis_coords(x.u1 * y.u0), x_x.x, x_x.y]
 
-    def _products_of(self, i):
-        """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
-        row of the multiplication table is computed once.  Only the X (x) X
-        entries, q_ij (b_bar + a_bar X), depend on the algebra; the rest
-        are the (mu, z) products of ``MuZLattice.products``."""
-        row = self._products[i]
-        if row is None:
-            row = list(self.mu_z.products[i])
-            if i >= 2:
-                alg = self.alg
-                a_bar, b_bar = alg.data.a_bar, alg.data.b_bar
-                for j, q in enumerate(self.mu_z.x_quotients[i - 2], 2):
-                    row[j] = self.coords(alg.closed_product(q * b_bar, q * a_bar))
-            self._products[i] = row
-        return row
-
     def left_mult_matrix(self, x):
         """Left multiplication by x on A; columns are coords(x * e_i)."""
         if x in self._basis_elements:
-            cols = self._products_of(self._basis_elements.index(x))
+            cols = self.mult.products_of(self._basis_elements.index(x))
         else:
             cols = [self.coords(self.alg.multiply(x, e)) for e in self._basis_elements]
         return transpose(cols, ncols=4)
 
-    def on_quotient_first_factor(self, l_matrix):
-        """Descends L (x) id to A (x)_O A: proj (L (x) I) section, where
-        proj (L (x) I) has rows (L^T (x) I) applied to the rows of proj."""
-        t2 = self.tensor_power(2)
-        proj_l = _first_factor(transpose(l_matrix), t2.proj)
-        out = mat_mul(proj_l, t2.section)
-        if mat_mul(out, t2.proj) != proj_l:
-            raise NotWellDefinedError("first-factor action not well defined on the quotient")
-        return out
-
-    def x_first_factor_maps(self):
-        """(g1 X .) (x) id and (g2 X .) (x) id descended to A (x)_O A, each
-        checked by ``on_quotient_first_factor``; built once per algebra."""
-        if self._x_maps is None:
-            self._x_maps = [self.on_quotient_first_factor(transpose(self._products_of(i), ncols=4)) for i in (2, 3)]
-        return self._x_maps
-
     # -- structure maps ------------------------------------------------------
-
-    def m_matrix(self):
-        """Multiplication A (x)_O A -> A, through the section."""
-        if self._m is None:
-            m_z = transpose([col for i in range(4) for col in self._products_of(i)], ncols=16)
-            t2 = self.tensor_power(2)
-            m_quot = mat_mul(m_z, t2.section)
-            if mat_mul(m_quot, t2.proj) != m_z:
-                raise NotWellDefinedError("multiplication not constant on quotient fibers")
-            self._m = m_quot
-        return self._m
 
     def delta_one_lift(self):
         """Integral lift of Delta(1) to the Z-tensor square:
@@ -623,13 +775,13 @@ class AlgebraLattice:
         if self._delta is None:
             d1 = list(self.delta_one().coords)
             cols = [d1, mat_vec(self.tensor_power(2).module.action, d1)]
-            cols += [mat_vec(l_map, d1) for l_map in self.x_first_factor_maps()]
+            cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
             self._delta = transpose(cols, ncols=8)
         return self._delta
 
     def handle_matrix(self):
         if self._handle is None:
-            self._handle = mat_mul(self.m_matrix(), self.delta_matrix())
+            self._handle = mat_mul(self.mult.m_matrix(), self.delta_matrix())
         return self._handle
 
     def tensor_from_k_basis(self, coeffs):
@@ -652,98 +804,11 @@ class AlgebraLattice:
 
     # -- kernel of multiplication -------------------------------------------
 
-    def x_u(self, u):
-        """X_u = uX (x) 1 - 1 (x) uX: u on X(x)1 less u on 1(x)X."""
-        a, b = self.mu.basis_coords(u)
-        return [0, 0, -a, -b, a, b, 0, 0]
-
-    def x_hat(self):
-        """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1): the
-        (mu, z) partition term less a_bar on X(x)1 and b_bar on 1(x)1."""
-        data = self.alg.data
-        a, b = self.mu.basis_coords(data.a_bar)
-        out = list(self.mu_z.x_hat_partition)
-        out[0] -= data.b_bar.x
-        out[1] -= data.b_bar.y
-        out[4] -= a
-        out[5] -= b
-        return out
-
     def kernel_m_analysis(self, search_bound=8):
-        if search_bound < 0:
-            raise ValueError("bound must be nonnegative")
-        alg = self.alg
-        t2 = self.tensor_power(2)
-        j2 = t2.module.action
-        m = OMorphism(t2.module, self.A, self.m_matrix())
-        ker_mod, incl = kernel_module(m)
-        ker_rows = transpose(incl, ncols=ker_mod.rank)
-        if ker_mod.rank != 4:
-            raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
-        ker_hnf = hnf_rows(ker_rows)
-
-        g1, g2 = self.gens
-        xg1, xg2 = self.x_u(g1), self.x_u(g2)
-        xhat = self.x_hat()
-        jxhat = mat_vec(j2, xhat)
-        span = hnf_rows([xg1, xg2, xhat, jxhat])
-        direct_sum = (
-            len(span) == 4
-            and span == ker_hnf
-            and len(hnf_rows([xg1, xg2])) == 2
-            and len(hnf_rows([xhat, jxhat])) == 2
-        )
-        if not direct_sum:
-            raise DirectSumFailureError("ker(m) != X_mu + O*Xhat as lattices")
-
-        # the two multiplication-action identities on ker(m); o in O acts on
-        # a vector v of A (x)_O A as o.x v + o.y J v
-        z = alg.data.z
-        a_bar, b_bar = alg.data.a_bar, alg.data.b_bar
-        formulas_ok = True
-        lmats = self.x_first_factor_maps()
-        for u, lmat, quotients in zip(self.gens, lmats, self.mu_z.x_quotients):
-            lhs = mat_vec(lmat, xhat)
-            coeff = (u * a_bar).exact_div(z)
-            rhs = [coeff.x * a + coeff.y * b - c for a, b, c in zip(xhat, jxhat, self.x_u(b_bar * u))]
-            formulas_ok = formulas_ok and lhs == rhs
-            for xup, q in zip((xg1, xg2), quotients):
-                rhs2 = [-(q.x * a + q.y * b) for a, b in zip(xhat, jxhat)]
-                formulas_ok = formulas_ok and mat_vec(lmat, xup) == rhs2
-
-        generator = None
-        iso = False
-        notes = []
-        for u in itertools.chain([self.ctx.zero], self.mu.lattice_points(search_bound)):
-            val = -b_bar + (u * (a_bar + u)).exact_div(z)
-            if not val.is_unit():
-                continue
-            xtilde = [a - b for a, b in zip(xhat, self.x_u(u))]
-            orbit = [
-                xtilde,
-                mat_vec(j2, xtilde),
-                mat_vec(lmats[0], xtilde),
-                mat_vec(lmats[1], xtilde),
-            ]
-            if hnf_rows(orbit) == ker_hnf:
-                generator = (u, val)
-                iso = True
-                break
-            notes.append(f"unit value at u={u} but orbit is a proper sublattice")
-        if generator is None:
-            notes.append(f"no generator found within coordinate bound {search_bound}")
-
-        return KernelReport(
-            kernel_basis=ker_rows,
-            xu_basis=[xg1, xg2],
-            xhat=xhat,
-            direct_sum_verified=direct_sum,
-            action_formulas_verified=formulas_ok,
-            generator=generator,
-            iso_to_A=iso,
-            search_bound=search_bound,
-            notes=notes,
-        )
+        """The ker(m) report of ``MultiplicationLattice.kernel_m_analysis``,
+        computed once per (a_bar, b_bar) and search bound on a shared
+        ``mu_z``; a fresh report per call."""
+        return self.mult.kernel_m_analysis(search_bound)
 
 
 class TensorElement:

@@ -242,6 +242,16 @@ class RingElement(Value):
             raise NotDivisibleError(f"{other} does not divide {self}")
         return RingElement(self.ctx, num.x // n, num.y // n)
 
+    def field_quotient(self, other):
+        """self / other in K: the conjugate over the norm, one Fraction per
+        coordinate (no inverse taken in K)."""
+        other = self._check(other)
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in K")
+        num = self * other.conjugate()
+        return FieldElement(self.ctx, Fraction(num.x, n), Fraction(num.y, n))
+
     def divides(self, other):
         try:
             other.exact_div(self)

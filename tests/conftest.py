@@ -4,7 +4,7 @@ import pytest
 
 from quadfrob import Ideal, RingContext
 from quadfrob.frobenius import FrobeniusData, build_algebra, example_zsqrtm5, family_eps_x_one, family_eps_x_zero
-from quadfrob.intlin import mat_mul, transpose
+from quadfrob.intlin import SparseMatrix, mat_mul, transpose
 from quadfrob.omodule import MonomialTensors
 
 
@@ -85,6 +85,33 @@ def random_algebra_element(alg, r, bound=5):
         random_ring_element(alg.ctx, r, bound),
         random_mu_element(alg.mu, r, bound),
     )
+
+
+# -- sparse complexes and diagrams -------------------------------------------
+
+
+def sparse_from_dense(a, ncols=None):
+    """A SparseMatrix with the nonzero entries of the dense rows ``a``;
+    ``ncols`` gives the width when ``a`` has no rows."""
+    n = len(a[0]) if a else (ncols or 0)
+    return SparseMatrix(len(a), n, [{j: e for j, e in enumerate(row) if e} for row in a])
+
+
+def diff_from(cx, i):
+    """The differential of ``cx`` leaving degree i, or None outside it."""
+    idx = i - cx.min_degree
+    if 0 <= idx < len(cx.diffs):
+        return cx.diffs[idx]
+    return None
+
+
+def total_rank(cx):
+    return sum(cx.ranks)
+
+
+def n_plus(pd):
+    """The number of positive crossings of a PD code."""
+    return sum(1 for s in pd.signs if s > 0)
 
 
 # -- lattice test helpers ----------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import (
     counit_first_matrix,
     counit_second_matrix,
     delta_tensor_id,
+    diff_from,
     id_tensor_delta,
     id_tensor_m,
     m_tensor_id,
@@ -236,8 +237,8 @@ def test_criterion_9_lee_dimensions(ctx, mu, z):
             dims = homology_over_K(cx)  # internally checks Z-rank/2
             # independent oracle: rational ranks of the differentials
             for i in cx.degrees():
-                d_out = cx.diff_from(i)
-                d_in = cx.diff_from(i - 1)
+                d_out = diff_from(cx, i)
+                d_in = diff_from(cx, i - 1)
                 q = cx.rank(i) - (rank_rat(d_out) if d_out else 0) - (
                     rank_rat(d_in) if d_in else 0
                 )
@@ -260,7 +261,7 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
         lat = alg.lattice()
         # the cube's edge maps and the lattice's m and Delta share the
         # monomial coordinates of tensor_power
-        m_mat = lat.m_matrix()
+        m_mat = lat.mult.m_matrix()
         d_mat = lat.delta_matrix()
         left = mat_mul(m_tensor_id(alg), id_tensor_delta(alg))
         right = mat_mul(id_tensor_m(alg), delta_tensor_id(alg))

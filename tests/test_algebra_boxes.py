@@ -9,6 +9,11 @@ were captured before the search shared one (mu, z) lattice between its
 algebras; a change to the lattice, kernel or genus code that moves any
 result shows here.  Rerun ``python tests/test_algebra_boxes.py`` only when
 the results are meant to change.
+
+The algebras of a box that share (a_bar, b_bar), twists included, share
+one ``MultiplicationLattice``; the tests below check that its reports
+match those of each algebra built on its own, that ker(m) is computed once
+per pair, and that no report is shared.
 """
 
 import json
@@ -41,17 +46,23 @@ def _record(alg):
     }
 
 
-def _box(name):
+def _search(name):
+    """Every algebra the box's search yields, in search order, each with
+    its kind-3 twist by -1."""
     from quadfrob import Ideal, RingContext
     from quadfrob.frobenius import TwistSpec, search_solutions, twist
 
     d, gens, z, bound = BOXES[name]
     ctx = RingContext(d)
     mu = Ideal.from_generators(ctx, [ctx(*g) for g in gens])
+    return [(alg, twist(alg, TwistSpec(3, -ctx.one))) for alg in search_solutions(mu, ctx(*z), coord_bound=bound)]
+
+
+def _box(name):
     out = []
-    for alg in search_solutions(mu, ctx(*z), coord_bound=bound):
+    for alg, twisted in _search(name):
         row = _record(alg)
-        row["twist"] = _record(twist(alg, TwistSpec(3, -ctx.one)))
+        row["twist"] = _record(twisted)
         out.append(row)
     return out
 
@@ -72,6 +83,60 @@ def test_box_matches_golden(name, golden):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"{name}: algebra {i} ({w['data']}) differs"
+
+
+# -- the shared (a_bar, b_bar) layer -------------------------------------------
+
+# distinct (a_bar, b_bar) among the algebras of each box; a kind-3 twist keeps both
+DISTINCT_PAIRS = {"d-5": 36, "d-6": 10}
+
+
+def _algebras(name):
+    return [alg for pair in _search(name) for alg in pair]
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_shared_kernel_reports_match_algebras_on_their_own(name):
+    from quadfrob.frobenius import build_algebra
+
+    for alg in _algebras(name):
+        alone = build_algebra(alg.data)
+        assert alone.lattice().mu_z is not alg.lattice().mu_z
+        assert alg.kernel_m_analysis(KERNEL_BOUND).to_json() == alone.kernel_m_analysis(KERNEL_BOUND).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_one_kernel_analysis_per_multiplication(name, monkeypatch):
+    from quadfrob import omodule
+
+    algs = _algebras(name)
+    pairs = {(alg.data.a_bar, alg.data.b_bar) for alg in algs}
+    assert len(pairs) == DISTINCT_PAIRS[name]
+    calls = []
+    real = omodule.kernel_module
+    monkeypatch.setattr(omodule, "kernel_module", lambda f: calls.append(1) or real(f))
+    for alg in algs:
+        assert alg.kernel_m_analysis(KERNEL_BOUND).direct_sum_verified
+    assert len(calls) == DISTINCT_PAIRS[name]
+    assert len({id(alg.lattice().mult) for alg in algs}) == DISTINCT_PAIRS[name]
+
+
+def test_reports_of_one_multiplication_are_independent():
+    by_pair = {}
+    for alg, _ in _search("d-5"):
+        by_pair.setdefault((alg.data.a_bar, alg.data.b_bar), []).append(alg)
+    first, other = next(algs for algs in by_pair.values() if len(algs) > 1)[:2]
+    assert first.data != other.data
+    assert other.lattice().mult is first.lattice().mult
+    want = other.kernel_m_analysis(KERNEL_BOUND).to_json()
+    mine = first.kernel_m_analysis(KERNEL_BOUND)
+    mine.kernel_basis[0][0] += 1
+    mine.kernel_basis.append([0] * 8)
+    mine.xu_basis[1][2] += 1
+    mine.xhat[0] += 1
+    mine.notes.append("changed")
+    assert other.kernel_m_analysis(KERNEL_BOUND).to_json() == want
+    assert first.kernel_m_analysis(KERNEL_BOUND).to_json() == want
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from quadfrob.frobenius import (
     TwistSpec,
 )
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, transpose
-from quadfrob.omodule import _outer
+from quadfrob.omodule import DirectSumFailureError, _outer
 from quadfrob.ring import parse_element
 
 from conftest import random_algebra_element, random_mu_element
@@ -162,7 +162,7 @@ def test_first_factor_matches_the_kronecker_product(algebra_corpus):
         for x in _x_vectors(lat):
             l_matrix = lat.left_mult_matrix(x)
             raw = kron(l_matrix, identity(4))
-            assert lat.on_quotient_first_factor(l_matrix) == mat_mul(mat_mul(t2.proj, raw), t2.section)
+            assert lat.mu_z.on_quotient_first_factor(l_matrix) == mat_mul(mat_mul(t2.proj, raw), t2.section)
             assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lat.delta_one_lift()))
 
 
@@ -175,7 +175,7 @@ def test_multiplication_table_matches_multiply(algebra_corpus):
         lat = alg.lattice()
         basis = lat._basis_elements
         for i, ei in enumerate(basis):
-            assert lat._products_of(i) == [lat.coords(alg.multiply(ei, ej)) for ej in basis]
+            assert lat.mult.products_of(i) == [lat.coords(alg.multiply(ei, ej)) for ej in basis]
 
 
 def test_delta_matrix_matches_comultiply(algebra_corpus):
@@ -195,7 +195,7 @@ def test_x_hat_matches_the_pure2_sum(algebra_corpus):
         terms += [(-1, alg.element(zero, alg.data.a_bar), alg.one), (-1, alg.element(alg.data.b_bar), alg.one)]
         for sign, x, y in terms:
             out = [a + sign * b for a, b in zip(out, lat.pure2(x, y))]
-        assert lat.x_hat() == out
+        assert lat.mult.x_hat() == out
 
 
 def test_closed_form_coordinates_match_the_projection(algebra_corpus):
@@ -211,7 +211,7 @@ def test_closed_form_coordinates_match_the_projection(algebra_corpus):
             ux = alg.element(alg.ctx.zero, u)
             outer = [a - b for a, b in zip(_outer(lat.coords(ux), lat.coords(one)),
                                            _outer(lat.coords(one), lat.coords(ux)))]
-            assert lat.x_u(u) == mat_vec(proj, outer)
+            assert lat.mu_z.x_u(u) == mat_vec(proj, outer)
 
 
 # -- mechanism guards ----------------------------------------------------------
@@ -288,6 +288,30 @@ def test_relaxed_a_bar_escapes_the_lattice_on_the_table(ctx, mu):
     with pytest.raises(ClosureError) as exc:
         family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1)).closed_surface_invariants(2)
     assert str(exc.value) == message
+
+
+def test_a_failed_check_of_a_shared_multiplication_is_not_kept(ctx, mu, monkeypatch):
+    mu_z = omodule.MuZLattice(mu, ctx(2))
+    # a relaxed a_bar outside mu: the X (x) X products escape the lattice
+    data = family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1)).data
+    relaxed = [build_algebra(data, relax_a_bar=True, mu_z=mu_z) for _ in range(2)]
+    assert relaxed[0].lattice().mult is relaxed[1].lattice().mult
+    for alg in relaxed * 2:
+        with pytest.raises(ClosureError, match="escapes the lattice"):
+            alg.kernel_m_analysis()
+    # a splitting that fails raises for every algebra of the pair, and once
+    # the fault is gone the analysis runs
+    data = next(search_solutions(mu, ctx(2), coord_bound=1)).data
+    twins = [build_algebra(data, mu_z=mu_z), twist(build_algebra(data, mu_z=mu_z), TwistSpec(3, -ctx.one))]
+    assert twins[0].lattice().mult is twins[1].lattice().mult
+    monkeypatch.setattr(omodule.MultiplicationLattice, "x_hat", lambda self: [0] * 8)
+    for alg in twins * 2:
+        with pytest.raises(DirectSumFailureError):
+            alg.kernel_m_analysis()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        twins[0].kernel_m_analysis(-1)
+    assert all(alg.kernel_m_analysis(0).direct_sum_verified for alg in twins)
 
 
 def test_genus_zero_to_four_applies_the_handle_four_times(alg_eps1, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from quadfrob import corpus, frobenius
 from quadfrob.cli import main, make_parser
 from quadfrob.intlin import IntSolver
-from quadfrob.omodule import AlgebraLattice
+from quadfrob.omodule import MultiplicationLattice
 
 
 def run(capsys, *argv):
@@ -405,7 +405,7 @@ def test_validation_routes_failure_exits_5(monkeypatch, capsys):
 
 
 def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(AlgebraLattice, "x_hat", lambda self: [0] * 8)
+    monkeypatch.setattr(MultiplicationLattice, "x_hat", lambda self: [0] * 8)
     _assert_check_failed(capsys, "ker_m_splitting", "kernel")
 
 

@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+from conftest import diff_from, n_plus, total_rank
 from quadfrob import corpus
 from quadfrob.linkhom import (
+    EquivarianceError,
     MalformedPDError,
     PDCode,
     build_complex,
@@ -107,7 +109,7 @@ def test_writhe_values():
                "hopf": 2, "trefoil": 3, "figure8": 0, "unknot0": 0}
     for name, w in writhes.items():
         pd = corpus.diagram(name)
-        assert pd.n_plus - pd.n_minus == w
+        assert n_plus(pd) - pd.n_minus == w
 
 
 def test_pd_json_roundtrip():
@@ -151,7 +153,7 @@ def test_positive_kink_complex_is_multiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1plus"), alg_eps0)
     assert cx.min_degree == 0
     assert cx.ranks == [8, 4]
-    assert cx.diffs[0] == alg_eps0.lattice().m_matrix()
+    assert cx.diffs[0] == alg_eps0.lattice().mult.m_matrix()
 
 
 def test_negative_kink_complex_is_comultiplication(alg_eps0):
@@ -276,13 +278,13 @@ def test_simplify_preserves_homology(algebra_corpus):
             assert homology_table(homology_integral(cx)) == homology_table(
                 homology_integral(small)
             ), (aname, name)
-            assert small.total_rank() <= cx.total_rank()
+            assert total_rank(small) <= total_rank(cx)
 
 
 def test_simplify_shrinks_and_stabilizes(alg_eps0):
     cx = build_complex(corpus.diagram("trefoil"), alg_eps0)
     small = simplify(cx)
-    assert small.total_rank() < cx.total_rank()
+    assert total_rank(small) < total_rank(cx)
     again = simplify(small)
     assert again.ranks == small.ranks
     kink = simplify(build_complex(corpus.diagram("unknot_r1plus"), alg_eps0))
@@ -307,8 +309,8 @@ def test_k_dims_rational_rank_oracle(alg_eps0):
         cx = build_complex(corpus.diagram(name), alg_eps0)
         dims = homology_over_K(cx)
         for i in cx.degrees():
-            d_out = cx.diff_from(i)
-            d_in = cx.diff_from(i - 1)
+            d_out = diff_from(cx, i)
+            d_in = diff_from(cx, i - 1)
             q_dim = cx.rank(i) - (rank_rat(d_out) if d_out else 0) - (
                 rank_rat(d_in) if d_in else 0
             )
@@ -348,3 +350,37 @@ def test_build_rejects_unclosed_algebra(ctx, mu):
     relaxed = family_eps_x_zero(mu, ctx(2), ctx(1), ctx.one, ctx.one)
     with pytest.raises(ValueError):
         build_complex(corpus.diagram("unknot0"), relaxed)
+
+
+# -- the sqrt(d)-equivariance check ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8"])
+def test_corrupted_differential_fails_equivariance(name, alg_eps0, alg_worked):
+    """Adding 1 to one entry of one differential, at seeded positions, zero
+    entries included: the 2x2 block there no longer intertwines the
+    sqrt(d)-actions, whose commutant has no rank-one element, so the check
+    raises and names the degree; the full products agree with it."""
+    r = random.Random(17)
+    for alg in (alg_eps0, alg_worked):
+        clean = build_complex(corpus.diagram(name), alg)
+        clean.check_equivariance()
+        for _ in range(6):
+            cx = build_complex(corpus.diagram(name), alg)
+            k = r.choice([k for k, d in enumerate(cx.diffs) if d.nrows and d.ncols])
+            d = cx.diffs[k]
+            row, col = r.randrange(d.nrows), r.randrange(d.ncols)
+            entry = d.rows[row].pop(col, 0) + 1
+            if entry:
+                d.rows[row][col] = entry
+            assert d @ cx.actions[k] != cx.actions[k + 1] @ d
+            degree = cx.min_degree + k
+            with pytest.raises(EquivarianceError, match=f"^equivariance check failed: differential from degree {degree} does not commute"):
+                cx.check_equivariance()
+
+
+def test_action_entry_outside_its_blocks_fails_equivariance(alg_eps0):
+    cx = build_complex(corpus.diagram("trefoil"), alg_eps0)
+    cx.actions[1].rows[0][2] = 1
+    with pytest.raises(EquivarianceError, match="action at degree 1 has an entry outside its 2x2 diagonal blocks"):
+        cx.check_equivariance()
