@@ -211,9 +211,10 @@ class ValidationReport:
         }
 
 
-def epsilon_tilde_matrix(data):
+def epsilon_tilde_matrix(data, t_bar):
     """Matrix of the trace pairing A -> A^ in the Z-bases
-    {1, sqrt(d), g1 X, g2 X} and {1^, sqrt(d) 1^, (g1/z) X^, (g2/z) X^}.
+    {1, sqrt(d), g1 X, g2 X} and {1^, sqrt(d) 1^, (g1/z) X^, (g2/z) X^};
+    ``t_bar`` is ``data.t_bar()``.
 
     Returns (rows, det); raises NotDivisibleError if the pairing does not
     even map the lattice into the dual lattice.
@@ -221,7 +222,6 @@ def epsilon_tilde_matrix(data):
     ctx = data.ctx
     mu = data.mu
     g1, g2 = mu.two_generators()
-    t_bar = data.t_bar()
     basis = (
         (ctx.one, ctx.zero),
         (ctx.sqrt_d, ctx.zero),
@@ -233,9 +233,10 @@ def epsilon_tilde_matrix(data):
         # alpha = eps(e) in O, beta = z * eps(e X) in mu
         alpha = u0 * data.eps_one + (u1 * data.eps_x_bar).exact_div(data.z)
         beta_z = u0 * data.eps_x_bar + u1 * t_bar
-        coords = mu.basis_coords(beta_z) if mu.contains(beta_z) else None
-        if coords is None:
-            raise NotDivisibleError("pairing image escapes the dual lattice")
+        try:
+            coords = mu.basis_coords(beta_z)
+        except ValueError:
+            raise NotDivisibleError("pairing image escapes the dual lattice") from None
         cols.append([alpha.x, alpha.y, coords[0], coords[1]])
     rows = [[cols[j][i] for j in range(4)] for i in range(4)]
     return rows, det_int(rows)
@@ -271,17 +272,18 @@ def raw_system_residuals(data, duals):
     )
 
 
-def rescaled_equations(data, duals):
-    """The four rescaled dual-basis identities, keyed by their report names."""
+def rescaled_equations(data, duals, t_bar):
+    """The four rescaled dual-basis identities, keyed by their report names;
+    ``t_bar`` is ``data.t_bar()``."""
     e1 = data.eps_one
     exb = data.eps_x_bar
-    tb = data.t_bar()
     c, d, dp = duals.c, duals.d, duals.d_prime
     d_exb = d * exb
-    eq42 = (d_exb.exact_div(data.z) + c * e1 == data.ctx.one) if data.z.divides(d_exb) else False
-    eq43 = c * exb == -(d * tb)
+    d_ex = _quotient(d_exb, data.z)  # d eps(X), or None outside O
+    eq42 = d_ex is not None and d_ex + c * e1 == data.ctx.one
+    eq43 = c * exb == -(d * t_bar)
     eq44 = dp * exb == -(d * e1)
-    eq45 = (d_exb.exact_div(data.z) + dp * tb == data.ctx.one) if data.z.divides(d_exb) else False
+    eq45 = d_ex is not None and d_ex + dp * t_bar == data.ctx.one
     return {"eq42": eq42, "eq43": eq43, "eq44": eq44, "eq45": eq45}
 
 
@@ -386,7 +388,7 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
 
     # with the required cells the pairing maps A into its dual lattice:
     # u1 eps_x_bar lies in mu^2 = (z), u0 eps_x_bar + u1 t_bar in mu
-    eps_rows, eps_det = epsilon_tilde_matrix(data)
+    eps_rows, eps_det = epsilon_tilde_matrix(data, t_bar)
     report.values["epsilon_tilde_det"] = str(eps_det)
     route2 = report.route_unimodular = eps_det in (1, -1)
 
@@ -401,7 +403,7 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
     report.values.update(
         c=str(duals.c), d=str(duals.d), c_prime=str(duals.c_prime), d_prime=str(duals.d_prime)
     )
-    report.equations.update(rescaled_equations(data, duals))
+    report.equations.update(rescaled_equations(data, duals, t_bar))
     if not all(report.equations.values()):
         raise InconsistentRoutesError("closed-form duals fail the defining equations")
 

@@ -18,7 +18,11 @@ Z-basis element of the summand of S, a bit mask with factor 0 as its
 highest bit; ``summand_coords`` reads them off c.  These are the only
 coordinates of A^(x n): ``MuZLattice.tensor_power`` projects the
 Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
-on them.
+on them.  On A (x)_O A, with summands 1(x)1, 1(x)X, X(x)1 and zX(x)X, the
+algebra's m, (g_i X .) (x) id and Delta are written in closed form by ring
+arithmetic in O (``MultiplicationLattice``, ``AlgebraLattice``) and checked
+by associativity and the counit identity, never through the Z-tensor
+square.
 """
 
 import functools
@@ -28,7 +32,6 @@ from . import intlin
 from .ideals import Ideal, solve_partition_of_z
 from .intlin import (
     IntSolver,
-    SparseMatrix,
     hnf_rows,
     identity,
     kernel_basis,
@@ -56,7 +59,8 @@ class DirectSumFailureError(CheckFailedError):
 
 
 class NotWellDefinedError(CheckFailedError):
-    """A map meant to descend to a quotient or a sublattice does not."""
+    """A map meant to descend to a quotient or a sublattice does not, or a
+    closed-form structure map breaks associativity or the counit identity."""
 
     check = "well_defined"
 
@@ -69,24 +73,12 @@ class OModule:
         self.rank = rank
         self.action = action
 
-    def scalar_matrix(self, o):
-        """Matrix of multiplication by o = x + y sqrt(d) in O."""
-        out = mat_scale(identity(self.rank), o.x)
-        if o.y:
-            out = intlin.mat_add(out, mat_scale(self.action, o.y))
-        return out
-
 
 class OMorphism:
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-
-    def is_equivariant(self):
-        return mat_mul(self.matrix, self.source.action) == mat_mul(
-            self.target.action, self.matrix
-        )
 
 
 def homology_pair(d_in, d_out, rank_mid):
@@ -279,36 +271,9 @@ class MonomialTensors:
                         if block[i][j]:
                             yield 2 * tmask + i, 2 * mask + j, block[i][j]
 
-    def edge_matrix(self, kind, n_src, src_pos, tgt_map):
-        """The entries of ``edge_entries`` as one SparseMatrix."""
-        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
-        out = SparseMatrix(2 << n_tgt, 2 << n_src)
-        for r, c, e in self.edge_entries(kind, n_src, src_pos, tgt_map):
-            out.rows[r][c] = e
-        return out
-
 
 # ---------------------------------------------------------------------------
 # The lattice bundle of a Frobenius algebra
-
-
-def _outer(x, y):
-    out = []
-    for xi in x:
-        for yj in y:
-            out.append(xi * yj)
-    return out
-
-
-def _first_factor(l_matrix, vectors):
-    """(L (x) I_4) v for a 4x4 L and each v in Z^16 over the Z-tensor square,
-    without the 16x16 Kronecker product: v read as a 4x4 matrix V, first
-    factor the row index, gives vec(L V) = (L (x) I) vec(V) (Van Loan, The
-    ubiquitous Kronecker product, J. Comput. Appl. Math. 123, 2000).  The
-    V's stand side by side, so all of them take one 4x4 product."""
-    side_by_side = [[e for v in vectors for e in v[4 * k:4 * k + 4]] for k in range(4)]
-    prod = mat_mul(l_matrix, side_by_side)
-    return [[row[4 * r + j] for row in prod for j in range(4)] for r in range(len(vectors))]
 
 
 class KernelReport:
@@ -343,17 +308,29 @@ class KernelReport:
         }
 
 
+_IDENTITY_BLOCK = ((1, 0), (0, 1))
+
+
+def _from_blocks(nrows, ncols, blocks):
+    """The (2 nrows) x (2 ncols) integer matrix with the 2x2 ``blocks``,
+    keyed by (block row, block column), and zeros elsewhere."""
+    out = [[0] * (2 * ncols) for _ in range(2 * nrows)]
+    for (r, c), block in blocks.items():
+        for i in (0, 1):
+            out[2 * r + i][2 * c:2 * c + 2] = block[i]
+    return out
+
+
 class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
     of an algebra's three lattice layers: the facts validation reads
     (``squares_to_z``, ``mu_principal``, ``partition``), the 2x2 blocks
-    between the summand lattices O and mu (``block``), A as a Z-lattice
-    with its sqrt(d)-action, the tensor powers A^(x n) with their
-    projections, sections and actions, the descent of L (x) id to
-    A (x)_O A (``on_quotient_first_factor``), X_u in closed form (``x_u``),
-    the 12 products of A's basis with at most one X factor and the
-    quotients g_i g_j / z of the other four (``products``,
-    ``x_quotients``), and the partition term of X_hat (``x_hat_partition``).
+    between the summand lattices O and mu (``block``, ``coords_block``),
+    A as a Z-lattice with its sqrt(d)-action, the tensor powers A^(x n)
+    with their projections, sections and actions, x (x) y and X_u in the
+    coordinates of A (x)_O A (``pure2``, ``x_u``), the quotients
+    q_ij = g_i g_j / z (``x_quotients``) and the partition term of X_hat
+    (``x_hat_partition``).
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), so that the
@@ -375,6 +352,8 @@ class MuZLattice:
         self.z = z
         g1, g2 = mu.two_generators()
         self.gens = (g1, g2)
+        # A's Z-basis 1, sqrt(d), g1 X, g2 X as pairs (u0, u1) for u0 + u1 X
+        self.elements = ((ctx.one, ctx.zero), (ctx.sqrt_d, ctx.zero), (ctx.zero, g1), (ctx.zero, g2))
         self._basis = ((ctx.one.to_field(), ctx.sqrt_d.to_field()), (g1.to_field(), g2.to_field()))
         self.sqrt_d_blocks = tuple(self.block(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
         on_o, on_mu = self.sqrt_d_blocks
@@ -395,27 +374,6 @@ class MuZLattice:
     def partition(self):
         """``solve_partition_of_z(mu, z)``: ([g1, g2], [u1', u2'])."""
         return solve_partition_of_z(self.mu, self.z)
-
-    @functools.cached_property
-    def products(self):
-        """The rows of A's multiplication table on its Z-basis e = (1,
-        sqrt(d), g1 X, g2 X) that depend only on (mu, z): coords(e_i e_j)
-        when at most one of e_i, e_j is an X-term, None for the four
-        X (x) X pairs (see ``x_quotients``)."""
-        ctx = self.ctx
-        g1, g2 = self.gens
-        basis = ((ctx.one, ctx.zero), (ctx.sqrt_d, ctx.zero), (ctx.zero, g1), (ctx.zero, g2))
-        rows = []
-        for i, (u0, u1) in enumerate(basis):
-            row = []
-            for j, (v0, v1) in enumerate(basis):
-                if i >= 2 and j >= 2:
-                    row.append(None)
-                    continue
-                p0 = u0 * v0
-                row.append([p0.x, p0.y, *self.mu.basis_coords(u0 * v1 + u1 * v0)])
-            rows.append(row)
-        return rows
 
     @functools.cached_property
     def x_quotients(self):
@@ -450,24 +408,30 @@ class MuZLattice:
         (a, c), (b, d) = (summand_coords(self.mu, e * factor, tgt_par) for e in self._basis[src_par])
         return ((a, b), (c, d))
 
+    def coords_block(self, images, tgt_par):
+        """The 2x2 block whose columns are the coordinates of the two ring
+        elements ``images`` in the summand lattice of parity ``tgt_par``:
+        the matrix of a map sending the source basis to ``images``."""
+        (a, c), (b, d) = (self.mu.basis_coords(e) if tgt_par else (e.x, e.y) for e in images)
+        return ((a, b), (c, d))
+
     def coords(self, elt):
         a, b = self.mu.basis_coords(elt.u1)
         return [elt.u0.x, elt.u0.y, a, b]
+
+    def pure2(self, x, y):
+        """x (x) y in the coordinates of A (x)_O A, for x = (x0, x1) standing
+        for x0 + x1 X and y alike: x0 y0, x0 y1, x1 y0 and x1 y1 / z on the
+        summands 1(x)1, 1(x)X, X(x)1 and zX(x)X."""
+        (x0, x1), (y0, y1) = x, y
+        one_one, x_x = x0 * y0, (x1 * y1).exact_div(self.z)
+        basis_coords = self.mu.basis_coords
+        return [one_one.x, one_one.y, *basis_coords(x0 * y1), *basis_coords(x1 * y0), x_x.x, x_x.y]
 
     def x_u(self, u):
         """X_u = uX (x) 1 - 1 (x) uX: u on X(x)1 less u on 1(x)X."""
         a, b = self.mu.basis_coords(u)
         return [0, 0, -a, -b, a, b, 0, 0]
-
-    def on_quotient_first_factor(self, l_matrix):
-        """Descends L (x) id to A (x)_O A: proj (L (x) I) section, where
-        proj (L (x) I) has rows (L^T (x) I) applied to the rows of proj."""
-        t2 = self.tensor_power(2)
-        proj_l = _first_factor(transpose(l_matrix), t2.proj)
-        out = mat_mul(proj_l, t2.section)
-        if mat_mul(out, t2.proj) != proj_l:
-            raise NotWellDefinedError("first-factor action not well defined on the quotient")
-        return out
 
     def tensor_power(self, n):
         """A^(x n) in monomial coordinates, projected from the Z-tensor
@@ -506,11 +470,20 @@ class MuZLattice:
 class MultiplicationLattice:
     """The part of A = O 1 + mu X that depends on (mu, z, a_bar, b_bar) but
     not on the counit, the middle of an algebra's three lattice layers:
-    the four X (x) X columns q_ij (b_bar + a_bar X) of the multiplication
-    table (closure-checked like ``FrobeniusAlgebra.multiply``), m on
-    A (x)_O A, the descended maps (g_i X .) (x) id, X_hat, and the ker(m)
+    m and the maps (g_i X .) (x) id on A (x)_O A, X_hat, and the ker(m)
     analysis: ker(m) = X_mu + O X_hat, the two action identities and, per
     search bound, the single-generator search.
+
+    m and the X-maps are written in closed form on the monomial
+    coordinates, with ring arithmetic in O and zX^2 = b_bar + a_bar X.
+    m copies the coefficients of 1(x)1, 1(x)X and X(x)1 and sends
+    c zX(x)X to c (b_bar + a_bar X), after the closure check of
+    ``FrobeniusAlgebra.multiply`` on the products q_ij (b_bar + a_bar X).
+    (g_i X .) (x) id sends c 1(x)1 to c g_i on X(x)1, g_j 1(x)X to q_ij
+    on zX(x)X, g_j X(x)1 to q_ij (b_bar + a_bar X) (x) 1, and c zX(x)X to
+    c g_i b_bar on 1(x)X plus c g_i a_bar / z on zX(x)X.  Each X-map must
+    pass associativity with first input g_i X, m L_i = (m P_i) m with
+    P_i = [pure2(g_i X, e_k)], or NotWellDefinedError is raised.
 
     ``MuZLattice.multiplication`` keeps one per distinct (a_bar, b_bar), so
     the algebras of a search that share the pair, and their twists, share
@@ -525,45 +498,64 @@ class MultiplicationLattice:
         self.a_bar = a_bar
         self.b_bar = b_bar
         self._closed_product = closed_product
-        self._products = [None] * 4
         self._m = None
         self._x_maps = None
         self._kernel = None
         self._generators = {}  # search_bound -> (generator, notes)
 
-    def products_of(self, i):
-        """coords(e_i * e_j) for j = 0..3, over the Z-basis e of A; each
-        row of the multiplication table is computed once.  Only the X (x) X
-        entries, q_ij (b_bar + a_bar X), are computed here; the rest are
-        the (mu, z) products of ``MuZLattice.products``."""
-        row = self._products[i]
-        if row is None:
-            mu_z = self.mu_z
-            row = list(mu_z.products[i])
-            if i >= 2:
-                for j, q in enumerate(mu_z.x_quotients[i - 2], 2):
-                    row[j] = mu_z.coords(self._closed_product(q * self.b_bar, q * self.a_bar))
-            self._products[i] = row
-        return row
+    @functools.cached_property
+    def a_quotients(self):
+        """g_i a_bar / z in O for i = 1, 2; exact once a_bar lies in mu."""
+        return [(g * self.a_bar).exact_div(self.mu_z.z) for g in self.mu_z.gens]
 
     def m_matrix(self):
-        """Multiplication A (x)_O A -> A, through the section."""
+        """Multiplication A (x)_O A -> A in closed form; raises ClosureError
+        at the first product q_ij (b_bar + a_bar X), in table order, that
+        escapes the lattice."""
         if self._m is None:
-            m_z = transpose([col for i in range(4) for col in self.products_of(i)], ncols=16)
-            t2 = self.mu_z.tensor_power(2)
-            m_quot = mat_mul(m_z, t2.section)
-            if mat_mul(m_quot, t2.proj) != m_z:
-                raise NotWellDefinedError("multiplication not constant on quotient fibers")
-            self._m = m_quot
+            mu_z = self.mu_z
+            for row in mu_z.x_quotients:
+                for q in row:
+                    self._closed_product(q * self.b_bar, q * self.a_bar)
+            sqrt_d = mu_z.ctx.sqrt_d
+            self._m = _from_blocks(2, 4, {
+                (0, 0): _IDENTITY_BLOCK,
+                (1, 1): _IDENTITY_BLOCK,
+                (1, 2): _IDENTITY_BLOCK,
+                (0, 3): mu_z.coords_block((self.b_bar, sqrt_d * self.b_bar), 0),
+                (1, 3): mu_z.coords_block((self.a_bar, sqrt_d * self.a_bar), 1),
+            })
         return self._m
 
+    def _x_map(self, i):
+        """(g_i X .) (x) id on A (x)_O A in closed form, unchecked."""
+        mu_z = self.mu_z
+        sqrt_d = mu_z.ctx.sqrt_d
+        g, w, (q1, q2) = mu_z.gens[i], self.a_quotients[i], mu_z.x_quotients[i]
+        gb = g * self.b_bar
+        block = mu_z.coords_block
+        return _from_blocks(4, 4, {
+            (2, 0): block((g, sqrt_d * g), 1),
+            (3, 1): block((q1, q2), 0),
+            (0, 2): block((q1 * self.b_bar, q2 * self.b_bar), 0),
+            (2, 2): block((q1 * self.a_bar, q2 * self.a_bar), 1),
+            (1, 3): block((gb, sqrt_d * gb), 1),
+            (3, 3): block((w, sqrt_d * w), 0),
+        })
+
     def x_first_factor_maps(self):
-        """(g1 X .) (x) id and (g2 X .) (x) id descended to A (x)_O A, each
-        checked by ``MuZLattice.on_quotient_first_factor``."""
+        """(g1 X .) (x) id and (g2 X .) (x) id on A (x)_O A, each checked
+        against associativity: m L_i = (m P_i) m, where m P_i is left
+        multiplication by g_i X on A."""
         if self._x_maps is None:
-            self._x_maps = [
-                self.mu_z.on_quotient_first_factor(transpose(self.products_of(i), ncols=4)) for i in (2, 3)
-            ]
+            mu_z = self.mu_z
+            m = self.m_matrix()
+            maps = [self._x_map(i) for i in (0, 1)]
+            for g, l_map in zip(mu_z.gens, maps):
+                p = transpose([mu_z.pure2((mu_z.ctx.zero, g), e) for e in mu_z.elements], ncols=8)
+                if mat_mul(m, l_map) != mat_mul(mat_mul(m, p), m):
+                    raise NotWellDefinedError(f"({g} X .) (x) id is not associative with m")
+            self._x_maps = maps
         return self._x_maps
 
     def x_hat(self):
@@ -607,9 +599,10 @@ class MultiplicationLattice:
             # the two multiplication-action identities on ker(m); o in O acts on
             # a vector v of A (x)_O A as o.x v + o.y J v
             formulas_ok = True
-            for u, lmat, quotients in zip(mu_z.gens, self.x_first_factor_maps(), mu_z.x_quotients):
+            for u, lmat, coeff, quotients in zip(
+                mu_z.gens, self.x_first_factor_maps(), self.a_quotients, mu_z.x_quotients
+            ):
                 lhs = mat_vec(lmat, xhat)
-                coeff = (u * self.a_bar).exact_div(mu_z.z)
                 rhs = [coeff.x * a + coeff.y * b - c for a, b, c in zip(xhat, jxhat, mu_z.x_u(self.b_bar * u))]
                 formulas_ok = formulas_ok and lhs == rhs
                 for xup, q in zip(xus, quotients):
@@ -672,19 +665,21 @@ class AlgebraLattice:
     An algebra's lattice has three layers.  ``mu_z``, the MuZLattice of the
     algebra's mu and z, holds what depends only on (mu, z) and may be
     shared with other algebras.  ``mult``, its MultiplicationLattice of
-    (a_bar, b_bar), holds m, the descended maps (g_i X .) (x) id, X_hat
-    and the ker(m) analysis, shared by every algebra on the same
-    ``mu_z`` with the same (a_bar, b_bar).  What is computed here, once per
-    algebra, is what needs the counit: Delta(1), Delta and the handle
-    operator.  O acts on vectors of A (x)_O A as x v + y J v.
+    (a_bar, b_bar), holds m, the maps (g_i X .) (x) id, X_hat and the
+    ker(m) analysis, shared by every algebra on the same ``mu_z`` with the
+    same (a_bar, b_bar).  What is computed here, once per algebra, is what
+    needs the counit: Delta(1), Delta and the handle operator.  O acts on
+    vectors of A (x)_O A as x v + y J v.
 
     On A (x)_O A the coordinates are read in closed form: ``pure2`` puts
     x0 y0, x0 y1, x1 y0 and x1 y1 / z on the summands 1(x)1, 1(x)X, X(x)1
-    and X(x)X, and ``MuZLattice.x_u`` is (0, 0, -a, -b, a, b, 0, 0) for
+    and zX(x)X, and ``MuZLattice.x_u`` is (0, 0, -a, -b, a, b, 0, 0) for
     u = a g1 + b g2; the tests keep the projection of the Z-tensor square
-    as their oracle.  L (x) id is applied to vectors of the Z-tensor square
-    as L times the vector reshaped to 4x4 (``_first_factor``), never as a
-    16x16 ``kron``.
+    as their oracle.  Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X
+    is read off the duals, and Delta = [Delta(1), J Delta(1), L_1 Delta(1),
+    L_2 Delta(1)] over A's basis 1, sqrt(d), g1 X, g2 X.  Both must pass
+    the counit identity (eps (x) id) Delta = id, with eps read from the
+    data, not from the duals, or NotWellDefinedError is raised.
     """
 
     def __init__(self, alg, mu_z):
@@ -693,19 +688,11 @@ class AlgebraLattice:
         self.alg = alg
         self.mu_z = mu_z
         self.mult = mu_z.multiplication(alg.data.a_bar, alg.data.b_bar, alg.closed_product)
-        ctx = alg.ctx
-        self.ctx = ctx
+        self.ctx = alg.ctx
         self.mu = alg.mu
         self.gens = mu_z.gens
         self.A = mu_z.A
-        g1, g2 = self.gens
-        self._basis_elements = (
-            alg.element(ctx.one, ctx.zero),
-            alg.element(ctx.sqrt_d, ctx.zero),
-            alg.element(ctx.zero, g1),
-            alg.element(ctx.zero, g2),
-        )
-        self._delta1_lift = None
+        self._delta1 = None
         self._delta = None
         self._handle = None
 
@@ -724,59 +711,61 @@ class AlgebraLattice:
 
     def pure2(self, x, y):
         """x (x) y in the coordinates of A (x)_O A."""
-        z = self.mu_z.z
-        one_one, x_x = x.u0 * y.u0, (x.u1 * y.u1).exact_div(z)
-        basis_coords = self.mu.basis_coords
-        return [one_one.x, one_one.y, *basis_coords(x.u0 * y.u1), *basis_coords(x.u1 * y.u0), x_x.x, x_x.y]
-
-    def left_mult_matrix(self, x):
-        """Left multiplication by x on A; columns are coords(x * e_i)."""
-        if x in self._basis_elements:
-            cols = self.mult.products_of(self._basis_elements.index(x))
-        else:
-            cols = [self.coords(self.alg.multiply(x, e)) for e in self._basis_elements]
-        return transpose(cols, ncols=4)
+        return self.mu_z.pure2((x.u0, x.u1), (y.u0, y.u1))
 
     # -- structure maps ------------------------------------------------------
 
-    def delta_one_lift(self):
-        """Integral lift of Delta(1) to the Z-tensor square:
-        c 1(x)1 + 1(x)dX + dX(x)1 + d' sum_j u_j X (x) u_j' X."""
-        if self._delta1_lift is None:
-            alg = self.alg
-            duals = alg.duals
-            one = alg.one
-            c_elt = alg.element(duals.c, self.ctx.zero)
-            d_elt = alg.element(self.ctx.zero, duals.d)
-            us, ups = alg.partition
-            lift = _outer(self.coords(c_elt), self.coords(one))
-            lift = [a + b for a, b in zip(lift, _outer(self.coords(one), self.coords(d_elt)))]
-            lift = [a + b for a, b in zip(lift, _outer(self.coords(d_elt), self.coords(one)))]
-            for uj, ujp in zip(us, ups):
-                left = alg.element(self.ctx.zero, duals.d_prime * uj)
-                right = alg.element(self.ctx.zero, ujp)
-                lift = [a + b for a, b in zip(lift, _outer(self.coords(left), self.coords(right)))]
-            self._delta1_lift = lift
-        return self._delta1_lift
+    @functools.cached_property
+    def _counit_first(self):
+        """eps (x) id: A (x)_O A -> A, from eps(1) and eps_x_bar: c 1(x)1 ->
+        c eps(1), g 1(x)X -> g eps(1) X, g X(x)1 -> g eps_x_bar / z and
+        c zX(x)X -> c eps_x_bar X."""
+        mu_z = self.mu_z
+        data = self.alg.data
+        e1, ex = data.eps_one, data.eps_x_bar
+        sqrt_d = self.ctx.sqrt_d
+        g1, g2 = self.gens
+        block = mu_z.coords_block
+        return _from_blocks(2, 4, {
+            (0, 0): block((e1, sqrt_d * e1), 0),
+            (1, 1): block((g1 * e1, g2 * e1), 1),
+            (0, 2): block(((g1 * ex).exact_div(data.z), (g2 * ex).exact_div(data.z)), 0),
+            (1, 3): block((ex, sqrt_d * ex), 1),
+        })
+
+    def _delta_one(self):
+        """Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X, read off the
+        duals, unchecked."""
+        duals = self.alg.duals
+        d = self.mu.basis_coords(duals.d)
+        return [duals.c.x, duals.c.y, *d, *d, duals.d_prime.x, duals.d_prime.y]
 
     def delta_one(self):
+        """Delta(1), checked by the counit identity (eps (x) id) Delta(1) = 1."""
         t2 = self.tensor_power(2)
-        return TensorElement(t2, mat_vec(t2.proj, self.delta_one_lift()))
+        if self._delta1 is None:
+            d1 = self._delta_one()
+            if mat_vec(self._counit_first, d1) != [1, 0, 0, 0]:
+                raise NotWellDefinedError("counit identity (eps (x) id) Delta(1) = 1 fails")
+            self._delta1 = d1
+        return TensorElement(t2, self._delta1)
 
     def comultiply(self, x):
-        """Delta(x) = (left-mult by x (x) id) applied to Delta(1)."""
-        t2 = self.tensor_power(2)
-        [raw] = _first_factor(self.left_mult_matrix(x), [self.delta_one_lift()])
-        return TensorElement(t2, mat_vec(t2.proj, raw))
+        """Delta(x) = Delta coords(x)."""
+        return TensorElement(self.tensor_power(2), mat_vec(self.delta_matrix(), self.coords(x)))
 
     def delta_matrix(self):
         """Delta on A, column i Delta(e_i) = (e_i . (x) id) Delta(1): Delta(1)
-        itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it."""
+        itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it;
+        checked by the counit identity (eps (x) id) Delta = id."""
         if self._delta is None:
             d1 = list(self.delta_one().coords)
             cols = [d1, mat_vec(self.tensor_power(2).module.action, d1)]
             cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
-            self._delta = transpose(cols, ncols=8)
+            delta = transpose(cols, ncols=8)
+            if mat_mul(self._counit_first, delta) != identity(4):
+                raise NotWellDefinedError("counit identity (eps (x) id) Delta = id fails")
+            self._delta = delta
         return self._delta
 
     def handle_matrix(self):

@@ -4,7 +4,7 @@ import pytest
 
 from quadfrob import Ideal, RingContext
 from quadfrob.frobenius import FrobeniusData, build_algebra, example_zsqrtm5, family_eps_x_one, family_eps_x_zero
-from quadfrob.intlin import SparseMatrix, mat_mul, transpose
+from quadfrob.intlin import SparseMatrix, mat_add, mat_mul, mat_scale, identity, transpose
 from quadfrob.omodule import MonomialTensors
 
 
@@ -117,13 +117,59 @@ def n_plus(pd):
 # -- lattice test helpers ----------------------------------------------------
 
 
+def scalar_matrix(module, o):
+    """Matrix of multiplication by o = x + y sqrt(d) in O on an OModule."""
+    out = mat_scale(identity(module.rank), o.x)
+    if o.y:
+        out = mat_add(out, mat_scale(module.action, o.y))
+    return out
+
+
+def is_equivariant(f):
+    """Whether the OMorphism f commutes with the sqrt(d)-actions."""
+    return mat_mul(f.matrix, f.source.action) == mat_mul(f.target.action, f.matrix)
+
+
+def z_basis(alg):
+    """A's Z-basis 1, sqrt(d), g1 X, g2 X as algebra elements, the factor
+    basis of the Z-tensor powers."""
+    ctx = alg.ctx
+    g1, g2 = alg.mu.two_generators()
+    return (alg.element(ctx.one), alg.element(ctx.sqrt_d), alg.element(ctx.zero, g1), alg.element(ctx.zero, g2))
+
+
+def outer(x, y):
+    """x (x) y on the Z-tensor square, first factor most significant."""
+    return [xi * yj for xi in x for yj in y]
+
+
+def left_mult_matrix(alg, x):
+    """Left multiplication by x on A, read off ``FrobeniusAlgebra.multiply``."""
+    lat = alg.lattice()
+    return transpose([lat.coords(alg.multiply(x, e)) for e in z_basis(alg)], ncols=4)
+
+
+def delta_one_lift(alg):
+    """Integral lift of Delta(1) to the Z-tensor square:
+    c 1(x)1 + 1(x)dX + dX(x)1 + d' sum_j u_j X (x) u_j' X."""
+    lat = alg.lattice()
+    zero, duals = alg.ctx.zero, alg.duals
+    one = lat.coords(alg.one)
+    c, d = lat.coords(alg.element(duals.c)), lat.coords(alg.element(zero, duals.d))
+    lift = [a + b + e for a, b, e in zip(outer(c, one), outer(one, d), outer(d, one))]
+    for uj, ujp in zip(*alg.partition):
+        left = lat.coords(alg.element(zero, duals.d_prime * uj))
+        lift = [a + b for a, b in zip(lift, outer(left, lat.coords(alg.element(zero, ujp))))]
+    return lift
+
+
 def counit_first_matrix(alg):
     """(trace (x) id): A (x) A -> A on quotient coordinates."""
     lat = alg.lattice()
     cols = []
-    for ei in lat._basis_elements:
+    for ei in z_basis(alg):
         s = alg.trace(ei)
-        for ej in lat._basis_elements:
+        for ej in z_basis(alg):
             cols.append(lat.coords(ej.scale(s)))
     raw = transpose(cols, ncols=16)
     t2 = lat.tensor_power(2)
@@ -136,8 +182,8 @@ def counit_second_matrix(alg):
     """(id (x) trace): A (x) A -> A on quotient coordinates."""
     lat = alg.lattice()
     cols = []
-    for ei in lat._basis_elements:
-        for ej in lat._basis_elements:
+    for ei in z_basis(alg):
+        for ej in z_basis(alg):
             s = alg.trace(ej)
             cols.append(lat.coords(ei.scale(s)))
     raw = transpose(cols, ncols=16)
@@ -150,8 +196,17 @@ def counit_second_matrix(alg):
 # -- edge maps of the cube, on the monomial coordinates of tensor_power --------
 
 
+def edge_matrix(tensors, kind, n_src, src_pos, tgt_map):
+    """The entries of ``MonomialTensors.edge_entries`` as one SparseMatrix."""
+    n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+    out = SparseMatrix(2 << n_tgt, 2 << n_src)
+    for r, c, e in tensors.edge_entries(kind, n_src, src_pos, tgt_map):
+        out.rows[r][c] = e
+    return out
+
+
 def _edge(alg, kind, n_src, src_pos, tgt_map):
-    return MonomialTensors(alg).edge_matrix(kind, n_src, src_pos, tgt_map).to_dense()
+    return edge_matrix(MonomialTensors(alg), kind, n_src, src_pos, tgt_map).to_dense()
 
 
 def id_tensor_delta(alg):

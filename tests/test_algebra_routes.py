@@ -2,13 +2,13 @@
 
 ``analyze`` solves the closed-form duals in O, by exact division by
 D_bar = z^2 delta~; the route over K that it replaced is kept here as
-the oracle.  ``AlgebraLattice`` reads x (x) y and X_u in closed form and
-applies L (x) id on a reshaped vector; the oracles are the projection of
-the Z-tensor square and the 16x16 Kronecker product.  The multiplication
-table, Delta and X_hat are read from (mu, z) parts and the descended
-first-factor maps; the oracles are ``FrobeniusAlgebra.multiply``,
-``comultiply`` and the ``pure2`` sum.  The mechanism guards count calls
-instead of timing them.
+the oracle.  ``AlgebraLattice`` reads x (x) y and X_u in closed form, and
+``MultiplicationLattice`` writes m and the maps (g_i X .) (x) id in closed
+form on A (x)_O A; the oracles are the projection and section of the
+Z-tensor square, the 16x16 Kronecker product of left multiplication read
+off ``FrobeniusAlgebra.multiply``, and the integral lift of Delta(1) to the
+Z-tensor square.  X_hat is read from a (mu, z) part; the oracle is the
+``pure2`` sum.  The mechanism guards count calls instead of timing them.
 """
 
 import functools
@@ -30,10 +30,17 @@ from quadfrob.frobenius import (
     TwistSpec,
 )
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, transpose
-from quadfrob.omodule import DirectSumFailureError, _outer
+from quadfrob.omodule import DirectSumFailureError
 from quadfrob.ring import parse_element
 
-from conftest import random_algebra_element, random_mu_element
+from conftest import (
+    delta_one_lift,
+    left_mult_matrix,
+    outer,
+    random_algebra_element,
+    random_mu_element,
+    z_basis,
+)
 
 DUAL_CELLS = ("c_in_O", "d_in_mu", "c_prime_in_z_inv_mu", "d_prime_in_O")
 # d, generators of mu, z with mu^2 = (z)
@@ -149,21 +156,20 @@ def test_zero_d_bar_is_degenerate_on_both_routes(ctx, mu, a_bar, b_bar, eps_x_ba
 # -- closed-form coordinates of A (x)_O A -------------------------------------
 
 
-def _x_vectors(lat):
-    alg = lat.alg
-    g1, g2 = lat.gens
-    return list(lat._basis_elements) + [alg.element(alg.ctx.zero, g1), alg.element(alg.ctx.zero, g2)]
-
-
 def test_first_factor_matches_the_kronecker_product(algebra_corpus):
+    r = random.Random(5)
     for alg in algebra_corpus.values():
         lat = alg.lattice()
         t2 = lat.tensor_power(2)
-        for x in _x_vectors(lat):
-            l_matrix = lat.left_mult_matrix(x)
-            raw = kron(l_matrix, identity(4))
-            assert lat.mu_z.on_quotient_first_factor(l_matrix) == mat_mul(mat_mul(t2.proj, raw), t2.section)
-            assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lat.delta_one_lift()))
+        basis = z_basis(alg)
+        for x, l_map in zip(basis[2:], lat.mult.x_first_factor_maps()):
+            proj_raw = mat_mul(t2.proj, kron(left_mult_matrix(alg, x), identity(4)))
+            assert l_map == mat_mul(proj_raw, t2.section)
+            assert mat_mul(l_map, t2.proj) == proj_raw  # constant on proj fibres
+        lift = delta_one_lift(alg)
+        for x in [*basis, *(random_algebra_element(alg, r) for _ in range(4))]:
+            raw = kron(left_mult_matrix(alg, x), identity(4))
+            assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lift))
 
 
 def _fixtures_and_search_hits(algebra_corpus):
@@ -173,16 +179,21 @@ def _fixtures_and_search_hits(algebra_corpus):
 def test_multiplication_table_matches_multiply(algebra_corpus):
     for alg in _fixtures_and_search_hits(algebra_corpus):
         lat = alg.lattice()
-        basis = lat._basis_elements
-        for i, ei in enumerate(basis):
-            assert lat.mult.products_of(i) == [lat.coords(alg.multiply(ei, ej)) for ej in basis]
+        m = lat.mult.m_matrix()
+        basis = z_basis(alg)
+        for ei in basis:
+            for ej in basis:
+                assert mat_vec(m, lat.pure2(ei, ej)) == lat.coords(alg.multiply(ei, ej))
 
 
 def test_delta_matrix_matches_comultiply(algebra_corpus):
+    # the oracle is Delta(e_i) = (e_i . (x) id) Delta(1) on the Z-tensor square
     for alg in _fixtures_and_search_hits(algebra_corpus):
         lat = alg.lattice()
-        expected = transpose([list(lat.comultiply(e).coords) for e in lat._basis_elements])
-        assert lat.delta_matrix() == expected
+        proj = lat.tensor_power(2).proj
+        lift = delta_one_lift(alg)
+        expected = [mat_vec(proj, mat_vec(kron(left_mult_matrix(alg, e), identity(4)), lift)) for e in z_basis(alg)]
+        assert lat.delta_matrix() == transpose(expected)
 
 
 def test_x_hat_matches_the_pure2_sum(algebra_corpus):
@@ -206,12 +217,12 @@ def test_closed_form_coordinates_match_the_projection(algebra_corpus):
         one = alg.one
         for _ in range(25):
             x, y = random_algebra_element(alg, r), random_algebra_element(alg, r)
-            assert lat.pure2(x, y) == mat_vec(proj, _outer(lat.coords(x), lat.coords(y)))
+            assert lat.pure2(x, y) == mat_vec(proj, outer(lat.coords(x), lat.coords(y)))
             u = random_mu_element(alg.mu, r)
             ux = alg.element(alg.ctx.zero, u)
-            outer = [a - b for a, b in zip(_outer(lat.coords(ux), lat.coords(one)),
-                                           _outer(lat.coords(one), lat.coords(ux)))]
-            assert lat.mu_z.x_u(u) == mat_vec(proj, outer)
+            diff = [a - b for a, b in zip(outer(lat.coords(ux), lat.coords(one)),
+                                          outer(lat.coords(one), lat.coords(ux)))]
+            assert lat.mu_z.x_u(u) == mat_vec(proj, diff)
 
 
 # -- mechanism guards ----------------------------------------------------------
@@ -244,20 +255,38 @@ def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeyp
     assert calls == [[], []]
 
 
-def test_algebra_side_maps_multiply_nothing_and_descend_two_maps(algebra_corpus, monkeypatch):
+class _Untouchable:
+    """Stands in for the projection or section of the Z-tensor square:
+    any use raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _fail(self, *args):
+        raise AssertionError(f"the {self.name} of the Z-tensor square was used")
+
+    __len__ = __iter__ = __getitem__ = __bool__ = _fail
+
+
+def test_algebra_side_maps_multiply_nothing_and_never_use_the_z_tensor_square(algebra_corpus, monkeypatch):
     algs = [build_algebra(alg.data) for alg in _fixtures_and_search_hits(algebra_corpus)]
-    for alg in algs:
-        alg.lattice().tensor_power(2)  # built, and checked, once per (mu, z)
+    real = omodule.MuZLattice.tensor_power
+
+    def guarded(self, n):
+        t = real(self, n)
+        return omodule.TensorProduct(t.module, _Untouchable("projection"), _Untouchable("section")) if n == 2 else t
+
+    monkeypatch.setattr(omodule.MuZLattice, "tensor_power", guarded)
     multiply = _counted(monkeypatch, frobenius.FrobeniusAlgebra, "multiply")
-    scalar = _counted(monkeypatch, omodule.OModule, "scalar_matrix")
-    first_factor = _counted(monkeypatch, omodule, "_first_factor")
-    for n, alg in enumerate(algs, 1):
+    r = random.Random(8)
+    for alg in algs:
         lat = alg.lattice()
-        lat.kernel_m_analysis(8)
+        assert lat.kernel_m_analysis(8).direct_sum_verified
         lat.delta_matrix()
         lat.handle_matrix()
-        assert len(first_factor) == 2 * n
-    assert multiply == [] and scalar == []
+        lat.comultiply(random_algebra_element(alg, r))
+        alg.closed_surface_invariants(3)
+    assert multiply == []
 
 
 def _counted_property(monkeypatch, cls, name):
@@ -271,13 +300,13 @@ def _counted_property(monkeypatch, cls, name):
 
 def test_search_computes_the_mu_z_table_once(ctx, mu, monkeypatch):
     calls = [_counted_property(monkeypatch, omodule.MuZLattice, name)
-             for name in ("products", "x_quotients", "x_hat_partition")]
+             for name in ("x_quotients", "x_hat_partition")]
     found = list(search_solutions(mu, ctx(2), coord_bound=1))
     assert len(found) == 80
     for alg in found:
         assert alg.kernel_m_analysis(8).iso_to_A
         alg.closed_surface_invariants(2)
-    assert calls == [[1], [1], [1]]
+    assert calls == [[1], [1]]
 
 
 def test_relaxed_a_bar_escapes_the_lattice_on_the_table(ctx, mu):

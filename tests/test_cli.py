@@ -7,7 +7,7 @@ import pytest
 from quadfrob import corpus, frobenius
 from quadfrob.cli import main, make_parser
 from quadfrob.intlin import IntSolver
-from quadfrob.omodule import MultiplicationLattice
+from quadfrob.omodule import AlgebraLattice, MultiplicationLattice
 
 
 def run(capsys, *argv):
@@ -397,8 +397,8 @@ def _assert_check_failed(capsys, check, *argv):
 def test_validation_routes_failure_exits_5(monkeypatch, capsys):
     real = frobenius.rescaled_equations
 
-    def one_false_identity(data, duals):
-        return {**real(data, duals), "eq42": False}
+    def one_false_identity(data, duals, t_bar):
+        return {**real(data, duals, t_bar), "eq42": False}
 
     monkeypatch.setattr(frobenius, "rescaled_equations", one_false_identity)
     _assert_check_failed(capsys, "validation_routes", "algebra", "example-zsqrtm5")
@@ -412,6 +412,34 @@ def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
 def test_well_defined_failure_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
     _assert_check_failed(capsys, "well_defined", "algebra", "example-zsqrtm5")
+
+
+def _double_delta_one(monkeypatch):
+    real = AlgebraLattice._delta_one
+    monkeypatch.setattr(AlgebraLattice, "_delta_one", lambda self: [2 * e for e in real(self)])
+
+
+def _bump_x_map_entry(monkeypatch):
+    real = MultiplicationLattice._x_map
+
+    def bumped(self, i):
+        out = real(self, i)
+        out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(MultiplicationLattice, "_x_map", bumped)
+
+
+@pytest.mark.parametrize("fault, argv", [
+    (_double_delta_one, ("tqft",)),
+    (_double_delta_one, ("algebra", "example-zsqrtm5")),
+    (_bump_x_map_entry, ("kernel",)),
+    (_bump_x_map_entry, ("tqft",)),
+], ids=["delta_one-tqft", "delta_one-algebra", "x_map-kernel", "x_map-tqft"])
+def test_a_faulty_closed_form_exits_5(fault, argv, monkeypatch, capsys):
+    # Delta(1) fails the counit identity, an X-map fails associativity
+    fault(monkeypatch)
+    _assert_check_failed(capsys, "well_defined", *argv)
 
 
 COMMAND_PATHS = [

@@ -7,6 +7,7 @@ from conftest import (
     random_mu_element,
     random_ring_element,
     rng,
+    scalar_matrix,
     swap_matrix,
 )
 from quadfrob.frobenius import (
@@ -136,7 +137,7 @@ def test_validator_rejects_degenerate_trace(ctx, mu):
     data = FrobeniusData(ctx, mu, ctx(2), ctx.zero, ctx.zero, ctx.one, ctx.zero)
     with pytest.raises(DegenerateTraceError):
         build_algebra(data)
-    rows, det = epsilon_tilde_matrix(data)
+    rows, det = epsilon_tilde_matrix(data, data.t_bar())
     assert det == 0
 
 
@@ -258,7 +259,7 @@ def test_comultiply_linearity_and_bimodule(algebra_corpus):
             u = random_ring_element(alg.ctx, r, 4)
             scaled = alg.comultiply(alg.element(u, alg.ctx.zero))
             base = alg.comultiply_one()
-            act = lat.tensor_power(2).module.scalar_matrix(u)
+            act = scalar_matrix(lat.tensor_power(2).module, u)
             assert list(scaled.coords) == mat_vec(act, list(base.coords))
             x = random_algebra_element(alg, r, 3)
             dx = list(alg.comultiply(x).coords)
@@ -283,7 +284,7 @@ def test_counit(algebra_corpus):
 
 def test_epsilon_tilde_examples(ctx, mu, alg_eps0):
     assert alg_eps0.epsilon_tilde_det in (1, -1)
-    rows, det = epsilon_tilde_matrix(alg_eps0.data)
+    rows, det = epsilon_tilde_matrix(alg_eps0.data, alg_eps0.data.t_bar())
     assert det == alg_eps0.epsilon_tilde_det
     assert len(rows) == 4 and all(len(r) == 4 for r in rows)
 

@@ -16,18 +16,18 @@ import pytest
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, perm_matrix, transpose
 from quadfrob.omodule import MonomialTensors
 
-
-def _m_z_matrix(lat):
-    cols = []
-    for ei in lat._basis_elements:
-        for ej in lat._basis_elements:
-            cols.append(lat.coords(lat.alg.multiply(ei, ej)))
-    return transpose(cols, ncols=16)
+from conftest import delta_one_lift, edge_matrix, left_mult_matrix, z_basis
 
 
-def _delta_z_matrix(lat):
-    lift = lat.delta_one_lift()
-    cols = [mat_vec(kron(lat.left_mult_matrix(e), identity(4)), lift) for e in lat._basis_elements]
+def _m_z_matrix(alg):
+    basis = z_basis(alg)
+    lat = alg.lattice()
+    return transpose([lat.coords(alg.multiply(ei, ej)) for ei in basis for ej in basis], ncols=16)
+
+
+def _delta_z_matrix(alg):
+    lift = delta_one_lift(alg)
+    cols = [mat_vec(kron(left_mult_matrix(alg, e), identity(4)), lift) for e in z_basis(alg)]
     return transpose(cols, ncols=4)
 
 
@@ -37,12 +37,12 @@ def dense_edge_matrix(alg, kind, n_src, src_pos, tgt_map):
     others = [p for p in range(n_src) if p not in src_pos]
     pre = perm_matrix(n_src, 4, others + list(src_pos))
     if kind == "merge":
-        op = _m_z_matrix(lat)
+        op = _m_z_matrix(alg)
         n_tgt = n_src - 1
         if n_src > 2:
             op = kron(identity(4 ** (n_src - 2)), op)
     else:
-        op = _delta_z_matrix(lat)
+        op = _delta_z_matrix(alg)
         n_tgt = n_src + 1
         if n_src > 1:
             op = kron(identity(4 ** (n_src - 1)), op)
@@ -74,7 +74,7 @@ def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_c
     for aname, alg in algebra_corpus.items():
         tensors = MonomialTensors(alg)
         for tgt_map in itertools.permutations(range(n_tgt)):
-            mono = tensors.edge_matrix(kind, n_src, list(src_pos), list(tgt_map)).to_dense()
+            mono = edge_matrix(tensors, kind, n_src, list(src_pos), list(tgt_map)).to_dense()
             dense = dense_edge_matrix(alg, kind, n_src, list(src_pos), list(tgt_map))
             assert mono == dense, (aname, tgt_map)
 
