@@ -338,28 +338,31 @@ _COMMANDS = {
 
 
 def make_parser(argv=None):
-    """The argument parser.  Every command is registered with its help, but
-    only the one ``argv`` runs gets its actions, and only the action it runs
-    gets its options: the first two words of ``argv`` that are not options
-    name them, as no option comes before the action.  Without ``argv``
-    every command and action gets them."""
-    words = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
+    """The argument parser.  When the first two words of ``argv`` that are
+    not options name a command and its action (no option comes before the
+    action), only their parsers are built; otherwise, and without ``argv``,
+    every command and action is.  The lean parser spells the top level's
+    choices in full, so its usage line is the full parser's."""
+    words = [] if argv is None else [a for a in argv if not a.startswith("-")][:2]
+    entry = _COMMANDS.get(words[0]) if words else None
+    lean = entry is not None and (entry[3] is None or len(words) == 2 and words[1] in entry[3])
     ap = argparse.ArgumentParser(prog="quadfrob")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
     for command, (help_, func, options, actions) in _COMMANDS.items():
+        if lean and command != words[0]:
+            continue
         p = sub.add_parser(command, help=help_)
-        if words is not None and words[:1] != [command]:
-            continue  # the top level shows only its name and help
         if actions is None:
             p.set_defaults(func=func)
             options(p, None)
             continue
         act_sub = p.add_subparsers(dest="action", required=True)
         for action, act_help in actions.items():
+            if lean and action != words[1]:
+                continue
             q = act_sub.add_parser(action) if act_help is None else act_sub.add_parser(action, help=act_help)
             q.set_defaults(func=func)
-            if words is None or words[1:] == [action]:
-                options(q, action)
+            options(q, action)
     return ap
 
 

@@ -250,28 +250,6 @@ def _quotient(num, den):
         return None
 
 
-def raw_system_residuals(data, duals):
-    """Residuals of the four defining equations over K; all must be zero.
-
-    c*eps(1) + d*eps(X) - 1,  c*eps(X) + d*t,
-    c'*eps(1) + d'*eps(X),    c'*eps(X) + d'*t - 1/z.
-    """
-    e1 = data.eps_one.to_field()
-    ex = data.eps_x()
-    t = data.t()
-    zinv = data.z.to_field().inverse()
-    c = duals.c.to_field()
-    d = duals.d.to_field()
-    cp = duals.c_prime
-    dp = duals.d_prime.to_field()
-    return (
-        c * e1 + d * ex - 1,
-        c * ex + d * t,
-        cp * e1 + dp * ex,
-        cp * ex + dp * t - zinv,
-    )
-
-
 def rescaled_equations(data, duals, t_bar):
     """The four rescaled dual-basis identities, keyed by their report names;
     ``t_bar`` is ``data.t_bar()``."""
@@ -285,20 +263,6 @@ def rescaled_equations(data, duals, t_bar):
     eq44 = dp * exb == -(d * e1)
     eq45 = d_ex is not None and d_ex + dp * t_bar == data.ctx.one
     return {"eq42": eq42, "eq43": eq43, "eq44": eq44, "eq45": eq45}
-
-
-def eq20_memberships(data):
-    """The three fractional-ideal conditions equivalent to dual integrality:
-    eps(X^2) in D*O, eps(X) in D*mu, eps(1) in D*z*O."""
-    delta = data.delta_tilde()
-    t_over = data.t() / delta
-    ex_over = data.eps_x() / delta
-    e1_over = data.eps_one.to_field() / (delta * data.z.to_field())
-    return (
-        t_over.is_integral(),
-        ex_over.is_integral() and data.mu.contains(ex_over.to_ring()),
-        e1_over.is_integral(),
-    )
 
 
 def analyze(data, *, relax_a_bar=False, mu_z=None):
@@ -497,9 +461,6 @@ class FrobeniusAlgebra:
         """eps(u0 + u1 X) = u0 eps(1) + u1 eps_x_bar / z, always in O."""
         return x.u0 * self.data.eps_one + (x.u1 * self.data.eps_x_bar).exact_div(self.data.z)
 
-    def trace_pairing(self, x, y):
-        return self.trace(self.multiply(x, y))
-
     # -- lattice-backed operations ------------------------------------------
 
     def lattice(self):
@@ -510,11 +471,6 @@ class FrobeniusAlgebra:
     def comultiply_one(self):
         """Delta(1) in the A (x)_O A lattice (closed-form dual route)."""
         return self.lattice().delta_one()
-
-    def comultiply_one_via_dual(self):
-        """Delta(1) recomputed through the dualized-multiplication diagram."""
-        coeffs = delta_one_by_dualizing_multiplication(self.data)
-        return self.lattice().tensor_from_k_basis(coeffs)
 
     def comultiply(self, x):
         return self.lattice().comultiply(x)
@@ -552,43 +508,6 @@ class FrobeniusAlgebra:
             f"A = O + mu X over Z[sqrt({self.ctx.d})], mu={d.mu}, z={d.z}, "
             f"a_bar={d.a_bar}, b_bar={d.b_bar}, eps(1)={d.eps_one}, eps_x_bar={d.eps_x_bar}"
         )
-
-
-def delta_one_by_dualizing_multiplication(data):
-    """Delta(1) over K by the literal composition (inv (x) inv) o m^ o pairing.
-
-    Works in the K-bases {1, X} and {1^, X^}: pairing(1) = eps(1) 1^ +
-    eps(X) X^; m^(1^) = 1^ (x) 1^ + b X^ (x) X^; m^(X^) = 1^ (x) X^ +
-    X^ (x) 1^ + a X^ (x) X^; inv(1^) = (eps(X^2) 1 - eps(X) X)/D and
-    inv(X^) = (-eps(X) 1 + eps(1) X)/D.  Returns coefficients of
-    (1 (x) 1, 1 (x) X, X (x) 1, X (x) X).
-    """
-    ctx = data.ctx
-    zero = ctx.field(0)
-    e1 = data.eps_one.to_field()
-    ex = data.eps_x()
-    t = data.t()
-    a = data.a()
-    b = data.b()
-    delta = data.delta_tilde()
-    inv = delta.inverse()
-    # images of the dual basis under the inverse pairing, as (coeff 1, coeff X)
-    inv_one = (t * inv, -ex * inv)
-    inv_x = (-ex * inv, e1 * inv)
-    # m^(pairing(1)) as coefficients over 1^(x)1^, 1^(x)X^, X^(x)1^, X^(x)X^
-    m_dual = [e1, ex, ex, e1 * b + ex * a]
-    duals = (inv_one, inv_x)
-    out = [zero, zero, zero, zero]
-    for i, (pi0, pi1) in enumerate(duals):
-        for j, (pj0, pj1) in enumerate(duals):
-            w = m_dual[2 * i + j]
-            if w.is_zero():
-                continue
-            out[0] = out[0] + w * pi0 * pj0
-            out[1] = out[1] + w * pi0 * pj1
-            out[2] = out[2] + w * pi1 * pj0
-            out[3] = out[3] + w * pi1 * pj1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

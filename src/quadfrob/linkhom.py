@@ -10,9 +10,10 @@ positive-kink diagram resolves to two circles at 0 and one at 1, so its
 complex is 0 -> A(x)A --m--> A -> 0 in cohomological degrees 0, 1.
 
 Chain groups are the monomial presentation of A^(x circles) from
-``omodule``, of Z-rank 2^(circles+1), on which merge and split act by 2x2
-integer blocks read off from m and Delta(1) (``omodule.MonomialTensors``).
-Differentials are sparse.
+``omodule``, of Z-rank 2^(circles+1), on which merge and split act by the
+2x2 integer blocks of the algebra's checked m and Delta
+(``omodule.AlgebraLattice.edge_entries``) and sqrt(d) by
+``MuZLattice.sqrt_d_blocks``.  Differentials are sparse.
 
 Homology is computed once per complex: ranks over Q of the differentials,
 Gaussian elimination of unit entries, and the invariant factors of what is
@@ -24,7 +25,6 @@ Homological degree is |v| - n_minus.
 """
 
 from .intlin import SparseMatrix, invariant_factors, reduce_units, sparse_rank
-from .omodule import MonomialTensors
 from .ring import CheckFailedError, Value, _set, json_int
 
 
@@ -325,7 +325,7 @@ def build_complex(pd, alg):
         raise ValueError("link homology needs a multiplicatively closed algebra")
     cube = resolve(pd)
     k = len(pd.crossings)
-    tensors = MonomialTensors(alg)
+    lattice = alg.lattice()
 
     offsets = {}
     ranks = [0] * (k + 1)
@@ -334,7 +334,7 @@ def build_complex(pd, alg):
         i, n = sum(v), cube.circle_count(v)
         off = offsets[v] = ranks[i]
         for mask in range(1 << n):
-            block = tensors.actions[bin(mask).count("1") & 1]
+            block = lattice.mu_z.sqrt_d_blocks[bin(mask).count("1") & 1]
             for brow in block:
                 action_rows[i].append({off + 2 * mask + j: e for j, e in enumerate(brow) if e})
         ranks[i] = off + (2 << n)
@@ -347,7 +347,7 @@ def build_complex(pd, alg):
         tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
         sign = -1 if sum(v[:j]) % 2 else 1
         rows, row_off, col_off = diffs[sum(v)].rows, offsets[w], offsets[v]
-        for r, c, e in tensors.edge_entries(kind, cube.circle_count(v), src, tgt_map):
+        for r, c, e in lattice.edge_entries(kind, cube.circle_count(v), src, tgt_map):
             rows[row_off + r][col_off + c] = sign * e
 
     notes = []

@@ -17,12 +17,13 @@ c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
 Z-basis element of the summand of S, a bit mask with factor 0 as its
 highest bit; ``summand_coords`` reads them off c.  These are the only
 coordinates of A^(x n): ``MuZLattice.tensor_power`` projects the
-Z-tensor power onto them, and ``MonomialTensors`` gives the cube's edge maps
-on them.  On A (x)_O A, with summands 1(x)1, 1(x)X, X(x)1 and zX(x)X, the
-algebra's m, (g_i X .) (x) id and Delta are written in closed form by ring
-arithmetic in O (``MultiplicationLattice``, ``AlgebraLattice``) and checked
-by associativity and the counit identity, never through the Z-tensor
-square.
+Z-tensor power onto them.  On A (x)_O A, with summands 1(x)1, 1(x)X, X(x)1
+and zX(x)X, the algebra's m, (g_i X .) (x) id and Delta are written in
+closed form by ring arithmetic in O (``MultiplicationLattice``,
+``AlgebraLattice``) and checked by associativity and the counit identity,
+never through the Z-tensor square.  They are the only m and Delta: the
+cube's edge maps on A^(x n) (``AlgebraLattice.edge_entries``) are their
+2x2 blocks, each multiplication by one scalar in K between the summands.
 """
 
 import functools
@@ -59,8 +60,9 @@ class DirectSumFailureError(CheckFailedError):
 
 
 class NotWellDefinedError(CheckFailedError):
-    """A map meant to descend to a quotient or a sublattice does not, or a
-    closed-form structure map breaks associativity or the counit identity."""
+    """A map meant to descend to a quotient or a sublattice does not, a
+    closed-form structure map breaks associativity or the counit identity,
+    or a block of the cube's edge maps is not one scalar of K."""
 
     check = "well_defined"
 
@@ -178,100 +180,6 @@ def summand_coords(mu, c, odd):
     return mu.basis_coords(r) if odd else (r.x, r.y)
 
 
-class MonomialTensors:
-    """The cube's edge maps on monomial coordinates of A^(x n).
-
-    A term X_S -> kappa X_S' of m or Delta over K becomes the 2x2 block of
-    c -> kappa z^(floor(|S|/2) - floor(|S'|/2)) c between the summands.
-    Every block, the sqrt(d)-actions ``actions`` too, is a ``MuZLattice.block``.
-    """
-
-    def __init__(self, alg):
-        ctx = alg.ctx
-        data = alg.data
-        self.mu_z = alg.lattice().mu_z
-        self.z = data.z.to_field()
-        zero, one, a, b = ctx.field(0), ctx.field(1), data.a(), data.b()
-        duals = alg.duals
-        cd = duals.d.to_field()
-        # Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' z X(x)X
-        delta_one = {
-            (0, 0): duals.c.to_field(),
-            (0, 1): cd,
-            (1, 0): cd,
-            (1, 1): duals.d_prime.to_field() * self.z,
-        }
-        delta_x = {}  # (X (x) 1) Delta(1), with X*X = aX + b
-        for (i, j), coeff in delta_one.items():
-            for out, k in ([(1, coeff)] if i == 0 else [(1, coeff * a), (0, coeff * b)]):
-                delta_x[(out, j)] = delta_x.get((out, j), zero) + k
-        terms = {
-            "merge": {
-                (0, 0): {(0,): one},
-                (0, 1): {(1,): one},
-                (1, 0): {(1,): one},
-                (1, 1): {(1,): a, (0,): b},
-            },
-            "split": {(0,): delta_one, (1,): delta_x},
-        }
-        self.terms = {
-            kind: {ins: [(outs, k) for outs, k in t.items() if not k.is_zero()] for ins, t in table.items()}
-            for kind, table in terms.items()
-        }
-        self._blocks = {}
-        self._edges = {}
-        self.actions = self.mu_z.sqrt_d_blocks
-
-    def _block(self, kind, ins, outs, kappa, par):
-        key = (kind, ins, outs, par)
-        if key not in self._blocks:
-            shift = sum(outs) - sum(ins)
-            # floor(|S|/2) - floor(|S'|/2) depends only on par = |S| mod 2
-            e = -((par + shift) // 2)
-            factor = kappa * self.z if e > 0 else kappa / self.z if e < 0 else kappa
-            self._blocks[key] = self.mu_z.block(factor, par, (par + shift) % 2)
-        return self._blocks[key]
-
-    def edge_entries(self, kind, n_src, src_pos, tgt_map):
-        """(row, column, entry) of the map A^(x n_src) -> A^(x n_tgt).
-
-        ``src_pos``: the merged or split source factors; ``tgt_map``: for
-        each factor of the intermediate order (untouched factors in source
-        order, then the merged/split factors), its position in the target.
-        Memoized on this instance per (kind, n_src, src_pos, tgt_map): the
-        returned list is shared, so do not mutate it.
-        """
-        key = (kind, n_src, tuple(src_pos), tuple(tgt_map))
-        if key not in self._edges:
-            self._edges[key] = list(self._edge_entries(kind, n_src, src_pos, tgt_map))
-        return self._edges[key]
-
-    def _edge_entries(self, kind, n_src, src_pos, tgt_map):
-        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
-        others = [p for p in range(n_src) if p not in src_pos]
-        tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]
-        new_bits = tgt_bits[len(others):]
-        table = self.terms[kind]
-        for mask in range(1 << n_src):
-            bits = [(mask >> (n_src - 1 - p)) & 1 for p in range(n_src)]
-            base = 0
-            for o, tb in zip(others, tgt_bits):
-                if bits[o]:
-                    base |= tb
-            ins = tuple(bits[p] for p in src_pos)
-            par = bin(mask).count("1") & 1
-            for outs, kappa in table[ins]:
-                tmask = base
-                for bit, tb in zip(outs, new_bits):
-                    if bit:
-                        tmask |= tb
-                block = self._block(kind, ins, outs, kappa, par)
-                for i in (0, 1):
-                    for j in (0, 1):
-                        if block[i][j]:
-                            yield 2 * tmask + i, 2 * mask + j, block[i][j]
-
-
 # ---------------------------------------------------------------------------
 # The lattice bundle of a Frobenius algebra
 
@@ -311,6 +219,11 @@ class KernelReport:
 _IDENTITY_BLOCK = ((1, 0), (0, 1))
 
 
+def _bits(mask, n):
+    """The n bits of ``mask``, factor 0 (the highest bit) first."""
+    return tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+
+
 def _from_blocks(nrows, ncols, blocks):
     """The (2 nrows) x (2 ncols) integer matrix with the 2x2 ``blocks``,
     keyed by (block row, block column), and zeros elsewhere."""
@@ -325,12 +238,12 @@ class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
     of an algebra's three lattice layers: the facts validation reads
     (``squares_to_z``, ``mu_principal``, ``partition``), the 2x2 blocks
-    between the summand lattices O and mu (``block``, ``coords_block``),
-    A as a Z-lattice with its sqrt(d)-action, the tensor powers A^(x n)
-    with their projections, sections and actions, x (x) y and X_u in the
-    coordinates of A (x)_O A (``pure2``, ``x_u``), the quotients
-    q_ij = g_i g_j / z (``x_quotients``) and the partition term of X_hat
-    (``x_hat_partition``).
+    between the summand lattices O and mu (``block``, ``coords_block``,
+    ``flipped_block``), A as a Z-lattice with its sqrt(d)-action, the
+    tensor powers A^(x n) with their projections, sections and actions,
+    x (x) y and X_u in the coordinates of A (x)_O A (``pure2``, ``x_u``),
+    the quotients q_ij = g_i g_j / z (``x_quotients``) and the partition
+    term of X_hat (``x_hat_partition``).
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), so that the
@@ -354,7 +267,7 @@ class MuZLattice:
         self.gens = (g1, g2)
         # A's Z-basis 1, sqrt(d), g1 X, g2 X as pairs (u0, u1) for u0 + u1 X
         self.elements = ((ctx.one, ctx.zero), (ctx.sqrt_d, ctx.zero), (ctx.zero, g1), (ctx.zero, g2))
-        self._basis = ((ctx.one.to_field(), ctx.sqrt_d.to_field()), (g1.to_field(), g2.to_field()))
+        self._ring_basis = ((ctx.one, ctx.sqrt_d), (g1, g2))  # of the summand lattices O and mu
         self.sqrt_d_blocks = tuple(self.block(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
         on_o, on_mu = self.sqrt_d_blocks
         self.A = OModule(ctx.d, 4, [[*row, 0, 0] for row in on_o] + [[0, 0, *row] for row in on_mu])
@@ -405,7 +318,7 @@ class MuZLattice:
     def block(self, factor, src_par, tgt_par):
         """Matrix of c -> factor * c (factor in K) from the summand lattice of
         parity ``src_par`` (0: O, basis 1, sqrt(d); 1: mu, basis g1, g2) to that of ``tgt_par``."""
-        (a, c), (b, d) = (summand_coords(self.mu, e * factor, tgt_par) for e in self._basis[src_par])
+        (a, c), (b, d) = (summand_coords(self.mu, e.to_field() * factor, tgt_par) for e in self._ring_basis[src_par])
         return ((a, b), (c, d))
 
     def coords_block(self, images, tgt_par):
@@ -414,6 +327,27 @@ class MuZLattice:
         the matrix of a map sending the source basis to ``images``."""
         (a, c), (b, d) = (self.mu.basis_coords(e) if tgt_par else (e.x, e.y) for e in images)
         return ((a, b), (c, d))
+
+    def flipped_block(self, blk, src_par, tgt_par):
+        """The block ``blk`` between the summand lattices of parities
+        ``src_par`` and ``tgt_par`` with one more factor X outside it.  It
+        must be ``block(s, src_par, tgt_par)`` with s = v / e0: v in O from
+        its first column, e0 = 1 or g1.  One more X moves floor(|S|/2) -
+        floor(|S'|/2) by src_par - tgt_par, so this is block(s
+        z^(src_par - tgt_par), 1 - src_par, 1 - tgt_par), by exact division
+        in O.  NotWellDefinedError when it is no such block or leaves them."""
+        (a, _), (c, _) = blk
+        t0, t1 = self._ring_basis[tgt_par]
+        v = t0 * a + t1 * c
+        e0, e1 = self._ring_basis[src_par]
+        num = v * self.z if src_par > tgt_par else v
+        den = e0 * self.z if src_par < tgt_par else e0
+        try:
+            if self.coords_block((v, (v * e1).exact_div(e0)), tgt_par) != blk:
+                raise NotWellDefinedError(f"block {blk} is not multiplication by one scalar of K")
+            return self.coords_block([(num * f).exact_div(den) for f in self._ring_basis[1 - src_par]], 1 - tgt_par)
+        except (ValueError, NotDivisibleError) as exc:
+            raise NotWellDefinedError(f"block {blk} leaves the lattice: {exc}") from None
 
     def coords(self, elt):
         a, b = self.mu.basis_coords(elt.u1)
@@ -679,7 +613,8 @@ class AlgebraLattice:
     is read off the duals, and Delta = [Delta(1), J Delta(1), L_1 Delta(1),
     L_2 Delta(1)] over A's basis 1, sqrt(d), g1 X, g2 X.  Both must pass
     the counit identity (eps (x) id) Delta = id, with eps read from the
-    data, not from the duals, or NotWellDefinedError is raised.
+    data, not from the duals, or NotWellDefinedError is raised.  The cube's
+    edge maps (``edge_entries``) are the blocks of the checked m and Delta.
     """
 
     def __init__(self, alg, mu_z):
@@ -695,6 +630,7 @@ class AlgebraLattice:
         self._delta1 = None
         self._delta = None
         self._handle = None
+        self._edges = {}
 
     # -- coordinates ---------------------------------------------------------
 
@@ -773,23 +709,63 @@ class AlgebraLattice:
             self._handle = mat_mul(self.mult.m_matrix(), self.delta_matrix())
         return self._handle
 
-    def tensor_from_k_basis(self, coeffs):
-        """Element of A (x)_O A from K-coefficients over
-        (1(x)1, 1(x)X, X(x)1, X(x)X); must be integral."""
-        alpha, beta, gamma, delta = coeffs
-        zf = self.alg.data.z.to_field()
-        if not alpha.is_integral():
-            raise NotDivisibleError(f"1(x)1 coefficient {alpha} not integral")
-        for name, val in (("1(x)X", beta), ("X(x)1", gamma)):
-            if not self.mu.contains_fraction(val, self.ctx.one):
-                raise NotDivisibleError(f"{name} coefficient {val} not in mu")
-        dprime = delta / zf
-        if not dprime.is_integral():
-            raise NotDivisibleError(f"X(x)X coefficient {delta} not in z*O")
-        coords = []
-        for c, odd in ((alpha, 0), (beta, 1), (gamma, 1), (dprime, 0)):
-            coords.extend(summand_coords(self.mu, c, odd))
-        return TensorElement(self.tensor_power(2), coords)
+    # -- the cube's edge maps -------------------------------------------------
+
+    @functools.cached_property
+    def _edge_blocks(self):
+        """(kind, ins, par) -> [(outs, block)]: the nonzero 2x2 blocks of a
+        merge (m) or split (Delta) from X^ins to X^outs on a source summand
+        of parity ``par``: at par = |ins| mod 2 those of ``m_matrix``, once
+        m has passed associativity, and of ``delta_matrix``, past the counit
+        identity, at rows 2 mask(outs) and columns 2 mask(ins); at the other
+        parity their ``MuZLattice.flipped_block``."""
+        self.mult.x_first_factor_maps()
+        out = {}
+        for kind, matrix, n_in, n_out in (("merge", self.mult.m_matrix(), 2, 1), ("split", self.delta_matrix(), 1, 2)):
+            for col, row in itertools.product(range(1 << n_in), range(1 << n_out)):
+                blk = tuple(tuple(r[2 * col:2 * col + 2]) for r in matrix[2 * row:2 * row + 2])
+                if blk != ((0, 0), (0, 0)):
+                    ins, outs = _bits(col, n_in), _bits(row, n_out)
+                    p = sum(ins) % 2
+                    flipped = self.mu_z.flipped_block(blk, p, sum(outs) % 2)
+                    out.setdefault((kind, ins, p), []).append((outs, blk))
+                    out.setdefault((kind, ins, 1 - p), []).append((outs, flipped))
+        return out
+
+    def edge_entries(self, kind, n_src, src_pos, tgt_map):
+        """(row, column, entry) of the cube's map A^(x n_src) -> A^(x n_tgt).
+
+        ``src_pos``: the merged or split source factors; ``tgt_map``: for
+        each factor of the intermediate order (untouched factors in source
+        order, then the merged/split factors), its position in the target.
+        Memoized on this lattice per (kind, n_src, src_pos, tgt_map): the
+        returned list is shared, so do not mutate it.
+        """
+        key = (kind, n_src, tuple(src_pos), tuple(tgt_map))
+        if key in self._edges:
+            return self._edges[key]
+        entries = self._edges[key] = []
+        n_tgt = n_src - 1 if kind == "merge" else n_src + 1
+        others = [p for p in range(n_src) if p not in src_pos]
+        tgt_bits = [1 << (n_tgt - 1 - t) for t in tgt_map]
+        new_bits = tgt_bits[len(others):]
+        for mask in range(1 << n_src):
+            bits = _bits(mask, n_src)
+            base = 0
+            for o, tb in zip(others, tgt_bits):
+                if bits[o]:
+                    base |= tb
+            ins = tuple(bits[p] for p in src_pos)
+            for outs, block in self._edge_blocks.get((kind, ins, bin(mask).count("1") & 1), ()):
+                tmask = base
+                for bit, tb in zip(outs, new_bits):
+                    if bit:
+                        tmask |= tb
+                for i in (0, 1):
+                    for j in (0, 1):
+                        if block[i][j]:
+                            entries.append((2 * tmask + i, 2 * mask + j, block[i][j]))
+        return entries
 
     # -- kernel of multiplication -------------------------------------------
 

@@ -5,7 +5,8 @@ import pytest
 from quadfrob import Ideal, RingContext
 from quadfrob.frobenius import FrobeniusData, build_algebra, example_zsqrtm5, family_eps_x_one, family_eps_x_zero
 from quadfrob.intlin import SparseMatrix, mat_add, mat_mul, mat_scale, identity, transpose
-from quadfrob.omodule import MonomialTensors
+from quadfrob.omodule import TensorElement, summand_coords
+from quadfrob.ring import NotDivisibleError
 
 
 @pytest.fixture(scope="session")
@@ -193,20 +194,125 @@ def counit_second_matrix(alg):
     return out
 
 
+# -- the paper's raw equations over K, as oracles of the algebra side --------
+
+
+def raw_system_residuals(data, duals):
+    """Residuals of the four defining equations over K; all must be zero.
+
+    c*eps(1) + d*eps(X) - 1,  c*eps(X) + d*t,
+    c'*eps(1) + d'*eps(X),    c'*eps(X) + d'*t - 1/z.
+    """
+    e1 = data.eps_one.to_field()
+    ex = data.eps_x()
+    t = data.t()
+    zinv = data.z.to_field().inverse()
+    c = duals.c.to_field()
+    d = duals.d.to_field()
+    cp = duals.c_prime
+    dp = duals.d_prime.to_field()
+    return (
+        c * e1 + d * ex - 1,
+        c * ex + d * t,
+        cp * e1 + dp * ex,
+        cp * ex + dp * t - zinv,
+    )
+
+
+def eq20_memberships(data):
+    """The three fractional-ideal conditions equivalent to dual integrality:
+    eps(X^2) in D*O, eps(X) in D*mu, eps(1) in D*z*O."""
+    delta = data.delta_tilde()
+    t_over = data.t() / delta
+    ex_over = data.eps_x() / delta
+    e1_over = data.eps_one.to_field() / (delta * data.z.to_field())
+    return (
+        t_over.is_integral(),
+        ex_over.is_integral() and data.mu.contains(ex_over.to_ring()),
+        e1_over.is_integral(),
+    )
+
+
+def trace_pairing(alg, x, y):
+    """eps(xy)."""
+    return alg.trace(alg.multiply(x, y))
+
+
+def delta_one_by_dualizing_multiplication(data):
+    """Delta(1) over K by the literal composition (inv (x) inv) o m^ o pairing.
+
+    Works in the K-bases {1, X} and {1^, X^}: pairing(1) = eps(1) 1^ +
+    eps(X) X^; m^(1^) = 1^ (x) 1^ + b X^ (x) X^; m^(X^) = 1^ (x) X^ +
+    X^ (x) 1^ + a X^ (x) X^; inv(1^) = (eps(X^2) 1 - eps(X) X)/D and
+    inv(X^) = (-eps(X) 1 + eps(1) X)/D.  Returns coefficients of
+    (1 (x) 1, 1 (x) X, X (x) 1, X (x) X).
+    """
+    ctx = data.ctx
+    zero = ctx.field(0)
+    e1 = data.eps_one.to_field()
+    ex = data.eps_x()
+    t = data.t()
+    a = data.a()
+    b = data.b()
+    delta = data.delta_tilde()
+    inv = delta.inverse()
+    # images of the dual basis under the inverse pairing, as (coeff 1, coeff X)
+    inv_one = (t * inv, -ex * inv)
+    inv_x = (-ex * inv, e1 * inv)
+    # m^(pairing(1)) as coefficients over 1^(x)1^, 1^(x)X^, X^(x)1^, X^(x)X^
+    m_dual = [e1, ex, ex, e1 * b + ex * a]
+    duals = (inv_one, inv_x)
+    out = [zero, zero, zero, zero]
+    for i, (pi0, pi1) in enumerate(duals):
+        for j, (pj0, pj1) in enumerate(duals):
+            w = m_dual[2 * i + j]
+            if w.is_zero():
+                continue
+            out[0] = out[0] + w * pi0 * pj0
+            out[1] = out[1] + w * pi0 * pj1
+            out[2] = out[2] + w * pi1 * pj0
+            out[3] = out[3] + w * pi1 * pj1
+    return tuple(out)
+
+
+def tensor_from_k_basis(alg, coeffs):
+    """Element of A (x)_O A from K-coefficients over
+    (1(x)1, 1(x)X, X(x)1, X(x)X); must be integral."""
+    alpha, beta, gamma, delta = coeffs
+    mu, one = alg.mu, alg.ctx.one
+    if not alpha.is_integral():
+        raise NotDivisibleError(f"1(x)1 coefficient {alpha} not integral")
+    for name, val in (("1(x)X", beta), ("X(x)1", gamma)):
+        if not mu.contains_fraction(val, one):
+            raise NotDivisibleError(f"{name} coefficient {val} not in mu")
+    dprime = delta / alg.data.z.to_field()
+    if not dprime.is_integral():
+        raise NotDivisibleError(f"X(x)X coefficient {delta} not in z*O")
+    coords = []
+    for c, odd in ((alpha, 0), (beta, 1), (gamma, 1), (dprime, 0)):
+        coords.extend(summand_coords(mu, c, odd))
+    return TensorElement(alg.lattice().tensor_power(2), coords)
+
+
+def comultiply_one_via_dual(alg):
+    """Delta(1) recomputed through the dualized-multiplication diagram."""
+    return tensor_from_k_basis(alg, delta_one_by_dualizing_multiplication(alg.data))
+
+
 # -- edge maps of the cube, on the monomial coordinates of tensor_power --------
 
 
-def edge_matrix(tensors, kind, n_src, src_pos, tgt_map):
-    """The entries of ``MonomialTensors.edge_entries`` as one SparseMatrix."""
+def edge_matrix(lattice, kind, n_src, src_pos, tgt_map):
+    """The entries of ``AlgebraLattice.edge_entries`` as one SparseMatrix."""
     n_tgt = n_src - 1 if kind == "merge" else n_src + 1
     out = SparseMatrix(2 << n_tgt, 2 << n_src)
-    for r, c, e in tensors.edge_entries(kind, n_src, src_pos, tgt_map):
+    for r, c, e in lattice.edge_entries(kind, n_src, src_pos, tgt_map):
         out.rows[r][c] = e
     return out
 
 
 def _edge(alg, kind, n_src, src_pos, tgt_map):
-    return edge_matrix(MonomialTensors(alg), kind, n_src, src_pos, tgt_map).to_dense()
+    return edge_matrix(alg.lattice(), kind, n_src, src_pos, tgt_map).to_dense()
 
 
 def id_tensor_delta(alg):

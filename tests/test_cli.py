@@ -430,6 +430,79 @@ def _bump_x_map_entry(monkeypatch):
     monkeypatch.setattr(MultiplicationLattice, "_x_map", bumped)
 
 
+def _swap_c_and_d_prime(monkeypatch):
+    real = AlgebraLattice._delta_one
+
+    def swapped(self):
+        out = real(self)
+        return out[6:8] + out[2:6] + out[0:2]
+
+    monkeypatch.setattr(AlgebraLattice, "_delta_one", swapped)
+
+
+def _drop_a_bar_from_m(monkeypatch):
+    real = MultiplicationLattice.m_matrix
+
+    def dropped(self):
+        out = [row[:] for row in real(self)]
+        for row in out[2:4]:
+            row[6:8] = [0, 0]  # the block zX(x)X -> X, a_bar's coordinates in mu
+        return out
+
+    monkeypatch.setattr(MultiplicationLattice, "m_matrix", dropped)
+
+
+def _bump_m_entry(monkeypatch):
+    real = MultiplicationLattice.m_matrix
+
+    def bumped(self):
+        out = [row[:] for row in real(self)]
+        out[2][6] += 1
+        return out
+
+    monkeypatch.setattr(MultiplicationLattice, "m_matrix", bumped)
+
+
+def _bump_checked_m_entry(monkeypatch):
+    # the same entry, changed once m has passed associativity
+    real = MultiplicationLattice.x_first_factor_maps
+
+    def bump_after(self):
+        out = real(self)
+        if not getattr(self, "_bumped", False):
+            self._m[2][6] += 1
+            self._bumped = True
+        return out
+
+    monkeypatch.setattr(MultiplicationLattice, "x_first_factor_maps", bump_after)
+
+
+COUNIT = "counit identity (eps (x) id) Delta(1) = 1 fails"
+ASSOCIATIVITY = "is not associative with m"
+PER_BLOCK = "is not multiplication by one scalar of K"
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_double_delta_one, COUNIT),
+    (_swap_c_and_d_prime, COUNIT),
+    (_drop_a_bar_from_m, ASSOCIATIVITY),
+    (_bump_x_map_entry, ASSOCIATIVITY),
+    (_bump_m_entry, ASSOCIATIVITY),
+    (_bump_checked_m_entry, PER_BLOCK),
+], ids=["delta_one", "c_d_prime_swapped", "a_bar_dropped", "x_map", "m_entry", "checked_m_entry"])
+def test_a_faulty_closed_form_fails_link_homology(fault, message, tmp_path, monkeypatch, capsys):
+    # the cube's edge maps are the blocks of the checked m and Delta, so a
+    # fault in either fails a check before any homology is computed
+    alg = tmp_path / "worked.json"
+    alg.write_text(json.dumps(frobenius.example_zsqrtm5(1, 1).data.to_json()))
+    pd = tmp_path / "trefoil.json"
+    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
+    fault(monkeypatch)
+    code, out, err = run(capsys, "link", "homology", "--pd", str(pd), "--alg", str(alg))
+    assert (code, out) == (5, "")
+    assert "well_defined check failed" in err and message in err
+
+
 @pytest.mark.parametrize("fault, argv", [
     (_double_delta_one, ("tqft",)),
     (_double_delta_one, ("algebra", "example-zsqrtm5")),
@@ -477,8 +550,41 @@ def test_parser_builds_only_the_options_of_the_command_run():
     assert _option_count(make_parser()) == 64
     lean = make_parser(["link", "homology", "--pd", "x.json"])
     assert _option_count(lean) == 4  # --pd, --alg, --format and --out
+    # only the command and the action run are built
     commands = lean._actions[-1].choices
-    assert list(commands) == ["ideal", "algebra", "kernel", "link", "tqft"]
-    assert list(commands["link"]._actions[-1].choices) == ["homology", "compare", "lee-check", "corpus"]
-    # a command not run has no actions: the top level shows only its name and help
-    assert [type(a) for a in commands["algebra"]._actions] == [argparse._HelpAction]
+    assert list(commands) == ["link"]
+    assert list(commands["link"]._actions[-1].choices) == ["homology"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["link", "homology", "--pd", "x.json"], 3),
+    (["kernel", "--bound", "3"], 2),
+    (["link", "--help"], 17),  # a missing word builds every parser
+    (["link", "bogus"], 17),  # so does an unknown one
+    (None, 17),
+], ids=["link-homology", "kernel", "link-help", "link-bogus", "no-argv"])
+def test_parser_counts_the_parsers_it_builds(argv, built, monkeypatch):
+    real = argparse.ArgumentParser.__init__
+    count = []
+
+    def counted(self, *args, **kwargs):
+        count.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    make_parser(argv)
+    assert len(count) == built
+
+
+def _failure(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"], ["link", "bogus"], ["link"], [], ["link", "homology"], ["link", "homology", "--pd", "x", "--bogus"],
+    ["kernel", "--bogus"], ["algebra", "search", "--bound", "x"],
+], ids=lambda argv: " ".join(argv) or "no-words")
+def test_lean_parser_errors_match_the_full_parser(argv, capsys):
+    assert _failure(make_parser(argv), argv, capsys) == _failure(make_parser(), argv, capsys)

@@ -24,7 +24,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from quadfrob import Ideal, RingContext, corpus  # noqa: E402
-from quadfrob.frobenius import example_zsqrtm5, family_eps_x_one, family_eps_x_zero  # noqa: E402
+from quadfrob.frobenius import FrobeniusData, example_zsqrtm5, family_eps_x_one, family_eps_x_zero  # noqa: E402
 from quadfrob.linkhom import build_complex, resolve  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).with_name("complex_golden.json")
@@ -114,6 +114,19 @@ def test_cube_matches_golden(name, golden):
 @pytest.mark.parametrize("key", COMPLEX_KEYS)
 def test_complex_matches_golden(key, golden, algebras):
     assert complex_record(key, algebras) == golden["complexes"][key]
+
+
+def test_complexes_never_read_a_and_b_over_K(golden, monkeypatch):
+    # the edge maps come from the algebra's closed forms in O alone
+    algs = build_algebras()
+
+    def over_k(self):
+        raise AssertionError("build_complex read a or b over K")
+
+    monkeypatch.setattr(FrobeniusData, "a", over_k)
+    monkeypatch.setattr(FrobeniusData, "b", over_k)
+    for key in COMPLEX_KEYS:
+        assert complex_record(key, algs) == golden["complexes"][key], key
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ The oracle is the old construction of a cube edge map: on the full
 Z-tensor power, perm . (id (x) m or Delta) . perm, pushed down to
 tensor_power(n) as proj . raw . section.  For every fixture algebra and
 every merge and split between at most three circles, the monomial map of
-build_complex, read off from the term tables of m and Delta(1), must equal
-the oracle, which uses the Z-level multiplication and the partition lift of
-Delta(1).
+build_complex, read off from the blocks of the algebra's closed-form m and
+Delta, must equal the oracle, which uses the Z-level multiplication and the
+partition lift of Delta(1).
 """
 
 import itertools
@@ -14,7 +14,6 @@ import itertools
 import pytest
 
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, perm_matrix, transpose
-from quadfrob.omodule import MonomialTensors
 
 from conftest import delta_one_lift, edge_matrix, left_mult_matrix, z_basis
 
@@ -72,9 +71,9 @@ EDGES = [
 def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_corpus):
     n_tgt = n_src - 1 if kind == "merge" else n_src + 1
     for aname, alg in algebra_corpus.items():
-        tensors = MonomialTensors(alg)
+        lattice = alg.lattice()
         for tgt_map in itertools.permutations(range(n_tgt)):
-            mono = edge_matrix(tensors, kind, n_src, list(src_pos), list(tgt_map)).to_dense()
+            mono = edge_matrix(lattice, kind, n_src, list(src_pos), list(tgt_map)).to_dense()
             dense = dense_edge_matrix(alg, kind, n_src, list(src_pos), list(tgt_map))
             assert mono == dense, (aname, tgt_map)
 
@@ -82,7 +81,7 @@ def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_c
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_monomial_action_conjugate_to_tensor_action(n, algebra_corpus):
     for aname, alg in algebra_corpus.items():
-        blocks = MonomialTensors(alg).actions
+        blocks = alg.lattice().mu_z.sqrt_d_blocks
         size = 2 << n
         action = [[0] * size for _ in range(size)]
         for mask in range(1 << n):

@@ -193,3 +193,24 @@ def test_homology_pair_rejects_image_outside_kernel():
     # d_out * d_in != 0: the image e1 is not in ker(d_out) = Z e2
     with pytest.raises(NotWellDefinedError, match="well_defined check failed"):
         homology_pair([[1], [0]], [[1, 0]], 2)
+
+
+def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
+    mu_z = alg_worked.lattice().mu_z
+    g1 = mu_z.gens[0].to_field()
+    z = mu_z.z.to_field()
+    # from p = 0 to q = 1 the scalar is divided by z, from p = 1 to q = 0 multiplied
+    assert mu_z.flipped_block(mu_z.block(g1, 0, 1), 0, 1) == mu_z.block(g1 / z, 1, 0)
+    inverse = z / g1  # a scalar from mu to O: mu^-1 = mu / z
+    assert mu_z.flipped_block(mu_z.block(inverse, 1, 0), 1, 0) == mu_z.block(inverse * z, 0, 1)
+    for p in (0, 1):
+        assert mu_z.flipped_block(mu_z.block(ctx.sqrt_d.to_field(), p, p), p, p) == mu_z.sqrt_d_blocks[1 - p]
+
+
+@pytest.mark.parametrize("blk, pars, message", [
+    (((1, 1), (0, 1)), (0, 0), "not multiplication by one scalar"),
+    (((1, 0), (0, 0)), (1, 0), "leaves the lattice"),  # 1/g1 on g2 = 1+w is (1+w)/2, not in O
+], ids=["not_scalar", "leaves_lattice"])
+def test_flipped_block_names_a_block_that_is_no_scalar(blk, pars, message, alg_worked):
+    with pytest.raises(NotWellDefinedError, match=message):
+        alg_worked.lattice().mu_z.flipped_block(blk, *pars)

@@ -6,7 +6,8 @@ at least once.  For each case it records the input, the outcome of
 ``build_algebra`` (``ok`` or the exception class and message) and a SHA-256
 of the JSON of ``analyze``'s report.  It also records, for each ring, A's
 sqrt(d)-action on the Z-basis (1, sqrt(d), g1 X, g2 X) and the two sqrt(d)
-blocks of ``MonomialTensors`` on an algebra of that ring.  Rerun
+blocks the cube's chain groups use (``MuZLattice.sqrt_d_blocks``) on an
+algebra of that ring.  Rerun
 ``python tests/test_rejection_golden.py`` only when the output is meant to
 change.
 """
@@ -24,7 +25,6 @@ if __name__ == "__main__":
 
 from quadfrob import Ideal, RingContext  # noqa: E402
 from quadfrob.frobenius import FrobeniusData, analyze, build_algebra, search_solutions  # noqa: E402
-from quadfrob.omodule import MonomialTensors  # noqa: E402
 from quadfrob.ring import parse_element  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).with_name("rejection_golden.json")
@@ -125,7 +125,7 @@ def lattice_record(d, gens, z):
     return {
         "algebra": alg.data.to_json(),
         "A_action": alg.lattice().A.action,
-        "sqrt_d_blocks": [[list(row) for row in block] for block in MonomialTensors(alg).actions],
+        "sqrt_d_blocks": [[list(row) for row in block] for block in alg.lattice().mu_z.sqrt_d_blocks],
     }
 
 
