@@ -132,7 +132,7 @@ def _algebra_payload(alg):
         "partition_u_prime": [e.to_json() for e in alg.partition[1]],
         "epsilon_tilde": [[str(e) for e in row] for row in alg.epsilon_tilde],
         "epsilon_tilde_det": alg.epsilon_tilde_det,
-        "delta_one_coords": [str(e) for e in alg.comultiply_one().coords],
+        "delta_one_coords": [str(e) for e in alg.comultiply_one()],
     }
     return payload
 

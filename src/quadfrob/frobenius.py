@@ -63,7 +63,8 @@ class ClosureError(ValidationError):
 
 
 class FrobeniusData(Value):
-    """Rescaled defining parameters; all derived values are computed views."""
+    """Rescaled defining parameters, all in O; t_bar is derived from them.
+    Validation works in O throughout (``analyze``)."""
 
     __slots__ = ("ctx", "mu", "z", "a_bar", "b_bar", "eps_one", "eps_x_bar")
 
@@ -76,26 +77,10 @@ class FrobeniusData(Value):
         _set(self, "eps_one", eps_one)
         _set(self, "eps_x_bar", eps_x_bar)
 
-    def a(self):
-        return self.a_bar.field_quotient(self.z)
-
-    def b(self):
-        return self.b_bar.field_quotient(self.z)
-
-    def eps_x(self):
-        return self.eps_x_bar.field_quotient(self.z)
-
     def t_bar(self):
         """t_bar = a_bar*eps_x_bar/z + b_bar*eps(1); must land in O."""
         prod = self.a_bar * self.eps_x_bar
         return prod.exact_div(self.z) + self.b_bar * self.eps_one
-
-    def t(self):
-        return self.t_bar().field_quotient(self.z)
-
-    def delta_tilde(self):
-        """det of the trace pairing in the K-basis {1, X}."""
-        return self.eps_one.to_field() * self.t() - self.eps_x() * self.eps_x()
 
     def discriminant(self):
         """a_bar^2 + 4*z*b_bar; nonzero iff X^2 - aX - b has distinct roots."""
@@ -469,10 +454,12 @@ class FrobeniusAlgebra:
         return self._lattice
 
     def comultiply_one(self):
-        """Delta(1) in the A (x)_O A lattice (closed-form dual route)."""
+        """Delta(1) as a tuple of coordinates of A (x)_O A (closed-form dual
+        route)."""
         return self.lattice().delta_one()
 
     def comultiply(self, x):
+        """Delta(x) as a tuple of coordinates of A (x)_O A."""
         return self.lattice().comultiply(x)
 
     def _handle_powers_to(self, genus):

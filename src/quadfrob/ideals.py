@@ -88,16 +88,6 @@ class Ideal(Value):
         beta = elt.y // c
         return (elt.x - beta * b) % a == 0
 
-    def contains_fraction(self, x, denominator):
-        """Membership of x in denominator^-1 * (this ideal): tests that
-        denominator * x is in O and lies in the lattice."""
-        if denominator.is_zero():
-            raise ZeroDivisionError("denominator must be nonzero")
-        scaled = denominator.to_field() * x
-        if not scaled.is_integral():
-            return False
-        return self.contains(scaled.to_ring())
-
     def norm(self):
         """Index [O : a] = |det| of the HNF basis."""
         return abs(self.rows[0][0] * self.rows[1][1])

@@ -198,17 +198,6 @@ def smith_normal_form(a):
     return diag + [0] * (min(m, n) - len(diag)), rows, transpose(cols), uinv
 
 
-def snf_diagonal(a):
-    """The diagonal of ``smith_normal_form(a)`` without its transforms:
-    min(m, n) nonnegative entries, each dividing the next nonzero one, zeros
-    last.  ``invariant_factors`` on the rows of ``a``, padded with zeros.
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    diag = invariant_factors([{j: e for j, e in enumerate(row) if e} for row in a])
-    return diag + [0] * (min(m, n) - len(diag))
-
-
 class IntSolver:
     """Repeated exact solves of A x = b, plus ker(A), via one row Hermite
     form of [A^T | I]; the lattice {(Ax, x)} keeps entries reduced."""

@@ -13,7 +13,7 @@ Chain groups are the monomial presentation of A^(x circles) from
 ``omodule``, of Z-rank 2^(circles+1), on which merge and split act by the
 2x2 integer blocks of the algebra's checked m and Delta
 (``omodule.AlgebraLattice.edge_entries``) and sqrt(d) by
-``MuZLattice.sqrt_d_blocks``.  Differentials are sparse.
+``MuZLattice.sqrt_d_rows``.  Differentials are sparse.
 
 Homology is computed once per complex: ranks over Q of the differentials,
 Gaussian elimination of unit entries, and the invariant factors of what is
@@ -333,10 +333,7 @@ def build_complex(pd, alg):
     for v in sorted(cube.circles):
         i, n = sum(v), cube.circle_count(v)
         off = offsets[v] = ranks[i]
-        for mask in range(1 << n):
-            block = lattice.mu_z.sqrt_d_blocks[bin(mask).count("1") & 1]
-            for brow in block:
-                action_rows[i].append({off + 2 * mask + j: e for j, e in enumerate(brow) if e})
+        action_rows[i].extend({off + j: e for j, e in row.items()} for row in lattice.mu_z.sqrt_d_rows(n))
         ranks[i] = off + (2 << n)
     actions = [SparseMatrix(r, r, rows) for r, rows in zip(ranks, action_rows)]
 

@@ -15,15 +15,17 @@ c z^floor(|S|/2) X_S for c in O (|S| even; Z-basis 1, sqrt(d)) or c in mu
 (|S| odd; Z-basis the HNF generators g1, g2 of mu), so A^(x n) has Z-rank
 2^(n+1) (Khovanov, arXiv:math/0411447).  Coordinate 2*S + j is the j-th
 Z-basis element of the summand of S, a bit mask with factor 0 as its
-highest bit; ``summand_coords`` reads them off c.  These are the only
-coordinates of A^(x n): ``MuZLattice.tensor_power`` projects the
-Z-tensor power onto them.  On A (x)_O A, with summands 1(x)1, 1(x)X, X(x)1
-and zX(x)X, the algebra's m, (g_i X .) (x) id and Delta are written in
-closed form by ring arithmetic in O (``MultiplicationLattice``,
-``AlgebraLattice``) and checked by associativity and the counit identity,
-never through the Z-tensor square.  They are the only m and Delta: the
-cube's edge maps on A^(x n) (``AlgebraLattice.edge_entries``) are their
-2x2 blocks, each multiplication by one scalar in K between the summands.
+highest bit.  These are the only coordinates of A^(x n), and sqrt(d) acts
+on the summand of S by the 2x2 block of its parity
+(``MuZLattice.sqrt_d_rows``).  The projection of the Z-tensor power onto
+them checks that action on every factor; only the tests use it.  On
+A (x)_O A, with summands 1(x)1, 1(x)X, X(x)1 and zX(x)X, the algebra's m,
+(g_i X .) (x) id and Delta are written in closed form by ring arithmetic in
+O (``MultiplicationLattice``, ``AlgebraLattice``) and checked by
+associativity and the counit identity, never through the Z-tensor square.
+They are the only m and Delta: the cube's edge maps on A^(x n)
+(``AlgebraLattice.edge_entries``) are their 2x2 blocks, each
+multiplication by one scalar in K between the summands.
 """
 
 import functools
@@ -35,13 +37,13 @@ from .intlin import (
     IntSolver,
     hnf_rows,
     identity,
+    invariant_factors,
     kernel_basis,
     kron,
     mat_mul,
     mat_scale,
     mat_vec,
     smith_normal_form,
-    snf_diagonal,
     transpose,
 )
 from .ring import CheckFailedError, NotDivisibleError
@@ -104,9 +106,8 @@ def homology_pair(d_in, d_out, rank_mid):
         if sol is None:
             raise NotWellDefinedError("image does not lie in the kernel; d^2 != 0?")
         cols.append(sol)
-    w = transpose(cols, ncols=k) if cols else []
-    diag = snf_diagonal(w) if w else []
-    nonzero = [e for e in diag if e]
+    w = transpose(cols, ncols=k)
+    nonzero = invariant_factors([{j: e for j, e in enumerate(row) if e} for row in w])
     torsion = [e for e in nonzero if e != 1]
     return k - len(nonzero), torsion
 
@@ -168,19 +169,6 @@ def kernel_module(f):
 
 
 # ---------------------------------------------------------------------------
-# Monomial coordinates of A^(x n)
-
-
-def summand_coords(mu, c, odd):
-    """Z-coordinates of c in K in a summand of A^(x n): over (1, sqrt(d))
-    in O for an even circle set, over (g1, g2) in mu for an odd one."""
-    if not c.is_integral():
-        raise ValueError(f"{c} is not in O: the algebra is not closed")
-    r = c.to_ring()
-    return mu.basis_coords(r) if odd else (r.x, r.y)
-
-
-# ---------------------------------------------------------------------------
 # The lattice bundle of a Frobenius algebra
 
 
@@ -238,10 +226,11 @@ class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
     of an algebra's three lattice layers: the facts validation reads
     (``squares_to_z``, ``mu_principal``, ``partition``), the 2x2 blocks
-    between the summand lattices O and mu (``block``, ``coords_block``,
-    ``flipped_block``), A as a Z-lattice with its sqrt(d)-action, the
-    tensor powers A^(x n) with their projections, sections and actions,
-    x (x) y and X_u in the coordinates of A (x)_O A (``pure2``, ``x_u``),
+    between the summand lattices O and mu (``coords_block``,
+    ``flipped_block``), the sqrt(d)-action on A^(x n) (``sqrt_d_rows``)
+    and with it A and A (x)_O A as Z-lattices (``A``, ``A2``), the
+    projections of the Z-tensor powers onto it, x (x) y and
+    X_u in the coordinates of A (x)_O A (``pure2``, ``x_u``),
     the quotients q_ij = g_i g_j / z (``x_quotients``) and the partition
     term of X_hat (``x_hat_partition``).
 
@@ -254,8 +243,8 @@ class MuZLattice:
     Every algebra with the same (mu, z) has the same ones, so
     ``search_solutions`` builds one per search and validates every candidate
     against it, and ``twist`` hands its algebra's to the twisted one; any
-    other algebra builds its own.  The facts are computed, and tensor powers
-    built and checked, on first use.
+    other algebra builds its own.  The facts are computed, and the actions
+    and tensor powers built and checked, on first use.
     """
 
     def __init__(self, mu, z):
@@ -268,10 +257,12 @@ class MuZLattice:
         # A's Z-basis 1, sqrt(d), g1 X, g2 X as pairs (u0, u1) for u0 + u1 X
         self.elements = ((ctx.one, ctx.zero), (ctx.sqrt_d, ctx.zero), (ctx.zero, g1), (ctx.zero, g2))
         self._ring_basis = ((ctx.one, ctx.sqrt_d), (g1, g2))  # of the summand lattices O and mu
-        self.sqrt_d_blocks = tuple(self.block(ctx.sqrt_d.to_field(), par, par) for par in (0, 1))
-        on_o, on_mu = self.sqrt_d_blocks
-        self.A = OModule(ctx.d, 4, [[*row, 0, 0] for row in on_o] + [[0, 0, *row] for row in on_mu])
-        self._powers = {1: TensorProduct(self.A, identity(4), identity(4))}
+        self.sqrt_d_blocks = tuple(
+            self.coords_block([ctx.sqrt_d * e for e in basis], par) for par, basis in enumerate(self._ring_basis)
+        )
+        self._sqrt_d_rows = {}
+        self.A = self._module(1)
+        self._powers = {}
         self._multiplications = {}  # (a_bar, b_bar) -> MultiplicationLattice
 
     @functools.cached_property
@@ -315,27 +306,29 @@ class MuZLattice:
             self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar, closed_product)
         return self._multiplications[key]
 
-    def block(self, factor, src_par, tgt_par):
-        """Matrix of c -> factor * c (factor in K) from the summand lattice of
-        parity ``src_par`` (0: O, basis 1, sqrt(d); 1: mu, basis g1, g2) to that of ``tgt_par``."""
-        (a, c), (b, d) = (summand_coords(self.mu, e.to_field() * factor, tgt_par) for e in self._ring_basis[src_par])
-        return ((a, b), (c, d))
+    def _coords_in(self, e, par):
+        """Z-coordinates of the ring element e in the summand lattice of
+        parity ``par``: over (1, sqrt(d)) in O, or over (g1, g2) in mu."""
+        return self.mu.basis_coords(e) if par else (e.x, e.y)
 
     def coords_block(self, images, tgt_par):
         """The 2x2 block whose columns are the coordinates of the two ring
         elements ``images`` in the summand lattice of parity ``tgt_par``:
-        the matrix of a map sending the source basis to ``images``."""
-        (a, c), (b, d) = (self.mu.basis_coords(e) if tgt_par else (e.x, e.y) for e in images)
+        the matrix of a map sending the source basis (1, sqrt(d) in O, or
+        g1, g2 in mu) to ``images``."""
+        (a, c), (b, d) = (self._coords_in(e, tgt_par) for e in images)
         return ((a, b), (c, d))
 
     def flipped_block(self, blk, src_par, tgt_par):
         """The block ``blk`` between the summand lattices of parities
         ``src_par`` and ``tgt_par`` with one more factor X outside it.  It
-        must be ``block(s, src_par, tgt_par)`` with s = v / e0: v in O from
-        its first column, e0 = 1 or g1.  One more X moves floor(|S|/2) -
-        floor(|S'|/2) by src_par - tgt_par, so this is block(s
-        z^(src_par - tgt_par), 1 - src_par, 1 - tgt_par), by exact division
-        in O.  NotWellDefinedError when it is no such block or leaves them."""
+        must be the block of c -> s c with s = v / e0 in K: v in O from its
+        first column, e0 = 1 or g1 the first source basis element, so its
+        second column is v e1 / e0.  One more X moves floor(|S|/2) -
+        floor(|S'|/2) by src_par - tgt_par, so this is the block of
+        c -> s z^(src_par - tgt_par) c from parity 1 - src_par to
+        1 - tgt_par, by exact division in O.  NotWellDefinedError when it
+        is no such block or leaves them."""
         (a, _), (c, _) = blk
         t0, t1 = self._ring_basis[tgt_par]
         v = t0 * a + t1 * c
@@ -367,11 +360,38 @@ class MuZLattice:
         a, b = self.mu.basis_coords(u)
         return [0, 0, -a, -b, a, b, 0, 0]
 
+    def sqrt_d_rows(self, n):
+        """sqrt(d) on the monomial coordinates of A^(x n), one row dict
+        {column: entry} per coordinate: ``sqrt_d_blocks[|S| mod 2]`` on the
+        summand of S.  The only source of the action: ``A``, ``A2``, the
+        cube's chain groups and the projections of the Z-tensor powers read
+        it.  Kept per n and shared: do not mutate it."""
+        if n not in self._sqrt_d_rows:
+            self._sqrt_d_rows[n] = [
+                {2 * mask + j: e for j, e in enumerate(brow) if e}
+                for mask in range(1 << n)
+                for brow in self.sqrt_d_blocks[bin(mask).count("1") & 1]
+            ]
+        return self._sqrt_d_rows[n]
+
+    def _module(self, n):
+        """A^(x n) as an OModule with the action of ``sqrt_d_rows(n)``."""
+        size = 2 << n
+        return OModule(self.ctx.d, size, [[row.get(j, 0) for j in range(size)] for row in self.sqrt_d_rows(n)])
+
+    @functools.cached_property
+    def A2(self):
+        """A (x)_O A as an OModule on its eight monomial coordinates."""
+        return self._module(2)
+
     def tensor_power(self, n):
-        """A^(x n) in monomial coordinates, projected from the Z-tensor
-        power (factor basis 1, sqrt(d), g1 X, g2 X, first factor most
-        significant): u_1 X^s_1 (x) ... (x) u_n X^s_n -> prod(u_i) /
-        z^floor(|S|/2) in the summand of S = {i : s_i = 1}."""
+        """The projection of the Z-tensor power (factor basis 1, sqrt(d),
+        g1 X, g2 X, first factor most significant) onto the monomial
+        coordinates of A^(x n): u_1 X^s_1 (x) ... (x) u_n X^s_n -> prod(u_i) /
+        z^floor(|S|/2) in the summand of S = {i : s_i = 1}, with a section.
+        It checks ``sqrt_d_rows(n)`` against sqrt(d) on every factor,
+        proj J_i = J proj.  No production path needs it; the tests keep it
+        as their oracle."""
         if n not in self._powers:
             ctx = self.ctx
             g1, g2 = self.gens
@@ -384,7 +404,7 @@ class MuZLattice:
                 size = bin(mask).count("1")
                 col = [0] * (2 << n)
                 c = prod.exact_div(z ** (size // 2)) if size > 1 else prod
-                col[2 * mask:2 * mask + 2] = summand_coords(self.mu, c.to_field(), size % 2)
+                col[2 * mask:2 * mask + 2] = self._coords_in(c, size % 2)
                 cols.append(col)
             proj = transpose(cols)
             solver = IntSolver(proj)
@@ -392,12 +412,12 @@ class MuZLattice:
             if None in sols:
                 raise NotWellDefinedError("projection onto monomial coordinates is not onto")
             section = transpose(sols)
-            # sqrt(d) on any one factor must give the same action
+            # sqrt(d) on any one factor must give the laid-out action
+            module = self._module(n)
             acts = [kron(kron(identity(4 ** i), self.A.action), identity(4 ** (n - 1 - i))) for i in range(n)]
-            action = mat_mul(mat_mul(proj, acts[0]), section)
-            if any(mat_mul(proj, j) != mat_mul(action, proj) for j in acts):
+            if any(mat_mul(proj, j) != mat_mul(module.action, proj) for j in acts):
                 raise NotWellDefinedError("tensor action not well defined on monomial coordinates")
-            self._powers[n] = TensorProduct(OModule(ctx.d, 2 << n, action), proj, section)
+            self._powers[n] = TensorProduct(module, proj, section)
         return self._powers[n]
 
 
@@ -509,9 +529,8 @@ class MultiplicationLattice:
         and whether the two action identities hold."""
         if self._kernel is None:
             mu_z = self.mu_z
-            t2 = mu_z.tensor_power(2)
-            j2 = t2.module.action
-            ker_mod, incl = kernel_module(OMorphism(t2.module, mu_z.A, self.m_matrix()))
+            j2 = mu_z.A2.action
+            ker_mod, incl = kernel_module(OMorphism(mu_z.A2, mu_z.A, self.m_matrix()))
             ker_rows = transpose(incl, ncols=ker_mod.rank)
             if ker_mod.rank != 4:
                 raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
@@ -552,7 +571,7 @@ class MultiplicationLattice:
         if search_bound not in self._generators:
             mu_z = self.mu_z
             _, ker_hnf, _, xhat, _ = self._kernel_parts()
-            j2 = mu_z.tensor_power(2).module.action
+            j2 = mu_z.A2.action
             lmats = self.x_first_factor_maps()
             generator = None
             notes = []
@@ -642,7 +661,8 @@ class AlgebraLattice:
         return self.alg.element(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     def tensor_power(self, n):
-        """A^(x n) in monomial coordinates; see ``MuZLattice.tensor_power``."""
+        """The projection of the Z-tensor power onto A^(x n), kept on
+        ``mu_z``."""
         return self.mu_z.tensor_power(n)
 
     def pure2(self, x, y):
@@ -677,26 +697,26 @@ class AlgebraLattice:
         return [duals.c.x, duals.c.y, *d, *d, duals.d_prime.x, duals.d_prime.y]
 
     def delta_one(self):
-        """Delta(1), checked by the counit identity (eps (x) id) Delta(1) = 1."""
-        t2 = self.tensor_power(2)
+        """Delta(1) as a tuple of coordinates of A (x)_O A, checked by the
+        counit identity (eps (x) id) Delta(1) = 1."""
         if self._delta1 is None:
             d1 = self._delta_one()
             if mat_vec(self._counit_first, d1) != [1, 0, 0, 0]:
                 raise NotWellDefinedError("counit identity (eps (x) id) Delta(1) = 1 fails")
-            self._delta1 = d1
-        return TensorElement(t2, self._delta1)
+            self._delta1 = tuple(d1)
+        return self._delta1
 
     def comultiply(self, x):
-        """Delta(x) = Delta coords(x)."""
-        return TensorElement(self.tensor_power(2), mat_vec(self.delta_matrix(), self.coords(x)))
+        """Delta(x) = Delta coords(x), a tuple of coordinates of A (x)_O A."""
+        return tuple(mat_vec(self.delta_matrix(), self.coords(x)))
 
     def delta_matrix(self):
         """Delta on A, column i Delta(e_i) = (e_i . (x) id) Delta(1): Delta(1)
         itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it;
         checked by the counit identity (eps (x) id) Delta = id."""
         if self._delta is None:
-            d1 = list(self.delta_one().coords)
-            cols = [d1, mat_vec(self.tensor_power(2).module.action, d1)]
+            d1 = list(self.delta_one())
+            cols = [d1, mat_vec(self.mu_z.A2.action, d1)]
             cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
             delta = transpose(cols, ncols=8)
             if mat_mul(self._counit_first, delta) != identity(4):
@@ -775,21 +795,3 @@ class AlgebraLattice:
         ``mu_z``; a fresh report per call."""
         return self.mult.kernel_m_analysis(search_bound)
 
-
-class TensorElement:
-    """Element of a tensor-over-O lattice, held as its coordinates."""
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space, coords):
-        self.space = space
-        self.coords = tuple(coords)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"TensorElement{self.coords}"

@@ -3,10 +3,16 @@ import random
 import pytest
 
 from quadfrob import Ideal, RingContext
-from quadfrob.frobenius import FrobeniusData, build_algebra, example_zsqrtm5, family_eps_x_one, family_eps_x_zero
-from quadfrob.intlin import SparseMatrix, mat_add, mat_mul, mat_scale, identity, transpose
-from quadfrob.omodule import TensorElement, summand_coords
-from quadfrob.ring import NotDivisibleError
+from quadfrob.frobenius import (
+    FrobeniusData,
+    build_algebra,
+    example_zsqrtm5,
+    family_eps_x_one,
+    family_eps_x_zero,
+    search_solutions,
+)
+from quadfrob.intlin import SparseMatrix, identity, invariant_factors, mat_add, mat_mul, mat_scale, transpose
+from quadfrob.ring import NotDivisibleError, parse_element
 
 
 @pytest.fixture(scope="session")
@@ -41,18 +47,58 @@ def alg_sanity(ctx):
     return build_algebra(data)
 
 
+def khovanov_data(ctx):
+    """Khovanov's algebra over O: mu = O, z = 1, a_bar = b_bar = 0 (so
+    X^2 = 0), eps(1) = 0 and eps_x_bar = 1."""
+    unit_ideal = Ideal.from_generators(ctx, [ctx.one])
+    return FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.zero, ctx.zero, ctx.one)
+
+
 @pytest.fixture(scope="session")
-def algebra_corpus(alg_eps0, alg_worked, alg_eps1, alg_sanity):
+def alg_khovanov(ctx):
+    return build_algebra(khovanov_data(ctx))
+
+
+@pytest.fixture(scope="session")
+def algebra_corpus(alg_eps0, alg_worked, alg_eps1, alg_sanity, alg_khovanov):
     return {
         "eps0_b1": alg_eps0,
         "worked": alg_worked,
         "eps_x_one": alg_eps1,
         "free_sanity": alg_sanity,
+        "khovanov": alg_khovanov,
     }
 
 
 def rng(seed=0):
     return random.Random(seed)
+
+
+# d, generators of mu, z with mu^2 = (z)
+RINGS = (
+    (-5, "2,1+w", "2"),
+    (-6, "2,w", "2"),
+    (-10, "2,w", "2"),
+    (-13, "2,1+w", "2"),
+    (-5, "1", "1"),
+    (-1, "1+w", "2w"),
+)
+
+
+def ring_of(d, gens, z):
+    ctx = RingContext(d)
+    mu = Ideal.from_generators(ctx, [parse_element(ctx, g) for g in gens.split(",")])
+    return ctx, mu, parse_element(ctx, z)
+
+
+def search_hits():
+    """The first six algebras ``search_solutions`` finds with coordinate
+    bound 1 over each of the first four RINGS, in search order."""
+    out = []
+    for ring in RINGS[:4]:
+        _, mu, z = ring_of(*ring)
+        out.extend(search_solutions(mu, z, coord_bound=1, limit=6))
+    return out
 
 
 # nonzero entries with no unit among them
@@ -116,6 +162,35 @@ def n_plus(pd):
 
 
 # -- lattice test helpers ----------------------------------------------------
+
+
+def snf_diagonal(a):
+    """The diagonal of ``smith_normal_form(a)`` without its transforms:
+    min(m, n) nonnegative entries, each dividing the next nonzero one, zeros
+    last.  ``invariant_factors`` on the rows of ``a``, padded with zeros."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    diag = invariant_factors([{j: e for j, e in enumerate(row) if e} for row in a])
+    return diag + [0] * (min(m, n) - len(diag))
+
+
+def summand_coords(mu, c, odd):
+    """Z-coordinates of c in K in a summand of A^(x n): over (1, sqrt(d))
+    in O for an even circle set, over (g1, g2) in mu for an odd one."""
+    if not c.is_integral():
+        raise ValueError(f"{c} is not in O: the algebra is not closed")
+    r = c.to_ring()
+    return mu.basis_coords(r) if odd else (r.x, r.y)
+
+
+def block(mu_z, factor, src_par, tgt_par):
+    """Matrix of c -> factor * c (factor in K) from the summand lattice of
+    parity ``src_par`` (0: O, basis 1, sqrt(d); 1: mu, basis g1, g2) to that
+    of ``tgt_par``, by K-scalar arithmetic."""
+    ctx = mu_z.ctx
+    basis = (ctx.one, ctx.sqrt_d) if src_par == 0 else mu_z.gens
+    (a, c), (b, d) = (summand_coords(mu_z.mu, e.to_field() * factor, tgt_par) for e in basis)
+    return ((a, b), (c, d))
 
 
 def scalar_matrix(module, o):
@@ -197,6 +272,42 @@ def counit_second_matrix(alg):
 # -- the paper's raw equations over K, as oracles of the algebra side --------
 
 
+def contains_fraction(ideal, x, denominator):
+    """Membership of x in K in denominator^-1 * ideal: denominator * x is in
+    O and lies in the lattice."""
+    if denominator.is_zero():
+        raise ZeroDivisionError("denominator must be nonzero")
+    scaled = denominator.to_field() * x
+    if not scaled.is_integral():
+        return False
+    return ideal.contains(scaled.to_ring())
+
+
+def k_a(data):
+    """a = a_bar / z in K."""
+    return data.a_bar.field_quotient(data.z)
+
+
+def k_b(data):
+    """b = b_bar / z in K."""
+    return data.b_bar.field_quotient(data.z)
+
+
+def k_eps_x(data):
+    """eps(X) = eps_x_bar / z in K."""
+    return data.eps_x_bar.field_quotient(data.z)
+
+
+def k_t(data):
+    """t = eps(X^2) = t_bar / z in K."""
+    return data.t_bar().field_quotient(data.z)
+
+
+def k_delta_tilde(data):
+    """det of the trace pairing in the K-basis {1, X}."""
+    return data.eps_one.to_field() * k_t(data) - k_eps_x(data) * k_eps_x(data)
+
+
 def raw_system_residuals(data, duals):
     """Residuals of the four defining equations over K; all must be zero.
 
@@ -204,8 +315,8 @@ def raw_system_residuals(data, duals):
     c'*eps(1) + d'*eps(X),    c'*eps(X) + d'*t - 1/z.
     """
     e1 = data.eps_one.to_field()
-    ex = data.eps_x()
-    t = data.t()
+    ex = k_eps_x(data)
+    t = k_t(data)
     zinv = data.z.to_field().inverse()
     c = duals.c.to_field()
     d = duals.d.to_field()
@@ -222,9 +333,9 @@ def raw_system_residuals(data, duals):
 def eq20_memberships(data):
     """The three fractional-ideal conditions equivalent to dual integrality:
     eps(X^2) in D*O, eps(X) in D*mu, eps(1) in D*z*O."""
-    delta = data.delta_tilde()
-    t_over = data.t() / delta
-    ex_over = data.eps_x() / delta
+    delta = k_delta_tilde(data)
+    t_over = k_t(data) / delta
+    ex_over = k_eps_x(data) / delta
     e1_over = data.eps_one.to_field() / (delta * data.z.to_field())
     return (
         t_over.is_integral(),
@@ -250,11 +361,11 @@ def delta_one_by_dualizing_multiplication(data):
     ctx = data.ctx
     zero = ctx.field(0)
     e1 = data.eps_one.to_field()
-    ex = data.eps_x()
-    t = data.t()
-    a = data.a()
-    b = data.b()
-    delta = data.delta_tilde()
+    ex = k_eps_x(data)
+    t = k_t(data)
+    a = k_a(data)
+    b = k_b(data)
+    delta = k_delta_tilde(data)
     inv = delta.inverse()
     # images of the dual basis under the inverse pairing, as (coeff 1, coeff X)
     inv_one = (t * inv, -ex * inv)
@@ -276,14 +387,14 @@ def delta_one_by_dualizing_multiplication(data):
 
 
 def tensor_from_k_basis(alg, coeffs):
-    """Element of A (x)_O A from K-coefficients over
+    """Coordinates in A (x)_O A of the element with K-coefficients over
     (1(x)1, 1(x)X, X(x)1, X(x)X); must be integral."""
     alpha, beta, gamma, delta = coeffs
     mu, one = alg.mu, alg.ctx.one
     if not alpha.is_integral():
         raise NotDivisibleError(f"1(x)1 coefficient {alpha} not integral")
     for name, val in (("1(x)X", beta), ("X(x)1", gamma)):
-        if not mu.contains_fraction(val, one):
+        if not contains_fraction(mu, val, one):
             raise NotDivisibleError(f"{name} coefficient {val} not in mu")
     dprime = delta / alg.data.z.to_field()
     if not dprime.is_integral():
@@ -291,7 +402,7 @@ def tensor_from_k_basis(alg, coeffs):
     coords = []
     for c, odd in ((alpha, 0), (beta, 1), (gamma, 1), (dprime, 0)):
         coords.extend(summand_coords(mu, c, odd))
-    return TensorElement(alg.lattice().tensor_power(2), coords)
+    return tuple(coords)
 
 
 def comultiply_one_via_dual(alg):

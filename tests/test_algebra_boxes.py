@@ -40,7 +40,7 @@ def _record(alg):
         "report": alg.report.to_json(),
         "duals": alg.duals.to_json(),
         "partition": [[u.to_json() for u in us], [u.to_json() for u in ups]],
-        "delta_one_coords": list(alg.comultiply_one().coords),
+        "delta_one_coords": list(alg.comultiply_one()),
         "kernel": alg.kernel_m_analysis(KERNEL_BOUND).to_json(),
         "genus": [str(alg.closed_surface_invariant(g)) for g in range(GENUS_MAX + 1)],
     }

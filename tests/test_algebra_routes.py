@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from quadfrob import Ideal, RingContext, frobenius, intlin, omodule
+from quadfrob import corpus, frobenius, intlin, omodule
 from quadfrob.frobenius import (
     ClosureError,
     DegenerateTraceError,
@@ -30,41 +30,33 @@ from quadfrob.frobenius import (
     TwistSpec,
 )
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, transpose
+from quadfrob.linkhom import build_complex, homology_integral
 from quadfrob.omodule import DirectSumFailureError
 from quadfrob.ring import parse_element
 
 from conftest import (
+    RINGS,
+    contains_fraction,
     delta_one_lift,
+    k_delta_tilde,
+    k_eps_x,
+    k_t,
     left_mult_matrix,
     outer,
     random_algebra_element,
     random_mu_element,
+    ring_of,
+    search_hits,
     z_basis,
 )
 
 DUAL_CELLS = ("c_in_O", "d_in_mu", "c_prime_in_z_inv_mu", "d_prime_in_O")
-# d, generators of mu, z with mu^2 = (z)
-RINGS = (
-    (-5, "2,1+w", "2"),
-    (-6, "2,w", "2"),
-    (-10, "2,w", "2"),
-    (-13, "2,1+w", "2"),
-    (-5, "1", "1"),
-    (-1, "1+w", "2w"),
-)
-
-
-def _ring(d, gens, z):
-    ctx = RingContext(d)
-    mu = Ideal.from_generators(ctx, [parse_element(ctx, g) for g in gens.split(",")])
-    return ctx, mu, parse_element(ctx, z)
-
 
 def _dual_closed_forms(data):
     """(c, d, c', d') over K from cD = eps(X^2), dD = -eps(X), d'D = eps(1)/z
     with D = delta~: the route ``analyze`` took before it divided in O."""
-    delta = data.delta_tilde()
-    t, eps_x, zf = data.t(), data.eps_x(), data.z.to_field()
+    delta = k_delta_tilde(data)
+    t, eps_x, zf = k_t(data), k_eps_x(data), data.z.to_field()
     c = t / delta
     d = -eps_x / delta
     return c, d, d / zf, data.eps_one.to_field() / (zf * delta)
@@ -77,7 +69,7 @@ def _k_route(data):
     cells = {
         "c_in_O": c.is_integral(),
         "d_in_mu": d.is_integral() and mu.contains(d.to_ring()),
-        "c_prime_in_z_inv_mu": mu.contains_fraction(c_prime, data.z),
+        "c_prime_in_z_inv_mu": contains_fraction(mu, c_prime, data.z),
         "d_prime_in_O": d_prime.is_integral(),
     }
     if not all(cells.values()):
@@ -91,27 +83,19 @@ def _seeded_data(seed=13, n=400):
     r = random.Random(seed)
     out = []
     while len(out) < n:
-        ctx, mu, z = _ring(*r.choice(RINGS))
+        ctx, mu, z = ring_of(*r.choice(RINGS))
         eps_one = ctx(r.randint(-1, 1), r.randint(-1, 1))
         data = FrobeniusData(
             ctx, mu, z, random_mu_element(mu, r, 2), ctx(r.randint(-2, 2), r.randint(-2, 2)),
             eps_one, random_mu_element(mu, r, 2),
         )
-        if not eps_one.is_zero() and not data.delta_tilde().is_zero():
+        if not eps_one.is_zero() and not k_delta_tilde(data).is_zero():
             out.append(data)
     return out
 
 
-def _search_hits():
-    out = []
-    for ring in RINGS[:4]:
-        _, mu, z = _ring(*ring)
-        out.extend(search_solutions(mu, z, coord_bound=1, limit=6))
-    return out
-
-
 def _accepted_data():
-    return [alg.data for alg in _search_hits()]
+    return [alg.data for alg in search_hits()]
 
 
 def test_dual_route_in_O_matches_the_route_over_K(algebra_corpus):
@@ -123,7 +107,7 @@ def test_dual_route_in_O_matches_the_route_over_K(algebra_corpus):
         alg, report = analyze(data)
         cells, duals = _k_route(data)
         assert {k: report.cells[k] for k in DUAL_CELLS} == cells
-        assert report.values["delta_tilde"] == str(data.delta_tilde())
+        assert report.values["delta_tilde"] == str(k_delta_tilde(data))
         if duals is None:
             assert alg is None
             failures.add(report.failure.cell)
@@ -143,7 +127,7 @@ def test_dual_route_in_O_matches_the_route_over_K(algebra_corpus):
 def test_zero_d_bar_is_degenerate_on_both_routes(ctx, mu, a_bar, b_bar, eps_x_bar):
     # D_bar = eps(1) t_bar z - eps_x_bar^2 = 0, with t_bar = a_bar + b_bar here
     data = FrobeniusData(ctx, mu, ctx(2), *(parse_element(ctx, e) for e in (a_bar, b_bar, "1", eps_x_bar)))
-    assert data.delta_tilde().is_zero()
+    assert k_delta_tilde(data).is_zero()
     with pytest.raises(ZeroDivisionError):
         _dual_closed_forms(data)
     alg, report = analyze(data)
@@ -169,11 +153,11 @@ def test_first_factor_matches_the_kronecker_product(algebra_corpus):
         lift = delta_one_lift(alg)
         for x in [*basis, *(random_algebra_element(alg, r) for _ in range(4))]:
             raw = kron(left_mult_matrix(alg, x), identity(4))
-            assert list(lat.comultiply(x).coords) == mat_vec(t2.proj, mat_vec(raw, lift))
+            assert list(lat.comultiply(x)) == mat_vec(t2.proj, mat_vec(raw, lift))
 
 
 def _fixtures_and_search_hits(algebra_corpus):
-    return list(algebra_corpus.values()) + _search_hits()
+    return list(algebra_corpus.values()) + search_hits()
 
 
 def test_multiplication_table_matches_multiply(algebra_corpus):
@@ -248,35 +232,21 @@ def test_search_solves_the_partition_of_z_once(ctx, mu, monkeypatch):
 def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeypatch):
     alg = build_algebra(alg_worked.data)
     lat = alg.lattice()
-    lat.tensor_power(2)  # built, and checked, once per (mu, z)
     calls = [_counted(monkeypatch, module, "kron") for module in (omodule, intlin)]
     assert lat.kernel_m_analysis(8).iso_to_A
     lat.delta_matrix()
     assert calls == [[], []]
 
 
-class _Untouchable:
-    """Stands in for the projection or section of the Z-tensor square:
-    any use raises."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def _fail(self, *args):
-        raise AssertionError(f"the {self.name} of the Z-tensor square was used")
-
-    __len__ = __iter__ = __getitem__ = __bool__ = _fail
-
-
 def test_algebra_side_maps_multiply_nothing_and_never_use_the_z_tensor_square(algebra_corpus, monkeypatch):
+    # sqrt(d) on A^(x n) is laid out from the two 2x2 blocks, so no Z-tensor
+    # power is built, not even A (x) A, on the algebra side or in the cube
     algs = [build_algebra(alg.data) for alg in _fixtures_and_search_hits(algebra_corpus)]
-    real = omodule.MuZLattice.tensor_power
 
-    def guarded(self, n):
-        t = real(self, n)
-        return omodule.TensorProduct(t.module, _Untouchable("projection"), _Untouchable("section")) if n == 2 else t
+    def no_tensor_power(self, n):
+        raise AssertionError(f"the Z-tensor power A^(x {n}) was built")
 
-    monkeypatch.setattr(omodule.MuZLattice, "tensor_power", guarded)
+    monkeypatch.setattr(omodule.MuZLattice, "tensor_power", no_tensor_power)
     multiply = _counted(monkeypatch, frobenius.FrobeniusAlgebra, "multiply")
     r = random.Random(8)
     for alg in algs:
@@ -286,6 +256,10 @@ def test_algebra_side_maps_multiply_nothing_and_never_use_the_z_tensor_square(al
         lat.handle_matrix()
         lat.comultiply(random_algebra_element(alg, r))
         alg.closed_surface_invariants(3)
+    fixtures = algs[:len(algebra_corpus)]
+    for alg in fixtures:
+        for name in corpus.names():
+            assert homology_integral(build_complex(corpus.diagram(name), alg)).checks
     assert multiply == []
 
 

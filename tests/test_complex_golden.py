@@ -24,8 +24,9 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from quadfrob import Ideal, RingContext, corpus  # noqa: E402
-from quadfrob.frobenius import FrobeniusData, example_zsqrtm5, family_eps_x_one, family_eps_x_zero  # noqa: E402
+from quadfrob.frobenius import example_zsqrtm5, family_eps_x_one, family_eps_x_zero  # noqa: E402
 from quadfrob.linkhom import build_complex, resolve  # noqa: E402
+from quadfrob.ring import RingElement  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).with_name("complex_golden.json")
 
@@ -117,14 +118,15 @@ def test_complex_matches_golden(key, golden, algebras):
 
 
 def test_complexes_never_read_a_and_b_over_K(golden, monkeypatch):
-    # the edge maps come from the algebra's closed forms in O alone
+    # the edge maps come from the algebra's closed forms in O alone: once
+    # the algebras are validated, no ring element enters K
     algs = build_algebras()
 
-    def over_k(self):
-        raise AssertionError("build_complex read a or b over K")
+    def over_k(self, *args):
+        raise AssertionError("build_complex computed over K")
 
-    monkeypatch.setattr(FrobeniusData, "a", over_k)
-    monkeypatch.setattr(FrobeniusData, "b", over_k)
+    monkeypatch.setattr(RingElement, "to_field", over_k)
+    monkeypatch.setattr(RingElement, "field_quotient", over_k)
     for key in COMPLEX_KEYS:
         assert complex_record(key, algs) == golden["complexes"][key], key
 

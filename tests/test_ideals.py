@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import contains_fraction
 from quadfrob.ideals import (
     ClassOrderTwoCertificate,
     Ideal,
@@ -46,9 +47,9 @@ def test_contains(ctx, mu):
     assert not mu.contains(ctx(1))
     # eps(X) = (1+w)/2 lies in mu scaled by denominator 2
     eps_x = ctx(1, 1).to_field() / ctx.field(2)
-    assert mu.contains_fraction(eps_x, ctx(2))
-    assert not mu.contains_fraction(ctx(1).to_field(), ctx(1))
-    assert Ideal.unit_ideal(ctx).contains_fraction(ctx(7, -3).to_field(), ctx(1))
+    assert contains_fraction(mu, eps_x, ctx(2))
+    assert not contains_fraction(mu, ctx(1).to_field(), ctx(1))
+    assert contains_fraction(Ideal.unit_ideal(ctx), ctx(7, -3).to_field(), ctx(1))
 
 
 def test_norm(ctx, mu):

@@ -2,7 +2,7 @@ import math
 import random
 from itertools import combinations
 
-from conftest import unit_free_matrices
+from conftest import snf_diagonal, unit_free_matrices
 from quadfrob.intlin import (
     IntSolver,
     det_int,
@@ -16,7 +16,6 @@ from quadfrob.intlin import (
     perm_matrix,
     rank_rat,
     smith_normal_form,
-    snf_diagonal,
 )
 
 

@@ -8,6 +8,7 @@ combinatorial cube (circles and merge/split tags) with the implementation.
 
 import pytest
 
+from conftest import k_a, k_b, k_delta_tilde, k_eps_x, k_t
 from quadfrob import corpus
 from quadfrob.linkhom import _edge_target_map, _vertices, build_complex, homology_over_K, resolve
 
@@ -20,10 +21,10 @@ def delta_columns(data):
     """Delta(1) and Delta(X) over K as coefficient dicts on 2-bit monomials
     (bit 1 means the factor X)."""
     e1 = data.eps_one.to_field()
-    ex = data.eps_x()
-    t = data.t()
-    inv = data.delta_tilde().inverse()
-    a, b = data.a(), data.b()
+    ex = k_eps_x(data)
+    t = k_t(data)
+    inv = k_delta_tilde(data).inverse()
+    a, b = k_a(data), k_b(data)
     d1 = {(0, 0): t * inv, (0, 1): -ex * inv, (1, 0): -ex * inv, (1, 1): e1 * inv}
     # left multiplication by X: 1x1 -> Xx1, 1xX -> XxX, Xx* -> (aX+b)x*
     dX = {}
@@ -47,7 +48,7 @@ def merge_pair(data, bi, bj):
         return {0: one}
     if bi != bj:
         return {1: one}
-    return {1: data.a(), 0: data.b()}
+    return {1: k_a(data), 0: k_b(data)}
 
 
 def monomials(n):

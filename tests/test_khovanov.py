@@ -1,0 +1,68 @@
+"""Khovanov's algebra over O as an oracle that is not this code.
+
+With mu = O, z = 1, a_bar = b_bar = 0 (so X^2 = 0), eps(1) = 0 and
+eps_x_bar = 1, the package's theory is Khovanov homology tensored with O:
+A = O[X]/X^2 is free of rank two over O, so Kh(L; O) = Kh(L; Z) (x)_Z O,
+each free Z-rank doubles and each Z/2 becomes (Z/2)^2.  The expected groups
+are Khovanov's closed form for the (2, n) torus links (Khovanov,
+arXiv:math/9908171), typed in from the paper, not captured
+from this code.
+"""
+
+import json
+
+import pytest
+
+from conftest import khovanov_data
+from quadfrob import build_algebra
+from quadfrob.cli import main
+from quadfrob.corpus import braid_closure
+from quadfrob.linkhom import build_complex, homology_integral
+
+
+def khovanov_t2n(n):
+    """Kh(T(2,n); Z) of the positive torus link, degree -> (free rank,
+    torsion): Z^2 in degree 0, Z in even and Z + Z/2 in odd degrees 2..n,
+    and Z^2 in degree n when n is even."""
+    out = {0: (2, [])}
+    for k in range(2, n + 1):
+        out[k] = (1, [2] if k % 2 else [])
+    if n % 2 == 0:
+        out[n] = (2, [])
+    return out
+
+
+def over_o(groups):
+    """Groups over Z tensored with O = Z^2 as abelian groups."""
+    return {k: (2 * rank, sorted(torsion * 2)) for k, (rank, torsion) in groups.items()}
+
+
+def _homology(alg, n):
+    h = homology_integral(build_complex(braid_closure((1,) * n, 2), alg)).to_json()
+    return {int(k): (v["z_rank"], [int(t) for t in v["torsion"]]) for k, v in h["degrees"].items()}
+
+
+def test_the_closed_form_of_the_trefoil():
+    assert over_o(khovanov_t2n(3)) == {0: (4, []), 2: (2, []), 3: (2, [2, 2])}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_torus_links_match_khovanovs_closed_form(n, alg_khovanov):
+    assert _homology(alg_khovanov, n) == over_o(khovanov_t2n(n))
+
+
+def test_closed_surfaces(alg_khovanov, ctx, tmp_path, capsys):
+    # the sphere is eps(1) = 0, the torus the rank 2 of A, and every higher
+    # genus 0, since the handle is multiplication by 2X and X^2 = 0
+    assert [str(v) for v in alg_khovanov.closed_surface_invariants(3)] == ["0", "2", "0", "0"]
+    path = tmp_path / "khovanov.json"
+    path.write_text(json.dumps(khovanov_data(ctx).to_json()))
+    assert main(["tqft", "--alg", str(path), "--genus", "3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"genus_values": {"0": "0", "1": "2", "2": "0", "3": "0"}}
+
+
+def test_it_is_a_valid_algebra_with_principal_mu(ctx):
+    alg = build_algebra(khovanov_data(ctx))
+    assert alg.report.accepted and alg.report.mu_principal
+    assert alg.kernel_m_analysis().iso_to_A

@@ -15,7 +15,7 @@ import pytest
 
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, perm_matrix, transpose
 
-from conftest import delta_one_lift, edge_matrix, left_mult_matrix, z_basis
+from conftest import delta_one_lift, edge_matrix, left_mult_matrix, search_hits, z_basis
 
 
 def _m_z_matrix(alg):
@@ -80,13 +80,15 @@ def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_c
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_monomial_action_conjugate_to_tensor_action(n, algebra_corpus):
-    for aname, alg in algebra_corpus.items():
-        blocks = alg.lattice().mu_z.sqrt_d_blocks
-        size = 2 << n
-        action = [[0] * size for _ in range(size)]
-        for mask in range(1 << n):
-            block = blocks[bin(mask).count("1") % 2]
-            for i in (0, 1):
-                for j in (0, 1):
-                    action[2 * mask + i][2 * mask + j] = block[i][j]
-        assert action == alg.lattice().tensor_power(n).module.action, aname
+    # the laid-out action is sqrt(d) on any one factor of the Z-tensor power,
+    # pushed down by the projection: proj J_i = J proj, with J_i read off
+    # the algebra's scaling, not off the 2x2 blocks
+    size = 2 << n
+    for aname, alg in [*algebra_corpus.items(), *enumerate(search_hits())]:
+        lat = alg.lattice()
+        layout = [[row.get(j, 0) for j in range(size)] for row in lat.mu_z.sqrt_d_rows(n)]
+        on_a = transpose([lat.coords(e.scale(alg.ctx.sqrt_d)) for e in z_basis(alg)], ncols=4)
+        proj = lat.tensor_power(n).proj
+        for i in range(n):
+            j_i = kron(kron(identity(4 ** i), on_a), identity(4 ** (n - 1 - i)))
+            assert mat_mul(proj, j_i) == mat_mul(layout, proj), (aname, i)

@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import is_equivariant, rng
-from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, snf_diagonal, transpose
+from conftest import block, is_equivariant, rng, snf_diagonal
+from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, transpose
 from quadfrob.omodule import (
+    MuZLattice,
     NotWellDefinedError,
     OModule,
     OMorphism,
@@ -60,6 +61,24 @@ def test_proj_section_inverse(alg_eps0):
     for n in (2, 3):
         t = lat.tensor_power(n)
         assert mat_mul(t.proj, t.section) == identity(t.module.rank)
+
+
+def test_tensor_power_names_a_projection_that_is_not_onto(ctx, mu, monkeypatch):
+    # every monomial coordinate doubled: the image is 2 Z^8
+    mu_z = MuZLattice(mu, ctx(2))
+    real = mu_z._coords_in
+    monkeypatch.setattr(mu_z, "_coords_in", lambda e, par: tuple(2 * c for c in real(e, par)))
+    with pytest.raises(NotWellDefinedError, match="projection onto monomial coordinates is not onto"):
+        mu_z.tensor_power(2)
+
+
+def test_tensor_power_names_a_layout_that_is_not_sqrt_d_on_a_factor(ctx, mu):
+    # -J on the odd summands still squares to d, but it is not sqrt(d)
+    mu_z = MuZLattice(mu, ctx(2))
+    on_o, on_mu = mu_z.sqrt_d_blocks
+    mu_z.sqrt_d_blocks = (on_o, tuple(tuple(-e for e in row) for row in on_mu))
+    with pytest.raises(NotWellDefinedError, match="tensor action not well defined on monomial coordinates"):
+        mu_z.tensor_power(2)
 
 
 def smith_tower(lat, n):
@@ -200,11 +219,12 @@ def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
     g1 = mu_z.gens[0].to_field()
     z = mu_z.z.to_field()
     # from p = 0 to q = 1 the scalar is divided by z, from p = 1 to q = 0 multiplied
-    assert mu_z.flipped_block(mu_z.block(g1, 0, 1), 0, 1) == mu_z.block(g1 / z, 1, 0)
+    assert mu_z.flipped_block(block(mu_z, g1, 0, 1), 0, 1) == block(mu_z, g1 / z, 1, 0)
     inverse = z / g1  # a scalar from mu to O: mu^-1 = mu / z
-    assert mu_z.flipped_block(mu_z.block(inverse, 1, 0), 1, 0) == mu_z.block(inverse * z, 0, 1)
+    assert mu_z.flipped_block(block(mu_z, inverse, 1, 0), 1, 0) == block(mu_z, inverse * z, 0, 1)
     for p in (0, 1):
-        assert mu_z.flipped_block(mu_z.block(ctx.sqrt_d.to_field(), p, p), p, p) == mu_z.sqrt_d_blocks[1 - p]
+        assert block(mu_z, ctx.sqrt_d.to_field(), p, p) == mu_z.sqrt_d_blocks[p]
+        assert mu_z.flipped_block(block(mu_z, ctx.sqrt_d.to_field(), p, p), p, p) == mu_z.sqrt_d_blocks[1 - p]
 
 
 @pytest.mark.parametrize("blk, pars, message", [
