@@ -3,8 +3,9 @@
 Matrices are plain lists of rows of Python ints; everything is exact,
 arbitrary precision, and deterministic.  Empty matrices lose their column
 count, so the functions that care take an explicit ``ncols``.  Large sparse
-differentials are ``SparseMatrix`` objects, one dict per row; their rank,
-unit elimination and invariant factors share one pivot, a Euclid step.
+differentials are ``SparseMatrix`` objects, one dict per row.  Unit
+elimination and invariant factors share one pivot, a Euclid step; the
+ranks over Q and F_p that check them are a separate row echelon.
 """
 
 import heapq
@@ -380,27 +381,21 @@ class SparseMatrix:
 
 
 class _Eliminator:
-    """Rows of a sparse matrix plus a column index, under pivoting.
+    """Rows of a sparse integer matrix plus a column index, under pivoting.
 
-    ``pivot(r, c)`` subtracts a multiple of row r from every other row of
-    column c: mod p it clears the entry x, keeping every entry reduced mod
-    p; over Z the multiple is x // pivot, a unimodular Euclid step (Havas
-    and Majewski, J. Symbolic Comput. 24, 1997) that leaves x mod pivot,
-    so a unit pivot gives the Gaussian update.  Row r stays; a caller drops
-    it with ``drop_row`` once it is alone in its column.
+    ``pivot(r, c)`` subtracts x // pivot times row r from every other row
+    of column c, a unimodular Euclid step (Havas and Majewski, J. Symbolic
+    Comput. 24, 1997) that leaves x mod pivot, so a unit pivot gives the
+    Gaussian update.  Row r stays; a caller drops it with ``drop_row`` once
+    it is alone in its column.
     """
 
-    def __init__(self, rows, modulus=None):
-        self.p = modulus
+    def __init__(self, rows):
         self.rows = {}
         self.cols = cols = {}
         for i, row in enumerate(rows):
-            if modulus is None:
-                row = dict(row)
-            else:
-                row = {j: v for j, e in row.items() if (v := e % modulus)}
             if row:
-                self.rows[i] = row
+                self.rows[i] = dict(row)
                 for j in row:
                     col = cols.get(j)
                     if col is None:
@@ -427,26 +422,17 @@ class _Eliminator:
         rest = [(j, e) for j, e in prow.items() if j != c]
         touched = [i for i in cols[c] if i != r]
         cols[c] = col = {r}
-        p = self.p
-        if p is not None:
-            inv = pow(pv, -1, p)
-            for i in touched:
-                row = rows[i]
-                self._sub_mod(i, row, row.pop(c) * inv % p, rest, p)
-                if not row:
-                    del rows[i]
-        else:
-            for i in touched:
-                row = rows[i]
-                q, x = divmod(row[c], pv)
-                if x:
-                    row[c] = x
-                    col.add(i)
-                else:
-                    del row[c]
-                self._sub(i, row, q, rest)
-                if not row:
-                    del rows[i]
+        for i in touched:
+            row = rows[i]
+            q, x = divmod(row[c], pv)
+            if x:
+                row[c] = x
+                col.add(i)
+            else:
+                del row[c]
+            self._sub(i, row, q, rest)
+            if not row:
+                del rows[i]
         return touched
 
     def _unlink(self, i, js):
@@ -458,7 +444,7 @@ class _Eliminator:
                 del cols[j]
 
     def _sub(self, i, row, factor, rest):
-        """row i -= factor * rest, over Z."""
+        """row i -= factor * rest."""
         cols = self.cols
         for j, e in rest:
             v = row.get(j)
@@ -480,71 +466,66 @@ class _Eliminator:
                     if not col:
                         del cols[j]
 
-    def _sub_mod(self, i, row, factor, rest, p):
-        """row i -= factor * rest, mod the prime p."""
-        cols = self.cols
-        for j, e in rest:
-            v = row.get(j)
-            if v is None:
-                row[j] = -factor * e % p  # a unit: p is prime
-                col = cols.get(j)
-                if col is None:
-                    cols[j] = {i}
-                else:
-                    col.add(i)
-            else:
-                v = (v - factor * e) % p
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-                    col = cols[j]
-                    col.discard(i)
-                    if not col:
-                        del cols[j]
-
 
 def sparse_rank(a, modulus=None):
     """Rank of a SparseMatrix over Q, or over F_p for a prime ``modulus``.
 
-    Over F_2 each row is one int, bit j set iff entry j is odd; the rows are
-    reduced by XOR against a basis keyed by lowest set bit, and the rank is
-    the size of the basis.  Otherwise: elimination column by column from the
-    sparsest at the start.  Mod p every stored entry is a unit, and the
-    pivot is the entry of the shortest row.  Over Q the pivot is the entry
-    of least |value| (ties: the shortest row), and Euclid steps repeat
-    until the pivot row is alone in its column.  A column that empties
-    never refills, so one pass clears the matrix.
+    One row echelon: each row is reduced against a basis keyed by the
+    highest column of its rows until its own highest column is new, and the
+    rank is the size of the basis.  Over F_2 a row is one int, bit j set iff
+    entry j is odd, keyed by ``bit_length`` and reduced by XOR.  Over F_p a
+    basis row has leading entry 1 and v -= v_c * b mod p.  Over Q the step
+    is fraction-free: v -= (v_c // b_c) * b when b_c divides v_c, else
+    v = (b_c/g) * v - (v_c/g) * b with g = gcd(b_c, v_c); a row entering
+    the basis has its content divided out.  The Z route's ``_Eliminator``
+    is not used, so these ranks check it by other arithmetic and code.
     """
+    basis = {}
     if modulus == 2:
-        basis = {}
         for row in a.rows:
             v = 0
             for j, e in row.items():
                 if e & 1:
                     v |= 1 << j
             while v:
-                low = v & -v
-                b = basis.get(low)
+                b = basis.get(top := v.bit_length())
                 if b is None:
-                    basis[low] = v
+                    basis[top] = v
                     break
                 v ^= b
         return len(basis)
-    elim = _Eliminator(a.rows, modulus)
-    rows, cols = elim.rows, elim.cols
-    rank = 0
-    for c in sorted(cols, key=lambda j: len(cols[j])):
-        while c in cols:
-            if modulus is None:
-                r = min(cols[c], key=lambda i: (abs(rows[i][c]), len(rows[i])))
+    p = modulus
+    for row in a.rows:
+        v = dict(row) if p is None else {j: x for j, e in row.items() if (x := e % p)}
+        while v:
+            b = basis.get(c := max(v))
+            vc = v[c]
+            if b is None:
+                if p is None:
+                    g = math.gcd(*v.values())
+                    basis[c] = {j: e // g for j, e in v.items()}
+                else:
+                    inv = pow(vc, -1, p)
+                    basis[c] = {j: e * inv % p for j, e in v.items()}
+                break
+            bc = b[c]
+            if vc % bc:  # over Q only: mod p every b_c is 1
+                g = math.gcd(bc, vc)
+                s, vc = bc // g, vc // g
+                v = {j: s * e for j, e in v.items()}
             else:
-                r = min(cols[c], key=lambda i: len(rows[i]))
-            elim.pivot(r, c)
-            if len(cols[c]) == 1:
-                elim.drop_row(r)
-                rank += 1
-    return rank
+                vc //= bc
+            # an entry of b outside v gives -vc * e, never 0: v clears only
+            # where it had an entry
+            for j, e in b.items():
+                x = v.get(j, 0) - vc * e
+                if p is not None:
+                    x %= p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+    return len(basis)
 
 
 def invariant_factors(rows):

@@ -15,11 +15,12 @@ Chain groups are the monomial presentation of A^(x circles) from
 (``omodule.AlgebraLattice.edge_entries``) and sqrt(d) by
 ``MuZLattice.sqrt_d_rows``.  Differentials are sparse.
 
-Homology is computed once per complex: ranks over Q of the differentials,
-Gaussian elimination of unit entries, and the invariant factors of what is
-left, all on sparse rows with the one Euclid pivot of ``intlin``; the free
-Z-ranks must match the ranks over Q, and ranks mod p must match the
-universal-coefficient count of the torsion.
+Homology is computed once per complex: Gaussian elimination of unit
+entries and the invariant factors of what is left, on sparse rows with the
+one Euclid pivot of ``intlin``.  The ranks that check it come from a
+separate row echelon (``intlin.sparse_rank``): the free Z-ranks must match
+the ranks over Q, and ranks mod p must match the universal-coefficient
+count of the torsion.
 
 Homological degree is |v| - n_minus.
 """

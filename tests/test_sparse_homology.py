@@ -8,6 +8,7 @@ look generic.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -128,6 +129,23 @@ def random_sparse(r):
     return [[0 if i in dead_rows or j in dead_cols else r.choice(entries) for j in range(n)] for i in range(m)]
 
 
+def dependent_rows(r):
+    """A seeded matrix of independent rows with entries up to 10^6, rows
+    that are integer combinations of them times a common factor, and zero
+    rows, shuffled.  Over Q its eliminations mostly take the non-divisible
+    step and leave rows with a content to divide out."""
+    n = r.randint(1, 9)
+    free = [[r.choice((0, r.randint(-10**6, 10**6))) for _ in range(n)] for _ in range(r.randint(1, 5))]
+    rows = [list(f) for f in free]
+    for _ in range(r.randint(1, 4)):
+        coeffs = [r.randint(-2, 2) for _ in free]
+        k = r.choice((1, 2, 3, 7, 103))
+        rows.append([k * sum(c * f[j] for c, f in zip(coeffs, free)) for j in range(n)])
+    rows += [[0] * n for _ in range(r.randint(0, 2))]
+    r.shuffle(rows)
+    return rows
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_sparse_rank_matches_rank_rat(seed):
     r = random.Random(100 + seed)
@@ -138,6 +156,8 @@ def test_sparse_rank_matches_rank_rat(seed):
     a = [[r.choice((0, 0, 0, 1, -1, 3)) for _ in range(k)] for _ in range(m)]
     b = [[r.choice((0, 0, 2, -1, 5)) for _ in range(n)] for _ in range(k)]
     mats.append(mat_mul(a, b, b_ncols=n))
+    # plus large entries with dependent and zero rows
+    mats += [dependent_rows(r) for _ in range(3)]
     # plus matrices on which every pivot over Q is a Euclid step
     for d in mats + unit_free_matrices(200 + seed, 12, max_dim=9):
         sm = sparse_from_dense(d)
@@ -159,6 +179,7 @@ def test_sparse_rank_mod_p_matches_dense_oracle(seed):
     a = [[r.choice((0, 0, 1, -1, 2, 7)) for _ in range(k)] for _ in range(m)]
     b = [[r.choice((0, 0, -2, 3, 103)) for _ in range(n)] for _ in range(k)]
     mats.append(mat_mul(a, b, b_ncols=n))
+    mats += [dependent_rows(r) for _ in range(3)]
     for d in mats:
         sm = sparse_from_dense(d, ncols=len(d[0]) if d else r.randint(0, 5))
         for p in ORACLE_PRIMES:
@@ -198,6 +219,55 @@ def test_reduce_units_keeps_homotopy_type(alg_worked):
     # Euler characteristic is a homotopy invariant
     euler = sum((-1) ** i * r for i, r in enumerate(cx.ranks))
     assert euler == sum((-1) ** i * r for i, r in enumerate(small.ranks))
+
+
+def _codes_called(f):
+    """Calls f(); returns the code objects of the Python functions it ran."""
+    codes = set()
+    old = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code) if event == "call" else None)
+    try:
+        f()
+    finally:
+        sys.setprofile(old)
+    return codes
+
+
+def test_rank_checks_need_no_z_eliminator(alg_worked, monkeypatch):
+    cx = build_complex(corpus.braid_closure((1,) * 5, 2), alg_worked)
+    trefoil = build_complex(corpus.diagram("trefoil"), alg_worked)
+    table = smith_homology(simplify(trefoil))
+
+    def no_eliminator(*args, **kwargs):
+        raise AssertionError("a rank check built the Z route's _Eliminator")
+
+    monkeypatch.setattr(intlin, "_Eliminator", no_eliminator)
+    # T(2,5) over worked: Z/721 = Z/(7 * 103) in degrees 3 and 5
+    assert [sparse_rank(d) for d in cx.diffs] == [4, 16, 64, 96, 64]
+    assert [sparse_rank(d, 2) for d in cx.diffs] == [4, 16, 64, 96, 64]
+    assert [sparse_rank(d, 7) for d in cx.diffs] == [4, 16, 63, 96, 63]
+    assert check_mod_p(trefoil, table) == [2, 7, 103]
+
+
+def test_z_route_needs_no_rank_routine(alg_worked, monkeypatch):
+    cx = build_complex(corpus.diagram("trefoil"), alg_worked)
+    rank_code = _codes_called(lambda: [sparse_rank(d, p) for d in cx.diffs for p in (None, 2, 7)])
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("the Z route called sparse_rank")
+
+    monkeypatch.setattr(intlin, "sparse_rank", no_rank)
+    monkeypatch.setattr(linkhom, "sparse_rank", no_rank)
+    table = {}
+
+    def z_route():
+        kept, reduced = reduce_units(cx.diffs, cx.ranks)
+        table.update(linkhom.smith_homology(Complex(cx.min_degree, [len(k) for k in kept], reduced)))
+
+    z_code = _codes_called(z_route)
+    assert {i: h for i, h in table.items() if h != (0, [])} == {0: (4, []), 3: (0, [721])}
+    # the checks share no Python function with the route they check
+    assert not rank_code & z_code
 
 
 def _counted(monkeypatch, owner, name):
