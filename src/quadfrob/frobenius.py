@@ -20,17 +20,15 @@ from .ideals import Ideal
 from .intlin import det_int, mat_vec
 from .ring import (
     CheckFailedError,
+    ClosureError,
     NotDivisibleError,
     RingContext,
     RingElement,
     UnsupportedRingError,
+    ValidationError,
     Value,
     _set,
 )
-
-
-class ValidationError(Exception):
-    """Input data does not define a valid Frobenius algebra."""
 
 
 class IntegralityViolationError(ValidationError):
@@ -55,11 +53,6 @@ class InconsistentRoutesError(CheckFailedError):
     """The two validation routes disagreed; internal invariant breach."""
 
     check = "validation_routes"
-
-
-class ClosureError(ValidationError):
-    """A product escaped the lattice O*1 + mu*X (possible only for algebras
-    built with the relaxed a_bar precondition)."""
 
 
 class FrobeniusData(Value):
@@ -257,8 +250,9 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
     ``a_bar_in_mu`` under relax), else eps(1) = 0, else a zero determinant.
 
     ``mu_z`` is an ``omodule.MuZLattice`` of the data's mu and z, whose
-    (mu, z) facts and tensor powers are computed once for all the algebras
-    that share it; by default the algebra gets its own."""
+    (mu, z) facts are computed once for all the algebras that share it; by
+    default the algebra gets its own.  This is the one place a lattice made
+    elsewhere enters an algebra, so it is checked here against mu and z."""
     report = ValidationReport()
     ctx = data.ctx
     if ctx.d > 0:
@@ -430,17 +424,10 @@ class FrobeniusAlgebra:
             q = (x.u1 * y.u1).exact_div(self.data.z)
         except NotDivisibleError as exc:
             raise ClosureError(f"product of X-parts not divisible by z: {exc}") from exc
-        return self.closed_product(
-            x.u0 * y.u0 + q * self.data.b_bar,
-            x.u0 * y.u1 + x.u1 * y.u0 + q * self.data.a_bar,
-        )
-
-    def closed_product(self, u0, u1):
-        """The product u0 + u1 X, or ClosureError when u1 escapes mu."""
-        out = AlgebraElement(u0, u1)
-        if not self.mu.contains(u1):
-            raise ClosureError(f"product {out} escapes the lattice (X-part not in mu)")
-        return out
+        u0 = x.u0 * y.u0 + q * self.data.b_bar
+        u1 = x.u0 * y.u1 + x.u1 * y.u0 + q * self.data.a_bar
+        self.mu_z.check_closed(u0, u1)
+        return AlgebraElement(u0, u1)
 
     def trace(self, x):
         """eps(u0 + u1 X) = u0 eps(1) + u1 eps_x_bar / z, always in O."""
@@ -450,7 +437,7 @@ class FrobeniusAlgebra:
 
     def lattice(self):
         if self._lattice is None:
-            self._lattice = omodule.AlgebraLattice(self, self.mu_z)
+            self._lattice = omodule.AlgebraLattice(self)
         return self._lattice
 
     def comultiply_one(self):
@@ -661,8 +648,8 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
     eps(1) - s^-1 z.  The candidates of one call share one
     ``omodule.MuZLattice`` of (mu, z): the mu^2 = (z) cell, the partition of
-    z, the (mu, z) half of the multiplication table and of X_hat, and A's
-    tensor powers, with their checks, are computed once.
+    z and the (mu, z) half of the multiplication table and of X_hat are
+    computed once, and m with the ker(m) analysis once per (a_bar, b_bar).
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")

@@ -233,14 +233,14 @@ class Complex:
     """Cochain complex of free Z-lattices; groups[i] has rank ranks[i] and
     differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix."""
 
-    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None, checks=None, _homology=None):
+    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None, checks=None):
         self.min_degree = min_degree
         self.ranks = ranks
         self.diffs = diffs  # len(ranks) - 1 SparseMatrix differentials
         self.actions = actions  # sqrt(d)-action per degree, None once simplified
         self.notes = [] if notes is None else notes
         self.checks = [] if checks is None else checks  # cross-checks passed when built
-        self._homology = _homology  # cached by _homology(); not compared
+        self._homology = None  # cached by _homology(); not compared
 
     def _key(self):
         return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes, self.checks)

@@ -46,7 +46,7 @@ from .intlin import (
     smith_normal_form,
     transpose,
 )
-from .ring import CheckFailedError, NotDivisibleError
+from .ring import CheckFailedError, ClosureError, NotDivisibleError
 
 
 class TorsionInTensorError(CheckFailedError):
@@ -225,14 +225,14 @@ def _from_blocks(nrows, ncols, blocks):
 class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
     of an algebra's three lattice layers: the facts validation reads
-    (``squares_to_z``, ``mu_principal``, ``partition``), the 2x2 blocks
-    between the summand lattices O and mu (``coords_block``,
-    ``flipped_block``), the sqrt(d)-action on A^(x n) (``sqrt_d_rows``)
-    and with it A and A (x)_O A as Z-lattices (``A``, ``A2``), the
-    projections of the Z-tensor powers onto it, x (x) y and
-    X_u in the coordinates of A (x)_O A (``pure2``, ``x_u``),
-    the quotients q_ij = g_i g_j / z (``x_quotients``) and the partition
-    term of X_hat (``x_hat_partition``).
+    (``squares_to_z``, ``mu_principal``, ``partition``), the closure test
+    of a product (``check_closed``), the 2x2 blocks between the summand
+    lattices O and mu (``coords_block``, ``flipped_block``), the
+    sqrt(d)-action on A^(x n) (``sqrt_d_rows``) and with it A and
+    A (x)_O A as Z-lattices (``A``, ``A2``), x (x) y and X_u in the
+    coordinates of A (x)_O A (``pure2``, ``x_u``), the quotients
+    q_ij = g_i g_j / z (``x_quotients``) and the partition term of X_hat
+    (``x_hat_partition``).  It holds no algebra.
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), so that the
@@ -244,7 +244,9 @@ class MuZLattice:
     ``search_solutions`` builds one per search and validates every candidate
     against it, and ``twist`` hands its algebra's to the twisted one; any
     other algebra builds its own.  The facts are computed, and the actions
-    and tensor powers built and checked, on first use.
+    built, on first use; the projections of the Z-tensor powers
+    (``tensor_power``) are the tests' oracle and no production path builds
+    them.
     """
 
     def __init__(self, mu, z):
@@ -296,15 +298,19 @@ class MuZLattice:
             s = s + (u * up).exact_div(self.z)
         return (0, 0, 0, 0, 0, 0, s.x, s.y)
 
-    def multiplication(self, a_bar, b_bar, closed_product):
+    def multiplication(self, a_bar, b_bar):
         """The ``MultiplicationLattice`` of (a_bar, b_bar) over this lattice,
-        made on the first request for the pair and kept.  ``closed_product``
-        is an algebra's ``FrobeniusAlgebra.closed_product``, which reads
-        only mu; the first request's is the one kept."""
+        made on the first request for the pair and kept."""
         key = (a_bar, b_bar)
         if key not in self._multiplications:
-            self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar, closed_product)
+            self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar)
         return self._multiplications[key]
+
+    def check_closed(self, u0, u1):
+        """ClosureError when the product u0 + u1 X escapes the lattice
+        O 1 + mu X, that is when u1 is not in mu."""
+        if not self.mu.contains(u1):
+            raise ClosureError(f"product ({u0}) + ({u1})X escapes the lattice (X-part not in mu)")
 
     def _coords_in(self, e, par):
         """Z-coordinates of the ring element e in the summand lattice of
@@ -431,8 +437,8 @@ class MultiplicationLattice:
     m and the X-maps are written in closed form on the monomial
     coordinates, with ring arithmetic in O and zX^2 = b_bar + a_bar X.
     m copies the coefficients of 1(x)1, 1(x)X and X(x)1 and sends
-    c zX(x)X to c (b_bar + a_bar X), after the closure check of
-    ``FrobeniusAlgebra.multiply`` on the products q_ij (b_bar + a_bar X).
+    c zX(x)X to c (b_bar + a_bar X), after ``MuZLattice.check_closed`` on
+    the products q_ij (b_bar + a_bar X).
     (g_i X .) (x) id sends c 1(x)1 to c g_i on X(x)1, g_j 1(x)X to q_ij
     on zX(x)X, g_j X(x)1 to q_ij (b_bar + a_bar X) (x) 1, and c zX(x)X to
     c g_i b_bar on 1(x)X plus c g_i a_bar / z on zX(x)X.  Each X-map must
@@ -447,11 +453,10 @@ class MultiplicationLattice:
     returns a fresh report per call.
     """
 
-    def __init__(self, mu_z, a_bar, b_bar, closed_product):
+    def __init__(self, mu_z, a_bar, b_bar):
         self.mu_z = mu_z
         self.a_bar = a_bar
         self.b_bar = b_bar
-        self._closed_product = closed_product
         self._m = None
         self._x_maps = None
         self._kernel = None
@@ -470,7 +475,7 @@ class MultiplicationLattice:
             mu_z = self.mu_z
             for row in mu_z.x_quotients:
                 for q in row:
-                    self._closed_product(q * self.b_bar, q * self.a_bar)
+                    mu_z.check_closed(q * self.b_bar, q * self.a_bar)
             sqrt_d = mu_z.ctx.sqrt_d
             self._m = _from_blocks(2, 4, {
                 (0, 0): _IDENTITY_BLOCK,
@@ -615,12 +620,12 @@ class AlgebraLattice:
     """Z-lattice presentations of A and its tensor powers, with the
     structure maps as integer matrices on monomial coordinates.
 
-    An algebra's lattice has three layers.  ``mu_z``, the MuZLattice of the
-    algebra's mu and z, holds what depends only on (mu, z) and may be
-    shared with other algebras.  ``mult``, its MultiplicationLattice of
-    (a_bar, b_bar), holds m, the maps (g_i X .) (x) id, X_hat and the
-    ker(m) analysis, shared by every algebra on the same ``mu_z`` with the
-    same (a_bar, b_bar).  What is computed here, once per algebra, is what
+    An algebra's lattice has three layers.  ``mu_z``, read off the algebra
+    (``alg.mu_z``, checked against its mu and z by ``analyze``), holds what
+    depends only on (mu, z) and may be shared with other algebras.
+    ``mult``, its MultiplicationLattice of (a_bar, b_bar), holds m, the
+    maps (g_i X .) (x) id, X_hat and the ker(m) analysis, shared by every
+    algebra on the same ``mu_z`` with the same (a_bar, b_bar).  What is computed here, once per algebra, is what
     needs the counit: Delta(1), Delta and the handle operator.  O acts on
     vectors of A (x)_O A as x v + y J v.
 
@@ -636,16 +641,10 @@ class AlgebraLattice:
     edge maps (``edge_entries``) are the blocks of the checked m and Delta.
     """
 
-    def __init__(self, alg, mu_z):
-        if mu_z.mu != alg.mu or mu_z.z != alg.data.z:
-            raise ValueError("the (mu, z) lattice belongs to another mu or z")
+    def __init__(self, alg):
         self.alg = alg
-        self.mu_z = mu_z
-        self.mult = mu_z.multiplication(alg.data.a_bar, alg.data.b_bar, alg.closed_product)
-        self.ctx = alg.ctx
-        self.mu = alg.mu
-        self.gens = mu_z.gens
-        self.A = mu_z.A
+        self.mu_z = alg.mu_z
+        self.mult = self.mu_z.multiplication(alg.data.a_bar, alg.data.b_bar)
         self._delta1 = None
         self._delta = None
         self._handle = None
@@ -657,8 +656,8 @@ class AlgebraLattice:
         return self.mu_z.coords(elt)
 
     def element(self, vec):
-        g1, g2 = self.gens
-        return self.alg.element(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
+        g1, g2 = self.mu_z.gens
+        return self.alg.element(self.mu_z.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     def tensor_power(self, n):
         """The projection of the Z-tensor power onto A^(x n), kept on
@@ -679,8 +678,8 @@ class AlgebraLattice:
         mu_z = self.mu_z
         data = self.alg.data
         e1, ex = data.eps_one, data.eps_x_bar
-        sqrt_d = self.ctx.sqrt_d
-        g1, g2 = self.gens
+        sqrt_d = mu_z.ctx.sqrt_d
+        g1, g2 = mu_z.gens
         block = mu_z.coords_block
         return _from_blocks(2, 4, {
             (0, 0): block((e1, sqrt_d * e1), 0),
@@ -693,7 +692,7 @@ class AlgebraLattice:
         """Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X, read off the
         duals, unchecked."""
         duals = self.alg.duals
-        d = self.mu.basis_coords(duals.d)
+        d = self.mu_z.mu.basis_coords(duals.d)
         return [duals.c.x, duals.c.y, *d, *d, duals.d_prime.x, duals.d_prime.y]
 
     def delta_one(self):

@@ -27,6 +27,15 @@ class CheckFailedError(RuntimeError):
         super().__init__(f"{self.check} check failed: {message}")
 
 
+class ValidationError(Exception):
+    """Input data does not define a valid Frobenius algebra."""
+
+
+class ClosureError(ValidationError):
+    """A product escaped the lattice O*1 + mu*X (possible only for algebras
+    built with the relaxed a_bar precondition)."""
+
+
 def json_int(value, *, text=False):
     """An integer read from JSON: an int, not a bool or a float, or with
     ``text`` also the decimal string that ``to_json`` writes."""

@@ -13,7 +13,8 @@ the results are meant to change.
 The algebras of a box that share (a_bar, b_bar), twists included, share
 one ``MultiplicationLattice``; the tests below check that its reports
 match those of each algebra built on its own, that ker(m) is computed once
-per pair, and that no report is shared.
+per pair, and that no report is shared.  The lattices hold no algebra, so
+an algebra the caller drops is not kept alive by the search's lattice.
 """
 
 import json
@@ -139,7 +140,35 @@ def test_reports_of_one_multiplication_are_independent():
     assert first.kernel_m_analysis(KERNEL_BOUND).to_json() == want
 
 
+def _searched_and_dropped(name):
+    """The box's shared (mu, z) lattice and weak references to the algebras
+    of its search, each of which ran its ker(m) analysis; the algebras
+    themselves are dropped on return."""
+    import weakref
+
+    from quadfrob import Ideal, RingContext
+    from quadfrob.frobenius import search_solutions
+
+    d, gens, z, bound = BOXES[name]
+    ctx = RingContext(d)
+    mu = Ideal.from_generators(ctx, [ctx(*g) for g in gens])
+    algs = list(search_solutions(mu, ctx(*z), coord_bound=bound))
+    for alg in algs:
+        assert alg.kernel_m_analysis(KERNEL_BOUND).direct_sum_verified
+    return algs[0].mu_z, [weakref.ref(alg) for alg in algs]
+
+
+def test_shared_lattice_keeps_no_algebra_alive():
+    import gc
+
+    mu_z, refs = _searched_and_dropped("d-5")
+    gc.collect()
+    assert len(mu_z._multiplications) == DISTINCT_PAIRS["d-5"]
+    assert sum(ref() is not None for ref in refs) == 0
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     GOLDEN.write_text(json.dumps({name: _box(name) for name in BOXES}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+

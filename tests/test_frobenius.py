@@ -24,6 +24,7 @@ from quadfrob.frobenius import (
     NonvanishingError,
     NotAUnitError,
     TwistSpec,
+    ValidationError,
     analyze,
     build_algebra,
     epsilon_tilde_matrix,
@@ -35,7 +36,7 @@ from quadfrob.frobenius import (
 )
 from quadfrob.ideals import Ideal
 from quadfrob.intlin import IntSolver, mat_vec
-from quadfrob.omodule import AlgebraLattice, MuZLattice, NotWellDefinedError
+from quadfrob.omodule import MuZLattice, NotWellDefinedError
 
 
 # -- the worked example over Z[sqrt(-5)] -------------------------------------
@@ -96,8 +97,9 @@ def test_family_eps0_relaxed_a_bar_outside_mu(ctx, mu):
     # multiplication is genuinely not closed there: (1+w)X * (1-w)X = 3X + 3
     x = alg.element(0, ctx(1, 1))
     y = alg.element(0, ctx(1, -1))
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match=r"product \(3\) \+ \(3\)X escapes the lattice"):
         alg.multiply(x, y)
+    assert issubclass(ClosureError, ValidationError)
     # but the strict constructor rejects the same data
     with pytest.raises(IntegralityViolationError):
         build_algebra(alg.data)
@@ -504,8 +506,9 @@ def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
     assert len({id(f) for f in frames + [shared]}) == len(own) + 1
     # a twist keeps mu and z, and with them the lattice of the algebra it twists
     assert twist(first[0], TwistSpec(3, -ctx.one)).lattice().mu_z is shared
-    with pytest.raises(ValueError):
-        AlgebraLattice(first[0], MuZLattice(mu, ctx(-2)))
+    # analyze is the one door for an outside lattice, and it checks mu and z
+    with pytest.raises(ValueError, match="another mu or z"):
+        build_algebra(first[0].data, mu_z=MuZLattice(mu, ctx(-2)))
 
 
 def test_fresh_search_checks_its_tensor_square(ctx, mu, monkeypatch):

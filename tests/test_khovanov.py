@@ -6,10 +6,15 @@ A = O[X]/X^2 is free of rank two over O, so Kh(L; O) = Kh(L; Z) (x)_Z O,
 each free Z-rank doubles and each Z/2 becomes (Z/2)^2.  The expected groups
 are Khovanov's closed form for the (2, n) torus links (Khovanov,
 arXiv:math/9908171), typed in from the paper, not captured
-from this code.
+from this code.  Shumakovitch's theorem (arXiv:math/0405474) is a second
+oracle: the Khovanov homology of a non-split alternating link has only
+Z/2 torsion, and has some unless the link is the unknot, the Hopf link or
+a connected sum of these.
 """
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -66,3 +71,34 @@ def test_it_is_a_valid_algebra_with_principal_mu(ctx):
     alg = build_algebra(khovanov_data(ctx))
     assert alg.report.accepted and alg.report.mu_principal
     assert alg.kernel_m_analysis().iso_to_A
+
+
+def _torsion(alg, word):
+    h = homology_integral(build_complex(braid_closure(word, 3), alg)).to_json()
+    return [int(t) for v in h["degrees"].values() for t in v["torsion"]]
+
+
+def _alternating_word(a1, b1, a2, b2):
+    """sigma1^a1 sigma2^-b1 sigma1^a2 sigma2^-b2, an alternating 3-braid."""
+    return (1,) * a1 + (-2,) * b1 + (1,) * a2 + (-2,) * b2
+
+
+# Their closures are reduced, alternating, non-split 3-braid diagrams of at
+# most 8 crossings; with both generators in two syllables, none is the
+# unknot, the Hopf link or a connected sum of these.
+ALTERNATING_WORDS = [
+    _alternating_word(*exps)
+    for exps in itertools.product(range(1, 4), repeat=4)
+    if sum(exps) <= 8
+]
+
+
+@pytest.mark.parametrize("word", random.Random(11).sample(ALTERNATING_WORDS, 10), ids=str)
+def test_alternating_closures_have_only_order_two_torsion(word, alg_khovanov):
+    torsion = _torsion(alg_khovanov, word)
+    assert torsion and set(torsion) == {2}
+
+
+@pytest.mark.parametrize("word", [(1, -2), (1, 1, -2), (1, 1, -2, -2)], ids=["unknot", "hopf", "hopf#hopf"])
+def test_the_excluded_closures_have_no_torsion(word, alg_khovanov):
+    assert _torsion(alg_khovanov, word) == []

@@ -20,7 +20,7 @@ def o_module(ctx):
 
 
 def test_module_of_algebra(ctx, alg_eps0):
-    a = alg_eps0.lattice().A
+    a = alg_eps0.lattice().mu_z.A
     assert a.rank == 4
     # sqrt(d) * (2X) = -g1 + 2 g2 and sqrt(d) * ((1+w)X) = -3 g1 + g2
     assert [row[2] for row in a.action] == [0, 0, -1, 2]
@@ -41,7 +41,7 @@ def test_tensor_ranks(ctx, alg_eps0):
 
 
 def test_tensor_with_unit_object_conjugate(ctx, alg_eps0):
-    a = alg_eps0.lattice().A
+    a = alg_eps0.lattice().mu_z.A
     t = tensor_over_O(a, o_module(ctx))
     assert t.module.rank == 4
     # x -> x (x) 1 is a change of basis intertwining the actions
@@ -84,9 +84,9 @@ def test_tensor_power_names_a_layout_that_is_not_sqrt_d_on_a_factor(ctx, mu):
 def smith_tower(lat, n):
     """A^(x n) as iterated Smith-form quotients A^(x k-1) (x)_O A of the
     Z-tensor power; coordinates depend on the pivot order."""
-    t = TensorProduct(lat.A, identity(4), identity(4))
+    t = TensorProduct(lat.mu_z.A, identity(4), identity(4))
     for _ in range(n - 1):
-        step = tensor_over_O(t.module, lat.A)
+        step = tensor_over_O(t.module, lat.mu_z.A)
         proj = mat_mul(step.proj, kron(t.proj, identity(4)))
         section = mat_mul(kron(t.section, identity(4)), step.section)
         t = TensorProduct(step.module, proj, section)
@@ -109,7 +109,7 @@ def test_tensor_power_matches_smith_tower(n, algebra_corpus):
 
 def test_kernel_examples(ctx, alg_eps0):
     lat = alg_eps0.lattice()
-    a = lat.A
+    a = lat.mu_z.A
     ident = OMorphism(a, a, identity(4))
     k, _ = kernel_module(ident)
     assert k.rank == 0
@@ -191,7 +191,7 @@ def test_report_json(alg_eps0):
 def test_x_u_linearity(alg_worked, ctx):
     lat = alg_worked.lattice()
     r = rng(9)
-    g1, g2 = lat.gens
+    g1, g2 = lat.mu_z.gens
     for _ in range(20):
         a, b = r.randint(-4, 4), r.randint(-4, 4)
         u = g1 * a + g2 * b

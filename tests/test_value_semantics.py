@@ -105,11 +105,11 @@ RECORDS = {
         ("left", "right", "integral_equal", "k_dims_equal", "per_degree", "notes"),
         lambda: reidemeister_compare(corpus.diagram("unknot0"), corpus.diagram("unknot_r1plus"), example_zsqrtm5(1, 1)),
     ),
-    OModule: (("d", "rank", "action"), lambda: _lattice().A),
-    OMorphism: (("source", "target", "matrix"), lambda: OMorphism(_lattice().A, _lattice().A, identity(4))),
+    OModule: (("d", "rank", "action"), lambda: _lattice().mu_z.A),
+    OMorphism: (("source", "target", "matrix"), lambda: OMorphism(_lattice().mu_z.A, _lattice().mu_z.A, identity(4))),
     TensorProduct: (("module", "proj", "section"), lambda: _lattice().tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
-    Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks", "_homology"), _cx),
+    Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks"), _cx),
     _Homology: (("table", "q_dims", "remainder", "checks"), lambda: _homology(_cx())),
 }
 
