@@ -11,6 +11,7 @@ ranks over Q and F_p that check them are a separate row echelon.
 import heapq
 import math
 from fractions import Fraction
+from itertools import compress
 
 
 def identity(n):
@@ -344,9 +345,6 @@ class SparseMatrix:
     def nnz(self):
         return sum(len(row) for row in self.rows)
 
-    def is_zero(self):
-        return not any(self.rows)
-
     def __len__(self):
         return self.nrows
 
@@ -366,16 +364,6 @@ class SparseMatrix:
             return self.to_dense() == other
         return NotImplemented
 
-    def __matmul__(self, other):
-        out = []
-        for row in self.rows:
-            acc = {}
-            for k, a in row.items():
-                for j, b in other.rows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: e for j, e in acc.items() if e})
-        return SparseMatrix(self.nrows, other.ncols, out)
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -388,6 +376,12 @@ class _Eliminator:
     Comput. 24, 1997) that leaves x mod pivot, so a unit pivot gives the
     Gaussian update.  Row r stays; a caller drops it with ``drop_row`` once
     it is alone in its column.
+
+    ``cols[j]`` holds the rows with an entry in column j as the keys of a
+    dict (values None): insert and delete are O(1), and for the 2-8 entries
+    of a cube's column a dict is smaller than a set, which jumps to four
+    times its size at five entries.  Only membership and the number of
+    keys are read, so the results do not depend on their order.
     """
 
     def __init__(self, rows):
@@ -399,9 +393,9 @@ class _Eliminator:
                 for j in row:
                     col = cols.get(j)
                     if col is None:
-                        cols[j] = {i}
+                        cols[j] = {i: None}
                     else:
-                        col.add(i)
+                        col[i] = None
 
     def drop_row(self, r):
         self._unlink(r, self.rows.pop(r, ()))
@@ -421,13 +415,13 @@ class _Eliminator:
         pv = prow[c]
         rest = [(j, e) for j, e in prow.items() if j != c]
         touched = [i for i in cols[c] if i != r]
-        cols[c] = col = {r}
+        cols[c] = col = {r: None}
         for i in touched:
             row = rows[i]
             q, x = divmod(row[c], pv)
             if x:
                 row[c] = x
-                col.add(i)
+                col[i] = None
             else:
                 del row[c]
             self._sub(i, row, q, rest)
@@ -439,7 +433,7 @@ class _Eliminator:
         cols = self.cols
         for j in js:
             col = cols[j]
-            col.discard(i)
+            del col[i]
             if not col:
                 del cols[j]
 
@@ -452,9 +446,9 @@ class _Eliminator:
                 row[j] = -factor * e
                 col = cols.get(j)
                 if col is None:
-                    cols[j] = {i}
+                    cols[j] = {i: None}
                 else:
-                    col.add(i)
+                    col[i] = None
             else:
                 v -= factor * e
                 if v:
@@ -462,7 +456,7 @@ class _Eliminator:
                 else:
                     del row[j]
                     col = cols[j]
-                    col.discard(i)
+                    del col[i]
                     if not col:
                         del cols[j]
 
@@ -569,14 +563,25 @@ def reduce_units(diffs, ranks):
     (Bar-Natan, arXiv:math/0606318, Lemma 4.2).  Units are taken cheapest first by Markowitz cost
     (row length - 1) * (column length - 1), re-costed lazily.
 
+    A pending unit (i, j) of d_k is one int in the heap, the digits of
+    (cost, k, i, j) in mixed radix: ``len(diffs)`` for k and ``max(ranks)``
+    for i and j.  Every digit after the cost is below its radix, so ints
+    compare as the tuples do, and the pops depend only on the tuples, not
+    on push order.  Besides the eliminators and the heap, only one byte per
+    basis element is kept: 1 while it survives.
+
     Returns (kept, reduced): the surviving basis indices of each C_k, in
     order, and the differentials between them.
     """
     elims = [_Eliminator(d.rows) for d in diffs]
-    alive = [set(range(r)) for r in ranks]
-    # the pops depend only on the (cost, k, i, j) tuples, not on push order
+    live = [bytearray(b"\x01") * r for r in ranks]
+    nk, radix = len(diffs), max(ranks, default=0)
+
+    def key(cost, k, i, j):
+        return ((cost * nk + k) * radix + i) * radix + j
+
     heap = [
-        ((len(row) - 1) * (len(e.cols[j]) - 1), k, i, j)
+        key((len(row) - 1) * (len(e.cols[j]) - 1), k, i, j)
         for k, e in enumerate(elims)
         for i, row in e.rows.items()
         for j, v in row.items()
@@ -585,7 +590,9 @@ def reduce_units(diffs, ranks):
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        cost, k, i, j = heappop(heap)
+        rest, j = divmod(heappop(heap), radix)
+        rest, i = divmod(rest, radix)
+        cost, k = divmod(rest, nk)
         e = elims[k]
         rows, cols = e.rows, e.cols
         row = rows.get(i)
@@ -593,7 +600,7 @@ def reduce_units(diffs, ranks):
             continue
         now = (len(row) - 1) * (len(cols[j]) - 1)
         if now > cost:
-            heappush(heap, (now, k, i, j))
+            heappush(heap, key(now, k, i, j))
             continue
         changed = [c for c in row if c != j]
         touched = e.pivot(i, j)
@@ -604,14 +611,14 @@ def reduce_units(diffs, ranks):
                 for c in changed:
                     v = trow.get(c)
                     if v == 1 or v == -1:
-                        heappush(heap, ((len(trow) - 1) * (len(cols[c]) - 1), k, t, c))
-        alive[k].discard(j)
-        alive[k + 1].discard(i)
+                        heappush(heap, key((len(trow) - 1) * (len(cols[c]) - 1), k, t, c))
+        live[k][j] = 0
+        live[k + 1][i] = 0
         if k > 0:
             elims[k - 1].drop_row(j)
         if k + 1 < len(elims):
             elims[k + 1].drop_col(i)
-    kept = [sorted(s) for s in alive]
+    kept = [list(compress(range(len(m)), m)) for m in live]
     reduced = []
     for k, e in enumerate(elims):
         col_at = {j: n for n, j in enumerate(kept[k])}

@@ -260,9 +260,17 @@ class Complex:
         return 0
 
     def check_d_squared(self):
+        """d_(i+1) d_i = 0 for every i.  Each row of the product is tested
+        as it forms and then dropped, so no product matrix is held."""
         for i in range(len(self.diffs) - 1):
-            if not (self.diffs[i + 1] @ self.diffs[i]).is_zero():
-                raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
+            inner = self.diffs[i].rows
+            for row in self.diffs[i + 1].rows:
+                acc = {}
+                for k, a in row.items():
+                    for j, b in inner[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                if any(acc.values()):
+                    raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
 
     def check_equivariance(self):
         """d_i A_i = A_(i+1) d_i for every differential, checked on 2x2
@@ -270,41 +278,51 @@ class Complex:
         even offsets (an entry outside them raises EquivarianceError), so on
         the block D of d at (R, C) the entries of dA - Ad are those of
         D A_C - A_R D, with A_R and A_C the action blocks at R and C.  Each
-        distinct (D, A_R, A_C) is multiplied once."""
+        distinct (D, A_R, A_C) is multiplied once.
+
+        Blocks are read one block row (rows 2R and 2R + 1) at a time, and
+        an action block where a block of d needs it, so beside the complex
+        only the distinct triples already seen are kept."""
         if self.actions is None:
             raise ValueError("needs the unsimplified, equivariant complex")
-        action_blocks = []
         for i, action in enumerate(self.actions):
-            blocks = _blocks_of(action)
-            if any(r != c for r, c in blocks):
+            if any(r >> 1 != c >> 1 for r, row in enumerate(action.rows) for c in row):
                 raise EquivarianceError(
                     f"sqrt(d)-action at degree {self.min_degree + i} has an entry outside its 2x2 diagonal blocks"
                 )
-            action_blocks.append({r: blk for (r, _), blk in blocks.items()})
-        zero = (0, 0, 0, 0)
         commuting = set()
         for i, d in enumerate(self.diffs):
-            on_src, on_tgt = action_blocks[i], action_blocks[i + 1]
-            for (r, c), blk in _blocks_of(d).items():
-                key = (blk, on_tgt.get(r, zero), on_src.get(c, zero))
-                if key in commuting:
-                    continue
-                if _mul2(blk, key[2]) != _mul2(key[1], blk):
-                    raise EquivarianceError(
-                        f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
-                    )
-                commuting.add(key)
+            on_src, on_tgt = self.actions[i], self.actions[i + 1]
+            for r in range((d.nrows + 1) >> 1):
+                on_r = _diagonal_block(on_tgt, r)
+                for c, blk in _block_row(d, r).items():
+                    key = (blk, on_r, _diagonal_block(on_src, c))
+                    if key in commuting:
+                        continue
+                    if _mul2(blk, key[2]) != _mul2(on_r, blk):
+                        raise EquivarianceError(
+                            f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
+                        )
+                    commuting.add(key)
 
 
-def _blocks_of(m):
-    """The nonzero 2x2 blocks at even offsets of a SparseMatrix:
-    (row // 2, column // 2) -> (a, b, c, d), read row by row."""
+def _block_row(m, r):
+    """The nonzero 2x2 blocks at even offsets in rows 2r and 2r + 1 of a
+    SparseMatrix: column // 2 -> (a, b, c, d), read row by row."""
     out = {}
-    for r, row in enumerate(m.rows):
+    for h, row in enumerate(m.rows[2 * r : 2 * r + 2]):
         for c, e in row.items():
-            blk = out.setdefault((r >> 1, c >> 1), [0, 0, 0, 0])
-            blk[2 * (r & 1) + (c & 1)] = e
-    return {key: tuple(blk) for key, blk in out.items()}
+            out.setdefault(c >> 1, [0, 0, 0, 0])[2 * h + (c & 1)] = e
+    return {c: tuple(blk) for c, blk in out.items()}
+
+
+def _diagonal_block(m, r):
+    """The 2x2 block of a square SparseMatrix at rows and columns 2r and
+    2r + 1, as (a, b, c, d); an entry past the last row reads 0."""
+    i = 2 * r
+    top = m.rows[i]
+    bottom = m.rows[i + 1] if i + 1 < m.nrows else {}
+    return (top.get(i, 0), top.get(i + 1, 0), bottom.get(i, 0), bottom.get(i + 1, 0))
 
 
 def _mul2(p, q):

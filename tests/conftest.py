@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -159,6 +160,156 @@ def total_rank(cx):
 def n_plus(pd):
     """The number of positive crossings of a PD code."""
     return sum(1 for s in pd.signs if s > 0)
+
+
+def sparse_product(a, b):
+    """The SparseMatrix a * b, every row formed in full: the reference for
+    the checks of ``Complex``, which test the product row by row."""
+    out = []
+    for row in a.rows:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: e for j, e in acc.items() if e})
+    return SparseMatrix(a.nrows, b.ncols, out)
+
+
+# -- unit elimination as first written ----------------------------------------
+
+
+class SetEliminator:
+    """``intlin._Eliminator`` with a set of rows per column, as first
+    written; the pivot-order oracle below runs on it."""
+
+    def __init__(self, rows):
+        self.rows = {}
+        self.cols = cols = {}
+        for i, row in enumerate(rows):
+            if row:
+                self.rows[i] = dict(row)
+                for j in row:
+                    col = cols.get(j)
+                    if col is None:
+                        cols[j] = {i}
+                    else:
+                        col.add(i)
+
+    def drop_row(self, r):
+        self._unlink(r, self.rows.pop(r, ()))
+
+    def drop_col(self, c):
+        rows = self.rows
+        for i in self.cols.pop(c, ()):
+            row = rows[i]
+            del row[c]
+            if not row:
+                del rows[i]
+
+    def pivot(self, r, c):
+        """Reduces column c by the entry (r, c); returns the rows it changed."""
+        rows, cols = self.rows, self.cols
+        prow = rows[r]
+        pv = prow[c]
+        rest = [(j, e) for j, e in prow.items() if j != c]
+        touched = [i for i in cols[c] if i != r]
+        cols[c] = col = {r}
+        for i in touched:
+            row = rows[i]
+            q, x = divmod(row[c], pv)
+            if x:
+                row[c] = x
+                col.add(i)
+            else:
+                del row[c]
+            self._sub(i, row, q, rest)
+            if not row:
+                del rows[i]
+        return touched
+
+    def _unlink(self, i, js):
+        cols = self.cols
+        for j in js:
+            col = cols[j]
+            col.discard(i)
+            if not col:
+                del cols[j]
+
+    def _sub(self, i, row, factor, rest):
+        """row i -= factor * rest."""
+        cols = self.cols
+        for j, e in rest:
+            v = row.get(j)
+            if v is None:
+                row[j] = -factor * e
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i}
+                else:
+                    col.add(i)
+            else:
+                v -= factor * e
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+                    col = cols[j]
+                    col.discard(i)
+                    if not col:
+                        del cols[j]
+
+
+def reduce_units_reference(diffs, ranks):
+    """``intlin.reduce_units`` as first written: a heap of (cost, k, i, j)
+    tuples, set columns and a set of surviving indices per degree.  The
+    production routine packs each tuple into one int and must pop the same
+    sequence, so it returns the same (kept, reduced)."""
+    elims = [SetEliminator(d.rows) for d in diffs]
+    alive = [set(range(r)) for r in ranks]
+    # the pops depend only on the (cost, k, i, j) tuples, not on push order
+    heap = [
+        ((len(row) - 1) * (len(e.cols[j]) - 1), k, i, j)
+        for k, e in enumerate(elims)
+        for i, row in e.rows.items()
+        for j, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        cost, k, i, j = heappop(heap)
+        e = elims[k]
+        rows, cols = e.rows, e.cols
+        row = rows.get(i)
+        if row is None or row.get(j) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heappush(heap, (now, k, i, j))
+            continue
+        changed = [c for c in row if c != j]
+        touched = e.pivot(i, j)
+        e.drop_row(i)
+        for t in touched:
+            trow = rows.get(t)
+            if trow:
+                for c in changed:
+                    v = trow.get(c)
+                    if v == 1 or v == -1:
+                        heappush(heap, ((len(trow) - 1) * (len(cols[c]) - 1), k, t, c))
+        alive[k].discard(j)
+        alive[k + 1].discard(i)
+        if k > 0:
+            elims[k - 1].drop_row(j)
+        if k + 1 < len(elims):
+            elims[k + 1].drop_col(i)
+    kept = [sorted(s) for s in alive]
+    reduced = []
+    for k, e in enumerate(elims):
+        col_at = {j: n for n, j in enumerate(kept[k])}
+        rows = [{col_at[j]: v for j, v in e.rows.get(i, {}).items()} for i in kept[k + 1]]
+        reduced.append(SparseMatrix(len(kept[k + 1]), len(kept[k]), rows))
+    return kept, reduced
 
 
 # -- lattice test helpers ----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from quadfrob import corpus, frobenius
 from quadfrob.cli import main, make_parser
 from quadfrob.intlin import IntSolver
-from quadfrob.omodule import AlgebraLattice, MultiplicationLattice
+from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice
 
 
 def run(capsys, *argv):
@@ -414,6 +414,49 @@ def test_well_defined_failure_exits_5(monkeypatch, capsys):
     # stable under the sqrt(d)-action
     monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
     _assert_check_failed(capsys, "well_defined", "kernel")
+
+
+def _trefoil_file(tmp_path):
+    pd = tmp_path / "trefoil.json"
+    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
+    return str(pd)
+
+
+def test_d_squared_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # the first edge pattern's first entry +1: edge_entries memoizes its
+    # lists, so the fault is a copy and reaches one edge of the cube
+    real = AlgebraLattice.edge_entries
+    bumped = []
+
+    def bump_once(self, *args):
+        out = real(self, *args)
+        if bumped:
+            return out
+        bumped.append(args)
+        (r, c, e), *rest = out
+        return [(r, c, e + 1), *rest]
+
+    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
+    _assert_check_failed(capsys, "d_squared", "link", "homology", "--pd", _trefoil_file(tmp_path))
+    assert bumped
+
+
+def test_equivariance_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # one entry of the first sqrt(d) block +1 on A^(x n) for n > 2 only: A
+    # and A (x)_O A read n = 1 and 2, where a bad J fails OModule's
+    # J^2 = d check (exit 3) before any cube is built
+    real = MuZLattice.sqrt_d_rows
+
+    def bumped(self, n):
+        rows = real(self, n)
+        if n <= 2:
+            return rows
+        rows = [dict(row) for row in rows]
+        rows[0][0] = rows[0].get(0, 0) + 1
+        return rows
+
+    monkeypatch.setattr(MuZLattice, "sqrt_d_rows", bumped)
+    _assert_check_failed(capsys, "equivariance", "link", "homology", "--pd", _trefoil_file(tmp_path))
 
 
 def _double_delta_one(monkeypatch):

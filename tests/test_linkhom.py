@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from conftest import diff_from, n_plus, total_rank
+from conftest import diff_from, n_plus, sparse_product, total_rank
 from quadfrob import corpus
 from quadfrob.linkhom import (
+    DifferentialSquareNonzeroError,
     EquivarianceError,
     MalformedPDError,
     PDCode,
@@ -175,6 +176,33 @@ def test_d_squared_zero_everywhere(algebra_corpus):
         for name in corpus.names():
             cx = build_complex(corpus.diagram(name), alg)
             cx.check_d_squared()  # raises on failure
+
+
+def test_corrupted_differential_fails_d_squared(algebra_corpus):
+    """Adding 1 to one entry (row, col) of one differential d_k, at seeded
+    positions on every corpus diagram with two or more differentials: row is
+    a column where d_(k+1) has an entry, so d_(k+1) d_k != 0.  The check
+    names the first degree whose square the full products find nonzero."""
+    r = random.Random(29)
+    for aname, alg in algebra_corpus.items():
+        for name in corpus.names():
+            for _ in range(2):
+                cx = build_complex(corpus.diagram(name), alg)
+                if len(cx.diffs) < 2:
+                    break
+                k = r.randrange(len(cx.diffs) - 1)
+                d = cx.diffs[k]
+                row = r.choice(sorted({j for outer in cx.diffs[k + 1].rows for j in outer}))
+                col = r.randrange(d.ncols)
+                entry = d.rows[row].pop(col, 0) + 1
+                if entry:
+                    d.rows[row][col] = entry
+                squares = zip(cx.diffs[1:], cx.diffs)
+                nonzero = [i for i, (outer, inner) in enumerate(squares) if any(sparse_product(outer, inner).rows)]
+                assert k in nonzero and set(nonzero) <= {k - 1, k}, (aname, name, k)
+                degree = cx.min_degree + nonzero[0]
+                with pytest.raises(DifferentialSquareNonzeroError, match=f"^d_squared check failed: d\\^2 != 0 at degree {degree}$"):
+                    cx.check_d_squared()
 
 
 def test_trefoil_chain_ranks(alg_eps0):
@@ -373,7 +401,7 @@ def test_corrupted_differential_fails_equivariance(name, alg_eps0, alg_worked):
             entry = d.rows[row].pop(col, 0) + 1
             if entry:
                 d.rows[row][col] = entry
-            assert d @ cx.actions[k] != cx.actions[k + 1] @ d
+            assert sparse_product(d, cx.actions[k]) != sparse_product(cx.actions[k + 1], d)
             degree = cx.min_degree + k
             with pytest.raises(EquivarianceError, match=f"^equivariance check failed: differential from degree {degree} does not commute"):
                 cx.check_equivariance()

@@ -9,10 +9,11 @@ look generic.
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from conftest import sparse_from_dense, total_rank, unit_free_matrices
+from conftest import reduce_units_reference, sparse_from_dense, total_rank, unit_free_matrices
 from quadfrob import cli, corpus, intlin, linkhom, omodule
 from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
 from quadfrob.linkhom import (
@@ -219,6 +220,50 @@ def test_reduce_units_keeps_homotopy_type(alg_worked):
     # Euler characteristic is a homotopy invariant
     euler = sum((-1) ** i * r for i, r in enumerate(cx.ranks))
     assert euler == sum((-1) ** i * r for i, r in enumerate(small.ranks))
+
+
+def test_reduce_units_pops_as_the_tuple_heap_did(algebra_corpus):
+    """The packed int heap, dict columns and drop marks give the same
+    (kept, reduced) as ``reduce_units`` first written with a heap of
+    (cost, k, i, j) tuples, set columns and sets of survivors: on T(2,7)
+    and one seeded 3-braid closure of each length 4..7, over every fixture."""
+    r = random.Random(31)
+    pds = [corpus.braid_closure((1,) * 7, 2)]
+    for n in range(4, 8):
+        pds.append(corpus.braid_closure([r.choice((1, -1)) * r.choice((1, 2)) for _ in range(n)], 3))
+    for aname, alg in algebra_corpus.items():
+        for pd in pds:
+            cx = build_complex(pd, alg)
+            assert reduce_units(cx.diffs, cx.ranks) == reduce_units_reference(cx.diffs, cx.ranks), (aname, pd)
+
+
+def test_checks_and_elimination_hold_no_second_complex(alg_eps0):
+    """Traced memory on eps0 T(2,7), built a second time so that the edge
+    caches are warm.  The checks inside ``build_complex`` test d^2 row by row
+    and equivariance one block row at a time, so its peak exceeds the
+    complex it returns by at most 0.25 of that complex's size; the homology
+    pipeline, whose unit elimination copies the rows, peaks at most 1.35
+    sizes above it.  A whole product or block table per check, or a tuple
+    per pending pivot beside set columns, breaks these bounds."""
+    pd = corpus.braid_closure((1,) * 7, 2)
+    build_complex(pd, alg_eps0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cx = build_complex(pd, alg_eps0)
+        built, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        homology_integral(cx)
+        homology_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    size = built - base
+    assert build_peak - built <= 0.25 * size, (build_peak - built, size)
+    assert homology_peak - built <= 1.35 * size, (homology_peak - built, size)
 
 
 def _codes_called(f):
