@@ -115,7 +115,8 @@ class Ideal(Value):
         """A generator with (g) = a, or None.
 
         Enumerates x + y*sqrt(d) of norm equal to the ideal norm; finite for
-        d < 0, no probabilistic shortcuts.
+        d < 0, no probabilistic shortcuts.  A candidate g in a generates it:
+        (g) is inside a with the same index N(g) = N(a), so (g) = a.
         """
         d = self.ctx.d
         if d > 0:
@@ -132,7 +133,7 @@ class Ideal(Value):
                 g = self.ctx(*cand)
                 if g.is_zero():
                     continue
-                if Ideal.principal(g) == self:
+                if self.contains(g):
                     return g
         return None
 

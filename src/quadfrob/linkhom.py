@@ -260,29 +260,19 @@ class Complex:
         return 0
 
     def check_d_squared(self):
-        """d_(i+1) d_i = 0 for every i.  Each row of the product is tested
-        as it forms and then dropped, so no product matrix is held."""
+        """d_(i+1) d_i = 0 for every i, row by row (``_product_rows``):
+        the first nonzero row raises."""
         for i in range(len(self.diffs) - 1):
-            inner = self.diffs[i].rows
-            for row in self.diffs[i + 1].rows:
-                acc = {}
-                for k, a in row.items():
-                    for j, b in inner[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                if any(acc.values()):
-                    raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
+            if any(any(row.values()) for row in _product_rows(self.diffs[i + 1], self.diffs[i])):
+                raise DifferentialSquareNonzeroError(f"d^2 != 0 at degree {self.min_degree + i}")
 
     def check_equivariance(self):
-        """d_i A_i = A_(i+1) d_i for every differential, checked on 2x2
-        blocks.  Every sqrt(d)-action is block-diagonal with 2x2 blocks at
-        even offsets (an entry outside them raises EquivarianceError), so on
-        the block D of d at (R, C) the entries of dA - Ad are those of
-        D A_C - A_R D, with A_R and A_C the action blocks at R and C.  Each
-        distinct (D, A_R, A_C) is multiplied once.
-
-        Blocks are read one block row (rows 2R and 2R + 1) at a time, and
-        an action block where a block of d needs it, so beside the complex
-        only the distinct triples already seen are kept."""
+        """d_i A_i = A_(i+1) d_i for every differential, the rows of the
+        two products (``_product_rows``) compared pair by pair as they
+        form, by subtracting the second from the first in place.  Every
+        sqrt(d)-action must first be block-diagonal with 2x2 blocks at
+        even offsets, as ``MuZLattice.sqrt_d_rows`` lays it out; an entry
+        outside them raises EquivarianceError."""
         if self.actions is None:
             raise ValueError("needs the unsimplified, equivariant complex")
         for i, action in enumerate(self.actions):
@@ -290,46 +280,25 @@ class Complex:
                 raise EquivarianceError(
                     f"sqrt(d)-action at degree {self.min_degree + i} has an entry outside its 2x2 diagonal blocks"
                 )
-        commuting = set()
         for i, d in enumerate(self.diffs):
-            on_src, on_tgt = self.actions[i], self.actions[i + 1]
-            for r in range((d.nrows + 1) >> 1):
-                on_r = _diagonal_block(on_tgt, r)
-                for c, blk in _block_row(d, r).items():
-                    key = (blk, on_r, _diagonal_block(on_src, c))
-                    if key in commuting:
-                        continue
-                    if _mul2(blk, key[2]) != _mul2(on_r, blk):
-                        raise EquivarianceError(
-                            f"differential from degree {self.min_degree + i} does not commute with sqrt(d)"
-                        )
-                    commuting.add(key)
+            for left, right in zip(_product_rows(d, self.actions[i]), _product_rows(self.actions[i + 1], d)):
+                for j, e in right.items():
+                    left[j] = left.get(j, 0) - e
+                if any(left.values()):
+                    raise EquivarianceError(f"differential from degree {self.min_degree + i} does not commute with sqrt(d)")
 
 
-def _block_row(m, r):
-    """The nonzero 2x2 blocks at even offsets in rows 2r and 2r + 1 of a
-    SparseMatrix: column // 2 -> (a, b, c, d), read row by row."""
-    out = {}
-    for h, row in enumerate(m.rows[2 * r : 2 * r + 2]):
-        for c, e in row.items():
-            out.setdefault(c >> 1, [0, 0, 0, 0])[2 * h + (c & 1)] = e
-    return {c: tuple(blk) for c, blk in out.items()}
-
-
-def _diagonal_block(m, r):
-    """The 2x2 block of a square SparseMatrix at rows and columns 2r and
-    2r + 1, as (a, b, c, d); an entry past the last row reads 0."""
-    i = 2 * r
-    top = m.rows[i]
-    bottom = m.rows[i + 1] if i + 1 < m.nrows else {}
-    return (top.get(i, 0), top.get(i + 1, 0), bottom.get(i, 0), bottom.get(i + 1, 0))
-
-
-def _mul2(p, q):
-    """The product of two 2x2 matrices held as (a, b, c, d) row by row."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _product_rows(a, b):
+    """The rows of the SparseMatrix product a b, one {column: entry} dict
+    at a time, which may hold zeros; none is kept, so no product matrix
+    is held."""
+    inner = b.rows
+    for row in a.rows:
+        acc = {}
+        for k, x in row.items():
+            for j, y in inner[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        yield acc
 
 
 def build_complex(pd, alg):
@@ -352,8 +321,9 @@ def build_complex(pd, alg):
     for v in sorted(cube.circles):
         i, n = sum(v), cube.circle_count(v)
         off = offsets[v] = ranks[i]
-        action_rows[i].extend({off + j: e for j, e in row.items()} for row in lattice.mu_z.sqrt_d_rows(n))
-        ranks[i] = off + (2 << n)
+        rows = lattice.mu_z.sqrt_d_rows(n)
+        action_rows[i].extend({off + j: e for j, e in row.items()} for row in rows)
+        ranks[i] = off + len(rows)
     actions = [SparseMatrix(r, r, rows) for r, rows in zip(ranks, action_rows)]
 
     diffs = [SparseMatrix(ranks[i + 1], ranks[i]) for i in range(k)]

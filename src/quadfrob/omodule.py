@@ -64,7 +64,8 @@ class DirectSumFailureError(CheckFailedError):
 class NotWellDefinedError(CheckFailedError):
     """A map meant to descend to a quotient or a sublattice does not, a
     closed-form structure map breaks associativity or the counit identity,
-    or a block of the cube's edge maps is not one scalar of K."""
+    a block of the cube's edge maps is not one scalar of K, or the
+    sqrt(d)-action laid out on A^(x n) does not square to d."""
 
     check = "well_defined"
 
@@ -381,9 +382,14 @@ class MuZLattice:
         return self._sqrt_d_rows[n]
 
     def _module(self, n):
-        """A^(x n) as an OModule with the action of ``sqrt_d_rows(n)``."""
+        """A^(x n) as an OModule with the action of ``sqrt_d_rows(n)``.
+        That action is laid out here, not given, so one that does not
+        square to d raises NotWellDefinedError, not OModule's ValueError."""
         size = 2 << n
-        return OModule(self.ctx.d, size, [[row.get(j, 0) for j in range(size)] for row in self.sqrt_d_rows(n)])
+        try:
+            return OModule(self.ctx.d, size, [[row.get(j, 0) for j in range(size)] for row in self.sqrt_d_rows(n)])
+        except ValueError as exc:
+            raise NotWellDefinedError(f"sqrt(d) laid out on A^(x {n}): {exc}") from None
 
     @functools.cached_property
     def A2(self):

@@ -441,22 +441,34 @@ def test_d_squared_failure_exits_5(tmp_path, monkeypatch, capsys):
     assert bumped
 
 
-def test_equivariance_failure_exits_5(tmp_path, monkeypatch, capsys):
-    # one entry of the first sqrt(d) block +1 on A^(x n) for n > 2 only: A
-    # and A (x)_O A read n = 1 and 2, where a bad J fails OModule's
-    # J^2 = d check (exit 3) before any cube is built
+def _bump_sqrt_d_rows(monkeypatch, min_n):
+    # one entry of the first sqrt(d) block +1 on A^(x n) for n >= min_n
     real = MuZLattice.sqrt_d_rows
 
     def bumped(self, n):
         rows = real(self, n)
-        if n <= 2:
+        if n < min_n:
             return rows
         rows = [dict(row) for row in rows]
         rows[0][0] = rows[0].get(0, 0) + 1
         return rows
 
     monkeypatch.setattr(MuZLattice, "sqrt_d_rows", bumped)
+
+
+def test_equivariance_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # the bump for n > 2 only: A and A (x)_O A read n = 1 and 2, where a
+    # bad J fails the J^2 = d check of the laid-out action (well_defined,
+    # exit 5) before any cube is built
+    _bump_sqrt_d_rows(monkeypatch, 3)
     _assert_check_failed(capsys, "equivariance", "link", "homology", "--pd", _trefoil_file(tmp_path))
+
+
+def test_sqrt_d_layout_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # the bump for every n: A's laid-out action fails J^2 = d, an internal
+    # check, not bad input
+    _bump_sqrt_d_rows(monkeypatch, 1)
+    _assert_check_failed(capsys, "well_defined", "link", "homology", "--pd", _trefoil_file(tmp_path))
 
 
 def _double_delta_one(monkeypatch):

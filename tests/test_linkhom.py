@@ -407,6 +407,34 @@ def test_corrupted_differential_fails_equivariance(name, alg_eps0, alg_worked):
                 cx.check_equivariance()
 
 
+@pytest.mark.parametrize("name", ["trefoil", "figure8"])
+def test_corrupted_action_fails_equivariance(name, alg_eps0, alg_worked, alg_eps1):
+    """Adding 1 to one entry inside a 2x2 diagonal block of one action, at
+    seeded positions: the check raises on the first differential whose two
+    products, formed in full, differ.  One does at every seeded position:
+    the bump at (row, col) of A_k changes d_k A_k by column ``row`` of d_k
+    and A_k d_(k-1) by row ``col`` of d_(k-1), and one of them is nonzero."""
+    r = random.Random(23)
+    for alg in (alg_eps0, alg_worked, alg_eps1):
+        for _ in range(6):
+            cx = build_complex(corpus.diagram(name), alg)
+            k = r.choice([k for k, a in enumerate(cx.actions) if a.nrows])
+            row = r.randrange(cx.actions[k].nrows)
+            col = (row & ~1) | r.randrange(2)
+            entry = cx.actions[k].rows[row].pop(col, 0) + 1
+            if entry:
+                cx.actions[k].rows[row][col] = entry
+            differ = [
+                i
+                for i, d in enumerate(cx.diffs)
+                if sparse_product(d, cx.actions[i]) != sparse_product(cx.actions[i + 1], d)
+            ]
+            assert differ
+            degree = cx.min_degree + differ[0]
+            with pytest.raises(EquivarianceError, match=f"^equivariance check failed: differential from degree {degree} does not commute"):
+                cx.check_equivariance()
+
+
 def test_action_entry_outside_its_blocks_fails_equivariance(alg_eps0):
     cx = build_complex(corpus.diagram("trefoil"), alg_eps0)
     cx.actions[1].rows[0][2] = 1
