@@ -28,7 +28,6 @@ from .frobenius import (
 )
 from .ideals import Ideal, NotOrderTwoError, certify_order_two
 from .linkhom import (
-    MalformedPDError,
     PDCode,
     build_complex,
     homology_integral,
@@ -379,7 +378,7 @@ def main(argv=None):
     except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CHECK
-    except (MalformedPDError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -9,7 +9,7 @@ import itertools
 import math
 
 from . import intlin
-from .ring import NotDivisibleError, RingElement, UnsupportedRingError, Value, _set, json_int
+from .ring import NotDivisibleError, UnsupportedRingError, Value, _set, json_int
 
 
 class ZeroIdealError(ValueError):
@@ -72,8 +72,6 @@ class Ideal(Value):
 
     def __mul__(self, other):
         """Pairwise products of basis vectors span the product ideal."""
-        if isinstance(other, RingElement):
-            return Ideal.from_generators(self.ctx, [g * other for g in self.two_generators()])
         prods = []
         for ra in self.rows:
             ea = self.ctx(*ra)
@@ -106,10 +104,6 @@ class Ideal(Value):
         if rest % a:
             raise ValueError(f"{elt} not in ideal")
         return (rest // a, beta)
-
-    def element(self, alpha, beta):
-        g1, g2 = self.two_generators()
-        return g1 * alpha + g2 * beta
 
     def is_principal(self):
         """A generator with (g) = a, or None.
@@ -176,13 +170,6 @@ class ClassOrderTwoCertificate(Value):
         _set(self, "z", z)
         # norm bound exhausted by the generator search
         _set(self, "witness_nonprincipal", witness_nonprincipal)
-
-    def to_json(self):
-        return {
-            "mu": self.mu.to_json(),
-            "z": self.z.to_json(),
-            "witness_nonprincipal": self.witness_nonprincipal,
-        }
 
 
 def certify_order_two(mu):

@@ -330,7 +330,7 @@ def build_complex(pd, alg):
     for v, j in sorted(cube.edges):  # each row dict then lists its columns in vertex order
         w = v[:j] + (1,) + v[j + 1 :]
         kind, src, tgt = cube.edges[(v, j)]
-        tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
+        tgt_map = _edge_target_map(cube, v, w, src, tgt)
         sign = -1 if sum(v[:j]) % 2 else 1
         rows, row_off, col_off = diffs[sum(v)].rows, offsets[w], offsets[v]
         for r, c, e in lattice.edge_entries(kind, cube.circle_count(v), src, tgt_map):
@@ -356,21 +356,13 @@ def build_complex(pd, alg):
     return cx
 
 
-def _edge_target_map(cube, v, w, kind, src, tgt):
-    """Positions, in the target circle order, of the intermediate factors
-    (untouched source circles in order, then the merged or the two split
-    circles)."""
+def _edge_target_map(cube, v, w, src, tgt):
+    """Positions, in the target circle order, of the intermediate factors:
+    the untouched source circles in order, then ``tgt``, the merged circle
+    or the two split ones, which ``resolve`` lists in ascending order."""
     cv, cw = cube.circles[v], cube.circles[w]
-    others = [i for i in range(len(cv)) if i not in src]
     tgt_index = {c: i for i, c in enumerate(cw)}
-    tgt_map = []
-    for i in others:
-        tgt_map.append(tgt_index[cv[i]])
-    if kind == "merge":
-        tgt_map.append(tgt[0])
-    else:
-        tgt_map.extend(sorted(tgt))
-    return tgt_map
+    return [tgt_index[c] for i, c in enumerate(cv) if i not in src] + tgt
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +462,7 @@ def check_mod_p(cx, table, primes=None):
         primes = {2}
         for _, torsion in table.values():
             for t in torsion:
-                primes.update(_prime_factors(t))
+                primes.update(_prime_factors(t)[0])
     for p in sorted(primes):
         dims = _dims_from_ranks(cx, [sparse_rank(d, p) for d in cx.diffs])
         for i, dim in dims.items():
@@ -489,9 +481,9 @@ TRIAL_DIVISION_BOUND = 1 << 16
 
 
 def _prime_factors(n):
-    """Primes dividing n, by trial division up to TRIAL_DIVISION_BOUND.  A
-    cofactor left below its square is prime; a larger one is not factored,
-    and its primes go unchecked."""
+    """(primes found, cofactor left unfactored) for n, by trial division up
+    to TRIAL_DIVISION_BOUND.  A cofactor left below its square is prime; a
+    larger one is not factored and is returned, 1 when there is none."""
     out = set()
     p = 2
     while p <= TRIAL_DIVISION_BOUND and p * p <= n:
@@ -499,23 +491,32 @@ def _prime_factors(n):
             out.add(p)
             n //= p
         p += 1 if p == 2 else 2
-    if 1 < n <= TRIAL_DIVISION_BOUND ** 2:
+    if n > TRIAL_DIVISION_BOUND ** 2:
+        return out, n
+    if n > 1:
         out.add(n)
-    return out
+    return out, 1
 
 
 def homology_integral(cx):
     """Per-degree abelian-group homology: unit elimination, then the
-    invariant factors of the small remainder."""
+    invariant factors of the small remainder.  The notes name each torsion
+    invariant whose primes ``check_mod_p`` could not find."""
     h = _homology(cx)
     out = {}
     total_k = 0
+    notes = list(cx.notes)
     for i, (free, torsion) in sorted(h.table.items()):
         k_dim = free // 2
         total_k += k_dim
         if free or torsion:
             out[i] = {"z_rank": free, "torsion": list(torsion), "k_dim": k_dim}
-    return HomologyReport(out, total_k, notes=list(cx.notes), checks=cx.checks + h.checks)
+        for t in torsion:
+            rest = _prime_factors(t)[1]
+            if rest > 1:
+                notes.append(f"degree {i}: torsion invariant {t} has the cofactor {rest}, too large to factor;"
+                             " its primes were not checked mod p")
+    return HomologyReport(out, total_k, notes=notes, checks=cx.checks + h.checks)
 
 
 def homology_over_K(cx):

@@ -264,7 +264,6 @@ class MuZLattice:
             self.coords_block([ctx.sqrt_d * e for e in basis], par) for par, basis in enumerate(self._ring_basis)
         )
         self._sqrt_d_rows = {}
-        self.A = self._module(1)
         self._powers = {}
         self._multiplications = {}  # (a_bar, b_bar) -> MultiplicationLattice
 
@@ -390,6 +389,11 @@ class MuZLattice:
             return OModule(self.ctx.d, size, [[row.get(j, 0) for j in range(size)] for row in self.sqrt_d_rows(n)])
         except ValueError as exc:
             raise NotWellDefinedError(f"sqrt(d) laid out on A^(x {n}): {exc}") from None
+
+    @functools.cached_property
+    def A(self):
+        """A as an OModule on its four coordinates."""
+        return self._module(1)
 
     @functools.cached_property
     def A2(self):
@@ -551,13 +555,9 @@ class MultiplicationLattice:
             xhat = self.x_hat()
             jxhat = mat_vec(j2, xhat)
             span = hnf_rows([*xus, xhat, jxhat])
-            direct_sum = (
-                len(span) == 4
-                and span == ker_hnf
-                and len(hnf_rows(xus)) == 2
-                and len(hnf_rows([xhat, jxhat])) == 2
-            )
-            if not direct_sum:
+            # ker_hnf has four rows, so equal spans make the four
+            # generators independent and the sum direct
+            if span != ker_hnf:
                 raise DirectSumFailureError("ker(m) != X_mu + O*Xhat as lattices")
 
             # the two multiplication-action identities on ker(m); o in O acts on

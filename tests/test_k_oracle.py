@@ -3,14 +3,17 @@
 Rebuilds each resolution cube directly over K = Q(sqrt(d)) in monomial
 bases {1, X}^(x n) — no lattices, no integer normal forms — and compares
 the homology dimensions with the production route.  Shares only the
-combinatorial cube (circles and merge/split tags) with the implementation.
+combinatorial cube (circles and merge/split tags, from ``resolve``) with
+the implementation: each edge's placement of factors is derived here.
 """
+
+import itertools
 
 import pytest
 
 from conftest import k_a, k_b, k_delta_tilde, k_eps_x, k_t
 from quadfrob import corpus
-from quadfrob.linkhom import _edge_target_map, _vertices, build_complex, homology_over_K, resolve
+from quadfrob.linkhom import build_complex, homology_over_K, resolve
 
 
 def k_zero(ctx):
@@ -60,6 +63,16 @@ def mono_index(bits):
     for b in bits:
         idx = idx * 2 + b
     return idx
+
+
+def target_positions(cube, v, w, src):
+    """For each intermediate factor (untouched circles of v in order, then
+    the merged or split ones) its position among the circles of w: an
+    untouched circle is the same arc set in w, and the merged or split
+    circles are those of w that v lacks, in the order of w."""
+    cv, cw = cube.circles[v], cube.circles[w]
+    untouched = [cw.index(c) for i, c in enumerate(cv) if i not in src]
+    return untouched + [i for i, c in enumerate(cw) if c not in cv]
 
 
 def edge_matrix_k(data, kind, n_src, src_pos, tgt_map):
@@ -126,7 +139,7 @@ def k_homology_dims(pd, alg):
     k = len(pd.crossings)
     shift = pd.n_minus
     by_degree = {}
-    for v in _vertices(k):
+    for v in itertools.product((0, 1), repeat=k):
         by_degree.setdefault(sum(v) - shift, []).append(v)
     degrees = sorted(by_degree)
     for vs in by_degree.values():
@@ -147,8 +160,8 @@ def k_homology_dims(pd, alg):
                 if v[j]:
                     continue
                 w = tuple(1 if i == j else v[i] for i in range(k))
-                kind, src, tgt = cube.edges[(v, j)]
-                tgt_map = _edge_target_map(cube, v, w, kind, src, tgt)
+                kind, src, _ = cube.edges[(v, j)]
+                tgt_map = target_positions(cube, v, w, src)
                 block = edge_matrix_k(data, kind, cube.circle_count(v), src, tgt_map)
                 sign = -1 if sum(v[:j]) % 2 else 1
                 for r, row in enumerate(block):
@@ -190,3 +203,12 @@ def test_k_oracle_figure8(alg_eps1):
     production = homology_over_K(build_complex(pd, alg_eps1))
     oracle = k_homology_dims(pd, alg_eps1)
     assert oracle == production
+
+
+def test_k_oracle_torus_2_4(alg_worked):
+    # the first diagram here with an edge that leaves two circles untouched,
+    # so the order of the untouched factors is checked too
+    pd = corpus.braid_closure((1,) * 4, 2)
+    cube = resolve(pd)
+    assert max(cube.circle_count(v) - len(src) for (v, _), (_, src, _) in cube.edges.items()) == 2
+    assert k_homology_dims(pd, alg_worked) == homology_over_K(build_complex(pd, alg_worked))

@@ -1,10 +1,13 @@
+import math
 import random
 import re
 
 import pytest
 
-from conftest import diff_from, n_plus, sparse_product, total_rank
-from quadfrob import corpus
+from conftest import diff_from, n_plus, search_hits, sparse_product, total_rank
+from quadfrob import corpus, linkhom
+from quadfrob.frobenius import TwistSpec, twist
+from quadfrob.intlin import det_int
 from quadfrob.linkhom import (
     DifferentialSquareNonzeroError,
     EquivarianceError,
@@ -296,6 +299,63 @@ def test_trefoil_torsion_tracks_discriminant(ctx, mu):
     assert alg.data.discriminant().norm() == 164
     h = homology_integral(build_complex(corpus.diagram("trefoil"), alg))
     assert homology_table(h) == {0: (4, []), 3: (0, [41])}
+
+
+def _radical_divides(t, n):
+    """Whether every prime of t divides n, by stripping common factors."""
+    g = math.gcd(t, n)
+    while g > 1:
+        t //= g
+        g = math.gcd(t, n)
+    return t == 1
+
+
+def test_torsion_primes_divide_the_handle_determinant():
+    # where N = det(m o Delta) is invertible, A is separable and carries no
+    # torsion, so every torsion prime divides N
+    diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
+    for word, strands in (((1,) * 4, 2), ((1, 1, 2, 2), 3), ((1, 1, -2, -2), 3)):
+        diagrams.append(corpus.braid_closure(word, strands))
+    seen = 0
+    for alg in search_hits():
+        n = det_int(alg.lattice().handle_matrix())
+        if n == 0:
+            continue
+        for pd in diagrams:
+            for i, v in homology_integral(build_complex(pd, alg)).degrees.items():
+                for t in v["torsion"]:
+                    assert _radical_divides(t, n), (alg.data.to_json(), pd.to_json(), i, t, n)
+                    seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("name", ["eps0", "worked", "eps1"])
+def test_twists_leave_homology_unchanged(name, request, ctx):
+    # twists 1 and 2 change the variable X, twist 3 rescales the trace by a
+    # unit: none changes link homology
+    alg = request.getfixturevalue(f"alg_{name}")
+    diagrams = [corpus.diagram("trefoil"), corpus.diagram("figure8"),
+                corpus.braid_closure((1,) * 4, 2), corpus.braid_closure((1, -2, 1, -2), 3)]
+    untwisted = [homology_table(homology_integral(build_complex(pd, alg))) for pd in diagrams]
+    for kind, param in ((1, ctx(-1)), (3, ctx(-1)), (2, ctx(2)), (2, ctx(1, 1)), (2, ctx(-2))):
+        twisted = twist(alg, TwistSpec(kind, param))
+        assert twisted.report.accepted, (kind, param)
+        for pd, expected in zip(diagrams, untwisted):
+            got = homology_table(homology_integral(build_complex(pd, twisted)))
+            assert got == expected, (kind, param, pd.to_json())
+
+
+def test_unfactored_torsion_is_named_in_notes(alg_worked, monkeypatch):
+    # with trial division only up to 3, the worked trefoil's Z/721 = 7 * 103
+    # keeps its whole cofactor: mod 7 and mod 103 do not run, and the
+    # report says so
+    monkeypatch.setattr(linkhom, "TRIAL_DIVISION_BOUND", 3)
+    h = homology_integral(build_complex(corpus.diagram("trefoil"), alg_worked))
+    assert homology_table(h)[3] == (0, [721])
+    assert [c for c in h.checks if c.startswith("mod_")] == ["mod_2"]
+    assert [n for n in h.notes if "721" in n] == [
+        "degree 3: torsion invariant 721 has the cofactor 721, too large to factor; its primes were not checked mod p"
+    ]
 
 
 def test_simplify_preserves_homology(algebra_corpus):
