@@ -19,7 +19,7 @@ from .frobenius import (
     family_eps_x_zero,
     twist,
 )
-from .omodule import OModule, OMorphism, tensor_over_O
+from .omodule import OModule, tensor_over_O
 from .linkhom import PDCode, build_complex, homology_integral, homology_over_K, simplify
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "FrobeniusData",
     "Ideal",
     "OModule",
-    "OMorphism",
     "PDCode",
     "RingContext",
     "RingElement",

@@ -4,7 +4,10 @@ Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
 internal cross-check failed: "<check> check failed" names
 validation_routes, ker_m_splitting, well_defined, d_squared, equivariance,
 k_rank_vs_z_rank or mod_p.  tensor_torsion_free is raised only by
-omodule.tensor_over_O, a test oracle that no command calls.
+omodule.tensor_over_O, a test oracle that no command calls.  With
+--format json, exit 5 also writes {"error": {"check", "message",
+"inputs"}} where a result would go, with the --alg, --pd, --pd1 and --pd2
+files given as "inputs".
 
 Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
 e.g. '2', '1+w', '3-2w'.
@@ -377,6 +380,13 @@ def main(argv=None):
         return EXIT_REJECTED
     except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
+        if args.format == "json":
+            inputs = {name: getattr(args, name) for name in ("alg", "pd", "pd1", "pd2") if getattr(args, name, None)}
+            error = {"check": exc.check, "message": str(exc), "inputs": inputs}
+            try:
+                _emit(args, {"error": error}, [])
+            except OSError as err:
+                print(f"cannot write the error report: {err}", file=sys.stderr)
         return EXIT_CHECK
     except (ValueError, KeyError, OSError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -79,13 +79,6 @@ class OModule:
         self.action = action
 
 
-class OMorphism:
-    def __init__(self, source, target, matrix):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-
 def homology_pair(d_in, d_out, rank_mid):
     """ker(d_out)/im(d_in) for integer matrices d_out: mid -> next and
     d_in: prev -> mid; returns (free rank, torsion invariants)."""
@@ -148,25 +141,6 @@ def tensor_over_O(m, n):
     if mat_mul(proj, jm_i) != mat_mul(action, proj):
         raise NotWellDefinedError("tensor action not well defined on the quotient")
     return TensorProduct(module, proj, section)
-
-
-def kernel_module(f):
-    """Saturated kernel lattice of an equivariant morphism, with inclusion."""
-    rows = kernel_basis(f.matrix, ncols=f.source.rank)
-    k = len(rows)
-    incl = transpose(rows, ncols=f.source.rank) if rows else [[] for _ in range(f.source.rank)]
-    if k == 0:
-        return OModule(f.source.d, 0, []), incl
-    solver = IntSolver(incl, ncols=k)
-    cols = []
-    for v in rows:
-        jv = mat_vec(f.source.action, v)
-        sol = solver.solve(jv)
-        if sol is None:
-            raise NotWellDefinedError("kernel not stable under the action")
-        cols.append(sol)
-    action = transpose(cols, ncols=k)
-    return OModule(f.source.d, k, action), incl
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +513,20 @@ class MultiplicationLattice:
         return out
 
     def _kernel_parts(self):
-        """What no search bound changes: ker(m) with its Hermite form,
-        X_g1, X_g2 and X_hat, whose span must be ker(m) = X_mu + O X_hat,
-        and whether the two action identities hold."""
+        """What no search bound changes: ker(m), which must be stable under
+        sqrt(d), with its Hermite form, X_g1, X_g2 and X_hat, whose span
+        must be ker(m) = X_mu + O X_hat, and whether the two action
+        identities hold."""
         if self._kernel is None:
             mu_z = self.mu_z
             j2 = mu_z.A2.action
-            ker_mod, incl = kernel_module(OMorphism(mu_z.A2, mu_z.A, self.m_matrix()))
-            ker_rows = transpose(incl, ncols=ker_mod.rank)
-            if ker_mod.rank != 4:
-                raise DirectSumFailureError(f"ker(m) has Z-rank {ker_mod.rank}, expected 4")
+            ker_rows = kernel_basis(self.m_matrix(), ncols=8)
             ker_hnf = hnf_rows(ker_rows)
+            # J on ker(m) squares to d because J on A (x)_O A does (A2)
+            if hnf_rows([*ker_rows, *(mat_vec(j2, v) for v in ker_rows)]) != ker_hnf:
+                raise NotWellDefinedError("kernel not stable under the action")
+            if len(ker_rows) != 4:
+                raise DirectSumFailureError(f"ker(m) has Z-rank {len(ker_rows)}, expected 4")
 
             xus = [mu_z.x_u(g) for g in mu_z.gens]
             xhat = self.x_hat()

@@ -13,6 +13,7 @@ from quadfrob.frobenius import (
     search_solutions,
 )
 from quadfrob.intlin import SparseMatrix, identity, invariant_factors, mat_add, mat_mul, mat_scale, transpose
+from quadfrob.omodule import MultiplicationLattice
 from quadfrob.ring import NotDivisibleError, parse_element
 
 
@@ -352,9 +353,24 @@ def scalar_matrix(module, o):
     return out
 
 
-def is_equivariant(f):
-    """Whether the OMorphism f commutes with the sqrt(d)-actions."""
-    return mat_mul(f.matrix, f.source.action) == mat_mul(f.target.action, f.matrix)
+def is_equivariant(matrix, source_action, target_action):
+    """Whether ``matrix`` commutes with the sqrt(d)-actions of its source
+    and target."""
+    return mat_mul(matrix, source_action) == mat_mul(target_action, matrix)
+
+
+def bump_m_entry(monkeypatch):
+    """One entry of the closed-form m +1, on a copy.  That m is not
+    O-linear: its kernel is not stable under sqrt(d), and it fails
+    associativity."""
+    real = MultiplicationLattice.m_matrix
+
+    def bumped(self):
+        out = [row[:] for row in real(self)]
+        out[2][6] += 1
+        return out
+
+    monkeypatch.setattr(MultiplicationLattice, "m_matrix", bumped)
 
 
 def z_basis(alg):

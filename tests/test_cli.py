@@ -4,9 +4,9 @@ import os
 
 import pytest
 
+from conftest import bump_m_entry
 from quadfrob import corpus, frobenius
 from quadfrob.cli import main, make_parser
-from quadfrob.intlin import IntSolver
 from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice
 
 
@@ -392,6 +392,7 @@ def _assert_check_failed(capsys, check, *argv):
     assert code == 5
     assert out == ""
     assert f"{check} check failed" in err
+    return err
 
 
 def test_validation_routes_failure_exits_5(monkeypatch, capsys):
@@ -410,10 +411,11 @@ def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
 
 
 def test_well_defined_failure_exits_5(monkeypatch, capsys):
-    # ker(m) is found through IntSolver: with no solution the kernel is not
-    # stable under the sqrt(d)-action
-    monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
-    _assert_check_failed(capsys, "well_defined", "kernel")
+    # one entry of m +1 makes m not O-linear: its kernel is not stable
+    # under the sqrt(d)-action, which is checked before associativity
+    bump_m_entry(monkeypatch)
+    err = _assert_check_failed(capsys, "well_defined", "kernel")
+    assert "kernel not stable under the action" in err
 
 
 def _trefoil_file(tmp_path):
@@ -439,6 +441,44 @@ def test_d_squared_failure_exits_5(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
     _assert_check_failed(capsys, "d_squared", "link", "homology", "--pd", _trefoil_file(tmp_path))
     assert bumped
+
+
+def _bump_one_edge_entry(monkeypatch):
+    # the first edge pattern's first entry +1, on a copy, then the real map
+    real = AlgebraLattice.edge_entries
+
+    def bump_once(self, *args):
+        monkeypatch.setattr(AlgebraLattice, "edge_entries", real)
+        (r, c, e), *rest = real(self, *args)
+        return [(r, c, e + 1), *rest]
+
+    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
+
+
+def test_d_squared_failure_writes_a_json_error(tmp_path, monkeypatch, capsys):
+    _bump_one_edge_entry(monkeypatch)
+    pd = _trefoil_file(tmp_path)
+    code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
+    assert code == 5
+    assert "d_squared check failed" in err
+    assert payload == {"error": {"check": "d_squared", "message": err.strip(), "inputs": {"pd": pd}}}
+
+
+def test_well_defined_failure_writes_a_json_error_to_out(tmp_path, monkeypatch, capsys):
+    alg = tmp_path / "worked.json"
+    alg.write_text(json.dumps(frobenius.example_zsqrtm5(1, 1).data.to_json()))
+    out = tmp_path / "error.json"
+    bump_m_entry(monkeypatch)
+    argv = ("kernel", "--alg", str(alg), "--format", "json", "--out")
+    code, stdout, err = run(capsys, *argv, str(out))
+    assert (code, stdout) == (5, "")
+    assert "well_defined check failed" in err
+    error = {"check": "well_defined", "message": err.strip(), "inputs": {"alg": str(alg)}}
+    assert json.loads(out.read_text()) == {"error": error}
+    # an --out that cannot be written keeps the exit code of the check
+    code, stdout, err = run(capsys, *argv, str(tmp_path / "missing" / "error.json"))
+    assert (code, stdout) == (5, "")
+    assert "well_defined check failed" in err and "cannot write the error report" in err
 
 
 def _bump_sqrt_d_rows(monkeypatch, min_n):
@@ -509,19 +549,8 @@ def _drop_a_bar_from_m(monkeypatch):
     monkeypatch.setattr(MultiplicationLattice, "m_matrix", dropped)
 
 
-def _bump_m_entry(monkeypatch):
-    real = MultiplicationLattice.m_matrix
-
-    def bumped(self):
-        out = [row[:] for row in real(self)]
-        out[2][6] += 1
-        return out
-
-    monkeypatch.setattr(MultiplicationLattice, "m_matrix", bumped)
-
-
 def _bump_checked_m_entry(monkeypatch):
-    # the same entry, changed once m has passed associativity
+    # the entry of bump_m_entry, changed once m has passed associativity
     real = MultiplicationLattice.x_first_factor_maps
 
     def bump_after(self):
@@ -544,7 +573,7 @@ PER_BLOCK = "is not multiplication by one scalar of K"
     (_swap_c_and_d_prime, COUNIT),
     (_drop_a_bar_from_m, ASSOCIATIVITY),
     (_bump_x_map_entry, ASSOCIATIVITY),
-    (_bump_m_entry, ASSOCIATIVITY),
+    (bump_m_entry, ASSOCIATIVITY),
     (_bump_checked_m_entry, PER_BLOCK),
 ], ids=["delta_one", "c_d_prime_swapped", "a_bar_dropped", "x_map", "m_entry", "checked_m_entry"])
 def test_a_faulty_closed_form_fails_link_homology(fault, message, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    bump_m_entry,
     comultiply_one_via_dual,
     counit_first_matrix,
     counit_second_matrix,
@@ -35,7 +36,7 @@ from quadfrob.frobenius import (
     twist,
 )
 from quadfrob.ideals import Ideal
-from quadfrob.intlin import IntSolver, mat_vec
+from quadfrob.intlin import mat_vec
 from quadfrob.omodule import MuZLattice, NotWellDefinedError
 
 
@@ -512,7 +513,7 @@ def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
 
 
 def test_fresh_search_checks_its_tensor_square(ctx, mu, monkeypatch):
-    monkeypatch.setattr(IntSolver, "solve", lambda self, rhs: None)
+    bump_m_entry(monkeypatch)
     alg = next(search_solutions(mu, ctx(2), coord_bound=1))
     for _ in range(2):
         with pytest.raises(NotWellDefinedError):

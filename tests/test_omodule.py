@@ -1,16 +1,15 @@
 import pytest
 
-from conftest import block, is_equivariant, rng, snf_diagonal
+from conftest import block, bump_m_entry, is_equivariant, rng, snf_diagonal
+from quadfrob.frobenius import build_algebra
 from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, transpose
 from quadfrob.omodule import (
     MuZLattice,
     NotWellDefinedError,
     OModule,
-    OMorphism,
     TensorProduct,
     TorsionInTensorError,
     homology_pair,
-    kernel_module,
     tensor_over_O,
 )
 
@@ -109,18 +108,9 @@ def test_tensor_power_matches_smith_tower(n, algebra_corpus):
 
 def test_kernel_examples(ctx, alg_eps0):
     lat = alg_eps0.lattice()
-    a = lat.mu_z.A
-    ident = OMorphism(a, a, identity(4))
-    k, _ = kernel_module(ident)
-    assert k.rank == 0
-    zero = OMorphism(a, a, [[0] * 4 for _ in range(4)])
-    k, incl = kernel_module(zero)
-    assert k.rank == 4
-    t2 = lat.tensor_power(2)
-    m = OMorphism(t2.module, a, lat.mult.m_matrix())
-    assert is_equivariant(m)
-    ker, _ = kernel_module(m)
-    assert ker.rank == 4
+    m = lat.mult.m_matrix()
+    assert is_equivariant(m, lat.tensor_power(2).module.action, lat.mu_z.A.action)
+    assert len(kernel_basis(m, ncols=8)) == 4
 
 
 def test_kernel_m_analysis_eps0(alg_eps0, ctx):
@@ -167,6 +157,16 @@ def test_kernel_m_analysis_corpus(algebra_corpus):
         assert rep.direct_sum_verified, name
         assert rep.action_formulas_verified, name
         assert len(rep.kernel_basis) == 4, name
+
+
+def test_kernel_m_analysis_rejects_a_non_o_linear_m(algebra_corpus, monkeypatch):
+    # one entry of m +1 on freshly built algebras, so no kept kernel hides
+    # the fault: ker(m) is no longer stable under sqrt(d)
+    fresh = [build_algebra(alg.data) for alg in algebra_corpus.values()]
+    bump_m_entry(monkeypatch)
+    for alg in fresh:
+        with pytest.raises(NotWellDefinedError, match="kernel not stable under the action"):
+            alg.kernel_m_analysis()
 
 
 def test_kernel_m_analysis_sanity_free(alg_sanity):

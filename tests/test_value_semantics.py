@@ -25,7 +25,7 @@ from quadfrob.frobenius import (
     example_zsqrtm5,
 )
 from quadfrob.ideals import ClassOrderTwoCertificate, Ideal, certify_order_two
-from quadfrob.intlin import SparseMatrix, identity
+from quadfrob.intlin import SparseMatrix
 from quadfrob.linkhom import (
     Complex,
     ComparisonReport,
@@ -40,7 +40,7 @@ from quadfrob.linkhom import (
     reidemeister_compare,
     resolve,
 )
-from quadfrob.omodule import KernelReport, OModule, OMorphism, TensorProduct
+from quadfrob.omodule import KernelReport, OModule, TensorProduct
 from quadfrob.ring import FieldElement, RingContext, RingElement
 
 
@@ -106,7 +106,6 @@ RECORDS = {
         lambda: reidemeister_compare(corpus.diagram("unknot0"), corpus.diagram("unknot_r1plus"), example_zsqrtm5(1, 1)),
     ),
     OModule: (("d", "rank", "action"), lambda: _lattice().mu_z.A),
-    OMorphism: (("source", "target", "matrix"), lambda: OMorphism(_lattice().mu_z.A, _lattice().mu_z.A, identity(4))),
     TensorProduct: (("module", "proj", "section"), lambda: _lattice().tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
     Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks"), _cx),
