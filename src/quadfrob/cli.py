@@ -127,12 +127,13 @@ def cmd_ideal_classinfo(args):
 
 
 def _algebra_payload(alg):
+    us, ups = alg.mu_z.partition
     payload = {
         "data": alg.data.to_json(),
         "report": alg.report.to_json(),
         "duals": alg.duals.to_json(),
-        "partition_u": [e.to_json() for e in alg.partition[0]],
-        "partition_u_prime": [e.to_json() for e in alg.partition[1]],
+        "partition_u": [e.to_json() for e in us],
+        "partition_u_prime": [e.to_json() for e in ups],
         "epsilon_tilde": [[str(e) for e in row] for row in alg.epsilon_tilde],
         "epsilon_tilde_det": alg.epsilon_tilde_det,
         "delta_one_coords": [str(e) for e in alg.comultiply_one()],

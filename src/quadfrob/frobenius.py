@@ -135,24 +135,9 @@ class AlgebraElement(Value):
         _set(self, "u0", u0)
         _set(self, "u1", u1)
 
-    def __add__(self, other):
-        return AlgebraElement(self.u0 + other.u0, self.u1 + other.u1)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.u0 - other.u0, self.u1 - other.u1)
-
-    def __neg__(self):
-        return AlgebraElement(-self.u0, -self.u1)
-
     def scale(self, o):
         """Multiplication by o in O (the O-module structure)."""
         return AlgebraElement(self.u0 * o, self.u1 * o)
-
-    def is_zero(self):
-        return self.u0.is_zero() and self.u1.is_zero()
-
-    def __str__(self):
-        return f"({self.u0}) + ({self.u1})X"
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +366,19 @@ def build_algebra(data, *, relax_a_bar=False, mu_z=None):
     return alg
 
 
-class FrobeniusAlgebra:
-    """A validated algebra handle; immutable after construction."""
+class FrobeniusAlgebra(omodule.AlgebraLattice):
+    """A validated algebra; immutable after construction.  It is its own
+    ``omodule.AlgebraLattice``, so the structure maps (``comultiply_one``,
+    ``comultiply``, ``delta_matrix``, ``handle_matrix``, ``edge_entries``,
+    ``kernel_m_analysis``) are its methods."""
 
     def __init__(self, data, duals, report, eps_rows, eps_det, mu_z):
-        self.data = data
+        super().__init__(data, duals, mu_z)  # mu_z: the MuZLattice of (mu, z), maybe shared
         self.ctx = data.ctx
         self.mu = data.mu
-        self.duals = duals
-        self.partition = mu_z.partition  # ([g1, g2], [u1', u2'])
         self.report = report
         self.epsilon_tilde = eps_rows
         self.epsilon_tilde_det = eps_det
-        self.mu_z = mu_z  # the omodule.MuZLattice of (mu, z), maybe shared
-        self._lattice = None
         self._handle_powers = []  # coordinates of h^g(1) for g = 0, 1, ...
 
     # -- elements ----------------------------------------------------------
@@ -407,6 +391,12 @@ class FrobeniusAlgebra:
         elif isinstance(u1, int):
             u1 = self.ctx(u1)
         return AlgebraElement(u0, u1)
+
+    def _from_coords(self, vec):
+        """The element with coordinates ``vec`` over A's Z-basis 1,
+        sqrt(d), g1 X, g2 X."""
+        g1, g2 = self.mu_z.gens
+        return AlgebraElement(self.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     @property
     def one(self):
@@ -433,48 +423,29 @@ class FrobeniusAlgebra:
         """eps(u0 + u1 X) = u0 eps(1) + u1 eps_x_bar / z, always in O."""
         return x.u0 * self.data.eps_one + (x.u1 * self.data.eps_x_bar).exact_div(self.data.z)
 
-    # -- lattice-backed operations ------------------------------------------
-
-    def lattice(self):
-        if self._lattice is None:
-            self._lattice = omodule.AlgebraLattice(self)
-        return self._lattice
-
-    def comultiply_one(self):
-        """Delta(1) as a tuple of coordinates of A (x)_O A (closed-form dual
-        route)."""
-        return self.lattice().delta_one()
-
-    def comultiply(self, x):
-        """Delta(x) as a tuple of coordinates of A (x)_O A."""
-        return self.lattice().comultiply(x)
+    # -- closed surfaces ---------------------------------------------------
 
     def _handle_powers_to(self, genus):
         """Coordinates of h^g(1) for g = 0..genus.  Every power found is
         kept, so h is applied once per genus over the algebra's life."""
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        lat = self.lattice()
         powers = self._handle_powers
         if not powers:
-            powers.append(lat.coords(self.one))
+            powers.append(self.coords(self.one))
         if len(powers) <= genus:
-            h = lat.handle_matrix()
+            h = self.handle_matrix()
             while len(powers) <= genus:
                 powers.append(mat_vec(h, powers[-1]))
         return powers[:genus + 1]
 
     def closed_surface_invariant(self, genus):
         """eps(h^genus(1)) for the handle operator h = m o Delta."""
-        return self.trace(self.lattice().element(self._handle_powers_to(genus)[genus]))
+        return self.trace(self._from_coords(self._handle_powers_to(genus)[genus]))
 
     def closed_surface_invariants(self, genus):
         """[eps(h^g(1)) for g = 0..genus], from one running product."""
-        lat = self.lattice()
-        return [self.trace(lat.element(v)) for v in self._handle_powers_to(genus)]
-
-    def kernel_m_analysis(self, search_bound=8):
-        return self.lattice().kernel_m_analysis(search_bound)
+        return [self.trace(self._from_coords(v)) for v in self._handle_powers_to(genus)]
 
     def __str__(self):
         d = self.data
@@ -627,7 +598,7 @@ def twist(alg, spec):
         notes = ["twist: trace rescaled by a unit"]
     else:
         raise ValueError(f"unknown twist kind {spec.kind}")
-    out = build_algebra(new, mu_z=alg.mu_z)
+    out = build_algebra(new, relax_a_bar=not alg.report.closure_in_mu, mu_z=alg.mu_z)
     out.report.notes.extend(notes)
     return out
 

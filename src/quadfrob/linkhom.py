@@ -313,7 +313,6 @@ def build_complex(pd, alg):
         raise ValueError("link homology needs a multiplicatively closed algebra")
     cube = resolve(pd)
     k = len(pd.crossings)
-    lattice = alg.lattice()
 
     offsets = {}
     ranks = [0] * (k + 1)
@@ -321,7 +320,7 @@ def build_complex(pd, alg):
     for v in sorted(cube.circles):
         i, n = sum(v), cube.circle_count(v)
         off = offsets[v] = ranks[i]
-        rows = lattice.mu_z.sqrt_d_rows(n)
+        rows = alg.mu_z.sqrt_d_rows(n)
         action_rows[i].extend({off + j: e for j, e in row.items()} for row in rows)
         ranks[i] = off + len(rows)
     actions = [SparseMatrix(r, r, rows) for r, rows in zip(ranks, action_rows)]
@@ -333,7 +332,7 @@ def build_complex(pd, alg):
         tgt_map = _edge_target_map(cube, v, w, src, tgt)
         sign = -1 if sum(v[:j]) % 2 else 1
         rows, row_off, col_off = diffs[sum(v)].rows, offsets[w], offsets[v]
-        for r, c, e in lattice.edge_entries(kind, cube.circle_count(v), src, tgt_map):
+        for r, c, e in alg.edge_entries(kind, cube.circle_count(v), src, tgt_map):
             rows[row_off + r][col_off + c] = sign * e
 
     notes = []

@@ -199,8 +199,9 @@ def _from_blocks(nrows, ncols, blocks):
 
 class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
-    of an algebra's three lattice layers: the facts validation reads
-    (``squares_to_z``, ``mu_principal``, ``partition``), the closure test
+    of the two shared layers under an algebra: the facts validation reads
+    (``squares_to_z``, ``mu_principal``), the partition of z
+    (``partition``, read only by X_hat and the command line), the closure test
     of a product (``check_closed``), the 2x2 blocks between the summand
     lattices O and mu (``coords_block``, ``flipped_block``), the
     sqrt(d)-action on A^(x n) (``sqrt_d_rows``) and with it A and
@@ -212,8 +213,8 @@ class MuZLattice:
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), so that the
     algebras sharing this lattice and a multiplication share m, the X-maps
-    and the ker(m) analysis.  The third layer, what needs the counit, is
-    each algebra's ``AlgebraLattice``.
+    and the ker(m) analysis.  What needs the counit is the algebra's own,
+    through its base class ``AlgebraLattice``.
 
     Every algebra with the same (mu, z) has the same ones, so
     ``search_solutions`` builds one per search and validates every candidate
@@ -413,7 +414,7 @@ class MuZLattice:
 
 class MultiplicationLattice:
     """The part of A = O 1 + mu X that depends on (mu, z, a_bar, b_bar) but
-    not on the counit, the middle of an algebra's three lattice layers:
+    not on the counit, the second of the two shared layers under an algebra:
     m and the maps (g_i X .) (x) id on A (x)_O A, X_hat, and the ker(m)
     analysis: ker(m) = X_mu + O X_hat, the two action identities and, per
     search bound, the single-generator search.
@@ -600,34 +601,32 @@ class MultiplicationLattice:
 
 
 class AlgebraLattice:
-    """Z-lattice presentations of A and its tensor powers, with the
-    structure maps as integer matrices on monomial coordinates.
+    """The Z-lattice side of an algebra A = O 1 + mu X: its structure maps
+    as integer matrices on monomial coordinates, and the base class of
+    ``frobenius.FrobeniusAlgebra``, which passes in its data, its duals
+    and its ``mu_z``.
 
-    An algebra's lattice has three layers.  ``mu_z``, read off the algebra
-    (``alg.mu_z``, checked against its mu and z by ``analyze``), holds what
-    depends only on (mu, z) and may be shared with other algebras.
-    ``mult``, its MultiplicationLattice of (a_bar, b_bar), holds m, the
-    maps (g_i X .) (x) id, X_hat and the ker(m) analysis, shared by every
-    algebra on the same ``mu_z`` with the same (a_bar, b_bar).  What is computed here, once per algebra, is what
-    needs the counit: Delta(1), Delta and the handle operator.  O acts on
-    vectors of A (x)_O A as x v + y J v.
+    It sits on two shared layers.  ``mu_z``, the algebra's MuZLattice
+    (checked against its mu and z by ``analyze``), holds what depends only
+    on (mu, z).  ``mult``, its MultiplicationLattice of (a_bar, b_bar),
+    holds m, the maps (g_i X .) (x) id, X_hat and the ker(m) analysis.
+    What is computed here, once per algebra, is what needs the counit:
+    Delta(1), Delta, the handle operator and the cube's edge blocks.  O
+    acts on vectors of A (x)_O A as x v + y J v.
 
-    On A (x)_O A the coordinates are read in closed form: ``pure2`` puts
-    x0 y0, x0 y1, x1 y0 and x1 y1 / z on the summands 1(x)1, 1(x)X, X(x)1
-    and zX(x)X, and ``MuZLattice.x_u`` is (0, 0, -a, -b, a, b, 0, 0) for
-    u = a g1 + b g2; the tests keep the projection of the Z-tensor square
-    as their oracle.  Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X
-    is read off the duals, and Delta = [Delta(1), J Delta(1), L_1 Delta(1),
-    L_2 Delta(1)] over A's basis 1, sqrt(d), g1 X, g2 X.  Both must pass
-    the counit identity (eps (x) id) Delta = id, with eps read from the
-    data, not from the duals, or NotWellDefinedError is raised.  The cube's
-    edge maps (``edge_entries``) are the blocks of the checked m and Delta.
+    Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X is read off the
+    duals, and Delta = [Delta(1), J Delta(1), L_1 Delta(1), L_2 Delta(1)]
+    over A's basis 1, sqrt(d), g1 X, g2 X.  Both must pass the counit
+    identity (eps (x) id) Delta = id, with eps read from the data, not
+    from the duals, or NotWellDefinedError is raised.  The cube's edge
+    maps (``edge_entries``) are the blocks of the checked m and Delta.
     """
 
-    def __init__(self, alg):
-        self.alg = alg
-        self.mu_z = alg.mu_z
-        self.mult = self.mu_z.multiplication(alg.data.a_bar, alg.data.b_bar)
+    def __init__(self, data, duals, mu_z):
+        self.data = data
+        self.duals = duals
+        self.mu_z = mu_z
+        self.mult = mu_z.multiplication(data.a_bar, data.b_bar)
         self._delta1 = None
         self._delta = None
         self._handle = None
@@ -637,10 +636,6 @@ class AlgebraLattice:
 
     def coords(self, elt):
         return self.mu_z.coords(elt)
-
-    def element(self, vec):
-        g1, g2 = self.mu_z.gens
-        return self.alg.element(self.mu_z.ctx(vec[0], vec[1]), g1 * vec[2] + g2 * vec[3])
 
     def tensor_power(self, n):
         """The projection of the Z-tensor power onto A^(x n), kept on
@@ -659,7 +654,7 @@ class AlgebraLattice:
         c eps(1), g 1(x)X -> g eps(1) X, g X(x)1 -> g eps_x_bar / z and
         c zX(x)X -> c eps_x_bar X."""
         mu_z = self.mu_z
-        data = self.alg.data
+        data = self.data
         e1, ex = data.eps_one, data.eps_x_bar
         sqrt_d = mu_z.ctx.sqrt_d
         g1, g2 = mu_z.gens
@@ -674,11 +669,11 @@ class AlgebraLattice:
     def _delta_one(self):
         """Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X, read off the
         duals, unchecked."""
-        duals = self.alg.duals
+        duals = self.duals
         d = self.mu_z.mu.basis_coords(duals.d)
         return [duals.c.x, duals.c.y, *d, *d, duals.d_prime.x, duals.d_prime.y]
 
-    def delta_one(self):
+    def comultiply_one(self):
         """Delta(1) as a tuple of coordinates of A (x)_O A, checked by the
         counit identity (eps (x) id) Delta(1) = 1."""
         if self._delta1 is None:
@@ -697,7 +692,7 @@ class AlgebraLattice:
         itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it;
         checked by the counit identity (eps (x) id) Delta = id."""
         if self._delta is None:
-            d1 = list(self.delta_one())
+            d1 = list(self.comultiply_one())
             cols = [d1, mat_vec(self.mu_z.A2.action, d1)]
             cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
             delta = transpose(cols, ncols=8)

@@ -186,9 +186,6 @@ class RingElement(Value):
         self._check(other)
         return RingElement(self.ctx, self.x - other.x, self.y - other.y)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return RingElement(self.ctx, -self.x, -self.y)
 
@@ -326,9 +323,6 @@ class FieldElement(Value):
         other = self._check(other)
         return FieldElement(self.ctx, self.p - other.p, self.q - other.q)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return FieldElement(self.ctx, -self.p, -self.q)
 
@@ -344,9 +338,6 @@ class FieldElement(Value):
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return FieldElement(self.ctx, self.p, -self.q)
 
     def norm(self):
         return self.p * self.p - self.ctx.d * self.q * self.q

@@ -388,34 +388,31 @@ def outer(x, y):
 
 def left_mult_matrix(alg, x):
     """Left multiplication by x on A, read off ``FrobeniusAlgebra.multiply``."""
-    lat = alg.lattice()
-    return transpose([lat.coords(alg.multiply(x, e)) for e in z_basis(alg)], ncols=4)
+    return transpose([alg.coords(alg.multiply(x, e)) for e in z_basis(alg)], ncols=4)
 
 
 def delta_one_lift(alg):
     """Integral lift of Delta(1) to the Z-tensor square:
     c 1(x)1 + 1(x)dX + dX(x)1 + d' sum_j u_j X (x) u_j' X."""
-    lat = alg.lattice()
     zero, duals = alg.ctx.zero, alg.duals
-    one = lat.coords(alg.one)
-    c, d = lat.coords(alg.element(duals.c)), lat.coords(alg.element(zero, duals.d))
+    one = alg.coords(alg.one)
+    c, d = alg.coords(alg.element(duals.c)), alg.coords(alg.element(zero, duals.d))
     lift = [a + b + e for a, b, e in zip(outer(c, one), outer(one, d), outer(d, one))]
-    for uj, ujp in zip(*alg.partition):
-        left = lat.coords(alg.element(zero, duals.d_prime * uj))
-        lift = [a + b for a, b in zip(lift, outer(left, lat.coords(alg.element(zero, ujp))))]
+    for uj, ujp in zip(*alg.mu_z.partition):
+        left = alg.coords(alg.element(zero, duals.d_prime * uj))
+        lift = [a + b for a, b in zip(lift, outer(left, alg.coords(alg.element(zero, ujp))))]
     return lift
 
 
 def counit_first_matrix(alg):
     """(trace (x) id): A (x) A -> A on quotient coordinates."""
-    lat = alg.lattice()
     cols = []
     for ei in z_basis(alg):
         s = alg.trace(ei)
         for ej in z_basis(alg):
-            cols.append(lat.coords(ej.scale(s)))
+            cols.append(alg.coords(ej.scale(s)))
     raw = transpose(cols, ncols=16)
-    t2 = lat.tensor_power(2)
+    t2 = alg.tensor_power(2)
     out = mat_mul(raw, t2.section)
     assert mat_mul(out, t2.proj) == raw
     return out
@@ -423,14 +420,13 @@ def counit_first_matrix(alg):
 
 def counit_second_matrix(alg):
     """(id (x) trace): A (x) A -> A on quotient coordinates."""
-    lat = alg.lattice()
     cols = []
     for ei in z_basis(alg):
         for ej in z_basis(alg):
             s = alg.trace(ej)
-            cols.append(lat.coords(ei.scale(s)))
+            cols.append(alg.coords(ei.scale(s)))
     raw = transpose(cols, ncols=16)
-    t2 = lat.tensor_power(2)
+    t2 = alg.tensor_power(2)
     out = mat_mul(raw, t2.section)
     assert mat_mul(out, t2.proj) == raw
     return out
@@ -590,7 +586,7 @@ def edge_matrix(lattice, kind, n_src, src_pos, tgt_map):
 
 
 def _edge(alg, kind, n_src, src_pos, tgt_map):
-    return edge_matrix(alg.lattice(), kind, n_src, src_pos, tgt_map).to_dense()
+    return edge_matrix(alg, kind, n_src, src_pos, tgt_map).to_dense()
 
 
 def id_tensor_delta(alg):
@@ -615,8 +611,7 @@ def id_tensor_m(alg):
 
 def swap_matrix(alg):
     """The factor swap on A (x)_O A quotient coordinates."""
-    lat = alg.lattice()
-    t2 = lat.tensor_power(2)
+    t2 = alg.tensor_power(2)
     from quadfrob.intlin import perm_matrix
 
     raw = perm_matrix(2, 4, [1, 0])

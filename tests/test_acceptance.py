@@ -92,12 +92,11 @@ def test_criterion_2_eps_x_zero_family(ctx, mu, z):
         assert alg.duals.c_prime.is_zero()
         assert alg.duals.d_prime == b_bar.unit_inverse() * eps1.unit_inverse()
         # partition form of Delta(1): eps1^-1 (1x1 + b^-1 sum s_j X x s_j' X)
-        lat = alg.lattice()
         e1_inv = eps1.unit_inverse()
         coeff = e1_inv * b_bar.unit_inverse()
-        expected = lat.pure2(alg.element(e1_inv, ctx.zero), alg.one)
-        for u, up in zip(*alg.partition):
-            term = lat.pure2(alg.element(ctx.zero, coeff * u), alg.element(ctx.zero, up))
+        expected = alg.pure2(alg.element(e1_inv, ctx.zero), alg.one)
+        for u, up in zip(*alg.mu_z.partition):
+            term = alg.pure2(alg.element(ctx.zero, coeff * u), alg.element(ctx.zero, up))
             expected = [x + y for x, y in zip(expected, term)]
         assert list(comultiply_one_via_dual(alg)) == expected
         assert alg.comultiply_one() == comultiply_one_via_dual(alg)
@@ -262,11 +261,10 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
         "worked": example_zsqrtm5(1, 1),
     }
     for name, alg in algs.items():
-        lat = alg.lattice()
         # the cube's edge maps and the lattice's m and Delta share the
         # monomial coordinates of tensor_power
-        m_mat = lat.mult.m_matrix()
-        d_mat = lat.delta_matrix()
+        m_mat = alg.mult.m_matrix()
+        d_mat = alg.delta_matrix()
         left = mat_mul(m_tensor_id(alg), id_tensor_delta(alg))
         right = mat_mul(id_tensor_m(alg), delta_tensor_id(alg))
         middle = mat_mul(d_mat, m_mat)
@@ -281,10 +279,10 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
             assert alg.multiply(alg.multiply(x, y), w) == alg.multiply(x, alg.multiply(y, w))
             assert trace_pairing(alg, x, y) == trace_pairing(alg, y, x)
             dx = list(alg.comultiply(x))
-            assert mat_vec(eps_first, dx) == lat.coords(x)
-            assert mat_vec(eps_second, dx) == lat.coords(x)
+            assert mat_vec(eps_first, dx) == alg.coords(x)
+            assert mat_vec(eps_second, dx) == alg.coords(x)
             # compatibility evaluated on the pair (x, y) as well
-            v = lat.pure2(x, y)
+            v = alg.pure2(x, y)
             assert mat_vec(left, v) == mat_vec(middle, v) == mat_vec(right, v)
     report(10, "Frobenius axioms hold exactly on 100 random elements per algebra")
 

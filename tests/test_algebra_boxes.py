@@ -35,7 +35,7 @@ GENUS_MAX = 4
 
 
 def _record(alg):
-    us, ups = alg.partition
+    us, ups = alg.mu_z.partition
     return {
         "data": alg.data.to_json(),
         "report": alg.report.to_json(),
@@ -102,7 +102,7 @@ def test_shared_kernel_reports_match_algebras_on_their_own(name):
 
     for alg in _algebras(name):
         alone = build_algebra(alg.data)
-        assert alone.lattice().mu_z is not alg.lattice().mu_z
+        assert alone.mu_z is not alg.mu_z
         assert alg.kernel_m_analysis(KERNEL_BOUND).to_json() == alone.kernel_m_analysis(KERNEL_BOUND).to_json()
 
 
@@ -119,7 +119,7 @@ def test_one_kernel_analysis_per_multiplication(name, monkeypatch):
     for alg in algs:
         assert alg.kernel_m_analysis(KERNEL_BOUND).direct_sum_verified
     assert len(calls) == DISTINCT_PAIRS[name]
-    assert len({id(alg.lattice().mult) for alg in algs}) == DISTINCT_PAIRS[name]
+    assert len({id(alg.mult) for alg in algs}) == DISTINCT_PAIRS[name]
 
 
 def test_reports_of_one_multiplication_are_independent():
@@ -128,7 +128,7 @@ def test_reports_of_one_multiplication_are_independent():
         by_pair.setdefault((alg.data.a_bar, alg.data.b_bar), []).append(alg)
     first, other = next(algs for algs in by_pair.values() if len(algs) > 1)[:2]
     assert first.data != other.data
-    assert other.lattice().mult is first.lattice().mult
+    assert other.mult is first.mult
     want = other.kernel_m_analysis(KERNEL_BOUND).to_json()
     mine = first.kernel_m_analysis(KERNEL_BOUND)
     mine.kernel_basis[0][0] += 1
@@ -166,6 +166,22 @@ def test_shared_lattice_keeps_no_algebra_alive():
     assert len(mu_z._multiplications) == DISTINCT_PAIRS["d-5"]
     assert sum(ref() is not None for ref in refs) == 0
 
+
+
+def test_dropped_algebras_are_freed_without_the_cycle_collector():
+    # an algebra and its structure maps are one object with no reference
+    # cycle, so dropping the last reference frees it at once
+    import gc
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, refs = _searched_and_dropped("d-5")
+        assert len(refs) == 80
+        assert sum(ref() is not None for ref in refs) == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

@@ -143,17 +143,16 @@ def test_zero_d_bar_is_degenerate_on_both_routes(ctx, mu, a_bar, b_bar, eps_x_ba
 def test_first_factor_matches_the_kronecker_product(algebra_corpus):
     r = random.Random(5)
     for alg in algebra_corpus.values():
-        lat = alg.lattice()
-        t2 = lat.tensor_power(2)
+        t2 = alg.tensor_power(2)
         basis = z_basis(alg)
-        for x, l_map in zip(basis[2:], lat.mult.x_first_factor_maps()):
+        for x, l_map in zip(basis[2:], alg.mult.x_first_factor_maps()):
             proj_raw = mat_mul(t2.proj, kron(left_mult_matrix(alg, x), identity(4)))
             assert l_map == mat_mul(proj_raw, t2.section)
             assert mat_mul(l_map, t2.proj) == proj_raw  # constant on proj fibres
         lift = delta_one_lift(alg)
         for x in [*basis, *(random_algebra_element(alg, r) for _ in range(4))]:
             raw = kron(left_mult_matrix(alg, x), identity(4))
-            assert list(lat.comultiply(x)) == mat_vec(t2.proj, mat_vec(raw, lift))
+            assert list(alg.comultiply(x)) == mat_vec(t2.proj, mat_vec(raw, lift))
 
 
 def _fixtures_and_search_hits(algebra_corpus):
@@ -162,51 +161,47 @@ def _fixtures_and_search_hits(algebra_corpus):
 
 def test_multiplication_table_matches_multiply(algebra_corpus):
     for alg in _fixtures_and_search_hits(algebra_corpus):
-        lat = alg.lattice()
-        m = lat.mult.m_matrix()
+        m = alg.mult.m_matrix()
         basis = z_basis(alg)
         for ei in basis:
             for ej in basis:
-                assert mat_vec(m, lat.pure2(ei, ej)) == lat.coords(alg.multiply(ei, ej))
+                assert mat_vec(m, alg.pure2(ei, ej)) == alg.coords(alg.multiply(ei, ej))
 
 
 def test_delta_matrix_matches_comultiply(algebra_corpus):
     # the oracle is Delta(e_i) = (e_i . (x) id) Delta(1) on the Z-tensor square
     for alg in _fixtures_and_search_hits(algebra_corpus):
-        lat = alg.lattice()
-        proj = lat.tensor_power(2).proj
+        proj = alg.tensor_power(2).proj
         lift = delta_one_lift(alg)
         expected = [mat_vec(proj, mat_vec(kron(left_mult_matrix(alg, e), identity(4)), lift)) for e in z_basis(alg)]
-        assert lat.delta_matrix() == transpose(expected)
+        assert alg.delta_matrix() == transpose(expected)
 
 
 def test_x_hat_matches_the_pure2_sum(algebra_corpus):
     for alg in _fixtures_and_search_hits(algebra_corpus):
-        lat = alg.lattice()
         zero = alg.ctx.zero
         out = [0] * 8
-        us, ups = alg.partition
+        us, ups = alg.mu_z.partition
         terms = [(1, alg.element(zero, u), alg.element(zero, up)) for u, up in zip(us, ups)]
         terms += [(-1, alg.element(zero, alg.data.a_bar), alg.one), (-1, alg.element(alg.data.b_bar), alg.one)]
         for sign, x, y in terms:
-            out = [a + sign * b for a, b in zip(out, lat.pure2(x, y))]
-        assert lat.mult.x_hat() == out
+            out = [a + sign * b for a, b in zip(out, alg.pure2(x, y))]
+        assert alg.mult.x_hat() == out
 
 
 def test_closed_form_coordinates_match_the_projection(algebra_corpus):
     r = random.Random(21)
     for alg in algebra_corpus.values():
-        lat = alg.lattice()
-        proj = lat.tensor_power(2).proj
+        proj = alg.tensor_power(2).proj
         one = alg.one
         for _ in range(25):
             x, y = random_algebra_element(alg, r), random_algebra_element(alg, r)
-            assert lat.pure2(x, y) == mat_vec(proj, outer(lat.coords(x), lat.coords(y)))
+            assert alg.pure2(x, y) == mat_vec(proj, outer(alg.coords(x), alg.coords(y)))
             u = random_mu_element(alg.mu, r)
             ux = alg.element(alg.ctx.zero, u)
-            diff = [a - b for a, b in zip(outer(lat.coords(ux), lat.coords(one)),
-                                          outer(lat.coords(one), lat.coords(ux)))]
-            assert lat.mu_z.x_u(u) == mat_vec(proj, diff)
+            diff = [a - b for a, b in zip(outer(alg.coords(ux), alg.coords(one)),
+                                          outer(alg.coords(one), alg.coords(ux)))]
+            assert alg.mu_z.x_u(u) == mat_vec(proj, diff)
 
 
 # -- mechanism guards ----------------------------------------------------------
@@ -223,18 +218,19 @@ def test_search_solves_the_partition_of_z_once(ctx, mu, monkeypatch):
     calls = _counted(monkeypatch, omodule, "solve_partition_of_z")
     found = list(search_solutions(mu, ctx(2), coord_bound=1))
     assert len(found) == 80
+    assert len(calls) == 0  # validation reads no partition
+    partition = found[3].mu_z.partition
     assert len(calls) == 1
     twisted = twist(found[3], TwistSpec(3, -ctx.one))
-    assert twisted.partition == found[3].partition
+    assert twisted.mu_z.partition == partition
     assert len(calls) == 1
 
 
 def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeypatch):
     alg = build_algebra(alg_worked.data)
-    lat = alg.lattice()
     calls = [_counted(monkeypatch, module, "kron") for module in (omodule, intlin)]
-    assert lat.kernel_m_analysis(8).iso_to_A
-    lat.delta_matrix()
+    assert alg.kernel_m_analysis(8).iso_to_A
+    alg.delta_matrix()
     assert calls == [[], []]
 
 
@@ -250,11 +246,10 @@ def test_algebra_side_maps_multiply_nothing_and_never_use_the_z_tensor_square(al
     multiply = _counted(monkeypatch, frobenius.FrobeniusAlgebra, "multiply")
     r = random.Random(8)
     for alg in algs:
-        lat = alg.lattice()
-        assert lat.kernel_m_analysis(8).direct_sum_verified
-        lat.delta_matrix()
-        lat.handle_matrix()
-        lat.comultiply(random_algebra_element(alg, r))
+        assert alg.kernel_m_analysis(8).direct_sum_verified
+        alg.delta_matrix()
+        alg.handle_matrix()
+        alg.comultiply(random_algebra_element(alg, r))
         alg.closed_surface_invariants(3)
     fixtures = algs[:len(algebra_corpus)]
     for alg in fixtures:
@@ -298,7 +293,7 @@ def test_a_failed_check_of_a_shared_multiplication_is_not_kept(ctx, mu, monkeypa
     # a relaxed a_bar outside mu: the X (x) X products escape the lattice
     data = family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1)).data
     relaxed = [build_algebra(data, relax_a_bar=True, mu_z=mu_z) for _ in range(2)]
-    assert relaxed[0].lattice().mult is relaxed[1].lattice().mult
+    assert relaxed[0].mult is relaxed[1].mult
     for alg in relaxed * 2:
         with pytest.raises(ClosureError, match="escapes the lattice"):
             alg.kernel_m_analysis()
@@ -306,7 +301,7 @@ def test_a_failed_check_of_a_shared_multiplication_is_not_kept(ctx, mu, monkeypa
     # the fault is gone the analysis runs
     data = next(search_solutions(mu, ctx(2), coord_bound=1)).data
     twins = [build_algebra(data, mu_z=mu_z), twist(build_algebra(data, mu_z=mu_z), TwistSpec(3, -ctx.one))]
-    assert twins[0].lattice().mult is twins[1].lattice().mult
+    assert twins[0].mult is twins[1].mult
     monkeypatch.setattr(omodule.MultiplicationLattice, "x_hat", lambda self: [0] * 8)
     for alg in twins * 2:
         with pytest.raises(DirectSumFailureError):

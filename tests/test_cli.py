@@ -51,6 +51,14 @@ def test_ideal_classinfo_mu3(capsys):
     assert payload["order_two"] is True
 
 
+def test_ideal_classinfo_square_not_principal(capsys):
+    # Cl(Z[sqrt(-14)]) is cyclic of order 4: (3, 1+w) squared is not principal
+    code, out, err = run(capsys, "ideal", "classinfo", "-d", "-14", "--gens", "3,1+w")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "  not of order two: (3, 1+w) squared is not principal"
+
+
 def test_algebra_example(capsys):
     code, payload, _ = run_json(capsys, "algebra", "example-zsqrtm5", "--s", "1", "--eps1", "1")
     assert code == 0
@@ -100,6 +108,18 @@ def test_algebra_validate_names_the_failed_cell(tmp_path, capsys):
     assert set(payload2) == {"report"}
     assert payload2["report"]["accepted"] is False
     assert payload2["report"]["cells"]["a_bar_in_mu"] is False
+
+
+def test_algebra_validate_refuses_real_quadratic_rings(tmp_path, capsys):
+    one, zero = {"x": "1", "y": "0"}, {"x": "0", "y": "0"}
+    data = {"d": 3, "mu_gens": [{"x": "2", "y": "0"}, {"x": "1", "y": "1"}], "z": {"x": "2", "y": "0"},
+            "a_bar": zero, "b_bar": one, "eps_one": one, "eps_x_bar": zero}
+    spec = tmp_path / "real.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, "algebra", "validate", "--alg", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == "rejected: algebra construction needs d < 0\n"
 
 
 def test_algebra_families(capsys):

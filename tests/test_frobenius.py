@@ -239,26 +239,23 @@ def test_delta_one_two_routes(algebra_corpus):
 
 def test_delta_one_closed_form_eps0(ctx, alg_eps0):
     # eps(1)^-1 (1(x)1 + b_bar^-1 (s1 X (x) s1' X + s2 X (x) s2' X))
-    lat = alg_eps0.lattice()
-    us, ups = alg_eps0.partition
-    expected = lat.pure2(alg_eps0.one, alg_eps0.one)
+    us, ups = alg_eps0.mu_z.partition
+    expected = alg_eps0.pure2(alg_eps0.one, alg_eps0.one)
     for u, up in zip(us, ups):
-        term = lat.pure2(alg_eps0.element(0, u), alg_eps0.element(0, up))
+        term = alg_eps0.pure2(alg_eps0.element(0, u), alg_eps0.element(0, up))
         expected = [a + b for a, b in zip(expected, term)]
     assert list(alg_eps0.comultiply_one()) == expected
 
 
 def test_delta_one_sanity_free(alg_sanity):
-    lat = alg_sanity.lattice()
     one = alg_sanity.one
     x = alg_sanity.element(0, 1)
-    expected = [a + b for a, b in zip(lat.pure2(one, one), lat.pure2(x, x))]
+    expected = [a + b for a, b in zip(alg_sanity.pure2(one, one), alg_sanity.pure2(x, x))]
     assert list(alg_sanity.comultiply_one()) == expected
 
 
 def test_comultiply_linearity_and_bimodule(algebra_corpus):
     for name, alg in algebra_corpus.items():
-        lat = alg.lattice()
         assert alg.comultiply(alg.one) == alg.comultiply_one()
         r = rng(6)
         swap = swap_matrix(alg)
@@ -266,7 +263,7 @@ def test_comultiply_linearity_and_bimodule(algebra_corpus):
             u = random_ring_element(alg.ctx, r, 4)
             scaled = alg.comultiply(alg.element(u, alg.ctx.zero))
             base = alg.comultiply_one()
-            act = scalar_matrix(lat.tensor_power(2).module, u)
+            act = scalar_matrix(alg.tensor_power(2).module, u)
             assert list(scaled) == mat_vec(act, list(base))
             x = random_algebra_element(alg, r, 3)
             dx = list(alg.comultiply(x))
@@ -275,15 +272,14 @@ def test_comultiply_linearity_and_bimodule(algebra_corpus):
 
 def test_counit(algebra_corpus):
     for name, alg in algebra_corpus.items():
-        lat = alg.lattice()
         left = counit_first_matrix(alg)
         right = counit_second_matrix(alg)
         r = rng(7)
         for _ in range(100):
             x = random_algebra_element(alg, r)
             dx = list(alg.comultiply(x))
-            assert mat_vec(left, dx) == lat.coords(x), name
-            assert mat_vec(right, dx) == lat.coords(x), name
+            assert mat_vec(left, dx) == alg.coords(x), name
+            assert mat_vec(right, dx) == alg.coords(x), name
 
 
 # -- pairing matrix -------------------------------------------------------------
@@ -338,6 +334,27 @@ def test_twist_preconditions(ctx, alg_eps0):
         twist(alg_eps0, TwistSpec(4, ctx(1)))
 
 
+@pytest.mark.parametrize("kind, param", [(3, (-1, 0)), (1, (-1, 0)), (2, (2, 0))],
+                         ids=["trace", "rescale_x", "shift_x"])
+def test_twist_keeps_a_relaxed_algebra_relaxed(ctx, mu, kind, param):
+    # a twist is an isomorphism: lambda a_bar, a_bar + 2p (p in mu) and a_bar
+    # all stay outside mu, so the twist revalidates under the same relaxation
+    relaxed = family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1))
+    assert not relaxed.report.closure_in_mu
+    out = twist(relaxed, TwistSpec(kind, ctx(*param)))
+    assert out.report.accepted
+    assert not out.report.closure_in_mu
+    assert out.mu_z is relaxed.mu_z
+
+
+def test_twist_shift_with_a_non_integral_cross_term(ctx, mu):
+    relaxed = family_eps_x_zero(mu, ctx(2), ctx(1), ctx(1), ctx(1))
+    # (1+w)(a_bar + 1+w)/z = (-3+3w)/2 is not in O
+    with pytest.raises(IntegralityViolationError) as exc:
+        twist(relaxed, TwistSpec(2, ctx(1, 1)))
+    assert exc.value.cell == "b_bar_in_O"
+
+
 def test_twist_composition_roundtrip(ctx, alg_worked):
     # X -> -X twice is the identity on the data
     once = twist(alg_worked, TwistSpec(1, ctx(-1)))
@@ -355,12 +372,11 @@ def test_closed_surface_values(ctx, alg_eps0, alg_sanity, alg_worked):
     assert alg_sanity.closed_surface_invariant(1) == ctx(2)
     # independent route: iterate the handle operator built from the
     # dualized-multiplication comultiplication
-    lat = alg_worked.lattice()
-    h = lat.handle_matrix()
-    v = lat.coords(alg_worked.one)
+    h = alg_worked.handle_matrix()
+    v = alg_worked.coords(alg_worked.one)
     for _ in range(2):
         v = mat_vec(h, v)
-    assert alg_worked.closed_surface_invariant(2) == alg_worked.trace(lat.element(v))
+    assert alg_worked.closed_surface_invariant(2) == alg_worked.trace(alg_worked._from_coords(v))
     with pytest.raises(ValueError):
         alg_worked.closed_surface_invariant(-1)
 
@@ -494,19 +510,19 @@ def test_generator_search_walks_lazily(ctx, mu, monkeypatch):
 def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
     first = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
     second = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
-    shared = first[0].lattice().mu_z
-    assert all(alg.lattice().mu_z is shared for alg in first)
-    assert all(alg.lattice().mu_z is second[0].lattice().mu_z for alg in second)
-    assert second[0].lattice().mu_z is not shared
+    shared = first[0].mu_z
+    assert all(alg.mu_z is shared for alg in first)
+    assert all(alg.mu_z is second[0].mu_z for alg in second)
+    assert second[0].mu_z is not shared
     own = [
         alg_eps1,
         build_algebra(first[0].data),
         family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
     ]
-    frames = [alg.lattice().mu_z for alg in own]
+    frames = [alg.mu_z for alg in own]
     assert len({id(f) for f in frames + [shared]}) == len(own) + 1
     # a twist keeps mu and z, and with them the lattice of the algebra it twists
-    assert twist(first[0], TwistSpec(3, -ctx.one)).lattice().mu_z is shared
+    assert twist(first[0], TwistSpec(3, -ctx.one)).mu_z is shared
     # analyze is the one door for an outside lattice, and it checks mu and z
     with pytest.raises(ValueError, match="another mu or z"):
         build_algebra(first[0].data, mu_z=MuZLattice(mu, ctx(-2)))
@@ -527,6 +543,6 @@ def test_data_json_roundtrip(alg_worked):
 
 
 def test_partition_is_deterministic(ctx, alg_eps0):
-    us, ups = alg_eps0.partition
+    us, ups = alg_eps0.mu_z.partition
     assert us == [ctx(2), ctx(1, 1)]
     assert ups == [ctx(-1, 1), ctx(-1, -1)]

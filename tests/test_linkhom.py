@@ -157,14 +157,14 @@ def test_positive_kink_complex_is_multiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1plus"), alg_eps0)
     assert cx.min_degree == 0
     assert cx.ranks == [8, 4]
-    assert cx.diffs[0] == alg_eps0.lattice().mult.m_matrix()
+    assert cx.diffs[0] == alg_eps0.mult.m_matrix()
 
 
 def test_negative_kink_complex_is_comultiplication(alg_eps0):
     cx = build_complex(corpus.diagram("unknot_r1minus"), alg_eps0)
     assert cx.min_degree == -1
     assert cx.ranks == [4, 8]
-    assert cx.diffs[0] == alg_eps0.lattice().delta_matrix()
+    assert cx.diffs[0] == alg_eps0.delta_matrix()
 
 
 def test_unknot0_complex(alg_eps0):
@@ -318,7 +318,7 @@ def test_torsion_primes_divide_the_handle_determinant():
         diagrams.append(corpus.braid_closure(word, strands))
     seen = 0
     for alg in search_hits():
-        n = det_int(alg.lattice().handle_matrix())
+        n = det_int(alg.handle_matrix())
         if n == 0:
             continue
         for pd in diagrams:

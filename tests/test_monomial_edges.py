@@ -20,8 +20,7 @@ from conftest import delta_one_lift, edge_matrix, left_mult_matrix, search_hits,
 
 def _m_z_matrix(alg):
     basis = z_basis(alg)
-    lat = alg.lattice()
-    return transpose([lat.coords(alg.multiply(ei, ej)) for ei in basis for ej in basis], ncols=16)
+    return transpose([alg.coords(alg.multiply(ei, ej)) for ei in basis for ej in basis], ncols=16)
 
 
 def _delta_z_matrix(alg):
@@ -32,7 +31,6 @@ def _delta_z_matrix(alg):
 
 def dense_edge_matrix(alg, kind, n_src, src_pos, tgt_map):
     """The edge map on tensor_power coordinates, by dense products."""
-    lat = alg.lattice()
     others = [p for p in range(n_src) if p not in src_pos]
     pre = perm_matrix(n_src, 4, others + list(src_pos))
     if kind == "merge":
@@ -50,7 +48,7 @@ def dense_edge_matrix(alg, kind, n_src, src_pos, tgt_map):
         order[t] = i
     post = perm_matrix(n_tgt, 4, order)
     raw = mat_mul(post, mat_mul(op, pre))
-    p_src, p_tgt = lat.tensor_power(n_src), lat.tensor_power(n_tgt)
+    p_src, p_tgt = alg.tensor_power(n_src), alg.tensor_power(n_tgt)
     out = mat_mul(mat_mul(p_tgt.proj, raw), p_src.section)
     assert mat_mul(out, p_src.proj) == mat_mul(p_tgt.proj, raw)  # constant on proj fibres
     return out
@@ -71,9 +69,8 @@ EDGES = [
 def test_monomial_edge_conjugate_to_dense_oracle(kind, n_src, src_pos, algebra_corpus):
     n_tgt = n_src - 1 if kind == "merge" else n_src + 1
     for aname, alg in algebra_corpus.items():
-        lattice = alg.lattice()
         for tgt_map in itertools.permutations(range(n_tgt)):
-            mono = edge_matrix(lattice, kind, n_src, list(src_pos), list(tgt_map)).to_dense()
+            mono = edge_matrix(alg, kind, n_src, list(src_pos), list(tgt_map)).to_dense()
             dense = dense_edge_matrix(alg, kind, n_src, list(src_pos), list(tgt_map))
             assert mono == dense, (aname, tgt_map)
 
@@ -85,10 +82,9 @@ def test_monomial_action_conjugate_to_tensor_action(n, algebra_corpus):
     # the algebra's scaling, not off the 2x2 blocks
     size = 2 << n
     for aname, alg in [*algebra_corpus.items(), *enumerate(search_hits())]:
-        lat = alg.lattice()
-        layout = [[row.get(j, 0) for j in range(size)] for row in lat.mu_z.sqrt_d_rows(n)]
-        on_a = transpose([lat.coords(e.scale(alg.ctx.sqrt_d)) for e in z_basis(alg)], ncols=4)
-        proj = lat.tensor_power(n).proj
+        layout = [[row.get(j, 0) for j in range(size)] for row in alg.mu_z.sqrt_d_rows(n)]
+        on_a = transpose([alg.coords(e.scale(alg.ctx.sqrt_d)) for e in z_basis(alg)], ncols=4)
+        proj = alg.tensor_power(n).proj
         for i in range(n):
             j_i = kron(kron(identity(4 ** i), on_a), identity(4 ** (n - 1 - i)))
             assert mat_mul(proj, j_i) == mat_mul(layout, proj), (aname, i)

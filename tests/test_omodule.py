@@ -19,7 +19,7 @@ def o_module(ctx):
 
 
 def test_module_of_algebra(ctx, alg_eps0):
-    a = alg_eps0.lattice().mu_z.A
+    a = alg_eps0.mu_z.A
     assert a.rank == 4
     # sqrt(d) * (2X) = -g1 + 2 g2 and sqrt(d) * ((1+w)X) = -3 g1 + g2
     assert [row[2] for row in a.action] == [0, 0, -1, 2]
@@ -32,15 +32,14 @@ def test_action_squares_to_d():
 
 
 def test_tensor_ranks(ctx, alg_eps0):
-    lat = alg_eps0.lattice()
-    assert lat.tensor_power(2).module.rank == 8
-    assert lat.tensor_power(3).module.rank == 16
+    assert alg_eps0.tensor_power(2).module.rank == 8
+    assert alg_eps0.tensor_power(3).module.rank == 16
     o2 = tensor_over_O(o_module(ctx), o_module(ctx))
     assert o2.module.rank == 2
 
 
 def test_tensor_with_unit_object_conjugate(ctx, alg_eps0):
-    a = alg_eps0.lattice().mu_z.A
+    a = alg_eps0.mu_z.A
     t = tensor_over_O(a, o_module(ctx))
     assert t.module.rank == 4
     # x -> x (x) 1 is a change of basis intertwining the actions
@@ -56,9 +55,8 @@ def test_tensor_with_unit_object_conjugate(ctx, alg_eps0):
 
 
 def test_proj_section_inverse(alg_eps0):
-    lat = alg_eps0.lattice()
     for n in (2, 3):
-        t = lat.tensor_power(n)
+        t = alg_eps0.tensor_power(n)
         assert mat_mul(t.proj, t.section) == identity(t.module.rank)
 
 
@@ -98,8 +96,7 @@ def test_tensor_power_matches_smith_tower(n, algebra_corpus):
     same kernel as the Smith tower, and a unimodular change of coordinates
     between the two that intertwines the sqrt(d)-actions."""
     for name, alg in algebra_corpus.items():
-        lat = alg.lattice()
-        mono, tower = lat.tensor_power(n), smith_tower(lat, n)
+        mono, tower = alg.tensor_power(n), smith_tower(alg, n)
         assert hnf_rows(kernel_basis(mono.proj)) == hnf_rows(kernel_basis(tower.proj)), name
         change = mat_mul(mono.proj, tower.section)
         assert det_int(change) in (1, -1), name
@@ -107,9 +104,8 @@ def test_tensor_power_matches_smith_tower(n, algebra_corpus):
 
 
 def test_kernel_examples(ctx, alg_eps0):
-    lat = alg_eps0.lattice()
-    m = lat.mult.m_matrix()
-    assert is_equivariant(m, lat.tensor_power(2).module.action, lat.mu_z.A.action)
+    m = alg_eps0.mult.m_matrix()
+    assert is_equivariant(m, alg_eps0.tensor_power(2).module.action, alg_eps0.mu_z.A.action)
     assert len(kernel_basis(m, ncols=8)) == 4
 
 
@@ -189,14 +185,13 @@ def test_report_json(alg_eps0):
 
 
 def test_x_u_linearity(alg_worked, ctx):
-    lat = alg_worked.lattice()
     r = rng(9)
-    g1, g2 = lat.mu_z.gens
+    g1, g2 = alg_worked.mu_z.gens
     for _ in range(20):
         a, b = r.randint(-4, 4), r.randint(-4, 4)
         u = g1 * a + g2 * b
-        lhs = lat.mu_z.x_u(u)
-        rhs = [a * p + b * q for p, q in zip(lat.mu_z.x_u(g1), lat.mu_z.x_u(g2))]
+        lhs = alg_worked.mu_z.x_u(u)
+        rhs = [a * p + b * q for p, q in zip(alg_worked.mu_z.x_u(g1), alg_worked.mu_z.x_u(g2))]
         assert lhs == rhs
 
 
@@ -215,7 +210,7 @@ def test_homology_pair_rejects_image_outside_kernel():
 
 
 def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
-    mu_z = alg_worked.lattice().mu_z
+    mu_z = alg_worked.mu_z
     g1 = mu_z.gens[0].to_field()
     z = mu_z.z.to_field()
     # from p = 0 to q = 1 the scalar is divided by z, from p = 1 to q = 0 multiplied
@@ -233,4 +228,4 @@ def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
 ], ids=["not_scalar", "leaves_lattice"])
 def test_flipped_block_names_a_block_that_is_no_scalar(blk, pars, message, alg_worked):
     with pytest.raises(NotWellDefinedError, match=message):
-        alg_worked.lattice().mu_z.flipped_block(blk, *pars)
+        alg_worked.mu_z.flipped_block(blk, *pars)

@@ -124,8 +124,8 @@ def lattice_record(d, gens, z):
     alg = next(search_solutions(mu, parse_element(ctx, z), coord_bound=1, limit=1))
     return {
         "algebra": alg.data.to_json(),
-        "A_action": alg.lattice().mu_z.A.action,
-        "sqrt_d_blocks": [[list(row) for row in block] for block in alg.lattice().mu_z.sqrt_d_blocks],
+        "A_action": alg.mu_z.A.action,
+        "sqrt_d_blocks": [[list(row) for row in block] for block in alg.mu_z.sqrt_d_blocks],
     }
 
 

@@ -7,6 +7,7 @@ size attributes off what the wrapped functions return; every reader gets a
 real output here, including those of functions no traced run calls.
 """
 
+import collections
 import importlib.util
 import json
 import math
@@ -28,8 +29,8 @@ def _tracing_module():
     return module
 
 
-def traced_spans(tmp_path, *argv):
-    """Runs one traced job and returns the names of its recorded spans."""
+def traced_run(tmp_path, *argv):
+    """Runs one traced job and returns its stdout and recorded spans."""
     log = tmp_path / "spans.log"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -40,7 +41,13 @@ def traced_spans(tmp_path, *argv):
     assert proc.returncode == 0, proc.stderr
     spans, _ = _tracing_module().read_log(log)
     assert spans and not any(s["cut"] for s in spans)
-    return proc.stdout, {s["name"] for s in spans}
+    return proc.stdout, spans
+
+
+def traced_spans(tmp_path, *argv):
+    """Runs one traced job and returns the names of its recorded spans."""
+    out, spans = traced_run(tmp_path, *argv)
+    return out, {s["name"] for s in spans}
 
 
 def test_traced_link_homology(tmp_path):
@@ -57,12 +64,22 @@ def test_traced_algebra_job(tmp_path):
     assert {"job.algebra", "frobenius.search_solutions", "ideals.certify_order_two"} <= names
 
 
+def test_traced_algebra_job_wraps_the_algebra_methods(tmp_path):
+    # the algebra inherits the wrapped kernel_m_analysis from AlgebraLattice,
+    # so every algebra of the d = -6 box records one ker(m) span and five
+    # closed-surface spans
+    out, spans = traced_run(tmp_path, "algebra", "-d", "-6", "--mu", "2,w", "--z", "2", "--bound", "1")
+    assert json.loads(out)["count"] == 24
+    counts = collections.Counter(s["name"] for s in spans)
+    assert counts["omodule.kernel_m_analysis"] == 24
+    assert counts["frobenius.closed_surface_invariant"] == 120
+
+
 def test_attribute_readers_take_real_outputs(tmp_path, alg_worked):
     tracing = _tracing_module()
     pd = corpus.diagram("trefoil")
     cx = linkhom.build_complex(pd, alg_worked)
     a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    lat = alg_worked.lattice()
     # span name -> (wrapped function, its arguments as the wrapper sees them)
     calls = {
         "linkhom.resolve": (linkhom.resolve, (pd,)),
@@ -72,7 +89,7 @@ def test_attribute_readers_take_real_outputs(tmp_path, alg_worked):
         "intlin.perm_matrix": (intlin.perm_matrix, (2, 3, [1, 0])),
         "intlin.rank_rat": (intlin.rank_rat, (a,)),
         "intlin.smith_normal_form": (intlin.smith_normal_form, (a,)),
-        "omodule.tensor_power": (omodule.AlgebraLattice.tensor_power, (lat, 2)),
+        "omodule.tensor_power": (omodule.AlgebraLattice.tensor_power, (alg_worked, 2)),
         "frobenius.analyze": (frobenius.analyze, (alg_worked.data,)),
     }
     assert set(calls) == set(tracing.ATTRS)

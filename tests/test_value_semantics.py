@@ -84,10 +84,6 @@ def _cx():
     return build_complex(corpus.diagram("hopf"), example_zsqrtm5(1, 1))
 
 
-def _lattice():
-    return example_zsqrtm5(1, 1).lattice()
-
-
 # class -> (fields in order, maker)
 RECORDS = {
     ValidationReport: (
@@ -105,8 +101,8 @@ RECORDS = {
         ("left", "right", "integral_equal", "k_dims_equal", "per_degree", "notes"),
         lambda: reidemeister_compare(corpus.diagram("unknot0"), corpus.diagram("unknot_r1plus"), example_zsqrtm5(1, 1)),
     ),
-    OModule: (("d", "rank", "action"), lambda: _lattice().mu_z.A),
-    TensorProduct: (("module", "proj", "section"), lambda: _lattice().tensor_power(2)),
+    OModule: (("d", "rank", "action"), lambda: example_zsqrtm5(1, 1).mu_z.A),
+    TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
     Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks"), _cx),
     _Homology: (("table", "q_dims", "remainder", "checks"), lambda: _homology(_cx())),
