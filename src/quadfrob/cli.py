@@ -237,10 +237,10 @@ def cmd_link(args):
     if args.action == "compare":
         rep = reidemeister_compare(_load_pd(args.pd1), _load_pd(args.pd2), alg)
         lines = [
-            f"integral homology equal degree-wise: {rep.integral_equal}",
-            f"K-dimensions equal degree-wise: {rep.k_dims_equal}",
+            f"integral homology equal degree-wise: {rep['integral_equal']}",
+            f"K-dimensions equal degree-wise: {rep['k_dims_equal']}",
         ]
-        _emit(args, rep.to_json(), lines)
+        _emit(args, rep, lines)
         return EXIT_OK
     # lee-check
     payload = lee_check(_load_pd(args.pd), alg)

@@ -542,51 +542,30 @@ def simplify(cx):
 # Experiments
 
 
-class ComparisonReport:
-    def __init__(self, left, right, integral_equal, k_dims_equal, per_degree, notes=None):
-        self.left = left
-        self.right = right
-        self.integral_equal = integral_equal
-        self.k_dims_equal = k_dims_equal
-        self.per_degree = per_degree
-        self.notes = [] if notes is None else notes
-
-    def to_json(self):
-        return {
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "integral_equal": self.integral_equal,
-            "k_dims_equal": self.k_dims_equal,
-            "per_degree": {str(k): v for k, v in sorted(self.per_degree.items())},
-            "notes": list(self.notes),
-        }
-
-
 def reidemeister_compare(pd1, pd2, alg):
-    """Homology of two diagrams of the same link, degree by degree.  No
-    invariance claim is made; the report only states equality or not."""
-    cx1, cx2 = build_complex(pd1, alg), build_complex(pd2, alg)
-    h1, h2 = homology_integral(cx1), homology_integral(cx2)
-    k1, k2 = homology_over_K(cx1), homology_over_K(cx2)
-    per = {}
-    degrees = set(h1.degrees) | set(h2.degrees) | set(k1) | set(k2)
-    int_equal = True
-    k_equal = True
+    """Homology of two diagrams of the same link, degree by degree, read
+    off their two homology reports.  No invariance claim is made; the
+    report only states equality or not."""
+    left, right = (homology_integral(build_complex(pd, alg)).to_json() for pd in (pd1, pd2))
     empty = {"z_rank": 0, "torsion": [], "k_dim": 0}
-    for i in sorted(degrees):
-        a = h1.degrees.get(i, empty)
-        b = h2.degrees.get(i, empty)
-        same_int = a["z_rank"] == b["z_rank"] and a["torsion"] == b["torsion"]
-        same_k = k1.get(i, 0) == k2.get(i, 0)
-        int_equal = int_equal and same_int
-        k_equal = k_equal and same_k
+    per = {}
+    for i in sorted(left["degrees"].keys() | right["degrees"].keys(), key=int):
+        a = left["degrees"].get(i, empty)
+        b = right["degrees"].get(i, empty)
         per[i] = {
             "left": a,
             "right": b,
-            "integral_equal": same_int,
-            "k_equal": same_k,
+            "integral_equal": a["z_rank"] == b["z_rank"] and a["torsion"] == b["torsion"],
+            "k_equal": a["k_dim"] == b["k_dim"],
         }
-    return ComparisonReport(h1, h2, int_equal, k_equal, per)
+    return {
+        "left": left,
+        "right": right,
+        "integral_equal": all(v["integral_equal"] for v in per.values()),
+        "k_dims_equal": all(v["k_equal"] for v in per.values()),
+        "per_degree": per,
+        "notes": [],
+    }
 
 
 def lee_check(pd, alg):

@@ -30,6 +30,7 @@ multiplication by one scalar in K between the summands.
 
 import functools
 import itertools
+import weakref
 
 from . import intlin
 from .ideals import Ideal, solve_partition_of_z
@@ -211,9 +212,10 @@ class MuZLattice:
     (``x_hat_partition``).  It holds no algebra.
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
-    distinct (a_bar, b_bar) asked for (``multiplication``), so that the
-    algebras sharing this lattice and a multiplication share m, the X-maps
-    and the ker(m) analysis.  What needs the counit is the algebra's own,
+    distinct (a_bar, b_bar) asked for (``multiplication``), held weakly, so
+    that the algebras sharing this lattice and a multiplication share m,
+    the X-maps and the ker(m) analysis, and a multiplication no algebra
+    uses is freed.  What needs the counit is the algebra's own,
     through its base class ``AlgebraLattice``.
 
     Every algebra with the same (mu, z) has the same ones, so
@@ -240,7 +242,7 @@ class MuZLattice:
         )
         self._sqrt_d_rows = {}
         self._powers = {}
-        self._multiplications = {}  # (a_bar, b_bar) -> MultiplicationLattice
+        self._multiplications = weakref.WeakValueDictionary()  # (a_bar, b_bar) -> MultiplicationLattice
 
     @functools.cached_property
     def squares_to_z(self):
@@ -275,11 +277,13 @@ class MuZLattice:
 
     def multiplication(self, a_bar, b_bar):
         """The ``MultiplicationLattice`` of (a_bar, b_bar) over this lattice,
-        made on the first request for the pair and kept."""
+        made on the first request for the pair and kept while an algebra
+        holds it."""
         key = (a_bar, b_bar)
-        if key not in self._multiplications:
-            self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar)
-        return self._multiplications[key]
+        mult = self._multiplications.get(key)
+        if mult is None:
+            mult = self._multiplications[key] = MultiplicationLattice(self, a_bar, b_bar)
+        return mult
 
     def check_closed(self, u0, u1):
         """ClosureError when the product u0 + u1 X escapes the lattice

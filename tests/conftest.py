@@ -13,7 +13,7 @@ from quadfrob.frobenius import (
     search_solutions,
 )
 from quadfrob.intlin import SparseMatrix, identity, invariant_factors, mat_add, mat_mul, mat_scale, transpose
-from quadfrob.omodule import MultiplicationLattice
+from quadfrob.omodule import MultiplicationLattice, MuZLattice, OModule
 from quadfrob.ring import NotDivisibleError, parse_element
 
 
@@ -371,6 +371,17 @@ def bump_m_entry(monkeypatch):
         return out
 
     monkeypatch.setattr(MultiplicationLattice, "m_matrix", bumped)
+
+
+def negate_a2_action(monkeypatch):
+    """sqrt(d) on A (x)_O A replaced by its negative, which also squares to
+    d.  Delta(1) still passes the counit identity, but Delta's second
+    column, sqrt(d) on Delta(1), no longer does."""
+
+    def negated(self):
+        return OModule(self.ctx.d, 8, [[-e for e in row] for row in self._module(2).action])
+
+    monkeypatch.setattr(MuZLattice, "A2", property(negated))
 
 
 def z_basis(alg):

@@ -211,9 +211,9 @@ def test_criterion_8_reidemeister_one(ctx, mu, z):
     rep = reidemeister_compare(
         corpus.diagram("unknot0"), corpus.diagram("unknot_r1plus"), alg
     )
-    assert rep.integral_equal
-    assert rep.k_dims_equal
-    for deg, row in rep.per_degree.items():
+    assert rep["integral_equal"]
+    assert rep["k_dims_equal"]
+    for deg, row in rep["per_degree"].items():
         a = (row["left"]["z_rank"], list(row["left"]["torsion"]))
         b = (row["right"]["z_rank"], list(row["right"]["torsion"]))
         assert a == b, deg

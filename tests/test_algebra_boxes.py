@@ -17,6 +17,7 @@ per pair, and that no report is shared.  The lattices hold no algebra, so
 an algebra the caller drops is not kept alive by the search's lattice.
 """
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -86,6 +87,40 @@ def test_box_matches_golden(name, golden):
         assert g == w, f"{name}: algebra {i} ({w['data']}) differs"
 
 
+# -- what the closing equation guarantees ---------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_search_accepts_every_candidate_with_the_closed_form_duals(name):
+    # b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar eps(1) - s^-1 z has its
+    # right side in mu^2 = (z), so every (s, eps_x_bar, a_bar, eps(1)) of the
+    # box gives an algebra, with D_bar = -s^-1 z, c = -s t_bar,
+    # d = s eps_x_bar and d' = -s eps(1)
+    from quadfrob import Ideal, RingContext
+    from quadfrob.frobenius import search_solutions
+
+    d, gens, z, bound = BOXES[name]
+    ctx = RingContext(d)
+    z = ctx(*z)
+    mu = Ideal.from_generators(ctx, [ctx(*g) for g in gens])
+    units = ctx.units()
+    exbars = list(mu.lattice_points(bound))
+    algs = list(search_solutions(mu, z, coord_bound=bound))
+    n = len(exbars)
+    assert len(algs) == len(units) ** 2 * n * (n + 1) == {"d-5": 80, "d-6": 24}[name]
+    seen = set()
+    for alg in algs:
+        data, duals = alg.data, alg.duals
+        t_bar = data.t_bar()
+        delta_bar = data.eps_one * t_bar * z - data.eps_x_bar * data.eps_x_bar
+        s = (-delta_bar).exact_div(z).unit_inverse()  # D_bar = -s^-1 z for a unit s
+        seen.add((s, data.eps_x_bar, data.a_bar, data.eps_one))
+        assert duals.c == -(s * t_bar)
+        assert duals.d == s * data.eps_x_bar
+        assert duals.d_prime == -(s * data.eps_one)
+    assert seen == set(itertools.product(units, exbars, [ctx.zero, *exbars], units))
+
+
 # -- the shared (a_bar, b_bar) layer -------------------------------------------
 
 # distinct (a_bar, b_bar) among the algebras of each box; a kind-3 twist keeps both
@@ -141,9 +176,10 @@ def test_reports_of_one_multiplication_are_independent():
 
 
 def _searched_and_dropped(name):
-    """The box's shared (mu, z) lattice and weak references to the algebras
-    of its search, each of which ran its ker(m) analysis; the algebras
-    themselves are dropped on return."""
+    """The box's shared (mu, z) lattice, weak references to the algebras of
+    its search, each of which ran its ker(m) analysis, and weak references
+    to their multiplications; the algebras themselves are dropped on
+    return."""
     import weakref
 
     from quadfrob import Ideal, RingContext
@@ -155,30 +191,37 @@ def _searched_and_dropped(name):
     algs = list(search_solutions(mu, ctx(*z), coord_bound=bound))
     for alg in algs:
         assert alg.kernel_m_analysis(KERNEL_BOUND).direct_sum_verified
-    return algs[0].mu_z, [weakref.ref(alg) for alg in algs]
+    return algs[0].mu_z, [weakref.ref(alg) for alg in algs], [weakref.ref(alg.mult) for alg in algs]
 
 
 def test_shared_lattice_keeps_no_algebra_alive():
     import gc
 
-    mu_z, refs = _searched_and_dropped("d-5")
+    mu_z, refs, _ = _searched_and_dropped("d-5")
     gc.collect()
-    assert len(mu_z._multiplications) == DISTINCT_PAIRS["d-5"]
+    assert len(mu_z._multiplications) == 0
     assert sum(ref() is not None for ref in refs) == 0
 
 
 
 def test_dropped_algebras_are_freed_without_the_cycle_collector():
     # an algebra and its structure maps are one object with no reference
-    # cycle, so dropping the last reference frees it at once
+    # cycle, and the shared lattices hold their multiplications weakly, so
+    # dropping the last reference frees the algebras, their
+    # multiplications and the search's (mu, z) lattice at once
     import gc
+    import weakref
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _, refs = _searched_and_dropped("d-5")
+        mu_z, refs, mult_refs = _searched_and_dropped("d-5")
+        mu_z_ref = weakref.ref(mu_z)
+        del mu_z
         assert len(refs) == 80
         assert sum(ref() is not None for ref in refs) == 0
+        assert sum(ref() is not None for ref in mult_refs) == 0
+        assert mu_z_ref() is None
     finally:
         if enabled:
             gc.enable()

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import bump_m_entry
+from conftest import bump_m_entry, negate_a2_action
 from quadfrob import corpus, frobenius
 from quadfrob.cli import main, make_parser
 from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice
@@ -198,6 +198,15 @@ def test_kernel_command(capsys):
     assert payload["generator"]["eq87"] == {"x": "-1", "y": "0"}
 
 
+def test_kernel_text_without_a_generator_in_bound(tmp_path, capsys):
+    # the worked algebra's generator is at u = -1-w, outside bound 0
+    alg = tmp_path / "worked.json"
+    alg.write_text(json.dumps(frobenius.example_zsqrtm5(1, 1).data.to_json()))
+    code, out, _ = run(capsys, "kernel", "--alg", str(alg), "--bound", "0")
+    assert code == 0
+    assert "  no single generator found within bound 0" in out.splitlines()
+
+
 def test_link_corpus_and_homology(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "link", "corpus", "--out-dir", str(tmp_path))
     assert code == 0
@@ -235,6 +244,22 @@ def test_link_compare(tmp_path, capsys):
     assert code == 0
     assert payload["integral_equal"] is True
     assert payload["k_dims_equal"] is True
+
+
+def test_link_compare_per_degree_entries_are_the_reports_entries(tmp_path, capsys):
+    pds = {}
+    for name in ("trefoil", "figure8"):
+        pds[name] = tmp_path / f"{name}.json"
+        pds[name].write_text(json.dumps(corpus.diagram(name).to_json()))
+    code, payload, _ = run_json(capsys, "link", "compare", "--pd1", str(pds["trefoil"]), "--pd2", str(pds["figure8"]))
+    assert code == 0
+    empty = {"z_rank": 0, "torsion": [], "k_dim": 0}
+    torsion = []
+    for deg, row in payload["per_degree"].items():
+        for side in ("left", "right"):
+            assert row[side] == payload[side]["degrees"].get(deg, empty)
+            torsion += row[side]["torsion"]
+    assert torsion and all(isinstance(t, str) for t in torsion)
 
 
 def test_link_lee_check(tmp_path, capsys):
@@ -584,6 +609,7 @@ def _bump_checked_m_entry(monkeypatch):
 
 
 COUNIT = "counit identity (eps (x) id) Delta(1) = 1 fails"
+DELTA_COUNIT = "counit identity (eps (x) id) Delta = id fails"
 ASSOCIATIVITY = "is not associative with m"
 PER_BLOCK = "is not multiplication by one scalar of K"
 
@@ -595,7 +621,8 @@ PER_BLOCK = "is not multiplication by one scalar of K"
     (_bump_x_map_entry, ASSOCIATIVITY),
     (bump_m_entry, ASSOCIATIVITY),
     (_bump_checked_m_entry, PER_BLOCK),
-], ids=["delta_one", "c_d_prime_swapped", "a_bar_dropped", "x_map", "m_entry", "checked_m_entry"])
+    (negate_a2_action, DELTA_COUNIT),
+], ids=["delta_one", "c_d_prime_swapped", "a_bar_dropped", "x_map", "m_entry", "checked_m_entry", "a2_negated"])
 def test_a_faulty_closed_form_fails_link_homology(fault, message, tmp_path, monkeypatch, capsys):
     # the cube's edge maps are the blocks of the checked m and Delta, so a
     # fault in either fails a check before any homology is computed

@@ -106,6 +106,14 @@ def test_family_eps0_relaxed_a_bar_outside_mu(ctx, mu):
         build_algebra(alg.data)
 
 
+def test_product_of_x_parts_outside_mu_is_not_divisible_by_z():
+    # X * X needs the X-parts in mu, whose products lie in mu^2 = (z)
+    alg = example_zsqrtm5(1, 1)
+    x = alg.element(0, 1)
+    with pytest.raises(ClosureError, match="product of X-parts not divisible by z"):
+        alg.multiply(x, x)
+
+
 # -- the eps(X) = 1 family ----------------------------------------------------
 
 

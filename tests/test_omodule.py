@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import block, bump_m_entry, is_equivariant, rng, snf_diagonal
-from quadfrob.frobenius import build_algebra
+from conftest import block, bump_m_entry, is_equivariant, negate_a2_action, rng, snf_diagonal
+from quadfrob.frobenius import build_algebra, example_zsqrtm5
 from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, transpose
 from quadfrob.omodule import (
     MuZLattice,
@@ -207,6 +207,14 @@ def test_homology_pair_rejects_image_outside_kernel():
     # d_out * d_in != 0: the image e1 is not in ker(d_out) = Z e2
     with pytest.raises(NotWellDefinedError, match="well_defined check failed"):
         homology_pair([[1], [0]], [[1, 0]], 2)
+
+
+def test_delta_fails_the_counit_identity_that_delta_one_passes(monkeypatch):
+    negate_a2_action(monkeypatch)
+    alg = example_zsqrtm5(1, 1)
+    assert alg.comultiply_one()
+    with pytest.raises(NotWellDefinedError, match=r"counit identity \(eps \(x\) id\) Delta = id fails"):
+        alg.delta_matrix()
 
 
 def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):

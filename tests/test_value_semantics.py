@@ -28,7 +28,6 @@ from quadfrob.ideals import ClassOrderTwoCertificate, Ideal, certify_order_two
 from quadfrob.intlin import SparseMatrix
 from quadfrob.linkhom import (
     Complex,
-    ComparisonReport,
     HomologyReport,
     MalformedPDError,
     PDCode,
@@ -37,7 +36,6 @@ from quadfrob.linkhom import (
     _homology,
     build_complex,
     homology_integral,
-    reidemeister_compare,
     resolve,
 )
 from quadfrob.omodule import KernelReport, OModule, TensorProduct
@@ -97,10 +95,6 @@ RECORDS = {
         lambda: example_zsqrtm5(1, 1).kernel_m_analysis(),
     ),
     HomologyReport: (("degrees", "total_k_dim", "notes", "checks"), lambda: homology_integral(_cx())),
-    ComparisonReport: (
-        ("left", "right", "integral_equal", "k_dims_equal", "per_degree", "notes"),
-        lambda: reidemeister_compare(corpus.diagram("unknot0"), corpus.diagram("unknot_r1plus"), example_zsqrtm5(1, 1)),
-    ),
     OModule: (("d", "rank", "action"), lambda: example_zsqrtm5(1, 1).mu_z.A),
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
@@ -225,8 +219,6 @@ def test_record_defaults_are_fresh():
 
     h1, h2 = HomologyReport({}, 0), HomologyReport({}, 0)
     assert h1.notes == h1.checks == [] and h1.notes is not h2.notes and h1.checks is not h2.checks
-    c1, c2 = ComparisonReport(h1, h2, True, True, {}), ComparisonReport(h1, h2, True, True, {})
-    assert c1.notes == [] and c1.notes is not c2.notes
     k1 = KernelReport([], [], [], True, True, None, False, 8)
     k2 = KernelReport([], [], [], True, True, None, False, 8)
     assert k1.notes == [] and k1.notes is not k2.notes
