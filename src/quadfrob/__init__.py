@@ -19,7 +19,6 @@ from .frobenius import (
     family_eps_x_zero,
     twist,
 )
-from .omodule import OModule, tensor_over_O
 from .linkhom import PDCode, build_complex, homology_integral, homology_over_K, simplify
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "FrobeniusAlgebra",
     "FrobeniusData",
     "Ideal",
-    "OModule",
     "PDCode",
     "RingContext",
     "RingElement",
@@ -44,6 +42,5 @@ __all__ = [
     "homology_over_K",
     "simplify",
     "solve_partition_of_z",
-    "tensor_over_O",
     "twist",
 ]

@@ -144,19 +144,17 @@ class AlgebraElement(Value):
 # Validation report
 
 class ValidationReport:
-    def __init__(self, cells=None, equations=None, values=None, nonvanishing=None,
-                 route_dual_solution=False, route_unimodular=False, mu_principal=False,
-                 closure_in_mu=True, accepted=False, notes=None):
-        self.cells = {} if cells is None else cells
-        self.equations = {} if equations is None else equations
-        self.values = {} if values is None else values
-        self.nonvanishing = {} if nonvanishing is None else nonvanishing
-        self.route_dual_solution = route_dual_solution
-        self.route_unimodular = route_unimodular
-        self.mu_principal = mu_principal
-        self.closure_in_mu = closure_in_mu
-        self.accepted = accepted
-        self.notes = [] if notes is None else notes
+    def __init__(self):
+        self.cells = {}
+        self.equations = {}
+        self.values = {}
+        self.nonvanishing = {}
+        self.route_dual_solution = False
+        self.route_unimodular = False
+        self.mu_principal = False
+        self.closure_in_mu = True
+        self.accepted = False
+        self.notes = []
         self.failure = None  # the ValidationError of a rejection; not serialized
 
     def to_json(self):
@@ -375,7 +373,6 @@ class FrobeniusAlgebra(omodule.AlgebraLattice):
     def __init__(self, data, duals, report, eps_rows, eps_det, mu_z):
         super().__init__(data, duals, mu_z)  # mu_z: the MuZLattice of (mu, z), maybe shared
         self.ctx = data.ctx
-        self.mu = data.mu
         self.report = report
         self.epsilon_tilde = eps_rows
         self.epsilon_tilde_det = eps_det
@@ -617,7 +614,10 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     IntegralityViolationError.  Bounds are configuration, not semantics:
     absence within the box proves nothing.  b_bar is solved in O by one
     exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
-    eps(1) - s^-1 z.  The candidates of one call share one
+    eps(1) - s^-1 z, whose right side lies in mu^2 = (z); then D_bar =
+    -s^-1 z, c = -s t_bar, d = s eps_x_bar and d' = -s eps(1), so every
+    candidate passes the integrality table, and a rejection raises its
+    ValidationError.  The candidates of one call share one
     ``omodule.MuZLattice`` of (mu, z): the mu^2 = (z) cell, the partition of
     z and the (mu, z) half of the multiplication table and of X_hat are
     computed once, and m with the ker(m) analysis once per (a_bar, b_bar).
@@ -646,13 +646,8 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
             for a_bar in abars:
                 a_ex = a_bar * eps_x_bar
                 for e1, den in denominators:
-                    b_bar = _quotient(rest - a_ex * e1, den)
-                    if b_bar is None:
-                        continue
-                    data = FrobeniusData(ctx, mu, z, a_bar, b_bar, e1, eps_x_bar)
-                    alg, report = analyze(data, mu_z=mu_z)
-                    if alg is None:
-                        continue
+                    b_bar = (rest - a_ex * e1).exact_div(den)
+                    alg = build_algebra(FrobeniusData(ctx, mu, z, a_bar, b_bar, e1, eps_x_bar), mu_z=mu_z)
                     if alg.duals.d != s * eps_x_bar:
                         raise InconsistentRoutesError("search ansatz d = s eps_x_bar failed")
                     yield alg

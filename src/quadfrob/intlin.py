@@ -442,13 +442,9 @@ class _Eliminator:
         cols = self.cols
         for j, e in rest:
             v = row.get(j)
-            if v is None:
+            if v is None:  # a fill-in: j is a column of the pivot row, so cols[j] exists
                 row[j] = -factor * e
-                col = cols.get(j)
-                if col is None:
-                    cols[j] = {i: None}
-                else:
-                    col[i] = None
+                cols[j][i] = None
             else:
                 v -= factor * e
                 if v:

@@ -392,9 +392,8 @@ class HomologyReport:
 
 
 class _Homology:
-    def __init__(self, table, q_dims, remainder, checks):
+    def __init__(self, table, remainder, checks):
         self.table = table  # degree -> (free Z-rank, torsion invariants)
-        self.q_dims = q_dims  # degree -> dim over Q, from the ranks of the differentials
         self.remainder = remainder  # the Complex left after unit elimination
         self.checks = checks
 
@@ -406,8 +405,7 @@ def _homology(cx):
         kept, reduced = reduce_units(cx.diffs, cx.ranks)
         small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes))
         table = smith_homology(small)
-        q_dims = _dims_from_ranks(cx, q_ranks)
-        for i, q in q_dims.items():
+        for i, q in _dims_from_ranks(cx, q_ranks).items():
             if q != table[i][0]:
                 raise RouteDisagreementError(
                     f"degree {i}: ranks over Q give dimension {q}, the Smith form free rank {table[i][0]}"
@@ -416,7 +414,7 @@ def _homology(cx):
                 raise RouteDisagreementError(f"degree {i}: odd dimension {q} over Q for a complex over O")
         checks = ["k_rank_vs_z_rank"] + [f"mod_{p}" for p in check_mod_p(cx, table)]
         checks += [f"remainder_mod_{p}" for p in check_mod_p(small, table, REMAINDER_PRIMES)]
-        cx._homology = _Homology(table, q_dims, small, checks)
+        cx._homology = _Homology(table, small, checks)
     return cx._homology
 
 
@@ -519,15 +517,12 @@ def homology_integral(cx):
 
 
 def homology_over_K(cx):
-    """Per-degree dimensions over K: half the dimensions over Q from the
-    ranks of the unsimplified differentials, which equal the free Z-ranks."""
+    """Per-degree dimensions over K: half the free Z-ranks, which the
+    ``k_rank_vs_z_rank`` check has matched with the dimensions over Q from
+    the ranks of the unsimplified differentials."""
     if cx.actions is None:
         raise ValueError("needs the unsimplified, equivariant complex")
-    dims = {}
-    for i, q_dim in _homology(cx).q_dims.items():
-        if q_dim:
-            dims[i] = q_dim // 2
-    return dims
+    return {i: free // 2 for i, (free, _) in _homology(cx).table.items() if free}
 
 
 def simplify(cx):

@@ -132,7 +132,7 @@ def random_mu_element(mu, r, bound=5):
 def random_algebra_element(alg, r, bound=5):
     return alg.element(
         random_ring_element(alg.ctx, r, bound),
-        random_mu_element(alg.mu, r, bound),
+        random_mu_element(alg.data.mu, r, bound),
     )
 
 
@@ -388,7 +388,7 @@ def z_basis(alg):
     """A's Z-basis 1, sqrt(d), g1 X, g2 X as algebra elements, the factor
     basis of the Z-tensor powers."""
     ctx = alg.ctx
-    g1, g2 = alg.mu.two_generators()
+    g1, g2 = alg.data.mu.two_generators()
     return (alg.element(ctx.one), alg.element(ctx.sqrt_d), alg.element(ctx.zero, g1), alg.element(ctx.zero, g2))
 
 
@@ -564,7 +564,7 @@ def tensor_from_k_basis(alg, coeffs):
     """Coordinates in A (x)_O A of the element with K-coefficients over
     (1(x)1, 1(x)X, X(x)1, X(x)X); must be integral."""
     alpha, beta, gamma, delta = coeffs
-    mu, one = alg.mu, alg.ctx.one
+    mu, one = alg.data.mu, alg.ctx.one
     if not alpha.is_integral():
         raise NotDivisibleError(f"1(x)1 coefficient {alpha} not integral")
     for name, val in (("1(x)X", beta), ("X(x)1", gamma)):

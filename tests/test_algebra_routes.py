@@ -197,7 +197,7 @@ def test_closed_form_coordinates_match_the_projection(algebra_corpus):
         for _ in range(25):
             x, y = random_algebra_element(alg, r), random_algebra_element(alg, r)
             assert alg.pure2(x, y) == mat_vec(proj, outer(alg.coords(x), alg.coords(y)))
-            u = random_mu_element(alg.mu, r)
+            u = random_mu_element(alg.data.mu, r)
             ux = alg.element(alg.ctx.zero, u)
             diff = [a - b for a, b in zip(outer(alg.coords(ux), alg.coords(one)),
                                           outer(alg.coords(one), alg.coords(ux)))]

@@ -146,6 +146,20 @@ def test_algebra_family_rejects_nonunit(capsys):
     assert "rejected" in err
 
 
+def test_algebra_family_eps1_rejects_a_nonunit_d_underbar(capsys):
+    code, out, err = run(
+        capsys, "algebra", "family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "rejected: d_underbar = 2 is not a unit"
+
+
+def test_algebra_search_rejects_a_real_quadratic_ring(capsys):
+    code, out, err = run(capsys, "algebra", "search", "-d", "2", "--mu", "2,w", "--z", "2", "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err.strip() == "rejected: unit enumeration needs d < 0"
+
+
 def test_algebra_twist(capsys):
     code, payload, _ = run_json(capsys, "algebra", "twist", "--type", "3", "--param", "-1")
     assert code == 0

@@ -17,6 +17,7 @@ from conftest import (
     swap_matrix,
     trace_pairing,
 )
+from quadfrob import frobenius
 from quadfrob.frobenius import (
     ClosureError,
     DegenerateTraceError,
@@ -217,8 +218,8 @@ def test_trace_of_x_products(ctx, alg_worked):
     t_bar = alg_worked.data.t_bar()
     z = alg_worked.data.z
     for _ in range(50):
-        u1 = random_mu_element(alg_worked.mu, r)
-        u2 = random_mu_element(alg_worked.mu, r)
+        u1 = random_mu_element(alg_worked.data.mu, r)
+        u2 = random_mu_element(alg_worked.data.mu, r)
         lhs = alg_worked.trace(
             alg_worked.multiply(alg_worked.element(0, u1), alg_worked.element(0, u2))
         )
@@ -489,6 +490,27 @@ def test_search_rejects_mu_squared_not_z_before_the_box(ctx, mu):
     with pytest.raises(ValueError, match="bound must be nonnegative"):
         list(search_solutions(mu, ctx(3), coord_bound=-1))
     assert list(search_solutions(mu, ctx(3), coord_bound=1, limit=0)) == []
+
+
+def test_a_rejected_search_candidate_raises(ctx, mu, monkeypatch):
+    # the closing equation makes every candidate valid, so a rejection is a
+    # fault of the search and is raised, not skipped
+    real, calls = frobenius.analyze, []
+    failure = IntegralityViolationError("c_in_O")
+
+    def analyze_rejecting_the_third(data, **kwargs):
+        calls.append(data)
+        alg, report = real(data, **kwargs)
+        if len(calls) == 3:
+            report.failure = failure
+            return None, report
+        return alg, report
+
+    monkeypatch.setattr(frobenius, "analyze", analyze_rejecting_the_third)
+    with pytest.raises(IntegralityViolationError) as exc:
+        list(search_solutions(mu, ctx(2), coord_bound=1))
+    assert exc.value is failure
+    assert len(calls) == 3
 
 
 def test_generator_search_walks_lazily(ctx, mu, monkeypatch):

@@ -10,18 +10,24 @@ from this code.  Shumakovitch's theorem (arXiv:math/0405474) is a second
 oracle: the Khovanov homology of a non-split alternating link has only
 Z/2 torsion, and has some unless the link is the unknot, the Hopf link or
 a connected sum of these.
+
+Khovanov's rational ranks also pin the torsion of the other algebras, by
+Lee's pairing (Lee, arXiv:math/0210213): an observed law, tested here on
+small diagrams and not proved (README, "What the homology sees").
 """
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 
-from conftest import khovanov_data
-from quadfrob import build_algebra
+from conftest import khovanov_data, search_hits
+from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
+from quadfrob.intlin import det_int
 from quadfrob.linkhom import build_complex, homology_integral
 
 
@@ -102,3 +108,32 @@ def test_alternating_closures_have_only_order_two_torsion(word, alg_khovanov):
 @pytest.mark.parametrize("word", [(1, -2), (1, 1, -2), (1, 1, -2, -2)], ids=["unknot", "hopf", "hopf#hopf"])
 def test_the_excluded_closures_have_no_torsion(word, alg_khovanov):
     assert _torsion(alg_khovanov, word) == []
+
+
+def _k_dims_and_torsion(pd, alg):
+    degrees = homology_integral(build_complex(pd, alg)).degrees
+    return ({i: v["k_dim"] for i, v in degrees.items()},
+            {i: math.prod(v["torsion"]) for i, v in degrees.items()})
+
+
+def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_khovanov, alg_eps0, alg_worked, alg_eps1):
+    # With k_i = dim Kh^i(L; Q) and l_i the algebra's K-dimension (Lee's
+    # count), p_i = k_i - l_i - p_(i-1) counts the pairs that Lee's spectral
+    # sequence cancels between degrees i and i+1, and each pair is one
+    # torsion summand of order |N|, N = det(m o Delta)
+    diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
+    diagrams += [braid_closure((1,) * n, 2) for n in (4, 5)]
+    khovanov = [_k_dims_and_torsion(pd, alg_khovanov)[0] for pd in diagrams]
+    for alg in [alg_eps0, alg_worked, alg_eps1] + search_hits():
+        n = abs(det_int(alg.handle_matrix()))
+        assert n > 1, alg.data.to_json()
+        for pd, k in zip(diagrams, khovanov):
+            lee, torsion = _k_dims_and_torsion(pd, alg)
+            degrees = set(k) | set(lee) | set(torsion)
+            p = 0
+            for i in range(min(degrees) - 1, max(degrees) + 1):
+                p = k.get(i, 0) - lee.get(i, 0) - p
+                case = (alg.data.to_json(), pd.to_json(), i, n)
+                assert p >= 0, case
+                assert torsion.get(i + 1, 1) == n ** p, case
+            assert p == 0, case

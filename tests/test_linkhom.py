@@ -108,6 +108,15 @@ def test_corpus_diagrams_valid():
         assert pd.components() == expected_components[name], name
 
 
+def test_an_unknown_diagram_names_the_known_ones():
+    with pytest.raises(KeyError) as exc:
+        corpus.diagram("bogus")
+    assert exc.value.args == (
+        "unknown diagram 'bogus'; known: figure8, hopf, trefoil, unknot0, unknot_r1minus,"
+        " unknot_r1plus, unknot_r2pair",
+    )
+
+
 def test_writhe_values():
     writhes = {"unknot_r1plus": 1, "unknot_r1minus": -1, "unknot_r2pair": 0,
                "hopf": 2, "trefoil": 3, "figure8": 0, "unknot0": 0}

@@ -99,7 +99,7 @@ RECORDS = {
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
     Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks"), _cx),
-    _Homology: (("table", "q_dims", "remainder", "checks"), lambda: _homology(_cx())),
+    _Homology: (("table", "remainder", "checks"), lambda: _homology(_cx())),
 }
 
 
@@ -198,9 +198,10 @@ def test_record_constructor_and_round_trips(cls):
     fields, make = RECORDS[cls]
     a = make()
     assert type(a) is cls
-    values = [getattr(a, f) for f in fields]
-    assert _same(cls(*values), a)
-    assert _same(cls(**dict(zip(fields, values))), a)
+    if cls is not ValidationReport:  # built empty; analyze fills it in
+        values = [getattr(a, f) for f in fields]
+        assert _same(cls(*values), a)
+        assert _same(cls(**dict(zip(fields, values))), a)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert _same(b, a)
 
