@@ -619,8 +619,8 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     candidate passes the integrality table, and a rejection raises its
     ValidationError.  The candidates of one call share one
     ``omodule.MuZLattice`` of (mu, z): the mu^2 = (z) cell, the partition of
-    z and the (mu, z) half of the multiplication table and of X_hat are
-    computed once, and m with the ker(m) analysis once per (a_bar, b_bar).
+    z and the (mu, z) half of the multiplication table are computed at most
+    once, and m with the ker(m) analysis once per (a_bar, b_bar).
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")

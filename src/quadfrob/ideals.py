@@ -117,9 +117,7 @@ class Ideal(Value):
             raise UnsupportedRingError("principality search needs d < 0")
         n = self.norm()
         for y in range(0, math.isqrt(n // -d) + 1):
-            rem = n + d * y * y
-            if rem < 0:
-                break
+            rem = n + d * y * y  # >= 0, as y^2 <= n // -d
             x = math.isqrt(rem)
             if x * x != rem:
                 continue
@@ -163,13 +161,11 @@ class Ideal(Value):
 class ClassOrderTwoCertificate(Value):
     """Witness that mu is non-principal while mu^2 = (z)."""
 
-    __slots__ = ("mu", "z", "witness_nonprincipal")
+    __slots__ = ("mu", "z")
 
-    def __init__(self, mu, z, witness_nonprincipal):
+    def __init__(self, mu, z):
         _set(self, "mu", mu)
         _set(self, "z", z)
-        # norm bound exhausted by the generator search
-        _set(self, "witness_nonprincipal", witness_nonprincipal)
 
 
 def certify_order_two(mu):
@@ -181,7 +177,7 @@ def certify_order_two(mu):
     z = square.is_principal()
     if z is None:
         raise NotOrderTwoError(f"{mu} squared is not principal")
-    return ClassOrderTwoCertificate(mu, z, mu.norm())
+    return ClassOrderTwoCertificate(mu, z)
 
 
 def solve_partition_of_z(mu, z):

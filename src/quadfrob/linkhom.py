@@ -233,13 +233,13 @@ class Complex:
     """Cochain complex of free Z-lattices; groups[i] has rank ranks[i] and
     differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix."""
 
-    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None, checks=None):
+    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None):
         self.min_degree = min_degree
         self.ranks = ranks
         self.diffs = diffs  # len(ranks) - 1 SparseMatrix differentials
         self.actions = actions  # sqrt(d)-action per degree, None once simplified
         self.notes = [] if notes is None else notes
-        self.checks = [] if checks is None else checks  # cross-checks passed when built
+        self.checks = []  # cross-checks passed when built, set by build_complex
         self._homology = None  # cached by _homology(); not compared
 
     def _key(self):
@@ -369,11 +369,11 @@ def _edge_target_map(cube, v, w, src, tgt):
 
 
 class HomologyReport:
-    def __init__(self, degrees, total_k_dim, notes=None, checks=None):
+    def __init__(self, degrees, total_k_dim, notes, checks):
         self.degrees = degrees  # degree -> {"z_rank", "torsion", "k_dim"}
         self.total_k_dim = total_k_dim
-        self.notes = [] if notes is None else notes
-        self.checks = [] if checks is None else checks  # cross-checks that ran and passed
+        self.notes = notes
+        self.checks = checks  # cross-checks that ran and passed
 
     def to_json(self):
         return {

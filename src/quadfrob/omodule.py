@@ -149,17 +149,23 @@ def tensor_over_O(m, n):
 
 
 class KernelReport:
-    def __init__(self, kernel_basis, xu_basis, xhat, direct_sum_verified,
-                 action_formulas_verified, generator, iso_to_A, search_bound, notes=None):
+    # a report exists only once ker(m) = X_mu + O X_hat has been verified:
+    # the analysis raises DirectSumFailureError otherwise
+    direct_sum_verified = True
+
+    def __init__(self, kernel_basis, xu_basis, xhat, action_formulas_verified, generator, search_bound, notes):
         self.kernel_basis = kernel_basis
         self.xu_basis = xu_basis
         self.xhat = xhat
-        self.direct_sum_verified = direct_sum_verified
         self.action_formulas_verified = action_formulas_verified
         self.generator = generator  # (u, unit value) when found, else None
-        self.iso_to_A = iso_to_A
         self.search_bound = search_bound
-        self.notes = [] if notes is None else notes
+        self.notes = notes
+
+    @property
+    def iso_to_A(self):
+        """ker(m) = A as A-modules, certified by the generator found."""
+        return self.generator is not None
 
     def to_json(self):
         gen = None
@@ -202,14 +208,14 @@ class MuZLattice:
     """The part of A = O 1 + mu X that depends only on mu and z, the first
     of the two shared layers under an algebra: the facts validation reads
     (``squares_to_z``, ``mu_principal``), the partition of z
-    (``partition``, read only by X_hat and the command line), the closure test
-    of a product (``check_closed``), the 2x2 blocks between the summand
+    (``partition``, read only by the command line, since X_hat's partition
+    term is zX (x) X whatever the partition), the closure test of a
+    product (``check_closed``), the 2x2 blocks between the summand
     lattices O and mu (``coords_block``, ``flipped_block``), the
     sqrt(d)-action on A^(x n) (``sqrt_d_rows``) and with it A and
     A (x)_O A as Z-lattices (``A``, ``A2``), x (x) y and X_u in the
-    coordinates of A (x)_O A (``pure2``, ``x_u``), the quotients
-    q_ij = g_i g_j / z (``x_quotients``) and the partition term of X_hat
-    (``x_hat_partition``).  It holds no algebra.
+    coordinates of A (x)_O A (``pure2``, ``x_u``) and the quotients
+    q_ij = g_i g_j / z (``x_quotients``).  It holds no algebra.
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), held weakly, so
@@ -264,16 +270,6 @@ class MuZLattice:
         a_bar X) in every algebra of this (mu, z); exact since mu^2 = (z)."""
         g1, g2 = self.gens
         return [[(u * v).exact_div(self.z) for v in (g1, g2)] for u in (g1, g2)]
-
-    @functools.cached_property
-    def x_hat_partition(self):
-        """sum_j u_j X (x) u_j' X over the partition of z, in the coordinates
-        of A (x)_O A: sum_j u_j u_j' / z on X (x) X."""
-        us, ups = self.partition
-        s = self.ctx.zero
-        for u, up in zip(us, ups):
-            s = s + (u * up).exact_div(self.z)
-        return (0, 0, 0, 0, 0, 0, s.x, s.y)
 
     def multiplication(self, a_bar, b_bar):
         """The ``MultiplicationLattice`` of (a_bar, b_bar) over this lattice,
@@ -433,6 +429,8 @@ class MultiplicationLattice:
     c g_i b_bar on 1(x)X plus c g_i a_bar / z on zX(x)X.  Each X-map must
     pass associativity with first input g_i X, m L_i = (m P_i) m with
     P_i = [pure2(g_i X, e_k)], or NotWellDefinedError is raised.
+    X_hat = zX(x)X - a_bar X(x)1 - b_bar 1(x)1 is closed too: the paper's
+    partition term sum_j u_j X (x) u_j' X is zX(x)X, as sum_j u_j u_j' = z.
 
     ``MuZLattice.multiplication`` keeps one per distinct (a_bar, b_bar), so
     the algebras of a search that share the pair, and their twists, share
@@ -507,15 +505,11 @@ class MultiplicationLattice:
         return self._x_maps
 
     def x_hat(self):
-        """sum_j u_j X (x) u_j' X - (a_bar X (x) 1 + b_bar 1 (x) 1): the
-        (mu, z) partition term less a_bar on X(x)1 and b_bar on 1(x)1."""
+        """zX (x) X - a_bar X (x) 1 - b_bar 1 (x) 1.  The paper's
+        sum_j u_j X (x) u_j' X over a partition of z is zX (x) X whatever
+        the partition, since g1 u1' + g2 u2' = z, so none is solved."""
         a, b = self.mu_z.mu.basis_coords(self.a_bar)
-        out = list(self.mu_z.x_hat_partition)
-        out[0] -= self.b_bar.x
-        out[1] -= self.b_bar.y
-        out[4] -= a
-        out[5] -= b
-        return out
+        return [-self.b_bar.x, -self.b_bar.y, 0, 0, -a, -b, 1, 0]
 
     def _kernel_parts(self):
         """What no search bound changes: ker(m), which must be stable under
@@ -595,10 +589,8 @@ class MultiplicationLattice:
             kernel_basis=[list(row) for row in ker_rows],
             xu_basis=[list(v) for v in xus],
             xhat=list(xhat),
-            direct_sum_verified=True,
             action_formulas_verified=formulas_ok,
             generator=generator,
-            iso_to_A=generator is not None,
             search_bound=search_bound,
             notes=list(notes),
         )

@@ -7,8 +7,8 @@ the oracle.  ``AlgebraLattice`` reads x (x) y and X_u in closed form, and
 form on A (x)_O A; the oracles are the projection and section of the
 Z-tensor square, the 16x16 Kronecker product of left multiplication read
 off ``FrobeniusAlgebra.multiply``, and the integral lift of Delta(1) to the
-Z-tensor square.  X_hat is read from a (mu, z) part; the oracle is the
-``pure2`` sum.  The mechanism guards count calls instead of timing them.
+Z-tensor square.  X_hat is written in closed form; the oracle is the
+paper's ``pure2`` sum over a solved partition of z.  The mechanism guards count calls instead of timing them.
 """
 
 import functools
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from quadfrob import corpus, frobenius, intlin, omodule
+from quadfrob import corpus, frobenius, ideals, intlin, omodule
 from quadfrob.frobenius import (
     ClosureError,
     DegenerateTraceError,
@@ -29,6 +29,7 @@ from quadfrob.frobenius import (
     twist,
     TwistSpec,
 )
+from quadfrob.ideals import solve_partition_of_z
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, transpose
 from quadfrob.linkhom import build_complex, homology_integral
 from quadfrob.omodule import DirectSumFailureError
@@ -178,10 +179,11 @@ def test_delta_matrix_matches_comultiply(algebra_corpus):
 
 
 def test_x_hat_matches_the_pure2_sum(algebra_corpus):
+    # sum_j u_j X (x) u_j' X - a_bar X (x) 1 - b_bar 1 (x) 1, the paper's form
     for alg in _fixtures_and_search_hits(algebra_corpus):
         zero = alg.ctx.zero
         out = [0] * 8
-        us, ups = alg.mu_z.partition
+        us, ups = solve_partition_of_z(alg.data.mu, alg.data.z)
         terms = [(1, alg.element(zero, u), alg.element(zero, up)) for u, up in zip(us, ups)]
         terms += [(-1, alg.element(zero, alg.data.a_bar), alg.one), (-1, alg.element(alg.data.b_bar), alg.one)]
         for sign, x, y in terms:
@@ -224,6 +226,13 @@ def test_search_solves_the_partition_of_z_once(ctx, mu, monkeypatch):
     twisted = twist(found[3], TwistSpec(3, -ctx.one))
     assert twisted.mu_z.partition == partition
     assert len(calls) == 1
+
+
+def test_kernel_analysis_solves_no_partition_of_z(alg_worked, monkeypatch):
+    alg = build_algebra(alg_worked.data)
+    calls = [_counted(monkeypatch, module, "solve_partition_of_z") for module in (omodule, ideals)]
+    assert alg.kernel_m_analysis(8).iso_to_A
+    assert calls == [[], []]
 
 
 def test_kernel_analysis_and_delta_make_no_kronecker_product(alg_worked, monkeypatch):
@@ -269,13 +278,13 @@ def _counted_property(monkeypatch, cls, name):
 
 def test_search_computes_the_mu_z_table_once(ctx, mu, monkeypatch):
     calls = [_counted_property(monkeypatch, omodule.MuZLattice, name)
-             for name in ("x_quotients", "x_hat_partition")]
+             for name in ("x_quotients", "partition")]
     found = list(search_solutions(mu, ctx(2), coord_bound=1))
     assert len(found) == 80
     for alg in found:
         assert alg.kernel_m_analysis(8).iso_to_A
         alg.closed_surface_invariants(2)
-    assert calls == [[1], [1]]
+    assert calls == [[1], []]  # X_hat needs no partition of z
 
 
 def test_relaxed_a_bar_escapes_the_lattice_on_the_table(ctx, mu):

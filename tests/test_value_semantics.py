@@ -58,9 +58,9 @@ VALUES = {
     FieldElement: (("ctx", "p", "q"), lambda: _ctx().field(Fraction(1, 2), 3), lambda: _ctx().field(1, 3)),
     Ideal: (("ctx", "rows"), _mu, lambda: Ideal.unit_ideal(_ctx())),
     ClassOrderTwoCertificate: (
-        ("mu", "z", "witness_nonprincipal"),
+        ("mu", "z"),
         lambda: certify_order_two(_mu()),
-        lambda: ClassOrderTwoCertificate(_mu(), _ctx()(-2), 2),
+        lambda: ClassOrderTwoCertificate(_mu(), _ctx()(-2)),
     ),
     FrobeniusData: (
         ("ctx", "mu", "z", "a_bar", "b_bar", "eps_one", "eps_x_bar"),
@@ -82,7 +82,7 @@ def _cx():
     return build_complex(corpus.diagram("hopf"), example_zsqrtm5(1, 1))
 
 
-# class -> (fields in order, maker)
+# class -> (constructor fields in order, maker)
 RECORDS = {
     ValidationReport: (
         ("cells", "equations", "values", "nonvanishing", "route_dual_solution", "route_unimodular",
@@ -90,15 +90,14 @@ RECORDS = {
         lambda: example_zsqrtm5(1, 1).report,
     ),
     KernelReport: (
-        ("kernel_basis", "xu_basis", "xhat", "direct_sum_verified", "action_formulas_verified",
-         "generator", "iso_to_A", "search_bound", "notes"),
+        ("kernel_basis", "xu_basis", "xhat", "action_formulas_verified", "generator", "search_bound", "notes"),
         lambda: example_zsqrtm5(1, 1).kernel_m_analysis(),
     ),
     HomologyReport: (("degrees", "total_k_dim", "notes", "checks"), lambda: homology_integral(_cx())),
     OModule: (("d", "rank", "action"), lambda: example_zsqrtm5(1, 1).mu_z.A),
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
-    Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "checks"), _cx),
+    Complex: (("min_degree", "ranks", "diffs", "actions", "notes"), _cx),
     _Homology: (("table", "remainder", "checks"), lambda: _homology(_cx())),
 }
 
@@ -200,8 +199,10 @@ def test_record_constructor_and_round_trips(cls):
     assert type(a) is cls
     if cls is not ValidationReport:  # built empty; analyze fills it in
         values = [getattr(a, f) for f in fields]
-        assert _same(cls(*values), a)
-        assert _same(cls(**dict(zip(fields, values))), a)
+        for b in (cls(*values), cls(**dict(zip(fields, values)))):
+            if cls is Complex:  # build_complex sets checks once its checks pass
+                b.checks = a.checks
+            assert _same(b, a)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert _same(b, a)
 
@@ -218,11 +219,6 @@ def test_record_defaults_are_fresh():
     a.notes.append("x")
     assert b.notes == []
 
-    h1, h2 = HomologyReport({}, 0), HomologyReport({}, 0)
-    assert h1.notes == h1.checks == [] and h1.notes is not h2.notes and h1.checks is not h2.checks
-    k1 = KernelReport([], [], [], True, True, None, False, 8)
-    k2 = KernelReport([], [], [], True, True, None, False, 8)
-    assert k1.notes == [] and k1.notes is not k2.notes
     x1, x2 = Complex(0, [1], []), Complex(0, [1], [])
     assert x1.actions is None and x1._homology is None
     assert x1.notes == x1.checks == [] and x1.notes is not x2.notes and x1.checks is not x2.checks
