@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
-internal cross-check failed: "<check> check failed" names
-validation_routes, ker_m_splitting, well_defined, d_squared, equivariance,
-k_rank_vs_z_rank or mod_p.  tensor_torsion_free is raised only by
-omodule.tensor_over_O, a test oracle that no command calls.  With
---format json, exit 5 also writes {"error": {"check", "message",
-"inputs"}} where a result would go, with the --alg, --pd, --pd1 and --pd2
-files given as "inputs".
+internal cross-check failed.  Exit 5 prints "<check> check failed: ..."
+with <check> one of
+
+    validation_routes ker_m_splitting well_defined tensor_torsion_free
+    d_squared equivariance k_rank_vs_z_rank mod_p
+
+where tensor_torsion_free is raised only by omodule.tensor_over_O, a test
+oracle that no command calls.  With --format json, exit 5 also writes
+{"error": {"check", "message", "inputs"}} where a result would go, with
+the --alg, --pd, --pd1 and --pd2 files given as "inputs".
 
 Element syntax on the command line: 'a+bw' with w standing for sqrt(d),
 e.g. '2', '1+w', '3-2w'.

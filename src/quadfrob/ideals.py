@@ -123,8 +123,6 @@ class Ideal(Value):
                 continue
             for cand in ((x, y), (x, -y)) if y else ((x, 0),):
                 g = self.ctx(*cand)
-                if g.is_zero():
-                    continue
                 if self.contains(g):
                     return g
         return None

@@ -191,8 +191,7 @@ def _circles_at(pd, vertex):
 
 
 class ResolutionCube:
-    def __init__(self, pd, circles, edges):
-        self.pd = pd
+    def __init__(self, circles, edges):
         self.circles = circles  # vertex -> list of circle frozensets
         self.edges = edges  # (vertex, crossing index) -> ("merge"/"split", data)
 
@@ -226,7 +225,7 @@ def resolve(pd):
                 raise MalformedPDError(
                     f"edge {v}->{w} changes circles {len(src)}->{len(tgt)}"
                 )
-    return ResolutionCube(pd, circles, edges)
+    return ResolutionCube(circles, edges)
 
 
 class Complex:

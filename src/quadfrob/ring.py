@@ -48,8 +48,6 @@ def json_int(value, *, text=False):
 
 def _is_squarefree(n):
     n = abs(n)
-    if n == 0:
-        return False
     p = 2
     while p * p <= n:
         if n % (p * p) == 0:

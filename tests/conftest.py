@@ -12,7 +12,16 @@ from quadfrob.frobenius import (
     family_eps_x_zero,
     search_solutions,
 )
-from quadfrob.intlin import SparseMatrix, identity, invariant_factors, mat_add, mat_mul, mat_scale, transpose
+from quadfrob.intlin import (
+    SparseMatrix,
+    identity,
+    invariant_factors,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    sparse_rank,
+    transpose,
+)
 from quadfrob.omodule import MultiplicationLattice, MuZLattice, OModule
 from quadfrob.ring import NotDivisibleError, parse_element
 
@@ -174,6 +183,103 @@ def sparse_product(a, b):
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: e for j, e in acc.items() if e})
     return SparseMatrix(a.nrows, b.ncols, out)
+
+
+# -- Khovanov's q-graded complex over Z, sharing no code with linkhom --------
+
+
+def smoothing_circles(pd, vertex):
+    """Circles of the resolution ``vertex`` of ``pd``, each the frozenset of
+    its arcs, by walking the diagram: from a slot (crossing, position),
+    cross the smoothing to the slot it is joined to, then follow that
+    slot's arc to its other end.  The 0-smoothing joins positions (1, 2)
+    and (3, 4), the 1-smoothing (1, 4) and (2, 3)."""
+    ends = {}
+    for j, crossing in enumerate(pd.crossings):
+        for t, arc in enumerate(crossing):
+            ends.setdefault(arc, []).append((j, t))
+    along = {}
+    for x, y in ends.values():
+        along[x], along[y] = y, x
+    joined = {}
+    for j, choice in enumerate(vertex):
+        for s, t in ((0, 1), (2, 3)) if choice == 0 else ((0, 3), (1, 2)):
+            joined[j, s], joined[j, t] = (j, t), (j, s)
+    circles, seen = [], set()
+    for slot in along:
+        arcs = set()
+        while slot not in seen:
+            other = joined[slot]
+            seen.update((slot, other))
+            arcs.update(pd.crossings[j][t] for j, t in (slot, other))
+            slot = along[other]
+        if arcs:
+            circles.append(frozenset(arcs))
+    return circles + [frozenset([("loop", i)]) for i in range(pd.loops)]
+
+
+def khovanov_ranks(pd):
+    """{(i, q): dim Kh^(i,q)(L; Q)}, the ranks over Q of Khovanov's complex
+    over Z (Khovanov, arXiv:math/9908171): V = Z<1, x> with deg 1 = 1 and
+    deg x = -1, merge 1.1 = 1, 1.x = x, x.x = 0, split 1 -> 1(x)x + x(x)1,
+    x -> x(x)x, and the edge at crossing j signed by the 1s of v before j.
+    A generator at the vertex v is a bitmask over v's circles, bit t set
+    when circle t carries x; it lies in degree (|v| - n_minus, #1 - #x +
+    |v| + n_plus - 2 n_minus).  The differential keeps q, so each (i, q)
+    block is ranked on its own by ``intlin.sparse_rank``."""
+    k = len(pd.crossings)
+    n_minus = sum(1 for s in pd.signs if s < 0)
+    vertices = [tuple((n >> j) & 1 for j in range(k)) for n in range(1 << k)]
+    circles = {v: smoothing_circles(pd, v) for v in vertices}
+
+    def grading(v, mask):
+        ones = sum(v)
+        return ones - n_minus, len(circles[v]) - 2 * bin(mask).count("1") + ones + k - 3 * n_minus
+
+    index = {}  # (i, q) -> {(v, mask): position}
+    for v, cv in circles.items():
+        for mask in range(1 << len(cv)):
+            block = index.setdefault(grading(v, mask), {})
+            block[v, mask] = len(block)
+    rows = {key: [{} for _ in block] for key, block in index.items()}  # d from (i - 1, q) into (i, q)
+    for v, cv in circles.items():
+        for j in range(k):
+            if v[j]:
+                continue
+            w = v[:j] + (1,) + v[j + 1:]
+            at_w = {c: t for t, c in enumerate(circles[w])}
+            touched = set(pd.crossings[j])
+            src = [t for t, c in enumerate(cv) if c & touched]
+            tgt = [at_w[c] for c in circles[w] if c & touched]
+            kept = [(t, at_w[c]) for t, c in enumerate(cv) if not c & touched]
+            sign = -1 if sum(v[:j]) % 2 else 1
+            for mask in range(1 << len(cv)):
+                base = sum(1 << u for t, u in kept if mask >> t & 1)
+                xs = [mask >> t & 1 for t in src]
+                if len(src) == 2:  # merge
+                    images = [] if all(xs) else [base | (1 << tgt[0] if any(xs) else 0)]
+                elif xs[0]:  # split of x
+                    images = [base | 1 << tgt[0] | 1 << tgt[1]]
+                else:  # split of 1
+                    images = [base | 1 << tgt[0], base | 1 << tgt[1]]
+                i, q = grading(v, mask)
+                col = index[i, q][v, mask]
+                for image in images:
+                    rows[i + 1, q][index[i + 1, q][w, image]][col] = sign
+    rank = {}
+    for (i, q), block in index.items():
+        if (i - 1, q) in index:
+            rank[i - 1, q] = sparse_rank(SparseMatrix(len(block), len(index[i - 1, q]), rows[i, q]))
+    dims = {(i, q): len(block) - rank.get((i, q), 0) - rank.get((i - 1, q), 0) for (i, q), block in index.items()}
+    return {key: dim for key, dim in dims.items() if dim}
+
+
+def khovanov_k_dims(pd):
+    """{i: dim Kh^i(L; Q)}: ``khovanov_ranks`` summed over q."""
+    out = {}
+    for (i, _), dim in khovanov_ranks(pd).items():
+        out[i] = out.get(i, 0) + dim
+    return out
 
 
 # -- unit elimination as first written ----------------------------------------

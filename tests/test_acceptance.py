@@ -105,7 +105,8 @@ def test_criterion_2_eps_x_zero_family(ctx, mu, z):
 
 def test_criterion_3_eps_x_one_family(ctx, mu, z):
     """20 sampled (a_bar in mu, units eps1, d_underbar): the constructed
-    b_bar validates and (z - t_bar eps1) d_underbar = 1 exactly."""
+    b_bar validates, b_bar eps1^2 + a_bar eps1 - z = -d_underbar^-1 and
+    (z - t_bar eps1) d_underbar = 1 exactly."""
     r = random.Random(21)
     g1, g2 = mu.two_generators()
     for _ in range(20):
@@ -114,9 +115,10 @@ def test_criterion_3_eps_x_one_family(ctx, mu, z):
         dbar = ctx(r.choice((1, -1)))
         alg = family_eps_x_one(mu, z, a_bar, eps1, dbar)
         assert alg.report.accepted
+        assert alg.data.b_bar * eps1 * eps1 + a_bar * eps1 - z == -dbar.unit_inverse()
         assert (z - alg.data.t_bar() * eps1) * dbar == ctx.one
         assert k_eps_x(alg.data) == ctx.field(1)
-    report(3, "unit-trace-on-X family: 20 samples validate; unit identity exact")
+    report(3, "unit-trace-on-X family: 20 samples validate; defining equation and unit identity exact")
 
 
 def test_criterion_4_nonvanishing(ctx, mu, z):

@@ -5,9 +5,20 @@ import os
 import pytest
 
 from conftest import bump_m_entry, negate_a2_action
-from quadfrob import corpus, frobenius
+from quadfrob import Ideal, RingContext, corpus, frobenius, omodule
 from quadfrob.cli import main, make_parser
-from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice
+from quadfrob.frobenius import (
+    FrobeniusData,
+    InconsistentRoutesError,
+    analyze,
+    build_algebra,
+    example_zsqrtm5,
+    family_eps_x_one,
+    family_eps_x_zero,
+    search_solutions,
+)
+from quadfrob.omodule import AlgebraLattice, DirectSumFailureError, MultiplicationLattice, MuZLattice
+from quadfrob.ring import RingElement
 
 
 def run(capsys, *argv):
@@ -475,6 +486,124 @@ def test_well_defined_failure_exits_5(monkeypatch, capsys):
     bump_m_entry(monkeypatch)
     err = _assert_check_failed(capsys, "well_defined", "kernel")
     assert "kernel not stable under the action" in err
+
+
+# -- named checks that only a fault reaches: each fault patches one
+# collaborator, and the command fails with the library's own error
+
+
+def _double_pairing_det(monkeypatch):
+    real = frobenius.epsilon_tilde_matrix
+
+    def doubled(*args):
+        rows, det = real(*args)
+        return rows, 2 * det
+
+    monkeypatch.setattr(frobenius, "epsilon_tilde_matrix", doubled)
+
+
+def _mu_never_principal(monkeypatch):
+    monkeypatch.setattr(MuZLattice, "mu_principal", property(lambda self: False))
+
+
+def _nothing_divides(monkeypatch):
+    monkeypatch.setattr(RingElement, "divides", lambda self, other: False)
+
+
+def _negate_trace(monkeypatch):
+    # build_algebra validates the data with eps negated: a valid algebra
+    # whose duals are the negatives of the data's own
+    real = frobenius.build_algebra
+
+    def negated(data, **kwargs):
+        return real(FrobeniusData(data.ctx, data.mu, data.z, data.a_bar, data.b_bar,
+                                  -data.eps_one, -data.eps_x_bar), **kwargs)
+
+    monkeypatch.setattr(frobenius, "build_algebra", negated)
+
+
+def _repeat_a_kernel_row(monkeypatch):
+    # one more row in the kernel basis: the same lattice, so the stability
+    # check passes, but of the wrong Z-rank
+    real = omodule.kernel_basis
+
+    def repeated(a, ncols=None):
+        rows = real(a, ncols=ncols)
+        return rows + rows[:1]
+
+    monkeypatch.setattr(omodule, "kernel_basis", repeated)
+
+
+def _worked_data():
+    return example_zsqrtm5(1, 1).data
+
+
+def _nilpotent_data():
+    """X^2 = 0 with eps(1) = eps(X) = 1 over mu = O: accepted with t_bar =
+    c = 0, which only a principal mu allows."""
+    ctx = RingContext(-5)
+    unit_ideal = Ideal.from_generators(ctx, [ctx.one])
+    return FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.zero, ctx.one, ctx.one)
+
+
+def _ring():
+    ctx = RingContext(-5)
+    return ctx, Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)]), ctx(2)
+
+
+def _family_eps0(_):
+    ctx, mu, z = _ring()
+    return family_eps_x_zero(mu, z, ctx.zero, ctx.one, ctx.one)
+
+
+def _family_eps1(_):
+    ctx, mu, z = _ring()
+    return family_eps_x_one(mu, z, ctx(1, 1), ctx.one, ctx.one)
+
+
+def _first_search_hit(_):
+    _, mu, z = _ring()
+    return next(search_solutions(mu, z, coord_bound=1))
+
+
+CLOSED_FORMS = "family duals disagree with the closed forms"
+
+
+@pytest.mark.parametrize("fault, data, call, error, message, argv", [
+    (_double_pairing_det, _worked_data, analyze, InconsistentRoutesError,
+     "dual-solution route says True, unimodularity route says False", ("algebra", "validate")),
+    (_mu_never_principal, _nilpotent_data, analyze, InconsistentRoutesError,
+     "nonvanishing consequences failed on accepted data", ("algebra", "validate")),
+    (_nothing_divides, _worked_data, analyze, InconsistentRoutesError,
+     "d*eps(1) escaped (eps_x_bar) on accepted data", ("algebra", "validate")),
+    (_negate_trace, None, _family_eps0, InconsistentRoutesError, CLOSED_FORMS,
+     ("algebra", "family-eps0", "--abar", "0", "--bbar", "1", "--eps1", "1")),
+    (_negate_trace, None, _family_eps1, InconsistentRoutesError, CLOSED_FORMS,
+     ("algebra", "family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "1")),
+    (_negate_trace, None, lambda _: example_zsqrtm5(1, 1), InconsistentRoutesError,
+     "worked example duals disagree with the closed forms", ("algebra", "example-zsqrtm5")),
+    (_negate_trace, None, _first_search_hit, InconsistentRoutesError,
+     "search ansatz d = s eps_x_bar failed", ("algebra", "search", "--bound", "1")),
+    (_repeat_a_kernel_row, _worked_data, lambda data: build_algebra(data).kernel_m_analysis(),
+     DirectSumFailureError, "ker(m) has Z-rank 5, expected 4", ("kernel",)),
+], ids=["routes", "nonvanishing", "d_eps_one", "family_eps0", "family_eps1", "worked", "search", "ker_m_rank"])
+def test_a_fault_fails_its_named_check(fault, data, call, error, message, argv, tmp_path, monkeypatch, capsys):
+    # the data and its file are made before the fault
+    data = data() if data else None
+    if data is not None:
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps(data.to_json()))
+        argv += ("--alg", str(alg))
+    fault(monkeypatch)
+    with pytest.raises(error) as exc:
+        call(data)
+    assert str(exc.value) == f"{exc.value.check} check failed: {message}"
+    assert exc.value.check == ("ker_m_splitting" if error is DirectSumFailureError else "validation_routes")
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 5
+    assert err == f"{exc.value}\n"
+    inputs = {} if data is None else {"alg": str(alg)}
+    assert payload == {"error": {"check": exc.value.check, "message": str(exc.value), "inputs": inputs}}
 
 
 def _trefoil_file(tmp_path):

@@ -39,6 +39,7 @@ from quadfrob.frobenius import (
 from quadfrob.ideals import Ideal
 from quadfrob.intlin import mat_vec
 from quadfrob.omodule import MuZLattice, NotWellDefinedError
+from quadfrob.ring import NotDivisibleError
 
 
 # -- the worked example over Z[sqrt(-5)] -------------------------------------
@@ -153,7 +154,7 @@ def test_validator_rejects_degenerate_trace(ctx, mu):
     data = FrobeniusData(ctx, mu, ctx(2), ctx.zero, ctx.zero, ctx.one, ctx.zero)
     with pytest.raises(DegenerateTraceError):
         build_algebra(data)
-    rows, det = epsilon_tilde_matrix(data, data.t_bar())
+    rows, det = epsilon_tilde_matrix(data, data.t_bar(), MuZLattice(mu, data.z))
     assert det == 0
 
 
@@ -162,6 +163,13 @@ def test_validator_rejects_eps_x_bar_outside_mu(ctx, mu):
     with pytest.raises(IntegralityViolationError) as exc:
         build_algebra(data)
     assert exc.value.cell == "eps_x_bar_in_mu"
+
+
+def test_pairing_matrix_rejects_eps_x_bar_outside_mu(ctx, mu):
+    # z eps(1 X) = eps_x_bar = 1 is not in mu: the pairing leaves the dual lattice
+    data = FrobeniusData(ctx, mu, ctx(2), ctx.zero, ctx.one, ctx.one, ctx(1))
+    with pytest.raises(NotDivisibleError, match="^pairing image escapes the dual lattice$"):
+        epsilon_tilde_matrix(data, data.t_bar(), MuZLattice(mu, data.z))
 
 
 def test_validator_requires_mu_squared_z(ctx, mu):
@@ -296,7 +304,7 @@ def test_counit(algebra_corpus):
 
 def test_epsilon_tilde_examples(ctx, mu, alg_eps0):
     assert alg_eps0.epsilon_tilde_det in (1, -1)
-    rows, det = epsilon_tilde_matrix(alg_eps0.data, alg_eps0.data.t_bar())
+    rows, det = epsilon_tilde_matrix(alg_eps0.data, alg_eps0.data.t_bar(), alg_eps0.mu_z)
     assert det == alg_eps0.epsilon_tilde_det
     assert len(rows) == 4 and all(len(r) == 4 for r in rows)
 

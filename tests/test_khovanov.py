@@ -11,7 +11,9 @@ oracle: the Khovanov homology of a non-split alternating link has only
 Z/2 torsion, and has some unless the link is the unknot, the Hopf link or
 a connected sum of these.
 
-Khovanov's rational ranks also pin the torsion of the other algebras, by
+Khovanov's rational ranks come a second way from the q-graded complex of
+``conftest.khovanov_ranks``, which walks the PD code itself and shares no
+code with ``linkhom``.  They also pin the torsion of the other algebras, by
 Lee's pairing (Lee, arXiv:math/0210213): an observed law, tested here on
 small diagrams and not proved (README, "What the homology sees").
 """
@@ -23,7 +25,7 @@ import random
 
 import pytest
 
-from conftest import khovanov_data, search_hits
+from conftest import khovanov_data, khovanov_k_dims, search_hits
 from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
@@ -79,6 +81,15 @@ def test_it_is_a_valid_algebra_with_principal_mu(ctx):
     assert alg.kernel_m_analysis().iso_to_A
 
 
+@pytest.mark.parametrize("pd", [corpus.diagram(name) for name in corpus.names()]
+                         + [braid_closure((1,) * n, 2) for n in range(3, 7)] + [braid_closure((1, 2) * 4, 3)],
+                         ids=corpus.names() + [f"T(2,{n})" for n in range(3, 7)] + ["T(3,4)"])
+def test_k_dims_are_khovanovs_rational_ranks(pd, alg_khovanov):
+    # the q-graded complex of conftest shares no code with linkhom
+    degrees = homology_integral(build_complex(pd, alg_khovanov)).degrees
+    assert {i: v["k_dim"] for i, v in degrees.items() if v["k_dim"]} == khovanov_k_dims(pd)
+
+
 def _torsion(alg, word):
     h = homology_integral(build_complex(braid_closure(word, 3), alg)).to_json()
     return [int(t) for v in h["degrees"].values() for t in v["torsion"]]
@@ -116,14 +127,14 @@ def _k_dims_and_torsion(pd, alg):
             {i: math.prod(v["torsion"]) for i, v in degrees.items()})
 
 
-def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_khovanov, alg_eps0, alg_worked, alg_eps1):
-    # With k_i = dim Kh^i(L; Q) and l_i the algebra's K-dimension (Lee's
+def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_eps0, alg_worked, alg_eps1):
+    # With k_i = dim Kh^i(L; Q), from conftest's Khovanov complex, and l_i the algebra's K-dimension (Lee's
     # count), p_i = k_i - l_i - p_(i-1) counts the pairs that Lee's spectral
     # sequence cancels between degrees i and i+1, and each pair is one
     # torsion summand of order |N|, N = det(m o Delta)
     diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
     diagrams += [braid_closure((1,) * n, 2) for n in (4, 5)]
-    khovanov = [_k_dims_and_torsion(pd, alg_khovanov)[0] for pd in diagrams]
+    khovanov = [khovanov_k_dims(pd) for pd in diagrams]
     for alg in [alg_eps0, alg_worked, alg_eps1] + search_hits():
         n = abs(det_int(alg.handle_matrix()))
         assert n > 1, alg.data.to_json()

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import block, bump_m_entry, is_equivariant, negate_a2_action, rng, snf_diagonal
+from quadfrob import omodule
 from quadfrob.frobenius import build_algebra, example_zsqrtm5
 from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, transpose
 from quadfrob.omodule import (
@@ -201,6 +202,23 @@ def test_torsion_in_tensor_is_a_failed_check():
     m = OModule(-3, 2, [[-1, -2], [2, 1]])
     with pytest.raises(TorsionInTensorError, match="tensor_torsion_free check failed"):
         tensor_over_O(m, m)
+
+
+def test_a_wrong_section_is_not_well_defined(alg_worked, monkeypatch):
+    # U^-1 negated: the section, and with it the quotient's action, change
+    # sign; -J still squares to d, but no longer commutes with the projection
+    real = omodule.smith_normal_form
+
+    def negated_inverse(rel):
+        diag, u, v, uinv = real(rel)
+        return diag, u, v, [[-e for e in row] for row in uinv]
+
+    a = alg_worked.mu_z.A
+    monkeypatch.setattr(omodule, "smith_normal_form", negated_inverse)
+    with pytest.raises(NotWellDefinedError) as exc:
+        tensor_over_O(a, a)
+    assert exc.value.check == "well_defined"
+    assert str(exc.value) == "well_defined check failed: tensor action not well defined on the quotient"
 
 
 def test_homology_pair_rejects_image_outside_kernel():

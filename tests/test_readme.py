@@ -4,15 +4,23 @@ Every ``quadfrob ...`` line of the "Command line" block runs through
 ``cli.main`` in a temporary directory and must exit 0; ``link corpus``
 runs first, so the diagrams the other lines read exist, and the
 algebra-parameter JSON of "File formats" is written to
-``my_algebra.json``.  The "Python quick start" block is executed.
+``my_algebra.json``.  The "Python quick start" block is executed.  The
+check names that exit 5 can report, as README's "Checks on every
+computation" and ``cli``'s docstring list them, are those of the
+``CheckFailedError`` subclasses of the package.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import quadfrob
+from quadfrob import cli
 from quadfrob.cli import main
+from quadfrob.ring import CheckFailedError
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -54,3 +62,23 @@ def test_python_quick_start():
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["alg"].kernel_m_analysis().iso_to_A
 
+
+def _check_names():
+    """The ``check`` of every CheckFailedError subclass in the package."""
+    for module in pkgutil.iter_modules(quadfrob.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"quadfrob.{module.name}")
+    names, todo = [], [CheckFailedError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        names += [cls.check for cls in subs if cls.__module__.startswith("quadfrob.")]
+        todo += subs
+    return sorted(names)
+
+
+def test_the_listed_check_names_are_the_checks_raised():
+    section = README[README.index("**Checks on every computation.**"):]
+    section = section[:section.index("\n\n", section.index("\n- "))]
+    in_readme = re.findall(r"^- `(\w+)`", section, re.M)
+    in_cli = re.search(r"with <check> one of\n\n(.*?)\n\n", cli.__doc__, re.S).group(1).split()
+    assert sorted(in_readme) == sorted(in_cli) == _check_names()

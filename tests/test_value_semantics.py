@@ -96,7 +96,7 @@ RECORDS = {
     HomologyReport: (("degrees", "total_k_dim", "notes", "checks"), lambda: homology_integral(_cx())),
     OModule: (("d", "rank", "action"), lambda: example_zsqrtm5(1, 1).mu_z.A),
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
-    ResolutionCube: (("pd", "circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
+    ResolutionCube: (("circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
     Complex: (("min_degree", "ranks", "diffs", "actions", "notes"), _cx),
     _Homology: (("table", "remainder", "checks"), lambda: _homology(_cx())),
 }
