@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import bump_m_entry, negate_a2_action
+from conftest import RINGS, bump_m_entry, negate_a2_action, ring_of
 from quadfrob import Ideal, RingContext, corpus, frobenius, omodule
 from quadfrob.cli import main, make_parser
 from quadfrob.frobenius import (
@@ -546,23 +546,18 @@ def _nilpotent_data():
     return FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.zero, ctx.one, ctx.one)
 
 
-def _ring():
-    ctx = RingContext(-5)
-    return ctx, Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)]), ctx(2)
-
-
 def _family_eps0(_):
-    ctx, mu, z = _ring()
+    ctx, mu, z = ring_of(*RINGS[0])
     return family_eps_x_zero(mu, z, ctx.zero, ctx.one, ctx.one)
 
 
 def _family_eps1(_):
-    ctx, mu, z = _ring()
+    ctx, mu, z = ring_of(*RINGS[0])
     return family_eps_x_one(mu, z, ctx(1, 1), ctx.one, ctx.one)
 
 
 def _first_search_hit(_):
-    _, mu, z = _ring()
+    _, mu, z = ring_of(*RINGS[0])
     return next(search_solutions(mu, z, coord_bound=1))
 
 
@@ -589,8 +584,8 @@ CLOSED_FORMS = "family duals disagree with the closed forms"
 ], ids=["routes", "nonvanishing", "d_eps_one", "family_eps0", "family_eps1", "worked", "search", "ker_m_rank"])
 def test_a_fault_fails_its_named_check(fault, data, call, error, message, argv, tmp_path, monkeypatch, capsys):
     # the data and its file are made before the fault
-    data = data() if data else None
     if data is not None:
+        data = data()
         alg = tmp_path / "alg.json"
         alg.write_text(json.dumps(data.to_json()))
         argv += ("--alg", str(alg))

@@ -128,10 +128,11 @@ def _k_dims_and_torsion(pd, alg):
 
 
 def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_eps0, alg_worked, alg_eps1):
-    # With k_i = dim Kh^i(L; Q), from conftest's Khovanov complex, and l_i the algebra's K-dimension (Lee's
-    # count), p_i = k_i - l_i - p_(i-1) counts the pairs that Lee's spectral
-    # sequence cancels between degrees i and i+1, and each pair is one
-    # torsion summand of order |N|, N = det(m o Delta)
+    # With k_i = dim Kh^i(L; Q) from conftest's Khovanov complex and l_i
+    # the algebra's K-dimension (Lee's count), p_i = k_i - l_i - p_(i-1)
+    # counts the pairs that Lee's spectral sequence cancels between degrees
+    # i and i+1, and each pair is one torsion summand of order |N|,
+    # N = det(m o Delta)
     diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
     diagrams += [braid_closure((1,) * n, 2) for n in (4, 5)]
     khovanov = [khovanov_k_dims(pd) for pd in diagrams]
