@@ -9,7 +9,7 @@ import itertools
 import math
 
 from . import intlin
-from .ring import NotDivisibleError, UnsupportedRingError, Value, _set, json_int
+from .ring import NotDivisibleError, UnsupportedRingError, Value, _set
 
 
 class ZeroIdealError(ValueError):
@@ -47,20 +47,6 @@ class Ideal(Value):
             raise ZeroIdealError("ideal needs a nonzero generator")
         rows = intlin.hnf_rows_lower(vecs)
         return cls(ctx, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def from_hnf(cls, ctx, rows):
-        """Builds from raw basis rows, recanonicalizing and checking the
-        lattice is an O-ideal (stable under multiplication by sqrt(d))."""
-        canon = intlin.hnf_rows_lower([list(r) for r in rows])
-        if len(canon) != 2:
-            raise ZeroIdealError("ideal lattice must have rank 2")
-        ideal = cls(ctx, tuple(tuple(r) for r in canon))
-        for r in canon:
-            elt = ctx(r[0], r[1]) * ctx.sqrt_d
-            if not ideal.contains(elt):
-                raise ValueError("lattice is not an ideal: not sqrt(d)-stable")
-        return ideal
 
     @classmethod
     def unit_ideal(cls, ctx):
@@ -146,14 +132,6 @@ class Ideal(Value):
 
     def to_json(self):
         return {"hnf": [[str(e) for e in row] for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, ctx, obj):
-        rows = obj["hnf"] if isinstance(obj, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError(f"expected an ideal {{hnf: rows}}, got {obj!r}")
-        rows = [[json_int(e, text=True) for e in row] for row in rows]
-        return cls.from_hnf(ctx, rows)
 
 
 class ClassOrderTwoCertificate(Value):

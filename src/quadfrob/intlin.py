@@ -210,9 +210,9 @@ class IntSolver:
         if n is None:
             raise ValueError("ncols required for empty matrix")
         self.n = n
-        at = transpose(a, ncols=n) if a else [[] for _ in range(n)]
+        at = transpose(a, ncols=n)
         ext = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(at)]
-        h = hnf_rows(ext) if ext else []
+        h = hnf_rows(ext)
         self.image_rows = []
         self.kernel_rows = []
         for row in h:
@@ -237,13 +237,7 @@ class IntSolver:
 
 def kernel_basis(a, ncols=None):
     """Basis rows of {x : A x = 0} over Z; always a saturated lattice."""
-    m = len(a)
-    n = len(a[0]) if a else ncols
-    if n is None:
-        raise ValueError("ncols required for empty matrix")
-    if m == 0:
-        return identity(n)
-    return IntSolver(a, ncols=n).kernel_rows
+    return IntSolver(a, ncols).kernel_rows
 
 
 def rank_rat(a):

@@ -143,9 +143,6 @@ class RingContext(Value):
     def field(self, p, q=0):
         return FieldElement(self, Fraction(p), Fraction(q))
 
-    def to_json(self):
-        return {"d": self.d}
-
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
@@ -380,55 +377,26 @@ class FieldElement(Value):
             "y": {"num": str(self.q.numerator), "den": str(self.q.denominator)},
         }
 
-    @classmethod
-    def from_json(cls, ctx, obj):
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a field element {{x, y}}, got {obj!r}")
-        return cls(ctx, _json_fraction(obj["x"]), _json_fraction(obj["y"]))
 
-
-def _json_fraction(obj):
-    """A Fraction read from the {num, den} object that ``to_json`` writes."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a fraction {{num, den}}, got {obj!r}")
-    num, den = json_int(obj["num"], text=True), json_int(obj["den"], text=True)
-    if den == 0:
-        raise ValueError(f"zero denominator in {obj!r}")
-    return Fraction(num, den)
-
-
-_TERM_RE = re.compile(r"^\s*([+-]?\s*\d*)\s*(w?)\s*$")
+_TERM = r"(\d+w?|w)"
+_ELEMENT_RE = re.compile(rf"[+-]?{_TERM}([+-]{_TERM})*")
+_SIGNED_TERM_RE = re.compile(rf"([+-]?){_TERM}")
 
 
 def parse_element(ctx, text):
     """Parses 'a+bw' shorthand, with w standing for sqrt(d).
 
-    Accepts forms like '2', '-3', 'w', '-w', '2w', '1+w', '3-2w'.
+    Accepts forms like '2', '-3', 'w', '-w', '2w', '1+w', '3-2w', with
+    spaces only at the ends and around signs, so '1 2' is an error.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty element")
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
+    s = re.sub(r"\s*([+-])\s*", r"\1", text.strip())
+    if not _ELEMENT_RE.fullmatch(s):
         raise ValueError(f"cannot parse element {text!r}")
-    x = 0
-    y = 0
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse element term {term!r}")
-        coeff, wpart = m.group(1).replace(" ", ""), m.group(2)
-        if wpart:
-            if coeff in ("", "+"):
-                c = 1
-            elif coeff == "-":
-                c = -1
-            else:
-                c = int(coeff)
+    x = y = 0
+    for sign, term in _SIGNED_TERM_RE.findall(s):
+        c = int(sign + (term.rstrip("w") or "1"))
+        if term.endswith("w"):
             y += c
         else:
-            if coeff in ("", "+", "-"):
-                raise ValueError(f"cannot parse element term {term!r}")
-            x += int(coeff)
+            x += c
     return RingElement(ctx, x, y)

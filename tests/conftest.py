@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quadfrob import Ideal, RingContext
+from quadfrob import Ideal, RingContext, linkhom
 from quadfrob.frobenius import (
     FrobeniusData,
     build_algebra,
@@ -488,6 +488,14 @@ def negate_a2_action(monkeypatch):
         return OModule(self.ctx.d, 8, [[-e for e in row] for row in self._module(2).action])
 
     monkeypatch.setattr(MuZLattice, "A2", property(negated))
+
+
+def freeze_first_crossing(monkeypatch):
+    """Circles read as if crossing 0 were always 0-resolved, so every cube
+    edge along crossing 0 keeps its circles: a fault in ``_circles_at``
+    that no planar diagram can cause."""
+    real = linkhom._circles_at
+    monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, (0, *vertex[1:])))
 
 
 def z_basis(alg):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import RINGS, bump_m_entry, negate_a2_action, ring_of
+from conftest import RINGS, bump_m_entry, freeze_first_crossing, negate_a2_action, ring_of
 from quadfrob import Ideal, RingContext, corpus, frobenius, omodule
 from quadfrob.cli import main, make_parser
 from quadfrob.frobenius import (
@@ -68,6 +68,23 @@ def test_ideal_classinfo_square_not_principal(capsys):
     assert code == 0
     assert err == ""
     assert out.splitlines()[-1] == "  not of order two: (3, 1+w) squared is not principal"
+
+
+def test_a_space_inside_a_number_is_malformed(capsys):
+    code, out, err = run(capsys, "ideal", "classinfo", "-d", "-5", "--gens", "1 0,1+w")
+    assert (code, out) == (3, "")
+    assert err.strip() == "malformed input: cannot parse element '1 0'"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("ideal", "classinfo", "-d", "2", "--gens", "2,1+w"), 2, "rejected: principality search needs d < 0"),
+    (("algebra", "family-eps0", "-d", "3", "--mu", "2,1+w", "--z", "2",
+      "--abar", "0", "--bbar", "1", "--eps1", "1"), 2, "rejected: is_unit needs d < 0"),
+    (("algebra", "search", "-d", "5"), 3,
+     "malformed input: d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis"),
+])
+def test_real_quadratic_d_is_rejected_and_unbuildable_d_malformed(argv, code, message, capsys):
+    assert run(capsys, *argv) == (code, "", message + "\n")
 
 
 def test_algebra_example(capsys):
@@ -311,6 +328,13 @@ def test_link_non_planar_pd_is_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "link", "homology", "--pd", str(bad))
     assert code == 3
     assert "not planar" in err
+
+
+def test_an_edge_that_keeps_its_circles_is_malformed(tmp_path, monkeypatch, capsys):
+    freeze_first_crossing(monkeypatch)
+    code, out, err = run(capsys, "link", "homology", "--pd", _trefoil_file(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.strip() == "malformed input: edge (0, 0, 0)->(1, 0, 0) changes circles 2->2"
 
 
 HOPF = {"crossings": [[1, 3, 4, 2], [3, 1, 2, 4]], "signs": [1, 1]}

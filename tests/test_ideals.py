@@ -161,23 +161,6 @@ def test_partition_of_z_far_from_the_origin(ctx):
     assert Ideal.from_generators(ctx, us) == mu70
 
 
-def test_ideal_json_and_hnf_validation(ctx, mu):
-    back = Ideal.from_json(ctx, mu.to_json())
-    assert back == mu
-    assert Ideal.from_json(ctx, {"hnf": [[2, 0], [1, 1]]}) == mu
-    for bad in (
-        {"hnf": [[2.9, 0], [1, True]]},
-        {"hnf": [["2", None], ["1", "1"]]},
-        {"hnf": ["20", "11"]},
-        {"hnf": "((2, 0), (1, 1))"},
-        [[2, 0], [1, 1]],
-    ):
-        with pytest.raises(ValueError):
-            Ideal.from_json(ctx, bad)
-    with pytest.raises(ValueError):
-        Ideal.from_hnf(ctx, [[1, 0], [0, 2]])  # not stable under sqrt(d)
-
-
 def test_unsupported_positive_d():
     ctx2 = RingContext(2)
     ideal = Ideal.from_generators(ctx2, [ctx2(2)])

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import diff_from, n_plus, search_hits, sparse_product, total_rank
+from conftest import diff_from, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
 from quadfrob import corpus, linkhom
 from quadfrob.frobenius import TwistSpec, twist
 from quadfrob.intlin import det_int
@@ -157,6 +157,12 @@ def test_resolve_r2pair():
     cube = resolve(corpus.diagram("unknot_r2pair"))
     counts = {v: cube.circle_count(v) for v in cube.circles}
     assert counts == {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): 2}
+
+
+def test_resolve_rejects_an_edge_that_keeps_its_circles(monkeypatch):
+    freeze_first_crossing(monkeypatch)
+    with pytest.raises(MalformedPDError, match=re.escape("edge (0, 0, 0)->(1, 0, 0) changes circles 2->2")):
+        resolve(corpus.diagram("trefoil"))
 
 
 # -- complexes ------------------------------------------------------------------

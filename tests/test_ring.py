@@ -131,7 +131,7 @@ def test_parse_element(ctx):
     assert parse_element(ctx, "3-2w") == ctx(3, -2)
     assert parse_element(ctx, " -4 + 2w ") == ctx(-4, 2)
     assert parse_element(ctx, "2w-1") == ctx(-1, 2)
-    for bad in ("", "x", "1++2", "w2"):
+    for bad in ("", "x", "1++2", "w2", "1 2", "1 2w"):
         with pytest.raises(ValueError):
             parse_element(ctx, bad)
 
@@ -139,23 +139,7 @@ def test_parse_element(ctx):
 def test_json_roundtrip(ctx):
     e = ctx(-4, 2)
     assert RingElement.from_json(ctx, e.to_json()) == e
-    k = FieldElement(ctx, Fraction(3, 2), Fraction(-1, 7))
-    assert FieldElement.from_json(ctx, k.to_json()) == k
-    assert RingContext.from_json(ctx.to_json()) == ctx
-
-
-@pytest.mark.parametrize("obj", [
-    {"x": {"num": 2.5, "den": True}, "y": {"num": "0", "den": "1"}},
-    {"x": {"num": "1", "den": "2"}, "y": {"num": None, "den": "1"}},
-    {"x": {"num": True, "den": "1"}, "y": {"num": "0", "den": "1"}},
-    {"x": {"num": "1", "den": "0"}, "y": {"num": "0", "den": "1"}},
-    {"x": {"num": "1", "den": 0}, "y": {"num": "0", "den": "1"}},
-    {"x": ["1", "2"], "y": {"num": "0", "den": "1"}},
-    [{"num": "1", "den": "2"}, {"num": "0", "den": "1"}],
-])
-def test_field_element_from_json_rejects_non_integers(ctx, obj):
-    with pytest.raises(ValueError):
-        FieldElement.from_json(ctx, obj)
+    assert RingContext.from_json({"d": -5}) == ctx
 
 
 def test_str_forms(ctx):
