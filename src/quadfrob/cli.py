@@ -392,7 +392,7 @@ def main(argv=None):
             except OSError as err:
                 print(f"cannot write the error report: {err}", file=sys.stderr)
         return EXIT_CHECK
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

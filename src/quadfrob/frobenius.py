@@ -28,6 +28,7 @@ from .ring import (
     ValidationError,
     Value,
     _set,
+    json_key,
 )
 
 
@@ -94,17 +95,18 @@ class FrobeniusData(Value):
     @classmethod
     def from_json(cls, obj):
         ctx = RingContext.from_json(obj)
-        if not isinstance(obj["mu_gens"], list):
-            raise ValueError(f"mu_gens must be a list of ring elements, got {obj['mu_gens']!r}")
-        gens = [RingElement.from_json(ctx, g) for g in obj["mu_gens"]]
+        mu_gens = json_key(obj, "mu_gens")
+        if not isinstance(mu_gens, list):
+            raise ValueError(f"mu_gens must be a list of ring elements, got {mu_gens!r}")
+        gens = [RingElement.from_json(ctx, g) for g in mu_gens]
         return cls(
             ctx=ctx,
             mu=Ideal.from_generators(ctx, gens),
-            z=RingElement.from_json(ctx, obj["z"]),
-            a_bar=RingElement.from_json(ctx, obj["a_bar"]),
-            b_bar=RingElement.from_json(ctx, obj["b_bar"]),
-            eps_one=RingElement.from_json(ctx, obj["eps_one"]),
-            eps_x_bar=RingElement.from_json(ctx, obj["eps_x_bar"]),
+            z=RingElement.from_json(ctx, json_key(obj, "z")),
+            a_bar=RingElement.from_json(ctx, json_key(obj, "a_bar")),
+            b_bar=RingElement.from_json(ctx, json_key(obj, "b_bar")),
+            eps_one=RingElement.from_json(ctx, json_key(obj, "eps_one")),
+            eps_x_bar=RingElement.from_json(ctx, json_key(obj, "eps_x_bar")),
         )
 
 
@@ -449,6 +451,15 @@ class FrobeniusAlgebra(omodule.AlgebraLattice):
 # Solution families
 
 
+def _with_duals(alg, name, c, d, d_prime):
+    """``alg`` once its duals are the closed forms (c, d, d') of the
+    ``name`` it was built as; InconsistentRoutesError otherwise."""
+    duals = alg.duals
+    if (duals.c, duals.d, duals.d_prime) != (c, d, d_prime):
+        raise InconsistentRoutesError(f"{name} duals disagree with the closed forms")
+    return alg
+
+
 def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one):
     """The zero-trace-on-X family: b_bar and eps(1) units, a_bar in O.
 
@@ -462,10 +473,7 @@ def family_eps_x_zero(mu, z, a_bar, b_bar, eps_one):
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, eps_one, ctx.zero)
     alg = build_algebra(data, relax_a_bar=True)
     expected_c = eps_one.unit_inverse()
-    expected_dp = b_bar.unit_inverse() * expected_c
-    if alg.duals.c != expected_c or not alg.duals.d.is_zero() or alg.duals.d_prime != expected_dp:
-        raise InconsistentRoutesError("family duals disagree with the closed forms")
-    return alg
+    return _with_duals(alg, "family", expected_c, ctx.zero, b_bar.unit_inverse() * expected_c)
 
 
 def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar):
@@ -486,14 +494,7 @@ def family_eps_x_one(mu, z, a_bar, eps_one, d_underbar):
     b_bar = e1_inv * e1_inv * (z - a_bar * eps_one - d_underbar.unit_inverse())
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, eps_one, z)
     alg = build_algebra(data)
-    t_bar = data.t_bar()
-    if (
-        alg.duals.c != -(d_underbar * t_bar)
-        or alg.duals.d != z * d_underbar
-        or alg.duals.d_prime != -(d_underbar * eps_one)
-    ):
-        raise InconsistentRoutesError("family duals disagree with the closed forms")
-    return alg
+    return _with_duals(alg, "family", -(d_underbar * data.t_bar()), z * d_underbar, -(d_underbar * eps_one))
 
 
 def example_zsqrtm5(s=1, eps_one=1):
@@ -514,11 +515,8 @@ def example_zsqrtm5(s=1, eps_one=1):
     b_bar = e1 * ((ctx(0, 1) - ctx(s) - ctx(2)) * e1 - ctx(3))
     data = FrobeniusData(ctx, mu, z, a_bar, b_bar, e1, eps_x_bar)
     alg = build_algebra(data)
-    t_bar = data.t_bar()
     se = ctx(s)
-    if alg.duals.d != se * eps_x_bar or alg.duals.c != -(se * t_bar) or alg.duals.d_prime != -(se * e1):
-        raise InconsistentRoutesError("worked example duals disagree with the closed forms")
-    return alg
+    return _with_duals(alg, "worked example", -(se * data.t_bar()), se * eps_x_bar, -(se * e1))
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ class SparseMatrix:
     """Integer matrix held as one dict {column: nonzero entry} per row.
 
     Indexing and iteration give dense rows, so a sparse matrix also reads
-    like the list-of-rows matrices of the rest of this module.
+    like the list-of-rows matrices of the rest of this module; it equals
+    only a SparseMatrix (compare ``to_dense()`` with a dense one).
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -354,8 +355,6 @@ class SparseMatrix:
     def __eq__(self, other):
         if isinstance(other, SparseMatrix):
             return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
-        if isinstance(other, list):
-            return self.to_dense() == other
         return NotImplemented
 
     def __repr__(self):

@@ -26,7 +26,7 @@ Homological degree is |v| - n_minus.
 """
 
 from .intlin import SparseMatrix, invariant_factors, reduce_units, sparse_rank
-from .ring import CheckFailedError, Value, _set, json_int
+from .ring import CheckFailedError, Value, _set, json_int, json_key
 
 
 class MalformedPDError(ValueError):
@@ -141,12 +141,12 @@ class PDCode(Value):
         must be JSON integers."""
         if not isinstance(obj, dict):
             raise MalformedPDError(f"expected a JSON object, got {obj!r}")
-        crossings, signs = obj["crossings"], obj["signs"]
-        if not isinstance(crossings, list) or not all(isinstance(c, list) for c in crossings):
-            raise MalformedPDError(f"crossings must be a list of lists, got {crossings!r}")
-        if not isinstance(signs, list):
-            raise MalformedPDError(f"signs must be a list, got {signs!r}")
         try:
+            crossings, signs = json_key(obj, "crossings"), json_key(obj, "signs")
+            if not isinstance(crossings, list) or not all(isinstance(c, list) for c in crossings):
+                raise ValueError(f"crossings must be a list of lists, got {crossings!r}")
+            if not isinstance(signs, list):
+                raise ValueError(f"signs must be a list, got {signs!r}")
             crossings = tuple(tuple(json_int(a) for a in c) for c in crossings)
             signs = tuple(json_int(s) for s in signs)
             loops = json_int(obj.get("loops", 0))

@@ -323,10 +323,6 @@ class MuZLattice:
         except (ValueError, NotDivisibleError) as exc:
             raise NotWellDefinedError(f"block {blk} leaves the lattice: {exc}") from None
 
-    def coords(self, elt):
-        a, b = self.mu.basis_coords(elt.u1)
-        return [elt.u0.x, elt.u0.y, a, b]
-
     def pure2(self, x, y):
         """x (x) y in the coordinates of A (x)_O A, for x = (x0, x1) standing
         for x0 + x1 X and y alike: x0 y0, x0 y1, x1 y0 and x1 y1 / z on the
@@ -606,9 +602,10 @@ class AlgebraLattice:
     (checked against its mu and z by ``analyze``), holds what depends only
     on (mu, z).  ``mult``, its MultiplicationLattice of (a_bar, b_bar),
     holds m, the maps (g_i X .) (x) id, X_hat and the ker(m) analysis.
-    What is computed here, once per algebra, is what needs the counit:
-    Delta(1), Delta, the handle operator and the cube's edge blocks.  O
-    acts on vectors of A (x)_O A as x v + y J v.
+    What needs the counit is here: Delta(1) and Delta, built and checked on
+    each read, and eps (x) id, the handle operator and the cube's edge
+    blocks, built once per algebra and kept.  O acts on vectors of
+    A (x)_O A as x v + y J v.
 
     Delta(1) = c 1(x)1 + d (1(x)X + X(x)1) + d' zX(x)X is read off the
     duals, and Delta = [Delta(1), J Delta(1), L_1 Delta(1), L_2 Delta(1)]
@@ -623,15 +620,15 @@ class AlgebraLattice:
         self.duals = duals
         self.mu_z = mu_z
         self.mult = mu_z.multiplication(data.a_bar, data.b_bar)
-        self._delta1 = None
-        self._delta = None
         self._handle = None
         self._edges = {}
 
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, elt):
-        return self.mu_z.coords(elt)
+        """The coordinates of ``elt`` over A's Z-basis 1, sqrt(d), g1 X, g2 X."""
+        a, b = self.mu_z.mu.basis_coords(elt.u1)
+        return [elt.u0.x, elt.u0.y, a, b]
 
     def tensor_power(self, n):
         """The projection of the Z-tensor power onto A^(x n), kept on
@@ -672,12 +669,10 @@ class AlgebraLattice:
     def comultiply_one(self):
         """Delta(1) as a tuple of coordinates of A (x)_O A, checked by the
         counit identity (eps (x) id) Delta(1) = 1."""
-        if self._delta1 is None:
-            d1 = self._delta_one()
-            if mat_vec(self._counit_first, d1) != [1, 0, 0, 0]:
-                raise NotWellDefinedError("counit identity (eps (x) id) Delta(1) = 1 fails")
-            self._delta1 = tuple(d1)
-        return self._delta1
+        d1 = self._delta_one()
+        if mat_vec(self._counit_first, d1) != [1, 0, 0, 0]:
+            raise NotWellDefinedError("counit identity (eps (x) id) Delta(1) = 1 fails")
+        return tuple(d1)
 
     def comultiply(self, x):
         """Delta(x) = Delta coords(x), a tuple of coordinates of A (x)_O A."""
@@ -687,15 +682,13 @@ class AlgebraLattice:
         """Delta on A, column i Delta(e_i) = (e_i . (x) id) Delta(1): Delta(1)
         itself, sqrt(d) on it, and the maps of ``x_first_factor_maps`` on it;
         checked by the counit identity (eps (x) id) Delta = id."""
-        if self._delta is None:
-            d1 = list(self.comultiply_one())
-            cols = [d1, mat_vec(self.mu_z.A2.action, d1)]
-            cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
-            delta = transpose(cols, ncols=8)
-            if mat_mul(self._counit_first, delta) != identity(4):
-                raise NotWellDefinedError("counit identity (eps (x) id) Delta = id fails")
-            self._delta = delta
-        return self._delta
+        d1 = list(self.comultiply_one())
+        cols = [d1, mat_vec(self.mu_z.A2.action, d1)]
+        cols += [mat_vec(l_map, d1) for l_map in self.mult.x_first_factor_maps()]
+        delta = transpose(cols, ncols=8)
+        if mat_mul(self._counit_first, delta) != identity(4):
+            raise NotWellDefinedError("counit identity (eps (x) id) Delta = id fails")
+        return delta
 
     def handle_matrix(self):
         if self._handle is None:

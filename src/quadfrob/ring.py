@@ -36,10 +36,22 @@ class ClosureError(ValidationError):
     built with the relaxed a_bar precondition)."""
 
 
+_JSON_DECIMAL_RE = re.compile(r"-?[0-9]+")
+
+
+def json_key(obj, key):
+    """obj[key] for a JSON object read from input; ValueError naming the
+    key when it is missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+
+
 def json_int(value, *, text=False):
     """An integer read from JSON: an int, not a bool or a float, or with
-    ``text`` also the decimal string that ``to_json`` writes."""
-    if text and isinstance(value, str):
+    ``text`` also the ASCII decimal string that ``to_json`` writes."""
+    if text and isinstance(value, str) and _JSON_DECIMAL_RE.fullmatch(value):
         return int(value)
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
@@ -147,7 +159,7 @@ class RingContext(Value):
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object with the ring parameter d, got {obj!r}")
-        return cls(json_int(obj["d"]))
+        return cls(json_int(json_key(obj, "d")))
 
 
 class RingElement(Value):
@@ -282,7 +294,7 @@ class RingElement(Value):
     def from_json(cls, ctx, obj):
         if not isinstance(obj, dict):
             raise ValueError(f"expected a ring element {{x, y}}, got {obj!r}")
-        return cls(ctx, json_int(obj["x"], text=True), json_int(obj["y"], text=True))
+        return cls(ctx, json_int(json_key(obj, "x"), text=True), json_int(json_key(obj, "y"), text=True))
 
 
 class FieldElement(Value):
@@ -378,7 +390,7 @@ class FieldElement(Value):
         }
 
 
-_TERM = r"(\d+w?|w)"
+_TERM = r"([0-9]+w?|w)"
 _ELEMENT_RE = re.compile(rf"[+-]?{_TERM}([+-]{_TERM})*")
 _SIGNED_TERM_RE = re.compile(rf"([+-]?){_TERM}")
 

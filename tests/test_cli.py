@@ -5,7 +5,7 @@ import os
 import pytest
 
 from conftest import RINGS, bump_m_entry, freeze_first_crossing, negate_a2_action, ring_of
-from quadfrob import Ideal, RingContext, corpus, frobenius, omodule
+from quadfrob import Ideal, RingContext, corpus, frobenius, linkhom, omodule
 from quadfrob.cli import main, make_parser
 from quadfrob.frobenius import (
     FrobeniusData,
@@ -74,6 +74,12 @@ def test_a_space_inside_a_number_is_malformed(capsys):
     code, out, err = run(capsys, "ideal", "classinfo", "-d", "-5", "--gens", "1 0,1+w")
     assert (code, out) == (3, "")
     assert err.strip() == "malformed input: cannot parse element '1 0'"
+
+
+def test_a_non_ascii_digit_is_malformed(capsys):
+    code, out, err = run(capsys, "ideal", "classinfo", "-d", "-5", "--gens", "\u0663,1+w")
+    assert (code, out) == (3, "")
+    assert err.strip() == "malformed input: cannot parse element '\u0663'"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -337,6 +343,15 @@ def test_an_edge_that_keeps_its_circles_is_malformed(tmp_path, monkeypatch, caps
     assert err.strip() == "malformed input: edge (0, 0, 0)->(1, 0, 0) changes circles 2->2"
 
 
+def test_a_lookup_fault_inside_a_command_is_not_malformed_input(tmp_path, monkeypatch):
+    def fault(pd, vertex):
+        raise KeyError("arc 7")
+
+    monkeypatch.setattr(linkhom, "_circles_at", fault)
+    with pytest.raises(KeyError, match="arc 7"):
+        main(["link", "homology", "--pd", _trefoil_file(tmp_path)])
+
+
 HOPF = {"crossings": [[1, 3, 4, 2], [3, 1, 2, 4]], "signs": [1, 1]}
 
 
@@ -387,6 +402,21 @@ def test_algebra_json_of_the_wrong_shape_is_malformed(change, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and err.startswith("malformed input:")
+
+
+def test_a_missing_key_is_malformed_and_named(tmp_path, capsys):
+    _, payload, _ = run_json(capsys, "algebra", "example-zsqrtm5")
+    no_z = tmp_path / "no_z.json"
+    no_z.write_text(json.dumps({k: v for k, v in payload["data"].items() if k != "z"}))
+    no_crossings = tmp_path / "no_crossings.json"
+    no_crossings.write_text(json.dumps({"signs": [1, 1]}))
+    for argv, key in [
+        (("link", "homology", "--pd", str(no_crossings)), "crossings"),
+        (("algebra", "validate", "--alg", str(no_z)), "z"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.strip() == f"malformed input: missing key {key!r}"
 
 
 def test_algebra_json_integers_in_either_form(tmp_path, capsys):

@@ -235,6 +235,17 @@ def test_delta_fails_the_counit_identity_that_delta_one_passes(monkeypatch):
         alg.delta_matrix()
 
 
+def test_delta_one_and_delta_are_checked_on_every_read(monkeypatch):
+    alg = example_zsqrtm5(1, 1)
+    alg.comultiply_one()
+    alg.delta_matrix()
+    delta_one = omodule.AlgebraLattice._delta_one
+    monkeypatch.setattr(omodule.AlgebraLattice, "_delta_one", lambda self: [2 * e for e in delta_one(self)])
+    for read in (alg.comultiply_one, alg.delta_matrix):
+        with pytest.raises(NotWellDefinedError, match=r"counit identity \(eps \(x\) id\) Delta\(1\) = 1 fails"):
+            read()
+
+
 def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
     mu_z = alg_worked.mu_z
     g1 = mu_z.gens[0].to_field()

@@ -131,9 +131,24 @@ def test_parse_element(ctx):
     assert parse_element(ctx, "3-2w") == ctx(3, -2)
     assert parse_element(ctx, " -4 + 2w ") == ctx(-4, 2)
     assert parse_element(ctx, "2w-1") == ctx(-1, 2)
-    for bad in ("", "x", "1++2", "w2", "1 2", "1 2w"):
+    for bad in ("", "x", "1++2", "w2", "1 2", "1 2w", "\u0663", "1+\u0663w"):
         with pytest.raises(ValueError):
             parse_element(ctx, bad)
+
+
+def test_ring_element_from_json_reads_only_ascii_decimals(ctx):
+    # what to_json writes, -?[0-9]+, and nothing else that int() would take
+    assert RingElement.from_json(ctx, {"x": "-12", "y": "007"}) == ctx(-12, 7)
+    for bad in ("1_0", " 12 ", "+5", "\u0663", "1.0", ""):
+        with pytest.raises(ValueError, match="expected an integer"):
+            RingElement.from_json(ctx, {"x": bad, "y": "0"})
+
+
+def test_a_missing_key_is_named(ctx):
+    with pytest.raises(ValueError, match="missing key 'd'"):
+        RingContext.from_json({})
+    with pytest.raises(ValueError, match="missing key 'y'"):
+        RingElement.from_json(ctx, {"x": "1"})
 
 
 def test_json_roundtrip(ctx):
