@@ -16,14 +16,16 @@ Chain groups are the monomial presentation of A^(x circles) from
 ``MuZLattice.sqrt_d_rows``.  Differentials are sparse.
 
 Homology is computed once per complex: Gaussian elimination of unit
-entries and the invariant factors of what is left, on sparse rows with the
-one Euclid pivot of ``intlin``.  The ranks that check it come from a
+entries, d^2 = 0 on what is left, and its invariant factors, on sparse
+rows with the one Euclid pivot of ``intlin``.  The ranks that check it come from a
 separate row echelon (``intlin.sparse_rank``): the free Z-ranks must match
 the ranks over Q, and ranks mod p must match the universal-coefficient
 count of the torsion.
 
 Homological degree is |v| - n_minus.
 """
+
+import copy
 
 from .intlin import SparseMatrix, invariant_factors, reduce_units, sparse_rank
 from .ring import CheckFailedError, Value, _set, json_int, json_key
@@ -328,7 +330,8 @@ def build_complex(pd, alg):
     for v, j in sorted(cube.edges):  # each row dict then lists its columns in vertex order
         w = v[:j] + (1,) + v[j + 1 :]
         kind, src, tgt = cube.edges[(v, j)]
-        tgt_map = _edge_target_map(cube, v, w, src, tgt)
+        # circles are ordered by least arc, so the untouched ones keep their order
+        tgt_map = [p for p in range(len(cube.circles[w])) if p not in tgt] + tgt
         sign = -1 if sum(v[:j]) % 2 else 1
         rows, row_off, col_off = diffs[sum(v)].rows, offsets[w], offsets[v]
         for r, c, e in alg.edge_entries(kind, cube.circle_count(v), src, tgt_map):
@@ -352,15 +355,6 @@ def build_complex(pd, alg):
     cx.check_equivariance()
     cx.checks = ["d_squared", "equivariance"]
     return cx
-
-
-def _edge_target_map(cube, v, w, src, tgt):
-    """Positions, in the target circle order, of the intermediate factors:
-    the untouched source circles in order, then ``tgt``, the merged circle
-    or the two split ones, which ``resolve`` lists in ascending order."""
-    cv, cw = cube.circles[v], cube.circles[w]
-    tgt_index = {c: i for i, c in enumerate(cw)}
-    return [tgt_index[c] for i, c in enumerate(cv) if i not in src] + tgt
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +384,18 @@ class HomologyReport:
         }
 
 
-class _Homology:
-    def __init__(self, table, remainder, checks):
-        self.table = table  # degree -> (free Z-rank, torsion invariants)
-        self.remainder = remainder  # the Complex left after unit elimination
-        self.checks = checks
-
-
 def _homology(cx):
-    """The one homology computation of a complex, cached on it."""
+    """The one homology computation of a complex, cached on it: (report,
+    remainder).  The remainder left by unit elimination must itself be a
+    complex (check ``remainder_d_squared``) before its invariant factors
+    are read; the report holds the degrees with their ``k_dim``, the notes
+    naming each torsion invariant whose primes ``check_mod_p`` could not
+    find, and every check that ran, in run order."""
     if cx._homology is None:
         q_ranks = [sparse_rank(d) for d in cx.diffs]
         kept, reduced = reduce_units(cx.diffs, cx.ranks)
         small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes))
+        small.check_d_squared()
         table = smith_homology(small)
         for i, q in _dims_from_ranks(cx, q_ranks).items():
             if q != table[i][0]:
@@ -411,9 +404,20 @@ def _homology(cx):
                 )
             if q % 2 and cx.actions is not None:
                 raise RouteDisagreementError(f"degree {i}: odd dimension {q} over Q for a complex over O")
-        checks = ["k_rank_vs_z_rank"] + [f"mod_{p}" for p in check_mod_p(cx, table)]
+        checks = cx.checks + ["remainder_d_squared", "k_rank_vs_z_rank"]
+        checks += [f"mod_{p}" for p in check_mod_p(cx, table)]
         checks += [f"remainder_mod_{p}" for p in check_mod_p(small, table, REMAINDER_PRIMES)]
-        cx._homology = _Homology(table, small, checks)
+        degrees, notes = {}, list(cx.notes)
+        for i, (free, torsion) in sorted(table.items()):
+            if free or torsion:
+                degrees[i] = {"z_rank": free, "torsion": list(torsion), "k_dim": free // 2}
+            for t in torsion:
+                rest = _prime_factors(t)[1]
+                if rest > 1:
+                    notes.append(f"degree {i}: torsion invariant {t} has the cofactor {rest}, too large to factor;"
+                                 " its primes were not checked mod p")
+        total_k = sum(free // 2 for free, _ in table.values())
+        cx._homology = (HomologyReport(degrees, total_k, notes, checks), small)
     return cx._homology
 
 
@@ -496,40 +500,25 @@ def _prime_factors(n):
 
 def homology_integral(cx):
     """Per-degree abelian-group homology: unit elimination, then the
-    invariant factors of the small remainder.  The notes name each torsion
-    invariant whose primes ``check_mod_p`` could not find."""
-    h = _homology(cx)
-    out = {}
-    total_k = 0
-    notes = list(cx.notes)
-    for i, (free, torsion) in sorted(h.table.items()):
-        k_dim = free // 2
-        total_k += k_dim
-        if free or torsion:
-            out[i] = {"z_rank": free, "torsion": list(torsion), "k_dim": k_dim}
-        for t in torsion:
-            rest = _prime_factors(t)[1]
-            if rest > 1:
-                notes.append(f"degree {i}: torsion invariant {t} has the cofactor {rest}, too large to factor;"
-                             " its primes were not checked mod p")
-    return HomologyReport(out, total_k, notes=notes, checks=cx.checks + h.checks)
+    invariant factors of the small remainder.  Each call returns a fresh
+    copy of the cached report, so no caller can change another's."""
+    return copy.deepcopy(_homology(cx)[0])
 
 
 def homology_over_K(cx):
-    """Per-degree dimensions over K: half the free Z-ranks, which the
-    ``k_rank_vs_z_rank`` check has matched with the dimensions over Q from
-    the ranks of the unsimplified differentials."""
+    """Per-degree dimensions over K: the report's ``k_dim``s, half the free
+    Z-ranks, which the ``k_rank_vs_z_rank`` check has matched with the
+    dimensions over Q from the ranks of the unsimplified differentials."""
     if cx.actions is None:
         raise ValueError("needs the unsimplified, equivariant complex")
-    return {i: free // 2 for i, (free, _) in _homology(cx).table.items() if free}
+    return {i: v["k_dim"] for i, v in _homology(cx)[0].degrees.items() if v["k_dim"]}
 
 
 def simplify(cx):
     """The complex left after Gaussian elimination of unit entries; it is
-    homotopy equivalent, so homology is unchanged while ranks shrink."""
-    small = _homology(cx).remainder
-    small.check_d_squared()
-    return small
+    homotopy equivalent, so homology is unchanged while ranks shrink.  Its
+    d^2 = 0 was checked once, where ``_homology`` made it."""
+    return _homology(cx)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,18 @@ def tensor_over_O(m, n):
 
 
 class KernelReport:
-    # a report exists only once ker(m) = X_mu + O X_hat has been verified:
-    # the analysis raises DirectSumFailureError otherwise
-    direct_sum_verified = True
+    """The ker(m) analysis at one generator search bound.  A report exists
+    only once ker(m) = X_mu + O X_hat and the two multiplication-action
+    identities on it have been verified: the analysis raises
+    DirectSumFailureError otherwise, so both flags are always True."""
 
-    def __init__(self, kernel_basis, xu_basis, xhat, action_formulas_verified, generator, search_bound, notes):
+    direct_sum_verified = True
+    action_formulas_verified = True
+
+    def __init__(self, kernel_basis, xu_basis, xhat, generator, search_bound, notes):
         self.kernel_basis = kernel_basis
         self.xu_basis = xu_basis
         self.xhat = xhat
-        self.action_formulas_verified = action_formulas_verified
         self.generator = generator  # (u, unit value) when found, else None
         self.search_bound = search_bound
         self.notes = notes
@@ -510,8 +513,8 @@ class MultiplicationLattice:
     def _kernel_parts(self):
         """What no search bound changes: ker(m), which must be stable under
         sqrt(d), with its Hermite form, X_g1, X_g2 and X_hat, whose span
-        must be ker(m) = X_mu + O X_hat, and whether the two action
-        identities hold."""
+        must be ker(m) = X_mu + O X_hat and satisfy the two action
+        identities."""
         if self._kernel is None:
             mu_z = self.mu_z
             j2 = mu_z.A2.action
@@ -534,17 +537,18 @@ class MultiplicationLattice:
 
             # the two multiplication-action identities on ker(m); o in O acts on
             # a vector v of A (x)_O A as o.x v + o.y J v
-            formulas_ok = True
             for u, lmat, coeff, quotients in zip(
                 mu_z.gens, self.x_first_factor_maps(), self.a_quotients, mu_z.x_quotients
             ):
                 lhs = mat_vec(lmat, xhat)
                 rhs = [coeff.x * a + coeff.y * b - c for a, b, c in zip(xhat, jxhat, mu_z.x_u(self.b_bar * u))]
-                formulas_ok = formulas_ok and lhs == rhs
+                if lhs != rhs:
+                    raise DirectSumFailureError(f"X_{u} acting on X_hat breaks its identity on ker(m)")
                 for xup, q in zip(xus, quotients):
                     rhs2 = [-(q.x * a + q.y * b) for a, b in zip(xhat, jxhat)]
-                    formulas_ok = formulas_ok and mat_vec(lmat, xup) == rhs2
-            self._kernel = (ker_rows, ker_hnf, xus, xhat, formulas_ok)
+                    if mat_vec(lmat, xup) != rhs2:
+                        raise DirectSumFailureError(f"X_{u} acting on X_mu breaks its identity on ker(m)")
+            self._kernel = (ker_rows, ker_hnf, xus, xhat)
         return self._kernel
 
     def _generator(self, search_bound):
@@ -553,7 +557,7 @@ class MultiplicationLattice:
         and X_hat - X_u generating ker(m) over A."""
         if search_bound not in self._generators:
             mu_z = self.mu_z
-            _, ker_hnf, _, xhat, _ = self._kernel_parts()
+            _, ker_hnf, _, xhat = self._kernel_parts()
             j2 = mu_z.A2.action
             lmats = self.x_first_factor_maps()
             generator = None
@@ -579,13 +583,12 @@ class MultiplicationLattice:
         another's."""
         if search_bound < 0:
             raise ValueError("bound must be nonnegative")
-        ker_rows, _, xus, xhat, formulas_ok = self._kernel_parts()
+        ker_rows, _, xus, xhat = self._kernel_parts()
         generator, notes = self._generator(search_bound)
         return KernelReport(
             kernel_basis=[list(row) for row in ker_rows],
             xu_basis=[list(v) for v in xus],
             xhat=list(xhat),
-            action_formulas_verified=formulas_ok,
             generator=generator,
             search_bound=search_bound,
             notes=list(notes),

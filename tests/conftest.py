@@ -498,6 +498,35 @@ def freeze_first_crossing(monkeypatch):
     monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, (0, *vertex[1:])))
 
 
+def bump_remainder_entry(monkeypatch):
+    """Entry (0, 0) of the remainder's d_3 +1 as unit elimination returns
+    it.  On worked T(2,5) the remainder then has d^2 != 0, yet its Smith
+    table and every rank count still agree: only ``remainder_d_squared``
+    sees the fault."""
+    real = linkhom.reduce_units
+
+    def bumped(diffs, ranks):
+        kept, reduced = real(diffs, ranks)
+        row = reduced[3].rows[0]
+        row[0] = row.get(0, 0) + 1
+        return kept, reduced
+
+    monkeypatch.setattr(linkhom, "reduce_units", bumped)
+
+
+def double_x_u_off_the_generators(monkeypatch):
+    """X_u doubled for every u other than mu's two HNF generators: X_g1 and
+    X_g2 still span X_mu, so ker(m) still splits, but X_(b_bar g) is no
+    longer linear in u and the action identities on ker(m) fail."""
+    real = MuZLattice.x_u
+
+    def doubled(self, u):
+        x = real(self, u)
+        return x if u in self.gens else [2 * e for e in x]
+
+    monkeypatch.setattr(MuZLattice, "x_u", doubled)
+
+
 def z_basis(alg):
     """A's Z-basis 1, sqrt(d), g1 X, g2 X as algebra elements, the factor
     basis of the Z-tensor powers."""

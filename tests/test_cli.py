@@ -4,7 +4,15 @@ import os
 
 import pytest
 
-from conftest import RINGS, bump_m_entry, freeze_first_crossing, negate_a2_action, ring_of
+from conftest import (
+    RINGS,
+    bump_m_entry,
+    bump_remainder_entry,
+    double_x_u_off_the_generators,
+    freeze_first_crossing,
+    negate_a2_action,
+    ring_of,
+)
 from quadfrob import Ideal, RingContext, corpus, frobenius, linkhom, omodule
 from quadfrob.cli import main, make_parser
 from quadfrob.frobenius import (
@@ -532,6 +540,32 @@ def test_validation_routes_failure_exits_5(monkeypatch, capsys):
 def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(MultiplicationLattice, "x_hat", lambda self: [0] * 8)
     _assert_check_failed(capsys, "ker_m_splitting", "kernel")
+
+
+def _worked_file(tmp_path):
+    path = tmp_path / "worked.json"
+    path.write_text(json.dumps(example_zsqrtm5(1, 1).data.to_json()))
+    return str(path)
+
+
+def test_a_failed_action_identity_exits_5(tmp_path, monkeypatch, capsys):
+    # the worked algebra's b_bar g1 is no generator of mu, so its X_u doubles
+    double_x_u_off_the_generators(monkeypatch)
+    alg = _worked_file(tmp_path)
+    code, payload, err = run_json(capsys, "kernel", "--alg", alg)
+    assert code == 5
+    assert payload["error"]["check"] == "ker_m_splitting" and payload["error"]["inputs"] == {"alg": alg}
+    assert "acting on X_hat breaks its identity on ker(m)" in err
+
+
+@pytest.mark.parametrize("action", ["compare", "lee-check"])
+def test_a_remainder_with_nonzero_d_squared_exits_5(action, tmp_path, monkeypatch, capsys):
+    pd = tmp_path / "t25.json"
+    pd.write_text(json.dumps(corpus.braid_closure((1,) * 5, 2).to_json()))
+    bump_remainder_entry(monkeypatch)
+    pds = ["--pd1", str(pd), "--pd2", str(pd)] if action == "compare" else ["--pd", str(pd)]
+    err = _assert_check_failed(capsys, "d_squared", "link", action, "--alg", _worked_file(tmp_path), *pds)
+    assert "d^2 != 0 at degree 2" in err
 
 
 def test_well_defined_failure_exits_5(monkeypatch, capsys):

@@ -30,7 +30,7 @@ from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
 from quadfrob.intlin import det_int
-from quadfrob.linkhom import build_complex, homology_integral
+from quadfrob.linkhom import build_complex, check_mod_p, homology_integral, simplify, smith_homology
 
 
 def khovanov_t2n(n):
@@ -149,3 +149,24 @@ def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_eps0, alg_worked
                 assert p >= 0, case
                 assert torsion.get(i + 1, 1) == n ** p, case
             assert p == 0, case
+
+
+def test_no_torsion_at_a_prime_that_does_not_divide_the_handle_determinant(alg_eps0, alg_worked, alg_eps1):
+    # the corollary of README's sketch ("What the homology sees"): at a
+    # prime q with q not dividing N, the algebra is locally free with a
+    # separable X-relation, so H has no q-torsion and the count mod q is
+    # the free rank alone
+    diagrams = [corpus.diagram(name) for name in corpus.names()]
+    cases = 0
+    for alg in [alg_eps0, alg_worked, alg_eps1] + search_hits():
+        n = det_int(alg.handle_matrix())
+        primes = [q for q in (2, 3, 5, 7, 11, 13) if n % q]
+        for pd in diagrams:
+            cx = build_complex(pd, alg)
+            table = smith_homology(simplify(cx))
+            for q in primes:
+                case = (alg.data.to_json(), pd.to_json(), q, n)
+                assert not any(t % q == 0 for _, torsion in table.values() for t in torsion), case
+                assert check_mod_p(cx, table, {q}) == [q], case
+                cases += 1
+    assert cases == 952

@@ -13,17 +13,19 @@ import tracemalloc
 
 import pytest
 
-from conftest import reduce_units_reference, sparse_from_dense, total_rank, unit_free_matrices
+from conftest import bump_remainder_entry, reduce_units_reference, sparse_from_dense, total_rank, unit_free_matrices
 from quadfrob import cli, corpus, intlin, linkhom, omodule
 from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
 from quadfrob.linkhom import (
     CheckFailedError,
     Complex,
+    DifferentialSquareNonzeroError,
     ModPCheckError,
     RouteDisagreementError,
     build_complex,
     check_mod_p,
     homology_integral,
+    homology_over_K,
     simplify,
     smith_homology,
 )
@@ -410,9 +412,9 @@ def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(linkhom, "smith_homology", real)
     assert cli.main(["link", "homology", "--pd", str(pd), "--format", "json"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["homology"]["checks"] == ["d_squared", "equivariance", "k_rank_vs_z_rank", "mod_2"] + [
-        f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)
-    ]
+    assert payload["homology"]["checks"] == [
+        "d_squared", "equivariance", "remainder_d_squared", "k_rank_vs_z_rank", "mod_2",
+    ] + [f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)]
     assert issubclass(ModPCheckError, CheckFailedError)
     # every internal check, in every module, fails under its own name
     family, todo = [], [CheckFailedError]
@@ -433,3 +435,57 @@ def test_check_equivariance_needs_the_unsimplified_complex(alg_eps0):
     assert small.actions is None
     with pytest.raises(ValueError, match="needs the unsimplified, equivariant complex"):
         small.check_equivariance()
+
+
+def test_the_remainder_is_checked_once_per_complex(alg_worked, tmp_path, monkeypatch, capsys):
+    """d^2 = 0 runs once on each remainder, where ``_homology`` makes it,
+    whichever command or function reads the homology."""
+    checked = []
+    real = Complex.check_d_squared
+
+    def counting(self):
+        if self.actions is None:  # a remainder; build_complex's complex has its sqrt(d)-action
+            checked.append(self)
+        real(self)
+
+    monkeypatch.setattr(Complex, "check_d_squared", counting)
+    pds = {}
+    for name in ("trefoil", "figure8"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(corpus.diagram(name).to_json()))
+        pds[name] = str(path)
+    for argv, complexes in (
+        (["homology", "--pd", pds["trefoil"]], 1),
+        (["compare", "--pd1", pds["trefoil"], "--pd2", pds["figure8"]], 2),
+        (["lee-check", "--pd", pds["trefoil"]], 1),
+    ):
+        checked.clear()
+        assert cli.main(["link", *argv]) == cli.EXIT_OK
+        assert len(checked) == len({id(c) for c in checked}) == complexes, argv
+    capsys.readouterr()
+    checked.clear()
+    cx = build_complex(corpus.diagram("trefoil"), alg_worked)
+    for _ in range(2):
+        homology_integral(cx)
+        homology_over_K(cx)
+        assert simplify(cx) is checked[0]
+    assert len(checked) == 1
+
+
+def test_a_remainder_with_nonzero_d_squared_fails_every_reader(alg_worked, monkeypatch):
+    # its Smith table and every rank count agree, so no other check sees it
+    bump_remainder_entry(monkeypatch)
+    for read in (homology_integral, homology_over_K, simplify):
+        cx = build_complex(corpus.braid_closure((1,) * 5, 2), alg_worked)
+        with pytest.raises(DifferentialSquareNonzeroError, match="d\\^2 != 0 at degree 2"):
+            read(cx)
+
+
+def test_each_homology_report_is_a_fresh_copy(alg_worked):
+    cx = build_complex(corpus.diagram("trefoil"), alg_worked)
+    first = homology_integral(cx)
+    before = first.to_json()
+    first.degrees[3]["torsion"].append(5)
+    first.checks.clear()
+    first.notes.append("changed")
+    assert homology_integral(cx).to_json() == before

@@ -32,8 +32,6 @@ from quadfrob.linkhom import (
     MalformedPDError,
     PDCode,
     ResolutionCube,
-    _Homology,
-    _homology,
     build_complex,
     homology_integral,
     resolve,
@@ -90,7 +88,7 @@ RECORDS = {
         lambda: example_zsqrtm5(1, 1).report,
     ),
     KernelReport: (
-        ("kernel_basis", "xu_basis", "xhat", "action_formulas_verified", "generator", "search_bound", "notes"),
+        ("kernel_basis", "xu_basis", "xhat", "generator", "search_bound", "notes"),
         lambda: example_zsqrtm5(1, 1).kernel_m_analysis(),
     ),
     HomologyReport: (("degrees", "total_k_dim", "notes", "checks"), lambda: homology_integral(_cx())),
@@ -98,7 +96,6 @@ RECORDS = {
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
     Complex: (("min_degree", "ranks", "diffs", "actions", "notes"), _cx),
-    _Homology: (("table", "remainder", "checks"), lambda: _homology(_cx())),
 }
 
 
