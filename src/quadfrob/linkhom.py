@@ -517,8 +517,9 @@ def homology_over_K(cx):
 def simplify(cx):
     """The complex left after Gaussian elimination of unit entries; it is
     homotopy equivalent, so homology is unchanged while ranks shrink.  Its
-    d^2 = 0 was checked once, where ``_homology`` made it."""
-    return _homology(cx)[1]
+    d^2 = 0 was checked once, where ``_homology`` made it; each call returns
+    a fresh copy, so no caller can change another's."""
+    return copy.deepcopy(_homology(cx)[1])
 
 
 # ---------------------------------------------------------------------------

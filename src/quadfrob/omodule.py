@@ -152,18 +152,22 @@ class KernelReport:
     """The ker(m) analysis at one generator search bound.  A report exists
     only once ker(m) = X_mu + O X_hat and the two multiplication-action
     identities on it have been verified: the analysis raises
-    DirectSumFailureError otherwise, so both flags are always True."""
+    DirectSumFailureError otherwise, so both flags are always True.  Its
+    one note, if any, is read off ``generator`` and ``search_bound``."""
 
     direct_sum_verified = True
     action_formulas_verified = True
 
-    def __init__(self, kernel_basis, xu_basis, xhat, generator, search_bound, notes):
+    def __init__(self, kernel_basis, xu_basis, xhat, generator, search_bound):
         self.kernel_basis = kernel_basis
         self.xu_basis = xu_basis
         self.xhat = xhat
         self.generator = generator  # (u, unit value) when found, else None
         self.search_bound = search_bound
-        self.notes = notes
+
+    @property
+    def notes(self):
+        return [] if self.iso_to_A else [f"no generator found within coordinate bound {self.search_bound}"]
 
     @property
     def iso_to_A(self):
@@ -185,7 +189,7 @@ class KernelReport:
             "generator": gen,
             "iso_to_A": self.iso_to_A,
             "search_bound": self.search_bound,
-            "notes": list(self.notes),
+            "notes": self.notes,
         }
 
 
@@ -416,7 +420,7 @@ class MultiplicationLattice:
     not on the counit, the second of the two shared layers under an algebra:
     m and the maps (g_i X .) (x) id on A (x)_O A, X_hat, and the ker(m)
     analysis: ker(m) = X_mu + O X_hat, the two action identities and, per
-    search bound, the single-generator search.
+    search bound, the walk for a u with X_hat - X_u generating, decided in O.
 
     m and the X-maps are written in closed form on the monomial
     coordinates, with ring arithmetic in O and zX^2 = b_bar + a_bar X.
@@ -446,7 +450,7 @@ class MultiplicationLattice:
         self._m = None
         self._x_maps = None
         self._kernel = None
-        self._generators = {}  # search_bound -> (generator, notes)
+        self._generators = {}  # search_bound -> (u, val) or None
 
     @functools.cached_property
     def a_quotients(self):
@@ -552,46 +556,37 @@ class MultiplicationLattice:
         return self._kernel
 
     def _generator(self, search_bound):
-        """(generator, notes) of the walk over u = 0 and mu's lattice points
-        within ``search_bound`` for u with -b_bar + u (a_bar + u) / z a unit
-        and X_hat - X_u generating ker(m) over A."""
+        """(u, val) for the first u, over u = 0 and mu's lattice points within
+        ``search_bound``, with val = -b_bar + u (a_bar + u) / z a unit, else
+        None.  Once ``_kernel_parts`` has passed, [ker(m) : A (X_hat - X_u)]
+        = |N(val)|: with ker(m) = {X_p + q X_hat} <-> (p, q) in mu + O, the
+        checked identities send X_hat - X_u to (-u, 1) and g X times it to
+        (-b_bar g, g (a_bar + u) / z), and (p, q) -> (p + u q, q) maps the
+        A-span onto val mu + O, of index |N(val)| in mu + O."""
         if search_bound not in self._generators:
             mu_z = self.mu_z
-            _, ker_hnf, _, xhat = self._kernel_parts()
-            j2 = mu_z.A2.action
-            lmats = self.x_first_factor_maps()
             generator = None
-            notes = []
             for u in itertools.chain([mu_z.ctx.zero], mu_z.mu.lattice_points(search_bound)):
                 val = -self.b_bar + (u * (self.a_bar + u)).exact_div(mu_z.z)
-                if not val.is_unit():
-                    continue
-                xtilde = [a - b for a, b in zip(xhat, mu_z.x_u(u))]
-                orbit = [xtilde, mat_vec(j2, xtilde), mat_vec(lmats[0], xtilde), mat_vec(lmats[1], xtilde)]
-                if hnf_rows(orbit) == ker_hnf:
+                if val.is_unit():
                     generator = (u, val)
                     break
-                notes.append(f"unit value at u={u} but orbit is a proper sublattice")
-            if generator is None:
-                notes.append(f"no generator found within coordinate bound {search_bound}")
-            self._generators[search_bound] = (generator, tuple(notes))
+            self._generators[search_bound] = generator
         return self._generators[search_bound]
 
     def kernel_m_analysis(self, search_bound):
-        """The ker(m) report with the generator search at ``search_bound``;
-        each call returns a fresh KernelReport, so no caller can change
-        another's."""
+        """The ker(m) report with the generator search at ``search_bound``,
+        run after ``_kernel_parts`` as ``_generator`` needs; each call
+        returns a fresh KernelReport, so no caller can change another's."""
         if search_bound < 0:
             raise ValueError("bound must be nonnegative")
         ker_rows, _, xus, xhat = self._kernel_parts()
-        generator, notes = self._generator(search_bound)
         return KernelReport(
             kernel_basis=[list(row) for row in ker_rows],
             xu_basis=[list(v) for v in xus],
             xhat=list(xhat),
-            generator=generator,
+            generator=self._generator(search_bound),
             search_bound=search_bound,
-            notes=list(notes),
         )
 
 

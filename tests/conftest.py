@@ -282,6 +282,22 @@ def khovanov_k_dims(pd):
     return out
 
 
+def lee_degrees(pd):
+    """{i: dim} of Lee's homology in closed form (Lee, arXiv:math/0210213):
+    one generator for each set E of components, in degree s(E), the sum of
+    the signs of the crossings whose under-strand (slot 1) and over-strand
+    (slot 2) lie on opposite sides of E.  Components are the orbits of
+    ``PDCode._successor``, plus the loops, which cross nothing."""
+    succ = pd._successor()
+    component = {arc: n for n, arcs in enumerate(linkhom._classes(succ, succ.items())) for arc in arcs}
+    count = len(set(component.values())) + pd.loops
+    out = {}
+    for e in range(1 << count):
+        i = sum(s for (a, b, _, _), s in zip(pd.crossings, pd.signs) if (e >> component[a] ^ e >> component[b]) & 1)
+        out[i] = out.get(i, 0) + 1
+    return out
+
+
 # -- unit elimination as first written ----------------------------------------
 
 

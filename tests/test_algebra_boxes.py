@@ -157,6 +157,42 @@ def test_one_kernel_analysis_per_multiplication(name, monkeypatch):
     assert len({id(alg.mult) for alg in algs}) == DISTINCT_PAIRS[name]
 
 
+def test_the_orbit_of_x_hat_minus_x_u_has_index_the_norm_of_its_value():
+    # [ker(m) : A (X_hat - X_u)] = |N(-b_bar + u (a_bar + u) / z)|, the
+    # formula that lets the generator walk test units in O: the orbit
+    # X~, J X~, (g1 X .) X~, (g2 X .) X~ of X~ = X_hat - X_u, formed as
+    # lattices, lies in ker(m) with covolume |N(val)| times ker(m)'s
+    from quadfrob.intlin import det_int, hnf_rows, mat_vec
+
+    def gram_det(rows):
+        return det_int([[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows])
+
+    pairs = units = 0
+    for name in sorted(BOXES):
+        mults = {id(alg.mult): alg.mult for alg in _algebras(name)}.values()
+        assert len(mults) == DISTINCT_PAIRS[name]
+        for mult in mults:
+            mult.kernel_m_analysis(2)
+            mu_z = mult.mu_z
+            _, ker_hnf, _, xhat = mult._kernel_parts()
+            lmats = mult.x_first_factor_maps()
+            first_unit = None
+            for u in itertools.chain([mu_z.ctx.zero], mu_z.mu.lattice_points(2)):
+                val = -mult.b_bar + (u * (mult.a_bar + u)).exact_div(mu_z.z)
+                xtilde = [a - b for a, b in zip(xhat, mu_z.x_u(u))]
+                orbit = hnf_rows([xtilde, mat_vec(mu_z.A2.action, xtilde), *(mat_vec(lmat, xtilde) for lmat in lmats)])
+                case = (name, str(mult.a_bar), str(mult.b_bar), str(u))
+                assert len(orbit) == 4, case
+                assert hnf_rows([*ker_hnf, *orbit]) == ker_hnf, case
+                assert gram_det(orbit) == val.norm() ** 2 * gram_det(ker_hnf), case
+                pairs += 1
+                if val.is_unit():
+                    units += 1
+                    first_unit = first_unit or (u, val)
+            assert mult._generator(2) == first_unit
+    assert (pairs, units) == (618, 92)
+
+
 def test_reports_of_one_multiplication_are_independent():
     by_pair = {}
     for alg, _ in _search("d-5"):

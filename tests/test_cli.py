@@ -558,6 +558,24 @@ def test_a_failed_action_identity_exits_5(tmp_path, monkeypatch, capsys):
     assert "acting on X_hat breaks its identity on ker(m)" in err
 
 
+def test_a_failed_x_mu_action_identity_exits_5(tmp_path, monkeypatch, capsys):
+    # X_hat is 0 in coordinates 2-3 and X_g1 is not, so a 1 added at entry
+    # [0][2] of (g1 X .) (x) id breaks only the identity on X_mu
+    real = MultiplicationLattice.x_first_factor_maps
+
+    def bumped(self):
+        maps = [[list(row) for row in lmat] for lmat in real(self)]
+        maps[0][0][2] += 1
+        return maps
+
+    monkeypatch.setattr(MultiplicationLattice, "x_first_factor_maps", bumped)
+    alg = _worked_file(tmp_path)
+    code, payload, err = run_json(capsys, "kernel", "--alg", alg)
+    assert code == 5
+    assert payload["error"]["check"] == "ker_m_splitting" and payload["error"]["inputs"] == {"alg": alg}
+    assert "acting on X_mu breaks its identity on ker(m)" in err
+
+
 @pytest.mark.parametrize("action", ["compare", "lee-check"])
 def test_a_remainder_with_nonzero_d_squared_exits_5(action, tmp_path, monkeypatch, capsys):
     pd = tmp_path / "t25.json"

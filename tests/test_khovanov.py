@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from conftest import khovanov_data, khovanov_k_dims, search_hits
+from conftest import khovanov_data, khovanov_k_dims, lee_degrees, search_hits
 from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
@@ -141,6 +141,7 @@ def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_eps0, alg_worked
         assert n > 1, alg.data.to_json()
         for pd, k in zip(diagrams, khovanov):
             lee, torsion = _k_dims_and_torsion(pd, alg)
+            assert {i: dim for i, dim in lee.items() if dim} == lee_degrees(pd), (alg.data.to_json(), pd.to_json())
             degrees = set(k) | set(lee) | set(torsion)
             p = 0
             for i in range(min(degrees) - 1, max(degrees) + 1):

@@ -88,7 +88,7 @@ RECORDS = {
         lambda: example_zsqrtm5(1, 1).report,
     ),
     KernelReport: (
-        ("kernel_basis", "xu_basis", "xhat", "generator", "search_bound", "notes"),
+        ("kernel_basis", "xu_basis", "xhat", "generator", "search_bound"),
         lambda: example_zsqrtm5(1, 1).kernel_m_analysis(),
     ),
     HomologyReport: (("degrees", "total_k_dim", "notes", "checks"), lambda: homology_integral(_cx())),
