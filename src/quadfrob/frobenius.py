@@ -24,7 +24,6 @@ from .ring import (
     NotDivisibleError,
     RingContext,
     RingElement,
-    UnsupportedRingError,
     ValidationError,
     Value,
     _set,
@@ -232,13 +231,7 @@ def analyze(data, *, relax_a_bar=False, mu_z=None):
     default the algebra gets its own.  This is the one place a lattice made
     elsewhere enters an algebra, so it is checked here against mu and z."""
     report = ValidationReport()
-    ctx = data.ctx
-    if ctx.d > 0:
-        raise UnsupportedRingError("algebra construction needs d < 0")
     z = data.z
-    if z.is_zero():
-        raise ValueError("z must be nonzero")
-
     mu = data.mu
     if mu_z is None:
         mu_z = omodule.MuZLattice(mu, z)
@@ -595,12 +588,13 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     closing equation, subject to the integrality table; bounded box search.
 
     Yields validated algebras, at most ``limit`` of them.  Before any
-    candidate, a negative limit or ``coord_bound`` and z = 0 raise
-    ValueError, and mu^2 != (z) raises the ``mu_squared_is_principal_z``
-    IntegralityViolationError.  Bounds are configuration, not semantics:
-    absence within the box proves nothing.  b_bar is solved in O by one
-    exact division, b_bar z eps(1)^2 = eps_x_bar^2 - a_bar eps_x_bar
-    eps(1) - s^-1 z, whose right side lies in mu^2 = (z); then D_bar =
+    candidate, a negative limit or ``coord_bound`` raises ValueError; then
+    ``limit=0`` yields nothing, before z and mu are looked at; then z = 0
+    raises ValueError (from the ``omodule.MuZLattice``), and mu^2 != (z)
+    raises the ``mu_squared_is_principal_z`` IntegralityViolationError.
+    Bounds are configuration, not semantics: absence within the box proves
+    nothing.  b_bar is solved in O by one exact division, b_bar z eps(1)^2
+    = eps_x_bar^2 - a_bar eps_x_bar eps(1) - s^-1 z, whose right side lies in mu^2 = (z); then D_bar =
     -s^-1 z, c = -s t_bar, d = s eps_x_bar and d' = -s eps(1), so every
     candidate passes the integrality table, and a rejection raises its
     ValidationError.  The candidates of one call share one
@@ -614,8 +608,6 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
         raise ValueError("bound must be nonnegative")
     if limit == 0:
         return
-    if z.is_zero():
-        raise ValueError("z must be nonzero")
     ctx = z.ctx
     units = ctx.units()
     mu_z = omodule.MuZLattice(mu, z)

@@ -9,7 +9,7 @@ import itertools
 import math
 
 from . import intlin
-from .ring import NotDivisibleError, UnsupportedRingError, Value, _set
+from .ring import NotDivisibleError, Value, _set
 
 
 class ZeroIdealError(ValueError):
@@ -94,13 +94,12 @@ class Ideal(Value):
     def is_principal(self):
         """A generator with (g) = a, or None.
 
-        Enumerates x + y*sqrt(d) of norm equal to the ideal norm; finite for
-        d < 0, no probabilistic shortcuts.  A candidate g in a generates it:
-        (g) is inside a with the same index N(g) = N(a), so (g) = a.
+        Enumerates x + y*sqrt(d) of norm equal to the ideal norm; finite,
+        as d < 0, with no probabilistic shortcuts.  A candidate g in a
+        generates it: (g) is inside a with the same index N(g) = N(a), so
+        (g) = a.
         """
         d = self.ctx.d
-        if d > 0:
-            raise UnsupportedRingError("principality search needs d < 0")
         n = self.norm()
         for y in range(0, math.isqrt(n // -d) + 1):
             rem = n + d * y * y  # >= 0, as y^2 <= n // -d

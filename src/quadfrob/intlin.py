@@ -236,7 +236,9 @@ class IntSolver:
 
 
 def kernel_basis(a, ncols=None):
-    """Basis rows of {x : A x = 0} over Z; always a saturated lattice."""
+    """Basis rows of {x : A x = 0} over Z, in Hermite form (as ``hnf_rows``
+    gives it): the zero-image rows of the form of [A^T | I].  Always a
+    saturated lattice."""
     return IntSolver(a, ncols).kernel_rows
 
 

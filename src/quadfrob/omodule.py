@@ -222,7 +222,8 @@ class MuZLattice:
     sqrt(d)-action on A^(x n) (``sqrt_d_rows``) and with it A and
     A (x)_O A as Z-lattices (``A``, ``A2``), x (x) y and X_u in the
     coordinates of A (x)_O A (``pure2``, ``x_u``) and the quotients
-    q_ij = g_i g_j / z (``x_quotients``).  It holds no algebra.
+    q_ij = g_i g_j / z (``x_quotients``).  It holds no algebra, and it is
+    where z = 0 is refused, with ValueError, for every caller.
 
     It also keeps the second layer: one ``MultiplicationLattice`` per
     distinct (a_bar, b_bar) asked for (``multiplication``), held weakly, so
@@ -241,6 +242,8 @@ class MuZLattice:
     """
 
     def __init__(self, mu, z):
+        if z.is_zero():
+            raise ValueError("z must be nonzero")
         ctx = mu.ctx
         self.ctx = ctx
         self.mu = mu
@@ -515,28 +518,27 @@ class MultiplicationLattice:
         return [-self.b_bar.x, -self.b_bar.y, 0, 0, -a, -b, 1, 0]
 
     def _kernel_parts(self):
-        """What no search bound changes: ker(m), which must be stable under
-        sqrt(d), with its Hermite form, X_g1, X_g2 and X_hat, whose span
-        must be ker(m) = X_mu + O X_hat and satisfy the two action
-        identities."""
+        """What no search bound changes: ker(m), in Hermite form as
+        ``kernel_basis`` returns it, which must have Z-rank 4 and be stable
+        under sqrt(d); and X_g1, X_g2 and X_hat, whose span must be ker(m) =
+        X_mu + O X_hat and satisfy the two action identities."""
         if self._kernel is None:
             mu_z = self.mu_z
             j2 = mu_z.A2.action
             ker_rows = kernel_basis(self.m_matrix(), ncols=8)
-            ker_hnf = hnf_rows(ker_rows)
-            # J on ker(m) squares to d because J on A (x)_O A does (A2)
-            if hnf_rows([*ker_rows, *(mat_vec(j2, v) for v in ker_rows)]) != ker_hnf:
-                raise NotWellDefinedError("kernel not stable under the action")
             if len(ker_rows) != 4:
                 raise DirectSumFailureError(f"ker(m) has Z-rank {len(ker_rows)}, expected 4")
+            # J on ker(m) squares to d because J on A (x)_O A does (A2)
+            if hnf_rows([*ker_rows, *(mat_vec(j2, v) for v in ker_rows)]) != ker_rows:
+                raise NotWellDefinedError("kernel not stable under the action")
 
             xus = [mu_z.x_u(g) for g in mu_z.gens]
             xhat = self.x_hat()
             jxhat = mat_vec(j2, xhat)
             span = hnf_rows([*xus, xhat, jxhat])
-            # ker_hnf has four rows, so equal spans make the four
+            # ker(m) has four rows, so equal spans make the four
             # generators independent and the sum direct
-            if span != ker_hnf:
+            if span != ker_rows:
                 raise DirectSumFailureError("ker(m) != X_mu + O*Xhat as lattices")
 
             # the two multiplication-action identities on ker(m); o in O acts on
@@ -552,7 +554,7 @@ class MultiplicationLattice:
                     rhs2 = [-(q.x * a + q.y * b) for a, b in zip(xhat, jxhat)]
                     if mat_vec(lmat, xup) != rhs2:
                         raise DirectSumFailureError(f"X_{u} acting on X_mu breaks its identity on ker(m)")
-            self._kernel = (ker_rows, ker_hnf, xus, xhat)
+            self._kernel = (ker_rows, xus, xhat)
         return self._kernel
 
     def _generator(self, search_bound):
@@ -580,7 +582,7 @@ class MultiplicationLattice:
         returns a fresh KernelReport, so no caller can change another's."""
         if search_bound < 0:
             raise ValueError("bound must be nonnegative")
-        ker_rows, _, xus, xhat = self._kernel_parts()
+        ker_rows, xus, xhat = self._kernel_parts()
         return KernelReport(
             kernel_basis=[list(row) for row in ker_rows],
             xu_basis=[list(v) for v in xus],

@@ -1,7 +1,8 @@
 """Exact arithmetic in O = Z[sqrt(d)] and its fraction field K = Q(sqrt(d)).
 
-d is a squarefree integer with d = 2 or 3 (mod 4), so {1, sqrt(d)} is an
-integral basis and every ring element is x + y*sqrt(d) with x, y in Z.
+d is a negative squarefree integer with d = 2 or 3 (mod 4), so {1, sqrt(d)}
+is an integral basis, every ring element is x + y*sqrt(d) with x, y in Z,
+and the unit group is finite.
 Field elements carry Fraction coordinates, always in lowest terms.
 """
 
@@ -15,7 +16,8 @@ class NotDivisibleError(ArithmeticError):
 
 
 class UnsupportedRingError(ValueError):
-    """Operation needs a finite unit group, i.e. d < 0."""
+    """A well-formed real quadratic d > 0: every context has d < 0, so that
+    the unit group is finite and the principality search ends."""
 
 
 class CheckFailedError(RuntimeError):
@@ -113,7 +115,9 @@ class Value:
 
 
 class RingContext(Value):
-    """Fixes the discriminant parameter d of O = Z[sqrt(d)]."""
+    """Fixes the discriminant parameter d of O = Z[sqrt(d)]; a d that
+    defines no such basis raises ValueError, then d > 0 raises
+    UnsupportedRingError."""
 
     __slots__ = ("d",)
 
@@ -126,6 +130,8 @@ class RingContext(Value):
             raise ValueError("|d| must be below 2**32")  # squarefreeness is tested by trial division
         if not _is_squarefree(d):
             raise ValueError("d must be squarefree")
+        if d > 0:
+            raise UnsupportedRingError(f"real quadratic d = {d}: only imaginary quadratic rings (d < 0) are supported")
         _set(self, "d", d)
 
     def __call__(self, x, y=0):
@@ -144,9 +150,7 @@ class RingContext(Value):
         return RingElement(self, 0, 1)
 
     def units(self):
-        """All units of O; requires d < 0 (else the unit group is infinite)."""
-        if self.d > 0:
-            raise UnsupportedRingError("unit enumeration needs d < 0")
+        """All units of O, finite since d < 0."""
         out = [self.one, self(-1)]
         if self.d == -1:
             out += [self.sqrt_d, self(0, -1)]
@@ -232,9 +236,7 @@ class RingElement(Value):
         return self.x == 0 and self.y == 0
 
     def is_unit(self):
-        """|N| = 1 test; the closed form for d < 0 (finite unit group)."""
-        if self.ctx.d > 0:
-            raise UnsupportedRingError("is_unit needs d < 0")
+        """|N| = 1 test; N(x + y sqrt(d)) = x^2 - d y^2 >= 0, as d < 0."""
         return abs(self.norm()) == 1
 
     def unit_inverse(self):

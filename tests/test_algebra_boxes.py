@@ -174,7 +174,7 @@ def test_the_orbit_of_x_hat_minus_x_u_has_index_the_norm_of_its_value():
         for mult in mults:
             mult.kernel_m_analysis(2)
             mu_z = mult.mu_z
-            _, ker_hnf, _, xhat = mult._kernel_parts()
+            ker_hnf, _, xhat = mult._kernel_parts()
             lmats = mult.x_first_factor_maps()
             first_unit = None
             for u in itertools.chain([mu_z.ctx.zero], mu_z.mu.lattice_points(2)):

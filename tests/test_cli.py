@@ -29,6 +29,9 @@ from quadfrob.omodule import AlgebraLattice, DirectSumFailureError, Multiplicati
 from quadfrob.ring import RingElement
 
 
+REAL_QUADRATIC = "real quadratic d = {}: only imaginary quadratic rings (d < 0) are supported"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -91,9 +94,9 @@ def test_a_non_ascii_digit_is_malformed(capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (("ideal", "classinfo", "-d", "2", "--gens", "2,1+w"), 2, "rejected: principality search needs d < 0"),
+    (("ideal", "classinfo", "-d", "2", "--gens", "2,1+w"), 2, "rejected: " + REAL_QUADRATIC.format(2)),
     (("algebra", "family-eps0", "-d", "3", "--mu", "2,1+w", "--z", "2",
-      "--abar", "0", "--bbar", "1", "--eps1", "1"), 2, "rejected: is_unit needs d < 0"),
+      "--abar", "0", "--bbar", "1", "--eps1", "1"), 2, "rejected: " + REAL_QUADRATIC.format(3)),
     (("algebra", "search", "-d", "5"), 3,
      "malformed input: d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis"),
 ])
@@ -161,7 +164,7 @@ def test_algebra_validate_refuses_real_quadratic_rings(tmp_path, capsys):
     code, out, err = run(capsys, "algebra", "validate", "--alg", str(spec))
     assert code == 2
     assert out == ""
-    assert err == "rejected: algebra construction needs d < 0\n"
+    assert err == "rejected: " + REAL_QUADRATIC.format(3) + "\n"
 
 
 def test_algebra_families(capsys):
@@ -199,7 +202,32 @@ def test_algebra_family_eps1_rejects_a_nonunit_d_underbar(capsys):
 def test_algebra_search_rejects_a_real_quadratic_ring(capsys):
     code, out, err = run(capsys, "algebra", "search", "-d", "2", "--mu", "2,w", "--z", "2", "--bound", "1")
     assert (code, out) == (2, "")
-    assert err.strip() == "rejected: unit enumeration needs d < 0"
+    assert err.strip() == "rejected: " + REAL_QUADRATIC.format(2)
+
+
+REAL_ALGEBRA = {"d": 2, "mu_gens": [{"x": "2", "y": "0"}, {"x": "0", "y": "1"}], "z": {"x": "2", "y": "0"},
+                "a_bar": {"x": "0", "y": "0"}, "b_bar": {"x": "1", "y": "0"}, "eps_one": {"x": "1", "y": "0"},
+                "eps_x_bar": {"x": "0", "y": "0"}}
+
+
+@pytest.mark.parametrize("argv, d", [
+    (("ideal", "classinfo", "-d", "2", "--gens", "2,w"), 2),
+    (("algebra", "family-eps0", "-d", "3", "--abar", "0", "--bbar", "1", "--eps1", "1"), 3),
+    (("algebra", "family-eps1", "-d", "6", "--abar", "0", "--eps1", "1", "--dbar", "1"), 6),
+    (("algebra", "search", "-d", "2"), 2),
+    (("algebra", "validate", "--alg", "{alg}"), 2),
+    (("algebra", "twist", "--alg", "{alg}", "--type", "3", "--param", "-1"), 2),
+    (("kernel", "--alg", "{alg}"), 2),
+    (("tqft", "--alg", "{alg}"), 2),
+    (("link", "homology", "--alg", "{alg}", "--pd", "{pd}"), 2),
+    (("link", "lee-check", "--alg", "{alg}", "--pd", "{pd}"), 2),
+])
+def test_every_entry_point_refuses_a_real_quadratic_ring_alike(argv, d, tmp_path, capsys):
+    alg, pd = tmp_path / "real.json", tmp_path / "t23.json"
+    alg.write_text(json.dumps(REAL_ALGEBRA))
+    pd.write_text(json.dumps(corpus.braid_closure((1, 1, 1), 2).to_json()))
+    argv = [arg.format(alg=alg, pd=pd) for arg in argv]
+    assert run(capsys, *argv) == (2, "", "rejected: " + REAL_QUADRATIC.format(d) + "\n")
 
 
 def test_algebra_twist(capsys):
@@ -245,6 +273,15 @@ def test_search_rejects_z_like_the_families(capsys):
         code, out, err = run(capsys, *argv, "3")
         assert (code, out) == (2, ""), action
         assert err.strip() == "rejected: integrality table cell failed: mu_squared_is_principal_z"
+
+
+@pytest.mark.parametrize("action, extra", [
+    ("family-eps0", ("--abar", "0", "--bbar", "1", "--eps1", "1")),
+    ("family-eps1", ("--abar", "1+w", "--eps1", "1", "--dbar", "1")),
+])
+def test_both_families_refuse_zero_z(action, extra, capsys):
+    argv = ("algebra", action, "-d", "-5", *extra, "--z", "0")
+    assert run(capsys, *argv) == (3, "", "malformed input: z must be nonzero\n")
 
 
 def test_kernel_command(capsys):

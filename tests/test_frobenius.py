@@ -500,6 +500,20 @@ def test_search_rejects_mu_squared_not_z_before_the_box(ctx, mu):
     assert list(search_solutions(mu, ctx(3), coord_bound=1, limit=0)) == []
 
 
+def test_the_lattice_refuses_zero_z_for_every_caller(ctx, mu):
+    data = FrobeniusData(ctx, mu, ctx(0), ctx.zero, ctx.one, ctx.one, ctx.zero)
+    for call in (
+        lambda: MuZLattice(mu, ctx(0)),
+        lambda: analyze(data),
+        lambda: list(search_solutions(mu, ctx(0), coord_bound=1)),
+    ):
+        with pytest.raises(ValueError, match="^z must be nonzero$"):
+            call()
+    # no lattice has z = 0, so a shared one never matches such data
+    with pytest.raises(ValueError, match=r"^the \(mu, z\) lattice belongs to another mu or z$"):
+        analyze(data, mu_z=MuZLattice(mu, ctx(2)))
+
+
 def test_a_rejected_search_candidate_raises(ctx, mu, monkeypatch):
     # the closing equation makes every candidate valid, so a rejection is a
     # fault of the search and is raised, not skipped

@@ -145,6 +145,18 @@ def test_kernel_and_solver():
         assert mat_vec(m, sol) == b
 
 
+def test_kernel_basis_is_its_own_hermite_form():
+    # ker(m)'s splitting check compares Hermite forms with kernel_basis's rows as returned
+    r = random.Random(10)
+    nonempty = 0
+    for _ in range(3000):
+        m = random_matrix(r, r.randint(1, 6), r.randint(1, 9), r.choice((1, 3, 9)))
+        ker = kernel_basis(m)
+        assert ker == hnf_rows(ker), m
+        nonempty += bool(ker)
+    assert nonempty > 1500
+
+
 def test_solver_detects_unsolvable():
     assert IntSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
     assert IntSolver([[1, 0], [0, 0]]).solve([0, 1]) is None

@@ -22,8 +22,19 @@ def test_context_validation():
     for bad in (0, 1, 5, -3, 12, 8):
         with pytest.raises(ValueError):
             RingContext(bad)
-    for good in (-5, -2, -1, 2, 3, -13):
+    for good in (-5, -2, -1, -13):
         RingContext(good)
+
+
+def test_real_quadratic_d_is_refused_after_the_malformed_checks():
+    for real in (2, 3, 6):
+        with pytest.raises(UnsupportedRingError, match=f"^real quadratic d = {real}: "):
+            RingContext(real)
+    # positive and malformed: the malformed-d message, as a plain ValueError
+    for d, message in ((5, r"d = 1 \(mod 4\)"), (8, "squarefree"), (12, "squarefree")):
+        with pytest.raises(ValueError, match=message) as exc:
+            RingContext(d)
+        assert type(exc.value) is ValueError, d
 
 
 def test_large_d_is_rejected_before_the_squarefree_test():
