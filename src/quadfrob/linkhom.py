@@ -15,12 +15,12 @@ Chain groups are the monomial presentation of A^(x circles) from
 (``omodule.AlgebraLattice.edge_entries``) and sqrt(d) by
 ``MuZLattice.sqrt_d_rows``.  Differentials are sparse.
 
-Homology is computed once per complex: Gaussian elimination of unit
-entries, d^2 = 0 on what is left, and its invariant factors, on sparse
-rows with the one Euclid pivot of ``intlin``.  The ranks that check it come from a
-separate row echelon (``intlin.sparse_rank``): the free Z-ranks must match
-the ranks over Q, and ranks mod p must match the universal-coefficient
-count of the torsion.
+Homology is computed once per complex by ``_homology``, the one runner of
+its checks: d^2 = 0 and sqrt(d)-equivariance, unit elimination, d^2 = 0 on
+what is left and its invariant factors, on sparse rows with the one Euclid
+pivot of ``intlin``.  The ranks that check it come from a separate row
+echelon (``intlin.sparse_rank``): the free Z-ranks must match the ranks
+over Q, and ranks mod p the universal-coefficient count of the torsion.
 
 Homological degree is |v| - n_minus.
 """
@@ -232,7 +232,8 @@ def resolve(pd):
 
 class Complex:
     """Cochain complex of free Z-lattices; groups[i] has rank ranks[i] and
-    differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix."""
+    differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix.  Its
+    checks run when its homology is first read (``_homology``)."""
 
     def __init__(self, min_degree, ranks, diffs, actions=None, notes=None):
         self.min_degree = min_degree
@@ -240,11 +241,10 @@ class Complex:
         self.diffs = diffs  # len(ranks) - 1 SparseMatrix differentials
         self.actions = actions  # sqrt(d)-action per degree, None once simplified
         self.notes = [] if notes is None else notes
-        self.checks = []  # cross-checks passed when built, set by build_complex
         self._homology = None  # cached by _homology(); not compared
 
     def _key(self):
-        return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes, self.checks)
+        return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -305,7 +305,8 @@ def _product_rows(a, b):
 def build_complex(pd, alg):
     """Chain groups (+) A^(x circles) per degree |v| - n_minus, with merge
     and split edge maps signed by (-1)^(number of 1s before the flipped
-    coordinate); d^2 = 0 and sqrt(d)-equivariance are verified.
+    coordinate).  d^2 = 0 and sqrt(d)-equivariance are verified when the
+    complex's homology is first read, before unit elimination.
 
     One pass over the vertices of ``resolve``'s cube, in order, lays out
     the chain groups and their sqrt(d)-actions; one pass over its edges
@@ -344,17 +345,7 @@ def build_complex(pd, alg):
             " i.e. the kink complex 0 -> A -> A(x)A -> 0 mirrored from the"
             " positive one"
         )
-    cx = Complex(
-        min_degree=-pd.n_minus,
-        ranks=ranks,
-        diffs=diffs,
-        actions=actions,
-        notes=notes,
-    )
-    cx.check_d_squared()
-    cx.check_equivariance()
-    cx.checks = ["d_squared", "equivariance"]
-    return cx
+    return Complex(-pd.n_minus, ranks, diffs, actions, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +377,16 @@ class HomologyReport:
 
 def _homology(cx):
     """The one homology computation of a complex, cached on it: (report,
-    remainder).  The remainder left by unit elimination must itself be a
-    complex (check ``remainder_d_squared``) before its invariant factors
-    are read; the report holds the degrees with their ``k_dim``, the notes
-    naming each torsion invariant whose primes ``check_mod_p`` could not
-    find, and every check that ran, in run order."""
+    remainder); the one place its checks run and are named.  A complex with
+    its sqrt(d)-action passes ``d_squared`` and ``equivariance``, and what
+    unit elimination leaves ``remainder_d_squared`` before its invariant
+    factors are read.  The report holds the degrees with their ``k_dim``,
+    the notes naming each torsion invariant whose primes ``check_mod_p``
+    could not find, and every check that ran, in run order."""
     if cx._homology is None:
+        if cx.actions is not None:
+            cx.check_d_squared()
+            cx.check_equivariance()
         q_ranks = [sparse_rank(d) for d in cx.diffs]
         kept, reduced = reduce_units(cx.diffs, cx.ranks)
         small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes))
@@ -404,7 +399,8 @@ def _homology(cx):
                 )
             if q % 2 and cx.actions is not None:
                 raise RouteDisagreementError(f"degree {i}: odd dimension {q} over Q for a complex over O")
-        checks = cx.checks + ["remainder_d_squared", "k_rank_vs_z_rank"]
+        checks = ["d_squared", "equivariance"] if cx.actions is not None else []
+        checks += ["remainder_d_squared", "k_rank_vs_z_rank"]
         checks += [f"mod_{p}" for p in check_mod_p(cx, table)]
         checks += [f"remainder_mod_{p}" for p in check_mod_p(small, table, REMAINDER_PRIMES)]
         degrees, notes = {}, list(cx.notes)

@@ -22,7 +22,7 @@ from quadfrob.intlin import (
     sparse_rank,
     transpose,
 )
-from quadfrob.omodule import MultiplicationLattice, MuZLattice, OModule
+from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice, OModule
 from quadfrob.ring import NotDivisibleError, parse_element
 
 
@@ -165,6 +165,34 @@ def diff_from(cx, i):
 
 def total_rank(cx):
     return sum(cx.ranks)
+
+
+def expected_checks(report, built=True):
+    """The checks a homology report lists, in run order, from its torsion
+    alone: ``report`` as ``HomologyReport.to_json`` writes it (invariants
+    as strings or ints), ``built`` for the complex ``build_complex``
+    assembled rather than a remainder.  A built complex first passes
+    ``d_squared`` and ``equivariance``; every complex then passes
+    ``remainder_d_squared`` and ``k_rank_vs_z_rank``, ``mod_p`` for p = 2
+    and each prime of a torsion invariant in ascending order, and last
+    ``remainder_mod_p`` for p = 3, 5, 7, 11 and 13.  The primes come from
+    trial division by every integer, so an invariant must be small enough
+    to factor that way."""
+    primes = {2}
+    for degree in report["degrees"].values():
+        for t in degree["torsion"]:
+            n, p = int(t), 2
+            while p * p <= n:
+                while n % p == 0:
+                    primes.add(p)
+                    n //= p
+                p += 1
+            if n > 1:
+                primes.add(n)
+    checks = ["d_squared", "equivariance"] if built else []
+    checks += ["remainder_d_squared", "k_rank_vs_z_rank"]
+    checks += [f"mod_{p}" for p in sorted(primes)]
+    return checks + [f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)]
 
 
 def n_plus(pd):
@@ -512,6 +540,36 @@ def freeze_first_crossing(monkeypatch):
     that no planar diagram can cause."""
     real = linkhom._circles_at
     monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, (0, *vertex[1:])))
+
+
+def bump_one_edge_entry(monkeypatch):
+    """The first edge pattern's first entry +1, on a copy, then the real
+    map: one edge of the next cube built leaves d^2 != 0 at the cube's
+    lowest degree."""
+    real = AlgebraLattice.edge_entries
+
+    def bump_once(self, *args):
+        monkeypatch.setattr(AlgebraLattice, "edge_entries", real)
+        (r, c, e), *rest = real(self, *args)
+        return [(r, c, e + 1), *rest]
+
+    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
+
+
+def bump_one_action_entry(monkeypatch):
+    """Entry (0, 0) of the first sqrt(d)-action laid out +1, on a copy,
+    then the real rows: the next cube built has one vertex whose action,
+    still inside its 2x2 blocks, no longer commutes with the differential
+    leaving the cube's lowest degree."""
+    real = MuZLattice.sqrt_d_rows
+
+    def bump_once(self, n):
+        monkeypatch.setattr(MuZLattice, "sqrt_d_rows", real)
+        rows = [dict(row) for row in real(self, n)]
+        rows[0][0] = rows[0].get(0, 0) + 1
+        return rows
+
+    monkeypatch.setattr(MuZLattice, "sqrt_d_rows", bump_once)
 
 
 def bump_remainder_entry(monkeypatch):

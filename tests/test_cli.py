@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     RINGS,
     bump_m_entry,
+    bump_one_edge_entry,
     bump_remainder_entry,
     double_x_u_off_the_generators,
     freeze_first_crossing,
@@ -93,15 +94,9 @@ def test_a_non_ascii_digit_is_malformed(capsys):
     assert err.strip() == "malformed input: cannot parse element '\u0663'"
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (("ideal", "classinfo", "-d", "2", "--gens", "2,1+w"), 2, "rejected: " + REAL_QUADRATIC.format(2)),
-    (("algebra", "family-eps0", "-d", "3", "--mu", "2,1+w", "--z", "2",
-      "--abar", "0", "--bbar", "1", "--eps1", "1"), 2, "rejected: " + REAL_QUADRATIC.format(3)),
-    (("algebra", "search", "-d", "5"), 3,
-     "malformed input: d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis"),
-])
-def test_real_quadratic_d_is_rejected_and_unbuildable_d_malformed(argv, code, message, capsys):
-    assert run(capsys, *argv) == (code, "", message + "\n")
+def test_an_unbuildable_d_is_malformed(capsys):
+    message = "malformed input: d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis"
+    assert run(capsys, "algebra", "search", "-d", "5") == (3, "", message + "\n")
 
 
 def test_algebra_example(capsys):
@@ -155,18 +150,6 @@ def test_algebra_validate_names_the_failed_cell(tmp_path, capsys):
     assert payload2["report"]["cells"]["a_bar_in_mu"] is False
 
 
-def test_algebra_validate_refuses_real_quadratic_rings(tmp_path, capsys):
-    one, zero = {"x": "1", "y": "0"}, {"x": "0", "y": "0"}
-    data = {"d": 3, "mu_gens": [{"x": "2", "y": "0"}, {"x": "1", "y": "1"}], "z": {"x": "2", "y": "0"},
-            "a_bar": zero, "b_bar": one, "eps_one": one, "eps_x_bar": zero}
-    spec = tmp_path / "real.json"
-    spec.write_text(json.dumps(data))
-    code, out, err = run(capsys, "algebra", "validate", "--alg", str(spec))
-    assert code == 2
-    assert out == ""
-    assert err == "rejected: " + REAL_QUADRATIC.format(3) + "\n"
-
-
 def test_algebra_families(capsys):
     code, payload, _ = run_json(
         capsys, "algebra", "family-eps0", "-d", "-5",
@@ -197,12 +180,6 @@ def test_algebra_family_eps1_rejects_a_nonunit_d_underbar(capsys):
     )
     assert (code, out) == (2, "")
     assert err.strip() == "rejected: d_underbar = 2 is not a unit"
-
-
-def test_algebra_search_rejects_a_real_quadratic_ring(capsys):
-    code, out, err = run(capsys, "algebra", "search", "-d", "2", "--mu", "2,w", "--z", "2", "--bound", "1")
-    assert (code, out) == (2, "")
-    assert err.strip() == "rejected: " + REAL_QUADRATIC.format(2)
 
 
 REAL_ALGEBRA = {"d": 2, "mu_gens": [{"x": "2", "y": "0"}, {"x": "0", "y": "1"}], "z": {"x": "2", "y": "0"},
@@ -769,20 +746,8 @@ def test_d_squared_failure_exits_5(tmp_path, monkeypatch, capsys):
     assert bumped
 
 
-def _bump_one_edge_entry(monkeypatch):
-    # the first edge pattern's first entry +1, on a copy, then the real map
-    real = AlgebraLattice.edge_entries
-
-    def bump_once(self, *args):
-        monkeypatch.setattr(AlgebraLattice, "edge_entries", real)
-        (r, c, e), *rest = real(self, *args)
-        return [(r, c, e + 1), *rest]
-
-    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
-
-
 def test_d_squared_failure_writes_a_json_error(tmp_path, monkeypatch, capsys):
-    _bump_one_edge_entry(monkeypatch)
+    bump_one_edge_entry(monkeypatch)
     pd = _trefoil_file(tmp_path)
     code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
     assert code == 5

@@ -104,6 +104,41 @@ def test_cli_output_matches_golden(name, golden):
     assert out == case["stdout"]
 
 
+def _reports(obj):
+    """Every homology report inside a parsed output: the objects that hold
+    a ``checks`` list."""
+    if isinstance(obj, dict):
+        if "checks" in obj:
+            yield obj
+        for value in obj.values():
+            yield from _reports(value)
+
+
+def test_the_check_rule_reproduces_the_anchors(golden, alg_worked):
+    """``conftest.expected_checks``, which the stall goldens are held to,
+    against the literal lists of this file: the 8 reports of its 6
+    ``link homology`` and ``link compare`` records.  On a remainder the
+    list starts at ``remainder_d_squared``; the worked trefoil's torsion
+    721 = 7 * 103 adds ``mod_7`` and ``mod_103``."""
+    from conftest import expected_checks
+    from quadfrob import corpus
+    from quadfrob.linkhom import build_complex, homology_integral, simplify
+
+    data, _ = golden
+    records = {name: list(_reports(json.loads(case["stdout"]))) for name, case in data["cases"].items()}
+    reports = [r for found in records.values() for r in found]
+    assert sum(1 for found in records.values() if found) == 6 and len(reports) == 8
+    for report in reports:
+        assert report["checks"] == expected_checks(report)
+
+    remainder = homology_integral(simplify(build_complex(corpus.diagram("trefoil"), alg_worked)))
+    assert [d["torsion"] for d in remainder.degrees.values() if d["torsion"]] == [[721]]
+    assert remainder.checks == expected_checks(remainder.to_json(), built=False)
+    assert remainder.checks[0] == "remainder_d_squared"
+    assert {"mod_7", "mod_103"} <= set(remainder.checks)
+    assert not {"d_squared", "equivariance"} & set(remainder.checks)
+
+
 if __name__ == "__main__":
     import tempfile
 

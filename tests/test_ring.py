@@ -54,8 +54,6 @@ def test_is_unit(ctx):
     assert ctx(1).is_unit()
     assert not ctx(1, 1).is_unit()
     assert not ctx(0).is_unit()
-    with pytest.raises(UnsupportedRingError):
-        RingContext(2)(1).is_unit()
 
 
 def test_units_enumeration(ctx):

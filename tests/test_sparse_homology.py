@@ -14,13 +14,22 @@ import tracemalloc
 
 import pytest
 
-from conftest import bump_remainder_entry, reduce_units_reference, sparse_from_dense, total_rank, unit_free_matrices
+from conftest import (
+    bump_one_action_entry,
+    bump_one_edge_entry,
+    bump_remainder_entry,
+    reduce_units_reference,
+    sparse_from_dense,
+    total_rank,
+    unit_free_matrices,
+)
 from quadfrob import cli, corpus, intlin, linkhom, omodule
 from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
 from quadfrob.linkhom import (
     CheckFailedError,
     Complex,
     DifferentialSquareNonzeroError,
+    EquivarianceError,
     ModPCheckError,
     RouteDisagreementError,
     build_complex,
@@ -242,12 +251,12 @@ def test_reduce_units_pops_as_the_tuple_heap_did(algebra_corpus):
 
 def test_checks_and_elimination_hold_no_second_complex(alg_eps0):
     """Traced memory on eps0 T(2,7), built a second time so that the edge
-    caches are warm.  The checks inside ``build_complex`` test d^2 row by row
-    and equivariance one block row at a time, so its peak exceeds the
-    complex it returns by at most 0.25 of that complex's size; the homology
-    pipeline, whose unit elimination copies the rows, peaks at most 1.35
-    sizes above it.  A whole product or block table per check, or a tuple
-    per pending pivot beside set columns, breaks these bounds."""
+    caches are warm.  ``build_complex`` peaks at most 0.25 of the size of
+    the complex it returns above it.  The homology pipeline peaks at most
+    1.35 sizes above it: its checks test d^2 row by row and equivariance one
+    block row at a time, and its unit elimination copies the rows.  A whole
+    product or block table per check, or a tuple per pending pivot beside
+    set columns, breaks these bounds."""
     pd = corpus.braid_closure((1,) * 7, 2)
     build_complex(pd, alg_eps0)
     started = not tracemalloc.is_tracing()
@@ -481,6 +490,28 @@ def test_a_remainder_with_nonzero_d_squared_fails_every_reader(alg_worked, monke
         cx = build_complex(corpus.braid_closure((1,) * 5, 2), alg_worked)
         with pytest.raises(DifferentialSquareNonzeroError, match="d\\^2 != 0 at degree 2"):
             read(cx)
+
+
+@pytest.mark.parametrize("bump, error, message", [
+    (bump_one_edge_entry, DifferentialSquareNonzeroError, "^d_squared check failed: d\\^2 != 0 at degree {}$"),
+    (bump_one_action_entry, EquivarianceError,
+     "^equivariance check failed: differential from degree {} does not commute with sqrt\\(d\\)$"),
+], ids=["edge", "action"])
+@pytest.mark.parametrize("name, degree", [("trefoil", 0), ("figure8", -2)])
+def test_a_faulty_cube_builds_and_fails_every_reader(bump, error, message, name, degree, alg_eps0, alg_worked,
+                                                    monkeypatch):
+    """``build_complex`` runs no check: a cube with one bumped edge entry or
+    action entry is returned as built.  Each reader of its homology then
+    raises, naming the degree ``build_complex`` named when it ran the
+    checks itself, and caches nothing, so the next read raises again."""
+    for alg in (alg_eps0, alg_worked):
+        for read in (homology_integral, homology_over_K, simplify):
+            bump(monkeypatch)
+            cx = build_complex(corpus.diagram(name), alg)
+            assert not hasattr(cx, "checks")
+            for _ in range(2):
+                with pytest.raises(error, match=message.format(degree)):
+                    read(cx)
 
 
 def test_each_homology_report_is_a_fresh_copy(alg_worked):

@@ -5,11 +5,12 @@ budget: T(2,4) and T(2,5) and 46 four-crossing 3-braids over the worked
 algebra ``example_zsqrtm5(1, 1)`` and over ``eps1``,
 ``family_eps_x_one(mu, 2, 1+w, 1, 1)``.  All of them finish now.  The worked
 T(2,4) and T(2,5) are golden in ``test_golden_homology``; for the other 48,
-``stall_golden.json`` holds per degree the free Z-rank and the torsion, the
-nonzero K-dimensions and the ``checks`` list of ``homology_integral``.  The
-braid names use +i for s_i and -i for s_i^-1, as in the benchmark.  Rerun
-``python tests/test_stall_golden.py`` only when the output is meant to
-change.
+``stall_golden.json`` holds per degree the free Z-rank and the torsion, and
+the nonzero K-dimensions.  The ``checks`` list of ``homology_integral`` is
+not stored: each case's list must be what ``conftest.expected_checks``
+gives for its torsion.  The braid names use +i for s_i and -i for s_i^-1,
+as in the benchmark.  Rerun ``python tests/test_stall_golden.py`` only when
+the output is meant to change.
 """
 
 import json
@@ -24,6 +25,8 @@ if __name__ == "__main__":
 from quadfrob import Ideal, RingContext, corpus  # noqa: E402
 from quadfrob.frobenius import example_zsqrtm5, family_eps_x_one  # noqa: E402
 from quadfrob.linkhom import build_complex, homology_integral, homology_over_K  # noqa: E402
+
+from conftest import expected_checks  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).with_name("stall_golden.json")
 
@@ -55,6 +58,7 @@ def parse_word(name):
 
 
 def stall_record(key, algebras):
+    """(golden record, homology report) of one stall."""
     aname, name = key.split("/")
     if name.startswith("T2_"):
         pd = corpus.braid_closure((1,) * int(name[3:]), 2)
@@ -62,11 +66,11 @@ def stall_record(key, algebras):
         pd = corpus.braid_closure(parse_word(name), 3)
     cx = build_complex(pd, algebras[aname])
     h = homology_integral(cx)
-    return {
+    record = {
         "homology": {str(i): [v["z_rank"], v["torsion"]] for i, v in sorted(h.degrees.items())},
         "k_dims": {str(i): d for i, d in sorted(homology_over_K(cx).items())},
-        "checks": h.checks,
     }
+    return record, h
 
 
 def build_algebras():
@@ -93,11 +97,13 @@ def test_every_stall_is_frozen(golden):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_stall_matches_golden(key, golden, algebras):
-    assert stall_record(key, algebras) == golden[key]
+    record, h = stall_record(key, algebras)
+    assert record == golden[key]
+    assert h.checks == expected_checks(h.to_json())
 
 
 if __name__ == "__main__":
     algs = build_algebras()
-    out = {key: stall_record(key, algs) for key in KEYS}
+    out = {key: stall_record(key, algs)[0] for key in KEYS}
     GOLDEN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_FILE}")
