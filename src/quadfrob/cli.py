@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation rejection, 3 malformed input, 5 an
-internal cross-check failed.  Exit 5 prints "<check> check failed: ..."
-with <check> one of
+Exit codes: 0 success, 1 stdout closed before the report was written (the
+reader of a pipe went away; nothing is printed), 2 validation rejection,
+3 malformed input, 5 an internal cross-check failed.  Exit 5 prints
+"<check> check failed: ..." with <check> one of
 
     validation_routes ker_m_splitting well_defined tensor_torsion_free
     d_squared equivariance k_rank_vs_z_rank mod_p
@@ -45,6 +46,7 @@ from .linkhom import (
 from .ring import CheckFailedError, RingContext, UnsupportedRingError, parse_element
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_REJECTED = 2
 EXIT_MALFORMED = 3
 EXIT_CHECK = 5
@@ -59,7 +61,7 @@ def _emit(args, payload, text_lines):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     else:
-        print(out)
+        print(out, flush=True)
 
 
 def _parse_gens(ctx, text):
@@ -379,6 +381,13 @@ def main(argv=None):
     args = make_parser(argv).parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the Python docs' recipe for SIGPIPE: the interpreter flushes stdout
+        # at exit, so point its descriptor at devnull to keep that quiet
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except (ValidationError, NotOrderTwoError, UnsupportedRingError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED

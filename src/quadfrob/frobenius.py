@@ -20,7 +20,6 @@ from .ideals import Ideal
 from .intlin import det_int, mat_vec
 from .ring import (
     CheckFailedError,
-    ClosureError,
     NotDivisibleError,
     RingContext,
     RingElement,
@@ -135,10 +134,6 @@ class AlgebraElement(Value):
     def __init__(self, u0, u1):
         _set(self, "u0", u0)
         _set(self, "u1", u1)
-
-    def scale(self, o):
-        """Multiplication by o in O (the O-module structure)."""
-        return AlgebraElement(self.u0 * o, self.u1 * o)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +383,6 @@ class FrobeniusAlgebra(omodule.AlgebraLattice):
         return self.element(self.ctx.one)
 
     # -- structure maps ----------------------------------------------------
-
-    def multiply(self, x, y):
-        """(u0 + u1 X)(v0 + v1 X) with u1 v1 X^2 = (u1 v1 / z)(a_bar X + b_bar).
-
-        u1 v1 is always divisible by z when both lie in mu; the result can
-        escape mu X only for relaxed a_bar, reported as ClosureError.
-        """
-        try:
-            q = (x.u1 * y.u1).exact_div(self.data.z)
-        except NotDivisibleError as exc:
-            raise ClosureError(f"product of X-parts not divisible by z: {exc}") from exc
-        u0 = x.u0 * y.u0 + q * self.data.b_bar
-        u1 = x.u0 * y.u1 + x.u1 * y.u0 + q * self.data.a_bar
-        self.mu_z.check_closed(u0, u1)
-        return AlgebraElement(u0, u1)
 
     def trace(self, x):
         """eps(u0 + u1 X) = u0 eps(1) + u1 eps_x_bar / z, always in O."""

@@ -49,10 +49,6 @@ class Ideal(Value):
         return cls(ctx, tuple(tuple(r) for r in rows))
 
     @classmethod
-    def unit_ideal(cls, ctx):
-        return cls.from_generators(ctx, [ctx.one])
-
-    @classmethod
     def principal(cls, g):
         return cls.from_generators(g.ctx, [g])
 

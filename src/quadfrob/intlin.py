@@ -28,8 +28,8 @@ def transpose(a, ncols=None):
     return [[row[j] for row in a] for j in range(len(a[0]))]
 
 
-def mat_mul(a, b, b_ncols=None):
-    n = len(b[0]) if b else (b_ncols if b_ncols is not None else 0)
+def mat_mul(a, b):
+    n = len(b[0]) if b else 0
     out = [[0] * n for _ in range(len(a))]
     for i, arow in enumerate(a):
         orow = out[i]

@@ -524,7 +524,8 @@ def simplify(cx):
 
 def reidemeister_compare(pd1, pd2, alg):
     """Homology of two diagrams of the same link, degree by degree, read
-    off their two homology reports.  No invariance claim is made; the
+    off their two homology reports.  README's "Why the reported numbers
+    are link invariants" sketches why they agree (not yet reviewed); the
     report only states equality or not."""
     left, right = (homology_integral(build_complex(pd, alg)).to_json() for pd in (pd1, pd2))
     empty = {"z_rank": 0, "torsion": [], "k_dim": 0}

@@ -371,11 +371,6 @@ class FieldElement(Value):
     def is_integral(self):
         return self.p.denominator == 1 and self.q.denominator == 1
 
-    def to_ring(self):
-        if not self.is_integral():
-            raise NotDivisibleError(f"{self} is not in O")
-        return RingElement(self.ctx, int(self.p), int(self.q))
-
     def __str__(self):
         if self.q == 0:
             return str(self.p)

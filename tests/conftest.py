@@ -5,6 +5,7 @@ import pytest
 
 from quadfrob import Ideal, RingContext, linkhom
 from quadfrob.frobenius import (
+    AlgebraElement,
     FrobeniusData,
     build_algebra,
     example_zsqrtm5,
@@ -23,7 +24,7 @@ from quadfrob.intlin import (
     transpose,
 )
 from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice, OModule
-from quadfrob.ring import NotDivisibleError, parse_element
+from quadfrob.ring import ClosureError, NotDivisibleError, RingElement, parse_element
 
 
 @pytest.fixture(scope="session")
@@ -102,11 +103,28 @@ def ring_of(d, gens, z):
     return ctx, mu, parse_element(ctx, z)
 
 
-def search_hits():
+# Beyond class number two, (d, generators of mu, z) with z from
+# ``certify_order_two``: Cl(Z[sqrt(-21)]) = (Z/2)^2, where (2,1+w) and (3,w)
+# lie in different classes and (7,w) in the class of (3,w);
+# Cl(Z[sqrt(-14)]) = Z/4, whose one class of order two, that of (2,w), is a
+# square; Cl(Z[sqrt(-30)]) = (Z/2)^2, with (2,w) and (3,w) in different
+# classes
+LARGER_CLASS_GROUP_RINGS = (
+    (-21, "2,1+w", "2"),
+    (-21, "3,w", "3"),
+    (-21, "7,w", "7"),
+    (-14, "2,w", "2"),
+    (-30, "2,w", "2"),
+    (-30, "3,w", "3"),
+)
+
+
+def search_hits(rings=RINGS[:4]):
     """The first six algebras ``search_solutions`` finds with coordinate
-    bound 1 over each of the first four RINGS, in search order."""
+    bound 1 over each of ``rings`` (by default the first four RINGS, all
+    of class number two), in search order."""
     out = []
-    for ring in RINGS[:4]:
+    for ring in rings:
         _, mu, z = ring_of(*ring)
         out.extend(search_solutions(mu, z, coord_bound=1, limit=6))
     return out
@@ -146,6 +164,11 @@ def random_algebra_element(alg, r, bound=5):
 
 
 # -- sparse complexes and diagrams -------------------------------------------
+
+
+def dense_product(a, b, ncols):
+    """a*b with ncols columns, also when the inner dimension is empty."""
+    return mat_mul(a, b) if b else [[0] * ncols for _ in a]
 
 
 def sparse_from_dense(a, ncols=None):
@@ -481,7 +504,7 @@ def summand_coords(mu, c, odd):
     in O for an even circle set, over (g1, g2) in mu for an odd one."""
     if not c.is_integral():
         raise ValueError(f"{c} is not in O: the algebra is not closed")
-    r = c.to_ring()
+    r = to_ring(c)
     return mu.basis_coords(r) if odd else (r.x, r.y)
 
 
@@ -614,9 +637,25 @@ def outer(x, y):
     return [xi * yj for xi in x for yj in y]
 
 
+def multiply(alg, x, y):
+    """(u0 + u1 X)(v0 + v1 X) with u1 v1 X^2 = (u1 v1 / z)(a_bar X + b_bar).
+
+    u1 v1 is always divisible by z when both lie in mu; the result can
+    escape mu X only for relaxed a_bar, reported as ClosureError.
+    """
+    try:
+        q = (x.u1 * y.u1).exact_div(alg.data.z)
+    except NotDivisibleError as exc:
+        raise ClosureError(f"product of X-parts not divisible by z: {exc}") from exc
+    u0 = x.u0 * y.u0 + q * alg.data.b_bar
+    u1 = x.u0 * y.u1 + x.u1 * y.u0 + q * alg.data.a_bar
+    alg.mu_z.check_closed(u0, u1)
+    return AlgebraElement(u0, u1)
+
+
 def left_mult_matrix(alg, x):
-    """Left multiplication by x on A, read off ``FrobeniusAlgebra.multiply``."""
-    return transpose([alg.coords(alg.multiply(x, e)) for e in z_basis(alg)], ncols=4)
+    """Left multiplication by x on A, read off ``multiply``."""
+    return transpose([alg.coords(multiply(alg, x, e)) for e in z_basis(alg)], ncols=4)
 
 
 def delta_one_lift(alg):
@@ -638,7 +677,7 @@ def counit_first_matrix(alg):
     for ei in z_basis(alg):
         s = alg.trace(ei)
         for ej in z_basis(alg):
-            cols.append(alg.coords(ej.scale(s)))
+            cols.append(alg.coords(AlgebraElement(ej.u0 * s, ej.u1 * s)))
     raw = transpose(cols, ncols=16)
     t2 = alg.tensor_power(2)
     out = mat_mul(raw, t2.section)
@@ -652,7 +691,7 @@ def counit_second_matrix(alg):
     for ei in z_basis(alg):
         for ej in z_basis(alg):
             s = alg.trace(ej)
-            cols.append(alg.coords(ei.scale(s)))
+            cols.append(alg.coords(AlgebraElement(ei.u0 * s, ei.u1 * s)))
     raw = transpose(cols, ncols=16)
     t2 = alg.tensor_power(2)
     out = mat_mul(raw, t2.section)
@@ -663,6 +702,13 @@ def counit_second_matrix(alg):
 # -- the paper's raw equations over K, as oracles of the algebra side --------
 
 
+def to_ring(c):
+    """The element c of K as an element of O."""
+    if not c.is_integral():
+        raise NotDivisibleError(f"{c} is not in O")
+    return RingElement(c.ctx, int(c.p), int(c.q))
+
+
 def contains_fraction(ideal, x, denominator):
     """Membership of x in K in denominator^-1 * ideal: denominator * x is in
     O and lies in the lattice."""
@@ -671,7 +717,7 @@ def contains_fraction(ideal, x, denominator):
     scaled = denominator.to_field() * x
     if not scaled.is_integral():
         return False
-    return ideal.contains(scaled.to_ring())
+    return ideal.contains(to_ring(scaled))
 
 
 def k_a(data):
@@ -730,14 +776,14 @@ def eq20_memberships(data):
     e1_over = data.eps_one.to_field() / (delta * data.z.to_field())
     return (
         t_over.is_integral(),
-        ex_over.is_integral() and data.mu.contains(ex_over.to_ring()),
+        ex_over.is_integral() and data.mu.contains(to_ring(ex_over)),
         e1_over.is_integral(),
     )
 
 
 def trace_pairing(alg, x, y):
     """eps(xy)."""
-    return alg.trace(alg.multiply(x, y))
+    return alg.trace(multiply(alg, x, y))
 
 
 def delta_one_by_dualizing_multiplication(data):

@@ -20,6 +20,7 @@ from conftest import (
     k_delta_tilde,
     k_eps_x,
     m_tensor_id,
+    multiply,
     random_algebra_element,
     raw_system_residuals,
     trace_pairing,
@@ -156,14 +157,14 @@ def test_criterion_5_order_two_certification(ctx, mu):
     # oracle: no element of norm 2 exists, so mu cannot be principal
     assert [(x, y) for x in range(-3, 4) for y in range(-2, 3) if x * x + 5 * y * y == 2] == []
     with pytest.raises(NotOrderTwoError):
-        certify_order_two(Ideal.unit_ideal(ctx))
+        certify_order_two(Ideal.principal(ctx.one))
     with pytest.raises(NotOrderTwoError):
         certify_order_two(Ideal.from_generators(ctx, [ctx(2)]))
     report(5, "order-two certificate for (2, 1+w); principal ideals rejected")
 
 
 def _algebra_collection(ctx, mu, z):
-    unit_ideal = Ideal.unit_ideal(ctx)
+    unit_ideal = Ideal.principal(ctx.one)
     return [
         family_eps_x_zero(mu, z, ctx.zero, ctx.one, ctx.one),
         family_eps_x_zero(mu, z, ctx(1, 1), ctx(-1), ctx.one),
@@ -278,7 +279,7 @@ def test_criterion_10_frobenius_axioms(ctx, mu, z):
             x = random_algebra_element(alg, r, 4)
             y = random_algebra_element(alg, r, 4)
             w = random_algebra_element(alg, r, 4)
-            assert alg.multiply(alg.multiply(x, y), w) == alg.multiply(x, alg.multiply(y, w))
+            assert multiply(alg, multiply(alg, x, y), w) == multiply(alg, x, multiply(alg, y, w))
             assert trace_pairing(alg, x, y) == trace_pairing(alg, y, x)
             dx = list(alg.comultiply(x))
             assert mat_vec(eps_first, dx) == alg.coords(x)

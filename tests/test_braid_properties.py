@@ -7,11 +7,20 @@ characteristic, and agreement with the K-oracle of ``test_k_oracle``.  Then
 one random move of each kind, none of which changes the link, must leave
 the integral homology unchanged degree by degree: inserting s_i s_i^-1,
 conjugating by s_j^(+-1), and stabilizing to 4 strands with s_3^(+-1).
+
+Lee's degrees (``conftest.lee_degrees``, a theorem for every fixture here,
+as each has N != 0) are asserted degree by degree on closures that no
+golden file holds: 24 distinct mixed-sign braids of 3 strands and 3-6
+letters or 4 strands and 3-5 letters.  Every named check is blind to some
+faults that this catches, such as swapping the 0- and 1-smoothings in
+``linkhom._circles_at``.
 """
+
+import random
 
 import pytest
 
-from conftest import rng
+from conftest import lee_degrees, rng
 from quadfrob import corpus
 from quadfrob.linkhom import build_complex, homology_integral, homology_over_K
 from test_k_oracle import k_homology_dims
@@ -52,3 +61,27 @@ def test_random_braid_closure(name, seed, request):
     for move, other, strands in _moves(word, r):
         moved = homology_integral(build_complex(corpus.braid_closure(other, strands), alg))
         assert moved.degrees == h.degrees, (word, move, other)
+
+
+def _lee_words(count):
+    """``count`` distinct braid words with both signs, from a seeded draw."""
+    r = random.Random(43)
+    words = []
+    while len(words) < count:
+        strands = r.choice((3, 4))
+        length = r.randint(3, 6 if strands == 3 else 5)
+        word = tuple(_letter(r, strands) for _ in range(length))
+        if min(word) < 0 < max(word) and (word, strands) not in words:
+            words.append((word, strands))
+    return words
+
+
+LEE_CASES = [(name, word, strands) for word, strands in _lee_words(24)
+             for name in ("alg_eps0", "alg_worked", "alg_eps1")]
+
+
+@pytest.mark.parametrize("name, word, strands", LEE_CASES,
+                         ids=[f"{n[4:]}-{s}-{'.'.join(map(str, w))}" for n, w, s in LEE_CASES])
+def test_lee_degrees_of_seeded_braid_closures(name, word, strands, request):
+    pd = corpus.braid_closure(word, strands)
+    assert homology_over_K(build_complex(pd, request.getfixturevalue(name))) == lee_degrees(pd), word

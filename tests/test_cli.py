@@ -1,6 +1,9 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -477,6 +480,21 @@ def test_tqft_negative_genus_is_malformed(capsys):
     assert code == 3
     assert out == ""
     assert "genus must be nonnegative" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_exits_1_and_prints_nothing(fmt, tmp_path):
+    # the reader of the pipe is gone before the report is written: that is
+    # not malformed input, and the interpreter's exit flush stays quiet
+    corpus.write_corpus(str(tmp_path))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (["tqft", "--genus", "3"], ["link", "homology", "--pd", str(tmp_path / "trefoil.json")]):
+        cmd = [sys.executable, "-m", "quadfrob", *argv, "--format", fmt]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b""), argv
 
 
 def test_text_output_and_out_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Golden JSON output of the command line, byte for byte.
 
-``cli_golden.json`` holds the input files (the worked algebra and the
-trefoil and figure-8 diagrams) and, per case, the argument list, the exit
+``cli_golden.json`` holds the input files (the worked algebra, the
+trefoil and figure-8 diagrams, and two algebras over Z[sqrt(-21)], where
+Cl(O) = (Z/2)^2, with mu in the two classes of order two of (2,1+w) and
+(3,w)) and, per case, the argument list, the exit
 code and the exact standard output of ``--format json``.  The outputs were
 captured from the code before the value classes were rewritten without
 ``dataclasses``; a change to any ``to_json``, ``str`` or ``repr`` that feeds
@@ -47,6 +49,11 @@ for _alg, _extra in (("default", ()), ("worked", WORKED)):
         CASES[f"homology-{_knot}-{_alg}"] = ("link", "homology", "--pd", f"{{{_knot}}}", *_extra)
         CASES[f"lee-check-{_knot}-{_alg}"] = ("link", "lee-check", "--pd", f"{{{_knot}}}", *_extra)
     CASES[f"compare-{_alg}"] = ("link", "compare", "--pd1", "{trefoil}", "--pd2", "{figure8}", *_extra)
+# (d, generators of mu, z) of the Z[sqrt(-21)] inputs; each is the first
+# algebra ``algebra search`` finds at bound 1
+D21_RINGS = {"d21_mu2": (-21, "2,1+w", "2"), "d21_mu3": (-21, "3,w", "3")}
+for _alg in D21_RINGS:
+    CASES[f"homology-trefoil-{_alg}"] = ("link", "homology", "--pd", "{trefoil}", "--alg", f"{{{_alg}}}")
 
 
 def _write_inputs(inputs, directory):
@@ -68,14 +75,18 @@ def _run(argv, paths):
 
 
 def _capture(directory):
+    from conftest import ring_of
     from quadfrob import corpus
-    from quadfrob.frobenius import example_zsqrtm5
+    from quadfrob.frobenius import example_zsqrtm5, search_solutions
 
     inputs = {
         "worked": example_zsqrtm5(1, 1).data.to_json(),
         "trefoil": corpus.diagram("trefoil").to_json(),
         "figure8": corpus.diagram("figure8").to_json(),
     }
+    for name, ring in D21_RINGS.items():
+        _, mu, z = ring_of(*ring)
+        inputs[name] = next(search_solutions(mu, z, coord_bound=1)).data.to_json()
     paths = _write_inputs(inputs, directory)
     cases = {}
     for name, argv in CASES.items():
@@ -116,7 +127,7 @@ def _reports(obj):
 
 def test_the_check_rule_reproduces_the_anchors(golden, alg_worked):
     """``conftest.expected_checks``, which the stall goldens are held to,
-    against the literal lists of this file: the 8 reports of its 6
+    against the literal lists of this file: the 10 reports of its 8
     ``link homology`` and ``link compare`` records.  On a remainder the
     list starts at ``remainder_d_squared``; the worked trefoil's torsion
     721 = 7 * 103 adds ``mod_7`` and ``mod_103``."""
@@ -127,7 +138,7 @@ def test_the_check_rule_reproduces_the_anchors(golden, alg_worked):
     data, _ = golden
     records = {name: list(_reports(json.loads(case["stdout"]))) for name, case in data["cases"].items()}
     reports = [r for found in records.values() for r in found]
-    assert sum(1 for found in records.values() if found) == 6 and len(reports) == 8
+    assert sum(1 for found in records.values() if found) == 8 and len(reports) == 10
     for report in reports:
         assert report["checks"] == expected_checks(report)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import contains_fraction
+from conftest import LARGER_CLASS_GROUP_RINGS, contains_fraction, ring_of
 from quadfrob.ideals import (
     ClassOrderTwoCertificate,
     Ideal,
@@ -33,7 +33,7 @@ def test_from_generators_examples(ctx, mu):
 
 
 def test_product_examples(ctx, mu):
-    unit = Ideal.unit_ideal(ctx)
+    unit = Ideal.principal(ctx.one)
     assert (mu * mu).rows == ((2, 0), (0, 2))
     assert mu * unit == mu
     two = Ideal.from_generators(ctx, [ctx(2)])
@@ -49,12 +49,12 @@ def test_contains(ctx, mu):
     eps_x = ctx(1, 1).to_field() / ctx.field(2)
     assert contains_fraction(mu, eps_x, ctx(2))
     assert not contains_fraction(mu, ctx(1).to_field(), ctx(1))
-    assert contains_fraction(Ideal.unit_ideal(ctx), ctx(7, -3).to_field(), ctx(1))
+    assert contains_fraction(Ideal.principal(ctx.one), ctx(7, -3).to_field(), ctx(1))
 
 
 def test_norm(ctx, mu):
     assert mu.norm() == 2
-    assert Ideal.unit_ideal(ctx).norm() == 1
+    assert Ideal.principal(ctx.one).norm() == 1
     assert Ideal.from_generators(ctx, [ctx(2)]).norm() == 4
 
 
@@ -78,7 +78,7 @@ def test_certify_order_two(ctx, mu):
     assert isinstance(cert, ClassOrderTwoCertificate)
     assert cert.z == ctx(2) or cert.z == ctx(-2)
     with pytest.raises(NotOrderTwoError):
-        certify_order_two(Ideal.unit_ideal(ctx))
+        certify_order_two(Ideal.principal(ctx.one))
     with pytest.raises(NotOrderTwoError):
         certify_order_two(Ideal.from_generators(ctx, [ctx(2)]))
 
@@ -122,6 +122,24 @@ def test_product_properties_random(ctx):
                 assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("ring", LARGER_CLASS_GROUP_RINGS, ids=lambda ring: f"{ring[0]}:{ring[1]}")
+def test_order_two_beyond_class_number_two(ring):
+    _, mu, z = ring_of(*ring)
+    assert certify_order_two(mu).z == z
+
+
+def test_classes_of_order_two_beyond_class_number_two():
+    # two classes of order two lie apart exactly when their product is not
+    # principal
+    def product_is_principal(d, gens1, gens2):
+        (_, mu1, _), (_, mu2, _) = ring_of(d, gens1, "1"), ring_of(d, gens2, "1")
+        return (mu1 * mu2).is_principal() is not None
+
+    assert not product_is_principal(-21, "2,1+w", "3,w")
+    assert product_is_principal(-21, "3,w", "7,w")
+    assert not product_is_principal(-30, "2,w", "3,w")
+
+
 def test_partition_of_z(ctx, mu):
     us, ups = solve_partition_of_z(mu, ctx(2))
     assert us == [ctx(2), ctx(1, 1)]
@@ -135,7 +153,7 @@ def test_partition_of_z(ctx, mu):
 
 
 def test_partition_of_z_unit_and_principal(ctx):
-    unit = Ideal.unit_ideal(ctx)
+    unit = Ideal.principal(ctx.one)
     us, ups = solve_partition_of_z(unit, ctx(1))
     assert sum((u * up for u, up in zip(us, ups)), ctx.zero) == ctx(1)
     two = Ideal.from_generators(ctx, [ctx(2)])

@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from conftest import khovanov_data, khovanov_k_dims, lee_degrees, search_hits
+from conftest import LARGER_CLASS_GROUP_RINGS, khovanov_data, khovanov_k_dims, lee_degrees, search_hits
 from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
@@ -127,29 +127,55 @@ def _k_dims_and_torsion(pd, alg):
             {i: math.prod(v["torsion"]) for i, v in degrees.items()})
 
 
+def _law_diagrams():
+    diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
+    return diagrams + [braid_closure((1,) * n, 2) for n in (4, 5)]
+
+
+def _assert_torsion_law(alg, diagrams, khovanov):
+    """Lee's degrees, and the torsion law on each diagram, for one algebra."""
+    n = abs(det_int(alg.handle_matrix()))
+    assert n > 1, alg.data.to_json()
+    for pd, k in zip(diagrams, khovanov):
+        lee, torsion = _k_dims_and_torsion(pd, alg)
+        assert {i: dim for i, dim in lee.items() if dim} == lee_degrees(pd), (alg.data.to_json(), pd.to_json())
+        degrees = set(k) | set(lee) | set(torsion)
+        p = 0
+        for i in range(min(degrees) - 1, max(degrees) + 1):
+            p = k.get(i, 0) - lee.get(i, 0) - p
+            case = (alg.data.to_json(), pd.to_json(), i, n)
+            assert p >= 0, case
+            assert torsion.get(i + 1, 1) == n ** p, case
+        assert p == 0, case
+
+
+def _assert_no_torsion_prime_to_n(alg, diagrams):
+    """The corollary on each diagram for one algebra; returns the number of
+    (diagram, prime) cases."""
+    n = det_int(alg.handle_matrix())
+    primes = [q for q in (2, 3, 5, 7, 11, 13) if n % q]
+    cases = 0
+    for pd in diagrams:
+        cx = build_complex(pd, alg)
+        table = smith_homology(simplify(cx))
+        for q in primes:
+            case = (alg.data.to_json(), pd.to_json(), q, n)
+            assert not any(t % q == 0 for _, torsion in table.values() for t in torsion), case
+            assert check_mod_p(cx, table, {q}) == [q], case
+            cases += 1
+    return cases
+
+
 def test_torsion_is_the_handle_determinant_to_the_lee_pairs(alg_eps0, alg_worked, alg_eps1):
     # With k_i = dim Kh^i(L; Q) from conftest's Khovanov complex and l_i
     # the algebra's K-dimension (Lee's count), p_i = k_i - l_i - p_(i-1)
     # counts the pairs that Lee's spectral sequence cancels between degrees
     # i and i+1, and each pair is one torsion summand of order |N|,
     # N = det(m o Delta)
-    diagrams = [corpus.diagram(name) for name in ("trefoil", "figure8", "hopf")]
-    diagrams += [braid_closure((1,) * n, 2) for n in (4, 5)]
+    diagrams = _law_diagrams()
     khovanov = [khovanov_k_dims(pd) for pd in diagrams]
     for alg in [alg_eps0, alg_worked, alg_eps1] + search_hits():
-        n = abs(det_int(alg.handle_matrix()))
-        assert n > 1, alg.data.to_json()
-        for pd, k in zip(diagrams, khovanov):
-            lee, torsion = _k_dims_and_torsion(pd, alg)
-            assert {i: dim for i, dim in lee.items() if dim} == lee_degrees(pd), (alg.data.to_json(), pd.to_json())
-            degrees = set(k) | set(lee) | set(torsion)
-            p = 0
-            for i in range(min(degrees) - 1, max(degrees) + 1):
-                p = k.get(i, 0) - lee.get(i, 0) - p
-                case = (alg.data.to_json(), pd.to_json(), i, n)
-                assert p >= 0, case
-                assert torsion.get(i + 1, 1) == n ** p, case
-            assert p == 0, case
+        _assert_torsion_law(alg, diagrams, khovanov)
 
 
 def test_no_torsion_at_a_prime_that_does_not_divide_the_handle_determinant(alg_eps0, alg_worked, alg_eps1):
@@ -158,16 +184,19 @@ def test_no_torsion_at_a_prime_that_does_not_divide_the_handle_determinant(alg_e
     # separable X-relation, so H has no q-torsion and the count mod q is
     # the free rank alone
     diagrams = [corpus.diagram(name) for name in corpus.names()]
-    cases = 0
-    for alg in [alg_eps0, alg_worked, alg_eps1] + search_hits():
-        n = det_int(alg.handle_matrix())
-        primes = [q for q in (2, 3, 5, 7, 11, 13) if n % q]
-        for pd in diagrams:
-            cx = build_complex(pd, alg)
-            table = smith_homology(simplify(cx))
-            for q in primes:
-                case = (alg.data.to_json(), pd.to_json(), q, n)
-                assert not any(t % q == 0 for _, torsion in table.values() for t in torsion), case
-                assert check_mod_p(cx, table, {q}) == [q], case
-                cases += 1
+    algs = [alg_eps0, alg_worked, alg_eps1] + search_hits()
+    cases = sum(_assert_no_torsion_prime_to_n(alg, diagrams) for alg in algs)
     assert cases == 952
+
+
+@pytest.mark.parametrize("ring", LARGER_CLASS_GROUP_RINGS, ids=lambda ring: f"{ring[0]}:{ring[1]}")
+def test_the_law_and_its_corollary_beyond_class_number_two(ring):
+    # the fixtures and search_hits() all live where Cl(O) = Z/2; here [mu]
+    # is one class of order two among several, and N reaches 19,321
+    algs = search_hits([ring])
+    assert len(algs) == 6
+    diagrams = _law_diagrams()
+    khovanov = [khovanov_k_dims(pd) for pd in diagrams]
+    for alg in algs:
+        _assert_torsion_law(alg, diagrams, khovanov)
+        _assert_no_torsion_prime_to_n(alg, diagrams)

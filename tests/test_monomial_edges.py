@@ -13,14 +13,15 @@ import itertools
 
 import pytest
 
+from quadfrob.frobenius import AlgebraElement
 from quadfrob.intlin import identity, kron, mat_mul, mat_vec, perm_matrix, transpose
 
-from conftest import delta_one_lift, edge_matrix, left_mult_matrix, search_hits, z_basis
+from conftest import delta_one_lift, edge_matrix, left_mult_matrix, multiply, search_hits, z_basis
 
 
 def _m_z_matrix(alg):
     basis = z_basis(alg)
-    return transpose([alg.coords(alg.multiply(ei, ej)) for ei in basis for ej in basis], ncols=16)
+    return transpose([alg.coords(multiply(alg, ei, ej)) for ei in basis for ej in basis], ncols=16)
 
 
 def _delta_z_matrix(alg):
@@ -83,7 +84,8 @@ def test_monomial_action_conjugate_to_tensor_action(n, algebra_corpus):
     size = 2 << n
     for aname, alg in [*algebra_corpus.items(), *enumerate(search_hits())]:
         layout = [[row.get(j, 0) for j in range(size)] for row in alg.mu_z.sqrt_d_rows(n)]
-        on_a = transpose([alg.coords(e.scale(alg.ctx.sqrt_d)) for e in z_basis(alg)], ncols=4)
+        sqrt_d = alg.ctx.sqrt_d
+        on_a = transpose([alg.coords(AlgebraElement(e.u0 * sqrt_d, e.u1 * sqrt_d)) for e in z_basis(alg)], ncols=4)
         proj = alg.tensor_power(n).proj
         for i in range(n):
             j_i = kron(kron(identity(4 ** i), on_a), identity(4 ** (n - 1 - i)))

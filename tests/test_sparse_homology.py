@@ -18,6 +18,7 @@ from conftest import (
     bump_one_action_entry,
     bump_one_edge_entry,
     bump_remainder_entry,
+    dense_product,
     reduce_units_reference,
     sparse_from_dense,
     total_rank,
@@ -79,7 +80,7 @@ def random_complex(seed):
             d[t][image[k] + free[k] + t] = e
         u_next, _ = bases[k + 1]
         _, uinv = bases[k]
-        diffs.append(mat_mul(mat_mul(u_next, d), uinv, b_ncols=ranks[k]) if ranks[k + 1] else [])
+        diffs.append(dense_product(mat_mul(u_next, d), uinv, ranks[k]) if ranks[k + 1] else [])
     expected = {0: (free[0], [])}
     for k in range(1, length + 1):
         expected[k] = (free[k], sorted(abs(e) for e in entries[k - 1] if abs(e) != 1))
@@ -168,7 +169,7 @@ def test_sparse_rank_matches_rank_rat(seed):
     m, k, n = r.randint(1, 9), r.randint(0, 4), r.randint(1, 9)
     a = [[r.choice((0, 0, 0, 1, -1, 3)) for _ in range(k)] for _ in range(m)]
     b = [[r.choice((0, 0, 2, -1, 5)) for _ in range(n)] for _ in range(k)]
-    mats.append(mat_mul(a, b, b_ncols=n))
+    mats.append(dense_product(a, b, n))
     # plus large entries with dependent and zero rows
     mats += [dependent_rows(r) for _ in range(3)]
     # plus matrices on which every pivot over Q is a Euclid step
@@ -191,7 +192,7 @@ def test_sparse_rank_mod_p_matches_dense_oracle(seed):
     m, k, n = r.randint(1, 10), r.randint(0, 4), r.randint(1, 10)
     a = [[r.choice((0, 0, 1, -1, 2, 7)) for _ in range(k)] for _ in range(m)]
     b = [[r.choice((0, 0, -2, 3, 103)) for _ in range(n)] for _ in range(k)]
-    mats.append(mat_mul(a, b, b_ncols=n))
+    mats.append(dense_product(a, b, n))
     mats += [dependent_rows(r) for _ in range(3)]
     for d in mats:
         sm = sparse_from_dense(d, ncols=len(d[0]) if d else r.randint(0, 5))

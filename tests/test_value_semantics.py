@@ -54,7 +54,7 @@ VALUES = {
     RingContext: (("d",), _ctx, lambda: RingContext(-6)),
     RingElement: (("ctx", "x", "y"), lambda: _ctx()(1, 2), lambda: _ctx()(1, 3)),
     FieldElement: (("ctx", "p", "q"), lambda: _ctx().field(Fraction(1, 2), 3), lambda: _ctx().field(1, 3)),
-    Ideal: (("ctx", "rows"), _mu, lambda: Ideal.unit_ideal(_ctx())),
+    Ideal: (("ctx", "rows"), _mu, lambda: Ideal.principal(_ctx().one)),
     ClassOrderTwoCertificate: (
         ("mu", "z"),
         lambda: certify_order_two(_mu()),
