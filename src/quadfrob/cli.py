@@ -375,6 +375,13 @@ def make_parser(argv=None):
     return ap
 
 
+def _quiet_closed_stdout():
+    """The Python docs' recipe for SIGPIPE: the interpreter flushes stdout
+    at exit, so point its descriptor at devnull to keep that quiet."""
+    import os
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -382,11 +389,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except BrokenPipeError:
-        # the Python docs' recipe for SIGPIPE: the interpreter flushes stdout
-        # at exit, so point its descriptor at devnull to keep that quiet
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _quiet_closed_stdout()
         return EXIT_STDOUT_CLOSED
     except (ValidationError, NotOrderTwoError, UnsupportedRingError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -398,6 +401,8 @@ def main(argv=None):
             error = {"check": exc.check, "message": str(exc), "inputs": inputs}
             try:
                 _emit(args, {"error": error}, [])
+            except BrokenPipeError:
+                _quiet_closed_stdout()
             except OSError as err:
                 print(f"cannot write the error report: {err}", file=sys.stderr)
         return EXIT_CHECK

@@ -478,8 +478,8 @@ TRIAL_DIVISION_BOUND = 1 << 16
 
 def _prime_factors(n):
     """(primes found, cofactor left unfactored) for n, by trial division up
-    to TRIAL_DIVISION_BOUND.  A cofactor left below its square is prime; a
-    larger one is not factored and is returned, 1 when there is none."""
+    to TRIAL_DIVISION_BOUND.  A cofactor below the next divisor's square is
+    prime; a larger one is returned unfactored, 1 when there is none."""
     out = set()
     p = 2
     while p <= TRIAL_DIVISION_BOUND and p * p <= n:
@@ -487,7 +487,7 @@ def _prime_factors(n):
             out.add(p)
             n //= p
         p += 1 if p == 2 else 2
-    if n > TRIAL_DIVISION_BOUND ** 2:
+    if p * p <= n:
         return out, n
     if n > 1:
         out.add(n)

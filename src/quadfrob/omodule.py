@@ -635,10 +635,6 @@ class AlgebraLattice:
         ``mu_z``."""
         return self.mu_z.tensor_power(n)
 
-    def pure2(self, x, y):
-        """x (x) y in the coordinates of A (x)_O A."""
-        return self.mu_z.pure2((x.u0, x.u1), (y.u0, y.u1))
-
     # -- structure maps ------------------------------------------------------
 
     @functools.cached_property

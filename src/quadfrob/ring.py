@@ -277,9 +277,6 @@ class RingElement(Value):
     def to_field(self):
         return FieldElement(self.ctx, Fraction(self.x), Fraction(self.y))
 
-    def coords(self):
-        return (self.x, self.y)
-
     def __str__(self):
         if self.y == 0:
             return str(self.x)

@@ -653,6 +653,11 @@ def multiply(alg, x, y):
     return AlgebraElement(u0, u1)
 
 
+def pure2(alg, x, y):
+    """x (x) y in the coordinates of A (x)_O A."""
+    return alg.mu_z.pure2((x.u0, x.u1), (y.u0, y.u1))
+
+
 def left_mult_matrix(alg, x):
     """Left multiplication by x on A, read off ``multiply``."""
     return transpose([alg.coords(multiply(alg, x, e)) for e in z_basis(alg)], ncols=4)

@@ -497,6 +497,29 @@ def test_a_closed_stdout_exits_1_and_prints_nothing(fmt, tmp_path):
         assert (proc.returncode, err) == (1, b""), argv
 
 
+def test_a_closed_stdout_keeps_exit_5_and_prints_only_the_check(tmp_path):
+    # the json error report of a failed check meets a closed stdout: the
+    # check line is all of stderr, and the exit flush stays quiet
+    corpus.write_corpus(str(tmp_path))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "from quadfrob import linkhom\n"
+        "from quadfrob.cli import main\n"
+        "def fail(self):\n"
+        "    raise linkhom.DifferentialSquareNonzeroError('d^2 != 0 at degree 0')\n"
+        "linkhom.Complex.check_d_squared = fail\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["link", "homology", "--pd", str(tmp_path / "trefoil.json"), "--format", "json"]
+    with subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (5, b"d_squared check failed: d^2 != 0 at degree 0\n")
+
+
 def test_text_output_and_out_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code, stdout, _ = run(capsys, "ideal", "classinfo", "-d", "-5", "--gens", "2,1+w", "--out", str(out))

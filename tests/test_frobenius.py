@@ -9,6 +9,7 @@ from conftest import (
     k_delta_tilde,
     k_eps_x,
     multiply,
+    pure2,
     random_algebra_element,
     random_mu_element,
     random_ring_element,
@@ -257,9 +258,9 @@ def test_delta_one_two_routes(algebra_corpus):
 def test_delta_one_closed_form_eps0(ctx, alg_eps0):
     # eps(1)^-1 (1(x)1 + b_bar^-1 (s1 X (x) s1' X + s2 X (x) s2' X))
     us, ups = alg_eps0.mu_z.partition
-    expected = alg_eps0.pure2(alg_eps0.one, alg_eps0.one)
+    expected = pure2(alg_eps0, alg_eps0.one, alg_eps0.one)
     for u, up in zip(us, ups):
-        term = alg_eps0.pure2(alg_eps0.element(0, u), alg_eps0.element(0, up))
+        term = pure2(alg_eps0, alg_eps0.element(0, u), alg_eps0.element(0, up))
         expected = [a + b for a, b in zip(expected, term)]
     assert list(alg_eps0.comultiply_one()) == expected
 
@@ -267,7 +268,7 @@ def test_delta_one_closed_form_eps0(ctx, alg_eps0):
 def test_delta_one_sanity_free(alg_sanity):
     one = alg_sanity.one
     x = alg_sanity.element(0, 1)
-    expected = [a + b for a, b in zip(alg_sanity.pure2(one, one), alg_sanity.pure2(x, x))]
+    expected = [a + b for a, b in zip(pure2(alg_sanity, one, one), pure2(alg_sanity, x, x))]
     assert list(alg_sanity.comultiply_one()) == expected
 
 

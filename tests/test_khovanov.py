@@ -25,7 +25,14 @@ import random
 
 import pytest
 
-from conftest import LARGER_CLASS_GROUP_RINGS, khovanov_data, khovanov_k_dims, lee_degrees, search_hits
+from conftest import (
+    LARGER_CLASS_GROUP_RINGS,
+    khovanov_data,
+    khovanov_k_dims,
+    khovanov_ranks,
+    lee_degrees,
+    search_hits,
+)
 from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
@@ -79,6 +86,28 @@ def test_it_is_a_valid_algebra_with_principal_mu(ctx):
     alg = build_algebra(khovanov_data(ctx))
     assert alg.report.accepted and alg.report.mu_principal
     assert alg.kernel_m_analysis().iso_to_A
+
+
+# {(i, q): rank of Kh^(i,q)(L; Q)} of positive diagrams, typed in from
+# Bar-Natan's tables (arXiv:math/0201043), every rank 1.  Their graded Euler
+# characteristics are (q + 1/q) times the Jones polynomials of 3_1, 4_1 and
+# 8_19.
+BAR_NATAN = {
+    "unknot_r1plus": [(0, -1), (0, 1)],
+    "unknot_r1minus": [(0, -1), (0, 1)],
+    "hopf": [(0, 0), (0, 2), (2, 4), (2, 6)],
+    "trefoil": [(0, 1), (0, 3), (2, 5), (3, 9)],
+    "figure8": [(-2, -5), (-1, -1), (0, -1), (0, 1), (1, 1), (2, 5)],
+    "T(2,5)": [(0, 3), (0, 5), (2, 7), (3, 11), (4, 11), (5, 15)],
+    "T(3,4)": [(0, 5), (0, 7), (2, 9), (3, 13), (4, 11), (4, 13), (5, 15), (5, 17)],
+}
+BAR_NATAN_DIAGRAMS = {"T(2,5)": braid_closure((1,) * 5, 2), "T(3,4)": braid_closure((1, 2) * 4, 3)}
+
+
+@pytest.mark.parametrize("name", BAR_NATAN)
+def test_the_graded_ranks_are_bar_natans_tables(name):
+    pd = BAR_NATAN_DIAGRAMS[name] if name in BAR_NATAN_DIAGRAMS else corpus.diagram(name)
+    assert khovanov_ranks(pd) == dict.fromkeys(BAR_NATAN[name], 1)
 
 
 @pytest.mark.parametrize("pd", [corpus.diagram(name) for name in corpus.names()]

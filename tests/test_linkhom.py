@@ -373,6 +373,14 @@ def test_unfactored_torsion_is_named_in_notes(alg_worked, monkeypatch):
     ]
 
 
+def test_a_cofactor_below_the_square_of_the_last_divisor_is_prime():
+    # trial division stops at 65537, and 65537^2 > 2^32 + 15, so that
+    # remainder is proven prime; 65537 * 65539 is not below 65537^2
+    assert linkhom._prime_factors(4294967311) == ({4294967311}, 1)
+    assert linkhom._prime_factors(3 * 4294967311) == ({3, 4294967311}, 1)
+    assert linkhom._prime_factors(65537 * 65539) == (set(), 4295229443)
+
+
 def test_simplify_preserves_homology(algebra_corpus):
     for aname, alg in algebra_corpus.items():
         for name in corpus.names():

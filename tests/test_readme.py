@@ -4,17 +4,24 @@ Every ``quadfrob ...`` line of the "Command line" block runs through
 ``cli.main`` in a temporary directory and must exit 0; ``link corpus``
 runs first, so the diagrams the other lines read exist, and the
 algebra-parameter JSON of "File formats" is written to
-``my_algebra.json``.  The "Python quick start" block is executed.  The
-check names that exit 5 can report, as README's "Checks on every
-computation" and ``cli``'s docstring list them, are those of the
-``CheckFailedError`` subclasses of the package.
+``my_algebra.json``.  The block runs once, under ``sys.setprofile``:
+``test_public_surface.py`` reads the code it entered.  The "Python quick
+start" block is executed.  The check names that exit 5 can report, as
+README's "Checks on every computation" and ``cli``'s docstring list them,
+are those of the ``CheckFailedError`` subclasses of the package.
 """
 
+import contextlib
+import functools
 import importlib
+import io
 import json
+import os
 import pkgutil
 import re
 import shlex
+import sys
+import tempfile
 from pathlib import Path
 
 import quadfrob
@@ -48,12 +55,50 @@ def test_the_command_block_is_read():
     assert COMMANDS[0][:2] == ["link", "corpus"]
 
 
-def test_commands_exit_zero(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def entered_by(call):
+    """The code objects whose frames ``call()`` enters."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+@functools.cache
+def command_block_run():
+    """Runs the command block once: each command's (argv, exit code,
+    stderr), and the code objects the run entered."""
     algebra = json.loads(_block("## File formats", "json", after="Algebra parameters:"))
-    (tmp_path / "my_algebra.json").write_text(json.dumps(algebra))
-    for argv in COMMANDS:
-        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    results = []
+
+    def run():
+        for argv in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                results.append((argv, main(argv), err.getvalue()))
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("my_algebra.json").write_text(json.dumps(algebra), encoding="utf-8")
+            entered = entered_by(run)
+        finally:
+            os.chdir(cwd)
+    return results, entered
+
+
+def test_commands_exit_zero():
+    for argv, code, err in command_block_run()[0]:
+        assert code == 0, (argv, err)
 
 
 def test_python_quick_start():

@@ -163,7 +163,7 @@ def test_equality_is_within_one_class():
     assert ctx(1) != ctx.field(1)
     assert ctx.field(1) != ctx(1)
     assert ctx(1) != 1
-    assert ctx(1, 2) != ctx(1, 2).coords()
+    assert ctx(1, 2) != (1, 2)
     assert RingContext(-5) != {"d": -5}
 
 
