@@ -6,7 +6,7 @@ reader of a pipe went away; nothing is printed), 2 validation rejection,
 "<check> check failed: ..." with <check> one of
 
     validation_routes ker_m_splitting well_defined tensor_torsion_free
-    d_squared equivariance k_rank_vs_z_rank mod_p
+    d_squared equivariance k_rank_vs_z_rank lee_degrees mod_p
 
 where tensor_torsion_free is raised only by omodule.tensor_over_O, a test
 oracle that no command calls.  With --format json, exit 5 also writes
@@ -257,8 +257,23 @@ def cmd_link(args):
     return EXIT_OK
 
 
+def _exact_strs(values):
+    """str of each value with no cap on the digits of an int: Python 3.10.7
+    and later cap int -> str conversion (``sys.set_int_max_str_digits``)
+    to guard the parsing of input, which keeps its cap, but an exact result
+    must print whole."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return [str(v) for v in values]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def cmd_tqft(args):
-    values = [str(v) for v in _load_algebra(args).closed_surface_invariants(args.genus)]
+    values = _exact_strs(_load_algebra(args).closed_surface_invariants(args.genus))
     payload = {"genus_values": {str(g): v for g, v in enumerate(values)}}
     lines = [f"genus {g}: {v}" for g, v in enumerate(values)]
     _emit(args, payload, lines)

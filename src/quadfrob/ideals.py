@@ -61,12 +61,16 @@ class Ideal(Value):
                 prods.append(ea * self.ctx(*rb))
         return Ideal.from_generators(self.ctx, prods)
 
-    def contains(self, elt):
+    def _coords(self, elt):
+        """Integer coordinates of elt over the HNF basis, by back-substitution
+        through the triangular rows, or None when elt is not a member."""
         (a, _), (b, c) = self.rows
-        if elt.y % c:
-            return False
-        beta = elt.y // c
-        return (elt.x - beta * b) % a == 0
+        beta, r = divmod(elt.y, c)
+        alpha, s = divmod(elt.x - beta * b, a)
+        return None if r or s else (alpha, beta)
+
+    def contains(self, elt):
+        return self._coords(elt) is not None
 
     def norm(self):
         """Index [O : a] = |det| of the HNF basis."""
@@ -78,14 +82,10 @@ class Ideal(Value):
 
     def basis_coords(self, elt):
         """Integer coordinates of a member over the HNF basis."""
-        (a, _), (b, c) = self.rows
-        if elt.y % c:
+        coords = self._coords(elt)
+        if coords is None:
             raise ValueError(f"{elt} not in ideal")
-        beta = elt.y // c
-        rest = elt.x - beta * b
-        if rest % a:
-            raise ValueError(f"{elt} not in ideal")
-        return (rest // a, beta)
+        return coords
 
     def is_principal(self):
         """A generator with (g) = a, or None.

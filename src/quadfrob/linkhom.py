@@ -21,14 +21,16 @@ what is left and its invariant factors, on sparse rows with the one Euclid
 pivot of ``intlin``.  The ranks that check it come from a separate row
 echelon (``intlin.sparse_rank``): the free Z-ranks must match the ranks
 over Q, and ranks mod p the universal-coefficient count of the torsion.
+Over a separable algebra (handle determinant N != 0) the free Z-ranks must
+also be twice Lee's degrees, which ``lee_degrees`` reads off the PD code.
 
 Homological degree is |v| - n_minus.
 """
 
 import copy
 
-from .intlin import SparseMatrix, invariant_factors, reduce_units, sparse_rank
-from .ring import CheckFailedError, Value, _set, json_int, json_key
+from .intlin import SparseMatrix, det_int, invariant_factors, reduce_units, sparse_rank
+from .ring import CheckFailedError, Value, _prime_factors, _set, json_int, json_key
 
 
 class MalformedPDError(ValueError):
@@ -53,6 +55,13 @@ class ModPCheckError(CheckFailedError):
     """Ranks mod p disagree with the universal-coefficient count."""
 
     check = "mod_p"
+
+
+class LeeDegreesError(CheckFailedError):
+    """Free Z-ranks disagree with twice Lee's degrees over a separable
+    algebra."""
+
+    check = "lee_degrees"
 
 
 class PDCode(Value):
@@ -124,11 +133,15 @@ class PDCode(Value):
     def n_minus(self):
         return sum(1 for s in self.signs if s < 0)
 
-    def components(self):
-        """Number of link components: the orbits of ``_successor``, as
-        ``_classes`` finds them, plus the loops."""
+    def _strands(self):
+        """The components that pass through crossings, each the list of its
+        arcs: the orbits of ``_successor``, as ``_classes`` finds them."""
         succ = self._successor()
-        return len(_classes(succ, succ.items())) + self.loops
+        return _classes(succ, succ.items())
+
+    def components(self):
+        """Number of link components: the ``_strands``, plus the loops."""
+        return len(self._strands()) + self.loops
 
     def to_json(self):
         return {
@@ -235,16 +248,17 @@ class Complex:
     differential diffs[i]: groups[i] -> groups[i+1], a SparseMatrix.  Its
     checks run when its homology is first read (``_homology``)."""
 
-    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None):
+    def __init__(self, min_degree, ranks, diffs, actions=None, notes=None, lee=None):
         self.min_degree = min_degree
         self.ranks = ranks
         self.diffs = diffs  # len(ranks) - 1 SparseMatrix differentials
         self.actions = actions  # sqrt(d)-action per degree, None once simplified
         self.notes = [] if notes is None else notes
+        self.lee = lee  # {degree: K-dimension} from lee_degrees when N != 0, else None
         self._homology = None  # cached by _homology(); not compared
 
     def _key(self):
-        return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes)
+        return (self.min_degree, self.ranks, self.diffs, self.actions, self.notes, self.lee)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -306,7 +320,9 @@ def build_complex(pd, alg):
     """Chain groups (+) A^(x circles) per degree |v| - n_minus, with merge
     and split edge maps signed by (-1)^(number of 1s before the flipped
     coordinate).  d^2 = 0 and sqrt(d)-equivariance are verified when the
-    complex's homology is first read, before unit elimination.
+    complex's homology is first read, before unit elimination.  When the
+    algebra's handle determinant N = det(m o Delta) is nonzero, the complex
+    carries ``lee_degrees(pd)`` for the ``lee_degrees`` check.
 
     One pass over the vertices of ``resolve``'s cube, in order, lays out
     the chain groups and their sqrt(d)-actions; one pass over its edges
@@ -345,7 +361,25 @@ def build_complex(pd, alg):
             " i.e. the kink complex 0 -> A -> A(x)A -> 0 mirrored from the"
             " positive one"
         )
-    return Complex(-pd.n_minus, ranks, diffs, actions, notes)
+    lee = lee_degrees(pd) if det_int(alg.handle_matrix()) else None
+    return Complex(-pd.n_minus, ranks, diffs, actions, notes, lee)
+
+
+def lee_degrees(pd):
+    """{i: dim H^i} over a separable rank-two Frobenius algebra over a field,
+    in closed form (Lee, arXiv:math/0210213, Prop. 4.3; Mackaay, Turner and
+    Vaz, arXiv:math/0509692): one generator for each set E of components,
+    in degree s(E), the sum of the signs of the crossings whose
+    under-strand (slot 1) and over-strand (slot 2) lie on opposite sides of
+    E.  Components are the ``PDCode._strands`` plus the loops, which cross
+    nothing."""
+    strands = pd._strands()
+    component = {arc: n for n, arcs in enumerate(strands) for arc in arcs}
+    out = {}
+    for e in range(1 << (len(strands) + pd.loops)):
+        i = sum(s for (a, b, _, _), s in zip(pd.crossings, pd.signs) if (e >> component[a] ^ e >> component[b]) & 1)
+        out[i] = out.get(i, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +414,9 @@ def _homology(cx):
     remainder); the one place its checks run and are named.  A complex with
     its sqrt(d)-action passes ``d_squared`` and ``equivariance``, and what
     unit elimination leaves ``remainder_d_squared`` before its invariant
-    factors are read.  The report holds the degrees with their ``k_dim``,
+    factors are read; the free ranks pass ``k_rank_vs_z_rank`` and, when the
+    complex carries Lee's degrees, ``lee_degrees``.  The report holds the
+    degrees with their ``k_dim``,
     the notes naming each torsion invariant whose primes ``check_mod_p``
     could not find, and every check that ran, in run order."""
     if cx._homology is None:
@@ -389,7 +425,7 @@ def _homology(cx):
             cx.check_equivariance()
         q_ranks = [sparse_rank(d) for d in cx.diffs]
         kept, reduced = reduce_units(cx.diffs, cx.ranks)
-        small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes))
+        small = Complex(cx.min_degree, [len(s) for s in kept], reduced, notes=list(cx.notes), lee=cx.lee)
         small.check_d_squared()
         table = smith_homology(small)
         for i, q in _dims_from_ranks(cx, q_ranks).items():
@@ -401,6 +437,12 @@ def _homology(cx):
                 raise RouteDisagreementError(f"degree {i}: odd dimension {q} over Q for a complex over O")
         checks = ["d_squared", "equivariance"] if cx.actions is not None else []
         checks += ["remainder_d_squared", "k_rank_vs_z_rank"]
+        if cx.lee is not None:
+            for i in sorted(table.keys() | cx.lee.keys()):
+                free, lee = table.get(i, (0, []))[0], cx.lee.get(i, 0)
+                if free != 2 * lee:
+                    raise LeeDegreesError(f"degree {i}: free Z-rank {free}, but Lee's degrees give K-dimension {lee}")
+            checks.append("lee_degrees")
         checks += [f"mod_{p}" for p in check_mod_p(cx, table)]
         checks += [f"remainder_mod_{p}" for p in check_mod_p(small, table, REMAINDER_PRIMES)]
         degrees, notes = {}, list(cx.notes)
@@ -471,27 +513,6 @@ def check_mod_p(cx, table, primes=None):
                     f" + {t_here} + {t_next} torsion invariants divisible by p"
                 )
     return sorted(primes)
-
-
-TRIAL_DIVISION_BOUND = 1 << 16
-
-
-def _prime_factors(n):
-    """(primes found, cofactor left unfactored) for n, by trial division up
-    to TRIAL_DIVISION_BOUND.  A cofactor below the next divisor's square is
-    prime; a larger one is returned unfactored, 1 when there is none."""
-    out = set()
-    p = 2
-    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if p * p <= n:
-        return out, n
-    if n > 1:
-        out.add(n)
-    return out, 1
 
 
 def homology_integral(cx):

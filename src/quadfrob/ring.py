@@ -6,6 +6,7 @@ and the unit group is finite.
 Field elements carry Fraction coordinates, always in lowest terms.
 """
 
+import math
 import re
 from fractions import Fraction
 from operator import attrgetter
@@ -60,16 +61,25 @@ def json_int(value, *, text=False):
     return value
 
 
-def _is_squarefree(n):
-    n = abs(n)
+TRIAL_DIVISION_BOUND = 1 << 16
+
+
+def _prime_factors(n):
+    """(primes found, cofactor left unfactored) for n, by trial division up
+    to TRIAL_DIVISION_BOUND.  A cofactor below the next divisor's square is
+    prime; a larger one is returned unfactored, 1 when there is none."""
+    out = set()
     p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
+        while n % p == 0:
+            out.add(p)
             n //= p
-        p += 1
-    return True
+        p += 1 if p == 2 else 2
+    if p * p <= n:
+        return out, n
+    if n > 1:
+        out.add(n)
+    return out, 1
 
 
 _set = object.__setattr__
@@ -127,8 +137,9 @@ class RingContext(Value):
         if d % 4 == 1:
             raise ValueError("d = 1 (mod 4) not supported: {1, sqrt(d)} must be an integral basis")
         if abs(d) >= 1 << 32:
-            raise ValueError("|d| must be below 2**32")  # squarefreeness is tested by trial division
-        if not _is_squarefree(d):
+            raise ValueError("|d| must be below 2**32")
+        # below 2**32 = TRIAL_DIVISION_BOUND**2, |d| factors fully
+        if math.prod(_prime_factors(abs(d))[0]) != abs(d):
             raise ValueError("d must be squarefree")
         if d > 0:
             raise UnsupportedRingError(f"real quadratic d = {d}: only imaginary quadratic rings (d < 0) are supported")

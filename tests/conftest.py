@@ -190,13 +190,15 @@ def total_rank(cx):
     return sum(cx.ranks)
 
 
-def expected_checks(report, built=True):
+def expected_checks(report, built=True, lee=True):
     """The checks a homology report lists, in run order, from its torsion
     alone: ``report`` as ``HomologyReport.to_json`` writes it (invariants
     as strings or ints), ``built`` for the complex ``build_complex``
-    assembled rather than a remainder.  A built complex first passes
-    ``d_squared`` and ``equivariance``; every complex then passes
-    ``remainder_d_squared`` and ``k_rank_vs_z_rank``, ``mod_p`` for p = 2
+    assembled rather than a remainder, ``lee`` for an algebra whose handle
+    determinant N is nonzero.  A built complex first passes ``d_squared``
+    and ``equivariance``; every complex then passes
+    ``remainder_d_squared`` and ``k_rank_vs_z_rank``, at N != 0
+    ``lee_degrees``, ``mod_p`` for p = 2
     and each prime of a torsion invariant in ascending order, and last
     ``remainder_mod_p`` for p = 3, 5, 7, 11 and 13.  The primes come from
     trial division by every integer, so an invariant must be small enough
@@ -213,7 +215,7 @@ def expected_checks(report, built=True):
             if n > 1:
                 primes.add(n)
     checks = ["d_squared", "equivariance"] if built else []
-    checks += ["remainder_d_squared", "k_rank_vs_z_rank"]
+    checks += ["remainder_d_squared", "k_rank_vs_z_rank"] + (["lee_degrees"] if lee else [])
     checks += [f"mod_{p}" for p in sorted(primes)]
     return checks + [f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)]
 
@@ -330,22 +332,6 @@ def khovanov_k_dims(pd):
     out = {}
     for (i, _), dim in khovanov_ranks(pd).items():
         out[i] = out.get(i, 0) + dim
-    return out
-
-
-def lee_degrees(pd):
-    """{i: dim} of Lee's homology in closed form (Lee, arXiv:math/0210213):
-    one generator for each set E of components, in degree s(E), the sum of
-    the signs of the crossings whose under-strand (slot 1) and over-strand
-    (slot 2) lie on opposite sides of E.  Components are the orbits of
-    ``PDCode._successor``, plus the loops, which cross nothing."""
-    succ = pd._successor()
-    component = {arc: n for n, arcs in enumerate(linkhom._classes(succ, succ.items())) for arc in arcs}
-    count = len(set(component.values())) + pd.loops
-    out = {}
-    for e in range(1 << count):
-        i = sum(s for (a, b, _, _), s in zip(pd.crossings, pd.signs) if (e >> component[a] ^ e >> component[b]) & 1)
-        out[i] = out.get(i, 0) + 1
     return out
 
 

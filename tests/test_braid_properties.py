@@ -8,21 +8,21 @@ one random move of each kind, none of which changes the link, must leave
 the integral homology unchanged degree by degree: inserting s_i s_i^-1,
 conjugating by s_j^(+-1), and stabilizing to 4 strands with s_3^(+-1).
 
-Lee's degrees (``conftest.lee_degrees``, a theorem for every fixture here,
+Lee's degrees (``linkhom.lee_degrees``, a theorem for every fixture here,
 as each has N != 0) are asserted degree by degree on closures that no
 golden file holds: 24 distinct mixed-sign braids of 3 strands and 3-6
-letters or 4 strands and 3-5 letters.  Every named check is blind to some
-faults that this catches, such as swapping the 0- and 1-smoothings in
-``linkhom._circles_at``.
+letters or 4 strands and 3-5 letters.  Of the named checks only
+``lee_degrees`` catches some faults that this catches, such as swapping
+the 0- and 1-smoothings in ``linkhom._circles_at``.
 """
 
 import random
 
 import pytest
 
-from conftest import lee_degrees, rng
+from conftest import rng
 from quadfrob import corpus
-from quadfrob.linkhom import build_complex, homology_integral, homology_over_K
+from quadfrob.linkhom import build_complex, homology_integral, homology_over_K, lee_degrees
 from test_k_oracle import k_homology_dims
 
 CASES = [("alg_eps0", 0), ("alg_eps0", 1), ("alg_worked", 2), ("alg_worked", 3), ("alg_eps1", 4), ("alg_eps1", 5)]

@@ -368,6 +368,19 @@ def test_an_edge_that_keeps_its_circles_is_malformed(tmp_path, monkeypatch, caps
     assert err.strip() == "malformed input: edge (0, 0, 0)->(1, 0, 0) changes circles 2->2"
 
 
+def test_swapped_smoothings_fail_lee_degrees(tmp_path, monkeypatch, capsys):
+    # with the 0- and 1-smoothings swapped, every other named check passes
+    # the trefoil over the default algebra, which then reports H^3 = Z^4
+    # and H^1 = (Z/2)^4; Lee's degrees put the free part in degree 0
+    real = linkhom._circles_at
+    monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, tuple(1 - c for c in vertex)))
+    pd = _trefoil_file(tmp_path)
+    code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
+    assert code == 5
+    assert payload["error"]["check"] == "lee_degrees" and payload["error"]["inputs"] == {"pd": pd}
+    assert err == "lee_degrees check failed: degree 0: free Z-rank 0, but Lee's degrees give K-dimension 2\n"
+
+
 def test_a_lookup_fault_inside_a_command_is_not_malformed_input(tmp_path, monkeypatch):
     def fault(pd, vertex):
         raise KeyError("arc 7")
@@ -473,6 +486,29 @@ def test_tqft_applies_the_handle_once_per_genus(monkeypatch, alg_eps0, capsys):
     assert code == 0
     assert len(calls) <= 50
     assert payload["genus_values"] == {str(g): str(alg_eps0.closed_surface_invariant(g)) for g in range(51)}
+
+
+def test_tqft_prints_exact_values_past_the_int_digit_cap():
+    # the default algebra's handle is 2*I, so genus g prints 2^g: 663 digits
+    # at genus 2200, past a cap of 640 on int -> str conversion
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-X", "int_max_str_digits=640", "-m", "quadfrob", "tqft", "--genus", "2200", "--format", "json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["genus_values"]["2200"] == str(2**2200)
+
+
+def test_tqft_input_keeps_the_int_digit_cap(tmp_path, capsys):
+    # only the results convert without the cap: a 5000-digit coordinate in
+    # the algebra file is still malformed
+    data = example_zsqrtm5(1, 1).data.to_json()
+    data["z"]["x"] = "1" * 5000
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "tqft", "--alg", str(alg))
+    assert (code, out) == (3, "")
+    assert err.startswith("malformed input: ")
 
 
 def test_tqft_negative_genus_is_malformed(capsys):

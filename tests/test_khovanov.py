@@ -30,14 +30,13 @@ from conftest import (
     khovanov_data,
     khovanov_k_dims,
     khovanov_ranks,
-    lee_degrees,
     search_hits,
 )
 from quadfrob import build_algebra, corpus
 from quadfrob.cli import main
 from quadfrob.corpus import braid_closure
 from quadfrob.intlin import det_int
-from quadfrob.linkhom import build_complex, check_mod_p, homology_integral, simplify, smith_homology
+from quadfrob.linkhom import build_complex, check_mod_p, homology_integral, lee_degrees, simplify, smith_homology
 
 
 def khovanov_t2n(n):
@@ -100,14 +99,47 @@ BAR_NATAN = {
     "figure8": [(-2, -5), (-1, -1), (0, -1), (0, 1), (1, 1), (2, 5)],
     "T(2,5)": [(0, 3), (0, 5), (2, 7), (3, 11), (4, 11), (5, 15)],
     "T(3,4)": [(0, 5), (0, 7), (2, 9), (3, 13), (4, 11), (4, 13), (5, 15), (5, 17)],
+    "T(3,5)": [(0, 7), (0, 9), (2, 11), (3, 15), (4, 13), (4, 15), (5, 17), (5, 19), (6, 17), (7, 21)],
 }
-BAR_NATAN_DIAGRAMS = {"T(2,5)": braid_closure((1,) * 5, 2), "T(3,4)": braid_closure((1, 2) * 4, 3)}
+BAR_NATAN_DIAGRAMS = {
+    "T(2,5)": braid_closure((1,) * 5, 2),
+    "T(3,4)": braid_closure((1, 2) * 4, 3),
+    "T(3,5)": braid_closure((1, 2) * 5, 3),
+}
 
 
 @pytest.mark.parametrize("name", BAR_NATAN)
 def test_the_graded_ranks_are_bar_natans_tables(name):
     pd = BAR_NATAN_DIAGRAMS[name] if name in BAR_NATAN_DIAGRAMS else corpus.diagram(name)
     assert khovanov_ranks(pd) == dict.fromkeys(BAR_NATAN[name], 1)
+
+
+def torus_knot_jones(p, q):
+    """{exponent: coefficient} of the Jones polynomial of the (p, q) torus
+    knot, V(t) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2),
+    the division done term by term and checked exact."""
+    num = [0] * (p + q + 1)
+    for e, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        num[e] += c
+    quotient = []  # num = (1 - t^2) * quotient, lowest term first
+    for e, c in enumerate(num):
+        quotient.append(c + (quotient[e - 2] if e >= 2 else 0))
+    assert quotient[-2:] == [0, 0], (p, q)
+    shift = (p - 1) * (q - 1) // 2
+    return {e + shift: c for e, c in enumerate(quotient) if c}
+
+
+@pytest.mark.parametrize("name, p, q", [("trefoil", 2, 3), ("T(2,5)", 2, 5), ("T(3,4)", 3, 4), ("T(3,5)", 3, 5)])
+def test_bar_natans_torus_knot_rows_give_the_jones_polynomial(name, p, q):
+    # the graded Euler characteristic sum (-1)^i q^j rank is (q + 1/q) V(q^2)
+    euler = {}
+    for i, j in BAR_NATAN[name]:
+        euler[j] = euler.get(j, 0) + (-1) ** i
+    jones = {}
+    for e, c in torus_knot_jones(p, q).items():
+        for j in (2 * e - 1, 2 * e + 1):
+            jones[j] = jones.get(j, 0) + c
+    assert {j: c for j, c in euler.items() if c} == {j: c for j, c in jones.items() if c}
 
 
 @pytest.mark.parametrize("pd", [corpus.diagram(name) for name in corpus.names()]

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from conftest import diff_from, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
-from quadfrob import corpus, linkhom
+from quadfrob import corpus, ring
 from quadfrob.frobenius import TwistSpec, twist
 from quadfrob.intlin import det_int
 from quadfrob.linkhom import (
@@ -364,21 +364,13 @@ def test_unfactored_torsion_is_named_in_notes(alg_worked, monkeypatch):
     # with trial division only up to 3, the worked trefoil's Z/721 = 7 * 103
     # keeps its whole cofactor: mod 7 and mod 103 do not run, and the
     # report says so
-    monkeypatch.setattr(linkhom, "TRIAL_DIVISION_BOUND", 3)
+    monkeypatch.setattr(ring, "TRIAL_DIVISION_BOUND", 3)
     h = homology_integral(build_complex(corpus.diagram("trefoil"), alg_worked))
     assert homology_table(h)[3] == (0, [721])
     assert [c for c in h.checks if c.startswith("mod_")] == ["mod_2"]
     assert [n for n in h.notes if "721" in n] == [
         "degree 3: torsion invariant 721 has the cofactor 721, too large to factor; its primes were not checked mod p"
     ]
-
-
-def test_a_cofactor_below_the_square_of_the_last_divisor_is_prime():
-    # trial division stops at 65537, and 65537^2 > 2^32 + 15, so that
-    # remainder is proven prime; 65537 * 65539 is not below 65537^2
-    assert linkhom._prime_factors(4294967311) == ({4294967311}, 1)
-    assert linkhom._prime_factors(3 * 4294967311) == ({3, 4294967311}, 1)
-    assert linkhom._prime_factors(65537 * 65539) == (set(), 4295229443)
 
 
 def test_simplify_preserves_homology(algebra_corpus):
@@ -437,6 +429,20 @@ def test_lee_dimensions(algebra_corpus):
             out = lee_check(pd, alg)
             assert out["discriminant_nonzero"], aname
             assert out["matches"], (aname, name)
+
+
+def test_the_lee_degrees_check_runs_where_the_discriminant_is_nonzero(algebra_corpus):
+    # N = det(m o Delta) decides whether build_complex hands the complex
+    # Lee's degrees; lee-check's discriminant_nonzero must agree with it
+    trefoil = corpus.diagram("trefoil")
+    dets = {aname: det_int(alg.handle_matrix()) for aname, alg in algebra_corpus.items()}
+    assert {k: dets[k] for k in ("eps0_b1", "worked", "eps_x_one", "khovanov")} == {
+        "eps0_b1": 16, "worked": 721, "eps_x_one": 49, "khovanov": 0,
+    }
+    for alg in [*algebra_corpus.values(), *search_hits()]:
+        n = det_int(alg.handle_matrix())
+        assert (n != 0) == (not alg.data.discriminant().is_zero()), alg.data.to_json()
+        assert ("lee_degrees" in homology_integral(build_complex(trefoil, alg)).checks) == (n != 0)
 
 
 def test_reidemeister_compare(alg_eps0):

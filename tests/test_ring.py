@@ -9,6 +9,7 @@ from quadfrob.ring import (
     RingContext,
     RingElement,
     UnsupportedRingError,
+    _prime_factors,
     parse_element,
 )
 
@@ -43,6 +44,25 @@ def test_large_d_is_rejected_before_the_squarefree_test():
     with pytest.raises(ValueError, match=r"\|d\| must be below 2\*\*32"):
         RingContext(-(2**32 + 2))
     assert RingContext(-(2**32 - 2)).d == -(2**32 - 2)  # 2 * (2**31 - 1), squarefree
+
+
+def test_squarefreeness_reads_the_primes_of_d():
+    # |d| below 2**32 factors fully by trial division, so a square factor
+    # shows as a product of the primes found that falls short of |d|, up to
+    # the largest prime square below 2**32
+    for square in (-(65521**2), -(2 * 46337**2), -(6 * 7 * 7)):
+        with pytest.raises(ValueError, match="^d must be squarefree$"):
+            RingContext(square)
+    assert RingContext(-65521).d == -65521
+    assert RingContext(-(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)).d == -223092870
+
+
+def test_a_cofactor_below_the_square_of_the_last_divisor_is_prime():
+    # trial division stops at 65537, and 65537^2 > 2^32 + 15, so that
+    # remainder is proven prime; 65537 * 65539 is not below 65537^2
+    assert _prime_factors(4294967311) == ({4294967311}, 1)
+    assert _prime_factors(3 * 4294967311) == ({3, 4294967311}, 1)
+    assert _prime_factors(65537 * 65539) == (set(), 4295229443)
 
 
 def test_norm_examples(ctx):

@@ -424,7 +424,7 @@ def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
     assert cli.main(["link", "homology", "--pd", str(pd), "--format", "json"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["homology"]["checks"] == [
-        "d_squared", "equivariance", "remainder_d_squared", "k_rank_vs_z_rank", "mod_2",
+        "d_squared", "equivariance", "remainder_d_squared", "k_rank_vs_z_rank", "lee_degrees", "mod_2",
     ] + [f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)]
     assert issubclass(ModPCheckError, CheckFailedError)
     # every internal check, in every module, fails under its own name

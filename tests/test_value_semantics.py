@@ -95,7 +95,7 @@ RECORDS = {
     OModule: (("d", "rank", "action"), lambda: example_zsqrtm5(1, 1).mu_z.A),
     TensorProduct: (("module", "proj", "section"), lambda: example_zsqrtm5(1, 1).tensor_power(2)),
     ResolutionCube: (("circles", "edges"), lambda: resolve(corpus.diagram("hopf"))),
-    Complex: (("min_degree", "ranks", "diffs", "actions", "notes"), _cx),
+    Complex: (("min_degree", "ranks", "diffs", "actions", "notes", "lee"), _cx),
 }
 
 
