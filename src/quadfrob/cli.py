@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 stdout closed before the report was written (the
-reader of a pipe went away; nothing is printed), 2 validation rejection,
-3 malformed input, 5 an internal cross-check failed.  Exit 5 prints
+reader of a pipe went away; nothing is printed), 2 validation rejection or
+an argparse usage error (an unknown or missing command, action or option,
+or an option value argparse cannot parse), 3 malformed input, 5 an internal
+cross-check failed.  Exit 5 prints
 "<check> check failed: ..." with <check> one of
 
     validation_routes ker_m_splitting well_defined tensor_torsion_free
@@ -39,7 +41,6 @@ from .linkhom import (
     build_complex,
     homology_integral,
     homology_over_K,
-    lee_check,
     reidemeister_compare,
     simplify,
 )
@@ -239,21 +240,13 @@ def cmd_link(args):
         lines.append(f"total K-dimension: {h['total_k_dim']}")
         _emit(args, payload, lines)
         return EXIT_OK
-    if args.action == "compare":
-        rep = reidemeister_compare(_load_pd(args.pd1), _load_pd(args.pd2), alg)
-        lines = [
-            f"integral homology equal degree-wise: {rep['integral_equal']}",
-            f"K-dimensions equal degree-wise: {rep['k_dims_equal']}",
-        ]
-        _emit(args, rep, lines)
-        return EXIT_OK
-    # lee-check
-    payload = lee_check(_load_pd(args.pd), alg)
+    # compare
+    rep = reidemeister_compare(_load_pd(args.pd1), _load_pd(args.pd2), alg)
     lines = [
-        f"discriminant {payload['discriminant']} nonzero: {payload['discriminant_nonzero']}",
-        f"total K-dimension {payload['total_k_dim']} vs 2^components = {payload['expected']}: {payload['matches']}",
+        f"integral homology equal degree-wise: {rep['integral_equal']}",
+        f"K-dimensions equal degree-wise: {rep['k_dims_equal']}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, rep, lines)
     return EXIT_OK
 
 
@@ -356,7 +349,7 @@ _COMMANDS = {
                 dict.fromkeys(("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search"))),
     "kernel": ("structure of ker(m) in A(x)A", cmd_kernel, _kernel_options, None),
     "link": ("cube-of-resolutions homology", cmd_link, _link_options,
-             dict.fromkeys(("homology", "compare", "lee-check", "corpus"))),
+             dict.fromkeys(("homology", "compare", "corpus"))),
     "tqft": ("closed surface evaluations", cmd_tqft, _tqft_options, None),
 }
 

@@ -74,10 +74,6 @@ class FrobeniusData(Value):
         prod = self.a_bar * self.eps_x_bar
         return prod.exact_div(self.z) + self.b_bar * self.eps_one
 
-    def discriminant(self):
-        """a_bar^2 + 4*z*b_bar; nonzero iff X^2 - aX - b has distinct roots."""
-        return self.a_bar * self.a_bar + self.z * self.b_bar * 4
-
     def to_json(self):
         g1, g2 = self.mu.two_generators()
         return {

@@ -376,7 +376,7 @@ def lee_degrees(pd):
     strands = pd._strands()
     component = {arc: n for n, arcs in enumerate(strands) for arc in arcs}
     out = {}
-    for e in range(1 << (len(strands) + pd.loops)):
+    for e in range(1 << pd.components()):
         i = sum(s for (a, b, _, _), s in zip(pd.crossings, pd.signs) if (e >> component[a] ^ e >> component[b]) & 1)
         out[i] = out.get(i, 0) + 1
     return out
@@ -569,20 +569,3 @@ def reidemeister_compare(pd1, pd2, alg):
         "notes": [],
     }
 
-
-def lee_check(pd, alg):
-    """Total K-dimension against 2^(number of components); meaningful when
-    the quadratic X-relation has distinct roots (nonzero discriminant)."""
-    disc = alg.data.discriminant()
-    cx = build_complex(pd, alg)
-    dims = homology_over_K(cx)
-    total = sum(dims.values())
-    expected = 2 ** pd.components()
-    return {
-        "discriminant": str(disc),
-        "discriminant_nonzero": not disc.is_zero(),
-        "total_k_dim": total,
-        "expected": expected,
-        "matches": total == expected,
-        "per_degree": {str(k): v for k, v in sorted(dims.items())},
-    }

@@ -711,6 +711,11 @@ def contains_fraction(ideal, x, denominator):
     return ideal.contains(to_ring(scaled))
 
 
+def discriminant(data):
+    """a_bar^2 + 4*z*b_bar in O; nonzero iff X^2 - aX - b has distinct roots."""
+    return data.a_bar * data.a_bar + data.z * data.b_bar * 4
+
+
 def k_a(data):
     """a = a_bar / z in K."""
     return data.a_bar.field_quotient(data.z)

@@ -200,7 +200,7 @@ REAL_ALGEBRA = {"d": 2, "mu_gens": [{"x": "2", "y": "0"}, {"x": "0", "y": "1"}],
     (("kernel", "--alg", "{alg}"), 2),
     (("tqft", "--alg", "{alg}"), 2),
     (("link", "homology", "--alg", "{alg}", "--pd", "{pd}"), 2),
-    (("link", "lee-check", "--alg", "{alg}", "--pd", "{pd}"), 2),
+    (("link", "compare", "--alg", "{alg}", "--pd1", "{pd}", "--pd2", "{pd}"), 2),
 ])
 def test_every_entry_point_refuses_a_real_quadratic_ring_alike(argv, d, tmp_path, capsys):
     alg, pd = tmp_path / "real.json", tmp_path / "t23.json"
@@ -333,16 +333,6 @@ def test_link_compare_per_degree_entries_are_the_reports_entries(tmp_path, capsy
             assert row[side] == payload[side]["degrees"].get(deg, empty)
             torsion += row[side]["torsion"]
     assert torsion and all(isinstance(t, str) for t in torsion)
-
-
-def test_link_lee_check(tmp_path, capsys):
-    run_json(capsys, "link", "corpus", "--out-dir", str(tmp_path))
-    code, payload, _ = run_json(
-        capsys, "link", "lee-check", "--pd", os.path.join(str(tmp_path), "hopf.json"),
-    )
-    assert code == 0
-    assert payload["matches"] is True
-    assert payload["total_k_dim"] == 4
 
 
 def test_link_malformed_pd(tmp_path, capsys):
@@ -667,7 +657,7 @@ def test_a_failed_x_mu_action_identity_exits_5(tmp_path, monkeypatch, capsys):
     assert "acting on X_mu breaks its identity on ker(m)" in err
 
 
-@pytest.mark.parametrize("action", ["compare", "lee-check"])
+@pytest.mark.parametrize("action", ["homology", "compare"])
 def test_a_remainder_with_nonzero_d_squared_exits_5(action, tmp_path, monkeypatch, capsys):
     pd = tmp_path / "t25.json"
     pd.write_text(json.dumps(corpus.braid_closure((1,) * 5, 2).to_json()))
@@ -974,7 +964,7 @@ def test_a_faulty_closed_form_exits_5(fault, argv, monkeypatch, capsys):
 COMMAND_PATHS = [
     (), ("ideal",), ("ideal", "classinfo"), ("kernel",), ("tqft",),
     ("algebra",), *(("algebra", a) for a in ("validate", "family-eps0", "family-eps1", "example-zsqrtm5", "twist", "search")),
-    ("link",), *(("link", a) for a in ("homology", "compare", "lee-check", "corpus")),
+    ("link",), *(("link", a) for a in ("homology", "compare", "corpus")),
 ]
 
 
@@ -1003,7 +993,7 @@ def _option_count(parser):
 
 
 def test_parser_builds_only_the_options_of_the_command_run():
-    assert _option_count(make_parser()) == 64
+    assert _option_count(make_parser()) == 60
     lean = make_parser(["link", "homology", "--pd", "x.json"])
     assert _option_count(lean) == 4  # --pd, --alg, --format and --out
     # only the command and the action run are built
@@ -1015,9 +1005,9 @@ def test_parser_builds_only_the_options_of_the_command_run():
 @pytest.mark.parametrize("argv, built", [
     (["link", "homology", "--pd", "x.json"], 3),
     (["kernel", "--bound", "3"], 2),
-    (["link", "--help"], 17),  # a missing word builds every parser
-    (["link", "bogus"], 17),  # so does an unknown one
-    (None, 17),
+    (["link", "--help"], 16),  # a missing word builds every parser
+    (["link", "bogus"], 16),  # so does an unknown one
+    (None, 16),
 ], ids=["link-homology", "kernel", "link-help", "link-bogus", "no-argv"])
 def test_parser_counts_the_parsers_it_builds(argv, built, monkeypatch):
     real = argparse.ArgumentParser.__init__

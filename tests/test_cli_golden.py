@@ -47,7 +47,6 @@ CASES = {
 for _alg, _extra in (("default", ()), ("worked", WORKED)):
     for _knot in ("trefoil", "figure8"):
         CASES[f"homology-{_knot}-{_alg}"] = ("link", "homology", "--pd", f"{{{_knot}}}", *_extra)
-        CASES[f"lee-check-{_knot}-{_alg}"] = ("link", "lee-check", "--pd", f"{{{_knot}}}", *_extra)
     CASES[f"compare-{_alg}"] = ("link", "compare", "--pd1", "{trefoil}", "--pd2", "{figure8}", *_extra)
 # (d, generators of mu, z) of the Z[sqrt(-21)] inputs; each is the first
 # algebra ``algebra search`` finds at bound 1

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import diff_from, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
+from conftest import diff_from, discriminant, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
 from quadfrob import corpus, ring
 from quadfrob.frobenius import TwistSpec, twist
 from quadfrob.intlin import det_int
@@ -16,7 +16,6 @@ from quadfrob.linkhom import (
     build_complex,
     homology_integral,
     homology_over_K,
-    lee_check,
     reidemeister_compare,
     resolve,
     simplify,
@@ -311,7 +310,7 @@ def test_trefoil_torsion_tracks_discriminant(ctx, mu):
     from quadfrob.frobenius import family_eps_x_zero
 
     alg = family_eps_x_zero(mu, ctx(2), ctx(1, 1), ctx(-1), ctx.one)
-    assert alg.data.discriminant().norm() == 164
+    assert discriminant(alg.data).norm() == 164
     h = homology_integral(build_complex(corpus.diagram("trefoil"), alg))
     assert homology_table(h) == {0: (4, []), 3: (0, [41])}
 
@@ -420,20 +419,9 @@ def test_k_dims_rational_rank_oracle(alg_eps0):
             assert dims.get(i, 0) == q_dim // 2
 
 
-def test_lee_dimensions(algebra_corpus):
-    for aname, alg in algebra_corpus.items():
-        if alg.data.discriminant().is_zero():
-            continue
-        for name in corpus.names():
-            pd = corpus.diagram(name)
-            out = lee_check(pd, alg)
-            assert out["discriminant_nonzero"], aname
-            assert out["matches"], (aname, name)
-
-
 def test_the_lee_degrees_check_runs_where_the_discriminant_is_nonzero(algebra_corpus):
     # N = det(m o Delta) decides whether build_complex hands the complex
-    # Lee's degrees; lee-check's discriminant_nonzero must agree with it
+    # Lee's degrees; it is nonzero exactly where the discriminant is
     trefoil = corpus.diagram("trefoil")
     dets = {aname: det_int(alg.handle_matrix()) for aname, alg in algebra_corpus.items()}
     assert {k: dets[k] for k in ("eps0_b1", "worked", "eps_x_one", "khovanov")} == {
@@ -441,7 +429,7 @@ def test_the_lee_degrees_check_runs_where_the_discriminant_is_nonzero(algebra_co
     }
     for alg in [*algebra_corpus.values(), *search_hits()]:
         n = det_int(alg.handle_matrix())
-        assert (n != 0) == (not alg.data.discriminant().is_zero()), alg.data.to_json()
+        assert (n != 0) == (not discriminant(alg.data).is_zero()), alg.data.to_json()
         assert ("lee_degrees" in homology_integral(build_complex(trefoil, alg)).checks) == (n != 0)
 
 

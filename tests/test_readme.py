@@ -51,7 +51,7 @@ COMMANDS = _commands()
 
 
 def test_the_command_block_is_read():
-    assert len(COMMANDS) == 13
+    assert len(COMMANDS) == 12
     assert COMMANDS[0][:2] == ["link", "corpus"]
 
 

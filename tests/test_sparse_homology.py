@@ -468,7 +468,6 @@ def test_the_remainder_is_checked_once_per_complex(alg_worked, tmp_path, monkeyp
     for argv, complexes in (
         (["homology", "--pd", pds["trefoil"]], 1),
         (["compare", "--pd1", pds["trefoil"], "--pd2", pds["figure8"]], 2),
-        (["lee-check", "--pd", pds["trefoil"]], 1),
     ):
         checked.clear()
         assert cli.main(["link", *argv]) == cli.EXIT_OK
