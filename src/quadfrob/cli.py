@@ -20,6 +20,7 @@ e.g. '2', '1+w', '3-2w'.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -198,7 +199,11 @@ def cmd_algebra(args):
             parse_element(ctx, args.dbar),
         )
     else:  # search
-        found = list(search_solutions(mu, z, coord_bound=args.bound, limit=args.limit))
+        if args.limit is not None and args.limit < 0:
+            raise ValueError("limit must be nonnegative")
+        if args.bound < 0:  # refused even when --limit 0 starts no search
+            raise ValueError("bound must be nonnegative")
+        found = list(itertools.islice(search_solutions(mu, z, coord_bound=args.bound), args.limit))
         payload = {"count": len(found), "solutions": [_algebra_payload(a) for a in found]}
         _emit(args, payload, [f"found {len(found)} valid parameter sets"]
               + [f"  a_bar={a.data.a_bar}, b_bar={a.data.b_bar}, eps1={a.data.eps_one}, eps_x_bar={a.data.eps_x_bar}" for a in found])

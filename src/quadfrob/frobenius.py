@@ -559,15 +559,14 @@ def twist(alg, spec):
 # Bounded enumeration of further solutions
 
 
-def search_solutions(mu, z, *, coord_bound=2, limit=None):
+def search_solutions(mu, z, *, coord_bound=2):
     """Enumerates data with eps(1) a unit and d = s * eps_x_bar (s a unit) solving the single
     closing equation, subject to the integrality table; bounded box search.
 
-    Yields validated algebras, at most ``limit`` of them.  Before any
-    candidate, a negative limit or ``coord_bound`` raises ValueError; then
-    ``limit=0`` yields nothing, before z and mu are looked at; then z = 0
-    raises ValueError (from the ``omodule.MuZLattice``), and mu^2 != (z)
-    raises the ``mu_squared_is_principal_z`` IntegralityViolationError.
+    Yields validated algebras.  Before any candidate, a negative
+    ``coord_bound`` raises ValueError; then z = 0 raises ValueError (from
+    the ``omodule.MuZLattice``), and mu^2 != (z) raises the
+    ``mu_squared_is_principal_z`` IntegralityViolationError.
     Bounds are configuration, not semantics: absence within the box proves
     nothing.  b_bar is solved in O by one exact division, b_bar z eps(1)^2
     = eps_x_bar^2 - a_bar eps_x_bar eps(1) - s^-1 z, whose right side lies in mu^2 = (z); then D_bar =
@@ -578,18 +577,13 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
     z and the (mu, z) half of the multiplication table are computed at most
     once, and m with the ker(m) analysis once per (a_bar, b_bar).
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
     if coord_bound < 0:
         raise ValueError("bound must be nonnegative")
-    if limit == 0:
-        return
     ctx = z.ctx
     units = ctx.units()
     mu_z = omodule.MuZLattice(mu, z)
     if not mu_z.squares_to_z:
         raise IntegralityViolationError("mu_squared_is_principal_z")
-    found = 0
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))
     denominators = [(e1, z * e1 * e1) for e1 in units]
@@ -605,6 +599,3 @@ def search_solutions(mu, z, *, coord_bound=2, limit=None):
                     if alg.duals.d != s * eps_x_bar:
                         raise InconsistentRoutesError("search ansatz d = s eps_x_bar failed")
                     yield alg
-                    found += 1
-                    if limit is not None and found >= limit:
-                        return

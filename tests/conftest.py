@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from quadfrob.intlin import (
 from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice, OModule
 from quadfrob.ring import ClosureError, NotDivisibleError, RingElement, parse_element
 
+import golden as golden_files
+
 
 @pytest.fixture(scope="session")
 def ctx():
@@ -37,28 +40,6 @@ def mu(ctx):
     return Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
 
 
-@pytest.fixture(scope="session")
-def alg_eps0(ctx, mu):
-    return family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one)
-
-
-@pytest.fixture(scope="session")
-def alg_worked(ctx, mu):
-    return example_zsqrtm5(1, 1)
-
-
-@pytest.fixture(scope="session")
-def alg_eps1(ctx, mu):
-    return family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one)
-
-
-@pytest.fixture(scope="session")
-def alg_sanity(ctx):
-    unit_ideal = Ideal.from_generators(ctx, [ctx.one])
-    data = FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.one, ctx.one, ctx.zero)
-    return build_algebra(data)
-
-
 def khovanov_data(ctx):
     """Khovanov's algebra over O: mu = O, z = 1, a_bar = b_bar = 0 (so
     X^2 = 0), eps(1) = 0 and eps_x_bar = 1."""
@@ -66,20 +47,69 @@ def khovanov_data(ctx):
     return FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.zero, ctx.zero, ctx.one)
 
 
-@pytest.fixture(scope="session")
-def alg_khovanov(ctx):
-    return build_algebra(khovanov_data(ctx))
-
-
-@pytest.fixture(scope="session")
-def algebra_corpus(alg_eps0, alg_worked, alg_eps1, alg_sanity, alg_khovanov):
+def fixture_algebras():
+    """The fixture algebras over Z[sqrt(-5)], built afresh on each call, so
+    no edge block or other cached value is shared with an earlier caller:
+    ``eps0`` (the command line's default), ``worked``, ``eps1``, the free
+    ``sanity`` algebra over mu = O, and ``khovanov``."""
+    ctx = RingContext(-5)
+    mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
+    unit_ideal = Ideal.from_generators(ctx, [ctx.one])
     return {
-        "eps0_b1": alg_eps0,
-        "worked": alg_worked,
-        "eps_x_one": alg_eps1,
-        "free_sanity": alg_sanity,
-        "khovanov": alg_khovanov,
+        "eps0": family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one),
+        "worked": example_zsqrtm5(1, 1),
+        "eps1": family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
+        "sanity": build_algebra(FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.one, ctx.one, ctx.zero)),
+        "khovanov": build_algebra(khovanov_data(ctx)),
     }
+
+
+def corpus_of(algebras):
+    """``fixture_algebras()`` under the names of ``algebra_corpus``."""
+    names = {"eps0_b1": "eps0", "worked": "worked", "eps_x_one": "eps1", "free_sanity": "sanity", "khovanov": "khovanov"}
+    return {name: algebras[key] for name, key in names.items()}
+
+
+@pytest.fixture(scope="session")
+def algebras():
+    """One ``fixture_algebras()`` for the session."""
+    return fixture_algebras()
+
+
+@pytest.fixture(scope="session")
+def alg_eps0(algebras):
+    return algebras["eps0"]
+
+
+@pytest.fixture(scope="session")
+def alg_worked(algebras):
+    return algebras["worked"]
+
+
+@pytest.fixture(scope="session")
+def alg_eps1(algebras):
+    return algebras["eps1"]
+
+
+@pytest.fixture(scope="session")
+def alg_sanity(algebras):
+    return algebras["sanity"]
+
+
+@pytest.fixture(scope="session")
+def alg_khovanov(algebras):
+    return algebras["khovanov"]
+
+
+@pytest.fixture(scope="session")
+def algebra_corpus(algebras):
+    return corpus_of(algebras)
+
+
+@pytest.fixture(scope="module")
+def golden(request):
+    """The golden file of the requesting module, parsed; see ``golden.py``."""
+    return golden_files.load(request.module)
 
 
 def rng(seed=0):
@@ -126,7 +156,7 @@ def search_hits(rings=RINGS[:4]):
     out = []
     for ring in rings:
         _, mu, z = ring_of(*ring)
-        out.extend(search_solutions(mu, z, coord_bound=1, limit=6))
+        out.extend(itertools.islice(search_solutions(mu, z, coord_bound=1), 6))
     return out
 
 

@@ -39,21 +39,10 @@ from quadfrob.frobenius import (
 from quadfrob.ideals import Ideal, NotOrderTwoError, certify_order_two
 from quadfrob.intlin import mat_mul, mat_vec, rank_rat
 from quadfrob.linkhom import build_complex, homology_over_K, reidemeister_compare
-from quadfrob.ring import RingContext
 
 
 def report(n, text):
     print(f"PASS criterion {n}: {text}")
-
-
-@pytest.fixture(scope="module")
-def ctx():
-    return RingContext(-5)
-
-
-@pytest.fixture(scope="module")
-def mu(ctx):
-    return Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
 
 
 @pytest.fixture(scope="module")

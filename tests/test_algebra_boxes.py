@@ -7,8 +7,8 @@ dual solution, partition of z, Delta(1) in monomial coordinates, the
 genus 0..4; and the same record for its kind-3 twist by -1.  The values
 were captured before the search shared one (mu, z) lattice between its
 algebras; a change to the lattice, kernel or genus code that moves any
-result shows here.  Rerun ``python tests/test_algebra_boxes.py`` only when
-the results are meant to change.
+result shows here.  Rerun ``python tests/golden.py`` only when the results
+are meant to change.
 
 The algebras of a box that share (a_bar, b_bar), twists included, share
 one ``MultiplicationLattice``; the tests below check that its reports
@@ -17,14 +17,18 @@ per pair, and that no report is shared.  The lattices hold no algebra, so
 an algebra the caller drops is not kept alive by the search's lattice.
 """
 
+import gc
 import itertools
-import json
-import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).with_name("algebra_boxes_golden.json")
+from quadfrob import Ideal, RingContext, omodule
+from quadfrob.frobenius import TwistSpec, build_algebra, search_solutions, twist
+from quadfrob.intlin import det_int, hnf_rows, mat_vec
+
+GOLDEN_FILE = Path(__file__).with_name("algebra_boxes_golden.json")
 
 # name -> (d, generators of mu, z, coordinate bound)
 BOXES = {
@@ -51,9 +55,6 @@ def _record(alg):
 def _search(name):
     """Every algebra the box's search yields, in search order, each with
     its kind-3 twist by -1."""
-    from quadfrob import Ideal, RingContext
-    from quadfrob.frobenius import TwistSpec, search_solutions, twist
-
     d, gens, z, bound = BOXES[name]
     ctx = RingContext(d)
     mu = Ideal.from_generators(ctx, [ctx(*g) for g in gens])
@@ -69,9 +70,8 @@ def _box(name):
     return out
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+def capture():
+    return {name: _box(name) for name in BOXES}
 
 
 def test_every_box_is_frozen(golden):
@@ -96,9 +96,6 @@ def test_search_accepts_every_candidate_with_the_closed_form_duals(name):
     # right side in mu^2 = (z), so every (s, eps_x_bar, a_bar, eps(1)) of the
     # box gives an algebra, with D_bar = -s^-1 z, c = -s t_bar,
     # d = s eps_x_bar and d' = -s eps(1)
-    from quadfrob import Ideal, RingContext
-    from quadfrob.frobenius import search_solutions
-
     d, gens, z, bound = BOXES[name]
     ctx = RingContext(d)
     z = ctx(*z)
@@ -133,8 +130,6 @@ def _algebras(name):
 
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_shared_kernel_reports_match_algebras_on_their_own(name):
-    from quadfrob.frobenius import build_algebra
-
     for alg in _algebras(name):
         alone = build_algebra(alg.data)
         assert alone.mu_z is not alg.mu_z
@@ -143,8 +138,6 @@ def test_shared_kernel_reports_match_algebras_on_their_own(name):
 
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_one_kernel_analysis_per_multiplication(name, monkeypatch):
-    from quadfrob import omodule
-
     algs = _algebras(name)
     pairs = {(alg.data.a_bar, alg.data.b_bar) for alg in algs}
     assert len(pairs) == DISTINCT_PAIRS[name]
@@ -162,8 +155,6 @@ def test_the_orbit_of_x_hat_minus_x_u_has_index_the_norm_of_its_value():
     # formula that lets the generator walk test units in O: the orbit
     # X~, J X~, (g1 X .) X~, (g2 X .) X~ of X~ = X_hat - X_u, formed as
     # lattices, lies in ker(m) with covolume |N(val)| times ker(m)'s
-    from quadfrob.intlin import det_int, hnf_rows, mat_vec
-
     def gram_det(rows):
         return det_int([[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows])
 
@@ -216,11 +207,6 @@ def _searched_and_dropped(name):
     its search, each of which ran its ker(m) analysis, and weak references
     to their multiplications; the algebras themselves are dropped on
     return."""
-    import weakref
-
-    from quadfrob import Ideal, RingContext
-    from quadfrob.frobenius import search_solutions
-
     d, gens, z, bound = BOXES[name]
     ctx = RingContext(d)
     mu = Ideal.from_generators(ctx, [ctx(*g) for g in gens])
@@ -231,13 +217,10 @@ def _searched_and_dropped(name):
 
 
 def test_shared_lattice_keeps_no_algebra_alive():
-    import gc
-
     mu_z, refs, _ = _searched_and_dropped("d-5")
     gc.collect()
     assert len(mu_z._multiplications) == 0
     assert sum(ref() is not None for ref in refs) == 0
-
 
 
 def test_dropped_algebras_are_freed_without_the_cycle_collector():
@@ -245,9 +228,6 @@ def test_dropped_algebras_are_freed_without_the_cycle_collector():
     # cycle, and the shared lattices hold their multiplications weakly, so
     # dropping the last reference frees the algebras, their
     # multiplications and the search's (mu, z) lattice at once
-    import gc
-    import weakref
-
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -261,9 +241,3 @@ def test_dropped_algebras_are_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    GOLDEN.write_text(json.dumps({name: _box(name) for name in BOXES}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
-

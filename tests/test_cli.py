@@ -237,7 +237,11 @@ def test_algebra_search_limit_zero_and_negative(capsys):
 
 
 def test_negative_search_bounds_are_malformed(capsys):
-    for argv in (("algebra", "search", "-d", "-5", "--bound", "-1"), ("kernel", "--bound", "-3")):
+    for argv in (
+        ("algebra", "search", "-d", "-5", "--bound", "-1"),
+        ("algebra", "search", "-d", "-5", "--bound", "-1", "--limit", "0"),
+        ("kernel", "--bound", "-3"),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""

@@ -7,19 +7,25 @@ Cl(O) = (Z/2)^2, with mu in the two classes of order two of (2,1+w) and
 code and the exact standard output of ``--format json``.  The outputs were
 captured from the code before the value classes were rewritten without
 ``dataclasses``; a change to any ``to_json``, ``str`` or ``repr`` that feeds
-the output shows here.  Rerun ``python tests/test_cli_golden.py`` only when
-the output is meant to change.
+the output shows here.  Rerun ``python tests/golden.py`` only when the
+output is meant to change.
 """
 
 import contextlib
 import io
 import json
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).with_name("cli_golden.json")
+from conftest import expected_checks, ring_of
+from quadfrob import corpus
+from quadfrob.cli import main
+from quadfrob.frobenius import example_zsqrtm5, search_solutions
+from quadfrob.linkhom import build_complex, homology_integral, simplify
+
+GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 
 WORKED = ("--alg", "{worked}")
 CASES = {
@@ -65,19 +71,13 @@ def _write_inputs(inputs, directory):
 
 
 def _run(argv, paths):
-    from quadfrob.cli import main
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([a.format(**paths) for a in argv] + ["--format", "json"])
     return code, out.getvalue()
 
 
-def _capture(directory):
-    from conftest import ring_of
-    from quadfrob import corpus
-    from quadfrob.frobenius import example_zsqrtm5, search_solutions
-
+def capture():
     inputs = {
         "worked": example_zsqrtm5(1, 1).data.to_json(),
         "trefoil": corpus.diagram("trefoil").to_json(),
@@ -86,29 +86,28 @@ def _capture(directory):
     for name, ring in D21_RINGS.items():
         _, mu, z = ring_of(*ring)
         inputs[name] = next(search_solutions(mu, z, coord_bound=1)).data.to_json()
-    paths = _write_inputs(inputs, directory)
     cases = {}
-    for name, argv in CASES.items():
-        code, out = _run(argv, paths)
-        cases[name] = {"argv": list(argv), "exit": code, "stdout": out}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_inputs(inputs, tmp)
+        for name, argv in CASES.items():
+            code, out = _run(argv, paths)
+            cases[name] = {"argv": list(argv), "exit": code, "stdout": out}
     return {"inputs": inputs, "cases": cases}
 
 
 @pytest.fixture(scope="module")
-def golden(tmp_path_factory):
-    data = json.loads(GOLDEN.read_text())
-    return data, _write_inputs(data["inputs"], tmp_path_factory.mktemp("golden"))
+def paths(golden, tmp_path_factory):
+    """The golden input files, written out."""
+    return _write_inputs(golden["inputs"], tmp_path_factory.mktemp("golden"))
 
 
 def test_every_case_is_frozen(golden):
-    data, _ = golden
-    assert {k: tuple(v["argv"]) for k, v in data["cases"].items()} == CASES
+    assert {k: tuple(v["argv"]) for k, v in golden["cases"].items()} == CASES
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, golden):
-    data, paths = golden
-    case = data["cases"][name]
+def test_cli_output_matches_golden(name, golden, paths):
+    case = golden["cases"][name]
     code, out = _run(case["argv"], paths)
     assert code == case["exit"]
     assert out == case["stdout"]
@@ -130,12 +129,7 @@ def test_the_check_rule_reproduces_the_anchors(golden, alg_worked):
     ``link homology`` and ``link compare`` records.  On a remainder the
     list starts at ``remainder_d_squared``; the worked trefoil's torsion
     721 = 7 * 103 adds ``mod_7`` and ``mod_103``."""
-    from conftest import expected_checks
-    from quadfrob import corpus
-    from quadfrob.linkhom import build_complex, homology_integral, simplify
-
-    data, _ = golden
-    records = {name: list(_reports(json.loads(case["stdout"]))) for name, case in data["cases"].items()}
+    records = {name: list(_reports(json.loads(case["stdout"]))) for name, case in golden["cases"].items()}
     reports = [r for found in records.values() for r in found]
     assert sum(1 for found in records.values() if found) == 8 and len(reports) == 10
     for report in reports:
@@ -147,12 +141,3 @@ def test_the_check_rule_reproduces_the_anchors(golden, alg_worked):
     assert remainder.checks[0] == "remainder_d_squared"
     assert {"mod_7", "mod_103"} <= set(remainder.checks)
     assert not {"d_squared", "equivariance"} & set(remainder.checks)
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(_capture(tmp), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")

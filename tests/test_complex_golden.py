@@ -8,25 +8,20 @@ degree, the chain ranks and a SHA-256 of the sorted ``(row, col, entry)``
 triples of every differential and of every sqrt(d)-action.  The inputs are
 the corpus over the ``eps0``, ``worked`` and ``eps1`` algebras, and T(2,3)
 to T(2,6) and two seeded braid closures of 5 and 6 crossings over ``eps0``.
-Rerun ``python tests/test_complex_golden.py`` only when the output is meant
-to change.
+Rerun ``python tests/golden.py`` only when the output is meant to change.
 """
 
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from quadfrob import Ideal, RingContext, corpus  # noqa: E402
-from quadfrob.frobenius import example_zsqrtm5, family_eps_x_one, family_eps_x_zero  # noqa: E402
-from quadfrob.linkhom import build_complex, resolve  # noqa: E402
-from quadfrob.ring import RingElement  # noqa: E402
+from conftest import fixture_algebras
+from quadfrob import corpus
+from quadfrob.linkhom import build_complex, resolve
+from quadfrob.ring import RingElement
 
 GOLDEN_FILE = Path(__file__).with_name("complex_golden.json")
 
@@ -79,25 +74,22 @@ def complex_record(key, algebras):
     }
 
 
-def build_algebras():
-    """The test fixtures ``alg_eps0``, ``alg_worked`` and ``alg_eps1``."""
-    ctx = RingContext(-5)
-    mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
+def capture():
+    algebras = fixture_algebras()
     return {
-        "eps0": family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one),
-        "worked": example_zsqrtm5(1, 1),
-        "eps1": family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
+        "braids": {name: list(word) for name, (word, _) in BRAIDS.items()},
+        "cubes": {name: cube_record(name) for name in DIAGRAMS},
+        "complexes": {key: complex_record(key, algebras) for key in COMPLEX_KEYS},
     }
 
 
-@pytest.fixture(scope="module")
-def algebras(alg_eps0, alg_worked, alg_eps1):
-    return {"eps0": alg_eps0, "worked": alg_worked, "eps1": alg_eps1}
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_FILE.read_text())
+def dump(golden):
+    """The file's layout: one line per record."""
+    sections = []
+    for section, records in sorted(golden.items()):
+        lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(records.items()))
+        sections.append(f" {json.dumps(section)}: {{\n{lines}\n }}")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
 def test_every_input_is_frozen(golden):
@@ -119,8 +111,9 @@ def test_complex_matches_golden(key, golden, algebras):
 
 def test_complexes_never_read_a_and_b_over_K(golden, monkeypatch):
     # the edge maps come from the algebra's closed forms in O alone: once
-    # the algebras are validated, no ring element enters K
-    algs = build_algebras()
+    # the algebras are validated, no ring element enters K; they are fresh,
+    # so no edge block was computed before the patch
+    algs = fixture_algebras()
 
     def over_k(self, *args):
         raise AssertionError("build_complex computed over K")
@@ -129,18 +122,3 @@ def test_complexes_never_read_a_and_b_over_K(golden, monkeypatch):
     monkeypatch.setattr(RingElement, "field_quotient", over_k)
     for key in COMPLEX_KEYS:
         assert complex_record(key, algs) == golden["complexes"][key], key
-
-
-if __name__ == "__main__":
-    algs = build_algebras()
-    out = {
-        "braids": {name: list(word) for name, (word, _) in BRAIDS.items()},
-        "cubes": {name: cube_record(name) for name in DIAGRAMS},
-        "complexes": {key: complex_record(key, algs) for key in COMPLEX_KEYS},
-    }
-    sections = []
-    for section, records in sorted(out.items()):
-        lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(records.items()))
-        sections.append(f" {json.dumps(section)}: {{\n{lines}\n }}")
-    GOLDEN_FILE.write_text("{\n" + ",\n".join(sections) + "\n}\n")  # one line per record
-    print(f"wrote {GOLDEN_FILE}")

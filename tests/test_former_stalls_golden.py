@@ -9,37 +9,22 @@ case, the command's JSON payload: ``homology``, ``k_dims``, ``chain_ranks``
 and ``simplified_ranks``.  It was captured from the dense route.  The
 payload's ``homology.checks`` is not stored: it must be what
 ``conftest.expected_checks`` gives for the case's torsion.  Rerun
-``python tests/test_former_stalls_golden.py`` only when the output is meant
-to change.
+``python tests/golden.py`` only when the output is meant to change.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from quadfrob import corpus
+from quadfrob.cli import _homology_payload
 
-from quadfrob import Ideal, RingContext, corpus  # noqa: E402
-from quadfrob.cli import _homology_payload  # noqa: E402
-from quadfrob.frobenius import family_eps_x_one, family_eps_x_zero  # noqa: E402
-
-from conftest import expected_checks  # noqa: E402
+from conftest import expected_checks, fixture_algebras
 
 GOLDEN_FILE = Path(__file__).with_name("former_stalls_golden.json")
 
 CASES = {"eps1/T3_4": ("eps1", 4), "eps0/T3_5": ("eps0", 5)}
-
-
-def build_algebras():
-    ctx = RingContext(-5)
-    mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
-    return {
-        "eps0": family_eps_x_zero(mu, ctx(2), ctx.zero, ctx.one, ctx.one),
-        "eps1": family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
-    }
 
 
 def payload(key, algebras):
@@ -50,14 +35,9 @@ def payload(key, algebras):
     return out, out["homology"].pop("checks")
 
 
-@pytest.fixture(scope="module")
-def algebras(alg_eps0, alg_eps1):
-    return {"eps0": alg_eps0, "eps1": alg_eps1}
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_FILE.read_text())
+def capture():
+    algebras = fixture_algebras()
+    return {key: payload(key, algebras)[0] for key in CASES}
 
 
 def test_golden_holds_both_cases(golden):
@@ -73,10 +53,3 @@ def test_former_stall_matches_golden(key, golden, algebras):
     out, checks = payload(key, algebras)
     assert out == golden[key]
     assert checks == expected_checks(out["homology"])
-
-
-if __name__ == "__main__":
-    algs = build_algebras()
-    out = {key: payload(key, algs)[0] for key in CASES}
-    GOLDEN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_FILE}")

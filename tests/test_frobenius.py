@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (
@@ -6,6 +8,7 @@ from conftest import (
     counit_first_matrix,
     counit_second_matrix,
     eq20_memberships,
+    fixture_algebras,
     k_delta_tilde,
     k_eps_x,
     multiply,
@@ -446,7 +449,7 @@ def test_two_route_agreement_on_random_data(ctx, mu, algebra_corpus):
 
 
 def test_nonzero_eps_x_forces_nonzero_b_and_d(ctx, mu, algebra_corpus):
-    found = list(search_solutions(mu, ctx(2), coord_bound=1, limit=4))
+    found = list(itertools.islice(search_solutions(mu, ctx(2), coord_bound=1), 4))
     for alg in list(algebra_corpus.values()) + found:
         if alg.data.eps_x_bar.is_zero() or alg.data.eps_one.is_zero():
             continue  # eps(1) = 0 only over a principal mu, as in Khovanov's algebra with b_bar = 0
@@ -461,17 +464,11 @@ def test_d_is_z_times_c_prime(algebra_corpus):
 
 
 def test_search_solutions(ctx, mu):
-    found = list(search_solutions(mu, ctx(2), coord_bound=2, limit=6))
+    found = list(itertools.islice(search_solutions(mu, ctx(2), coord_bound=2), 6))
     assert found
     for alg in found:
         assert alg.report.accepted
         assert not alg.data.eps_x_bar.is_zero()
-
-
-def test_search_limit_zero_yields_nothing_and_negative_raises(ctx, mu):
-    assert list(search_solutions(mu, ctx(2), coord_bound=1, limit=0)) == []
-    with pytest.raises(ValueError, match="limit must be nonnegative"):
-        list(search_solutions(mu, ctx(2), coord_bound=1, limit=-3))
 
 
 def test_negative_search_bounds_raise(ctx, mu, alg_eps0):
@@ -485,10 +482,6 @@ def test_negative_search_bounds_raise(ctx, mu, alg_eps0):
 def test_search_rejects_zero_z_before_dividing(ctx, mu):
     with pytest.raises(ValueError, match="z must be nonzero"):
         list(search_solutions(mu, ctx(0), coord_bound=1))
-    # the limit and bound checks come first
-    with pytest.raises(ValueError, match="limit must be nonnegative"):
-        list(search_solutions(mu, ctx(0), coord_bound=1, limit=-1))
-    assert list(search_solutions(mu, ctx(0), coord_bound=1, limit=0)) == []
 
 
 def test_search_rejects_mu_squared_not_z_before_the_box(ctx, mu):
@@ -498,7 +491,6 @@ def test_search_rejects_mu_squared_not_z_before_the_box(ctx, mu):
     assert str(exc.value) == "integrality table cell failed: mu_squared_is_principal_z"
     with pytest.raises(ValueError, match="bound must be nonnegative"):
         list(search_solutions(mu, ctx(3), coord_bound=-1))
-    assert list(search_solutions(mu, ctx(3), coord_bound=1, limit=0)) == []
 
 
 def test_the_lattice_refuses_zero_z_for_every_caller(ctx, mu):
@@ -561,8 +553,8 @@ def test_generator_search_walks_lazily(ctx, mu, monkeypatch):
 
 
 def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
-    first = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
-    second = list(search_solutions(mu, ctx(2), coord_bound=1, limit=3))
+    first = list(itertools.islice(search_solutions(mu, ctx(2), coord_bound=1), 3))
+    second = list(itertools.islice(search_solutions(mu, ctx(2), coord_bound=1), 3))
     shared = first[0].mu_z
     assert all(alg.mu_z is shared for alg in first)
     assert all(alg.mu_z is second[0].mu_z for alg in second)
@@ -570,7 +562,7 @@ def test_search_shares_one_mu_z_lattice(ctx, mu, alg_eps1):
     own = [
         alg_eps1,
         build_algebra(first[0].data),
-        family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one),
+        fixture_algebras()["eps1"],
     ]
     frames = [alg.mu_z for alg in own]
     assert len({id(f) for f in frames + [shared]}) == len(own) + 1

@@ -14,18 +14,9 @@ from quadfrob.ideals import (
 from quadfrob.ring import RingContext, UnsupportedRingError
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return RingContext(-5)
-
-
-@pytest.fixture(scope="module")
-def mu(ctx):
-    return Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
-
-
 def test_from_generators_examples(ctx, mu):
     assert mu.rows == ((2, 0), (1, 1))
+    assert Ideal.from_generators(ctx, [2, ctx(1, 1)]) == mu  # an int generator
     assert Ideal.from_generators(ctx, [ctx(1)]).rows == ((1, 0), (0, 1))
     assert Ideal.from_generators(ctx, [ctx(2)]).rows == ((2, 0), (0, 2))
     with pytest.raises(ZeroIdealError):

@@ -2,6 +2,8 @@ import math
 import random
 from itertools import combinations
 
+import pytest
+
 from conftest import snf_diagonal, unit_free_matrices
 from quadfrob.intlin import (
     IntSolver,
@@ -166,6 +168,8 @@ def test_solver_detects_unsolvable():
 def test_kernel_edge_cases():
     assert kernel_basis([], ncols=3) == identity(3)
     assert kernel_basis(identity(4)) == []
+    with pytest.raises(ValueError, match="ncols required for empty matrix"):
+        IntSolver([])
 
 
 def test_rank_routes_agree():
@@ -178,6 +182,7 @@ def test_rank_routes_agree():
 def test_det_int():
     assert det_int([[1, 2], [3, 4]]) == -2
     assert det_int(identity(5)) == 1
+    assert det_int([]) == 1
     r = random.Random(5)
     for _ in range(20):
         a = random_matrix(r, 3, 3, 5)

@@ -301,6 +301,7 @@ def test_torus_2_7_lee_count_and_euler_characteristic(alg_eps0):
     assert sum(dims.values()) == 2 ** pd.components() == 2
     chi_chain = sum((-1) ** i * cx.rank(i) // 2 for i in cx.degrees())
     assert chi_chain == sum((-1) ** i * d for i, d in dims.items())
+    assert cx.rank(min(cx.degrees()) - 1) == cx.rank(max(cx.degrees()) + 1) == 0
     assert homology_integral(cx).total_k_dim == 2
 
 

@@ -37,6 +37,8 @@ def test_tensor_ranks(ctx, alg_eps0):
     assert alg_eps0.tensor_power(3).module.rank == 16
     o2 = tensor_over_O(o_module(ctx), o_module(ctx))
     assert o2.module.rank == 2
+    with pytest.raises(ValueError, match="mixed ground rings"):
+        tensor_over_O(o_module(ctx), OModule(-6, 2, [[0, -6], [1, 0]]))
 
 
 def test_tensor_with_unit_object_conjugate(ctx, alg_eps0):

@@ -7,36 +7,26 @@ at least once.  For each case it records the input, the outcome of
 of the JSON of ``analyze``'s report.  It also records, for each ring, A's
 sqrt(d)-action on the Z-basis (1, sqrt(d), g1 X, g2 X) and the two sqrt(d)
 blocks the cube's chain groups use (``MuZLattice.sqrt_d_blocks``) on an
-algebra of that ring.  Rerun
-``python tests/test_rejection_golden.py`` only when the output is meant to
-change.
+algebra of that ring.  Rerun ``python tests/golden.py`` only when the
+output is meant to change.
 """
 
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from quadfrob import Ideal, RingContext  # noqa: E402
-from quadfrob.frobenius import FrobeniusData, analyze, build_algebra, search_solutions  # noqa: E402
-from quadfrob.ring import parse_element  # noqa: E402
+from conftest import RINGS as CONFTEST_RINGS, ring_of
+from quadfrob.frobenius import FrobeniusData, analyze, build_algebra, search_solutions
+from quadfrob.ring import parse_element
 
 GOLDEN_FILE = Path(__file__).with_name("rejection_golden.json")
 
-# (d, generators of mu, z) with mu^2 = (z); the last one has mu principal
-RINGS = (
-    (-5, "2,1+w", "2"),
-    (-6, "2,w", "2"),
-    (-10, "2,w", "2"),
-    (-13, "2,1+w", "2"),
-    (-5, "1", "1"),
-)
+# the first five of conftest's (d, generators of mu, z); the last of them
+# has mu principal
+RINGS = CONFTEST_RINGS[:5]
 SEED = 12
 N_SEEDED = 300
 
@@ -57,26 +47,21 @@ HAND_PICKED = (
 )
 
 
-def _ring(d, gens):
-    ctx = RingContext(d)
-    return ctx, Ideal.from_generators(ctx, [parse_element(ctx, g) for g in gens.split(",")])
-
-
 def seeded_cases(seed=SEED, n=N_SEEDED):
     """ā, b̄, ε̄_X from a box of ±4 per coordinate and ε(1) from ±2, each
     zero a quarter of the time; z random for 10 % of cases, relax for 30 %."""
     r = random.Random(seed)
     out = []
     for _ in range(n):
-        d, gens, z = r.choice(RINGS)
-        ctx, mu = _ring(d, gens)
+        ctx, mu, z = ring_of(*r.choice(RINGS))
 
         def draw(bound):
             return ctx.zero if r.random() < 0.25 else ctx(r.randint(-bound, bound), r.randint(-bound, bound))
 
-        zz = parse_element(ctx, z) if r.random() >= 0.1 else draw(4)
+        if r.random() < 0.1:
+            z = draw(4)
         relax = r.random() < 0.3
-        data = FrobeniusData(ctx, mu, zz, draw(4), draw(4), draw(2), draw(4))
+        data = FrobeniusData(ctx, mu, z, draw(4), draw(4), draw(2), draw(4))
         out.append((data, relax))
     return out
 
@@ -84,9 +69,8 @@ def seeded_cases(seed=SEED, n=N_SEEDED):
 def hand_picked_cases():
     out = []
     for d, gens, z, *params, relax in HAND_PICKED:
-        ctx, mu = _ring(d, gens)
-        z_elt, *elts = (parse_element(ctx, s) for s in (z, *params))
-        out.append((FrobeniusData(ctx, mu, z_elt, *elts), relax))
+        ctx, mu, z = ring_of(d, gens, z)
+        out.append((FrobeniusData(ctx, mu, z, *(parse_element(ctx, s) for s in params)), relax))
     return out
 
 
@@ -120,8 +104,8 @@ def ring_key(ring):
 
 
 def lattice_record(d, gens, z):
-    ctx, mu = _ring(d, gens)
-    alg = next(search_solutions(mu, parse_element(ctx, z), coord_bound=1, limit=1))
+    _, mu, z = ring_of(d, gens, z)
+    alg = next(search_solutions(mu, z, coord_bound=1))
     return {
         "algebra": alg.data.to_json(),
         "A_action": alg.mu_z.A.action,
@@ -135,9 +119,11 @@ def capture():
     return {"cases": cases, "lattices": lattices}
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_FILE.read_text())
+def dump(golden):
+    """The file's layout: one case per line."""
+    cases = ",\n".join(json.dumps(c, sort_keys=True) for c in golden["cases"])
+    lattices = json.dumps(golden["lattices"], indent=1, sort_keys=True)
+    return f'{{"cases": [\n{cases}\n],\n"lattices": {lattices}}}\n'
 
 
 def test_every_path_is_reached(golden):
@@ -170,11 +156,3 @@ def test_outcomes_match_golden(golden):
 @pytest.mark.parametrize("ring", RINGS, ids=ring_key)
 def test_lattice_matches_golden(ring, golden):
     assert lattice_record(*ring) == golden["lattices"][ring_key(ring)]
-
-
-if __name__ == "__main__":
-    golden = capture()
-    cases = ",\n".join(json.dumps(c, sort_keys=True) for c in golden["cases"])
-    lattices = json.dumps(golden["lattices"], indent=1, sort_keys=True)
-    GOLDEN_FILE.write_text(f'{{"cases": [\n{cases}\n],\n"lattices": {lattices}}}\n')
-    print(f"wrote {GOLDEN_FILE}")

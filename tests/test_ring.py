@@ -16,11 +16,6 @@ from quadfrob.ring import (
 from conftest import to_ring
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return RingContext(-5)
-
-
 def test_context_validation():
     for bad in (0, 1, 5, -3, 12, 8):
         with pytest.raises(ValueError):
@@ -76,6 +71,8 @@ def test_is_unit(ctx):
     assert ctx(1).is_unit()
     assert not ctx(1, 1).is_unit()
     assert not ctx(0).is_unit()
+    with pytest.raises(NotDivisibleError, match=r"^1\+w is not a unit$"):
+        ctx(1, 1).unit_inverse()
 
 
 def test_units_enumeration(ctx):
@@ -94,6 +91,10 @@ def test_divide_exact(ctx):
         ctx(1, 1).exact_div(ctx(2))
     with pytest.raises(ZeroDivisionError):
         ctx(1).exact_div(ctx(0))
+    with pytest.raises(ZeroDivisionError, match="division by zero in K"):
+        ctx(1).field_quotient(ctx(0))
+    assert ctx(2).divides(ctx(6))
+    assert not ctx(2).divides(ctx(3))
 
 
 def test_field_inverse(ctx):
@@ -117,6 +118,8 @@ def test_ring_axioms_random(ctx):
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a + b == b + a
+        assert a + 3 == 3 + a == a + ctx(3)
+        assert a - 3 == a - ctx(3)
         assert (a * b).norm() == a.norm() * b.norm()
         if not b.is_zero():
             assert (a * b).exact_div(b) == a
@@ -131,6 +134,9 @@ def test_field_matches_ring_on_integers(ctx):
             (a + b, a.to_field() + b.to_field()),
             (a * b, a.to_field() * b.to_field()),
             (a - b, a.to_field() - b.to_field()),
+            (a + b, a.to_field() + b),  # a RingElement operand is taken into K
+            (a + 3, a.to_field() + 3),
+            (a * 2, a.to_field() * 4 / 2),
         ):
             assert field_val.is_integral()
             assert to_ring(field_val) == ring_val
@@ -151,6 +157,20 @@ def test_mixed_context_rejected(ctx):
     other = RingContext(-2)
     with pytest.raises(ValueError):
         ctx(1) + other(1)
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        ctx.field(1) + other.field(1)
+    with pytest.raises(TypeError, match="expected RingElement, got float"):
+        ctx(1) + 1.5
+    with pytest.raises(TypeError, match="expected FieldElement, got str"):
+        ctx.field(1) + "x"
+
+
+def test_powers(ctx):
+    a = ctx(1, 1)
+    assert a ** 0 == ctx.one
+    assert a ** 3 == a * a * a
+    with pytest.raises(ValueError, match="only nonnegative integer powers"):
+        a ** -1
 
 
 def test_parse_element(ctx):

@@ -235,6 +235,16 @@ def test_reduce_units_keeps_homotopy_type(alg_worked):
     assert euler == sum((-1) ** i * r for i, r in enumerate(small.ranks))
 
 
+def test_reduce_units_drops_a_row_that_a_dropped_column_empties():
+    # not a complex, d1 d0 = 1: eliminating d0's unit drops column 0 of d1,
+    # its one entry, and with it d1's row; the shared input is not changed
+    one = SparseMatrix(1, 1, [{0: 1}])
+    kept, reduced = reduce_units([one, one], [1, 1, 1])
+    assert kept == [[], [], [0]]
+    assert reduced == [SparseMatrix(0, 0), SparseMatrix(1, 0)]
+    assert one == SparseMatrix(1, 1, [{0: 1}])
+
+
 def test_reduce_units_pops_as_the_tuple_heap_did(algebra_corpus):
     """The packed int heap, dict columns and drop marks give the same
     (kept, reduced) as ``reduce_units`` first written with a heap of

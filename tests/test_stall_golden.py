@@ -9,24 +9,18 @@ T(2,4) and T(2,5) are golden in ``test_golden_homology``; for the other 48,
 the nonzero K-dimensions.  The ``checks`` list of ``homology_integral`` is
 not stored: each case's list must be what ``conftest.expected_checks``
 gives for its torsion.  The braid names use +i for s_i and -i for s_i^-1,
-as in the benchmark.  Rerun ``python tests/test_stall_golden.py`` only when
-the output is meant to change.
+as in the benchmark.  Rerun ``python tests/golden.py`` only when the output
+is meant to change.
 """
 
-import json
-import sys
 from pathlib import Path
 
 import pytest
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from quadfrob import corpus
+from quadfrob.linkhom import build_complex, homology_integral, homology_over_K
 
-from quadfrob import Ideal, RingContext, corpus  # noqa: E402
-from quadfrob.frobenius import example_zsqrtm5, family_eps_x_one  # noqa: E402
-from quadfrob.linkhom import build_complex, homology_integral, homology_over_K  # noqa: E402
-
-from conftest import expected_checks  # noqa: E402
+from conftest import expected_checks, fixture_algebras
 
 GOLDEN_FILE = Path(__file__).with_name("stall_golden.json")
 
@@ -73,21 +67,9 @@ def stall_record(key, algebras):
     return record, h
 
 
-def build_algebras():
-    """The benchmark's ``worked`` and ``eps1`` algebras."""
-    ctx = RingContext(-5)
-    mu = Ideal.from_generators(ctx, [ctx(2), ctx(1, 1)])
-    return {"worked": example_zsqrtm5(1, 1), "eps1": family_eps_x_one(mu, ctx(2), ctx(1, 1), ctx.one, ctx.one)}
-
-
-@pytest.fixture(scope="module")
-def algebras(alg_worked, alg_eps1):
-    return {"worked": alg_worked, "eps1": alg_eps1}
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_FILE.read_text())
+def capture():
+    algebras = fixture_algebras()
+    return {key: stall_record(key, algebras)[0] for key in KEYS}
 
 
 def test_every_stall_is_frozen(golden):
@@ -100,10 +82,3 @@ def test_stall_matches_golden(key, golden, algebras):
     record, h = stall_record(key, algebras)
     assert record == golden[key]
     assert h.checks == expected_checks(h.to_json())
-
-
-if __name__ == "__main__":
-    algs = build_algebras()
-    out = {key: stall_record(key, algs)[0] for key in KEYS}
-    GOLDEN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_FILE}")

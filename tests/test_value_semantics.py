@@ -165,6 +165,12 @@ def test_equality_is_within_one_class():
     assert ctx(1) != 1
     assert ctx(1, 2) != (1, 2)
     assert RingContext(-5) != {"d": -5}
+    assert SparseMatrix(1, 1) != [[0]]
+    assert Complex(0, [1], []) != 3
+
+
+def test_sparse_matrix_repr_shows_its_shape_and_entries():
+    assert repr(SparseMatrix(2, 3, [{0: 1}, {}])) == "SparseMatrix(2x3, nnz=1)"
 
 
 def test_value_defaults():
