@@ -201,8 +201,6 @@ def cmd_algebra(args):
     else:  # search
         if args.limit is not None and args.limit < 0:
             raise ValueError("limit must be nonnegative")
-        if args.bound < 0:  # refused even when --limit 0 starts no search
-            raise ValueError("bound must be nonnegative")
         found = list(itertools.islice(search_solutions(mu, z, coord_bound=args.bound), args.limit))
         payload = {"count": len(found), "solutions": [_algebra_payload(a) for a in found]}
         _emit(args, payload, [f"found {len(found)} valid parameter sets"]

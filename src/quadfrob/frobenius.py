@@ -563,10 +563,10 @@ def search_solutions(mu, z, *, coord_bound=2):
     """Enumerates data with eps(1) a unit and d = s * eps_x_bar (s a unit) solving the single
     closing equation, subject to the integrality table; bounded box search.
 
-    Yields validated algebras.  Before any candidate, a negative
-    ``coord_bound`` raises ValueError; then z = 0 raises ValueError (from
-    the ``omodule.MuZLattice``), and mu^2 != (z) raises the
-    ``mu_squared_is_principal_z`` IntegralityViolationError.
+    Returns an iterator of validated algebras, after three checks made at
+    the call: a negative ``coord_bound`` raises ValueError; then z = 0
+    raises ValueError (from the ``omodule.MuZLattice``), and mu^2 != (z)
+    raises the ``mu_squared_is_principal_z`` IntegralityViolationError.
     Bounds are configuration, not semantics: absence within the box proves
     nothing.  b_bar is solved in O by one exact division, b_bar z eps(1)^2
     = eps_x_bar^2 - a_bar eps_x_bar eps(1) - s^-1 z, whose right side lies in mu^2 = (z); then D_bar =
@@ -579,11 +579,16 @@ def search_solutions(mu, z, *, coord_bound=2):
     """
     if coord_bound < 0:
         raise ValueError("bound must be nonnegative")
-    ctx = z.ctx
-    units = ctx.units()
     mu_z = omodule.MuZLattice(mu, z)
     if not mu_z.squares_to_z:
         raise IntegralityViolationError("mu_squared_is_principal_z")
+    return _search_box(mu_z, coord_bound)
+
+
+def _search_box(mu_z, coord_bound):
+    """The candidates of ``search_solutions``, each built as it is read."""
+    mu, z, ctx = mu_z.mu, mu_z.z, mu_z.ctx
+    units = ctx.units()
     abars = [ctx.zero] + list(mu.lattice_points(coord_bound))
     exbars = list(mu.lattice_points(coord_bound))
     denominators = [(e1, z * e1 * e1) for e1 in units]

@@ -24,7 +24,6 @@ from quadfrob.intlin import (
     sparse_rank,
     transpose,
 )
-from quadfrob.omodule import AlgebraLattice, MultiplicationLattice, MuZLattice, OModule
 from quadfrob.ring import ClosureError, NotDivisibleError, RingElement, parse_element
 
 import golden as golden_files
@@ -548,96 +547,12 @@ def is_equivariant(matrix, source_action, target_action):
     return mat_mul(matrix, source_action) == mat_mul(target_action, matrix)
 
 
-def bump_m_entry(monkeypatch):
-    """One entry of the closed-form m +1, on a copy.  That m is not
-    O-linear: its kernel is not stable under sqrt(d), and it fails
-    associativity."""
-    real = MultiplicationLattice.m_matrix
-
-    def bumped(self):
-        out = [row[:] for row in real(self)]
-        out[2][6] += 1
-        return out
-
-    monkeypatch.setattr(MultiplicationLattice, "m_matrix", bumped)
-
-
-def negate_a2_action(monkeypatch):
-    """sqrt(d) on A (x)_O A replaced by its negative, which also squares to
-    d.  Delta(1) still passes the counit identity, but Delta's second
-    column, sqrt(d) on Delta(1), no longer does."""
-
-    def negated(self):
-        return OModule(self.ctx.d, 8, [[-e for e in row] for row in self._module(2).action])
-
-    monkeypatch.setattr(MuZLattice, "A2", property(negated))
-
-
 def freeze_first_crossing(monkeypatch):
     """Circles read as if crossing 0 were always 0-resolved, so every cube
     edge along crossing 0 keeps its circles: a fault in ``_circles_at``
     that no planar diagram can cause."""
     real = linkhom._circles_at
     monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, (0, *vertex[1:])))
-
-
-def bump_one_edge_entry(monkeypatch):
-    """The first edge pattern's first entry +1, on a copy, then the real
-    map: one edge of the next cube built leaves d^2 != 0 at the cube's
-    lowest degree."""
-    real = AlgebraLattice.edge_entries
-
-    def bump_once(self, *args):
-        monkeypatch.setattr(AlgebraLattice, "edge_entries", real)
-        (r, c, e), *rest = real(self, *args)
-        return [(r, c, e + 1), *rest]
-
-    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
-
-
-def bump_one_action_entry(monkeypatch):
-    """Entry (0, 0) of the first sqrt(d)-action laid out +1, on a copy,
-    then the real rows: the next cube built has one vertex whose action,
-    still inside its 2x2 blocks, no longer commutes with the differential
-    leaving the cube's lowest degree."""
-    real = MuZLattice.sqrt_d_rows
-
-    def bump_once(self, n):
-        monkeypatch.setattr(MuZLattice, "sqrt_d_rows", real)
-        rows = [dict(row) for row in real(self, n)]
-        rows[0][0] = rows[0].get(0, 0) + 1
-        return rows
-
-    monkeypatch.setattr(MuZLattice, "sqrt_d_rows", bump_once)
-
-
-def bump_remainder_entry(monkeypatch):
-    """Entry (0, 0) of the remainder's d_3 +1 as unit elimination returns
-    it.  On worked T(2,5) the remainder then has d^2 != 0, yet its Smith
-    table and every rank count still agree: only ``remainder_d_squared``
-    sees the fault."""
-    real = linkhom.reduce_units
-
-    def bumped(diffs, ranks):
-        kept, reduced = real(diffs, ranks)
-        row = reduced[3].rows[0]
-        row[0] = row.get(0, 0) + 1
-        return kept, reduced
-
-    monkeypatch.setattr(linkhom, "reduce_units", bumped)
-
-
-def double_x_u_off_the_generators(monkeypatch):
-    """X_u doubled for every u other than mu's two HNF generators: X_g1 and
-    X_g2 still span X_mu, so ker(m) still splits, but X_(b_bar g) is no
-    longer linear in u and the action identities on ker(m) fail."""
-    real = MuZLattice.x_u
-
-    def doubled(self, u):
-        x = real(self, u)
-        return x if u in self.gens else [2 * e for e in x]
-
-    monkeypatch.setattr(MuZLattice, "x_u", doubled)
 
 
 def z_basis(alg):

@@ -52,6 +52,7 @@ from conftest import (
     to_ring,
     z_basis,
 )
+from test_faults import zero_x_hat
 
 DUAL_CELLS = ("c_in_O", "d_in_mu", "c_prime_in_z_inv_mu", "d_prime_in_O")
 
@@ -313,7 +314,7 @@ def test_a_failed_check_of_a_shared_multiplication_is_not_kept(ctx, mu, monkeypa
     data = next(search_solutions(mu, ctx(2), coord_bound=1)).data
     twins = [build_algebra(data, mu_z=mu_z), twist(build_algebra(data, mu_z=mu_z), TwistSpec(3, -ctx.one))]
     assert twins[0].mult is twins[1].mult
-    monkeypatch.setattr(omodule.MultiplicationLattice, "x_hat", lambda self: [0] * 8)
+    zero_x_hat(monkeypatch)
     for alg in twins * 2:
         with pytest.raises(DirectSumFailureError):
             alg.kernel_m_analysis()

@@ -7,30 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (
-    RINGS,
-    bump_m_entry,
-    bump_one_edge_entry,
-    bump_remainder_entry,
-    double_x_u_off_the_generators,
-    freeze_first_crossing,
-    negate_a2_action,
-    ring_of,
-)
-from quadfrob import Ideal, RingContext, corpus, frobenius, linkhom, omodule
+from conftest import freeze_first_crossing
+from quadfrob import corpus, frobenius, linkhom
 from quadfrob.cli import main, make_parser
-from quadfrob.frobenius import (
-    FrobeniusData,
-    InconsistentRoutesError,
-    analyze,
-    build_algebra,
-    example_zsqrtm5,
-    family_eps_x_one,
-    family_eps_x_zero,
-    search_solutions,
-)
-from quadfrob.omodule import AlgebraLattice, DirectSumFailureError, MultiplicationLattice, MuZLattice
-from quadfrob.ring import RingElement
+from quadfrob.frobenius import example_zsqrtm5
+from test_faults import bump_m_entry
 
 
 REAL_QUADRATIC = "real quadratic d = {}: only imaginary quadratic rings (d < 0) are supported"
@@ -249,13 +230,15 @@ def test_negative_search_bounds_are_malformed(capsys):
 
 
 def test_search_rejects_z_like_the_families(capsys):
-    for action, extra in (("search", ("--bound", "1")), ("family-eps0", ("--abar", "0", "--bbar", "1", "--eps1", "1"))):
-        argv = ("algebra", action, "-d", "-5", *extra, "--z")
+    # --limit 0 reads no candidate, and the search still checks z
+    for extra in (("search", "--bound", "1"), ("search", "--limit", "0"),
+                  ("family-eps0", "--abar", "0", "--bbar", "1", "--eps1", "1")):
+        argv = ("algebra", *extra, "-d", "-5", "--z")
         code, out, err = run(capsys, *argv, "0")
-        assert (code, out) == (3, ""), action
+        assert (code, out) == (3, ""), extra
         assert err.strip() == "malformed input: z must be nonzero"
         code, out, err = run(capsys, *argv, "3")
-        assert (code, out) == (2, ""), action
+        assert (code, out) == (2, ""), extra
         assert err.strip() == "rejected: integrality table cell failed: mu_squared_is_principal_z"
 
 
@@ -355,24 +338,17 @@ def test_link_non_planar_pd_is_malformed(tmp_path, capsys):
     assert "not planar" in err
 
 
+def _trefoil_file(tmp_path):
+    pd = tmp_path / "trefoil.json"
+    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
+    return str(pd)
+
+
 def test_an_edge_that_keeps_its_circles_is_malformed(tmp_path, monkeypatch, capsys):
     freeze_first_crossing(monkeypatch)
     code, out, err = run(capsys, "link", "homology", "--pd", _trefoil_file(tmp_path))
     assert (code, out) == (3, "")
     assert err.strip() == "malformed input: edge (0, 0, 0)->(1, 0, 0) changes circles 2->2"
-
-
-def test_swapped_smoothings_fail_lee_degrees(tmp_path, monkeypatch, capsys):
-    # with the 0- and 1-smoothings swapped, every other named check passes
-    # the trefoil over the default algebra, which then reports H^3 = Z^4
-    # and H^1 = (Z/2)^4; Lee's degrees put the free part in degree 0
-    real = linkhom._circles_at
-    monkeypatch.setattr(linkhom, "_circles_at", lambda pd, vertex: real(pd, tuple(1 - c for c in vertex)))
-    pd = _trefoil_file(tmp_path)
-    code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
-    assert code == 5
-    assert payload["error"]["check"] == "lee_degrees" and payload["error"]["inputs"] == {"pd": pd}
-    assert err == "lee_degrees check failed: degree 0: free Z-rank 0, but Lee's degrees give K-dimension 2\n"
 
 
 def test_a_lookup_fault_inside_a_command_is_not_malformed_input(tmp_path, monkeypatch):
@@ -604,228 +580,6 @@ def test_relax_is_unknown_outside_algebra_validate(command, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _assert_check_failed(capsys, check, *argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 5
-    assert out == ""
-    assert f"{check} check failed" in err
-    return err
-
-
-def test_validation_routes_failure_exits_5(monkeypatch, capsys):
-    real = frobenius.rescaled_equations
-
-    def one_false_identity(data, duals, t_bar):
-        return {**real(data, duals, t_bar), "eq42": False}
-
-    monkeypatch.setattr(frobenius, "rescaled_equations", one_false_identity)
-    _assert_check_failed(capsys, "validation_routes", "algebra", "example-zsqrtm5")
-
-
-def test_ker_m_splitting_failure_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(MultiplicationLattice, "x_hat", lambda self: [0] * 8)
-    _assert_check_failed(capsys, "ker_m_splitting", "kernel")
-
-
-def _worked_file(tmp_path):
-    path = tmp_path / "worked.json"
-    path.write_text(json.dumps(example_zsqrtm5(1, 1).data.to_json()))
-    return str(path)
-
-
-def test_a_failed_action_identity_exits_5(tmp_path, monkeypatch, capsys):
-    # the worked algebra's b_bar g1 is no generator of mu, so its X_u doubles
-    double_x_u_off_the_generators(monkeypatch)
-    alg = _worked_file(tmp_path)
-    code, payload, err = run_json(capsys, "kernel", "--alg", alg)
-    assert code == 5
-    assert payload["error"]["check"] == "ker_m_splitting" and payload["error"]["inputs"] == {"alg": alg}
-    assert "acting on X_hat breaks its identity on ker(m)" in err
-
-
-def test_a_failed_x_mu_action_identity_exits_5(tmp_path, monkeypatch, capsys):
-    # X_hat is 0 in coordinates 2-3 and X_g1 is not, so a 1 added at entry
-    # [0][2] of (g1 X .) (x) id breaks only the identity on X_mu
-    real = MultiplicationLattice.x_first_factor_maps
-
-    def bumped(self):
-        maps = [[list(row) for row in lmat] for lmat in real(self)]
-        maps[0][0][2] += 1
-        return maps
-
-    monkeypatch.setattr(MultiplicationLattice, "x_first_factor_maps", bumped)
-    alg = _worked_file(tmp_path)
-    code, payload, err = run_json(capsys, "kernel", "--alg", alg)
-    assert code == 5
-    assert payload["error"]["check"] == "ker_m_splitting" and payload["error"]["inputs"] == {"alg": alg}
-    assert "acting on X_mu breaks its identity on ker(m)" in err
-
-
-@pytest.mark.parametrize("action", ["homology", "compare"])
-def test_a_remainder_with_nonzero_d_squared_exits_5(action, tmp_path, monkeypatch, capsys):
-    pd = tmp_path / "t25.json"
-    pd.write_text(json.dumps(corpus.braid_closure((1,) * 5, 2).to_json()))
-    bump_remainder_entry(monkeypatch)
-    pds = ["--pd1", str(pd), "--pd2", str(pd)] if action == "compare" else ["--pd", str(pd)]
-    err = _assert_check_failed(capsys, "d_squared", "link", action, "--alg", _worked_file(tmp_path), *pds)
-    assert "d^2 != 0 at degree 2" in err
-
-
-def test_well_defined_failure_exits_5(monkeypatch, capsys):
-    # one entry of m +1 makes m not O-linear: its kernel is not stable
-    # under the sqrt(d)-action, which is checked before associativity
-    bump_m_entry(monkeypatch)
-    err = _assert_check_failed(capsys, "well_defined", "kernel")
-    assert "kernel not stable under the action" in err
-
-
-# -- named checks that only a fault reaches: each fault patches one
-# collaborator, and the command fails with the library's own error
-
-
-def _double_pairing_det(monkeypatch):
-    real = frobenius.epsilon_tilde_matrix
-
-    def doubled(*args):
-        rows, det = real(*args)
-        return rows, 2 * det
-
-    monkeypatch.setattr(frobenius, "epsilon_tilde_matrix", doubled)
-
-
-def _mu_never_principal(monkeypatch):
-    monkeypatch.setattr(MuZLattice, "mu_principal", property(lambda self: False))
-
-
-def _nothing_divides(monkeypatch):
-    monkeypatch.setattr(RingElement, "divides", lambda self, other: False)
-
-
-def _negate_trace(monkeypatch):
-    # build_algebra validates the data with eps negated: a valid algebra
-    # whose duals are the negatives of the data's own
-    real = frobenius.build_algebra
-
-    def negated(data, **kwargs):
-        return real(FrobeniusData(data.ctx, data.mu, data.z, data.a_bar, data.b_bar,
-                                  -data.eps_one, -data.eps_x_bar), **kwargs)
-
-    monkeypatch.setattr(frobenius, "build_algebra", negated)
-
-
-def _repeat_a_kernel_row(monkeypatch):
-    # one more row in the kernel basis: the same lattice, so the stability
-    # check passes, but of the wrong Z-rank
-    real = omodule.kernel_basis
-
-    def repeated(a, ncols=None):
-        rows = real(a, ncols=ncols)
-        return rows + rows[:1]
-
-    monkeypatch.setattr(omodule, "kernel_basis", repeated)
-
-
-def _worked_data():
-    return example_zsqrtm5(1, 1).data
-
-
-def _nilpotent_data():
-    """X^2 = 0 with eps(1) = eps(X) = 1 over mu = O: accepted with t_bar =
-    c = 0, which only a principal mu allows."""
-    ctx = RingContext(-5)
-    unit_ideal = Ideal.from_generators(ctx, [ctx.one])
-    return FrobeniusData(ctx, unit_ideal, ctx.one, ctx.zero, ctx.zero, ctx.one, ctx.one)
-
-
-def _family_eps0(_):
-    ctx, mu, z = ring_of(*RINGS[0])
-    return family_eps_x_zero(mu, z, ctx.zero, ctx.one, ctx.one)
-
-
-def _family_eps1(_):
-    ctx, mu, z = ring_of(*RINGS[0])
-    return family_eps_x_one(mu, z, ctx(1, 1), ctx.one, ctx.one)
-
-
-def _first_search_hit(_):
-    _, mu, z = ring_of(*RINGS[0])
-    return next(search_solutions(mu, z, coord_bound=1))
-
-
-CLOSED_FORMS = "family duals disagree with the closed forms"
-
-
-@pytest.mark.parametrize("fault, data, call, error, message, argv", [
-    (_double_pairing_det, _worked_data, analyze, InconsistentRoutesError,
-     "dual-solution route says True, unimodularity route says False", ("algebra", "validate")),
-    (_mu_never_principal, _nilpotent_data, analyze, InconsistentRoutesError,
-     "nonvanishing consequences failed on accepted data", ("algebra", "validate")),
-    (_nothing_divides, _worked_data, analyze, InconsistentRoutesError,
-     "d*eps(1) escaped (eps_x_bar) on accepted data", ("algebra", "validate")),
-    (_negate_trace, None, _family_eps0, InconsistentRoutesError, CLOSED_FORMS,
-     ("algebra", "family-eps0", "--abar", "0", "--bbar", "1", "--eps1", "1")),
-    (_negate_trace, None, _family_eps1, InconsistentRoutesError, CLOSED_FORMS,
-     ("algebra", "family-eps1", "--abar", "1+w", "--eps1", "1", "--dbar", "1")),
-    (_negate_trace, None, lambda _: example_zsqrtm5(1, 1), InconsistentRoutesError,
-     "worked example duals disagree with the closed forms", ("algebra", "example-zsqrtm5")),
-    (_negate_trace, None, _first_search_hit, InconsistentRoutesError,
-     "search ansatz d = s eps_x_bar failed", ("algebra", "search", "--bound", "1")),
-    (_repeat_a_kernel_row, _worked_data, lambda data: build_algebra(data).kernel_m_analysis(),
-     DirectSumFailureError, "ker(m) has Z-rank 5, expected 4", ("kernel",)),
-], ids=["routes", "nonvanishing", "d_eps_one", "family_eps0", "family_eps1", "worked", "search", "ker_m_rank"])
-def test_a_fault_fails_its_named_check(fault, data, call, error, message, argv, tmp_path, monkeypatch, capsys):
-    # the data and its file are made before the fault
-    if data is not None:
-        data = data()
-        alg = tmp_path / "alg.json"
-        alg.write_text(json.dumps(data.to_json()))
-        argv += ("--alg", str(alg))
-    fault(monkeypatch)
-    with pytest.raises(error) as exc:
-        call(data)
-    assert str(exc.value) == f"{exc.value.check} check failed: {message}"
-    assert exc.value.check == ("ker_m_splitting" if error is DirectSumFailureError else "validation_routes")
-    code, payload, err = run_json(capsys, *argv)
-    assert code == 5
-    assert err == f"{exc.value}\n"
-    inputs = {} if data is None else {"alg": str(alg)}
-    assert payload == {"error": {"check": exc.value.check, "message": str(exc.value), "inputs": inputs}}
-
-
-def _trefoil_file(tmp_path):
-    pd = tmp_path / "trefoil.json"
-    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
-    return str(pd)
-
-
-def test_d_squared_failure_exits_5(tmp_path, monkeypatch, capsys):
-    # the first edge pattern's first entry +1: edge_entries memoizes its
-    # lists, so the fault is a copy and reaches one edge of the cube
-    real = AlgebraLattice.edge_entries
-    bumped = []
-
-    def bump_once(self, *args):
-        out = real(self, *args)
-        if bumped:
-            return out
-        bumped.append(args)
-        (r, c, e), *rest = out
-        return [(r, c, e + 1), *rest]
-
-    monkeypatch.setattr(AlgebraLattice, "edge_entries", bump_once)
-    _assert_check_failed(capsys, "d_squared", "link", "homology", "--pd", _trefoil_file(tmp_path))
-    assert bumped
-
-
-def test_d_squared_failure_writes_a_json_error(tmp_path, monkeypatch, capsys):
-    bump_one_edge_entry(monkeypatch)
-    pd = _trefoil_file(tmp_path)
-    code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
-    assert code == 5
-    assert "d_squared check failed" in err
-    assert payload == {"error": {"check": "d_squared", "message": err.strip(), "inputs": {"pd": pd}}}
-
-
 def test_well_defined_failure_writes_a_json_error_to_out(tmp_path, monkeypatch, capsys):
     alg = tmp_path / "worked.json"
     alg.write_text(json.dumps(frobenius.example_zsqrtm5(1, 1).data.to_json()))
@@ -841,128 +595,6 @@ def test_well_defined_failure_writes_a_json_error_to_out(tmp_path, monkeypatch, 
     code, stdout, err = run(capsys, *argv, str(tmp_path / "missing" / "error.json"))
     assert (code, stdout) == (5, "")
     assert "well_defined check failed" in err and "cannot write the error report" in err
-
-
-def _bump_sqrt_d_rows(monkeypatch, min_n):
-    # one entry of the first sqrt(d) block +1 on A^(x n) for n >= min_n
-    real = MuZLattice.sqrt_d_rows
-
-    def bumped(self, n):
-        rows = real(self, n)
-        if n < min_n:
-            return rows
-        rows = [dict(row) for row in rows]
-        rows[0][0] = rows[0].get(0, 0) + 1
-        return rows
-
-    monkeypatch.setattr(MuZLattice, "sqrt_d_rows", bumped)
-
-
-def test_equivariance_failure_exits_5(tmp_path, monkeypatch, capsys):
-    # the bump for n > 2 only: A and A (x)_O A read n = 1 and 2, where a
-    # bad J fails the J^2 = d check of the laid-out action (well_defined,
-    # exit 5) before any cube is built
-    _bump_sqrt_d_rows(monkeypatch, 3)
-    _assert_check_failed(capsys, "equivariance", "link", "homology", "--pd", _trefoil_file(tmp_path))
-
-
-def test_sqrt_d_layout_failure_exits_5(tmp_path, monkeypatch, capsys):
-    # the bump for every n: A's laid-out action fails J^2 = d, an internal
-    # check, not bad input
-    _bump_sqrt_d_rows(monkeypatch, 1)
-    _assert_check_failed(capsys, "well_defined", "link", "homology", "--pd", _trefoil_file(tmp_path))
-
-
-def _double_delta_one(monkeypatch):
-    real = AlgebraLattice._delta_one
-    monkeypatch.setattr(AlgebraLattice, "_delta_one", lambda self: [2 * e for e in real(self)])
-
-
-def _bump_x_map_entry(monkeypatch):
-    real = MultiplicationLattice._x_map
-
-    def bumped(self, i):
-        out = real(self, i)
-        out[0][0] += 1
-        return out
-
-    monkeypatch.setattr(MultiplicationLattice, "_x_map", bumped)
-
-
-def _swap_c_and_d_prime(monkeypatch):
-    real = AlgebraLattice._delta_one
-
-    def swapped(self):
-        out = real(self)
-        return out[6:8] + out[2:6] + out[0:2]
-
-    monkeypatch.setattr(AlgebraLattice, "_delta_one", swapped)
-
-
-def _drop_a_bar_from_m(monkeypatch):
-    real = MultiplicationLattice.m_matrix
-
-    def dropped(self):
-        out = [row[:] for row in real(self)]
-        for row in out[2:4]:
-            row[6:8] = [0, 0]  # the block zX(x)X -> X, a_bar's coordinates in mu
-        return out
-
-    monkeypatch.setattr(MultiplicationLattice, "m_matrix", dropped)
-
-
-def _bump_checked_m_entry(monkeypatch):
-    # the entry of bump_m_entry, changed once m has passed associativity
-    real = MultiplicationLattice.x_first_factor_maps
-
-    def bump_after(self):
-        out = real(self)
-        if not getattr(self, "_bumped", False):
-            self._m[2][6] += 1
-            self._bumped = True
-        return out
-
-    monkeypatch.setattr(MultiplicationLattice, "x_first_factor_maps", bump_after)
-
-
-COUNIT = "counit identity (eps (x) id) Delta(1) = 1 fails"
-DELTA_COUNIT = "counit identity (eps (x) id) Delta = id fails"
-ASSOCIATIVITY = "is not associative with m"
-PER_BLOCK = "is not multiplication by one scalar of K"
-
-
-@pytest.mark.parametrize("fault, message", [
-    (_double_delta_one, COUNIT),
-    (_swap_c_and_d_prime, COUNIT),
-    (_drop_a_bar_from_m, ASSOCIATIVITY),
-    (_bump_x_map_entry, ASSOCIATIVITY),
-    (bump_m_entry, ASSOCIATIVITY),
-    (_bump_checked_m_entry, PER_BLOCK),
-    (negate_a2_action, DELTA_COUNIT),
-], ids=["delta_one", "c_d_prime_swapped", "a_bar_dropped", "x_map", "m_entry", "checked_m_entry", "a2_negated"])
-def test_a_faulty_closed_form_fails_link_homology(fault, message, tmp_path, monkeypatch, capsys):
-    # the cube's edge maps are the blocks of the checked m and Delta, so a
-    # fault in either fails a check before any homology is computed
-    alg = tmp_path / "worked.json"
-    alg.write_text(json.dumps(frobenius.example_zsqrtm5(1, 1).data.to_json()))
-    pd = tmp_path / "trefoil.json"
-    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
-    fault(monkeypatch)
-    code, out, err = run(capsys, "link", "homology", "--pd", str(pd), "--alg", str(alg))
-    assert (code, out) == (5, "")
-    assert "well_defined check failed" in err and message in err
-
-
-@pytest.mark.parametrize("fault, argv", [
-    (_double_delta_one, ("tqft",)),
-    (_double_delta_one, ("algebra", "example-zsqrtm5")),
-    (_bump_x_map_entry, ("kernel",)),
-    (_bump_x_map_entry, ("tqft",)),
-], ids=["delta_one-tqft", "delta_one-algebra", "x_map-kernel", "x_map-tqft"])
-def test_a_faulty_closed_form_exits_5(fault, argv, monkeypatch, capsys):
-    # Delta(1) fails the counit identity, an X-map fails associativity
-    fault(monkeypatch)
-    _assert_check_failed(capsys, "well_defined", *argv)
 
 
 COMMAND_PATHS = [

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from conftest import (
-    bump_m_entry,
     comultiply_one_via_dual,
     counit_first_matrix,
     counit_second_matrix,
@@ -44,6 +43,7 @@ from quadfrob.ideals import Ideal
 from quadfrob.intlin import mat_vec
 from quadfrob.omodule import MuZLattice, NotWellDefinedError
 from quadfrob.ring import ClosureError, NotDivisibleError
+from test_faults import bump_m_entry
 
 
 # -- the worked example over Z[sqrt(-5)] -------------------------------------

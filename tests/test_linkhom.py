@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import diff_from, discriminant, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
+from conftest import discriminant, freeze_first_crossing, n_plus, search_hits, sparse_product, total_rank
 from quadfrob import corpus, ring
 from quadfrob.frobenius import TwistSpec, twist
 from quadfrob.intlin import det_int
@@ -402,22 +402,6 @@ def test_euler_characteristic(algebra_corpus):
             chi_chain = sum((-1) ** i * cx.rank(i) // 2 for i in cx.degrees())
             chi_hom = sum((-1) ** i * d for i, d in dims.items())
             assert chi_chain == chi_hom, (aname, name)
-
-
-def test_k_dims_rational_rank_oracle(alg_eps0):
-    # recompute the K-dimensions by hand from rational ranks alone
-    from quadfrob.intlin import rank_rat
-
-    for name in corpus.names():
-        cx = build_complex(corpus.diagram(name), alg_eps0)
-        dims = homology_over_K(cx)
-        for i in cx.degrees():
-            d_out = diff_from(cx, i)
-            d_in = diff_from(cx, i - 1)
-            q_dim = cx.rank(i) - (rank_rat(d_out) if d_out else 0) - (
-                rank_rat(d_in) if d_in else 0
-            )
-            assert dims.get(i, 0) == q_dim // 2
 
 
 def test_the_lee_degrees_check_runs_where_the_discriminant_is_nonzero(algebra_corpus):

@@ -1,18 +1,10 @@
 import pytest
 
-from conftest import block, bump_m_entry, is_equivariant, negate_a2_action, rng, snf_diagonal
-from quadfrob import omodule
+from conftest import block, is_equivariant, rng, snf_diagonal
 from quadfrob.frobenius import build_algebra, example_zsqrtm5
 from quadfrob.intlin import det_int, hnf_rows, identity, kernel_basis, kron, mat_mul, mat_vec, transpose
-from quadfrob.omodule import (
-    MuZLattice,
-    NotWellDefinedError,
-    OModule,
-    TensorProduct,
-    TorsionInTensorError,
-    homology_pair,
-    tensor_over_O,
-)
+from quadfrob.omodule import NotWellDefinedError, OModule, TensorProduct, tensor_over_O
+from test_faults import bump_m_entry, double_delta_one, negate_a2_action
 
 
 def o_module(ctx):
@@ -61,24 +53,6 @@ def test_proj_section_inverse(alg_eps0):
     for n in (2, 3):
         t = alg_eps0.tensor_power(n)
         assert mat_mul(t.proj, t.section) == identity(t.module.rank)
-
-
-def test_tensor_power_names_a_projection_that_is_not_onto(ctx, mu, monkeypatch):
-    # every monomial coordinate doubled: the image is 2 Z^8
-    mu_z = MuZLattice(mu, ctx(2))
-    real = mu_z._coords_in
-    monkeypatch.setattr(mu_z, "_coords_in", lambda e, par: tuple(2 * c for c in real(e, par)))
-    with pytest.raises(NotWellDefinedError, match="projection onto monomial coordinates is not onto"):
-        mu_z.tensor_power(2)
-
-
-def test_tensor_power_names_a_layout_that_is_not_sqrt_d_on_a_factor(ctx, mu):
-    # -J on the odd summands still squares to d, but it is not sqrt(d)
-    mu_z = MuZLattice(mu, ctx(2))
-    on_o, on_mu = mu_z.sqrt_d_blocks
-    mu_z.sqrt_d_blocks = (on_o, tuple(tuple(-e for e in row) for row in on_mu))
-    with pytest.raises(NotWellDefinedError, match="tensor action not well defined on monomial coordinates"):
-        mu_z.tensor_power(2)
 
 
 def smith_tower(lat, n):
@@ -198,37 +172,6 @@ def test_x_u_linearity(alg_worked, ctx):
         assert lhs == rhs
 
 
-def test_torsion_in_tensor_is_a_failed_check():
-    # Z[(1+w)/2] over the non-maximal order Z[sqrt(-3)] is not projective,
-    # and its tensor square has 2-torsion
-    m = OModule(-3, 2, [[-1, -2], [2, 1]])
-    with pytest.raises(TorsionInTensorError, match="tensor_torsion_free check failed"):
-        tensor_over_O(m, m)
-
-
-def test_a_wrong_section_is_not_well_defined(alg_worked, monkeypatch):
-    # U^-1 negated: the section, and with it the quotient's action, change
-    # sign; -J still squares to d, but no longer commutes with the projection
-    real = omodule.smith_normal_form
-
-    def negated_inverse(rel):
-        diag, u, v, uinv = real(rel)
-        return diag, u, v, [[-e for e in row] for row in uinv]
-
-    a = alg_worked.mu_z.A
-    monkeypatch.setattr(omodule, "smith_normal_form", negated_inverse)
-    with pytest.raises(NotWellDefinedError) as exc:
-        tensor_over_O(a, a)
-    assert exc.value.check == "well_defined"
-    assert str(exc.value) == "well_defined check failed: tensor action not well defined on the quotient"
-
-
-def test_homology_pair_rejects_image_outside_kernel():
-    # d_out * d_in != 0: the image e1 is not in ker(d_out) = Z e2
-    with pytest.raises(NotWellDefinedError, match="well_defined check failed"):
-        homology_pair([[1], [0]], [[1, 0]], 2)
-
-
 def test_delta_fails_the_counit_identity_that_delta_one_passes(monkeypatch):
     negate_a2_action(monkeypatch)
     alg = example_zsqrtm5(1, 1)
@@ -241,8 +184,7 @@ def test_delta_one_and_delta_are_checked_on_every_read(monkeypatch):
     alg = example_zsqrtm5(1, 1)
     alg.comultiply_one()
     alg.delta_matrix()
-    delta_one = omodule.AlgebraLattice._delta_one
-    monkeypatch.setattr(omodule.AlgebraLattice, "_delta_one", lambda self: [2 * e for e in delta_one(self)])
+    double_delta_one(monkeypatch)
     for read in (alg.comultiply_one, alg.delta_matrix):
         with pytest.raises(NotWellDefinedError, match=r"counit identity \(eps \(x\) id\) Delta\(1\) = 1 fails"):
             read()
@@ -259,12 +201,3 @@ def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
     for p in (0, 1):
         assert block(mu_z, ctx.sqrt_d.to_field(), p, p) == mu_z.sqrt_d_blocks[p]
         assert mu_z.flipped_block(block(mu_z, ctx.sqrt_d.to_field(), p, p), p, p) == mu_z.sqrt_d_blocks[1 - p]
-
-
-@pytest.mark.parametrize("blk, pars, message", [
-    (((1, 1), (0, 1)), (0, 0), "not multiplication by one scalar"),
-    (((1, 0), (0, 0)), (1, 0), "leaves the lattice"),  # 1/g1 on g2 = 1+w is (1+w)/2, not in O
-], ids=["not_scalar", "leaves_lattice"])
-def test_flipped_block_names_a_block_that_is_no_scalar(blk, pars, message, alg_worked):
-    with pytest.raises(NotWellDefinedError, match=message):
-        alg_worked.mu_z.flipped_block(blk, *pars)

@@ -15,9 +15,6 @@ import tracemalloc
 import pytest
 
 from conftest import (
-    bump_one_action_entry,
-    bump_one_edge_entry,
-    bump_remainder_entry,
     dense_product,
     reduce_units_reference,
     sparse_from_dense,
@@ -27,7 +24,6 @@ from conftest import (
 from quadfrob import cli, corpus, intlin, linkhom, omodule
 from quadfrob.intlin import SparseMatrix, identity, mat_mul, rank_rat, reduce_units, sparse_rank
 from quadfrob.linkhom import (
-    CheckFailedError,
     Complex,
     DifferentialSquareNonzeroError,
     EquivarianceError,
@@ -41,6 +37,7 @@ from quadfrob.linkhom import (
     smith_homology,
 )
 from quadfrob.omodule import homology_pair
+from test_faults import bump_one_action_entry, bump_one_edge_entry, bump_remainder_entry
 
 # a divisibility chain, so sorted absolute values are the Smith invariants
 DIAGONAL = (1, 1, 1, -1, 2, -2, 4, 12)
@@ -412,41 +409,6 @@ def test_odd_dimension_over_q_is_a_route_disagreement():
     with pytest.raises(RouteDisagreementError, match="odd dimension 1"):
         homology_integral(cx)
     assert homology_integral(Complex(0, [1], [])).degrees == {0: {"z_rank": 1, "torsion": [], "k_dim": 0}}
-
-
-def test_cli_names_the_failed_check(tmp_path, monkeypatch, capsys):
-    pd = tmp_path / "trefoil.json"
-    pd.write_text(json.dumps(corpus.diagram("trefoil").to_json()))
-    real = linkhom.smith_homology
-
-    def wrong_torsion(cx):
-        return {i: (free, [3 * t for t in torsion]) for i, (free, torsion) in real(cx).items()}
-
-    def wrong_free_rank(cx):
-        return {i: (free + 1, torsion) for i, (free, torsion) in real(cx).items()}
-
-    for fake, check in ((wrong_torsion, "mod_p"), (wrong_free_rank, "k_rank_vs_z_rank")):
-        monkeypatch.setattr(linkhom, "smith_homology", fake)
-        rc = cli.main(["link", "homology", "--pd", str(pd)])
-        assert rc == cli.EXIT_CHECK
-        assert f"{check} check failed" in capsys.readouterr().err
-    monkeypatch.setattr(linkhom, "smith_homology", real)
-    assert cli.main(["link", "homology", "--pd", str(pd), "--format", "json"]) == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["homology"]["checks"] == [
-        "d_squared", "equivariance", "remainder_d_squared", "k_rank_vs_z_rank", "lee_degrees", "mod_2",
-    ] + [f"remainder_mod_{p}" for p in (3, 5, 7, 11, 13)]
-    assert issubclass(ModPCheckError, CheckFailedError)
-    # every internal check, in every module, fails under its own name
-    family, todo = [], [CheckFailedError]
-    while todo:
-        subs = todo.pop().__subclasses__()
-        family += subs
-        todo += subs
-    assert {cls.__module__ for cls in family} >= {"quadfrob.frobenius", "quadfrob.omodule", "quadfrob.linkhom"}
-    names = [cls.check for cls in family]
-    assert CheckFailedError.check not in names
-    assert len(set(names)) == len(names)
 
 
 def test_check_equivariance_needs_the_unsimplified_complex(alg_eps0):
