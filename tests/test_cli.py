@@ -11,7 +11,7 @@ from conftest import freeze_first_crossing
 from quadfrob import corpus, frobenius, linkhom
 from quadfrob.cli import main, make_parser
 from quadfrob.frobenius import example_zsqrtm5
-from test_faults import bump_m_entry
+from test_faults import bump_m_entry, bump_one_edge_entry
 
 
 REAL_QUADRATIC = "real quadratic d = {}: only imaginary quadratic rings (d < 0) are supported"
@@ -349,6 +349,15 @@ def test_an_edge_that_keeps_its_circles_is_malformed(tmp_path, monkeypatch, caps
     code, out, err = run(capsys, "link", "homology", "--pd", _trefoil_file(tmp_path))
     assert (code, out) == (3, "")
     assert err.strip() == "malformed input: edge (0, 0, 0)->(1, 0, 0) changes circles 2->2"
+
+
+def test_d_squared_failure_writes_a_json_error(tmp_path, monkeypatch, capsys):
+    bump_one_edge_entry(monkeypatch)
+    pd = _trefoil_file(tmp_path)
+    code, payload, err = run_json(capsys, "link", "homology", "--pd", pd)
+    assert code == 5
+    assert "d_squared check failed" in err
+    assert payload == {"error": {"check": "d_squared", "message": err.strip(), "inputs": {"pd": pd}}}
 
 
 def test_a_lookup_fault_inside_a_command_is_not_malformed_input(tmp_path, monkeypatch):

@@ -201,3 +201,12 @@ def test_flipped_block_moves_the_scalar_by_z(ctx, alg_worked):
     for p in (0, 1):
         assert block(mu_z, ctx.sqrt_d.to_field(), p, p) == mu_z.sqrt_d_blocks[p]
         assert mu_z.flipped_block(block(mu_z, ctx.sqrt_d.to_field(), p, p), p, p) == mu_z.sqrt_d_blocks[1 - p]
+
+
+@pytest.mark.parametrize("blk, pars, message", [
+    (((1, 1), (0, 1)), (0, 0), "not multiplication by one scalar"),
+    (((1, 0), (0, 0)), (1, 0), "leaves the lattice"),  # 1/g1 on g2 = 1+w is (1+w)/2, not in O
+], ids=["not_scalar", "leaves_lattice"])
+def test_flipped_block_names_a_block_that_is_no_scalar(blk, pars, message, alg_worked):
+    with pytest.raises(NotWellDefinedError, match=message):
+        alg_worked.mu_z.flipped_block(blk, *pars)
